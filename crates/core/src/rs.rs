@@ -542,11 +542,7 @@ pub trait Communicator {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Ibarrier");
         let id = comm.env.engine.lock().ibarrier(comm.handle)?;
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            None,
-        )))
+        Ok(coll_request(comm, id, None))
     }
 
     /// Nonblocking broadcast (`MPI_Ibcast`): the root's slice contents
@@ -567,15 +563,7 @@ pub trait Communicator {
         };
         let id = engine.ibcast(comm.handle, root, payload)?;
         drop(engine);
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(buf, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(buf))))
     }
 
     /// Nonblocking reduction to the root (`MPI_Ireduce`); non-root
@@ -598,15 +586,7 @@ pub trait Communicator {
             send.len(),
             op.borrow().engine_op(),
         )?;
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking allreduce (`MPI_Iallreduce`): `recv` holds the full
@@ -627,15 +607,7 @@ pub trait Communicator {
             send.len(),
             op.borrow().engine_op(),
         )?;
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking gather (`MPI_Igather`): the root's `recv` holds
@@ -655,15 +627,7 @@ pub trait Communicator {
             .engine
             .lock()
             .igather(comm.handle, root, &payload)?;
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking allgather (`MPI_Iallgather`): `recv` holds
@@ -677,15 +641,7 @@ pub trait Communicator {
         comm.env.jni.enter("Intracomm.Iallgather");
         let payload = slice_to_bytes(send);
         let id = comm.env.engine.lock().iallgather(comm.handle, &payload)?;
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking scatter (`MPI_Iscatter`): each rank receives
@@ -725,15 +681,7 @@ pub trait Communicator {
         };
         let id = engine.iscatter(comm.handle, root, chunks.as_deref())?;
         drop(engine);
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking total exchange (`MPI_Ialltoall`): every rank sends
@@ -765,15 +713,7 @@ pub trait Communicator {
             .collect();
         let id = engine.ialltoall(comm.handle, &chunks)?;
         drop(engine);
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking reduce-scatter (`MPI_Ireduce_scatter` with equal
@@ -811,15 +751,7 @@ pub trait Communicator {
             op.borrow().engine_op(),
         )?;
         drop(engine);
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     /// Nonblocking inclusive prefix reduction (`MPI_Iscan`): `recv`
@@ -840,15 +772,7 @@ pub trait Communicator {
             send.len(),
             op.borrow().engine_op(),
         )?;
-        let unpack = Box::new(move |bytes: &[u8]| {
-            bytes_to_elements(recv, 0, bytes);
-            Ok(())
-        });
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
-            id,
-            Some(unpack),
-        )))
+        Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
 
     // ------------------------------------------------------------------
@@ -1143,11 +1067,11 @@ pub trait Communicator {
         let id = engine.ineighbor_allgather(comm.handle, &payload)?;
         drop(engine);
         let chunk = send.len();
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
+        Ok(coll_request(
+            comm,
             id,
             Some(unpack_neighbor_parts(neighbors, chunk, recv)),
-        )))
+        ))
     }
 
     /// Nonblocking sparse total exchange (`MPI_Ineighbor_alltoall`):
@@ -1177,11 +1101,11 @@ pub trait Communicator {
         let id = engine.ineighbor_alltoall(comm.handle, &chunks)?;
         drop(engine);
         let chunk = send.len().checked_div(degree).unwrap_or(0);
-        Ok(TypedRequest::new(Request::coll(
-            Arc::clone(&comm.env),
+        Ok(coll_request(
+            comm,
             id,
             Some(unpack_neighbor_parts(neighbors, chunk, recv)),
-        )))
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -1335,9 +1259,28 @@ fn split_neighbor_chunks<T: BufferElement>(
         .collect())
 }
 
-/// Completion closure attached to an `ineighbor_*` request; consumes
-/// the collective's outcome bytes when the request is waited on.
-type NeighborUnpack<'buf> = Box<dyn FnOnce(&[u8]) -> MpiResult<()> + Send + 'buf>;
+/// Completion closure attached to a nonblocking-collective request;
+/// consumes the collective's outcome bytes when the request is waited
+/// on.
+type CollUnpack<'buf> = Box<dyn FnOnce(&[u8]) -> MpiResult<()> + Send + 'buf>;
+
+/// The futures-style handle of a started collective.
+fn coll_request<'buf>(
+    comm: &Comm,
+    id: mpi_native::CollRequestId,
+    unpack: Option<CollUnpack<'buf>>,
+) -> TypedRequest<'buf> {
+    TypedRequest::new(Request::coll(Arc::clone(&comm.env), id, unpack))
+}
+
+/// Deliver the outcome bytes (gather-family outcomes arrive flattened
+/// in rank order) into `recv` from its start.
+fn unpack_into<T: BufferElement>(recv: &mut [T]) -> CollUnpack<'_> {
+    Box::new(move |bytes: &[u8]| {
+        bytes_to_elements(recv, 0, bytes);
+        Ok(())
+    })
+}
 
 /// Unpack closure for the `ineighbor_*` requests: the collective's
 /// outcome parts arrive flattened with `PROC_NULL` slots contributing
@@ -1347,7 +1290,7 @@ fn unpack_neighbor_parts<'buf, T: BufferElement>(
     neighbors: Vec<i32>,
     chunk: usize,
     recv: &'buf mut [T],
-) -> NeighborUnpack<'buf> {
+) -> CollUnpack<'buf> {
     Box::new(move |bytes: &[u8]| {
         let chunk_bytes = chunk * T::width();
         let mut cursor = 0;

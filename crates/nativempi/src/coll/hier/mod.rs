@@ -177,9 +177,7 @@ impl CommTopology {
 /// among the leaders, intra-node release.
 pub(crate) fn barrier(
     s: &mut CollSchedule,
-    w_in: TagWindow,
-    w_lead: TagWindow,
-    w_out: TagWindow,
+    [w_in, w_lead, w_out]: [TagWindow; 3],
     rank: usize,
     topo: &CommTopology,
 ) {
@@ -238,9 +236,7 @@ fn linear_fan_out(s: &mut CollSchedule, win: TagWindow, group: &[usize], my_idx:
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bcast(
     s: &mut CollSchedule,
-    w_in: TagWindow,
-    w_lead: TagWindow,
-    w_out: TagWindow,
+    [w_in, w_lead, w_out]: [TagWindow; 3],
     rank: usize,
     topo: &CommTopology,
     root: usize,
@@ -290,9 +286,7 @@ pub(crate) fn bcast(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce(
     s: &mut CollSchedule,
-    w_in: TagWindow,
-    w_lead: TagWindow,
-    w_out: TagWindow,
+    [w_in, w_lead, w_out]: [TagWindow; 3],
     rank: usize,
     topo: &CommTopology,
     root: usize,
@@ -362,10 +356,7 @@ pub(crate) fn reduce(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn allreduce(
     s: &mut CollSchedule,
-    w_in: TagWindow,
-    w_lead_a: TagWindow,
-    w_lead_b: TagWindow,
-    w_out: TagWindow,
+    [w_in, w_lead_a, w_lead_b, w_out]: [TagWindow; 4],
     rank: usize,
     topo: &CommTopology,
     send: SlotId,
@@ -421,10 +412,7 @@ pub(crate) fn allreduce(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn allgather(
     s: &mut CollSchedule,
-    w_in: TagWindow,
-    w_lead_a: TagWindow,
-    w_lead_b: TagWindow,
-    w_out: TagWindow,
+    [w_in, w_lead_a, w_lead_b, w_out]: [TagWindow; 4],
     rank: usize,
     topo: &CommTopology,
     send: SlotId,

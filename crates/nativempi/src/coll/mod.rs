@@ -1,52 +1,93 @@
-//! Collective operations (MPI-1.1 §4) as a pluggable algorithm subsystem
-//! with schedule-driven nonblocking execution.
+//! Collective operations (MPI-1.1 §4): one descriptor, one plan step,
+//! three launchers, over a pluggable set of schedule-building
+//! algorithms.
 //!
-//! The seed implemented every collective as linear fan-in/fan-out through
-//! rank 0 — O(P) latency with all traffic serialized at the root. This
-//! module keeps that wire pattern as the paper-faithful baseline
-//! ([`linear`]) and adds three scalable patterns behind an explicit
-//! selection layer:
+//! ## Call flow: descriptor → plan → launcher
 //!
-//! * [`tree`] — binomial trees for barrier / bcast / gather / scatter /
-//!   reduce (O(log P) levels),
-//! * [`rd`] — recursive doubling for barrier / allgather / allreduce on
-//!   power-of-two communicators,
+//! Every public entry point — blocking (`allreduce`), nonblocking
+//! (`iallreduce`) or persistent (`allreduce_init`) — is one line: it
+//! names its operation as a `desc::CollDesc` (the op plus root /
+//! `kind`·`count`·`&Op` / per-rank counts, all borrowed), pairs it with
+//! the caller's `desc::Payload`, and hands both to a launcher.
+//!
+//! 1. **Descriptor.** Everything the dispatch needs is derived from it:
+//!    the [`CollOp`], the selector's inputs (payload bytes,
+//!    [`OrderPolicy`], whether topology matters), the argument and
+//!    buffer validation (`CollDesc::need`), the single-rank
+//!    outcome and the schedule-cache key.
+//! 2. **Plan** (`Engine::plan`) runs, exactly once per call and
+//!    identically for every op: validate → single-rank communicators
+//!    complete immediately (no frames, no schedule) → [`tuning`] selects
+//!    the algorithm → `nb::cache::cache_use` decides
+//!    templatable-or-not → cache lookup, or build (`Engine::build`, one
+//!    `match` over the descriptor into the algorithm modules below) and
+//!    cache store. The result is a runnable `nb::CollSchedule` labelled
+//!    with the `(op, algorithm)` pair it was planned with.
+//! 3. **Launchers.** `coll_launch` starts the plan and returns a
+//!    [`CollRequestId`] (the `i*` forms, completed through
+//!    [`Engine::coll_test`] / [`Engine::coll_wait`]); `coll_run` is
+//!    launch + wait (the blocking forms — the two cannot diverge);
+//!    `coll_init` plans without a payload and pins the schedule as a
+//!    persistent operation's template (the `*_init` forms, restarted
+//!    with [`Engine::coll_start_persistent`]).
+//!
+//! See [`nb`] for the schedule model, the progress semantics, the
+//! tag-window accounting and the schedule cache.
+//!
+//! ## Algorithms, and which schedules are templatable
+//!
+//! * [`linear`] — the seed's fan-in/fan-out through one rank, kept as
+//!   the paper-faithful baseline; implements everything,
+//! * [`tree`] — binomial trees (O(log P) levels),
+//! * [`rd`] — recursive doubling on power-of-two communicators,
 //! * [`ring`] — ring allgather / reduce-scatter / allreduce for large
 //!   payloads (every link busy every round),
 //! * [`pipeline`] — segmented pipelined (chain) bcast for huge payloads
-//!   (interior ranks forward segment *k* while receiving *k+1*, so every
-//!   link carries the payload exactly once; pin with
+//!   (interior ranks forward segment *k* while receiving *k+1*; pin with
 //!   `MPIJAVA_COLL_ALG=pipelined`),
-//! * [`hier`] — leader-based hierarchical barrier / bcast / reduce /
-//!   allreduce / allgather for multi-fabric jobs: intra-node traffic
-//!   folds to the node leaders over the cheap fabric, the leaders run
-//!   the flat tree/recursive-doubling schedules among themselves over
-//!   the expensive link (auto-selected when the fabric's
-//!   [`NodeMap`](mpi_transport::NodeMap) is non-trivial; pin with
-//!   `MPIJAVA_COLL_ALG=hier`).
+//! * [`hier`] — leader-based schedules for multi-fabric jobs: intra-node
+//!   traffic folds to the node leaders over the cheap fabric, the
+//!   leaders run the flat tree/recursive-doubling schedules among
+//!   themselves over the expensive link (auto-selected when the fabric's
+//!   [`NodeMap`](mpi_transport::NodeMap) is non-trivial).
 //!
-//! Since the nonblocking-collectives work, every algorithm is expressed
-//! as a round-based **schedule** (`nb::CollSchedule`) executed by an
-//! incremental progress engine: `ibarrier` / `ibcast` / `igather` /
-//! `iscatter` / `iallgather` / `ireduce` / `iallreduce` return a
-//! [`nb::CollRequestId`] completed through [`Engine::coll_test`] /
-//! [`Engine::coll_wait`], and the classic blocking collectives are thin
-//! `start + wait` wrappers over the *same* schedules — the two paths
-//! cannot diverge, and no per-algorithm blocking send/receive loops
-//! remain. See [`nb`] for the schedule model, the progress semantics and
-//! the tag-window accounting.
+//! A schedule is *templatable* when it depends on the call's payload
+//! only through its one input slot, so a built schedule can be stored
+//! payload-free and replayed (the cache, persistent operations). `✓`
+//! templatable, `✗` built per call, blank = the algorithm does not
+//! implement the op ([`tuning::supported`]) and selection falls back:
+//!
+//! | op | linear | tree | rd | ring | pipelined | hier |
+//! |---|---|---|---|---|---|---|
+//! | barrier | ✓ | ✓ | ✓ | | | ✓ |
+//! | bcast | ✓ | ✓ | | | ✗ | ✓ |
+//! | gather | ✓ | ✓ | | | | |
+//! | scatter | ✗ | ✗ | | | | |
+//! | allgather | ✓ | | ✓ | ✓ | | ✓ |
+//! | alltoall | ✗ | | | | | |
+//! | reduce | ✓ | ✓ | | | | ✓ |
+//! | allreduce | ✓ | ✓ | ✓ | ✗ | | ✓ |
+//! | reduce_scatter | ✗ | | | ✗ | | |
+//! | scan | ✓ | | | | | |
+//!
+//! The `✗` cells: the pipelined bcast extends its segment chain at run
+//! time from the payload length; scatter and alltoall stage one chunk
+//! per destination at build time; the ring reduce-scatter (alone, or as
+//! the first half of ring allreduce) slices its segments straight from
+//! the caller's buffer, and the linear reduce-scatter ends in a scatter.
+//! A templatable call staging more than
+//! `nb::cache::SCHED_CACHE_MAX_INPUT_BYTES` bypasses the cache too —
+//! one function, `nb::cache::cache_use`, holds both rules.
 //!
 //! [`tuning`] picks an algorithm from (operation, communicator size,
 //! payload bytes, reduction-order policy, node topology); the choice can
-//! be pinned with
-//! [`CollAlgorithm`] via [`Engine::set_coll_algorithm`] or the
-//! `MPIJAVA_COLL_ALG` environment variable ([`algorithm::COLL_ALG_ENV`]).
-//! Whatever is selected, every algorithm produces byte-identical results
-//! (the cross-algorithm equivalence suite in
-//! `tests/coll_equivalence.rs` enforces it — including every
-//! nonblocking collective against its blocking twin), which is why the
-//! selection consults an [`OrderPolicy`] before re-associating a
-//! reduction.
+//! be pinned with [`CollAlgorithm`] via [`Engine::set_coll_algorithm`]
+//! or the `MPIJAVA_COLL_ALG` environment variable
+//! ([`algorithm::COLL_ALG_ENV`]). Whatever is selected, every algorithm
+//! produces byte-identical results (the cross-algorithm equivalence
+//! suite in `tests/coll_equivalence.rs` enforces it — blocking,
+//! nonblocking and persistent forms alike), which is why the selection
+//! consults an [`OrderPolicy`] before re-associating a reduction.
 //!
 //! ## Semantics every algorithm preserves
 //!
@@ -63,6 +104,7 @@
 //!   their nonblocking requests are born complete.
 
 pub mod algorithm;
+pub(crate) mod desc;
 pub mod hier;
 pub mod linear;
 pub mod nb;
@@ -77,10 +119,9 @@ pub use algorithm::{CollAlgorithm, COLL_ALG_ENV};
 pub use nb::{CollOutcome, CollRequestId, PersistentCollId};
 pub use tuning::{CollOp, OrderPolicy, TopoHint};
 
-use nb::cache::{
-    CacheLookup, OpKey, OpShape, PersistentColl, PersistentSpec, SchedKey, SchedTemplate,
-};
-use nb::{CollSchedule, Round, SlotId};
+use desc::{CollDesc, Payload, Reduction};
+use nb::cache::{cache_use, CacheUse, PersistentColl, SchedTemplate};
+use nb::{CollSchedule, Round, SlotId, TagWindow};
 
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
@@ -172,39 +213,28 @@ fn finalize_parts_from_frame(s: &mut CollSchedule, slot: SlotId, size: usize) {
     }));
 }
 
+/// Where one schedule is built: the communicator, this rank's place in
+/// it and the selected algorithm.
+#[derive(Clone, Copy)]
+struct Site {
+    comm: CommHandle,
+    rank: usize,
+    size: usize,
+    alg: CollAlgorithm,
+}
+
+/// What [`Engine::plan`] made of one call.
+enum Plan {
+    /// Single-rank communicator: complete at start, no frames.
+    Immediate(CollOutcome),
+    /// A runnable schedule and the algorithm it was planned with.
+    Run(CollSchedule, CollAlgorithm),
+    /// A payload-less (`*_init`) plan selected an algorithm whose
+    /// schedules are built around each call's payload: plan per start.
+    PerStart,
+}
+
 impl Engine {
-    fn validate_root(&self, comm: CommHandle, root: usize) -> Result<()> {
-        let size = self.comm_size(comm)?;
-        if root >= size {
-            return err(
-                ErrorClass::Root,
-                format!("root {root} out of range for communicator of size {size}"),
-            );
-        }
-        Ok(())
-    }
-
-    /// Select the algorithm for one dispatch. `bytes` must be a value
-    /// every rank computes identically (0 for the payload-blind data
-    /// movers — see the [`tuning`] module docs); likewise `topo`, which
-    /// every rank derives from the same node map and member list.
-    fn choose(
-        &self,
-        op: CollOp,
-        size: usize,
-        bytes: usize,
-        policy: OrderPolicy,
-        topo: TopoHint,
-    ) -> CollAlgorithm {
-        let alg = tuning::select(op, size, bytes, policy, topo, self.forced_coll_alg);
-        // Remembered for the `coll` trace event the upcoming
-        // `coll_start` emits — selection and schedule start are separate
-        // layers, and threading (op, alg) through every schedule builder
-        // just for observability would be noise.
-        self.last_choice.set(Some((op, alg)));
-        alg
-    }
-
     /// The node-grouping of a communicator's members (see
     /// [`hier::CommTopology`]); identical on every member because it is
     /// derived from shared state (the fabric's node map and the member
@@ -216,13 +246,14 @@ impl Engine {
         ))
     }
 
-    /// The topology hint for one collective dispatch. Single-fabric
-    /// jobs (the common case) skip the O(P) member grouping entirely;
-    /// the full [`hier::CommTopology`] is only built on non-flat node
-    /// maps — and rebuilt by the hier dispatch arm when it is actually
-    /// selected, which only happens on such maps.
-    fn topo_hint(&self, comm: CommHandle) -> Result<TopoHint> {
-        if self.nodes.is_flat() {
+    /// The topology hint for one collective dispatch. Operations without
+    /// a hierarchical schedule and single-fabric jobs (the common case)
+    /// skip the O(P) member grouping entirely; the full
+    /// [`hier::CommTopology`] is only built on non-flat node maps — and
+    /// rebuilt by the hier builder when it is actually selected, which
+    /// only happens on such maps.
+    fn topo_hint(&self, comm: CommHandle, op: CollOp) -> Result<TopoHint> {
+        if self.nodes.is_flat() || !tuning::topology_matters(op) {
             return Ok(TopoHint::FLAT);
         }
         Ok(self.comm_topology(comm)?.hint())
@@ -246,194 +277,576 @@ impl Engine {
     }
 
     // ---------------------------------------------------------------------
-    // Nonblocking entry points (validation, single-rank fast path,
-    // schedule construction, start)
+    // Plan and the three launchers
     // ---------------------------------------------------------------------
+
+    /// Check the engine, the communicator and the call; returns this
+    /// rank, the communicator size and the bytes this rank contributes.
+    pub(crate) fn coll_validate(
+        &self,
+        comm: CommHandle,
+        d: &CollDesc<'_>,
+        payload: &Payload<'_>,
+    ) -> Result<(usize, usize, usize)> {
+        self.check_live()?;
+        let size = self.comm_size(comm)?;
+        let rank = self.comm_rank(comm)?;
+        Ok((rank, size, d.need(rank, size, payload)?))
+    }
+
+    /// Turn one described call into something runnable: validate →
+    /// immediate-or-select → templatable-or-not → cache get / build /
+    /// put. Every collective, in every call mode, passes through here
+    /// exactly once. The selector's inputs are values every rank
+    /// computes identically, so hits, misses and the tag windows either
+    /// consumes line up across ranks.
+    fn plan(&mut self, comm: CommHandle, d: &CollDesc<'_>, payload: Payload<'_>) -> Result<Plan> {
+        let (rank, size, need) = self.coll_validate(comm, d, &payload)?;
+        if size == 1 {
+            return Ok(Plan::Immediate(d.solo_outcome(payload, need)));
+        }
+        let op = d.op();
+        let (bytes, policy) = d.tuning_inputs(need);
+        let topo = self.topo_hint(comm, op)?;
+        let alg = tuning::select(op, size, bytes, policy, topo, self.forced_coll_alg);
+        let at = Site {
+            comm,
+            rank,
+            size,
+            alg,
+        };
+        let schedule = match cache_use(op, alg, need) {
+            CacheUse::Never if matches!(payload, Payload::Deferred) => return Ok(Plan::PerStart),
+            CacheUse::Never => self.build(at, d, payload, need)?,
+            CacheUse::Bypass => {
+                self.stats.sched_cache_misses += 1;
+                self.build(at, d, payload, need)?
+            }
+            CacheUse::Template => {
+                let key = d.cache_key(comm, alg);
+                match self.sched_cache_get(&key) {
+                    Some(mut hit) => {
+                        hit.set_input(payload.into_vec(need));
+                        hit
+                    }
+                    None => {
+                        let built = self.build(at, d, payload, need)?;
+                        self.sched_cache_put(key, &built);
+                        built
+                    }
+                }
+            }
+        };
+        Ok(Plan::Run(schedule, alg))
+    }
+
+    /// Launcher: start the planned call, return its request.
+    pub(crate) fn coll_launch(
+        &mut self,
+        comm: CommHandle,
+        d: &CollDesc<'_>,
+        payload: Payload<'_>,
+    ) -> Result<CollRequestId> {
+        match self.plan(comm, d, payload)? {
+            Plan::Immediate(outcome) => self.coll_immediate(outcome),
+            Plan::Run(schedule, alg) => self.coll_start(comm, schedule, Some((d.op(), alg))),
+            Plan::PerStart => err(ErrorClass::Intern, "collective started without a payload"),
+        }
+    }
+
+    /// Launcher: start the planned call and wait for it — the blocking
+    /// collectives run the same schedules as their `i*` twins.
+    fn coll_run(
+        &mut self,
+        comm: CommHandle,
+        d: &CollDesc<'_>,
+        payload: Payload<'_>,
+    ) -> Result<CollOutcome> {
+        let req = self.coll_launch(comm, d, payload)?;
+        self.coll_wait(req)
+    }
+
+    /// Launcher: plan without a payload and keep the schedule as a
+    /// persistent operation's template, pinned to the tag windows the
+    /// plan consumed (the schedule itself is never started). Init is a
+    /// collective call — every member must call it in the same order
+    /// relative to other collectives on the communicator, because it
+    /// draws from the shared window sequence.
+    fn coll_init(
+        &mut self,
+        comm: CommHandle,
+        desc: CollDesc<'static>,
+        root_len: Option<usize>,
+    ) -> Result<PersistentCollId> {
+        let template = match self.plan(comm, &desc, Payload::Deferred)? {
+            Plan::Run(schedule, alg) => SchedTemplate::capture(&schedule).map(|tpl| (tpl, alg)),
+            Plan::Immediate(_) | Plan::PerStart => None,
+        };
+        let id = self.next_request;
+        self.next_request += 1;
+        self.persistent_colls.insert(
+            id,
+            PersistentColl {
+                comm,
+                desc,
+                root_len,
+                template,
+                active: None,
+            },
+        );
+        Ok(PersistentCollId(id))
+    }
+
+    // ---------------------------------------------------------------------
+    // Schedule construction: descriptor × algorithm → rounds
+    // ---------------------------------------------------------------------
+
+    /// Allocate `N` consecutive tag windows recorded on `s` (see
+    /// [`Engine::sched_window`]).
+    fn sched_windows<const N: usize>(
+        &mut self,
+        comm: CommHandle,
+        s: &mut CollSchedule,
+    ) -> [TagWindow; N] {
+        std::array::from_fn(|_| self.sched_window(comm, s))
+    }
+
+    /// Build the schedule of `d` under `at.alg` from scratch. Templatable
+    /// schedules take the payload through their input slot; the others
+    /// (see the table in the module docs) read it here, at build time.
+    fn build(
+        &mut self,
+        at: Site,
+        d: &CollDesc<'_>,
+        payload: Payload<'_>,
+        need: usize,
+    ) -> Result<CollSchedule> {
+        let mut schedule = CollSchedule::new();
+        let s = &mut schedule;
+        match d {
+            CollDesc::Barrier => self.build_barrier(s, at)?,
+            CollDesc::Bcast { root } => self.build_bcast(s, at, *root, payload.into_vec(need))?,
+            CollDesc::Gather { root } => self.build_gather(s, at, *root, payload.into_vec(need)),
+            CollDesc::Scatter { root } => self.build_scatter(s, at, *root, payload.chunks()),
+            CollDesc::Allgather => self.build_allgather(s, at, payload.into_vec(need))?,
+            CollDesc::Alltoall => {
+                // The posted pairwise exchange is already contention-free;
+                // no alternative algorithm is implemented.
+                let [win] = self.sched_windows(at.comm, s);
+                let chunks = payload.chunks().unwrap_or_default();
+                linear::alltoall(s, win, at.rank, at.size, chunks);
+            }
+            CollDesc::Reduce { root, red } => {
+                self.build_reduce(s, at, *root, red, payload.into_vec(need))?
+            }
+            CollDesc::Allreduce(red) => self.build_allreduce(s, at, red, payload, need)?,
+            CollDesc::ReduceScatter { counts, red } => {
+                self.build_reduce_scatter(s, at, counts, red, &payload.bytes()[..need])
+            }
+            CollDesc::Scan(red) => {
+                // The prefix chain *is* sequential: linear is the only
+                // algorithm.
+                let [win] = self.sched_windows(at.comm, s);
+                let own = s.input(payload.into_vec(need));
+                let op = Op::clone(&red.op);
+                let acc = linear::scan(s, win, at.rank, at.size, own, red.kind, red.count, op);
+                finalize_buffer(s, acc);
+            }
+        }
+        Ok(schedule)
+    }
+
+    fn build_barrier(&mut self, s: &mut CollSchedule, at: Site) -> Result<()> {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        if alg == CollAlgorithm::Hierarchical {
+            let topo = self.comm_topology(comm)?;
+            let wins = self.sched_windows(comm, s);
+            hier::barrier(s, wins, rank, &topo);
+            return Ok(());
+        }
+        let [win] = self.sched_windows(comm, s);
+        match alg {
+            CollAlgorithm::RecursiveDoubling => rd::barrier(s, win, rank, size),
+            CollAlgorithm::BinomialTree => tree::barrier(s, win, rank, size),
+            _ => linear::barrier(s, win, rank, size),
+        }
+        Ok(())
+    }
+
+    /// `buf` is the root's payload (ignored elsewhere).
+    fn build_bcast(
+        &mut self,
+        s: &mut CollSchedule,
+        at: Site,
+        root: usize,
+        buf: Vec<u8>,
+    ) -> Result<()> {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let data = if rank == root {
+            s.input(buf)
+        } else {
+            s.empty()
+        };
+        if alg == CollAlgorithm::Hierarchical {
+            let topo = self.comm_topology(comm)?;
+            let wins = self.sched_windows(comm, s);
+            hier::bcast(s, wins, rank, &topo, root, data);
+        } else {
+            let [win] = self.sched_windows(comm, s);
+            match alg {
+                CollAlgorithm::Pipelined => {
+                    let seg = self
+                        .segment_bytes
+                        .unwrap_or(pipeline::DEFAULT_BCAST_SEGMENT_BYTES);
+                    pipeline::bcast(s, win, rank, size, root, data, seg);
+                }
+                CollAlgorithm::BinomialTree => tree::bcast(s, win, rank, size, root, data),
+                _ => linear::bcast(s, win, rank, size, root, data),
+            }
+        }
+        finalize_buffer(s, data);
+        Ok(())
+    }
+
+    fn build_gather(&mut self, s: &mut CollSchedule, at: Site, root: usize, own: Vec<u8>) {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let [win] = self.sched_windows(comm, s);
+        let own = s.input(own);
+        let framed = match alg {
+            CollAlgorithm::BinomialTree => tree::gather(s, win, rank, size, root, own),
+            _ => linear::gather(s, win, rank, size, root, own),
+        };
+        if rank == root {
+            finalize_parts_from_frame(s, framed, size);
+        }
+    }
+
+    fn build_scatter(
+        &mut self,
+        s: &mut CollSchedule,
+        at: Site,
+        root: usize,
+        chunks: Option<&[Vec<u8>]>,
+    ) {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let [win] = self.sched_windows(comm, s);
+        let out = s.empty();
+        match alg {
+            CollAlgorithm::BinomialTree => tree::scatter(s, win, rank, size, root, chunks, out),
+            _ => {
+                let dest_slots = chunks.map(|chunks| {
+                    chunks
+                        .iter()
+                        .map(|chunk| s.filled(chunk.clone()))
+                        .collect::<Vec<_>>()
+                });
+                linear::scatter(s, win, rank, size, root, dest_slots, out);
+            }
+        }
+        finalize_buffer(s, out);
+    }
+
+    fn build_allgather(&mut self, s: &mut CollSchedule, at: Site, own: Vec<u8>) -> Result<()> {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let own = s.input(own);
+        let framed = match alg {
+            CollAlgorithm::Hierarchical => {
+                let topo = self.comm_topology(comm)?;
+                let wins = self.sched_windows(comm, s);
+                hier::allgather(s, wins, rank, &topo, own)
+            }
+            CollAlgorithm::RecursiveDoubling => {
+                let [win] = self.sched_windows(comm, s);
+                rd::allgather(s, win, rank, size, own)
+            }
+            CollAlgorithm::Ring => {
+                let [win] = self.sched_windows(comm, s);
+                let parts = ring::allgather(s, win, rank, size, own);
+                s.push(Round::new().compute(move |ctx| {
+                    let mut out = Vec::with_capacity(parts.len());
+                    for &slot in &parts {
+                        out.push(ctx.take(slot)?);
+                    }
+                    ctx.set_outcome(CollOutcome::Parts(out));
+                    Ok(())
+                }));
+                return Ok(());
+            }
+            _ => {
+                // Linear composite: gather to rank 0, broadcast the framed
+                // concatenation (per-rank lengths may differ — that is what
+                // makes this double as allgatherv).
+                let [w1, w2] = self.sched_windows(comm, s);
+                let framed = linear::gather(s, w1, rank, size, 0, own);
+                linear::bcast(s, w2, rank, size, 0, framed);
+                framed
+            }
+        };
+        finalize_parts_from_frame(s, framed, size);
+        Ok(())
+    }
+
+    fn build_reduce(
+        &mut self,
+        s: &mut CollSchedule,
+        at: Site,
+        root: usize,
+        red: &Reduction<'_>,
+        own: Vec<u8>,
+    ) -> Result<()> {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let (kind, count, op) = (red.kind, red.count, Op::clone(&red.op));
+        let own = s.input(own);
+        let out = if alg == CollAlgorithm::Hierarchical {
+            let topo = self.comm_topology(comm)?;
+            let wins = self.sched_windows(comm, s);
+            hier::reduce(s, wins, rank, &topo, root, own, kind, count, op)
+        } else {
+            let [win] = self.sched_windows(comm, s);
+            match alg {
+                CollAlgorithm::BinomialTree => {
+                    tree::reduce(s, win, rank, size, root, own, kind, count, op)
+                }
+                _ => linear::reduce(s, win, rank, size, root, own, kind, count, op),
+            }
+        };
+        if rank == root {
+            finalize_buffer(s, out);
+        }
+        Ok(())
+    }
+
+    fn build_allreduce(
+        &mut self,
+        s: &mut CollSchedule,
+        at: Site,
+        red: &Reduction<'_>,
+        payload: Payload<'_>,
+        need: usize,
+    ) -> Result<()> {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let (kind, count) = (red.kind, red.count);
+        if alg == CollAlgorithm::Ring {
+            // Reduce-scatter into P near-equal segments, then
+            // ring-allgather the reduced segments back — the classic
+            // bandwidth-optimal large-payload allreduce. The segments
+            // are sliced straight from the caller's buffer: no staging
+            // copy of the whole payload.
+            let [w1, w2] = self.sched_windows(comm, s);
+            let (base, extra) = (count / size, count % size);
+            let counts: Vec<usize> = (0..size).map(|i| base + usize::from(i < extra)).collect();
+            let send = &payload.bytes()[..need];
+            let segs = ring::reduce_scatter(s, w1, rank, size, send, &counts, kind, &red.op);
+            let parts = ring::allgather(s, w2, rank, size, segs[rank]);
+            let joined = s.empty();
+            s.push(Round::new().compute(move |ctx| {
+                let mut out = Vec::new();
+                for &slot in &parts {
+                    out.extend_from_slice(&ctx.take(slot)?);
+                }
+                ctx.put(joined, out);
+                Ok(())
+            }));
+            finalize_buffer(s, joined);
+            return Ok(());
+        }
+        let own = s.input(payload.into_vec(need));
+        let op = Op::clone(&red.op);
+        let out = match alg {
+            CollAlgorithm::Hierarchical => {
+                let topo = self.comm_topology(comm)?;
+                let wins = self.sched_windows(comm, s);
+                hier::allreduce(s, wins, rank, &topo, own, kind, count, op)
+            }
+            CollAlgorithm::RecursiveDoubling => {
+                let [win] = self.sched_windows(comm, s);
+                rd::allreduce(s, win, rank, size, own, kind, count, op)
+            }
+            CollAlgorithm::BinomialTree => {
+                let [w1, w2] = self.sched_windows(comm, s);
+                let reduced = tree::reduce(s, w1, rank, size, 0, own, kind, count, op);
+                tree::bcast(s, w2, rank, size, 0, reduced);
+                reduced
+            }
+            // `supported` never offers Pipelined here, so only the
+            // linear composite remains.
+            _ => {
+                let [w1, w2] = self.sched_windows(comm, s);
+                let reduced = linear::reduce(s, w1, rank, size, 0, own, kind, count, op);
+                linear::bcast(s, w2, rank, size, 0, reduced);
+                reduced
+            }
+        };
+        finalize_buffer(s, out);
+        Ok(())
+    }
+
+    fn build_reduce_scatter(
+        &mut self,
+        s: &mut CollSchedule,
+        at: Site,
+        counts: &[usize],
+        red: &Reduction<'_>,
+        send: &[u8],
+    ) {
+        let Site {
+            comm,
+            rank,
+            size,
+            alg,
+        } = at;
+        let kind = red.kind;
+        let out = if alg == CollAlgorithm::Ring {
+            let [win] = self.sched_windows(comm, s);
+            ring::reduce_scatter(s, win, rank, size, send, counts, kind, &red.op)[rank]
+        } else {
+            // Linear composite: reduce the full vector at rank 0, then
+            // scatter `counts[i]`-element segments.
+            let [w1, w2] = self.sched_windows(comm, s);
+            let own = s.filled(send.to_vec());
+            let op = Op::clone(&red.op);
+            let reduced = linear::reduce(s, w1, rank, size, 0, own, kind, red.count, op);
+            let out = s.empty();
+            let dest_slots: Option<Vec<SlotId>> =
+                (rank == 0).then(|| (0..size).map(|_| s.empty()).collect());
+            if let Some(bridge_slots) = dest_slots.clone() {
+                let counts = counts.to_vec();
+                let elem = kind.size();
+                s.push(Round::new().compute(move |ctx| {
+                    let full = ctx.take(reduced)?;
+                    let mut cursor = 0usize;
+                    for (&slot, &c) in bridge_slots.iter().zip(&counts) {
+                        let bytes = c * elem;
+                        ctx.put(slot, full[cursor..cursor + bytes].to_vec());
+                        cursor += bytes;
+                    }
+                    Ok(())
+                }));
+            }
+            linear::scatter(s, w2, rank, size, 0, dest_slots, out);
+            out
+        };
+        finalize_buffer(s, out);
+    }
+
+    // ---------------------------------------------------------------------
+    // Public entry points: one descriptor, one launcher each
+    // ---------------------------------------------------------------------
+
+    /// `MPI_Barrier`.
+    pub fn barrier(&mut self, comm: CommHandle) -> Result<()> {
+        self.coll_run(comm, &CollDesc::Barrier, Payload::Bytes(&[]))?;
+        Ok(())
+    }
 
     /// `MPI_Ibarrier`: outcome [`CollOutcome::Done`].
     pub fn ibarrier(&mut self, comm: CommHandle) -> Result<CollRequestId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Done);
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let alg = self.choose(CollOp::Barrier, size, 0, OrderPolicy::Any, hint);
-        let key = SchedKey {
-            comm,
-            alg,
-            shape: OpShape::Barrier,
-        };
-        if let CacheLookup::Hit(s) = self.sched_cache_get(&key, Vec::new())? {
-            return self.coll_start(comm, s);
-        }
-        let s = self.build_barrier(comm, rank, size, alg)?;
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
+        self.coll_launch(comm, &CollDesc::Barrier, Payload::Bytes(&[]))
     }
 
-    fn build_barrier(
-        &mut self,
-        comm: CommHandle,
-        rank: usize,
-        size: usize,
-        alg: CollAlgorithm,
-    ) -> Result<CollSchedule> {
-        let mut s = CollSchedule::new();
-        match alg {
-            CollAlgorithm::Hierarchical => {
-                let topo = self.comm_topology(comm)?;
-                let w_in = self.sched_window(comm, &mut s);
-                let w_lead = self.sched_window(comm, &mut s);
-                let w_out = self.sched_window(comm, &mut s);
-                hier::barrier(&mut s, w_in, w_lead, w_out, rank, &topo);
-            }
-            CollAlgorithm::RecursiveDoubling => {
-                let win = self.sched_window(comm, &mut s);
-                rd::barrier(&mut s, win, rank, size);
-            }
-            CollAlgorithm::BinomialTree => {
-                let win = self.sched_window(comm, &mut s);
-                tree::barrier(&mut s, win, rank, size);
-            }
-            _ => {
-                let win = self.sched_window(comm, &mut s);
-                linear::barrier(&mut s, win, rank, size);
-            }
-        }
-        Ok(s)
+    /// `MPI_Barrier_init`: a reusable barrier. Start iterations with
+    /// [`Engine::coll_start_persistent`] (payload ignored).
+    pub fn barrier_init(&mut self, comm: CommHandle) -> Result<PersistentCollId> {
+        self.coll_init(comm, CollDesc::Barrier, None)
+    }
+
+    /// `MPI_Bcast`: `buf` is the payload on the root and is overwritten on
+    /// every other rank.
+    pub fn bcast(&mut self, comm: CommHandle, root: usize, buf: &mut Vec<u8>) -> Result<()> {
+        let desc = CollDesc::Bcast { root };
+        // Validate before taking the buffer so a rejected call leaves
+        // the caller's payload untouched.
+        self.coll_validate(comm, &desc, &Payload::Deferred)?;
+        let outcome = self.coll_run(comm, &desc, Payload::Owned(std::mem::take(buf)))?;
+        *buf = Self::expect_buffer(outcome)?;
+        Ok(())
     }
 
     /// `MPI_Ibcast`: `buf` is the payload on the root (ignored
     /// elsewhere); outcome [`CollOutcome::Buffer`] with the broadcast
     /// payload on every rank.
     pub fn ibcast(&mut self, comm: CommHandle, root: usize, buf: Vec<u8>) -> Result<CollRequestId> {
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Buffer(buf));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let alg = self.choose(CollOp::Bcast, size, 0, OrderPolicy::Any, hint);
-        if alg == CollAlgorithm::Pipelined {
-            // The segment chain is extended at run time from the payload
-            // length: never templatable, so skip the cache entirely.
-            let mut s = CollSchedule::new();
-            let data = if rank == root {
-                s.filled(buf)
-            } else {
-                s.empty()
-            };
-            let win = self.alloc_tag_window(comm);
-            let seg = self
-                .segment_bytes
-                .unwrap_or(pipeline::DEFAULT_BCAST_SEGMENT_BYTES);
-            pipeline::bcast(&mut s, win, rank, size, root, data, seg);
-            finalize_buffer(&mut s, data);
-            return self.coll_start(comm, s);
-        }
-        let key = SchedKey {
-            comm,
-            alg,
-            shape: OpShape::Bcast { root },
-        };
-        let inputs = if rank == root { vec![buf] } else { Vec::new() };
-        let buf = match self.sched_cache_get(&key, inputs)? {
-            CacheLookup::Hit(s) => return self.coll_start(comm, s),
-            CacheLookup::Miss(mut inputs) => inputs.pop().unwrap_or_default(),
-        };
-        let s = self.build_bcast(comm, rank, size, root, alg, buf)?;
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
+        self.coll_launch(comm, &CollDesc::Bcast { root }, Payload::Owned(buf))
     }
 
-    /// Build the templatable broadcast schedules (everything but
-    /// pipelined); `buf` is the root's payload, staged through an input
-    /// slot so the schedule caches as a payload-free template.
-    fn build_bcast(
+    /// `MPI_Bcast_init`: a reusable broadcast from `root`. `len` is the
+    /// payload length the root will pass to every `start()` (ignored on
+    /// other ranks, which receive whatever arrives).
+    pub fn bcast_init(
         &mut self,
         comm: CommHandle,
-        rank: usize,
-        size: usize,
         root: usize,
-        alg: CollAlgorithm,
-        buf: Vec<u8>,
-    ) -> Result<CollSchedule> {
-        let mut s = CollSchedule::new();
-        let data = if rank == root {
-            s.input(buf)
-        } else {
-            s.empty()
-        };
-        match alg {
-            CollAlgorithm::Hierarchical => {
-                let topo = self.comm_topology(comm)?;
-                let w_in = self.sched_window(comm, &mut s);
-                let w_lead = self.sched_window(comm, &mut s);
-                let w_out = self.sched_window(comm, &mut s);
-                hier::bcast(&mut s, w_in, w_lead, w_out, rank, &topo, root, data);
-            }
-            CollAlgorithm::BinomialTree => {
-                let win = self.sched_window(comm, &mut s);
-                tree::bcast(&mut s, win, rank, size, root, data);
-            }
-            _ => {
-                let win = self.sched_window(comm, &mut s);
-                linear::bcast(&mut s, win, rank, size, root, data);
-            }
+        len: usize,
+    ) -> Result<PersistentCollId> {
+        let root_len = (self.comm_rank(comm)? == root).then_some(len);
+        self.coll_init(comm, CollDesc::Bcast { root }, root_len)
+    }
+
+    /// `MPI_Gather` / `MPI_Gatherv`: every rank contributes `send`; the root
+    /// receives one buffer per rank (in rank order), everyone else `None`.
+    pub fn gather(
+        &mut self,
+        comm: CommHandle,
+        root: usize,
+        send: &[u8],
+    ) -> Result<Option<Vec<Vec<u8>>>> {
+        match self.coll_run(comm, &CollDesc::Gather { root }, Payload::Bytes(send))? {
+            CollOutcome::Done => Ok(None),
+            outcome => Ok(Some(Self::expect_parts(outcome)?)),
         }
-        finalize_buffer(&mut s, data);
-        Ok(s)
     }
 
     /// `MPI_Igather` / `Igatherv`: outcome [`CollOutcome::Parts`] (rank
     /// order) on the root, [`CollOutcome::Done`] elsewhere.
     pub fn igather(&mut self, comm: CommHandle, root: usize, send: &[u8]) -> Result<CollRequestId> {
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Parts(vec![send.to_vec()]));
-        }
-        let rank = self.comm_rank(comm)?;
-        let alg = self.choose(CollOp::Gather, size, 0, OrderPolicy::Any, TopoHint::FLAT);
-        let key = SchedKey {
-            comm,
-            alg,
-            shape: OpShape::Gather { root },
-        };
-        let own = match self.sched_cache_get(&key, vec![send.to_vec()])? {
-            CacheLookup::Hit(s) => return self.coll_start(comm, s),
-            CacheLookup::Miss(mut inputs) => inputs.pop().expect("one input"),
-        };
-        let s = self.build_gather(comm, rank, size, root, alg, own)?;
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
+        self.coll_launch(comm, &CollDesc::Gather { root }, Payload::Bytes(send))
     }
 
-    fn build_gather(
+    /// `MPI_Scatter` / `MPI_Scatterv`: the root supplies one buffer per rank
+    /// (`chunks`, rank order); every rank receives its own chunk.
+    pub fn scatter(
         &mut self,
         comm: CommHandle,
-        rank: usize,
-        size: usize,
         root: usize,
-        alg: CollAlgorithm,
-        payload: Vec<u8>,
-    ) -> Result<CollSchedule> {
-        let mut s = CollSchedule::new();
-        let win = self.sched_window(comm, &mut s);
-        let own = s.input(payload);
-        let framed = match alg {
-            CollAlgorithm::BinomialTree => tree::gather(&mut s, win, rank, size, root, own),
-            _ => linear::gather(&mut s, win, rank, size, root, own),
-        };
-        if rank == root {
-            finalize_parts_from_frame(&mut s, framed, size);
-        }
-        Ok(s)
+        chunks: Option<&[Vec<u8>]>,
+    ) -> Result<Vec<u8>> {
+        let outcome = self.coll_run(comm, &CollDesc::Scatter { root }, Payload::Chunks(chunks))?;
+        Self::expect_buffer(outcome)
     }
 
     /// `MPI_Iscatter` / `Iscatterv`: the root supplies one buffer per
@@ -445,120 +858,58 @@ impl Engine {
         root: usize,
         chunks: Option<&[Vec<u8>]>,
     ) -> Result<CollRequestId> {
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let rank = self.comm_rank(comm)?;
-        let size = self.comm_size(comm)?;
-        if rank == root {
-            let chunks = chunks.ok_or_else(|| {
-                MpiError::new(ErrorClass::Buffer, "root must supply scatter chunks")
-            })?;
-            if chunks.len() != size {
-                return err(
-                    ErrorClass::Count,
-                    format!("scatter needs {size} chunks, got {}", chunks.len()),
-                );
-            }
-            if size == 1 {
-                return self.coll_immediate(CollOutcome::Buffer(chunks[0].clone()));
-            }
-        }
-        let mut s = CollSchedule::new();
-        let win = self.alloc_tag_window(comm);
-        let out = s.empty();
-        match self.choose(CollOp::Scatter, size, 0, OrderPolicy::Any, TopoHint::FLAT) {
-            CollAlgorithm::BinomialTree => {
-                tree::scatter(&mut s, win, rank, size, root, chunks, out)
-            }
-            _ => {
-                let dest_slots = chunks.map(|chunks| {
-                    chunks
-                        .iter()
-                        .map(|chunk| s.filled(chunk.clone()))
-                        .collect::<Vec<_>>()
-                });
-                linear::scatter(&mut s, win, rank, size, root, dest_slots, out);
-            }
-        }
-        finalize_buffer(&mut s, out);
-        self.coll_start(comm, s)
+        self.coll_launch(comm, &CollDesc::Scatter { root }, Payload::Chunks(chunks))
+    }
+
+    /// `MPI_Allgather` / `MPI_Allgatherv`: returns one buffer per rank on
+    /// every rank.
+    pub fn allgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<Vec<Vec<u8>>> {
+        let outcome = self.coll_run(comm, &CollDesc::Allgather, Payload::Bytes(send))?;
+        Self::expect_parts(outcome)
     }
 
     /// `MPI_Iallgather` / `Iallgatherv`: outcome [`CollOutcome::Parts`]
     /// (one buffer per rank, rank order) on every rank.
     pub fn iallgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<CollRequestId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Parts(vec![send.to_vec()]));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let alg = self.choose(CollOp::Allgather, size, 0, OrderPolicy::Any, hint);
-        let key = SchedKey {
-            comm,
-            alg,
-            shape: OpShape::Allgather,
-        };
-        let own = match self.sched_cache_get(&key, vec![send.to_vec()])? {
-            CacheLookup::Hit(s) => return self.coll_start(comm, s),
-            CacheLookup::Miss(mut inputs) => inputs.pop().expect("one input"),
-        };
-        let s = self.build_allgather(comm, rank, size, alg, own)?;
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
+        self.coll_launch(comm, &CollDesc::Allgather, Payload::Bytes(send))
     }
 
-    fn build_allgather(
+    /// `MPI_Allgather_init`: a reusable allgather (per-rank lengths may
+    /// vary between starts — the wire format is length-independent).
+    pub fn allgather_init(&mut self, comm: CommHandle) -> Result<PersistentCollId> {
+        self.coll_init(comm, CollDesc::Allgather, None)
+    }
+
+    /// `MPI_Alltoall` / `MPI_Alltoallv`: `chunks[d]` goes to rank `d`;
+    /// returns the chunk received from every rank.
+    pub fn alltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+        let outcome = self.coll_run(comm, &CollDesc::Alltoall, Payload::Chunks(Some(chunks)))?;
+        Self::expect_parts(outcome)
+    }
+
+    /// `MPI_Ialltoall` / `Ialltoallv`: `chunks[d]` goes to rank `d`;
+    /// outcome [`CollOutcome::Parts`] with the chunk received from every
+    /// rank.
+    pub fn ialltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<CollRequestId> {
+        self.coll_launch(comm, &CollDesc::Alltoall, Payload::Chunks(Some(chunks)))
+    }
+
+    /// `MPI_Reduce`: element-wise reduction of `count` elements of `kind`
+    /// with `op`, rank order, result on the root.
+    pub fn reduce(
         &mut self,
         comm: CommHandle,
-        rank: usize,
-        size: usize,
-        alg: CollAlgorithm,
-        payload: Vec<u8>,
-    ) -> Result<CollSchedule> {
-        let mut s = CollSchedule::new();
-        let own = s.input(payload);
-        match alg {
-            CollAlgorithm::Hierarchical => {
-                let topo = self.comm_topology(comm)?;
-                let w_in = self.sched_window(comm, &mut s);
-                let w_lead_a = self.sched_window(comm, &mut s);
-                let w_lead_b = self.sched_window(comm, &mut s);
-                let w_out = self.sched_window(comm, &mut s);
-                let framed =
-                    hier::allgather(&mut s, w_in, w_lead_a, w_lead_b, w_out, rank, &topo, own);
-                finalize_parts_from_frame(&mut s, framed, size);
-            }
-            CollAlgorithm::RecursiveDoubling => {
-                let win = self.sched_window(comm, &mut s);
-                let framed = rd::allgather(&mut s, win, rank, size, own);
-                finalize_parts_from_frame(&mut s, framed, size);
-            }
-            CollAlgorithm::Ring => {
-                let win = self.sched_window(comm, &mut s);
-                let parts = ring::allgather(&mut s, win, rank, size, own);
-                s.push(Round::new().compute(move |ctx| {
-                    let mut out = Vec::with_capacity(parts.len());
-                    for &slot in &parts {
-                        out.push(ctx.take(slot)?);
-                    }
-                    ctx.set_outcome(CollOutcome::Parts(out));
-                    Ok(())
-                }));
-            }
-            _ => {
-                // Linear composite: gather to rank 0, broadcast the framed
-                // concatenation (per-rank lengths may differ — that is what
-                // makes this double as allgatherv).
-                let w1 = self.sched_window(comm, &mut s);
-                let w2 = self.sched_window(comm, &mut s);
-                let framed = linear::gather(&mut s, w1, rank, size, 0, own);
-                linear::bcast(&mut s, w2, rank, size, 0, framed);
-                finalize_parts_from_frame(&mut s, framed, size);
-            }
+        root: usize,
+        send: &[u8],
+        kind: PrimitiveKind,
+        count: usize,
+        op: &Op,
+    ) -> Result<Option<Vec<u8>>> {
+        let red = Reduction::borrowed(kind, count, op);
+        match self.coll_run(comm, &CollDesc::Reduce { root, red }, Payload::Bytes(send))? {
+            CollOutcome::Done => Ok(None),
+            outcome => Ok(Some(Self::expect_buffer(outcome)?)),
         }
-        Ok(s)
     }
 
     /// `MPI_Ireduce`: element-wise reduction of `count` elements of
@@ -573,84 +924,34 @@ impl Engine {
         count: usize,
         op: &Op,
     ) -> Result<CollRequestId> {
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let need = self.reduce_need(send, kind, count, "reduce")?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Buffer(send[..need].to_vec()));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let policy = tuning::order_policy(op, kind);
-        let alg = self.choose(CollOp::Reduce, size, need, policy, hint);
-        let key = SchedKey {
-            comm,
-            alg,
-            shape: OpShape::Reduce {
-                root,
-                kind,
-                count,
-                op: OpKey::of(op),
-            },
-        };
-        let own = match self.sched_cache_get(&key, vec![send[..need].to_vec()])? {
-            CacheLookup::Hit(s) => return self.coll_start(comm, s),
-            CacheLookup::Miss(mut inputs) => inputs.pop().expect("one input"),
-        };
-        let s = self.build_reduce(comm, rank, size, root, alg, own, kind, count, op)?;
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
+        let red = Reduction::borrowed(kind, count, op);
+        self.coll_launch(comm, &CollDesc::Reduce { root, red }, Payload::Bytes(send))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_reduce(
+    /// `MPI_Reduce_init`: a reusable rank-order reduction to `root`.
+    pub fn reduce_init(
         &mut self,
         comm: CommHandle,
-        rank: usize,
-        size: usize,
         root: usize,
-        alg: CollAlgorithm,
-        payload: Vec<u8>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
-    ) -> Result<CollSchedule> {
-        let mut s = CollSchedule::new();
-        let own = s.input(payload);
-        let out = match alg {
-            CollAlgorithm::Hierarchical => {
-                let topo = self.comm_topology(comm)?;
-                let w_in = self.sched_window(comm, &mut s);
-                let w_lead = self.sched_window(comm, &mut s);
-                let w_out = self.sched_window(comm, &mut s);
-                hier::reduce(
-                    &mut s,
-                    w_in,
-                    w_lead,
-                    w_out,
-                    rank,
-                    &topo,
-                    root,
-                    own,
-                    kind,
-                    count,
-                    op.clone(),
-                )
-            }
-            CollAlgorithm::BinomialTree => {
-                let win = self.sched_window(comm, &mut s);
-                tree::reduce(&mut s, win, rank, size, root, own, kind, count, op.clone())
-            }
-            _ => {
-                let win = self.sched_window(comm, &mut s);
-                linear::reduce(&mut s, win, rank, size, root, own, kind, count, op.clone())
-            }
-        };
-        if rank == root {
-            finalize_buffer(&mut s, out);
-        }
-        Ok(s)
+    ) -> Result<PersistentCollId> {
+        let red = Reduction::owned(kind, count, op);
+        self.coll_init(comm, CollDesc::Reduce { root, red }, None)
+    }
+
+    /// `MPI_Allreduce`: the reduction delivered to every rank.
+    pub fn allreduce(
+        &mut self,
+        comm: CommHandle,
+        send: &[u8],
+        kind: PrimitiveKind,
+        count: usize,
+        op: &Op,
+    ) -> Result<Vec<u8>> {
+        let desc = CollDesc::Allreduce(Reduction::borrowed(kind, count, op));
+        Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)
     }
 
     /// `MPI_Iallreduce`: outcome [`CollOutcome::Buffer`] with the full
@@ -663,481 +964,8 @@ impl Engine {
         count: usize,
         op: &Op,
     ) -> Result<CollRequestId> {
-        self.check_live()?;
-        let need = self.reduce_need(send, kind, count, "allreduce")?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Buffer(send[..need].to_vec()));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let policy = tuning::order_policy(op, kind);
-        let alg = self.choose(CollOp::Allreduce, size, need, policy, hint);
-        if alg == CollAlgorithm::Ring {
-            // Ring allreduce: reduce-scatter into P near-equal
-            // segments, then ring-allgather the reduced segments back
-            // — the classic bandwidth-optimal large-payload allreduce.
-            // The segments are staged straight from the caller's buffer
-            // at build time: never templatable, so skip the cache (and
-            // its payload staging copy) entirely.
-            let mut s = CollSchedule::new();
-            let w1 = self.alloc_tag_window(comm);
-            let w2 = self.alloc_tag_window(comm);
-            let base = count / size;
-            let extra = count % size;
-            let counts: Vec<usize> = (0..size).map(|i| base + usize::from(i < extra)).collect();
-            let segs =
-                ring::reduce_scatter(&mut s, w1, rank, size, &send[..need], &counts, kind, op);
-            let parts = ring::allgather(&mut s, w2, rank, size, segs[rank]);
-            let joined = s.empty();
-            s.push(Round::new().compute(move |ctx| {
-                let mut out = Vec::new();
-                for &slot in &parts {
-                    out.extend_from_slice(&ctx.take(slot)?);
-                }
-                ctx.put(joined, out);
-                Ok(())
-            }));
-            finalize_buffer(&mut s, joined);
-            return self.coll_start(comm, s);
-        }
-        let key = SchedKey {
-            comm,
-            alg,
-            shape: OpShape::Allreduce {
-                kind,
-                count,
-                op: OpKey::of(op),
-            },
-        };
-        let own = match self.sched_cache_get(&key, vec![send[..need].to_vec()])? {
-            CacheLookup::Hit(s) => return self.coll_start(comm, s),
-            CacheLookup::Miss(mut inputs) => inputs.pop().expect("one input"),
-        };
-        let s = self.build_allreduce(comm, rank, size, alg, own, kind, count, op)?;
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
-    }
-
-    /// Build the templatable allreduce schedules (everything but ring,
-    /// which the dispatcher keeps on the uncached path).
-    #[allow(clippy::too_many_arguments)]
-    fn build_allreduce(
-        &mut self,
-        comm: CommHandle,
-        rank: usize,
-        size: usize,
-        alg: CollAlgorithm,
-        payload: Vec<u8>,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<CollSchedule> {
-        let mut s = CollSchedule::new();
-        let own = s.input(payload);
-        let out = match alg {
-            CollAlgorithm::Hierarchical => {
-                let topo = self.comm_topology(comm)?;
-                let w_in = self.sched_window(comm, &mut s);
-                let w_lead_a = self.sched_window(comm, &mut s);
-                let w_lead_b = self.sched_window(comm, &mut s);
-                let w_out = self.sched_window(comm, &mut s);
-                hier::allreduce(
-                    &mut s,
-                    w_in,
-                    w_lead_a,
-                    w_lead_b,
-                    w_out,
-                    rank,
-                    &topo,
-                    own,
-                    kind,
-                    count,
-                    op.clone(),
-                )
-            }
-            CollAlgorithm::RecursiveDoubling => {
-                let win = self.sched_window(comm, &mut s);
-                rd::allreduce(&mut s, win, rank, size, own, kind, count, op.clone())
-            }
-            CollAlgorithm::BinomialTree => {
-                let w1 = self.sched_window(comm, &mut s);
-                let w2 = self.sched_window(comm, &mut s);
-                let reduced = tree::reduce(&mut s, w1, rank, size, 0, own, kind, count, op.clone());
-                tree::bcast(&mut s, w2, rank, size, 0, reduced);
-                reduced
-            }
-            // `supported` never offers Pipelined or Ring here (ring is
-            // handled by the dispatcher), so only the linear composite
-            // remains.
-            _ => {
-                let w1 = self.sched_window(comm, &mut s);
-                let w2 = self.sched_window(comm, &mut s);
-                let reduced =
-                    linear::reduce(&mut s, w1, rank, size, 0, own, kind, count, op.clone());
-                linear::bcast(&mut s, w2, rank, size, 0, reduced);
-                reduced
-            }
-        };
-        finalize_buffer(&mut s, out);
-        Ok(s)
-    }
-
-    // ---------------------------------------------------------------------
-    // Blocking entry points: start + wait over the same schedules
-    // ---------------------------------------------------------------------
-
-    /// `MPI_Barrier`.
-    pub fn barrier(&mut self, comm: CommHandle) -> Result<()> {
-        let req = self.ibarrier(comm)?;
-        self.coll_wait(req)?;
-        Ok(())
-    }
-
-    /// `MPI_Bcast`: `buf` is the payload on the root and is overwritten on
-    /// every other rank.
-    pub fn bcast(&mut self, comm: CommHandle, root: usize, buf: &mut Vec<u8>) -> Result<()> {
-        // Validate before taking the buffer so a rejected call leaves
-        // the caller's payload untouched.
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let req = self.ibcast(comm, root, std::mem::take(buf))?;
-        *buf = Self::expect_buffer(self.coll_wait(req)?)?;
-        Ok(())
-    }
-
-    /// `MPI_Gather` / `MPI_Gatherv`: every rank contributes `send`; the root
-    /// receives one buffer per rank (in rank order), everyone else `None`.
-    pub fn gather(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        send: &[u8],
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        let req = self.igather(comm, root, send)?;
-        match self.coll_wait(req)? {
-            CollOutcome::Done => Ok(None),
-            outcome => Ok(Some(Self::expect_parts(outcome)?)),
-        }
-    }
-
-    /// `MPI_Scatter` / `MPI_Scatterv`: the root supplies one buffer per rank
-    /// (`chunks`, rank order); every rank receives its own chunk.
-    pub fn scatter(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        chunks: Option<&[Vec<u8>]>,
-    ) -> Result<Vec<u8>> {
-        let req = self.iscatter(comm, root, chunks)?;
-        Self::expect_buffer(self.coll_wait(req)?)
-    }
-
-    /// `MPI_Allgather` / `MPI_Allgatherv`: returns one buffer per rank on
-    /// every rank.
-    pub fn allgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let req = self.iallgather(comm, send)?;
-        Self::expect_parts(self.coll_wait(req)?)
-    }
-
-    /// Engine-internal alias used by communicator construction.
-    pub(crate) fn allgather_bytes(
-        &mut self,
-        comm: CommHandle,
-        send: &[u8],
-    ) -> Result<Vec<Vec<u8>>> {
-        self.allgather(comm, send)
-    }
-
-    /// `MPI_Ialltoall` / `Ialltoallv`: `chunks[d]` goes to rank `d`;
-    /// outcome [`CollOutcome::Parts`] with the chunk received from every
-    /// rank.
-    pub fn ialltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<CollRequestId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        if chunks.len() != size {
-            return err(
-                ErrorClass::Count,
-                format!("alltoall needs {size} chunks, got {}", chunks.len()),
-            );
-        }
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Parts(vec![chunks[0].clone()]));
-        }
-        let rank = self.comm_rank(comm)?;
-        // The posted pairwise exchange is already contention-free; no
-        // alternative algorithm is implemented (see tuning table).
-        let mut s = CollSchedule::new();
-        let win = self.alloc_tag_window(comm);
-        linear::alltoall(&mut s, win, rank, size, chunks);
-        self.coll_start(comm, s)
-    }
-
-    /// `MPI_Alltoall` / `MPI_Alltoallv`: `chunks[d]` goes to rank `d`;
-    /// returns the chunk received from every rank.
-    pub fn alltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let req = self.ialltoall(comm, chunks)?;
-        Self::expect_parts(self.coll_wait(req)?)
-    }
-
-    /// `MPI_Reduce`: element-wise reduction of `count` elements of `kind`
-    /// with `op`, rank order, result on the root.
-    pub fn reduce(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        send: &[u8],
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<Option<Vec<u8>>> {
-        let req = self.ireduce(comm, root, send, kind, count, op)?;
-        match self.coll_wait(req)? {
-            CollOutcome::Done => Ok(None),
-            outcome => Ok(Some(Self::expect_buffer(outcome)?)),
-        }
-    }
-
-    /// `MPI_Allreduce`: the reduction delivered to every rank.
-    pub fn allreduce(
-        &mut self,
-        comm: CommHandle,
-        send: &[u8],
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<Vec<u8>> {
-        let req = self.iallreduce(comm, send, kind, count, op)?;
-        Self::expect_buffer(self.coll_wait(req)?)
-    }
-
-    /// `MPI_Ireduce_scatter`: outcome [`CollOutcome::Buffer`] with this
-    /// rank's `counts[rank]`-element slice of the reduced vector.
-    pub fn ireduce_scatter(
-        &mut self,
-        comm: CommHandle,
-        send: &[u8],
-        counts: &[usize],
-        kind: PrimitiveKind,
-        op: &Op,
-    ) -> Result<CollRequestId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        if counts.len() != size {
-            return err(
-                ErrorClass::Count,
-                format!("reduce_scatter needs {size} counts, got {}", counts.len()),
-            );
-        }
-        let total: usize = counts.iter().sum();
-        let need = self.reduce_need(send, kind, total, "reduce_scatter")?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Buffer(send[..need].to_vec()));
-        }
-        let rank = self.comm_rank(comm)?;
-        let policy = tuning::order_policy(op, kind);
-        let mut s = CollSchedule::new();
-        let out = match self.choose(CollOp::ReduceScatter, size, need, policy, TopoHint::FLAT) {
-            CollAlgorithm::Ring => {
-                let win = self.alloc_tag_window(comm);
-                let segs =
-                    ring::reduce_scatter(&mut s, win, rank, size, &send[..need], counts, kind, op);
-                segs[rank]
-            }
-            _ => {
-                // Linear composite: reduce the full vector at rank 0,
-                // then scatter `counts[i]`-element segments.
-                let w1 = self.alloc_tag_window(comm);
-                let w2 = self.alloc_tag_window(comm);
-                let own = s.filled(send[..need].to_vec());
-                let reduced =
-                    linear::reduce(&mut s, w1, rank, size, 0, own, kind, total, op.clone());
-                let out = s.empty();
-                if rank == 0 {
-                    let dest_slots: Vec<SlotId> = (0..size).map(|_| s.empty()).collect();
-                    let bridge_slots = dest_slots.clone();
-                    let counts = counts.to_vec();
-                    let elem = kind.size();
-                    s.push(Round::new().compute(move |ctx| {
-                        let full = ctx.take(reduced)?;
-                        let mut cursor = 0usize;
-                        for (&slot, &c) in bridge_slots.iter().zip(&counts) {
-                            let bytes = c * elem;
-                            ctx.put(slot, full[cursor..cursor + bytes].to_vec());
-                            cursor += bytes;
-                        }
-                        Ok(())
-                    }));
-                    linear::scatter(&mut s, w2, rank, size, 0, Some(dest_slots), out);
-                } else {
-                    linear::scatter(&mut s, w2, rank, size, 0, None, out);
-                }
-                out
-            }
-        };
-        finalize_buffer(&mut s, out);
-        self.coll_start(comm, s)
-    }
-
-    /// `MPI_Reduce_scatter`: reduce the full vector, deliver `counts[i]`
-    /// elements of the result to rank `i`.
-    pub fn reduce_scatter(
-        &mut self,
-        comm: CommHandle,
-        send: &[u8],
-        counts: &[usize],
-        kind: PrimitiveKind,
-        op: &Op,
-    ) -> Result<Vec<u8>> {
-        let req = self.ireduce_scatter(comm, send, counts, kind, op)?;
-        let my_chunk = Self::expect_buffer(self.coll_wait(req)?)?;
-        debug_assert_eq!(my_chunk.len(), counts[self.comm_rank(comm)?] * kind.size());
-        Ok(my_chunk)
-    }
-
-    /// `MPI_Iscan`: inclusive prefix reduction in rank order; outcome
-    /// [`CollOutcome::Buffer`] with this rank's prefix. The prefix chain
-    /// *is* sequential, so the linear pipeline is the only algorithm.
-    pub fn iscan(
-        &mut self,
-        comm: CommHandle,
-        send: &[u8],
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<CollRequestId> {
-        self.check_live()?;
-        let need = self.reduce_need(send, kind, count, "scan")?;
-        let size = self.comm_size(comm)?;
-        if size == 1 {
-            return self.coll_immediate(CollOutcome::Buffer(send[..need].to_vec()));
-        }
-        let rank = self.comm_rank(comm)?;
-        let key = SchedKey {
-            comm,
-            alg: CollAlgorithm::Linear,
-            shape: OpShape::Scan {
-                kind,
-                count,
-                op: OpKey::of(op),
-            },
-        };
-        let own = match self.sched_cache_get(&key, vec![send[..need].to_vec()])? {
-            CacheLookup::Hit(s) => return self.coll_start(comm, s),
-            CacheLookup::Miss(mut inputs) => inputs.pop().expect("one input"),
-        };
-        let mut s = CollSchedule::new();
-        let win = self.sched_window(comm, &mut s);
-        let own = s.input(own);
-        let acc = linear::scan(&mut s, win, rank, size, own, kind, count, op.clone());
-        finalize_buffer(&mut s, acc);
-        self.sched_cache_put(key, &s);
-        self.coll_start(comm, s)
-    }
-
-    /// `MPI_Scan`: inclusive prefix reduction in rank order.
-    pub fn scan(
-        &mut self,
-        comm: CommHandle,
-        send: &[u8],
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<Vec<u8>> {
-        let req = self.iscan(comm, send, kind, count, op)?;
-        Self::expect_buffer(self.coll_wait(req)?)
-    }
-
-    // ---------------------------------------------------------------------
-    // Persistent collectives (`MPI_Barrier_init` family): build the
-    // schedule once at init, start it many times. Init is a collective
-    // call — every member must call it in the same order relative to
-    // other collectives on the communicator, because it consumes tag
-    // windows from the shared sequence (and pins them for reuse by
-    // every subsequent `start()`).
-    // ---------------------------------------------------------------------
-
-    /// `MPI_Barrier_init`: a reusable barrier. Start iterations with
-    /// [`Engine::coll_start_persistent`] (payload ignored).
-    pub fn barrier_init(&mut self, comm: CommHandle) -> Result<PersistentCollId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        let spec = PersistentSpec::Barrier;
-        if size == 1 {
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let alg = self.choose(CollOp::Barrier, size, 0, OrderPolicy::Any, hint);
-        let s = self.build_barrier(comm, rank, size, alg)?;
-        self.register_persistent_template(comm, alg, OpShape::Barrier, spec, s)
-    }
-
-    /// `MPI_Bcast_init`: a reusable broadcast from `root`. `len` is the
-    /// payload length the root will pass to every `start()` (ignored on
-    /// other ranks, which receive whatever arrives).
-    pub fn bcast_init(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        len: usize,
-    ) -> Result<PersistentCollId> {
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let size = self.comm_size(comm)?;
-        let rank = self.comm_rank(comm)?;
-        let spec = PersistentSpec::Bcast {
-            root,
-            root_len: (rank == root).then_some(len),
-        };
-        if size == 1 {
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let hint = self.topo_hint(comm)?;
-        let alg = self.choose(CollOp::Bcast, size, 0, OrderPolicy::Any, hint);
-        if alg == CollAlgorithm::Pipelined {
-            // Not templatable (see `ibcast`); every start re-dispatches.
-            // Symmetric: the selection is identical on every rank.
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let s = self.build_bcast(comm, rank, size, root, alg, Vec::new())?;
-        self.register_persistent_template(comm, alg, OpShape::Bcast { root }, spec, s)
-    }
-
-    /// `MPI_Reduce_init`: a reusable rank-order reduction to `root`.
-    pub fn reduce_init(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<PersistentCollId> {
-        self.check_live()?;
-        self.validate_root(comm, root)?;
-        let size = self.comm_size(comm)?;
-        let spec = PersistentSpec::Reduce {
-            root,
-            kind,
-            count,
-            op: op.clone(),
-        };
-        if size == 1 {
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let policy = tuning::order_policy(op, kind);
-        let need = kind.size() * count;
-        let alg = self.choose(CollOp::Reduce, size, need, policy, hint);
-        let shape = OpShape::Reduce {
-            root,
-            kind,
-            count,
-            op: OpKey::of(op),
-        };
-        let s = self.build_reduce(comm, rank, size, root, alg, Vec::new(), kind, count, op)?;
-        self.register_persistent_template(comm, alg, shape, spec, s)
+        let desc = CollDesc::Allreduce(Reduction::borrowed(kind, count, op));
+        self.coll_launch(comm, &desc, Payload::Bytes(send))
     }
 
     /// `MPI_Allreduce_init`: a reusable allreduce. Each `start()` takes
@@ -1150,87 +978,65 @@ impl Engine {
         count: usize,
         op: &Op,
     ) -> Result<PersistentCollId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        let spec = PersistentSpec::Allreduce {
-            kind,
-            count,
-            op: op.clone(),
-        };
-        if size == 1 {
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let policy = tuning::order_policy(op, kind);
-        let need = kind.size() * count;
-        let alg = self.choose(CollOp::Allreduce, size, need, policy, hint);
-        if alg == CollAlgorithm::Ring {
-            // Not templatable (see `iallreduce`); every start
-            // re-dispatches. Symmetric: identical selection everywhere.
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let shape = OpShape::Allreduce {
-            kind,
-            count,
-            op: OpKey::of(op),
-        };
-        let s = self.build_allreduce(comm, rank, size, alg, Vec::new(), kind, count, op)?;
-        self.register_persistent_template(comm, alg, shape, spec, s)
+        let red = Reduction::owned(kind, count, op);
+        self.coll_init(comm, CollDesc::Allreduce(red), None)
     }
 
-    /// `MPI_Allgather_init`: a reusable allgather (per-rank lengths may
-    /// vary between starts — the wire format is length-independent).
-    pub fn allgather_init(&mut self, comm: CommHandle) -> Result<PersistentCollId> {
-        self.check_live()?;
-        let size = self.comm_size(comm)?;
-        let spec = PersistentSpec::Allgather;
-        if size == 1 {
-            return Ok(self.register_persistent_spec(comm, spec));
-        }
-        let rank = self.comm_rank(comm)?;
-        let hint = self.topo_hint(comm)?;
-        let alg = self.choose(CollOp::Allgather, size, 0, OrderPolicy::Any, hint);
-        let s = self.build_allgather(comm, rank, size, alg, Vec::new())?;
-        self.register_persistent_template(comm, alg, OpShape::Allgather, spec, s)
-    }
-
-    /// Register a persistent collective that re-dispatches its transient
-    /// form on every start (single-rank comms, non-templatable
-    /// algorithms).
-    fn register_persistent_spec(
+    /// `MPI_Reduce_scatter`: reduce the full vector, deliver `counts[i]`
+    /// elements of the result to rank `i`.
+    pub fn reduce_scatter(
         &mut self,
         comm: CommHandle,
-        spec: PersistentSpec,
-    ) -> PersistentCollId {
-        self.register_persistent_coll(PersistentColl {
-            comm,
-            spec,
-            template: None,
-            active: None,
-        })
+        send: &[u8],
+        counts: &[usize],
+        kind: PrimitiveKind,
+        op: &Op,
+    ) -> Result<Vec<u8>> {
+        let desc = CollDesc::reduce_scatter(counts, kind, op);
+        let my_chunk = Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)?;
+        debug_assert_eq!(my_chunk.len(), counts[self.comm_rank(comm)?] * kind.size());
+        Ok(my_chunk)
     }
 
-    /// Capture an init-built schedule as the persistent operation's
-    /// pinned template, seeding the transient schedule cache with the
-    /// same image on the way (the built schedule is never started — its
-    /// windows belong to the template).
-    fn register_persistent_template(
+    /// `MPI_Ireduce_scatter`: outcome [`CollOutcome::Buffer`] with this
+    /// rank's `counts[rank]`-element slice of the reduced vector.
+    pub fn ireduce_scatter(
         &mut self,
         comm: CommHandle,
-        alg: CollAlgorithm,
-        shape: OpShape,
-        spec: PersistentSpec,
-        s: CollSchedule,
-    ) -> Result<PersistentCollId> {
-        let template = SchedTemplate::capture(&s);
-        self.sched_cache_put(SchedKey { comm, alg, shape }, &s);
-        Ok(self.register_persistent_coll(PersistentColl {
-            comm,
-            spec,
-            template,
-            active: None,
-        }))
+        send: &[u8],
+        counts: &[usize],
+        kind: PrimitiveKind,
+        op: &Op,
+    ) -> Result<CollRequestId> {
+        let desc = CollDesc::reduce_scatter(counts, kind, op);
+        self.coll_launch(comm, &desc, Payload::Bytes(send))
+    }
+
+    /// `MPI_Scan`: inclusive prefix reduction in rank order.
+    pub fn scan(
+        &mut self,
+        comm: CommHandle,
+        send: &[u8],
+        kind: PrimitiveKind,
+        count: usize,
+        op: &Op,
+    ) -> Result<Vec<u8>> {
+        let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
+        Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)
+    }
+
+    /// `MPI_Iscan`: inclusive prefix reduction in rank order; outcome
+    /// [`CollOutcome::Buffer`] with this rank's prefix.
+    pub fn iscan(
+        &mut self,
+        comm: CommHandle,
+        send: &[u8],
+        kind: PrimitiveKind,
+        count: usize,
+        op: &Op,
+    ) -> Result<CollRequestId> {
+        let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
+        self.coll_launch(comm, &desc, Payload::Bytes(send))
     }
 
     /// Agree on the maximum of a `u32` across the communicator (used for
@@ -1245,23 +1051,6 @@ impl Engine {
             &Op::Predefined(crate::ops::PredefinedOp::Max),
         )?;
         Ok(i64::from_le_bytes(out[..8].try_into().unwrap()) as u32)
-    }
-
-    fn reduce_need(
-        &self,
-        send: &[u8],
-        kind: PrimitiveKind,
-        count: usize,
-        what: &str,
-    ) -> Result<usize> {
-        let need = kind.size() * count;
-        if send.len() < need {
-            return err(
-                ErrorClass::Count,
-                format!("{what}: buffer has {} bytes, need {need}", send.len()),
-            );
-        }
-        Ok(need)
     }
 }
 

@@ -12,6 +12,8 @@
 use std::collections::VecDeque;
 
 use super::{CollOutcome, CollRequestId, CollSchedule, Round, SlotId, ROUND_SPACE};
+use crate::coll::desc::{CollDesc, Payload};
+use crate::coll::CollOp;
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, Result};
 use crate::ops::{Op, PredefinedOp};
@@ -54,58 +56,54 @@ impl OpKey {
     }
 }
 
-/// The call shape of a cacheable collective — everything a schedule's
-/// wire structure and baked-in compute closures depend on, *except* the
-/// payload bytes (which travel through input slots). Length-independent
-/// data movers (bcast, gather, allgather) key on root alone; reductions
-/// key on `(kind, count, op)` because their computes capture all three.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum OpShape {
-    Barrier,
-    Bcast {
-        root: usize,
-    },
-    Gather {
-        root: usize,
-    },
-    Reduce {
-        root: usize,
-        kind: PrimitiveKind,
-        count: usize,
-        op: OpKey,
-    },
-    Allreduce {
-        kind: PrimitiveKind,
-        count: usize,
-        op: OpKey,
-    },
-    Allgather,
-    Scan {
-        kind: PrimitiveKind,
-        count: usize,
-        op: OpKey,
-    },
-}
-
 /// Per-rank local memoization key of the schedule cache (see the parent
-/// module docs for why no cross-rank coordination is needed).
+/// module docs for why no cross-rank coordination is needed), derived
+/// from the call's descriptor by [`CollDesc::cache_key`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SchedKey {
     pub(crate) comm: CommHandle,
     pub(crate) alg: CollAlgorithm,
-    pub(crate) shape: OpShape,
+    pub(crate) op: CollOp,
+    pub(crate) root: usize,
+    pub(crate) reduction: Option<(PrimitiveKind, usize, OpKey)>,
+}
+
+/// How one planned call relates to the schedule cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CacheUse {
+    /// The schedule bakes this call's payload in or grows at run time:
+    /// it can never be a template.
+    Never,
+    /// Templatable, but the staged payload is past
+    /// [`SCHED_CACHE_MAX_INPUT_BYTES`]: build fresh, count a miss.
+    Bypass,
+    /// Look the template up; build and store it on a miss.
+    Template,
+}
+
+/// The cache decision for `(op, alg)` staging `staged` payload bytes —
+/// the code form of the templatable table in the [`crate::coll`] module
+/// docs.
+pub(crate) fn cache_use(op: CollOp, alg: CollAlgorithm, staged: usize) -> CacheUse {
+    match (op, alg) {
+        (CollOp::Bcast, CollAlgorithm::Pipelined)
+        | (CollOp::Allreduce, CollAlgorithm::Ring)
+        | (CollOp::Scatter | CollOp::Alltoall | CollOp::ReduceScatter, _) => CacheUse::Never,
+        _ if staged > SCHED_CACHE_MAX_INPUT_BYTES => CacheUse::Bypass,
+        _ => CacheUse::Template,
+    }
 }
 
 /// A reusable image of a built schedule: rounds (compute closures are
 /// `Arc`-shared, so a clone is cheap), the slot store with the per-call
-/// input slots cleared, and the consecutive tag-window run it was built
+/// input slot cleared, and the consecutive tag-window run it was built
 /// over. Instantiating yields a runnable [`CollSchedule`] — on the same
 /// windows (persistent operations, which pin theirs at init) or shifted
 /// onto fresh ones (transient cache hits).
 pub(crate) struct SchedTemplate {
     rounds: Vec<Round>,
     slots: Vec<Option<Vec<u8>>>,
-    inputs: Vec<SlotId>,
+    input: Option<SlotId>,
     base_window: u32,
     nwindows: u32,
 }
@@ -126,38 +124,24 @@ impl SchedTemplate {
             }
         }
         let mut slots = s.slots.clone();
-        for &slot in &s.inputs {
+        if let Some(slot) = s.input {
             slots[slot] = None;
         }
         Some(SchedTemplate {
             rounds: s.rounds.iter().cloned().collect(),
             slots,
-            inputs: s.inputs.clone(),
+            input: s.input,
             base_window: base,
             nwindows: s.windows.len() as u32,
         })
     }
 
-    pub(crate) fn nwindows(&self) -> u32 {
-        self.nwindows
-    }
-
-    pub(crate) fn n_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    pub(crate) fn base_window(&self) -> u32 {
-        self.base_window
-    }
-
-    /// Clone into a runnable schedule: rounds are reference-bumped, the
-    /// input slots are filled with this call's payload, and — when
-    /// `new_base` differs from the template's — every step tag is
-    /// shifted by the uniform window delta.
-    pub(crate) fn instantiate(&self, new_base: u32, inputs: Vec<Vec<u8>>) -> Result<CollSchedule> {
-        if inputs.len() != self.inputs.len() {
-            return err(ErrorClass::Intern, "schedule template input arity mismatch");
-        }
+    /// Clone into a runnable schedule whose input slot is still empty
+    /// (the caller fills it with [`CollSchedule::set_input`]): rounds
+    /// are reference-bumped and — when `new_base` differs from the
+    /// template's — every step tag is shifted by the uniform window
+    /// delta.
+    pub(crate) fn instantiate(&self, new_base: u32) -> CollSchedule {
         let mut rounds: VecDeque<Round> = self.rounds.iter().cloned().collect();
         let delta = (self.base_window as i32 - new_base as i32) * ROUND_SPACE as i32;
         if delta != 0 {
@@ -170,56 +154,33 @@ impl SchedTemplate {
                 }
             }
         }
-        let mut slots = self.slots.clone();
-        for (&slot, data) in self.inputs.iter().zip(inputs) {
-            slots[slot] = Some(data);
-        }
-        Ok(CollSchedule {
+        CollSchedule {
             rounds,
-            slots,
+            slots: self.slots.clone(),
             outcome: None,
             windows: (new_base..new_base + self.nwindows).collect(),
-            inputs: self.inputs.clone(),
+            input: self.input,
             uncacheable: false,
-        })
+        }
     }
-}
-
-/// How a persistent collective reproduces its schedule when the chosen
-/// algorithm was not templatable (ring payload staging, the dynamically
-/// extended pipelined broadcast): `start()` re-dispatches the transient
-/// nonblocking form.
-#[derive(Debug, Clone)]
-pub(crate) enum PersistentSpec {
-    Barrier,
-    Bcast {
-        root: usize,
-        root_len: Option<usize>,
-    },
-    Reduce {
-        root: usize,
-        kind: PrimitiveKind,
-        count: usize,
-        op: Op,
-    },
-    Allreduce {
-        kind: PrimitiveKind,
-        count: usize,
-        op: Op,
-    },
-    Allgather,
 }
 
 /// Engine-side state of one persistent collective operation.
 pub(crate) struct PersistentColl {
     pub(crate) comm: CommHandle,
-    pub(crate) spec: PersistentSpec,
-    /// Pinned to the tag windows allocated at init time (symmetric:
+    /// The operation, owning its reduction operator.
+    pub(crate) desc: CollDesc<'static>,
+    /// `bcast_init` on the root: the payload length every start must
+    /// supply.
+    pub(crate) root_len: Option<usize>,
+    /// The init-built schedule and the algorithm it was planned with,
+    /// pinned to the tag windows allocated at init time (symmetric:
     /// init is collective-ordered like every other collective call).
     /// Sequential `start()`s may reuse those tags — the transport is
     /// FIFO per pair and a schedule uses its tags in deterministic
-    /// order. `None` → rebuild through `spec` on every start.
-    pub(crate) template: Option<SchedTemplate>,
+    /// order. `None` (single-rank communicator, non-templatable
+    /// algorithm) → every start plans the transient form.
+    pub(crate) template: Option<(SchedTemplate, CollAlgorithm)>,
     pub(crate) active: Option<CollRequestId>,
 }
 
@@ -231,34 +192,18 @@ pub(crate) struct PersistentColl {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PersistentCollId(pub(crate) u64);
 
-/// Result of a schedule-cache lookup: a runnable schedule on a hit, or
-/// the caller's input payloads handed back untouched on a miss so the
-/// build path can stage them without a second copy.
-pub(crate) enum CacheLookup {
-    Hit(CollSchedule),
-    Miss(Vec<Vec<u8>>),
-}
-
 impl Engine {
     /// Consult the schedule cache. On a hit the template is instantiated
     /// onto freshly allocated consecutive tag windows; `None` (a miss —
     /// unknown key, or the window sequence wrapped mid-allocation) means
     /// the caller must build from scratch.
-    pub(crate) fn sched_cache_get(
-        &mut self,
-        key: &SchedKey,
-        inputs: Vec<Vec<u8>>,
-    ) -> Result<CacheLookup> {
-        if inputs.iter().map(Vec::len).sum::<usize>() > SCHED_CACHE_MAX_INPUT_BYTES {
+    pub(crate) fn sched_cache_get(&mut self, key: &SchedKey) -> Option<CollSchedule> {
+        let Some(n) = self.sched_cache.get(key).map(|tpl| tpl.nwindows) else {
             self.stats.sched_cache_misses += 1;
-            return Ok(CacheLookup::Miss(inputs));
-        }
-        let Some(n) = self.sched_cache.get(key).map(SchedTemplate::nwindows) else {
-            self.stats.sched_cache_misses += 1;
-            return Ok(CacheLookup::Miss(inputs));
+            return None;
         };
         // Allocate the windows first (symmetric across ranks: a miss
-        // consumes the same count via the builder's `sched_window`
+        // consumes the same count via the builder's `sched_windows`
         // calls), then re-borrow the template.
         let mut base = 0u32;
         let mut consecutive = true;
@@ -276,40 +221,22 @@ impl Engine {
             // its own fresh windows — one extra run per 8192
             // collectives is noise).
             self.stats.sched_cache_misses += 1;
-            return Ok(CacheLookup::Miss(inputs));
+            return None;
         }
-        let tpl = self.sched_cache.get(key).expect("checked above");
-        let schedule = tpl.instantiate(if n == 0 { tpl.base_window } else { base }, inputs)?;
+        let tpl = self.sched_cache.get(key)?;
         self.stats.sched_cache_hits += 1;
-        Ok(CacheLookup::Hit(schedule))
+        Some(tpl.instantiate(if n == 0 { tpl.base_window } else { base }))
     }
 
     /// Store a freshly built schedule's template under `key` (no-op if
     /// the schedule is not templatable or the cache is full).
     pub(crate) fn sched_cache_put(&mut self, key: SchedKey, s: &CollSchedule) {
-        let staged: usize = s
-            .inputs
-            .iter()
-            .map(|&slot| s.slots[slot].as_ref().map_or(0, Vec::len))
-            .sum();
-        if staged > SCHED_CACHE_MAX_INPUT_BYTES {
-            return;
-        }
         if self.sched_cache.len() >= SCHED_CACHE_CAP && !self.sched_cache.contains_key(&key) {
             return;
         }
         if let Some(tpl) = SchedTemplate::capture(s) {
             self.sched_cache.insert(key, tpl);
         }
-    }
-
-    /// Register a persistent collective built by one of the `*_init`
-    /// entry points in [`crate::coll`].
-    pub(crate) fn register_persistent_coll(&mut self, p: PersistentColl) -> PersistentCollId {
-        let id = self.next_request;
-        self.next_request += 1;
-        self.persistent_colls.insert(id, p);
-        PersistentCollId(id)
     }
 
     /// Start one iteration of a persistent collective (`MPI_Start`).
@@ -345,75 +272,27 @@ impl Engine {
         p: &PersistentColl,
         payload: &[u8],
     ) -> Result<CollRequestId> {
-        if let Some(tpl) = &p.template {
-            let inputs = match &p.spec {
-                PersistentSpec::Reduce { kind, count, .. }
-                | PersistentSpec::Allreduce { kind, count, .. } => {
-                    let need = kind.size() * count;
-                    if payload.len() < need {
-                        return err(
-                            ErrorClass::Count,
-                            format!(
-                                "persistent reduction needs {need} bytes, got {}",
-                                payload.len()
-                            ),
-                        );
-                    }
-                    vec![payload[..need].to_vec()]
-                }
-                PersistentSpec::Bcast { root_len, .. } => {
-                    if let Some(len) = root_len {
-                        if payload.len() != *len {
-                            return err(
-                                ErrorClass::Count,
-                                format!(
-                                    "persistent bcast was initialized for {len} bytes, got {}",
-                                    payload.len()
-                                ),
-                            );
-                        }
-                    }
-                    if tpl.n_inputs() == 0 {
-                        Vec::new()
-                    } else {
-                        vec![payload.to_vec()]
-                    }
-                }
-                _ => {
-                    if tpl.n_inputs() == 0 {
-                        Vec::new()
-                    } else {
-                        vec![payload.to_vec()]
-                    }
-                }
-            };
-            // Reusing the pinned windows is the whole point: no window
-            // allocation, no tag shift, no schedule build.
-            let schedule = tpl.instantiate(tpl.base_window(), inputs)?;
-            self.stats.sched_cache_hits += 1;
-            return self.coll_start(p.comm, schedule);
+        if let Some(len) = p.root_len.filter(|&len| len != payload.len()) {
+            return err(
+                ErrorClass::Count,
+                format!(
+                    "persistent bcast was initialized for {len} bytes, got {}",
+                    payload.len()
+                ),
+            );
         }
-        // Non-templatable algorithm: re-dispatch the transient form
-        // (which allocates fresh windows — symmetric, every rank's init
-        // made the same template-or-not decision).
-        match &p.spec {
-            PersistentSpec::Barrier => self.ibarrier(p.comm),
-            PersistentSpec::Bcast { root, .. } => self.ibcast(p.comm, *root, payload.to_vec()),
-            PersistentSpec::Reduce {
-                root,
-                kind,
-                count,
-                op,
-            } => {
-                let op = op.clone();
-                self.ireduce(p.comm, *root, payload, *kind, *count, &op)
-            }
-            PersistentSpec::Allreduce { kind, count, op } => {
-                let op = op.clone();
-                self.iallreduce(p.comm, payload, *kind, *count, &op)
-            }
-            PersistentSpec::Allgather => self.iallgather(p.comm, payload),
-        }
+        let Some((tpl, alg)) = &p.template else {
+            // Symmetric: every rank's init made the same
+            // template-or-not decision.
+            return self.coll_launch(p.comm, &p.desc, Payload::Bytes(payload));
+        };
+        let (_, _, need) = self.coll_validate(p.comm, &p.desc, &Payload::Bytes(payload))?;
+        // Reusing the pinned windows is the whole point: no window
+        // allocation, no tag shift, no schedule build.
+        let mut schedule = tpl.instantiate(tpl.base_window);
+        schedule.set_input(payload[..need].to_vec());
+        self.stats.sched_cache_hits += 1;
+        self.coll_start(p.comm, schedule, Some((p.desc.op(), *alg)))
     }
 
     /// Non-parking test of a persistent collective's current start. An

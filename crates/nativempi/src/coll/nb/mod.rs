@@ -22,9 +22,9 @@
 //! known once the length header arrives — builds its streaming phase at
 //! run time.
 //!
-//! The same schedules back both API surfaces: a blocking collective is
-//! exactly `i<collective>()` followed by [`Engine::coll_wait`], so the
-//! blocking and nonblocking paths cannot diverge — there are no
+//! The same schedules back every call mode: a blocking collective is
+//! exactly its nonblocking launch followed by [`Engine::coll_wait`], so
+//! the blocking and nonblocking paths cannot diverge — there are no
 //! per-algorithm blocking send/receive loops left anywhere.
 //!
 //! ## Progress semantics
@@ -77,26 +77,32 @@
 //! call of a tight iteration loop. The `cache` submodule turns that
 //! into a one-time cost: after the first build of a cacheable operation
 //! the engine stores a `SchedTemplate` and later calls clone it
-//! instead of rebuilding.
+//! instead of rebuilding. Exactly one place consults it — the `plan`
+//! step in [`crate::coll`], which every collective in every call mode
+//! (blocking, `i*`, `*_init`) passes through.
 //!
 //! **Keying.** The cache is *per-rank local memoization*: each engine
-//! keys on its own local call parameters — `(communicator, operation +
-//! root/count/kind/op, chosen algorithm)`, the `SchedKey`. No
-//! coordination is needed because MPI already requires every rank to
-//! issue collectives on a communicator in the same order and the
-//! algorithm choice is deterministic, so hits and misses line up across
-//! ranks and both paths consume the same number of tag windows.
-//! User-defined reduction ops key on the `Arc` identity of the function;
-//! the template's compute closures hold a clone of that `Arc`, so the
-//! address cannot be recycled while the entry lives.
+//! keys on its own local call parameters — `(communicator, chosen
+//! algorithm, operation, root, kind/count/op)`, the `SchedKey`, derived
+//! from the call's descriptor. No coordination is needed because MPI
+//! already requires every rank to issue collectives on a communicator
+//! in the same order and the algorithm choice is deterministic, so hits
+//! and misses line up across ranks and both paths consume the same
+//! number of tag windows. User-defined reduction ops key on the `Arc`
+//! identity of the function; the template's compute closures hold a
+//! clone of that `Arc`, so the address cannot be recycled while the
+//! entry lives.
 //!
 //! **What is cacheable.** A template captures everything about a
-//! schedule except the per-call payload, which lives in dedicated
-//! *input* slots (`CollSchedule::input`) stored empty and refilled on
-//! every instantiation. Builders that bake payload into ordinary slots
-//! at build time (ring reduce-scatter segments, alltoall/scatter
-//! chunks) mark themselves `Sched::uncacheable`; dynamically extended
-//! schedules (the pipelined broadcast) are excluded by the dispatcher.
+//! schedule except the per-call payload, which lives in one dedicated
+//! *input* slot (`CollSchedule::input`) stored empty and refilled on
+//! every instantiation. Which (operation, algorithm) pairs qualify, and
+//! the payload size past which even those are rebuilt per call, is one
+//! decision in one function, `cache::cache_use` (the table is in the
+//! [`crate::coll`] module docs). Builders that bake payload into
+//! ordinary slots at build time additionally mark their schedule
+//! `Sched::uncacheable`, so a table entry that disagrees with a builder
+//! fails safe: `SchedTemplate::capture` refuses the schedule.
 //!
 //! **Tag retargeting.** A cached clone must not reuse the template's
 //! tag windows while another transient collective might occupy them, so
@@ -105,9 +111,12 @@
 //! window delta. If the sequence wraps mid-allocation (non-consecutive
 //! windows, once per `NUM_TAG_WINDOWS` collectives) the call falls back
 //! to a full rebuild and counts as a miss. Persistent collectives pin
-//! the windows allocated at `*_init` time instead — strictly sequential
-//! `start()`s may reuse the same tags because the transport is FIFO per
-//! pair and a schedule uses its tags in a deterministic order.
+//! the windows their `*_init` plan consumed instead — strictly
+//! sequential `start()`s may reuse the same tags because the transport
+//! is FIFO per pair and a schedule uses its tags in a deterministic
+//! order. An `*_init` whose plan is not templatable (or whose
+//! communicator has one rank) pins nothing and plans the transient form
+//! on every start.
 //!
 //! **Invalidation.** Freeing a communicator drops every template keyed
 //! to it ([`Engine::comm_free`]); templates never outlive the tag-window
@@ -117,6 +126,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use super::{CollAlgorithm, CollOp};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::p2p::COLLECTIVE_TAG_BASE;
@@ -353,11 +363,11 @@ pub(crate) struct CollSchedule {
     /// what [`cache::SchedTemplate`] retags when a cached clone runs on
     /// fresh windows.
     pub(crate) windows: Vec<u32>,
-    /// Slots registered through [`CollSchedule::input`]: the dispatcher's
-    /// per-call payload. A template stores these slots *empty* and every
-    /// instantiation refills them — everything else in the slot store is
+    /// The slot registered through [`CollSchedule::input`]: the call's
+    /// payload. A template stores this slot *empty* and every
+    /// instantiation refills it — everything else in the slot store is
     /// call-invariant by construction.
-    pub(crate) inputs: Vec<SlotId>,
+    pub(crate) input: Option<SlotId>,
     /// Set by builders that bake per-call payload into ordinary
     /// (non-input) slots at build time — such a schedule must never
     /// become a template (see [`Sched::uncacheable`]).
@@ -403,12 +413,22 @@ impl CollSchedule {
         }
     }
 
-    /// Allocate a slot holding the caller's per-call payload and register
-    /// it as a template input (refilled on every cache instantiation).
+    /// Allocate the slot holding the caller's per-call payload and
+    /// register it as the template input (refilled on every cache
+    /// instantiation). At most one per schedule.
     pub(crate) fn input(&mut self, data: Vec<u8>) -> SlotId {
+        debug_assert!(self.input.is_none(), "a schedule has one input slot");
         let slot = self.filled(data);
-        self.inputs.push(slot);
+        self.input = Some(slot);
         slot
+    }
+
+    /// Refill the input slot of an instantiated template (a no-op for
+    /// schedules without local input: barrier, bcast off the root).
+    pub(crate) fn set_input(&mut self, data: Vec<u8>) {
+        if let Some(slot) = self.input {
+            self.slots[slot] = Some(data);
+        }
     }
 }
 
@@ -541,10 +561,11 @@ enum Flight {
 pub(crate) struct CollTraceState {
     /// Schedule id (the collective request id) in event argument form.
     id: i64,
-    /// [`crate::coll::CollOp`] index, or -1 when unknown (persistent
-    /// restarts instantiate a stored template without re-selecting).
+    /// [`crate::coll::CollOp`] index of the planned operation
+    /// (persistent starts carry the pair their init planned), or -1 for
+    /// schedules no selection produced (neighborhood exchanges).
     op: i64,
-    /// [`crate::coll::CollAlgorithm`] index, or -1 when unknown.
+    /// [`crate::coll::CollAlgorithm`] index, or -1 alongside `op`.
     alg: i64,
     /// A `coll` Begin was emitted, so an End must close it.
     traced: bool,
@@ -622,22 +643,20 @@ impl Engine {
 
     /// Register a schedule and start it: round 0 is posted immediately
     /// (and any rounds that can already complete, e.g. local computes,
-    /// run to exhaustion).
+    /// run to exhaustion). `planned` is the (operation, algorithm) pair
+    /// the schedule was planned with — the label of its `coll` trace
+    /// events; `None` (no selection happened) reports `unknown`.
     pub(crate) fn coll_start(
         &mut self,
         comm: CommHandle,
         schedule: CollSchedule,
+        planned: Option<(CollOp, CollAlgorithm)>,
     ) -> Result<CollRequestId> {
         let id = self.next_request;
         self.next_request += 1;
-        // `choose` parked the (op, algorithm) pair for this start;
-        // consume it so a start that bypassed selection (persistent
-        // template instantiation) reports "unknown" instead of a stale
-        // label from an earlier call.
-        let (op_idx, alg_idx) = match self.last_choice.take() {
-            Some((op, alg)) => (op.index() as i64, alg.index() as i64),
-            None => (-1, -1),
-        };
+        let (op_idx, alg_idx) = planned.map_or((-1, -1), |(op, alg)| {
+            (op.index() as i64, alg.index() as i64)
+        });
         // Causal stamp: every member calls collectives on a communicator
         // in the same order, so (collective context id, start counter) is
         // identical on every rank for the same logical operation — the

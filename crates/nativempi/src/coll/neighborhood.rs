@@ -183,7 +183,9 @@ impl Engine {
             Ok(())
         });
         schedule.push(round);
-        self.coll_start(comm, schedule)
+        // No algorithm selection happens here: the `coll` trace events
+        // carry no (op, algorithm) label.
+        self.coll_start(comm, schedule, None)
     }
 
     /// `MPI_Ineighbor_alltoall`: like the `v` form, but every chunk must

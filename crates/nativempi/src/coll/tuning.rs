@@ -243,6 +243,23 @@ pub fn supported(
     }
 }
 
+/// Does the node topology bear on selecting for `op`? Only where a
+/// hierarchical schedule exists; for the rest the engine skips deriving
+/// the communicator's [`TopoHint`] altogether.
+pub fn topology_matters(op: CollOp) -> bool {
+    let most_permissive = TopoHint {
+        hierarchical: true,
+        contiguous: true,
+    };
+    supported(
+        CollAlgorithm::Hierarchical,
+        op,
+        2,
+        OrderPolicy::Any,
+        most_permissive,
+    )
+}
+
 /// The tuned choice from the table in the module docs. Always returns an
 /// algorithm [`supported`] for the inputs.
 pub fn tuned(

@@ -253,7 +253,7 @@ impl Engine {
         // Allgather (color, key) from every member over the collective
         // context of the parent.
         let mine = [color.to_le_bytes(), key.to_le_bytes()].concat();
-        let all = self.allgather_bytes(comm, &mine)?;
+        let all = self.allgather(comm, &mine)?;
         let mut entries: Vec<(i32, i32, usize)> = Vec::with_capacity(size);
         for (rank, bytes) in all.iter().enumerate() {
             if bytes.len() != 8 {

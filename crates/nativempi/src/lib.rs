@@ -231,10 +231,6 @@ pub struct Engine {
     /// written into every trace dump's meta line so `tracemerge` can
     /// align per-rank timelines.
     start_unix_ns: u128,
-    /// The (op, algorithm) pair the most recent [`coll`] `choose()` call
-    /// picked, parked here for the `coll` trace event `coll_start` emits
-    /// (`choose` runs under `&self`, hence the `Cell`).
-    pub(crate) last_choice: std::cell::Cell<Option<(coll::CollOp, coll::CollAlgorithm)>>,
 }
 
 /// Default payload size (bytes) above which standard-mode sends switch from
@@ -299,7 +295,6 @@ impl Engine {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_nanos())
                 .unwrap_or(0),
-            last_choice: std::cell::Cell::new(None),
         };
         engine.install_builtin_comms();
         engine

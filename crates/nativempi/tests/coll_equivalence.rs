@@ -262,24 +262,62 @@ fn assert_equivalence(device: DeviceKind, eager_threshold: Option<usize>) {
     }
 }
 
+/// How [`twin_transcript`] issues its collectives.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum TwinStyle {
+    Blocking,
+    /// `i*` + `coll_wait` / `coll_test`.
+    Nonblocking,
+    /// The five operations with a `*_init` form are initialized once, up
+    /// front, and started/waited at their transcript step (the
+    /// allgather handle serves two steps with different lengths);
+    /// gather and scatter, which have none, run blocking.
+    Persistent,
+}
+
 /// The seven nonblocking collectives plus a concurrent-in-flight block,
-/// executed either blockingly or through `i* + coll_wait`/`coll_test`,
-/// logging every result. Both variants issue the same logical
-/// collectives in the same order (the standard's rule), so their logs
-/// must be byte-identical.
-fn twin_transcript(engine: &mut Engine, nonblocking: bool) -> Vec<u8> {
+/// executed blockingly, through `i* + coll_wait`/`coll_test`, or through
+/// persistent `*_init` + start/wait, logging every result. All variants
+/// issue the same logical collectives in the same order (the standard's
+/// rule), so their logs must be byte-identical.
+fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
+    use mpi_native::CollOutcome;
     let rank = engine.world_rank();
     let size = engine.world_size();
     let sum = Op::Predefined(PredefinedOp::Sum);
     let affine = affine_compose();
     let mut log = Vec::new();
 
+    // Persistent handles, in transcript order: barrier, bcast, allgather,
+    // reduce, allreduce, then the in-flight block's allreduce and bcast.
+    let persistent = (style == TwinStyle::Persistent).then(|| {
+        [
+            engine.barrier_init(COMM_WORLD),
+            engine.bcast_init(COMM_WORLD, size - 1, 53),
+            engine.allgather_init(COMM_WORLD),
+            engine.reduce_init(COMM_WORLD, size - 1, PrimitiveKind::Int2, 2, &affine),
+            engine.allreduce_init(COMM_WORLD, PrimitiveKind::Int, 512, &sum),
+            engine.allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum),
+            engine.bcast_init(COMM_WORLD, 0, 37),
+        ]
+        .map(Result::unwrap)
+    });
+    let run_persistent = |engine: &mut Engine, slot: usize, payload: &[u8]| -> CollOutcome {
+        let id = persistent.expect("persistent style")[slot];
+        engine.coll_start_persistent(id, payload).unwrap();
+        engine.coll_wait_persistent(id).unwrap()
+    };
+
     // barrier
-    if nonblocking {
-        let req = engine.ibarrier(COMM_WORLD).unwrap();
-        engine.coll_wait(req).unwrap();
-    } else {
-        engine.barrier(COMM_WORLD).unwrap();
+    match style {
+        TwinStyle::Blocking => engine.barrier(COMM_WORLD).unwrap(),
+        TwinStyle::Nonblocking => {
+            let req = engine.ibarrier(COMM_WORLD).unwrap();
+            engine.coll_wait(req).unwrap();
+        }
+        TwinStyle::Persistent => {
+            run_persistent(engine, 0, &[]);
+        }
     }
     log_result(&mut log, 0, b"barrier-ok");
 
@@ -287,20 +325,22 @@ fn twin_transcript(engine: &mut Engine, nonblocking: bool) -> Vec<u8> {
     let root = size - 1;
     let payload: Vec<u8> = (0..53u8).map(|i| i.wrapping_mul(3)).collect();
     let mut buf = if rank == root { payload } else { vec![0xEE; 2] };
-    if nonblocking {
-        let req = engine
-            .ibcast(COMM_WORLD, root, std::mem::take(&mut buf))
-            .unwrap();
-        buf = engine.coll_wait(req).unwrap().into_buffer();
-    } else {
-        engine.bcast(COMM_WORLD, root, &mut buf).unwrap();
+    match style {
+        TwinStyle::Blocking => engine.bcast(COMM_WORLD, root, &mut buf).unwrap(),
+        TwinStyle::Nonblocking => {
+            let req = engine
+                .ibcast(COMM_WORLD, root, std::mem::take(&mut buf))
+                .unwrap();
+            buf = engine.coll_wait(req).unwrap().into_buffer();
+        }
+        TwinStyle::Persistent => buf = run_persistent(engine, 1, &buf).into_buffer(),
     }
     log_result(&mut log, 1, &buf);
 
     // gatherv (variable lengths incl. empty)
     let root = size / 2;
     let send = vec![rank as u8; rank % 3];
-    let gathered = if nonblocking {
+    let gathered = if style == TwinStyle::Nonblocking {
         let req = engine.igather(COMM_WORLD, root, &send).unwrap();
         engine.coll_wait(req).unwrap().into_parts()
     } else {
@@ -320,7 +360,7 @@ fn twin_transcript(engine: &mut Engine, nonblocking: bool) -> Vec<u8> {
     } else {
         None
     };
-    let mine = if nonblocking {
+    let mine = if style == TwinStyle::Nonblocking {
         let req = engine
             .iscatter(COMM_WORLD, root, chunks.as_deref())
             .unwrap();
@@ -332,28 +372,35 @@ fn twin_transcript(engine: &mut Engine, nonblocking: bool) -> Vec<u8> {
 
     // allgatherv
     let contribution: Vec<u8> = (0..(rank + 1) * 2).map(|i| (i * 7 + rank) as u8).collect();
-    let parts = if nonblocking {
-        let req = engine.iallgather(COMM_WORLD, &contribution).unwrap();
-        engine.coll_wait(req).unwrap().into_parts().unwrap()
-    } else {
-        engine.allgather(COMM_WORLD, &contribution).unwrap()
+    let parts = match style {
+        TwinStyle::Blocking => engine.allgather(COMM_WORLD, &contribution).unwrap(),
+        TwinStyle::Nonblocking => {
+            let req = engine.iallgather(COMM_WORLD, &contribution).unwrap();
+            engine.coll_wait(req).unwrap().into_parts().unwrap()
+        }
+        TwinStyle::Persistent => run_persistent(engine, 2, &contribution)
+            .into_parts()
+            .unwrap(),
     };
     log_parts(&mut log, 4, &parts);
 
     // reduce to a non-zero root (non-commutative user op)
     let own = ints(&[rank as i32 * 2 + 3, rank as i32 + 1, 3, rank as i32 - 2]);
-    let reduced = if nonblocking {
-        let req = engine
-            .ireduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
-            .unwrap();
-        match engine.coll_wait(req).unwrap() {
-            mpi_native::CollOutcome::Done => None,
-            outcome => Some(outcome.into_buffer()),
-        }
-    } else {
-        engine
+    let done_is_none = |outcome: CollOutcome| match outcome {
+        CollOutcome::Done => None,
+        outcome => Some(outcome.into_buffer()),
+    };
+    let reduced = match style {
+        TwinStyle::Blocking => engine
             .reduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
-            .unwrap()
+            .unwrap(),
+        TwinStyle::Nonblocking => {
+            let req = engine
+                .ireduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
+                .unwrap();
+            done_is_none(engine.coll_wait(req).unwrap())
+        }
+        TwinStyle::Persistent => done_is_none(run_persistent(engine, 3, &own)),
     };
     if let Some(data) = reduced {
         log_result(&mut log, 5, &data);
@@ -364,67 +411,72 @@ fn twin_transcript(engine: &mut Engine, nonblocking: bool) -> Vec<u8> {
     let vector: Vec<i32> = (0i32..512)
         .map(|i| i.wrapping_mul(rank as i32 + 1))
         .collect();
-    let got = if nonblocking {
-        let req = engine
-            .iallreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 512, &sum)
-            .unwrap();
-        loop {
-            if let Some(outcome) = engine.coll_test(req).unwrap() {
-                break outcome.into_buffer();
-            }
-            std::thread::yield_now();
-        }
-    } else {
-        engine
+    let got = match style {
+        TwinStyle::Blocking => engine
             .allreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 512, &sum)
-            .unwrap()
+            .unwrap(),
+        TwinStyle::Nonblocking => {
+            let req = engine
+                .iallreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 512, &sum)
+                .unwrap();
+            loop {
+                if let Some(outcome) = engine.coll_test(req).unwrap() {
+                    break outcome.into_buffer();
+                }
+                std::thread::yield_now();
+            }
+        }
+        TwinStyle::Persistent => run_persistent(engine, 4, &ints(&vector)).into_buffer(),
     };
     log_result(&mut log, 6, &got);
 
     // Several collectives in flight concurrently (distinct tag
     // windows), completed in reverse order. The blocking variant issues
     // the same collectives in the same order, one at a time.
-    if nonblocking {
-        let r1 = engine
-            .iallreduce(
-                COMM_WORLD,
-                &ints(&[rank as i32 + 2]),
-                PrimitiveKind::Int,
-                1,
-                &sum,
-            )
-            .unwrap();
-        let bcast_buf = if rank == 0 {
-            vec![0x5Au8; 37]
-        } else {
-            Vec::new()
-        };
-        let r2 = engine.ibcast(COMM_WORLD, 0, bcast_buf).unwrap();
-        let r3 = engine.iallgather(COMM_WORLD, &[rank as u8; 2]).unwrap();
-        let parts = engine.coll_wait(r3).unwrap().into_parts().unwrap();
-        log_parts(&mut log, 7, &parts);
-        log_result(&mut log, 8, &engine.coll_wait(r2).unwrap().into_buffer());
-        log_result(&mut log, 9, &engine.coll_wait(r1).unwrap().into_buffer());
+    let red_in = ints(&[rank as i32 + 2]);
+    let mut bcast_buf = if rank == 0 {
+        vec![0x5Au8; 37]
     } else {
-        let red = engine
-            .allreduce(
-                COMM_WORLD,
-                &ints(&[rank as i32 + 2]),
-                PrimitiveKind::Int,
-                1,
-                &sum,
-            )
-            .unwrap();
-        let mut bcast_buf = if rank == 0 {
-            vec![0x5Au8; 37]
-        } else {
-            Vec::new()
-        };
-        engine.bcast(COMM_WORLD, 0, &mut bcast_buf).unwrap();
-        let parts = engine.allgather(COMM_WORLD, &[rank as u8; 2]).unwrap();
-        log_parts(&mut log, 7, &parts);
-        log_result(&mut log, 8, &bcast_buf);
-        log_result(&mut log, 9, &red);
+        Vec::new()
+    };
+    let gather_in = [rank as u8; 2];
+    match style {
+        TwinStyle::Blocking => {
+            let red = engine
+                .allreduce(COMM_WORLD, &red_in, PrimitiveKind::Int, 1, &sum)
+                .unwrap();
+            engine.bcast(COMM_WORLD, 0, &mut bcast_buf).unwrap();
+            let parts = engine.allgather(COMM_WORLD, &gather_in).unwrap();
+            log_parts(&mut log, 7, &parts);
+            log_result(&mut log, 8, &bcast_buf);
+            log_result(&mut log, 9, &red);
+        }
+        TwinStyle::Nonblocking => {
+            let r1 = engine
+                .iallreduce(COMM_WORLD, &red_in, PrimitiveKind::Int, 1, &sum)
+                .unwrap();
+            let r2 = engine.ibcast(COMM_WORLD, 0, bcast_buf).unwrap();
+            let r3 = engine.iallgather(COMM_WORLD, &gather_in).unwrap();
+            let parts = engine.coll_wait(r3).unwrap().into_parts().unwrap();
+            log_parts(&mut log, 7, &parts);
+            log_result(&mut log, 8, &engine.coll_wait(r2).unwrap().into_buffer());
+            log_result(&mut log, 9, &engine.coll_wait(r1).unwrap().into_buffer());
+        }
+        TwinStyle::Persistent => {
+            let [_, _, allgather, _, _, allreduce, bcast] = persistent.expect("persistent style");
+            engine.coll_start_persistent(allreduce, &red_in).unwrap();
+            engine.coll_start_persistent(bcast, &bcast_buf).unwrap();
+            engine.coll_start_persistent(allgather, &gather_in).unwrap();
+            let parts = engine.coll_wait_persistent(allgather).unwrap();
+            log_parts(&mut log, 7, &parts.into_parts().unwrap());
+            let got = engine.coll_wait_persistent(bcast).unwrap();
+            log_result(&mut log, 8, &got.into_buffer());
+            let got = engine.coll_wait_persistent(allreduce).unwrap();
+            log_result(&mut log, 9, &got.into_buffer());
+        }
+    }
+    for id in persistent.into_iter().flatten() {
+        engine.coll_free_persistent(id).unwrap();
     }
 
     log
@@ -434,17 +486,17 @@ fn run_twin_transcript(
     size: usize,
     device: DeviceKind,
     alg: Option<CollAlgorithm>,
-    nonblocking: bool,
+    style: TwinStyle,
 ) -> Vec<Vec<u8>> {
     let mut config = UniverseConfig::new(size, device);
     config.coll_algorithm = alg;
-    Universe::run_with_config(config, move |engine| twin_transcript(engine, nonblocking)).unwrap()
+    Universe::run_with_config(config, move |engine| twin_transcript(engine, style)).unwrap()
 }
 
-/// Satellite: every nonblocking collective is byte-identical to its
-/// blocking twin, sizes {1, 2, 3, 5, 8} × devices × algorithms,
-/// including several collectives in flight concurrently on distinct tag
-/// windows.
+/// Satellite: every nonblocking and every persistent collective is
+/// byte-identical to its blocking twin, sizes {1, 2, 3, 5, 8} × devices
+/// × algorithms, including several collectives in flight concurrently
+/// on distinct tag windows.
 fn assert_nonblocking_twins(device: DeviceKind) {
     for size in [1usize, 2, 3, 5, 8] {
         for alg in [
@@ -455,12 +507,14 @@ fn assert_nonblocking_twins(device: DeviceKind) {
             Some(CollAlgorithm::Ring),
             Some(CollAlgorithm::Pipelined),
         ] {
-            let blocking = run_twin_transcript(size, device, alg, false);
-            let nonblocking = run_twin_transcript(size, device, alg, true);
-            assert_eq!(
-                nonblocking, blocking,
-                "nonblocking diverged from blocking twin: device={device:?} size={size} alg={alg:?}"
-            );
+            let blocking = run_twin_transcript(size, device, alg, TwinStyle::Blocking);
+            for style in [TwinStyle::Nonblocking, TwinStyle::Persistent] {
+                assert_eq!(
+                    run_twin_transcript(size, device, alg, style),
+                    blocking,
+                    "{style:?} diverged from blocking twin: device={device:?} size={size} alg={alg:?}"
+                );
+            }
         }
     }
 }
@@ -501,25 +555,27 @@ fn hier_is_byte_identical_over_hybrid_fabrics() {
                 );
             }
 
-            // Nonblocking twin under forced hier: must match both its
-            // own blocking run and the linear blocking run.
-            let blocking = Universe::run_with_config(
-                hybrid_config(size, ranks_per_node, Some(CollAlgorithm::Hierarchical)),
-                |engine| twin_transcript(engine, false),
-            )
-            .unwrap();
-            let nonblocking = Universe::run_with_config(
-                hybrid_config(size, ranks_per_node, Some(CollAlgorithm::Hierarchical)),
-                |engine| twin_transcript(engine, true),
-            )
-            .unwrap();
-            assert_eq!(
-                nonblocking, blocking,
-                "hier nonblocking twin diverged: size={size} ranks_per_node={ranks_per_node}"
-            );
+            // Nonblocking and persistent twins under forced hier: must
+            // match both their own blocking run and the linear blocking
+            // run.
+            let hier_twin = |style| {
+                Universe::run_with_config(
+                    hybrid_config(size, ranks_per_node, Some(CollAlgorithm::Hierarchical)),
+                    move |engine| twin_transcript(engine, style),
+                )
+                .unwrap()
+            };
+            let blocking = hier_twin(TwinStyle::Blocking);
+            for style in [TwinStyle::Nonblocking, TwinStyle::Persistent] {
+                assert_eq!(
+                    hier_twin(style),
+                    blocking,
+                    "hier {style:?} twin diverged: size={size} ranks_per_node={ranks_per_node}"
+                );
+            }
             let linear_twin = Universe::run_with_config(
                 hybrid_config(size, ranks_per_node, Some(CollAlgorithm::Linear)),
-                |engine| twin_transcript(engine, false),
+                |engine| twin_transcript(engine, TwinStyle::Blocking),
             )
             .unwrap();
             assert_eq!(

@@ -215,3 +215,65 @@ fn zero_count_reduce_and_allreduce() {
             .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }
+
+/// Element counts come from the caller: a count whose byte size (or, for
+/// reduce_scatter, whose sum) overflows `usize` must be rejected as
+/// `ErrorClass::Count` — it used to wrap to a small `need` in release
+/// builds (passing validation) and panic in debug builds. Checked at the
+/// engine boundary, where the unchecked arithmetic lived, on the
+/// transient and the `*_init` paths; the rejected calls touch no wire,
+/// so the communicator stays usable.
+#[test]
+fn overflowing_element_counts_are_count_errors() {
+    use mpi_native::comm::COMM_WORLD;
+    use mpi_native::{ErrorClass, PredefinedOp, PrimitiveKind, Universe};
+    const HUGE: usize = 1 << 62;
+    for device in [
+        mpijava::DeviceKind::ShmFast,
+        mpijava::DeviceKind::ShmP4,
+        mpijava::DeviceKind::Tcp,
+    ] {
+        Universe::run(2, device, |engine| {
+            let sum = mpi_native::Op::Predefined(PredefinedOp::Sum);
+            let int = PrimitiveKind::Int;
+            let send = [0u8; 16];
+            let class = |r: Result<(), mpi_native::MpiError>| r.unwrap_err().class;
+
+            let r = engine.reduce(COMM_WORLD, 0, &send, int, HUGE, &sum);
+            assert_eq!(class(r.map(drop)), ErrorClass::Count, "reduce");
+            let r = engine.allreduce(COMM_WORLD, &send, int, HUGE, &sum);
+            assert_eq!(class(r.map(drop)), ErrorClass::Count, "allreduce");
+            let r = engine.iallreduce(COMM_WORLD, &send, int, HUGE, &sum);
+            assert_eq!(class(r.map(drop)), ErrorClass::Count, "iallreduce");
+            let r = engine.scan(COMM_WORLD, &send, int, HUGE, &sum);
+            assert_eq!(class(r.map(drop)), ErrorClass::Count, "scan");
+
+            // reduce_scatter: the product overflows, the sum overflows,
+            // and (1-byte elements) the saturated sum exceeds any buffer.
+            for (counts, kind) in [
+                ([HUGE, 0], int),
+                ([usize::MAX, 1], int),
+                ([usize::MAX, 1], PrimitiveKind::Byte),
+            ] {
+                let r = engine.reduce_scatter(COMM_WORLD, &send, &counts, kind, &sum);
+                assert_eq!(class(r.map(drop)), ErrorClass::Count, "{counts:?}");
+            }
+
+            let r = engine.reduce_init(COMM_WORLD, 0, int, HUGE, &sum);
+            assert_eq!(class(r.map(drop)), ErrorClass::Count, "reduce_init");
+            let r = engine.allreduce_init(COMM_WORLD, int, HUGE, &sum);
+            assert_eq!(class(r.map(drop)), ErrorClass::Count, "allreduce_init");
+            assert_eq!(engine.persistent_colls_registered(), 0);
+
+            // A persistent start with a short buffer reports the same
+            // class from the same routine as the transient form.
+            let op = engine.allreduce_init(COMM_WORLD, int, 8, &sum).unwrap();
+            let r = engine.coll_start_persistent(op, &send);
+            assert_eq!(class(r), ErrorClass::Count, "short persistent start");
+            engine.coll_free_persistent(op).unwrap();
+
+            engine.barrier(COMM_WORLD).unwrap();
+        })
+        .unwrap_or_else(|e| panic!("{device:?}: {e}"));
+    }
+}

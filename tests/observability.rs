@@ -452,3 +452,56 @@ fn merge_and_analysis_tolerate_a_missing_rank_dump() {
     let _ = analysis.render_report();
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// Regression: a `coll` Begin event is labelled with the (operation,
+/// algorithm) pair its schedule was planned with, in every call mode.
+/// The label used to travel through a side channel that `*_init` left
+/// stale (the next collective was traced as the init's operation),
+/// that operations without a selection step never wrote (`unknown`),
+/// and that persistent starts never saw (`unknown`).
+#[test]
+fn coll_events_carry_the_planned_operation_in_every_call_mode() {
+    use mpi_native::comm::COMM_WORLD;
+    use mpi_native::{CollOp, PredefinedOp, PrimitiveKind, Universe, UniverseConfig};
+    let config = UniverseConfig {
+        trace: Some(TraceConfig::events()),
+        ..UniverseConfig::new(2, DeviceKind::ShmFast)
+    };
+    let per_rank = Universe::run_with_config(config, |engine| {
+        let sum = mpi_native::Op::Predefined(PredefinedOp::Sum);
+        let one = 1i32.to_le_bytes();
+        let persistent = engine
+            .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
+            .unwrap();
+        engine.alltoall(COMM_WORLD, &[vec![1], vec![2]]).unwrap();
+        engine
+            .scan(COMM_WORLD, &one, PrimitiveKind::Int, 1, &sum)
+            .unwrap();
+        for _ in 0..2 {
+            engine.coll_start_persistent(persistent, &one).unwrap();
+            engine.coll_wait_persistent(persistent).unwrap();
+        }
+        engine.coll_free_persistent(persistent).unwrap();
+        engine.trace_events()
+    })
+    .unwrap();
+    let expected = [
+        CollOp::Alltoall,
+        CollOp::Scan,
+        CollOp::Allreduce,
+        CollOp::Allreduce,
+    ]
+    .map(|op| op.index() as i64);
+    for (rank, events) in per_rank.iter().enumerate() {
+        let begins: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Coll && e.phase == EventPhase::Begin)
+            .collect();
+        let ops: Vec<i64> = begins.iter().map(|e| e.a).collect();
+        assert_eq!(ops, expected, "rank {rank}: coll Begin op labels");
+        assert!(
+            begins.iter().all(|e| e.b >= 0),
+            "rank {rank}: a planned collective was traced without its algorithm"
+        );
+    }
+}
