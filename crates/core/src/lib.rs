@@ -263,7 +263,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mpi_native::comm::{COMM_SELF, COMM_WORLD};
-use mpi_native::Engine;
+use mpi_native::{Engine, Universe, UniverseConfig};
 use parking_lot::Mutex;
 
 /// Per-rank shared state: the engine (native MPI library) plus the
@@ -528,24 +528,16 @@ impl MPI {
 }
 
 /// Job launcher: plays `mpirun` + `MPI.Init` for an SPMD closure.
+///
+/// A view of the engine's one job configuration, [`UniverseConfig`], plus
+/// the two settings only the binding has (thread level, JNI boundary).
+/// Every builder method below sets the `UniverseConfig` field of the
+/// same name; a knob left unset is filled at launch from its `MPIJAVA_*`
+/// variable, then from its default — the rule and the knob table are on
+/// [`mpi_native::env::overlay`].
 #[derive(Debug, Clone)]
 pub struct MpiRuntime {
-    size: usize,
-    device: DeviceKind,
-    network: NetworkModel,
-    profile: DeviceProfile,
-    nodes: Option<NodeMap>,
-    inter_network: NetworkModel,
-    inter_profile: DeviceProfile,
-    eager_threshold: Option<usize>,
-    segment_bytes: Option<usize>,
-    coll_algorithm: Option<CollAlgorithm>,
-    progress: Option<ProgressMode>,
-    spool_dir: Option<std::path::PathBuf>,
-    lease: Option<std::time::Duration>,
-    faults: Option<FaultPlan>,
-    trace: Option<TraceConfig>,
-    trace_dir: Option<std::path::PathBuf>,
+    config: UniverseConfig,
     thread_level: ThreadLevel,
     jni: JniConfig,
 }
@@ -554,152 +546,121 @@ impl MpiRuntime {
     /// `size` ranks over the optimised shared-memory device.
     pub fn new(size: usize) -> MpiRuntime {
         MpiRuntime {
-            size,
-            device: DeviceKind::ShmFast,
-            network: NetworkModel::unshaped(),
-            profile: DeviceProfile::default(),
-            nodes: None,
-            inter_network: NetworkModel::unshaped(),
-            inter_profile: DeviceProfile::default(),
-            eager_threshold: None,
-            segment_bytes: None,
-            coll_algorithm: None,
-            progress: None,
-            spool_dir: None,
-            lease: None,
-            faults: None,
-            trace: None,
-            trace_dir: None,
+            config: UniverseConfig::new(size, DeviceKind::ShmFast),
             thread_level: ThreadLevel::Single,
             jni: JniConfig::default(),
+        }
+    }
+
+    fn with(self, set: impl FnOnce(UniverseConfig) -> UniverseConfig) -> Self {
+        MpiRuntime {
+            config: set(self.config),
+            ..self
         }
     }
 
     /// Select the transport device (`ShmFast` ~ WMPI, `ShmP4` ~ MPICH,
     /// `Tcp` ~ the distributed-memory configuration).
     pub fn device(mut self, device: DeviceKind) -> Self {
-        self.device = device;
+        self.config.device = device;
         self
     }
 
     /// Attach a link model (used for DM-mode experiments).
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
+    pub fn network(self, network: NetworkModel) -> Self {
+        self.with(|c| c.with_network(network))
     }
 
     /// Attach a synthetic per-message device cost (calibration).
-    pub fn profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
-        self
+    pub fn profile(self, profile: DeviceProfile) -> Self {
+        self.with(|c| c.with_profile(profile))
     }
 
     /// Place ranks on nodes (see [`NodeMap`]): the `Hybrid` device
     /// routes intra-node traffic over the shm-class path and inter-node
     /// traffic over the modelled link, the engine's topology queries
     /// report the placement, and the collective tuner auto-selects the
-    /// hierarchical algorithms when the map is non-trivial. Takes
-    /// precedence over the `MPIJAVA_NODES` environment override.
-    pub fn nodes(mut self, nodes: NodeMap) -> Self {
-        self.nodes = Some(nodes);
-        self
+    /// hierarchical algorithms when the map is non-trivial.
+    pub fn nodes(self, nodes: NodeMap) -> Self {
+        self.with(|c| c.with_nodes(nodes))
     }
 
     /// Attach an inter-node link model (hybrid device).
-    pub fn inter_network(mut self, network: NetworkModel) -> Self {
-        self.inter_network = network;
-        self
+    pub fn inter_network(self, network: NetworkModel) -> Self {
+        self.with(|c| c.with_inter_network(network))
     }
 
     /// Attach an inter-node cost profile (hybrid device).
-    pub fn inter_profile(mut self, profile: DeviceProfile) -> Self {
-        self.inter_profile = profile;
-        self
+    pub fn inter_profile(self, profile: DeviceProfile) -> Self {
+        self.with(|c| c.with_inter_profile(profile))
     }
 
     /// Override the eager/rendezvous threshold.
-    pub fn eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = Some(bytes);
-        self
+    pub fn eager_threshold(self, bytes: usize) -> Self {
+        self.with(|c| c.with_eager_threshold(bytes))
     }
 
     /// Enable segmented (pipelined) large-message transfers with this
     /// segment size on every rank (rendezvous payloads stream as
     /// zero-copy segment frames; the `pipelined` bcast algorithm streams
-    /// them down the tree). Equivalent to `MPIJAVA_SEGMENT_BYTES`.
-    pub fn segment_bytes(mut self, bytes: usize) -> Self {
-        self.segment_bytes = Some(bytes);
-        self
+    /// them down the tree).
+    pub fn segment_bytes(self, bytes: usize) -> Self {
+        self.with(|c| c.with_segment_bytes(bytes))
     }
 
     /// Pin the collective algorithm on every rank, overriding the
     /// size-aware tuning table (ablations; see `mpi_native::coll`). The
     /// classic and idiomatic collective surfaces both route through the
     /// engine's selector, so the pin affects either API uniformly.
-    pub fn coll_algorithm(mut self, alg: CollAlgorithm) -> Self {
-        self.coll_algorithm = Some(alg);
-        self
+    pub fn coll_algorithm(self, alg: CollAlgorithm) -> Self {
+        self.with(|c| c.with_coll_algorithm(alg))
     }
 
     /// Select the progress model (see [`ProgressMode`]):
     /// [`Thread`](ProgressMode::Thread) runs one background progress
     /// thread per rank, so nonblocking operations, rendezvous pipelines
     /// and passive-target RMA advance while the application computes —
-    /// zero manual `test()` calls. Takes precedence over the
-    /// `MPIJAVA_PROGRESS` environment override; unset defaults to
-    /// [`Manual`](ProgressMode::Manual).
-    pub fn progress(mut self, mode: ProgressMode) -> Self {
-        self.progress = Some(mode);
-        self
+    /// zero manual `test()` calls.
+    pub fn progress(self, mode: ProgressMode) -> Self {
+        self.with(|c| c.with_progress(mode))
     }
 
     /// Keep spooled frames under `dir` across process lifetimes
     /// ([`DeviceKind::Spool`] only) — the substrate for late-join and
-    /// checkpoint/restart. Takes precedence over the
-    /// `MPIJAVA_SPOOL_DIR` environment override; unset means an
-    /// ephemeral per-job temp directory.
-    pub fn spool_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.spool_dir = Some(dir.into());
-        self
+    /// checkpoint/restart.
+    pub fn spool_dir(self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.with(|c| c.with_spool_dir(dir))
     }
 
     /// Set the heartbeat lease for failure detection: a rank whose lease
     /// goes unrefreshed for longer than this is reported dead to its
     /// peers, and blocking calls naming it error with
-    /// [`ErrorClass::RankFailed`] instead of hanging. Takes precedence
-    /// over the `MPIJAVA_LEASE_MS` environment override; unset keeps
-    /// [`DEFAULT_LEASE`].
-    pub fn lease(mut self, lease: std::time::Duration) -> Self {
-        self.lease = Some(lease);
-        self
+    /// [`ErrorClass::RankFailed`] instead of hanging (default
+    /// [`DEFAULT_LEASE`]).
+    pub fn lease(self, lease: std::time::Duration) -> Self {
+        self.with(|c| c.with_lease(lease))
     }
 
     /// Inject a deterministic [`FaultPlan`] (kill/drop/delay — testing
-    /// tool). Takes precedence over the `MPIJAVA_FAULT` environment
-    /// override.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
-        self
+    /// tool).
+    pub fn faults(self, faults: FaultPlan) -> Self {
+        self.with(|c| c.with_faults(faults))
     }
 
     /// Select the observability mode on every rank (see [`TraceConfig`]):
     /// `counters` adds latency histograms and transport frame counters
     /// to the always-on [`EngineStats`]; `events` additionally records
     /// begin/end/instant events into a per-rank ring dumped as JSONL at
-    /// finalize. Takes precedence over the `MPIJAVA_TRACE` environment
-    /// override; unset defaults to [`TraceMode::Off`].
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
-        self
+    /// finalize (default [`TraceMode::Off`]).
+    pub fn trace(self, trace: TraceConfig) -> Self {
+        self.with(|c| c.with_trace(trace))
     }
 
     /// Directory for the per-rank JSONL trace dumps (created if
-    /// needed). Takes precedence over the `MPIJAVA_TRACE_DIR`
-    /// environment override; unset falls back to `<spool>/trace` on the
-    /// spool device, else no automatic dump.
-    pub fn trace_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.trace_dir = Some(dir.into());
-        self
+    /// needed); unset falls back to `<spool>/trace` on the spool device,
+    /// else no automatic dump.
+    pub fn trace_dir(self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.with(|c| c.with_trace_dir(dir))
     }
 
     /// Request a thread support level (`MPI_Init_thread`'s `required`).
@@ -718,122 +679,21 @@ impl MpiRuntime {
     }
 
     /// Start `size` ranks, each running `f` with its own [`MPI`]
-    /// environment, and return the per-rank results in rank order.
+    /// environment, and return the per-rank results in rank order:
+    /// [`Universe::launch`] plus `MPI.Init_thread` and, in
+    /// [`ProgressMode::Thread`], the background progress thread around
+    /// `f` (stopped and joined before the rank's result is returned).
     pub fn run<T, F>(&self, f: F) -> MpiResult<Vec<T>>
     where
         T: Send,
         F: Fn(&MPI) -> MpiResult<T> + Send + Sync,
     {
-        let config = mpi_native::UniverseConfig {
-            size: self.size,
-            device: self.device,
-            network: self.network,
-            profile: self.profile,
-            eager_threshold: self.eager_threshold,
-            segment_bytes: self.segment_bytes,
-            coll_algorithm: self.coll_algorithm,
-            nodes: self.nodes.clone(),
-            inter_profile: self.inter_profile,
-            inter_network: self.inter_network,
-            progress: self.progress,
-            processor_name_prefix: None,
-            spool_dir: self.spool_dir.clone(),
-            lease: self.lease,
-            faults: self.faults.clone(),
-            trace: self.trace,
-            trace_dir: self.trace_dir.clone(),
-        };
-        let mut fabric_config = mpi_transport::FabricConfig::new(self.size, self.device)
-            .with_network(self.network)
-            .with_profile(self.profile)
-            .with_nodes(config.resolved_nodes())
-            .with_inter_network(self.inter_network)
-            .with_inter_profile(self.inter_profile)
-            .with_lease(config.resolved_lease())
-            .with_faults(config.resolved_faults());
-        if let Some(dir) = config.resolved_spool_dir() {
-            fabric_config = fabric_config.with_spool_dir(dir);
-        }
-        let trace = config.resolved_trace();
-        let trace_dir = config.resolved_trace_dir();
-        if trace.mode != TraceMode::Off {
-            // Any observability beyond the engine counters also turns on
-            // the transport-level frame counters.
-            fabric_config = fabric_config.with_frame_counters(true);
-        }
-        let progress = config.resolved_progress();
-        let _ = config; // UniverseConfig documents the mapping; we build directly.
-        let endpoints = mpi_transport::Fabric::build(fabric_config)
-            .map_err(mpi_native::MpiError::from)?
-            .into_endpoints();
-        let f = &f;
-        let jni = self.jni;
-        let eager = self.eager_threshold;
-        let segment = self.segment_bytes;
-        let coll = self.coll_algorithm;
-        let thread_level = self.thread_level;
-        let trace_set = self.trace.is_some();
-        let trace_dir = &trace_dir;
-
-        let results: Vec<MpiResult<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.size);
-            for endpoint in endpoints {
-                handles.push(scope.spawn(move || {
-                    let mut engine = Engine::new(endpoint);
-                    if let Some(bytes) = eager {
-                        engine.set_eager_threshold(bytes);
-                    }
-                    if segment.is_some() {
-                        engine.set_segment_bytes(segment);
-                    }
-                    if coll.is_some() {
-                        engine.set_coll_algorithm(coll);
-                    }
-                    // Engine::new already folded the MPIJAVA_TRACE env in;
-                    // only override when configured programmatically.
-                    if trace_set {
-                        engine.set_trace(trace);
-                    }
-                    if let Some(dir) = trace_dir {
-                        engine.set_trace_dir(dir.clone());
-                    }
-                    let (mpi, _provided) = MPI::init_thread(engine, jni, thread_level);
-                    // Background progress: one thread per rank, stopped
-                    // and joined (via the guard's drop) before the
-                    // rank's result is returned.
-                    let progress_guard = (progress == ProgressMode::Thread)
-                        .then(|| ProgressThread::spawn(Arc::clone(&mpi.env)));
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mpi)));
-                    drop(progress_guard);
-                    match outcome {
-                        Ok(result) => result,
-                        Err(panic) => {
-                            // Unblock the other ranks, then report.
-                            mpi.with_engine(|e| {
-                                let _ = e.abort(COMM_WORLD, 1);
-                            });
-                            let msg = panic
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "rank panicked".to_string());
-                            Err(MPIException::new(ErrorClass::Aborted, msg))
-                        }
-                    }
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(MPIException::new(ErrorClass::Intern, "rank thread crashed"))
-                    })
-                })
-                .collect()
-        });
-
-        results.into_iter().collect()
+        Universe::launch(self.config.clone(), |engine, progress| {
+            let (mpi, _provided) = MPI::init_thread(engine, self.jni, self.thread_level);
+            let _progress = (progress == ProgressMode::Thread)
+                .then(|| ProgressThread::spawn(Arc::clone(&mpi.env)));
+            f(&mpi)
+        })
     }
 }
 

@@ -116,17 +116,8 @@ impl<'buf> Request<'buf> {
 
     fn finish_coll(&mut self, outcome: CollOutcome) -> MpiResult<Status> {
         self.done = true;
-        let data: Option<Vec<u8>> = match outcome {
-            CollOutcome::Done => None,
-            CollOutcome::Buffer(buffer) => Some(buffer),
-            CollOutcome::Parts(parts) => Some(parts.into_iter().flatten().collect()),
-        };
-        if let (Some(unpack), Some(bytes)) = (self.unpack.take(), data.as_ref()) {
-            unpack(bytes)?;
-        }
-        let mut info = mpi_native::StatusInfo::empty();
-        info.count_bytes = data.map_or(0, |d| d.len());
-        Ok(Status::from_info(info))
+        let unpack = self.unpack.take();
+        finish_coll(outcome, |bytes| unpack.map_or(Ok(()), |f| f(bytes)))
     }
 
     /// Engine-side completion check without the simulated JNI crossing —
@@ -260,13 +251,7 @@ impl<'buf> Request<'buf> {
                     }
                     any_pending = true;
                     if let Some(status) = request.poll()? {
-                        return Ok(Status::from_info(mpi_native::StatusInfo {
-                            index: slot as i32,
-                            source: status.source(),
-                            tag: status.tag(),
-                            count_bytes: status.count_bytes(),
-                            cancelled: status.test_cancelled(),
-                        }));
+                        return Ok(status.with_index(slot));
                     }
                 }
                 if !any_pending {
@@ -300,15 +285,7 @@ impl<'buf> Request<'buf> {
             .iter()
             .position(|r| matches!(r.id, ReqId::P2p(id) if id == completed_id))
             .expect("completed request came from this array");
-        let mut status = requests[slot].finish(completion)?;
-        status = Status::from_info(mpi_native::StatusInfo {
-            index: slot as i32,
-            source: status.source(),
-            tag: status.tag(),
-            count_bytes: status.count_bytes(),
-            cancelled: status.test_cancelled(),
-        });
-        Ok(status)
+        Ok(requests[slot].finish(completion)?.with_index(slot))
     }
 
     /// `Request.Testall(requests)`: statuses if every request is complete,
@@ -831,7 +808,7 @@ impl<'buf> PersistentRequest<'buf> {
             }
             PersistentKind::Coll { id, bufs } => {
                 let outcome = self.env.engine.lock().coll_wait_persistent(*id)?;
-                finish_persistent_coll(outcome, bufs.as_mut())
+                finish_coll(outcome, |bytes| bufs.unpack(bytes))
             }
         }
     }
@@ -866,7 +843,7 @@ impl<'buf> PersistentRequest<'buf> {
                 match self.env.engine.lock().coll_test_persistent(*id)? {
                     Some(outcome) => {
                         self.active = false;
-                        Ok(Some(finish_persistent_coll(outcome, bufs.as_mut())?))
+                        Ok(Some(finish_coll(outcome, |bytes| bufs.unpack(bytes))?))
                     }
                     None => Ok(None),
                 }
@@ -913,23 +890,22 @@ impl<'buf> PersistentRequest<'buf> {
     }
 }
 
-/// Shared completion tail of the persistent-collective `wait`/`test`:
-/// flatten the outcome, deliver it into the captured buffers, and
-/// synthesize the byte-count status (like [`Request::finish_coll`]).
-fn finish_persistent_coll(
+/// Completion tail of every collective-backed handle ([`Request`] and
+/// [`PersistentRequest`] alike): flatten the outcome (gather-family
+/// parts arrive in rank order), deliver it through `unpack`, and
+/// synthesize the byte-count status.
+fn finish_coll(
     outcome: CollOutcome,
-    bufs: &mut (dyn PersistentCollBufs + '_),
+    unpack: impl FnOnce(&[u8]) -> MpiResult<()>,
 ) -> MpiResult<Status> {
-    let data: Option<Vec<u8>> = match outcome {
-        CollOutcome::Done => None,
-        CollOutcome::Buffer(buffer) => Some(buffer),
-        CollOutcome::Parts(parts) => Some(parts.into_iter().flatten().collect()),
+    let data: Vec<u8> = match outcome {
+        CollOutcome::Done => return Ok(Status::from_info(mpi_native::StatusInfo::empty())),
+        CollOutcome::Buffer(buffer) => buffer,
+        CollOutcome::Parts(parts) => parts.into_iter().flatten().collect(),
     };
-    if let Some(bytes) = data.as_ref() {
-        bufs.unpack(bytes)?;
-    }
+    unpack(&data)?;
     let mut info = mpi_native::StatusInfo::empty();
-    info.count_bytes = data.map_or(0, |d| d.len());
+    info.count_bytes = data.len();
     Ok(Status::from_info(info))
 }
 

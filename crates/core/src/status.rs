@@ -19,6 +19,13 @@ impl Status {
         Status { info }
     }
 
+    /// This status as returned by `Waitany`: the completed request's
+    /// position in the caller's array goes in the `index` field.
+    pub(crate) fn with_index(mut self, slot: usize) -> Status {
+        self.info.index = slot as i32;
+        self
+    }
+
     /// `status.source`: rank of the sender within the communicator used.
     pub fn source(&self) -> i32 {
         self.info.source

@@ -6,20 +6,20 @@
 //! pinned, either programmatically
 //! ([`Engine::set_coll_algorithm`](crate::Engine::set_coll_algorithm),
 //! `MpiRuntime::coll_algorithm` in the binding) or through the
-//! [`COLL_ALG_ENV`] environment variable, which every engine reads once at
-//! construction time. A pinned algorithm that cannot implement the
-//! requested operation (see [`tuning::supported`](super::tuning::supported))
-//! falls back to the tuned choice, so a forced run is always correct —
-//! just possibly less interesting.
+//! [`COLL_ALG_ENV`] environment variable (one knob of
+//! [`env::overlay`](crate::env::overlay), which holds the precedence rule
+//! and what a malformed value does). A pinned algorithm that cannot
+//! implement the requested operation (see
+//! [`tuning::supported`](super::tuning::supported)) falls back to the
+//! tuned choice, so a forced run is always correct — just possibly less
+//! interesting.
 
 use std::fmt;
 use std::str::FromStr;
 
 /// Environment variable pinning the collective algorithm for ablations:
 /// `MPIJAVA_COLL_ALG=linear|tree|rd|ring|pipelined|hier`. Unset, empty
-/// or `auto` keeps the tuned size-aware selection. Every rank of a job
-/// reads the same process environment, so the choice is symmetric by
-/// construction.
+/// or `auto` keeps the tuned size-aware selection.
 pub const COLL_ALG_ENV: &str = "MPIJAVA_COLL_ALG";
 
 /// The collective wire patterns the engine implements.
@@ -89,33 +89,11 @@ impl CollAlgorithm {
         }
     }
 
-    /// Read the [`COLL_ALG_ENV`] override from the process environment.
-    /// Unset, empty or `auto` mean "no override"; an unrecognized value
-    /// is rejected *loudly* — a warning on stderr naming the accepted
-    /// values — and falls back to the tuned selection, so a typo in an
-    /// ablation run cannot silently measure the wrong algorithm.
-    pub fn from_env() -> Option<CollAlgorithm> {
-        match std::env::var(COLL_ALG_ENV) {
-            Ok(value) => match CollAlgorithm::parse_override(&value) {
-                Ok(choice) => choice,
-                Err(()) => {
-                    eprintln!(
-                        "warning: {COLL_ALG_ENV}={value:?} is not a recognized collective \
-                         algorithm (expected linear|tree|rd|ring|pipelined|hier|auto); \
-                         falling back to the tuned selection"
-                    );
-                    None
-                }
-            },
-            Err(_) => None,
-        }
-    }
-
     /// Parse an override value: `Ok(None)` for the explicit no-override
     /// spellings (empty, `auto`), `Ok(Some(_))` for a recognized
-    /// algorithm, `Err(())` for anything else. Factored out of
-    /// [`CollAlgorithm::from_env`] so the rejection rule is unit-testable
-    /// without racing on the process environment.
+    /// algorithm, `Err(())` for anything else (which the overlay warns
+    /// about and ignores, so a typo in an ablation run cannot silently
+    /// measure the wrong algorithm).
     #[allow(clippy::result_unit_err)] // mirrors the FromStr impl's unit error
     pub fn parse_override(value: &str) -> std::result::Result<Option<CollAlgorithm>, ()> {
         let trimmed = value.trim();
@@ -177,7 +155,7 @@ mod tests {
     }
 
     /// Satellite: the env-override parser distinguishes "explicitly no
-    /// override" from "unrecognized" (which `from_env` warns about and
+    /// override" from "unrecognized" (which the overlay warns about and
     /// rejects) instead of silently defaulting either way.
     #[test]
     fn env_override_parsing_rejects_unknown_values_explicitly() {

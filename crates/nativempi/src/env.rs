@@ -1,52 +1,35 @@
 //! Environmental management (MPI-1.1 §7): timers, processor name,
-//! predefined attributes, and abort — plus the engine's environment
-//! overrides.
+//! predefined attributes, and abort — plus the `MPIJAVA_*` environment
+//! overlay of the job configuration.
 //!
 //! ## Environment overrides
 //!
-//! Like `MPIJAVA_COLL_ALG` (see [`crate::coll::COLL_ALG_ENV`]), these are
-//! read once per engine at construction time; every rank of a job shares
-//! the process environment, so the settings are symmetric by
-//! construction. Programmatic configuration
-//! ([`Engine::set_eager_threshold`], [`Engine::set_segment_bytes`],
-//! `UniverseConfig::with_eager_threshold` / `with_segment_bytes`) takes
-//! precedence because it is applied after construction.
-//!
-//! | variable | effect |
-//! |----------|--------|
-//! | [`EAGER_LIMIT_ENV`] (`MPIJAVA_EAGER_LIMIT`) | eager/rendezvous switch-over point in bytes |
-//! | [`SEGMENT_BYTES_ENV`] (`MPIJAVA_SEGMENT_BYTES`) | pipeline segment size for large transfers (unset = no segmentation) |
-//! | `MPIJAVA_COLL_ALG` | pin the collective wire pattern (`linear`/`tree`/`rd`/`ring`/`pipelined`/`hier`) |
-//! | [`NODES_ENV`] (`MPIJAVA_NODES`) | rank → node placement for the launchers (see below) |
-//! | [`PROGRESS_ENV`] (`MPIJAVA_PROGRESS`) | `thread` = background progress thread per rank, `manual` = progress only inside MPI calls (default) |
-//! | [`SPOOL_DIR_ENV`] (`MPIJAVA_SPOOL_DIR`) | persistent spool root for the `spool` device (unset = ephemeral temp dir) |
-//! | [`LEASE_MS_ENV`] (`MPIJAVA_LEASE_MS`) | heartbeat lease in milliseconds for failure detection |
-//! | [`FAULT_ENV`] (`MPIJAVA_FAULT`) | fault-injection plan for the test harness (see below) |
-//! | [`TRACE_ENV`] (`MPIJAVA_TRACE`) | observability level: `off`, `counters`, or `events[:capacity]` (see below) |
-//! | [`TRACE_DIR_ENV`] (`MPIJAVA_TRACE_DIR`) | directory for the per-rank JSONL trace dumps (see below) |
+//! Every run-time knob is one `Option` field of
+//! [`UniverseConfig`]; [`overlay`] fills the
+//! fields nobody set programmatically from the `MPIJAVA_*` variables,
+//! once per job, and documents all ten in **one knob table** (variable,
+//! field, `MpiRuntime` method, grammar, default, what a malformed value
+//! does) together with the one precedence rule. The sections below only
+//! spell out the longer grammars. Every rank of a job shares the process
+//! environment and the launcher resolves it once, so the settings are
+//! symmetric by construction.
 //!
 //! Sizes accept an optional `k`/`K` (KiB) or `m`/`M` (MiB) suffix:
 //! `MPIJAVA_EAGER_LIMIT=64k`, `MPIJAVA_SEGMENT_BYTES=1M`.
 //!
 //! ## `MPIJAVA_PROGRESS`
 //!
-//! Read by the launchers when no explicit mode was configured
-//! (`UniverseConfig::with_progress` / `MpiRuntime::progress` take
-//! precedence). `thread` (aliases `background`, `async`) spawns one
-//! background progress thread per rank that keeps draining the
+//! `thread` (aliases `background`, `async`) spawns one background
+//! progress thread per rank that keeps draining the
 //! nonblocking-collective engine, the rendezvous/segment pipeline and
 //! the RMA windows while application code computes; `manual` (alias
 //! `none`) keeps the classic behavior where progress happens only
-//! inside MPI calls. Anything else warns loudly on stderr and falls
-//! back to `manual`, so a typo cannot silently change the concurrency
-//! profile of a job.
+//! inside MPI calls. Anything else warns and runs `manual`, so a typo
+//! cannot silently change the concurrency profile of a job.
 //!
 //! ## `MPIJAVA_NODES`
 //!
-//! Read by the [`Universe`](crate::Universe) / `MpiRuntime` launchers
-//! when no explicit [`NodeMap`] was configured
-//! (`UniverseConfig::with_nodes` takes precedence). Three spellings, for
-//! a job of `P` ranks:
+//! Three spellings, for a job of `P` ranks:
 //!
 //! * `MPIJAVA_NODES=2` — two nodes, ranks block-split as evenly as
 //!   possible;
@@ -60,30 +43,24 @@
 //! inter-node class) and what the collective tuning layer consults to
 //! auto-select the hierarchical algorithms; on single-fabric devices it
 //! only affects the topology queries. A malformed or size-inconsistent
-//! value warns loudly on stderr and is ignored, so a typo cannot
-//! silently reshape a job.
+//! value warns and is ignored, so a typo cannot silently reshape a job.
 //!
 //! ## `MPIJAVA_SPOOL_DIR` and `MPIJAVA_LEASE_MS`
 //!
-//! Read by the launchers when no explicit spool root / lease was
-//! configured (`UniverseConfig::with_spool_dir` / `with_lease` take
-//! precedence). The spool root only matters on the `spool` device: set
-//! it to keep undelivered frames on disk across process lifetimes (the
-//! substrate for late-join and checkpoint/restart); unset, each job
-//! spins up an ephemeral temp-dir spool that is removed when the last
-//! rank detaches. The lease is the heartbeat timeout used by every
-//! failure-detecting device: a rank whose lease file goes unrefreshed
-//! for longer than the lease is reported dead to its peers. Malformed
-//! lease values warn on stderr and fall back to the default
-//! ([`mpi_transport::DEFAULT_LEASE`], 1000 ms); `0` is rejected the
-//! same way because a zero lease would declare every rank dead on
+//! The spool root only matters on the `spool` device: set it to keep
+//! undelivered frames on disk across process lifetimes (the substrate
+//! for late-join and checkpoint/restart); unset, each job spins up an
+//! ephemeral temp-dir spool that is removed when the last rank detaches.
+//! The lease is the heartbeat timeout used by every failure-detecting
+//! device: a rank whose lease file goes unrefreshed for longer than the
+//! lease is reported dead to its peers. `0` is malformed like any
+//! non-number, because a zero lease would declare every rank dead on
 //! arrival.
 //!
 //! ## `MPIJAVA_FAULT`
 //!
-//! Read by the launchers when no explicit [`FaultPlan`] was configured
-//! (`UniverseConfig::with_faults` takes precedence). A comma-separated
-//! list of fault actions for deterministic failure testing:
+//! A comma-separated list of fault actions for deterministic failure
+//! testing:
 //!
 //! * `kill:<rank>@<n>` — rank `<rank>`'s transport dies at its `<n>`-th
 //!   send (1-based); peers see the death via the lease mechanism;
@@ -93,14 +70,12 @@
 //!   milliseconds (an optional `ms` suffix is accepted).
 //!
 //! Example: `MPIJAVA_FAULT=kill:2@5,delay:0->1@3:50ms`. A malformed
-//! plan warns loudly on stderr and is ignored — fault injection is a
-//! testing tool, and a typo must not take down a production job.
+//! plan warns and is ignored — fault injection is a testing tool, and a
+//! typo must not take down a production job.
 //!
 //! ## `MPIJAVA_TRACE` and `MPIJAVA_TRACE_DIR`
 //!
-//! The observability level of the [`crate::trace`] subsystem, read once
-//! per engine at construction time (`UniverseConfig::with_trace` /
-//! `MpiRuntime::trace` take precedence):
+//! The observability level of the [`crate::trace`] subsystem:
 //!
 //! * `off` (aliases `none`, `0`, the default) — the always-compiled
 //!   [`crate::EngineStats`] counters only; every trace hook is one enum
@@ -112,8 +87,8 @@
 //!   `events:<capacity>` sets the ring size in records (default
 //!   [`crate::trace::DEFAULT_TRACE_CAPACITY`]).
 //!
-//! A malformed value warns loudly on stderr and falls back to `off`, so
-//! a typo cannot silently record (or discard) a job's trace.
+//! A malformed value warns and traces `off`, so a typo cannot silently
+//! record (or discard) a job's trace.
 //!
 //! `MPIJAVA_TRACE_DIR` names the directory the per-rank JSONL dumps go
 //! to (created on demand). Unset, the dump lands in `<spool root>/trace`
@@ -126,60 +101,44 @@ use std::time::Duration;
 
 use mpi_transport::{FaultPlan, Frame, FrameHeader, FrameKind, NodeMap};
 
+use crate::coll::{CollAlgorithm, COLL_ALG_ENV};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, Result};
+use crate::trace::TraceConfig;
 use crate::types::TAG_UB;
-use crate::Engine;
+use crate::{Engine, UniverseConfig};
 
-/// Environment variable overriding the eager/rendezvous switch-over
-/// point, mirroring [`crate::UniverseConfig::with_eager_threshold`]:
-/// `MPIJAVA_EAGER_LIMIT=<bytes>[k|m]`. Unset or unparsable keeps
-/// [`crate::DEFAULT_EAGER_THRESHOLD`].
+/// `MPIJAVA_EAGER_LIMIT`: the eager/rendezvous switch-over point (see
+/// the knob table on [`overlay`]).
 pub const EAGER_LIMIT_ENV: &str = "MPIJAVA_EAGER_LIMIT";
 
-/// Environment variable enabling segmented (pipelined) large-message
-/// transfers: `MPIJAVA_SEGMENT_BYTES=<bytes>[k|m]`. Unset means no
-/// segmentation for point-to-point rendezvous payloads (the pipelined
-/// broadcast falls back to its own default segment size).
+/// `MPIJAVA_SEGMENT_BYTES`: the segment size of pipelined large-message
+/// transfers. Unset means no segmentation for point-to-point rendezvous
+/// payloads (the pipelined broadcast falls back to its own default
+/// segment size).
 pub const SEGMENT_BYTES_ENV: &str = "MPIJAVA_SEGMENT_BYTES";
 
-/// Environment variable placing ranks on nodes for the launchers:
-/// `MPIJAVA_NODES=<nodes>|<nodes>x<ranks-per-node>|<id,id,…>` (see the
-/// module docs for the grammar and precedence rules).
+/// `MPIJAVA_NODES`: rank → node placement (grammar in the module docs).
 pub const NODES_ENV: &str = "MPIJAVA_NODES";
 
-/// Environment variable selecting the progress model for the launchers:
-/// `MPIJAVA_PROGRESS=thread|manual` (see the module docs for aliases and
-/// precedence). Malformed values warn on stderr and fall back to
-/// [`ProgressMode::Manual`].
+/// `MPIJAVA_PROGRESS`: the progress model (see [`ProgressMode`]).
 pub const PROGRESS_ENV: &str = "MPIJAVA_PROGRESS";
 
-/// Environment variable naming a persistent spool root for the `spool`
-/// device: `MPIJAVA_SPOOL_DIR=<path>` (see the module docs). Unset means
-/// an ephemeral per-job temp directory.
+/// `MPIJAVA_SPOOL_DIR`: a persistent spool root for the `spool` device.
 pub const SPOOL_DIR_ENV: &str = "MPIJAVA_SPOOL_DIR";
 
-/// Environment variable overriding the heartbeat lease used for failure
-/// detection: `MPIJAVA_LEASE_MS=<milliseconds>` (see the module docs).
-/// Malformed or zero values warn on stderr and keep
-/// [`mpi_transport::DEFAULT_LEASE`].
+/// `MPIJAVA_LEASE_MS`: the heartbeat lease used for failure detection.
 pub const LEASE_MS_ENV: &str = "MPIJAVA_LEASE_MS";
 
-/// Environment variable injecting a deterministic fault plan:
-/// `MPIJAVA_FAULT=kill:<rank>@<n>,drop:<src>-><dst>@<n>,delay:<src>-><dst>@<n>:<ms>`
-/// (see the module docs for the full grammar). Malformed plans warn on
-/// stderr and are ignored.
+/// `MPIJAVA_FAULT`: a deterministic fault-injection plan (grammar in the
+/// module docs).
 pub const FAULT_ENV: &str = "MPIJAVA_FAULT";
 
-/// Environment variable selecting the observability level:
-/// `MPIJAVA_TRACE=off|counters|events[:capacity]` (see the module docs
-/// and [`crate::trace`]). Malformed values warn on stderr and fall back
-/// to `off`.
+/// `MPIJAVA_TRACE`: the observability level (grammar in the module
+/// docs; see [`crate::trace`]).
 pub const TRACE_ENV: &str = "MPIJAVA_TRACE";
 
-/// Environment variable naming the directory for per-rank JSONL trace
-/// dumps: `MPIJAVA_TRACE_DIR=<path>` (see the module docs). Unset, the
-/// dump falls back to `<spool root>/trace` on the `spool` device.
+/// `MPIJAVA_TRACE_DIR`: the directory for per-rank JSONL trace dumps.
 pub const TRACE_DIR_ENV: &str = "MPIJAVA_TRACE_DIR";
 
 /// How a rank's engine is progressed between MPI calls.
@@ -217,129 +176,129 @@ impl std::fmt::Display for ProgressMode {
     }
 }
 
-/// Read the [`PROGRESS_ENV`] override. Unset (or empty) means no
-/// override; a malformed value warns on stderr and falls back to
-/// [`ProgressMode::Manual`] rather than silently changing the job's
-/// concurrency profile.
-pub fn progress_from_env() -> Option<ProgressMode> {
-    let raw = std::env::var(PROGRESS_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    match ProgressMode::parse(&raw) {
-        Some(mode) => Some(mode),
-        None => {
-            eprintln!(
-                "warning: {PROGRESS_ENV}={raw:?} is not a known progress mode \
-                 (expected `thread` or `manual`); running manual"
-            );
-            Some(ProgressMode::Manual)
+/// One pass of [`overlay`]: where the values come from and the warnings
+/// collected so far.
+struct Overlay<'a> {
+    lookup: &'a dyn Fn(&str) -> Option<String>,
+    warnings: Vec<String>,
+}
+
+impl Overlay<'_> {
+    /// The one rule, for one knob: a programmatic value stays; else an
+    /// unset or blank variable leaves the default; else `parse` decides —
+    /// `Ok(None)` is a spelled-out "default", `Err(why)` is malformed and
+    /// costs exactly one warning.
+    fn fill<T, E: std::fmt::Display>(
+        &mut self,
+        slot: &mut Option<T>,
+        name: &str,
+        parse: impl FnOnce(&str) -> std::result::Result<Option<T>, E>,
+    ) {
+        if slot.is_some() {
+            return;
+        }
+        let Some(raw) = (self.lookup)(name).filter(|raw| !raw.trim().is_empty()) else {
+            return;
+        };
+        match parse(&raw) {
+            Ok(value) => *slot = value,
+            Err(why) => self.warnings.push(format!("{name}={raw:?} {why}")),
         }
     }
 }
 
-/// Read the [`NODES_ENV`] placement override for a job of `size` ranks.
-/// Unset (or empty) means no override; a malformed or size-inconsistent
-/// value warns on stderr and is ignored rather than silently reshaping
-/// the job.
-pub fn nodes_from_env(size: usize) -> Option<NodeMap> {
-    let raw = std::env::var(NODES_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    match NodeMap::parse(&raw, size) {
-        Ok(map) => Some(map),
-        Err(reason) => {
-            eprintln!(
-                "warning: {NODES_ENV}={raw:?} is not a usable node placement for a \
-                 {size}-rank job ({reason}); running single-node"
-            );
-            None
+/// The single `MPIJAVA_*` pass: fill every knob of `config` that was not
+/// set programmatically from its environment variable, read through
+/// `lookup` (the process environment in production, a table in tests).
+/// Returns the filled configuration and one message per malformed value.
+///
+/// **The one rule, for all ten knobs:** a value set programmatically
+/// (`UniverseConfig::with_*`, the `MpiRuntime` builder, or an engine
+/// setter called after launch) wins; else the environment variable, if
+/// set and not blank; else the default. A malformed value warns once per
+/// job on stderr (`warning: MPIJAVA_X="…" …`) and behaves as the last
+/// column says — it never aborts the job and never changes it silently.
+///
+/// | variable | `UniverseConfig` field | `MpiRuntime` method | grammar | default | malformed |
+/// |---|---|---|---|---|---|
+/// | [`EAGER_LIMIT_ENV`] | `eager_threshold` | `eager_threshold` | `<bytes>[k\|m]` | [`crate::DEFAULT_EAGER_THRESHOLD`] | ignored |
+/// | [`SEGMENT_BYTES_ENV`] | `segment_bytes` | `segment_bytes` | `<bytes>[k\|m]`, `0` = off | no segmentation | ignored |
+/// | [`COLL_ALG_ENV`] | `coll_algorithm` | `coll_algorithm` | `linear\|tree\|rd\|ring\|pipelined\|hier\|auto` | `auto`: the tuned selection | ignored |
+/// | [`NODES_ENV`] | `nodes` | `nodes` | `<nodes>`, `<nodes>x<ranks>` or `<id,id,…>` | one flat node | ignored |
+/// | [`PROGRESS_ENV`] | `progress` | `progress` | `thread\|manual` | `manual` | `manual` |
+/// | [`SPOOL_DIR_ENV`] | `spool_dir` | `spool_dir` | a path | ephemeral temp dir | — (the device reports a bad path) |
+/// | [`LEASE_MS_ENV`] | `lease` | `lease` | milliseconds, `> 0` | [`mpi_transport::DEFAULT_LEASE`] | ignored |
+/// | [`FAULT_ENV`] | `faults` | `faults` | `kill:…,drop:…,delay:…` | no faults | ignored |
+/// | [`TRACE_ENV`] | `trace` | `trace` | `off\|counters\|events[:capacity]` | `off` | `off` |
+/// | [`TRACE_DIR_ENV`] | `trace_dir` | `trace_dir` | a path | `<spool root>/trace`, else no dump | — (the dump reports a bad path) |
+pub fn overlay(
+    mut config: UniverseConfig,
+    lookup: &dyn Fn(&str) -> Option<String>,
+) -> (UniverseConfig, Vec<String>) {
+    let size = config.size;
+    let mut env = Overlay {
+        lookup,
+        warnings: Vec::new(),
+    };
+    let bytes = |raw: &str| {
+        let why = "is not a byte size (expected <bytes>[k|m]); keeping the default";
+        parse_byte_size(raw).map(Some).ok_or(why)
+    };
+    let path = |raw: &str| Ok::<_, &str>(Some(PathBuf::from(raw)));
+    env.fill(&mut config.eager_threshold, EAGER_LIMIT_ENV, bytes);
+    env.fill(&mut config.segment_bytes, SEGMENT_BYTES_ENV, bytes);
+    env.fill(&mut config.coll_algorithm, COLL_ALG_ENV, |raw| {
+        CollAlgorithm::parse_override(raw).map_err(|()| {
+            "is not a recognized collective algorithm (expected \
+             linear|tree|rd|ring|pipelined|hier|auto); falling back to the tuned selection"
+        })
+    });
+    env.fill(&mut config.nodes, NODES_ENV, |raw| {
+        NodeMap::parse(raw, size).map(Some).map_err(|reason| {
+            format!(
+                "is not a usable node placement for a {size}-rank job ({reason}); \
+                 running single-node"
+            )
+        })
+    });
+    env.fill(&mut config.progress, PROGRESS_ENV, |raw| {
+        let why = "is not a known progress mode (expected `thread` or `manual`); running manual";
+        ProgressMode::parse(raw).map(Some).ok_or(why)
+    });
+    env.fill(&mut config.spool_dir, SPOOL_DIR_ENV, path);
+    env.fill(&mut config.lease, LEASE_MS_ENV, |raw| {
+        match raw.trim().parse::<u64>() {
+            Ok(ms) if ms > 0 => Ok(Some(Duration::from_millis(ms))),
+            _ => Err(
+                "is not a usable lease (expected a positive number of milliseconds); \
+                      keeping the default",
+            ),
         }
-    }
+    });
+    env.fill(&mut config.faults, FAULT_ENV, |raw| {
+        FaultPlan::parse(raw).map(Some).map_err(|reason| {
+            format!("is not a usable fault plan ({reason}); running without fault injection")
+        })
+    });
+    env.fill(&mut config.trace, TRACE_ENV, |raw| {
+        let why = "is not a usable trace level (expected off|counters|events[:capacity]); \
+                   tracing off";
+        TraceConfig::parse(raw).map(Some).ok_or(why)
+    });
+    env.fill(&mut config.trace_dir, TRACE_DIR_ENV, path);
+    (config, env.warnings)
 }
 
-/// Read the [`SPOOL_DIR_ENV`] override. Unset (or empty) means an
-/// ephemeral spool; no validation happens here — the spool device itself
-/// reports a root it cannot create or attach to.
-pub fn spool_dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var(SPOOL_DIR_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
+/// [`overlay`] over the process environment, warnings to stderr: what
+/// the launcher does once per job and [`Engine::new`] once per hand-built
+/// engine. The only reader of the process environment in the engine and
+/// the binding.
+pub(crate) fn resolve(config: UniverseConfig) -> UniverseConfig {
+    let (config, warnings) = overlay(config, &|name| std::env::var(name).ok());
+    for warning in warnings {
+        eprintln!("warning: {warning}");
     }
-    Some(PathBuf::from(raw))
-}
-
-/// Read the [`LEASE_MS_ENV`] override. Unset (or empty) means no
-/// override; a malformed or zero value warns on stderr and falls back to
-/// the default lease rather than silently changing (or breaking) the
-/// job's failure-detection window.
-pub fn lease_from_env() -> Option<Duration> {
-    let raw = std::env::var(LEASE_MS_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    match raw.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
-        _ => {
-            eprintln!(
-                "warning: {LEASE_MS_ENV}={raw:?} is not a usable lease \
-                 (expected a positive number of milliseconds); keeping the default"
-            );
-            None
-        }
-    }
-}
-
-/// Read the [`FAULT_ENV`] fault-injection plan. Unset (or empty) means
-/// no faults; a malformed plan warns on stderr and is ignored rather
-/// than letting a typo inject (or suppress) failures silently.
-pub fn faults_from_env() -> Option<FaultPlan> {
-    let raw = std::env::var(FAULT_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    match FaultPlan::parse(&raw) {
-        Ok(plan) => Some(plan),
-        Err(reason) => {
-            eprintln!(
-                "warning: {FAULT_ENV}={raw:?} is not a usable fault plan ({reason}); \
-                 running without fault injection"
-            );
-            None
-        }
-    }
-}
-
-/// Read the [`TRACE_ENV`] override. Unset (or empty) means no override;
-/// a malformed value warns on stderr and falls back to tracing `off`
-/// rather than silently recording (or discarding) a job's trace.
-pub fn trace_from_env() -> Option<crate::trace::TraceConfig> {
-    let raw = std::env::var(TRACE_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    match crate::trace::TraceConfig::parse(&raw) {
-        Some(cfg) => Some(cfg),
-        None => {
-            eprintln!(
-                "warning: {TRACE_ENV}={raw:?} is not a usable trace level \
-                 (expected off|counters|events[:capacity]); tracing off"
-            );
-            Some(crate::trace::TraceConfig::off())
-        }
-    }
-}
-
-/// Read the [`TRACE_DIR_ENV`] override. Unset (or empty) means no
-/// override; no validation happens here — the dump path reports a
-/// directory it cannot create.
-pub fn trace_dir_from_env() -> Option<PathBuf> {
-    let raw = std::env::var(TRACE_DIR_ENV).ok()?;
-    if raw.trim().is_empty() {
-        return None;
-    }
-    Some(PathBuf::from(raw))
+    config
 }
 
 /// Parse a byte size with an optional `k`/`K` (KiB) or `m`/`M` (MiB)
@@ -356,11 +315,6 @@ pub fn parse_byte_size(raw: &str) -> Option<usize> {
         .parse::<usize>()
         .ok()
         .and_then(|n| n.checked_mul(multiplier))
-}
-
-/// Read a byte-size override from the process environment.
-pub(crate) fn bytes_from_env(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| parse_byte_size(&v))
 }
 
 /// Keys of the predefined communicator attributes (`MPI_TAG_UB`,
@@ -508,82 +462,177 @@ mod tests {
         assert_eq!(ProgressMode::parse("yes"), None);
     }
 
+    /// The one `MPIJAVA_*` mechanism, driven through an injected lookup
+    /// (no test touches the process environment): all ten variables ×
+    /// {unset, blank, valid, malformed}, "programmatic beats env" for
+    /// every knob, and the exact warning count.
     #[test]
-    fn malformed_progress_env_falls_back_to_manual() {
-        // Serialized against itself only: no other test reads PROGRESS_ENV.
-        std::env::set_var(PROGRESS_ENV, "turbo");
-        assert_eq!(progress_from_env(), Some(ProgressMode::Manual));
-        std::env::set_var(PROGRESS_ENV, "thread");
-        assert_eq!(progress_from_env(), Some(ProgressMode::Thread));
-        std::env::set_var(PROGRESS_ENV, "  ");
-        assert_eq!(progress_from_env(), None);
-        std::env::remove_var(PROGRESS_ENV);
-        assert_eq!(progress_from_env(), None);
-    }
+    fn overlay_applies_one_rule_to_all_ten_variables() {
+        fn show<T: std::fmt::Debug>(value: T) -> String {
+            format!("{value:?}")
+        }
+        struct Knob {
+            name: &'static str,
+            /// Raw value → the field it must produce.
+            valid: Vec<(&'static str, String)>,
+            malformed: Vec<&'static str>,
+            get: fn(&UniverseConfig) -> String,
+            /// A programmatic setting no `valid` value produces.
+            set: fn(UniverseConfig) -> UniverseConfig,
+        }
+        let plan = FaultPlan::parse("kill:2@5,drop:0->1@3").unwrap();
+        assert_eq!((plan.actions.len(), plan.max_rank()), (2, Some(2)));
+        let knobs = [
+            Knob {
+                name: EAGER_LIMIT_ENV,
+                valid: vec![("64k", show(Some(65536))), (" 4096 ", show(Some(4096)))],
+                malformed: vec!["lots", "-1"],
+                get: |c| show(c.eager_threshold),
+                set: |c| c.with_eager_threshold(7),
+            },
+            Knob {
+                name: SEGMENT_BYTES_ENV,
+                valid: vec![("1M", show(Some(1 << 20))), ("0", show(Some(0)))],
+                malformed: vec!["lots"],
+                get: |c| show(c.segment_bytes),
+                set: |c| c.with_segment_bytes(7),
+            },
+            Knob {
+                name: COLL_ALG_ENV,
+                valid: vec![
+                    ("ring", show(Some(CollAlgorithm::Ring))),
+                    ("auto", show(None::<CollAlgorithm>)),
+                ],
+                malformed: vec!["zzz", "linear,ring"],
+                get: |c| show(c.coll_algorithm),
+                set: |c| c.with_coll_algorithm(CollAlgorithm::Linear),
+            },
+            Knob {
+                name: NODES_ENV,
+                valid: vec![
+                    ("2x2", show(Some(NodeMap::regular(2, 2)))),
+                    ("0,0,1,1", show(Some(NodeMap::regular(2, 2)))),
+                ],
+                malformed: vec!["3x3", "two"],
+                get: |c| show(&c.nodes),
+                set: |c| c.with_nodes(NodeMap::regular(4, 1)),
+            },
+            Knob {
+                name: PROGRESS_ENV,
+                valid: vec![
+                    ("thread", show(Some(ProgressMode::Thread))),
+                    ("manual", show(Some(ProgressMode::Manual))),
+                ],
+                malformed: vec!["turbo"],
+                get: |c| show(c.progress),
+                set: |c| c.with_progress(ProgressMode::Thread),
+            },
+            Knob {
+                name: SPOOL_DIR_ENV,
+                valid: vec![("/tmp/spool-here", show(Some("/tmp/spool-here")))],
+                malformed: vec![],
+                get: |c| show(&c.spool_dir),
+                set: |c| c.with_spool_dir("/programmatic"),
+            },
+            Knob {
+                name: LEASE_MS_ENV,
+                valid: vec![("250", show(Some(Duration::from_millis(250))))],
+                malformed: vec!["0", "fast"],
+                get: |c| show(c.lease),
+                set: |c| c.with_lease(Duration::from_millis(7)),
+            },
+            Knob {
+                name: FAULT_ENV,
+                valid: vec![("kill:2@5,drop:0->1@3", show(Some(plan)))],
+                malformed: vec!["explode:everything"],
+                get: |c| show(&c.faults),
+                set: |c| c.with_faults(FaultPlan::parse("drop:0->1@1").unwrap()),
+            },
+            Knob {
+                name: TRACE_ENV,
+                valid: vec![
+                    (
+                        "events:1024",
+                        show(Some(TraceConfig::events().with_capacity(1024))),
+                    ),
+                    ("counters", show(Some(TraceConfig::counters()))),
+                ],
+                malformed: vec!["everything"],
+                get: |c| show(c.trace),
+                set: |c| c.with_trace(TraceConfig::events().with_capacity(7)),
+            },
+            Knob {
+                name: TRACE_DIR_ENV,
+                valid: vec![("/tmp/traces-here", show(Some("/tmp/traces-here")))],
+                malformed: vec![],
+                get: |c| show(&c.trace_dir),
+                set: |c| c.with_trace_dir("/programmatic"),
+            },
+        ];
+        let base = || UniverseConfig::new(4, mpi_transport::DeviceKind::ShmFast);
+        let unset = show(None::<()>);
 
-    #[test]
-    fn lease_env_rejects_zero_and_garbage() {
-        // Serialized against itself only: no other test reads LEASE_MS_ENV.
-        std::env::set_var(LEASE_MS_ENV, "250");
-        assert_eq!(lease_from_env(), Some(Duration::from_millis(250)));
-        std::env::set_var(LEASE_MS_ENV, "0");
-        assert_eq!(lease_from_env(), None);
-        std::env::set_var(LEASE_MS_ENV, "fast");
-        assert_eq!(lease_from_env(), None);
-        std::env::set_var(LEASE_MS_ENV, "  ");
-        assert_eq!(lease_from_env(), None);
-        std::env::remove_var(LEASE_MS_ENV);
-        assert_eq!(lease_from_env(), None);
-    }
+        for knob in &knobs {
+            let name = knob.name;
+            let with = |config: UniverseConfig, raw: Option<&str>| {
+                let lookup = move |var: &str| raw.filter(|_| var == name).map(String::from);
+                let (config, warnings) = overlay(config, &lookup);
+                ((knob.get)(&config), warnings)
+            };
+            assert_eq!(with(base(), None), (unset.clone(), vec![]), "{name} unset");
+            assert_eq!(
+                with(base(), Some("  ")),
+                (unset.clone(), vec![]),
+                "{name} blank"
+            );
+            for (raw, expected) in &knob.valid {
+                let got = with(base(), Some(raw));
+                assert_eq!(got, (expected.clone(), vec![]), "{name}={raw}");
+            }
+            for raw in &knob.malformed {
+                let (field, warnings) = with(base(), Some(raw));
+                assert_eq!(field, unset, "{name}={raw} must leave the default");
+                assert_eq!(warnings.len(), 1, "{name}={raw}: {warnings:?}");
+                assert!(warnings[0].starts_with(&format!("{name}={raw:?} ")));
+            }
+            // Programmatic beats env: the variable is not even consulted.
+            let programmatic = (knob.get)(&(knob.set)(base()));
+            for raw in knob.valid.iter().map(|(raw, _)| raw).chain(&knob.malformed) {
+                let got = with((knob.set)(base()), Some(raw));
+                assert_eq!(got, (programmatic.clone(), vec![]), "{name}={raw}");
+            }
+        }
 
-    #[test]
-    fn spool_and_fault_envs_parse_or_fall_back() {
-        // Serialized against themselves only: no other test reads these.
-        std::env::set_var(SPOOL_DIR_ENV, "/tmp/spool-here");
-        assert_eq!(spool_dir_from_env(), Some(PathBuf::from("/tmp/spool-here")));
-        std::env::set_var(SPOOL_DIR_ENV, "   ");
-        assert_eq!(spool_dir_from_env(), None);
-        std::env::remove_var(SPOOL_DIR_ENV);
-        assert_eq!(spool_dir_from_env(), None);
-
-        std::env::set_var(FAULT_ENV, "kill:2@5,drop:0->1@3");
-        let plan = faults_from_env().expect("valid plan");
-        assert_eq!(plan.actions.len(), 2);
-        assert_eq!(plan.max_rank(), Some(2));
-        std::env::set_var(FAULT_ENV, "explode:everything");
-        assert_eq!(faults_from_env(), None);
-        std::env::remove_var(FAULT_ENV);
-        assert_eq!(faults_from_env(), None);
-    }
-
-    #[test]
-    fn trace_env_parses_grammar_or_falls_back_to_off() {
-        use crate::trace::TraceConfig;
-        // Serialized against itself only: no other test reads TRACE_ENV.
-        std::env::set_var(TRACE_ENV, "events:1024");
-        assert_eq!(
-            trace_from_env(),
-            Some(TraceConfig::events().with_capacity(1024))
-        );
-        std::env::set_var(TRACE_ENV, "counters");
-        assert_eq!(trace_from_env(), Some(TraceConfig::counters()));
-        std::env::set_var(TRACE_ENV, "everything");
-        assert_eq!(trace_from_env(), Some(TraceConfig::off()));
-        std::env::set_var(TRACE_ENV, "  ");
-        assert_eq!(trace_from_env(), None);
-        std::env::remove_var(TRACE_ENV);
-        assert_eq!(trace_from_env(), None);
-
-        // Serialized against itself only: no other test reads TRACE_DIR_ENV.
-        std::env::set_var(TRACE_DIR_ENV, "/tmp/traces-here");
-        assert_eq!(
-            trace_dir_from_env(),
-            Some(PathBuf::from("/tmp/traces-here"))
-        );
-        std::env::set_var(TRACE_DIR_ENV, "  ");
-        assert_eq!(trace_dir_from_env(), None);
-        std::env::remove_var(TRACE_DIR_ENV);
-        assert_eq!(trace_dir_from_env(), None);
+        // A whole job: every variable at once, first valid, then malformed
+        // (a path cannot be malformed, hence eight warnings, one per
+        // variable), then malformed under a fully programmatic config.
+        let all = |pick: fn(&Knob) -> Option<&'static str>| {
+            let values: Vec<_> = knobs.iter().map(|k| (k.name, pick(k))).collect();
+            move |var: &str| {
+                let (_, raw) = values.iter().find(|(name, _)| *name == var)?;
+                raw.map(String::from)
+            }
+        };
+        let (config, warnings) = overlay(base(), &all(|k| Some(k.valid[0].0)));
+        assert_eq!(warnings, Vec::<String>::new());
+        for knob in &knobs {
+            assert_eq!((knob.get)(&config), knob.valid[0].1, "{}", knob.name);
+        }
+        let malformed = all(|k| k.malformed.first().copied());
+        let (config, warnings) = overlay(base(), &malformed);
+        assert_eq!(warnings.len(), 8, "{warnings:?}");
+        for knob in knobs.iter().filter(|k| !k.malformed.is_empty()) {
+            let named = warnings.iter().filter(|w| w.starts_with(knob.name));
+            assert_eq!(named.count(), 1, "{} in {warnings:?}", knob.name);
+            assert_eq!((knob.get)(&config), unset, "{}", knob.name);
+        }
+        // The fallbacks a malformed value leaves behind.
+        assert_eq!(config.progress.unwrap_or_default(), ProgressMode::Manual);
+        assert_eq!(config.trace.unwrap_or_default(), TraceConfig::off());
+        let programmatic = knobs.iter().fold(base(), |c, k| (k.set)(c));
+        let (config, warnings) = overlay(programmatic.clone(), &malformed);
+        assert_eq!(warnings, Vec::<String>::new());
+        assert_eq!(show(config), show(programmatic));
     }
 
     #[test]

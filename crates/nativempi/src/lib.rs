@@ -223,14 +223,29 @@ pub struct Engine {
     /// Observability state: mode flags, the preallocated event ring and
     /// the latency histograms (see [`trace`]).
     pub(crate) tracer: trace::Tracer,
-    /// Programmatic trace-dump directory; takes precedence over
-    /// `MPIJAVA_TRACE_DIR` and the spool-root fallback (see
-    /// [`Engine::dump_trace`]).
+    /// Configured trace-dump directory (the job configuration's
+    /// `trace_dir`, or [`Engine::set_trace_dir`]); `None` leaves the
+    /// spool-root fallback (see [`Engine::dump_trace`]).
     trace_dir: Option<std::path::PathBuf>,
     /// Wall-clock anchor for the engine's monotonic event timestamps,
     /// written into every trace dump's meta line so `tracemerge` can
     /// align per-rank timelines.
     start_unix_ns: u128,
+}
+
+/// A rank that unwinds takes the job down with it: an engine dropped
+/// while its thread is panicking broadcasts the abort notification, so
+/// peers blocked on this rank error out instead of hanging — whichever
+/// launcher (or hand-written harness) owns the engine, and wherever the
+/// engine has been moved to (the binding keeps it behind a per-rank
+/// lock).
+impl Drop for Engine {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Best effort, never panics: `abort` ignores send failures.
+            let _ = self.abort(COMM_WORLD, 1);
+        }
+    }
 }
 
 /// Default payload size (bytes) above which standard-mode sends switch from
@@ -244,8 +259,19 @@ impl Engine {
     ///
     /// This is `MPI_Init` for a single rank; most users go through
     /// [`Universe::run`](universe::Universe::run), which builds the fabric
-    /// and one engine per rank.
+    /// and one engine per rank. A hand-built engine is a job of its own
+    /// as far as configuration goes: it runs the same `MPIJAVA_*` overlay
+    /// ([`env::overlay`]) over an otherwise default [`UniverseConfig`].
     pub fn new(endpoint: Box<dyn Endpoint>) -> Engine {
+        let config = UniverseConfig::new(endpoint.size(), endpoint.kind());
+        Engine::with_config(endpoint, &env::resolve(config))
+    }
+
+    /// Build one rank's engine from a *resolved* job configuration: the
+    /// one place the per-engine knobs (eager limit, segment bytes,
+    /// collective algorithm, trace, trace dir, processor name) are
+    /// applied, for the launcher and for [`Engine::new`] alike.
+    pub(crate) fn with_config(endpoint: Box<dyn Endpoint>, config: &UniverseConfig) -> Engine {
         let world_rank = endpoint.rank();
         let world_size = endpoint.size();
         let nodes = endpoint.node_map().clone();
@@ -265,20 +291,22 @@ impl Engine {
             pending_rendezvous: HashMap::new(),
             awaiting_rendezvous_data: HashMap::new(),
             next_token: 1,
-            eager_threshold: env::bytes_from_env(env::EAGER_LIMIT_ENV)
-                .unwrap_or(DEFAULT_EAGER_THRESHOLD),
+            eager_threshold: config.eager_threshold.unwrap_or(DEFAULT_EAGER_THRESHOLD),
             // Same `> 0` normalization as `set_segment_bytes`: an
             // explicit 0 means "segmentation off", never Some(0).
-            segment_bytes: env::bytes_from_env(env::SEGMENT_BYTES_ENV).filter(|&b| b > 0),
+            segment_bytes: config.segment_bytes.filter(|&b| b > 0),
             send_pool: Vec::new(),
             attached_buffer: None,
             start_time: Instant::now(),
-            processor_name: format!("rank-{world_rank}.mpijava-rs.local"),
+            processor_name: match &config.processor_name_prefix {
+                Some(prefix) => format!("{prefix}{world_rank}"),
+                None => format!("rank-{world_rank}.mpijava-rs.local"),
+            },
             finalized: false,
             aborted: false,
             stats: EngineStats::default(),
             keyvals: HashMap::new(),
-            forced_coll_alg: coll::CollAlgorithm::from_env(),
+            forced_coll_alg: config.coll_algorithm,
             coll_requests: HashMap::new(),
             coll_seqs: HashMap::new(),
             coll_causal_seqs: HashMap::new(),
@@ -289,8 +317,8 @@ impl Engine {
             win_seqs: HashMap::new(),
             failed_ranks: std::collections::HashSet::new(),
             last_failure_poll: None,
-            tracer: trace::Tracer::new(env::trace_from_env().unwrap_or_default()),
-            trace_dir: env::trace_dir_from_env(),
+            tracer: trace::Tracer::new(config.trace.unwrap_or_default()),
+            trace_dir: config.trace_dir.clone(),
             start_unix_ns: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_nanos())
@@ -300,10 +328,8 @@ impl Engine {
         engine
     }
 
-    /// Override the eager/rendezvous switch-over point (bytes). Takes
-    /// precedence over the `MPIJAVA_EAGER_LIMIT` environment override
-    /// (see [`env::EAGER_LIMIT_ENV`]), which the engine read at
-    /// construction time.
+    /// Override the eager/rendezvous switch-over point (bytes) this
+    /// engine was configured with (see [`env::EAGER_LIMIT_ENV`]).
     pub fn set_eager_threshold(&mut self, bytes: usize) {
         self.eager_threshold = bytes;
     }
@@ -319,8 +345,7 @@ impl Engine {
     /// receiver reassemble while later segments are still on the wire
     /// (and, through the pipelined broadcast of [`coll`], letting
     /// interior tree ranks forward segment *k* while receiving *k+1*).
-    /// `None` disables segmentation (the default unless the
-    /// `MPIJAVA_SEGMENT_BYTES` environment variable is set — see
+    /// `None` disables segmentation (the default — see
     /// [`env::SEGMENT_BYTES_ENV`]).
     pub fn set_segment_bytes(&mut self, bytes: Option<usize>) {
         self.segment_bytes = bytes.filter(|&b| b > 0);
@@ -378,8 +403,8 @@ impl Engine {
 
     // ---- observability (see the [`trace`] module) -------------------
 
-    /// Reconfigure tracing, replacing any `MPIJAVA_TRACE` setting the
-    /// engine read at construction. Rebuilds the event ring (preallocated
+    /// Reconfigure tracing, replacing the level the engine was
+    /// configured with. Rebuilds the event ring (preallocated
     /// for [`TraceMode::Events`], empty otherwise), so events and
     /// histograms recorded so far are discarded.
     pub fn set_trace(&mut self, config: trace::TraceConfig) {
@@ -391,16 +416,16 @@ impl Engine {
         self.tracer.config()
     }
 
-    /// Set the directory trace dumps go to, overriding
-    /// `MPIJAVA_TRACE_DIR` and the spool-root fallback (see
-    /// [`Engine::dump_trace`]).
+    /// Set the directory trace dumps go to, overriding the configured
+    /// one and the spool-root fallback (see [`Engine::dump_trace`]).
     pub fn set_trace_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
         self.trace_dir = Some(dir.into());
     }
 
-    /// The directory [`Engine::dump_trace`] would write to, if any:
-    /// programmatic setting first, then `MPIJAVA_TRACE_DIR`, then
-    /// `<spool root>/trace` when the fabric has a spool.
+    /// The directory [`Engine::dump_trace`] would write to, if any: the
+    /// configured one (job configuration, `MPIJAVA_TRACE_DIR` or
+    /// [`Engine::set_trace_dir`]), else `<spool root>/trace` when the
+    /// fabric has a spool.
     pub fn trace_dir(&self) -> Option<std::path::PathBuf> {
         self.trace_dir
             .clone()

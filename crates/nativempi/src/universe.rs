@@ -5,7 +5,16 @@
 //! "multiple processes on a single machine" shape the paper uses for its
 //! Shared-Memory mode, and (with the TCP device plus a network model) a
 //! faithful stand-in for its two-workstation Distributed-Memory mode.
+//!
+//! [`UniverseConfig`] is the one job configuration. The launch-time
+//! choice the paper makes on the command line (which native MPI, SM or DM
+//! mode) is a value of this struct, set through `with_*`, through the
+//! binding's `MpiRuntime` builder (a view of the same struct), or —
+//! for whatever is still unset at launch — through the `MPIJAVA_*`
+//! overlay ([`crate::env::overlay`], which documents every knob in one
+//! table).
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -14,11 +23,15 @@ use mpi_transport::{
     DeviceKind, DeviceProfile, Fabric, FabricConfig, FaultPlan, NetworkModel, NodeMap,
 };
 
-use crate::comm::COMM_WORLD;
+use crate::coll::CollAlgorithm;
+use crate::env::ProgressMode;
 use crate::error::{ErrorClass, MpiError, Result};
+use crate::trace::{TraceConfig, TraceMode};
 use crate::Engine;
 
-/// Everything needed to launch a job.
+/// Everything needed to launch a job. An `Option` field left `None` is
+/// filled at launch from its `MPIJAVA_*` variable, then from its default
+/// (the rule and the per-knob table are on [`crate::env::overlay`]).
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
     /// Number of ranks.
@@ -30,17 +43,15 @@ pub struct UniverseConfig {
     /// Synthetic device cost profile (calibration of the two "native MPI"
     /// implementations; defaults to no synthetic cost).
     pub profile: DeviceProfile,
-    /// Eager/rendezvous threshold override (`None` keeps the engine
-    /// default, i.e. `MPIJAVA_EAGER_LIMIT` or the built-in constant).
+    /// Eager/rendezvous threshold on every rank.
     pub eager_threshold: Option<usize>,
-    /// Pipeline segment size override for large transfers (`None` keeps
-    /// the engine default, i.e. `MPIJAVA_SEGMENT_BYTES` or disabled).
+    /// Pipeline segment size for large transfers on every rank
+    /// (`Some(0)` and the default both mean no segmentation).
     pub segment_bytes: Option<usize>,
-    /// Pin the collective algorithm on every rank (`None` keeps the tuned
-    /// size-aware selection; see [`crate::coll`]).
-    pub coll_algorithm: Option<crate::coll::CollAlgorithm>,
-    /// Rank → node placement (`None` falls back to the `MPIJAVA_NODES`
-    /// environment override, then to a flat single-node map). The
+    /// Pin the collective algorithm on every rank (the default is the
+    /// tuned size-aware selection; see [`crate::coll`]).
+    pub coll_algorithm: Option<CollAlgorithm>,
+    /// Rank → node placement (default: one flat node). The
     /// [`DeviceKind::Hybrid`] device routes by it; every device exposes
     /// it through the engine's topology queries, and the collective
     /// tuning layer auto-selects the hierarchical algorithms when it is
@@ -52,36 +63,29 @@ pub struct UniverseConfig {
     pub inter_network: NetworkModel,
     /// Processor-name prefix; rank `i` is named `<prefix><i>`.
     pub processor_name_prefix: Option<String>,
-    /// Progress model (`None` falls back to the `MPIJAVA_PROGRESS`
-    /// environment override, then to [`crate::env::ProgressMode::Manual`]). The
-    /// `Universe` launcher hands each rank's engine to the closure by
-    /// exclusive reference, so the thread mode is honored by launchers
-    /// that share the engine behind a lock (`MpiRuntime`); here it is
-    /// carried for them to consume.
-    pub progress: Option<crate::env::ProgressMode>,
-    /// Persistent spool root for the [`DeviceKind::Spool`] device (`None`
-    /// falls back to the `MPIJAVA_SPOOL_DIR` environment override, then
-    /// to an ephemeral per-job temp directory). A persistent root is the
-    /// substrate for late-join and checkpoint/restart.
+    /// Progress model (default [`ProgressMode::Manual`]).
+    /// [`Universe::launch`] hands the resolved mode to the rank body:
+    /// only a body that shares its engine behind a lock (`MpiRuntime`)
+    /// can run the progress thread, so [`Universe::run`] ignores it.
+    pub progress: Option<ProgressMode>,
+    /// Persistent spool root for the [`DeviceKind::Spool`] device
+    /// (default: an ephemeral per-job temp directory). A persistent root
+    /// is the substrate for late-join and checkpoint/restart.
     pub spool_dir: Option<PathBuf>,
-    /// Heartbeat lease for failure detection (`None` falls back to the
-    /// `MPIJAVA_LEASE_MS` environment override, then to
+    /// Heartbeat lease for failure detection (default
     /// [`mpi_transport::DEFAULT_LEASE`]). A rank whose lease goes
     /// unrefreshed for longer than this is reported dead to its peers.
     pub lease: Option<Duration>,
-    /// Deterministic fault-injection plan (`None` falls back to the
-    /// `MPIJAVA_FAULT` environment override, then to no faults). Testing
+    /// Deterministic fault-injection plan (default: no faults). Testing
     /// tool: kills a rank's transport at a chosen operation, or
     /// drops/delays chosen frames.
     pub faults: Option<FaultPlan>,
-    /// Observability level on every rank (`None` falls back to the
-    /// `MPIJAVA_TRACE` environment override, then to off; see
+    /// Observability level on every rank (default off; see
     /// [`crate::trace`]). `counters` and `events` additionally enable
     /// the transport's frame counters.
-    pub trace: Option<crate::trace::TraceConfig>,
-    /// Directory for finalize-time trace dumps (`None` falls back to
-    /// the `MPIJAVA_TRACE_DIR` environment override, then to
-    /// `<spool root>/trace` when the device has a spool).
+    pub trace: Option<TraceConfig>,
+    /// Directory for finalize-time trace dumps (default
+    /// `<spool root>/trace` when the device has a spool, else no dump).
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -135,13 +139,12 @@ impl UniverseConfig {
     }
 
     /// Pin the collective algorithm on every rank (ablations).
-    pub fn with_coll_algorithm(mut self, alg: crate::coll::CollAlgorithm) -> Self {
+    pub fn with_coll_algorithm(mut self, alg: CollAlgorithm) -> Self {
         self.coll_algorithm = Some(alg);
         self
     }
 
-    /// Place ranks on nodes (see [`NodeMap`]). Takes precedence over the
-    /// `MPIJAVA_NODES` environment override.
+    /// Place ranks on nodes (see [`NodeMap`]).
     pub fn with_nodes(mut self, nodes: NodeMap) -> Self {
         self.nodes = Some(nodes);
         self
@@ -159,111 +162,61 @@ impl UniverseConfig {
         self
     }
 
-    /// Select the progress model. Takes precedence over the
-    /// `MPIJAVA_PROGRESS` environment override.
-    pub fn with_progress(mut self, mode: crate::env::ProgressMode) -> Self {
+    /// Select the progress model.
+    pub fn with_progress(mut self, mode: ProgressMode) -> Self {
         self.progress = Some(mode);
         self
     }
 
     /// Keep spooled frames under `dir` across process lifetimes (spool
-    /// device). Takes precedence over the `MPIJAVA_SPOOL_DIR`
-    /// environment override.
+    /// device).
     pub fn with_spool_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spool_dir = Some(dir.into());
         self
     }
 
-    /// Set the heartbeat lease for failure detection. Takes precedence
-    /// over the `MPIJAVA_LEASE_MS` environment override.
+    /// Set the heartbeat lease for failure detection.
     pub fn with_lease(mut self, lease: Duration) -> Self {
         self.lease = Some(lease);
         self
     }
 
-    /// Inject a deterministic fault plan (testing). Takes precedence
-    /// over the `MPIJAVA_FAULT` environment override.
+    /// Inject a deterministic fault plan (testing).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Set the observability level on every rank. Takes precedence over
-    /// the `MPIJAVA_TRACE` environment override.
-    pub fn with_trace(mut self, trace: crate::trace::TraceConfig) -> Self {
+    /// Set the observability level on every rank.
+    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
         self
     }
 
-    /// Set the trace-dump directory on every rank. Takes precedence
-    /// over the `MPIJAVA_TRACE_DIR` environment override.
+    /// Set the trace-dump directory on every rank.
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
         self
     }
 
-    /// The placement this configuration resolves to: the explicit map,
-    /// else the `MPIJAVA_NODES` environment override, else flat.
-    pub fn resolved_nodes(&self) -> NodeMap {
-        self.nodes
-            .clone()
-            .or_else(|| crate::env::nodes_from_env(self.size))
-            .unwrap_or_else(|| NodeMap::flat(self.size))
-    }
-
-    /// The progress model this configuration resolves to: the explicit
-    /// mode, else the `MPIJAVA_PROGRESS` environment override, else
-    /// manual.
-    pub fn resolved_progress(&self) -> crate::env::ProgressMode {
-        self.progress
-            .or_else(crate::env::progress_from_env)
-            .unwrap_or_default()
-    }
-
-    /// The spool root this configuration resolves to: the explicit path,
-    /// else the `MPIJAVA_SPOOL_DIR` environment override, else `None`
-    /// (ephemeral).
-    pub fn resolved_spool_dir(&self) -> Option<PathBuf> {
-        self.spool_dir
-            .clone()
-            .or_else(crate::env::spool_dir_from_env)
-    }
-
-    /// The heartbeat lease this configuration resolves to: the explicit
-    /// value, else the `MPIJAVA_LEASE_MS` environment override, else
-    /// [`mpi_transport::DEFAULT_LEASE`].
-    pub fn resolved_lease(&self) -> Duration {
-        self.lease
-            .or_else(crate::env::lease_from_env)
-            .unwrap_or(mpi_transport::DEFAULT_LEASE)
-    }
-
-    /// The fault plan this configuration resolves to: the explicit plan,
-    /// else the `MPIJAVA_FAULT` environment override, else no faults.
-    pub fn resolved_faults(&self) -> FaultPlan {
-        self.faults
-            .clone()
-            .or_else(crate::env::faults_from_env)
-            .unwrap_or_default()
-    }
-
-    /// The trace configuration this configuration resolves to: the
-    /// explicit config, else the `MPIJAVA_TRACE` environment override,
-    /// else off.
-    pub fn resolved_trace(&self) -> crate::trace::TraceConfig {
-        self.trace
-            .or_else(crate::env::trace_from_env)
-            .unwrap_or_default()
-    }
-
-    /// The trace-dump directory this configuration resolves to: the
-    /// explicit path, else the `MPIJAVA_TRACE_DIR` environment
-    /// override, else `None` (each engine then falls back to
-    /// `<spool root>/trace` when the device has one).
-    pub fn resolved_trace_dir(&self) -> Option<PathBuf> {
-        self.trace_dir
-            .clone()
-            .or_else(crate::env::trace_dir_from_env)
+    /// The fabric this configuration describes; a knob still `None` takes
+    /// the fabric's own default (flat placement, stock lease, no faults).
+    fn fabric_config(&self) -> FabricConfig {
+        let defaults = FabricConfig::new(self.size, self.device);
+        FabricConfig {
+            network: self.network,
+            profile: self.profile,
+            nodes: self.nodes.clone().unwrap_or(defaults.nodes),
+            inter_network: self.inter_network,
+            inter_profile: self.inter_profile,
+            spool_dir: self.spool_dir.clone(),
+            lease: self.lease.unwrap_or(defaults.lease),
+            faults: self.faults.clone().unwrap_or(defaults.faults),
+            // Any observability beyond the engine counters also turns on
+            // the transport-level frame counters.
+            frame_counters: self.trace.is_some_and(|t| t.mode != TraceMode::Off),
+            ..defaults
+        }
     }
 }
 
@@ -283,91 +236,61 @@ impl Universe {
         Self::run_with_config(UniverseConfig::new(size, device), f)
     }
 
-    /// [`Universe::run`] with full control over the fabric configuration.
+    /// [`Universe::run`] with full control over the job configuration.
     pub fn run_with_config<T, F>(config: UniverseConfig, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(&mut Engine) -> T + Send + Sync,
     {
+        Self::launch(config, |mut engine, _| Ok(f(&mut engine)))
+    }
+
+    /// The one launcher, which [`Universe::run`] and the binding's
+    /// `MpiRuntime::run` are views of: resolve `config` against the
+    /// `MPIJAVA_*` environment (once per job), build the fabric, and run
+    /// `body` on one thread per rank with that rank's configured engine
+    /// and the resolved progress mode. Results come back in rank order;
+    /// the first failing rank's error is the job's error. A rank that
+    /// panics aborts the job (its engine is dropped mid-unwind, which
+    /// poisons the peers — see `Engine`'s `Drop`) and is reported as
+    /// `rank N panicked: <message>`.
+    pub fn launch<T, E, F>(config: UniverseConfig, body: F) -> std::result::Result<Vec<T>, E>
+    where
+        T: Send,
+        E: From<MpiError> + Send,
+        F: Fn(Engine, ProgressMode) -> std::result::Result<T, E> + Sync,
+    {
         if config.size == 0 {
-            return Err(MpiError::new(
-                ErrorClass::Arg,
-                "universe size must be at least 1",
-            ));
+            return Err(MpiError::new(ErrorClass::Arg, "universe size must be at least 1").into());
         }
-        let mut fabric_config = FabricConfig::new(config.size, config.device)
-            .with_network(config.network)
-            .with_profile(config.profile)
-            .with_nodes(config.resolved_nodes())
-            .with_inter_network(config.inter_network)
-            .with_inter_profile(config.inter_profile)
-            .with_lease(config.resolved_lease())
-            .with_faults(config.resolved_faults());
-        if let Some(dir) = config.resolved_spool_dir() {
-            fabric_config = fabric_config.with_spool_dir(dir);
-        }
-        let trace = config.resolved_trace();
-        if trace.mode != crate::trace::TraceMode::Off {
-            fabric_config = fabric_config.with_frame_counters(true);
-        }
-        let endpoints = Fabric::build(fabric_config)?.into_endpoints();
-        let f = &f;
-        let config = &config;
+        let config = &crate::env::resolve(config);
+        let endpoints = Fabric::build(config.fabric_config())
+            .map_err(MpiError::from)?
+            .into_endpoints();
+        let progress = config.progress.unwrap_or_default();
+        let body = &body;
 
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(config.size);
-            for endpoint in endpoints {
-                handles.push(scope.spawn(move || {
-                    let mut engine = Engine::new(endpoint);
-                    if let Some(threshold) = config.eager_threshold {
-                        engine.set_eager_threshold(threshold);
-                    }
-                    if config.segment_bytes.is_some() {
-                        engine.set_segment_bytes(config.segment_bytes);
-                    }
-                    if config.coll_algorithm.is_some() {
-                        engine.set_coll_algorithm(config.coll_algorithm);
-                    }
-                    if config.trace.is_some() {
-                        engine.set_trace(trace);
-                    }
-                    if let Some(dir) = config.resolved_trace_dir() {
-                        engine.set_trace_dir(dir);
-                    }
-                    if let Some(prefix) = &config.processor_name_prefix {
-                        let name = format!("{prefix}{}", engine.world_rank());
-                        engine.set_processor_name(name);
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut engine)));
-                    match outcome {
-                        Ok(value) => Ok(value),
-                        Err(panic) => {
-                            // Poison the other ranks so they do not hang in
-                            // blocking receives waiting for us.
-                            let _ = engine.abort(COMM_WORLD, 1);
-                            let msg = panic
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "rank panicked".to_string());
-                            Err(MpiError::new(
-                                ErrorClass::Aborted,
-                                format!("rank {} panicked: {msg}", engine.world_rank()),
-                            ))
-                        }
-                    }
-                }));
-            }
-            handles
+        std::thread::scope(|scope| {
+            let ranks: Vec<_> = endpoints
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(_) => Err(MpiError::new(ErrorClass::Intern, "rank thread crashed")),
+                .map(|endpoint| {
+                    scope.spawn(move || {
+                        let rank = endpoint.rank();
+                        let engine = Engine::with_config(endpoint, config);
+                        catch_unwind(AssertUnwindSafe(|| body(engine, progress)))
+                            .unwrap_or_else(|panic| Err(rank_panicked(rank, panic).into()))
+                    })
                 })
-                .collect::<Vec<_>>()
-        });
-
-        results.into_iter().collect()
+                .collect();
+            ranks
+                .into_iter()
+                .map(|rank| {
+                    rank.join().unwrap_or_else(|_| {
+                        Err(MpiError::new(ErrorClass::Intern, "rank thread crashed").into())
+                    })
+                })
+                .collect()
+        })
     }
 
     /// Write a checkpoint record for `engine`'s rank (see
@@ -387,6 +310,19 @@ impl Universe {
     pub fn restore(endpoint: Box<dyn mpi_transport::Endpoint>) -> Result<Engine> {
         Engine::restore(endpoint)
     }
+}
+
+/// The error a rank's panic becomes, for every launcher.
+fn rank_panicked(rank: usize, panic: Box<dyn Any + Send>) -> MpiError {
+    let message = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("rank panicked");
+    MpiError::new(
+        ErrorClass::Aborted,
+        format!("rank {rank} panicked: {message}"),
+    )
 }
 
 #[cfg(test)]
@@ -503,22 +439,20 @@ mod tests {
 
     #[test]
     fn config_resolves_spool_lease_and_faults() {
-        let config = UniverseConfig::new(2, DeviceKind::Spool)
+        let fabric = UniverseConfig::new(2, DeviceKind::Spool)
             .with_spool_dir("/tmp/spool-x")
             .with_lease(Duration::from_millis(42))
-            .with_faults(FaultPlan::parse("drop:0->1@1").unwrap());
-        assert_eq!(
-            config.resolved_spool_dir(),
-            Some(PathBuf::from("/tmp/spool-x"))
-        );
-        assert_eq!(config.resolved_lease(), Duration::from_millis(42));
-        assert_eq!(config.resolved_faults().actions.len(), 1);
+            .with_faults(FaultPlan::parse("drop:0->1@1").unwrap())
+            .fabric_config();
+        assert_eq!(fabric.spool_dir, Some(PathBuf::from("/tmp/spool-x")));
+        assert_eq!(fabric.lease, Duration::from_millis(42));
+        assert_eq!(fabric.faults.actions.len(), 1);
 
         // Defaults: no spool dir, the stock lease, no faults.
-        let plain = UniverseConfig::new(2, DeviceKind::ShmFast);
-        assert_eq!(plain.resolved_spool_dir(), None);
-        assert_eq!(plain.resolved_lease(), mpi_transport::DEFAULT_LEASE);
-        assert!(plain.resolved_faults().is_empty());
+        let plain = UniverseConfig::new(2, DeviceKind::ShmFast).fabric_config();
+        assert_eq!(plain.spool_dir, None);
+        assert_eq!(plain.lease, mpi_transport::DEFAULT_LEASE);
+        assert!(plain.faults.is_empty());
     }
 
     #[test]

@@ -505,3 +505,90 @@ fn coll_events_carry_the_planned_operation_in_every_call_mode() {
         );
     }
 }
+
+/// One job configuration, two launchers. The same settings given to
+/// `UniverseConfig::with_*` and to the `MpiRuntime` builder (a view of
+/// the same struct) must configure identical engines, and the two
+/// launchers must fail identically: `MpiRuntime` used to rebuild the
+/// fabric and the panic tail by hand, so a zero-rank job was a
+/// `Transport` error there and a rank panic lost its rank.
+#[test]
+fn universe_and_mpiruntime_are_one_launcher() {
+    use mpi_native::{CollAlgorithm, Engine, ErrorClass, Universe, UniverseConfig};
+    type Knobs = (
+        usize,
+        Option<usize>,
+        Option<CollAlgorithm>,
+        TraceConfig,
+        Vec<usize>,
+    );
+    fn knobs(engine: &Engine) -> Knobs {
+        let placement: Vec<usize> = (0..engine.world_size())
+            .map(|rank| engine.node_map().node_of(rank))
+            .collect();
+        (
+            engine.eager_threshold(),
+            engine.segment_bytes(),
+            engine.coll_algorithm(),
+            engine.trace_config(),
+            placement,
+        )
+    }
+    let trace = TraceConfig::events().with_capacity(512);
+    let config = UniverseConfig::new(4, DeviceKind::Hybrid)
+        .with_eager_threshold(4096)
+        .with_segment_bytes(1024)
+        .with_coll_algorithm(CollAlgorithm::Ring)
+        .with_trace(trace)
+        .with_nodes(NodeMap::regular(2, 2));
+    let runtime = MpiRuntime::new(4)
+        .device(DeviceKind::Hybrid)
+        .eager_threshold(4096)
+        .segment_bytes(1024)
+        .coll_algorithm(CollAlgorithm::Ring)
+        .trace(trace)
+        .nodes(NodeMap::regular(2, 2));
+    let from_universe = Universe::run_with_config(config, |engine| knobs(engine)).unwrap();
+    let from_runtime = runtime
+        .run(|mpi| Ok(mpi.with_engine(|engine| knobs(engine))))
+        .unwrap();
+    assert_eq!(from_universe, from_runtime);
+    let ring = Some(CollAlgorithm::Ring);
+    let expected: Knobs = (4096, Some(1024), ring, trace, vec![0, 0, 1, 1]);
+    assert_eq!(from_universe, vec![expected; 4]);
+
+    // A job of zero ranks is the caller's mistake, whoever launches it.
+    let universe = Universe::run(0, DeviceKind::ShmFast, |_| ()).unwrap_err();
+    let runtime = MpiRuntime::new(0).run(|_| Ok(())).unwrap_err();
+    assert_eq!(universe.class, ErrorClass::Arg);
+    assert_eq!(
+        (runtime.class, runtime.message),
+        (universe.class, universe.message)
+    );
+
+    // A rank panic names the rank and carries the message. Rank 0 blocks
+    // in a receive only the abort can end, so the error is rank 1's.
+    let universe = Universe::run(2, DeviceKind::ShmFast, |engine| {
+        if engine.world_rank() == 1 {
+            panic!("boom {}", 7);
+        }
+        let _ = engine.recv(mpi_native::COMM_WORLD, 1, 99, None);
+    })
+    .unwrap_err();
+    let runtime = MpiRuntime::new(2)
+        .run(|mpi| {
+            let world = mpi.comm_world();
+            if world.rank()? == 1 {
+                panic!("boom {}", 7);
+            }
+            let _ = world.recv_into(&mut [0u8; 1], 1, 99);
+            Ok(())
+        })
+        .unwrap_err();
+    assert_eq!(universe.class, ErrorClass::Aborted);
+    assert_eq!(universe.message, "rank 1 panicked: boom 7");
+    assert_eq!(
+        (runtime.class, runtime.message),
+        (universe.class, universe.message)
+    );
+}
