@@ -16,7 +16,7 @@
 use mpi_native::comm::CommHandle;
 use mpi_native::{pack, ErrorClass, PrimitiveKind, SendMode};
 
-use crate::buffer::{bytes_to_elements, slice_to_bytes, BufferElement};
+use crate::buffer::{bytes_of, with_bytes_mut, BufferElement};
 use crate::datatype::Datatype;
 use crate::exception::{MPIException, MpiResult};
 use crate::group::Group;
@@ -24,6 +24,7 @@ use crate::request::{Prequest, Request};
 use crate::serial::{deserialize, serialize, Serializable};
 use crate::status::Status;
 use crate::RankEnv;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Base communicator class. `Intracomm`, `Cartcomm` and `Graphcomm` all
@@ -44,10 +45,10 @@ impl std::fmt::Debug for Comm {
 
 /// How many buffer elements (each `elem_width` bytes wide) a transfer of
 /// `count` instances of `datatype` spans (used for bounds checking against
-/// the Java-style `offset`).
-fn span_elements(datatype: &Datatype, count: usize, elem_width: usize) -> usize {
+/// the Java-style `offset`); `None` when `count` extents overflow.
+fn span_elements(datatype: &Datatype, count: usize, elem_width: usize) -> Option<usize> {
     if count == 0 {
-        return 0;
+        return Some(0);
     }
     let width = elem_width.max(1);
     // No typemap entry extends past `ub`, so `ub` — not `size`, which
@@ -57,8 +58,39 @@ fn span_elements(datatype: &Datatype, count: usize, elem_width: usize) -> usize 
     // span contributed by the earlier instances' strides. (`extent` is
     // `ub - lb` and therefore never negative in this engine.)
     let tail = datatype.ub().max(0);
-    let bytes = (count as isize - 1) * datatype.extent() + tail;
-    (bytes.max(0) as usize).div_ceil(width)
+    let bytes = isize::try_from(count - 1)
+        .ok()?
+        .checked_mul(datatype.extent())?
+        .checked_add(tail)?;
+    Some((bytes.max(0) as usize).div_ceil(width))
+}
+
+/// The elements of a `len`-element buffer that `count` instances of
+/// `datatype` at element `offset` may touch: the marshal seam's bounds
+/// check, and the one place its offset/count/extent arithmetic happens.
+/// A transfer that does not fit reports `too_small` (`Buffer` for a send,
+/// `Truncate` for a receive); a count whose span overflows, `Count`.
+fn window_range<T: BufferElement>(
+    len: usize,
+    offset: usize,
+    count: usize,
+    datatype: &Datatype,
+    too_small: ErrorClass,
+) -> MpiResult<std::ops::Range<usize>> {
+    let span = span_elements(datatype, count, T::width()).ok_or_else(|| {
+        let extent = datatype.extent();
+        MPIException::new(
+            ErrorClass::Count,
+            format!("count {count} of a datatype of extent {extent} overflows"),
+        )
+    })?;
+    match offset.checked_add(span) {
+        Some(end) if end <= len => Ok(offset..end),
+        _ => Err(MPIException::new(
+            too_small,
+            format!("buffer too small: offset {offset} + span {span} > length {len}"),
+        )),
+    }
 }
 
 impl Comm {
@@ -136,37 +168,48 @@ impl Comm {
         }
     }
 
-    /// Marshal `count` instances of `datatype` starting at element `offset`
-    /// of `buf` into a contiguous byte payload (the `Get*ArrayRegion` +
-    /// `MPI_Pack` step of the real stub layer).
-    pub(crate) fn pack_buffer<T: BufferElement>(
+    /// The wire payload of `count` instances of `datatype` starting at
+    /// element `offset` of `buf` (the `Get*ArrayRegion` + `MPI_Pack` step
+    /// of the real stub layer). Dense: the window's byte image, carried
+    /// across the boundary as the marshal mode says. Holes: gathered out
+    /// of it — the gather is the one copy, in both modes.
+    pub(crate) fn pack_buffer<'buf, T: BufferElement>(
         &self,
-        buf: &[T],
+        buf: &'buf [T],
         offset: usize,
         count: usize,
         datatype: &Datatype,
-    ) -> MpiResult<Vec<u8>> {
+    ) -> MpiResult<Cow<'buf, [u8]>> {
         self.check_type::<T>(datatype)?;
-        let span = span_elements(datatype, count, T::KIND.size());
-        if offset + span > buf.len() {
-            return Err(MPIException::new(
-                ErrorClass::Buffer,
-                format!(
-                    "buffer too small: offset {offset} + span {span} > length {}",
-                    buf.len()
-                ),
-            ));
+        let window =
+            &buf[window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?];
+        let image = bytes_of(window);
+        if datatype.def().is_contiguous_dense() {
+            return Ok(self.env.jni.marshal_in(image));
         }
-        let window = &buf[offset..offset + span];
-        let bytes = slice_to_bytes(window);
-        self.env.jni.note_pinned_in(0); // no-op, keeps pin/copy symmetric
-        let image = self.env.jni.marshal_in(&bytes);
-        let packed = pack::pack(&image, 0, count, datatype.def())?;
-        Ok(packed)
+        self.env.jni.note_pinned_in(image.len());
+        Ok(Cow::Owned(pack::pack(&image, 0, count, datatype.def())?))
     }
 
-    /// Scatter a received contiguous payload back into the user buffer
-    /// (the `MPI_Unpack` + `Set*ArrayRegion` step).
+    /// Receive-side entry of the seam: the window of `buf` that `count`
+    /// instances of `datatype` at `offset` may fill, and the longest wire
+    /// payload it takes (saturating: the window already bounds `count`).
+    fn recv_window<'buf, T: BufferElement>(
+        &self,
+        buf: &'buf mut [T],
+        offset: usize,
+        count: usize,
+        datatype: &Datatype,
+    ) -> MpiResult<(&'buf mut [T], usize)> {
+        self.check_type::<T>(datatype)?;
+        let range = window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Truncate)?;
+        Ok((&mut buf[range], datatype.size().saturating_mul(count)))
+    }
+
+    /// Scatter a received payload into `buf` (the `MPI_Unpack` +
+    /// `Set*ArrayRegion` step): one store for a dense datatype, one
+    /// scatter for one with holes; a short payload fills a prefix. `buf`
+    /// may be a window from `recv_window`, at offset 0.
     pub(crate) fn unpack_buffer<T: BufferElement>(
         &self,
         wire: &[u8],
@@ -175,22 +218,11 @@ impl Comm {
         count: usize,
         datatype: &Datatype,
     ) -> MpiResult<()> {
-        self.check_type::<T>(datatype)?;
-        let span = span_elements(datatype, count, T::KIND.size());
-        if offset + span > buf.len() {
-            return Err(MPIException::new(
-                ErrorClass::Truncate,
-                format!(
-                    "receive buffer too small: offset {offset} + span {span} > length {}",
-                    buf.len()
-                ),
-            ));
-        }
+        let (window, _) = self.recv_window(buf, offset, count, datatype)?;
         self.env.jni.note_out(wire.len());
-        let window = &buf[offset..offset + span];
-        let mut image = slice_to_bytes(window);
-        pack::unpack(wire, &mut image, 0, count, datatype.def())?;
-        bytes_to_elements(buf, offset, &image);
+        with_bytes_mut(window, |image| {
+            pack::unpack(wire, image, 0, count, datatype.def())
+        })?;
         Ok(())
     }
 
@@ -318,45 +350,25 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Status> {
         self.env.jni.enter("Comm.Recv");
-        self.check_type::<T>(datatype)?;
-        let max_len = datatype.size() * count;
-        let (data, info) = self
-            .env
-            .engine
-            .lock()
-            .recv(self.handle, source, tag, Some(max_len))?;
-        self.unpack_buffer(&data, buf, offset, count, datatype)?;
-        Ok(Status::from_info(info))
-    }
-
-    /// Single-copy receive of contiguous `T` elements — the fast path
-    /// behind the idiomatic `rs::Communicator::recv_into`.
-    ///
-    /// The classic [`Comm::recv`] reproduces the paper's full JNI
-    /// marshalling (wire → pack image → `Set*ArrayRegion` write-back);
-    /// for a contiguous basic datatype that pipeline is byte-equivalent
-    /// to one straight copy, so this path takes the engine's refcounted
-    /// completion buffer and scatters it into the user slice exactly
-    /// once. The simulated JNI crossing itself is still recorded, so the
-    /// wrapper-overhead accounting stays honest.
-    pub(crate) fn recv_into_contiguous<T: BufferElement>(
-        &self,
-        buf: &mut [T],
-        source: i32,
-        tag: i32,
-    ) -> MpiResult<Status> {
-        self.env.jni.enter("Comm.Recv");
-        let max_len = T::KIND.size() * buf.len();
-        let mut engine = self.env.engine.lock();
-        let (data, info) = engine.recv(self.handle, source, tag, Some(max_len))?;
-        self.env.jni.note_out(data.len());
-        bytes_to_elements(buf, 0, &data);
-        // The delivery copy happened up here in the binding, but it is
-        // part of the datapath's copy budget: account it, and feed the
-        // spent transport buffer back into the engine's staging pool —
-        // the same bookkeeping `Engine::recv_into` does internally.
-        engine.note_payload_copy(data.len());
-        engine.recycle_payload(data);
+        let (window, max_len) = self.recv_window(buf, offset, count, datatype)?;
+        if !datatype.def().is_contiguous_dense() {
+            let (data, info) =
+                self.env
+                    .engine
+                    .lock()
+                    .recv(self.handle, source, tag, Some(max_len))?;
+            self.unpack_buffer(&data, window, 0, count, datatype)?;
+            return Ok(Status::from_info(info));
+        }
+        // Dense: the window's byte image is the wire layout, so the
+        // engine's one delivery copy lands in the user's memory.
+        let info = with_bytes_mut(window, |image| {
+            self.env
+                .engine
+                .lock()
+                .recv_into(self.handle, source, tag, image)
+        })?;
+        self.env.jni.note_out(info.count_bytes);
         Ok(Status::from_info(info))
     }
 
@@ -379,8 +391,7 @@ impl Comm {
     ) -> MpiResult<Status> {
         self.env.jni.enter("Comm.Sendrecv");
         let payload = self.pack_buffer(send_buf, send_offset, send_count, send_type)?;
-        self.check_type::<R>(recv_type)?;
-        let max_len = recv_type.size() * recv_count;
+        let (window, max_len) = self.recv_window(recv_buf, recv_offset, recv_count, recv_type)?;
         let (data, info) = self.env.engine.lock().sendrecv(
             self.handle,
             dest,
@@ -390,7 +401,7 @@ impl Comm {
             recv_tag,
             Some(max_len),
         )?;
-        self.unpack_buffer(&data, recv_buf, recv_offset, recv_count, recv_type)?;
+        self.unpack_buffer(&data, window, 0, recv_count, recv_type)?;
         Ok(Status::from_info(info))
     }
 
@@ -523,8 +534,7 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Request<'buf>> {
         self.env.jni.enter("Comm.Irecv");
-        self.check_type::<T>(datatype)?;
-        let max_len = datatype.size() * count;
+        let (window, max_len) = self.recv_window(buf, offset, count, datatype)?;
         let id = self
             .env
             .engine
@@ -535,7 +545,7 @@ impl Comm {
         Ok(Request::recv(
             Arc::clone(&self.env),
             id,
-            Box::new(move |wire: &[u8]| comm.unpack_buffer(wire, buf, offset, count, &datatype)),
+            Box::new(move |wire: &[u8]| comm.unpack_buffer(wire, window, 0, count, &datatype)),
         ))
     }
 
@@ -567,7 +577,10 @@ impl Comm {
         Ok(Prequest::send(
             Arc::clone(&self.env),
             id,
-            Box::new(move || comm.pack_buffer(buf, offset, count, &datatype)),
+            Box::new(move || {
+                comm.pack_buffer(buf, offset, count, &datatype)
+                    .map(Cow::into_owned)
+            }),
         ))
     }
 
@@ -582,8 +595,7 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Prequest<'buf>> {
         self.env.jni.enter("Comm.Recv_init");
-        self.check_type::<T>(datatype)?;
-        let max_len = datatype.size() * count;
+        let (window, max_len) = self.recv_window(buf, offset, count, datatype)?;
         let id = self
             .env
             .engine
@@ -594,9 +606,7 @@ impl Comm {
         Ok(Prequest::recv(
             Arc::clone(&self.env),
             id,
-            Box::new(move |wire: &[u8]| {
-                comm.unpack_buffer(wire, &mut buf[..], offset, count, &datatype)
-            }),
+            Box::new(move |wire: &[u8]| comm.unpack_buffer(wire, window, 0, count, &datatype)),
         ))
     }
 
@@ -627,7 +637,7 @@ impl Comm {
     /// `Comm.Pack_size(count, datatype)`: bytes needed to pack `count`
     /// instances.
     pub fn pack_size(&self, count: usize, datatype: &Datatype) -> usize {
-        datatype.size() * count
+        datatype.size().saturating_mul(count)
     }
 
     /// `Comm.Pack`: append `count` instances of `datatype` from `buf` to
@@ -660,8 +670,11 @@ impl Comm {
         datatype: &Datatype,
     ) -> MpiResult<usize> {
         self.env.jni.enter("Comm.Unpack");
-        let needed = datatype.size() * count;
-        if position + needed > packed.len() {
+        let (window, needed) = self.recv_window(buf, offset, count, datatype)?;
+        let Some(end) = position
+            .checked_add(needed)
+            .filter(|&end| end <= packed.len())
+        else {
             return Err(MPIException::new(
                 ErrorClass::Truncate,
                 format!(
@@ -669,15 +682,9 @@ impl Comm {
                     packed.len()
                 ),
             ));
-        }
-        self.unpack_buffer(
-            &packed[position..position + needed],
-            buf,
-            offset,
-            count,
-            datatype,
-        )?;
-        Ok(position + needed)
+        };
+        self.unpack_buffer(&packed[position..end], window, 0, count, datatype)?;
+        Ok(end)
     }
 
     // ------------------------------------------------------------------
@@ -729,15 +736,15 @@ impl Comm {
         offset: usize,
         count: usize,
     ) -> MpiResult<Vec<u8>> {
-        if offset + count > buf.len() {
+        let Some(objects) = buf.get(offset..).and_then(|tail| tail.get(..count)) else {
             return Err(MPIException::new(
                 ErrorClass::Buffer,
                 "object buffer too small for offset + count",
             ));
-        }
+        };
         let mut payload = Vec::new();
         payload.extend_from_slice(&(count as u64).to_le_bytes());
-        for obj in &buf[offset..offset + count] {
+        for obj in objects {
             let bytes = serialize(obj);
             payload.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
             payload.extend_from_slice(&bytes);
@@ -786,37 +793,6 @@ impl Comm {
         }
         Ok(out)
     }
-
-    // ------------------------------------------------------------------
-    // Low-level escape hatch used by the benchmark harness
-    // ------------------------------------------------------------------
-
-    /// Send raw bytes through the wrapper (still crosses the simulated JNI
-    /// boundary). Used by the "mpiJava" series of the PingPong benchmark.
-    pub fn send_bytes(&self, bytes: &[u8], dest: i32, tag: i32) -> MpiResult<()> {
-        self.env.jni.enter("Comm.Send[bytes]");
-        let image = self.env.jni.marshal_in(bytes);
-        self.env
-            .engine
-            .lock()
-            .send(self.handle, dest, tag, &image, SendMode::Standard)?;
-        Ok(())
-    }
-
-    /// Receive raw bytes through the wrapper into `buf`, returning the
-    /// status (counterpart of [`Comm::send_bytes`]). Rides the engine's
-    /// single-copy `recv_into`, which also recycles the spent transport
-    /// buffer into the engine's send pool.
-    pub fn recv_bytes(&self, buf: &mut [u8], source: i32, tag: i32) -> MpiResult<Status> {
-        self.env.jni.enter("Comm.Recv[bytes]");
-        let info = self
-            .env
-            .engine
-            .lock()
-            .recv_into(self.handle, source, tag, buf)?;
-        self.env.jni.note_out(info.count_bytes);
-        Ok(Status::from_info(info))
-    }
 }
 
 fn pair_component_matches(pair: PrimitiveKind, elem: PrimitiveKind) -> bool {
@@ -836,10 +812,10 @@ mod tests {
 
     #[test]
     fn span_covers_basic_and_contiguous_types() {
-        assert_eq!(span_elements(&Datatype::int(), 0, 4), 0);
-        assert_eq!(span_elements(&Datatype::int(), 5, 4), 5);
+        assert_eq!(span_elements(&Datatype::int(), 0, 4), Some(0));
+        assert_eq!(span_elements(&Datatype::int(), 5, 4), Some(5));
         let c = Datatype::contiguous(3, &Datatype::double()).unwrap();
-        assert_eq!(span_elements(&c, 2, 8), 6);
+        assert_eq!(span_elements(&c, 2, 8), Some(6));
     }
 
     #[test]
@@ -847,9 +823,9 @@ mod tests {
         // 2 blocks of 1 int, stride 3 ints: instance covers ints 0 and 3.
         let v = Datatype::vector(2, 1, 3, &Datatype::int()).unwrap();
         // One instance reaches int index 3 (ub = 16 bytes = 4 ints).
-        assert_eq!(span_elements(&v, 1, 4), 4);
+        assert_eq!(span_elements(&v, 1, 4), Some(4));
         // A second instance starts one extent (16 bytes) later.
-        assert_eq!(span_elements(&v, 2, 4), 8);
+        assert_eq!(span_elements(&v, 2, 4), Some(8));
     }
 
     #[test]
@@ -860,9 +836,9 @@ mod tests {
         // must not shrink the span contributed by later instances.
         let d = Datatype::hindexed(&[1], &[-8], &Datatype::double()).unwrap();
         assert!(d.ub() <= 0, "precondition: degenerate upper bound");
-        assert_eq!(span_elements(&d, 1, 8), 0);
+        assert_eq!(span_elements(&d, 1, 8), Some(0));
         // extent = ub - lb = 8 bytes; instances 2 and 3 reach 8 and 16.
-        assert_eq!(span_elements(&d, 3, 8), 2);
+        assert_eq!(span_elements(&d, 3, 8), Some(2));
     }
 
     #[test]
@@ -873,7 +849,42 @@ mod tests {
         // a legal send from a one-element buffer.
         let d = Datatype::indexed(&[1, 1], &[0, 0], &Datatype::int()).unwrap();
         assert!(d.size() as isize > d.ub(), "precondition: overlap");
-        assert_eq!(span_elements(&d, 1, 4), 1);
-        assert_eq!(span_elements(&d, 2, 4), 2);
+        assert_eq!(span_elements(&d, 1, 4), Some(1));
+        assert_eq!(span_elements(&d, 2, 4), Some(2));
+    }
+
+    #[test]
+    fn dense_payload_is_lent_under_pin_and_copied_under_copy() {
+        use crate::{JniConfig, MarshalMode, MpiRuntime};
+        for marshal in [MarshalMode::Copy, MarshalMode::Pin] {
+            MpiRuntime::new(1)
+                .jni(JniConfig {
+                    marshal,
+                    ..JniConfig::default()
+                })
+                .run(move |mpi| {
+                    let world = mpi.comm_world();
+                    let buf = [1i32, 2, 3, 4, 5];
+                    let dense = Datatype::contiguous(2, &Datatype::int())?;
+                    let payload = world.pack_buffer(&buf, 1, 2, &dense)?;
+                    assert_eq!(payload, bytes_of(&buf[1..5]));
+                    let lent = payload.as_ptr() == buf[1..].as_ptr().cast::<u8>();
+                    assert_eq!(
+                        lent,
+                        marshal == MarshalMode::Pin && cfg!(target_endian = "little")
+                    );
+                    assert_eq!(matches!(payload, Cow::Borrowed(_)), lent);
+
+                    // Holes: the gather is the copy, whatever the mode.
+                    let holes = Datatype::vector(2, 1, 2, &Datatype::int())?;
+                    let gathered = world.pack_buffer(&buf, 1, 1, &holes)?;
+                    assert!(matches!(gathered, Cow::Owned(_)));
+                    assert_eq!(gathered, bytes_of(&[2i32, 4]));
+                    // Both crossings counted the window they carried.
+                    assert_eq!(mpi.jni_stats().bytes_in, 16 + 12);
+                    Ok(())
+                })
+                .unwrap();
+        }
     }
 }

@@ -35,6 +35,13 @@ pub struct Intracomm {
     base: Comm,
 }
 
+/// Element offset `displ` extents of `datatype` past `offset` (the
+/// `v`-collectives' rule); saturates, so that an unrepresentable offset
+/// fails the marshal seam's bounds check instead of wrapping around it.
+fn displaced(offset: usize, displ: usize, datatype: &Datatype) -> usize {
+    offset.saturating_add(displ.saturating_mul(datatype.extent_elements()))
+}
+
 impl Deref for Intracomm {
     type Target = Comm;
     fn deref(&self) -> &Comm {
@@ -147,7 +154,9 @@ impl Intracomm {
         self.env.jni.enter("Intracomm.Bcast");
         let rank = self.base.env.engine.lock().comm_rank(self.base.handle)?;
         let mut payload = if rank == root {
-            self.base.pack_buffer(buf, offset, count, datatype)?
+            self.base
+                .pack_buffer(buf, offset, count, datatype)?
+                .into_owned()
         } else {
             Vec::new()
         };
@@ -258,7 +267,7 @@ impl Intracomm {
                 ));
             }
             for (rank, part) in parts.iter().enumerate() {
-                let elem_off = recv_offset + displs[rank] * recv_type.extent_elements();
+                let elem_off = displaced(recv_offset, displs[rank], recv_type);
                 self.base
                     .unpack_buffer(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
             }
@@ -329,10 +338,11 @@ impl Intracomm {
             }
             let mut out = Vec::with_capacity(size);
             for r in 0..size {
-                let elem_off = send_offset + displs[r] * send_type.extent_elements();
+                let elem_off = displaced(send_offset, displs[r], send_type);
                 out.push(
                     self.base
-                        .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?,
+                        .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?
+                        .into_owned(),
                 );
             }
             Some(out)
@@ -437,7 +447,7 @@ impl Intracomm {
             ));
         }
         for (rank, part) in parts.iter().enumerate() {
-            let elem_off = recv_offset + displs[rank] * recv_type.extent_elements();
+            let elem_off = displaced(recv_offset, displs[rank], recv_type);
             self.base
                 .unpack_buffer(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
         }
@@ -505,10 +515,11 @@ impl Intracomm {
         }
         let mut chunks = Vec::with_capacity(size);
         for r in 0..size {
-            let elem_off = send_offset + sdispls[r] * send_type.extent_elements();
+            let elem_off = displaced(send_offset, sdispls[r], send_type);
             chunks.push(
                 self.base
-                    .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?,
+                    .pack_buffer(send_buf, elem_off, send_counts[r], send_type)?
+                    .into_owned(),
             );
         }
         let received = self
@@ -518,7 +529,7 @@ impl Intracomm {
             .lock()
             .alltoall(self.base.handle, &chunks)?;
         for (rank, part) in received.iter().enumerate() {
-            let elem_off = recv_offset + rdispls[rank] * recv_type.extent_elements();
+            let elem_off = displaced(recv_offset, rdispls[rank], recv_type);
             self.base
                 .unpack_buffer(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
         }
@@ -601,7 +612,9 @@ impl Intracomm {
         op: &Op,
     ) -> MpiResult<()> {
         self.env.jni.enter("Intracomm.Reduce_scatter");
-        let total: usize = recv_counts.iter().sum();
+        let total = recv_counts
+            .iter()
+            .fold(0usize, |sum, &c| sum.saturating_add(c));
         let payload = self
             .base
             .pack_buffer(send_buf, send_offset, total, datatype)?;

@@ -10,16 +10,31 @@
 //! This module reproduces that boundary as an explicit, measurable object:
 //! the binding routes every buffer movement through [`JniBoundary`], which
 //!
-//! * performs a real marshalling copy in *copy* mode (the default, matching
+//! * carries array arguments across in *copy* mode (the default, matching
 //!   the JDK 1.1/1.2 behaviour the paper ran on, where `Get*ArrayElements`
-//!   usually copies) or hands out the caller's bytes directly in *pin*
-//!   mode (the zero-copy behaviour of a pinning garbage collector),
+//!   usually copies) or in *pin* mode (the zero-copy behaviour of a
+//!   pinning garbage collector),
 //! * charges a configurable fixed per-call cost representing stub dispatch
 //!   and argument conversion (and, when calibrating against the paper's
 //!   1999 numbers, the slower JVM),
 //! * counts calls and bytes so experiments can report exactly what the
 //!   boundary cost.
+//!
+//! ## What the two modes cost
+//!
+//! Passes the binding makes over the payload around the engine call, for
+//! numeric element types (whose slice is its own byte image, see
+//! [`crate::buffer`]; `bool`/`char` add one conversion pass each way):
+//!
+//! | datatype | send, [`MarshalMode::Copy`] | send, [`MarshalMode::Pin`] | receive, either mode |
+//! |---|---|---|---|
+//! | dense | one block copy ([`JniBoundary::marshal_in`]) | none: the engine reads the user's slice | one store into the window |
+//! | holes | one gather (`pack`) | one gather | one scatter (`unpack`) into the window |
+//!
+//! The modes differ in one expression, the arms of `marshal_in`; a
+//! receive never reads the window before it overwrites it.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -105,27 +120,20 @@ impl JniBoundary {
         }
     }
 
-    /// Marshal `bytes` of a user buffer into a native buffer
-    /// (`Get*ArrayRegion`). In pin mode this is free and the caller uses
-    /// its own slice; in copy mode the bytes are duplicated.
-    pub fn marshal_in(&self, bytes: &[u8]) -> Vec<u8> {
-        self.stats
-            .bytes_in
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    /// Carry the byte image of a user buffer across the boundary to the
+    /// native layer: duplicated in copy mode (`Get*ArrayRegion`), the
+    /// caller's own memory in pin mode.
+    pub fn marshal_in<'a>(&self, image: Cow<'a, [u8]>) -> Cow<'a, [u8]> {
+        self.note_pinned_in(image.len());
         match self.config.marshal {
-            MarshalMode::Copy => bytes.to_vec(),
-            MarshalMode::Pin => bytes.to_vec(), // still owned, but see marshal_in_pinned
+            MarshalMode::Copy => Cow::Owned(image.into_owned()),
+            MarshalMode::Pin => image,
         }
     }
 
-    /// True when the configuration allows the native layer to read the
-    /// caller's bytes directly (no marshalling copy).
-    pub fn can_pin(&self) -> bool {
-        self.config.marshal == MarshalMode::Pin
-    }
-
-    /// Account for bytes that crossed the boundary without a copy (pin
-    /// mode fast path).
+    /// Account for bytes that crossed the boundary. `marshal_in` counts
+    /// its own; this is for payloads that cross without a marshalling
+    /// copy (a datatype gather, a serialized object stream).
     pub fn note_pinned_in(&self, len: usize) {
         self.stats.bytes_in.fetch_add(len as u64, Ordering::Relaxed);
     }
@@ -157,7 +165,7 @@ mod tests {
         let jni = JniBoundary::new(JniConfig::default());
         jni.enter("MPI_Send");
         jni.enter("MPI_Recv");
-        let copied = jni.marshal_in(&[1, 2, 3, 4]);
+        let copied = jni.marshal_in(Cow::Borrowed(&[1, 2, 3, 4]));
         assert_eq!(copied, vec![1, 2, 3, 4]);
         jni.note_out(10);
         let s = jni.stats();
@@ -178,15 +186,23 @@ mod tests {
     }
 
     #[test]
-    fn pin_mode_reports_pinnable() {
+    fn copy_duplicates_and_pin_lends() {
+        let user = [1u8, 2, 3];
         let copy = JniBoundary::new(JniConfig::default());
-        assert!(!copy.can_pin());
+        assert!(matches!(
+            copy.marshal_in(Cow::Borrowed(&user)),
+            Cow::Owned(_)
+        ));
         let pin = JniBoundary::new(JniConfig {
             marshal: MarshalMode::Pin,
             per_call_cost: Duration::ZERO,
         });
-        assert!(pin.can_pin());
+        let lent = pin.marshal_in(Cow::Borrowed(&user));
+        assert!(matches!(lent, Cow::Borrowed(_)));
+        assert_eq!(lent.as_ptr(), user.as_ptr());
+        // Both modes count the bytes that crossed.
+        assert_eq!(copy.stats().bytes_in, 3);
         pin.note_pinned_in(128);
-        assert_eq!(pin.stats().bytes_in, 128);
+        assert_eq!(pin.stats().bytes_in, 131);
     }
 }

@@ -11,6 +11,7 @@
 //! `Recv_init` and restarted with `Start` / `Startall` (mpiJava routes
 //! `Start` through `Prequest`).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use mpi_native::{CollOutcome, CollRequestId, ErrorClass, PersistentCollId, RequestId};
@@ -635,7 +636,7 @@ pub(crate) trait PersistentCollBufs: Send {
     /// This rank's contribution for one `start()` (re-marshalled from
     /// the captured buffer, matching the C semantics of reusing the
     /// buffer by address).
-    fn pack(&mut self) -> Vec<u8>;
+    fn pack(&mut self) -> Cow<'_, [u8]>;
     /// Deliver one completed iteration's outcome bytes into the
     /// captured buffer (no-op for outcome-free shapes).
     fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()>;
@@ -701,27 +702,17 @@ impl std::fmt::Debug for PersistentRequest<'_> {
 }
 
 impl<'buf> PersistentRequest<'buf> {
-    pub(crate) fn p2p_send(
-        env: Arc<RankEnv>,
-        id: RequestId,
-        repack: Repack<'buf>,
-    ) -> PersistentRequest<'buf> {
+    /// Adopt a (not yet started) classic `Send_init` / `Recv_init`
+    /// request: same engine registration, same marshalling closures.
+    pub(crate) fn p2p(request: Prequest<'buf>) -> PersistentRequest<'buf> {
+        let id = request.id;
+        let kind = match request.kind {
+            PrequestKind::Send { repack } => PersistentKind::P2pSend { id, repack },
+            PrequestKind::Recv { unpack } => PersistentKind::P2pRecv { id, unpack },
+        };
         PersistentRequest {
-            env,
-            kind: PersistentKind::P2pSend { id, repack },
-            active: false,
-            freed: false,
-        }
-    }
-
-    pub(crate) fn p2p_recv(
-        env: Arc<RankEnv>,
-        id: RequestId,
-        unpack: UnpackMut<'buf>,
-    ) -> PersistentRequest<'buf> {
-        PersistentRequest {
-            env,
-            kind: PersistentKind::P2pRecv { id, unpack },
+            env: request.env,
+            kind,
             active: false,
             freed: false,
         }

@@ -142,12 +142,12 @@
 //! form fully qualified, `Comm::send(&world, buf, off, count, ty, dest,
 //! tag)` — inherent methods named explicitly ignore trait shadowing.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 use mpi_native::{ErrorClass, SendMode, PROC_NULL};
 
-use crate::buffer::{bytes_to_elements, slice_to_bytes, BufferElement};
+use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::comm::Comm;
 use crate::exception::{MPIException, MpiResult};
 use crate::intracomm::Intracomm;
@@ -229,19 +229,18 @@ pub trait Communicator {
     /// `buf.len()` is fine; `status.count_elements::<T>()` says how many
     /// arrived.
     ///
-    /// Unlike the classic `Recv` — which reproduces the paper's full JNI
-    /// marshalling pipeline — this rides the engine's zero-copy datapath:
-    /// the arrived payload is copied **exactly once**, from the
-    /// refcounted transport buffer into `buf`. Results are byte-identical
-    /// to the classic path (contiguous basic datatypes marshal to a
-    /// straight copy), and the simulated JNI crossing is still counted.
+    /// The same call as the classic `Recv` with the datatype inferred:
+    /// the engine's one delivery copy lands in `buf`'s own memory (see
+    /// [`crate::buffer`]), and the simulated JNI crossing is counted.
     fn recv_into<T: BufferElement>(
         &self,
         buf: &mut [T],
         source: i32,
         tag: i32,
     ) -> MpiResult<Status> {
-        self.as_comm().recv_into_contiguous(buf, source, tag)
+        let count = buf.len();
+        self.as_comm()
+            .recv(buf, 0, count, &T::datatype(), source, tag)
     }
 
     /// Combined send + receive (classic `Sendrecv`), with independent
@@ -557,7 +556,7 @@ pub trait Communicator {
         comm.env.jni.enter("Intracomm.Ibcast");
         let mut engine = comm.env.engine.lock();
         let payload = if engine.comm_rank(comm.handle)? == root {
-            slice_to_bytes(buf)
+            bytes_of(buf).into_owned()
         } else {
             Vec::new()
         };
@@ -577,7 +576,7 @@ pub trait Communicator {
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Ireduce");
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = comm.env.engine.lock().ireduce(
             comm.handle,
             root,
@@ -599,7 +598,7 @@ pub trait Communicator {
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Iallreduce");
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = comm.env.engine.lock().iallreduce(
             comm.handle,
             &payload,
@@ -621,7 +620,7 @@ pub trait Communicator {
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Igather");
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = comm
             .env
             .engine
@@ -639,7 +638,7 @@ pub trait Communicator {
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Iallgather");
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = comm.env.engine.lock().iallgather(comm.handle, &payload)?;
         Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
@@ -669,13 +668,7 @@ pub trait Communicator {
                     ),
                 ));
             }
-            let chunk_bytes = recv.len() * T::width();
-            let payload = slice_to_bytes(send);
-            Some(
-                (0..size)
-                    .map(|r| payload[r * chunk_bytes..(r + 1) * chunk_bytes].to_vec())
-                    .collect(),
-            )
+            Some(wire_chunks(send, size))
         } else {
             None
         };
@@ -706,12 +699,7 @@ pub trait Communicator {
                 ),
             ));
         }
-        let chunk_bytes = send.len() / size * T::width();
-        let payload = slice_to_bytes(send);
-        let chunks: Vec<Vec<u8>> = (0..size)
-            .map(|r| payload[r * chunk_bytes..(r + 1) * chunk_bytes].to_vec())
-            .collect();
-        let id = engine.ialltoall(comm.handle, &chunks)?;
+        let id = engine.ialltoall(comm.handle, &wire_chunks(send, size))?;
         drop(engine);
         Ok(coll_request(comm, id, Some(unpack_into(recv))))
     }
@@ -742,7 +730,7 @@ pub trait Communicator {
             ));
         }
         let counts = vec![recv.len(); size];
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = engine.ireduce_scatter(
             comm.handle,
             &payload,
@@ -764,7 +752,7 @@ pub trait Communicator {
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Iscan");
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = comm.env.engine.lock().iscan(
             comm.handle,
             &payload,
@@ -802,21 +790,10 @@ pub trait Communicator {
         dest: i32,
         tag: i32,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
-        comm.env.jni.enter("Comm.Send_init");
-        let payload = slice_to_bytes(buf);
-        let id = comm.env.engine.lock().send_init(
-            comm.handle,
-            dest,
-            tag,
-            &payload,
-            SendMode::Standard,
-        )?;
-        Ok(PersistentRequest::p2p_send(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(move || Ok(slice_to_bytes(buf))),
-        ))
+        let request = self
+            .as_comm()
+            .send_init(buf, 0, buf.len(), &T::datatype(), dest, tag)?;
+        Ok(PersistentRequest::p2p(request))
     }
 
     /// Persistent receive (`MPI_Recv_init`): each completed iteration
@@ -828,22 +805,11 @@ pub trait Communicator {
         source: i32,
         tag: i32,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
-        comm.env.jni.enter("Comm.Recv_init");
-        let max_len = buf.len() * T::width();
-        let id = comm
-            .env
-            .engine
-            .lock()
-            .recv_init(comm.handle, source, tag, Some(max_len))?;
-        Ok(PersistentRequest::p2p_recv(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(move |wire: &[u8]| {
-                bytes_to_elements(buf, 0, wire);
-                Ok(())
-            }),
-        ))
+        let count = buf.len();
+        let request = self
+            .as_comm()
+            .recv_init(buf, 0, count, &T::datatype(), source, tag)?;
+        Ok(PersistentRequest::p2p(request))
     }
 
     /// Persistent barrier (`MPI_Barrier_init`): each `start()`/`wait()`
@@ -1017,7 +983,7 @@ pub trait Communicator {
     fn neighbor_all_gather<T: BufferElement>(&self, send: &[T]) -> MpiResult<Vec<Vec<T>>> {
         let comm = self.as_comm();
         comm.env.jni.enter("Intracomm.Neighbor_allgather");
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let parts = comm
             .env
             .engine
@@ -1063,7 +1029,7 @@ pub trait Communicator {
                 ),
             ));
         }
-        let payload = slice_to_bytes(send);
+        let payload = bytes_of(send);
         let id = engine.ineighbor_allgather(comm.handle, &payload)?;
         drop(engine);
         let chunk = send.len();
@@ -1169,8 +1135,8 @@ pub trait Communicator {
 struct NoCollBufs;
 
 impl PersistentCollBufs for NoCollBufs {
-    fn pack(&mut self) -> Vec<u8> {
-        Vec::new()
+    fn pack(&mut self) -> Cow<'_, [u8]> {
+        Cow::Borrowed(&[])
     }
     fn unpack(&mut self, _bytes: &[u8]) -> MpiResult<()> {
         Ok(())
@@ -1185,15 +1151,15 @@ struct BcastCollBufs<'buf, T: BufferElement> {
 }
 
 impl<T: BufferElement> PersistentCollBufs for BcastCollBufs<'_, T> {
-    fn pack(&mut self) -> Vec<u8> {
+    fn pack(&mut self) -> Cow<'_, [u8]> {
         if self.is_root {
-            slice_to_bytes(self.buf)
+            bytes_of(self.buf)
         } else {
-            Vec::new()
+            Cow::Borrowed(&[])
         }
     }
     fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
-        bytes_to_elements(self.buf, 0, bytes);
+        store_bytes(bytes, self.buf);
         Ok(())
     }
 }
@@ -1206,11 +1172,11 @@ struct SendRecvCollBufs<'buf, T: BufferElement> {
 }
 
 impl<T: BufferElement> PersistentCollBufs for SendRecvCollBufs<'_, T> {
-    fn pack(&mut self) -> Vec<u8> {
-        slice_to_bytes(self.send)
+    fn pack(&mut self) -> Cow<'_, [u8]> {
+        bytes_of(self.send)
     }
     fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
-        bytes_to_elements(self.recv, 0, bytes);
+        store_bytes(bytes, self.recv);
         Ok(())
     }
 }
@@ -1221,7 +1187,7 @@ fn parts_to_elements<T: BufferElement>(parts: Vec<Vec<u8>>) -> Vec<Vec<T>> {
         .into_iter()
         .map(|bytes| {
             let mut out = vec![T::default(); bytes.len() / T::width()];
-            bytes_to_elements(&mut out, 0, &bytes);
+            store_bytes(&bytes, &mut out);
             out
         })
         .collect()
@@ -1252,11 +1218,16 @@ fn split_neighbor_chunks<T: BufferElement>(
             ),
         ));
     }
-    let chunk_bytes = send.len() / degree * T::width();
-    let payload = slice_to_bytes(send);
-    Ok((0..degree)
-        .map(|j| payload[j * chunk_bytes..(j + 1) * chunk_bytes].to_vec())
-        .collect())
+    Ok(wire_chunks(send, degree))
+}
+
+/// The wire images of `send`'s `parts` equal consecutive chunks (one per
+/// peer of a scatter / total exchange; `parts` divides `send.len()`).
+fn wire_chunks<T: BufferElement>(send: &[T], parts: usize) -> Vec<Vec<u8>> {
+    let chunk = send.len() / parts;
+    (0..parts)
+        .map(|r| bytes_of(&send[r * chunk..(r + 1) * chunk]).into_owned())
+        .collect()
 }
 
 /// Completion closure attached to a nonblocking-collective request;
@@ -1277,7 +1248,7 @@ fn coll_request<'buf>(
 /// in rank order) into `recv` from its start.
 fn unpack_into<T: BufferElement>(recv: &mut [T]) -> CollUnpack<'_> {
     Box::new(move |bytes: &[u8]| {
-        bytes_to_elements(recv, 0, bytes);
+        store_bytes(bytes, recv);
         Ok(())
     })
 }
@@ -1299,10 +1270,9 @@ fn unpack_neighbor_parts<'buf, T: BufferElement>(
                 continue;
             }
             let end = (cursor + chunk_bytes).min(bytes.len());
-            bytes_to_elements(
-                &mut recv[slot * chunk..(slot + 1) * chunk],
-                0,
+            store_bytes(
                 &bytes[cursor..end],
+                &mut recv[slot * chunk..(slot + 1) * chunk],
             );
             cursor = end;
         }

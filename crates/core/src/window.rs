@@ -56,7 +56,7 @@ use std::sync::Arc;
 
 use mpi_native::{ErrorClass, RmaGetId, WinHandle};
 
-use crate::buffer::{bytes_to_elements, slice_to_bytes, BufferElement};
+use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::exception::{MPIException, MpiResult};
 use crate::op::Op;
 use crate::RankEnv;
@@ -99,7 +99,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
         local: &'buf mut [T],
     ) -> MpiResult<Window<'buf, T>> {
         env.jni.enter("Win.Create");
-        let region = slice_to_bytes(local);
+        let region = bytes_of(local).into_owned();
         let handle = env.engine.lock().win_create(comm, region)?;
         Ok(Window {
             env,
@@ -124,7 +124,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     fn refresh(&mut self) -> MpiResult<()> {
         let mut engine = self.env.engine.lock();
         if engine.win_take_dirty(self.handle)? {
-            bytes_to_elements(self.local, 0, engine.win_region(self.handle)?);
+            store_bytes(engine.win_region(self.handle)?, self.local);
         }
         Ok(())
     }
@@ -132,7 +132,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     /// Push the typed slice into the engine's byte region (after local
     /// stores through [`local_mut`](Window::local_mut)).
     fn publish(&mut self) -> MpiResult<()> {
-        let region = slice_to_bytes(self.local);
+        let region = bytes_of(self.local);
         let mut engine = self.env.engine.lock();
         engine.win_region_mut(self.handle)?.copy_from_slice(&region);
         Ok(())
@@ -160,7 +160,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     /// synchronization.
     pub fn put(&self, target: usize, offset: usize, data: &[T]) -> MpiResult<()> {
         self.env.jni.enter("Win.Put");
-        let payload = slice_to_bytes(data);
+        let payload = bytes_of(data);
         let mut engine = self.env.engine.lock();
         engine.win_put(self.handle, target, offset * T::width(), &payload)?;
         Ok(())
@@ -196,7 +196,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
                 "accumulate requires a predefined reduction (the op code travels on the wire)",
             ));
         };
-        let payload = slice_to_bytes(data);
+        let payload = bytes_of(data);
         let mut engine = self.env.engine.lock();
         engine.win_accumulate(
             self.handle,
@@ -231,7 +231,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
         let mut engine = self.env.engine.lock();
         let data = engine.win_get_take(self.handle, token.id)?;
         let mut out = vec![T::default(); token.count];
-        bytes_to_elements(&mut out, 0, &data);
+        store_bytes(&data, &mut out);
         engine.recycle(data);
         Ok(out)
     }
@@ -281,7 +281,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
             let mut engine = self.env.engine.lock();
             engine.win_free(self.handle)?
         };
-        bytes_to_elements(self.local, 0, &region);
+        store_bytes(&region, self.local);
         self.freed = true;
         Ok(())
     }
@@ -304,7 +304,7 @@ impl<T: BufferElement> Drop for Window<'_, T> {
         // (drop cannot propagate them); use `free()` to observe them.
         let result = self.env.engine.lock().win_free(self.handle);
         if let Ok(region) = result {
-            bytes_to_elements(self.local, 0, &region);
+            store_bytes(&region, self.local);
         }
     }
 }

@@ -670,22 +670,6 @@ impl Engine {
         }
     }
 
-    /// Record a payload copy a binding layer performed on the engine's
-    /// behalf — the delivery copy of a zero-copy receive completed
-    /// outside the engine (e.g. unpacking a [`p2p`] completion `Bytes`
-    /// into a typed user buffer) — keeping `bytes_copied` a faithful
-    /// whole-datapath count.
-    pub fn note_payload_copy(&mut self, len: usize) {
-        self.stats.bytes_copied += len as u64;
-    }
-
-    /// Hand a spent completion payload back for reuse: if this was the
-    /// last reference to an un-sliced transport buffer, its allocation
-    /// feeds the send-staging pool (no copy either way).
-    pub fn recycle_payload(&mut self, data: bytes::Bytes) {
-        self.recycle(data);
-    }
-
     /// True once [`Engine::finalize`] has run.
     pub fn is_finalized(&self) -> bool {
         self.finalized

@@ -55,10 +55,27 @@
 //!
 //! End to end, an unsegmented transfer therefore costs exactly one copy on
 //! the send side (zero via [`Engine::isend_bytes`]) and exactly one on the
-//! receive side; segmented transfers add the one reassembly copy. The
-//! higher-level `mpijava` wrapper adds its own simulated-JNI marshalling on
-//! the classic (paper-faithful) surface; the idiomatic `rs` surface rides
-//! the single-copy path.
+//! receive side; segmented transfers add the one reassembly copy.
+//!
+//! ### Surface rows
+//!
+//! What the `mpijava` binding adds on top, in passes over the payload per
+//! call made *by the binding* (the engine rows above come after them),
+//! for a dense datatype over a numeric element type. "Before" is the
+//! pipeline the marshal seam of `mpijava::buffer` replaced.
+//!
+//! | call | mode | before | now |
+//! |------|------|--------|-----|
+//! | classic `Send` | `Copy` | 3: element loop over the window, `to_vec`, `pack` | 1: the block copy across the boundary (`Get*ArrayRegion`) |
+//! | classic `Send` | `Pin` | 3: the same code ran in both modes | 0: the engine reads the user's slice |
+//! | classic `Recv` | either | 3: element loop over the window it is about to overwrite, `unpack`, element loop back; the completion `Bytes` dropped, uncounted | 0: [`Engine::recv_into`] delivers into the window's byte view — its one counted copy is the only one |
+//! | classic `Irecv`/`Sendrecv`/collective results | either | 3: as `Recv` | 1: one store from the completion buffer into the window |
+//! | `rs` `send` / `recv_into` | — | as classic `Send`; 1 (a hand-kept twin of `recv_into`) | as classic `Send` / `Recv`: they are the same calls |
+//!
+//! A datatype with holes costs one gather (`pack`) on the way out and
+//! one scatter (`unpack`) into the window on the way in, in both modes;
+//! `bool` and `char` buffers add one conversion pass each way (their
+//! memory is not their wire image).
 
 use bytes::Bytes;
 use mpi_transport::{Frame, FrameHeader, FrameKind};

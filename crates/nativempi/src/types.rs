@@ -51,7 +51,7 @@ pub enum PrimitiveKind {
 
 impl PrimitiveKind {
     /// Size in bytes of one element of this kind.
-    pub fn size(&self) -> usize {
+    pub const fn size(&self) -> usize {
         match self {
             PrimitiveKind::Byte | PrimitiveKind::Boolean | PrimitiveKind::Packed => 1,
             PrimitiveKind::Char | PrimitiveKind::Short => 2,
