@@ -4,7 +4,6 @@
 //! * marshalling copy vs pinning on the simulated JNI boundary,
 //! * object serialization (`MPI.OBJECT`) vs derived datatypes for strided
 //!   data,
-//! * SPSC ring vs mutex mailbox for the shared-memory fast path,
 //! * collective algorithm (linear vs binomial tree vs recursive doubling
 //!   vs ring) per device — the Figure-5/6-style axis for the collective
 //!   subsystem (full sweep: the `collectives` binary).
@@ -15,8 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use mpi_transport::ring::spsc_ring;
-use mpi_transport::{DeviceKind, Fabric, FabricConfig};
+use mpi_transport::DeviceKind;
 use mpijava::{Datatype, JniConfig, MarshalMode, MpiRuntime, Serializable};
 
 fn time_it(f: impl FnOnce()) -> Duration {
@@ -160,71 +158,7 @@ fn ablation_serialization() {
     println!();
 }
 
-/// Ablation 4: the lock-free SPSC ring against the mutex mailbox that the
-/// shared-memory device uses.
-fn ablation_ring() {
-    println!("== ablation: SPSC ring vs mutex mailbox (1M small transfers) ==");
-    const N: u64 = 1_000_000;
-
-    let ring_time = {
-        let (tx, rx) = spsc_ring::<u64>(1024);
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                tx.push(i);
-            }
-        });
-        let start = Instant::now();
-        let mut sum = 0u64;
-        for _ in 0..N {
-            sum = sum.wrapping_add(rx.pop());
-        }
-        let elapsed = start.elapsed();
-        producer.join().expect("producer");
-        std::hint::black_box(sum);
-        elapsed
-    };
-
-    let mailbox_time = {
-        let fabric = Fabric::build(FabricConfig::new(2, DeviceKind::ShmFast)).expect("fabric");
-        let mut eps = fabric.into_endpoints();
-        let b = eps.pop().expect("endpoint");
-        let a = eps.pop().expect("endpoint");
-        use mpi_transport::{Frame, FrameHeader, FrameKind};
-        let producer = std::thread::spawn(move || {
-            for i in 0..N {
-                let header = FrameHeader {
-                    kind: FrameKind::Eager,
-                    src: 0,
-                    dst: 1,
-                    tag: (i % 1024) as i32,
-                    context: 0,
-                    token: i,
-                    msg_len: 0,
-                };
-                a.send(Frame::control(header)).expect("send");
-            }
-        });
-        let start = Instant::now();
-        for _ in 0..N {
-            b.recv().expect("recv");
-        }
-        let elapsed = start.elapsed();
-        producer.join().expect("producer");
-        elapsed
-    };
-
-    println!(
-        "  spsc ring     : {:>8.1} ns per transfer",
-        ring_time.as_nanos() as f64 / N as f64
-    );
-    println!(
-        "  mutex mailbox : {:>8.1} ns per transfer",
-        mailbox_time.as_nanos() as f64 / N as f64
-    );
-    println!();
-}
-
-/// Ablation 5: the collective-algorithm axis. Bcast and allreduce at a
+/// Ablation 4: the collective-algorithm axis. Bcast and allreduce at a
 /// bandwidth-bound payload on eight ranks, each algorithm pinned through
 /// `MpiRuntime::coll_algorithm` (the programmatic form of
 /// `MPIJAVA_COLL_ALG`); `auto` is the tuned size-aware selector.
@@ -267,6 +201,5 @@ fn main() {
     ablation_eager();
     ablation_pin();
     ablation_serialization();
-    ablation_ring();
     ablation_collectives();
 }

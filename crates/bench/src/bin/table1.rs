@@ -2,8 +2,13 @@
 //! messages over every stack, in Shared-Memory and Distributed-Memory mode.
 //!
 //! ```text
-//! cargo run --release -p mpi-bench --bin table1 [--calibrate-1999] [--reps N]
+//! cargo run --release -p mpi-bench --bin table1 [--calibrate-1999] [--reps N] [--sm-limit-us X]
 //! ```
+//!
+//! `--sm-limit-us X` turns the run into a gate: exit status 1 if any SM
+//! column reads more than `X` microseconds. CI uses it for the one-core
+//! drill (`taskset -c 0`): a receiver that polls without yielding turns a
+//! same-core message into a scheduler timeslice, i.e. milliseconds.
 
 use mpi_bench::pingpong::{run_pingpong, Calibration, Mode, PingPongSpec, Stack};
 use mpi_bench::report::format_table1;
@@ -21,6 +26,11 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(200usize);
+    let sm_limit_us: Option<f64> = args.iter().position(|a| a == "--sm-limit-us").map(|i| {
+        args.get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .expect("--sm-limit-us takes a number of microseconds")
+    });
 
     println!("mpiJava reproduction — Table 1 (1-byte message latency)");
     println!(
@@ -66,4 +76,19 @@ fn main() {
     println!("      Wsock     WMPI-C     WMPI-J    MPICH-C    MPICH-J");
     println!("  SM  144.8       67.2      161.4      148.7      374.6");
     println!("  DM  244.9      623.9      689.7      679.1      961.2");
+
+    if let Some(limit) = sm_limit_us {
+        let slow: Vec<String> = rows
+            .iter()
+            .filter(|(mode, _)| *mode == Mode::SharedMemory)
+            .flat_map(|(_, entries)| entries)
+            .filter(|(_, us)| *us > limit)
+            .map(|(stack, us)| format!("{} {us:.1} us", stack.label()))
+            .collect();
+        if !slow.is_empty() {
+            eprintln!("SM latency over the {limit} us limit: {}", slow.join(", "));
+            std::process::exit(1);
+        }
+        println!("gate passed: every SM column within {limit} us");
+    }
 }

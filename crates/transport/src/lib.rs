@@ -18,8 +18,6 @@
 //! * [`tcp::TcpDevice`] — a socket device for DM mode, running over
 //!   loopback TCP, optionally shaped by a [`netmodel::NetworkModel`]
 //!   reproducing the paper's 10BaseT Ethernet link.
-//! * [`ring::spsc_ring`] — a lock-free single-producer/single-consumer ring
-//!   used as the fast path of the SHM device (ablation: ring vs mutex).
 //! * [`hybrid::HybridDevice`] — a multi-fabric device for cluster-shaped
 //!   jobs: a [`NodeMap`] places ranks on nodes, intra-node traffic takes
 //!   the shm-class path and inter-node traffic the modelled link, each
@@ -47,7 +45,6 @@ pub mod mailbox;
 pub mod netmodel;
 pub mod nodemap;
 pub mod p4;
-pub mod ring;
 pub mod shm;
 pub mod spool;
 pub mod tcp;

@@ -15,7 +15,7 @@
 //! WMPI-vs-MPICH columns show.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -74,15 +74,20 @@ impl P4Endpoint {
         }
     }
 
-    /// Move every staged frame addressed to this rank into its inbox,
-    /// performing the extra device-buffer copy that ch_p4 performs.
+    /// Move one staged frame into this rank's inbox, performing the extra
+    /// device-buffer copy that ch_p4 performs.
+    fn deliver(&self, mut staged: Frame) -> Result<()> {
+        // The extra copy: device buffer -> receive queue buffer.
+        if !staged.payload.is_empty() {
+            staged.payload = Bytes::from(staged.payload.to_vec());
+        }
+        self.inboxes[self.rank].push(staged, None)
+    }
+
+    /// Move every staged frame addressed to this rank into its inbox.
     fn progress(&self) -> Result<()> {
-        while let Some(mut staged) = self.staging[self.rank].try_pop()? {
-            // The extra copy: device buffer -> receive queue buffer.
-            if !staged.payload.is_empty() {
-                staged.payload = Bytes::from(staged.payload.to_vec());
-            }
-            self.inboxes[self.rank].push(staged, None)?;
+        while let Some(staged) = self.staging[self.rank].try_pop()? {
+            self.deliver(staged)?;
         }
         Ok(())
     }
@@ -107,18 +112,8 @@ impl Endpoint for P4Endpoint {
 
     fn recv(&self) -> Result<Frame> {
         loop {
-            self.progress()?;
-            if let Some(frame) = self.inboxes[self.rank].try_pop()? {
+            if let Some(frame) = self.recv_timeout(Duration::MAX)? {
                 return Ok(frame);
-            }
-            // Nothing ready yet: wait on the staging queue so we are woken
-            // when a sender enqueues, then loop back through progress().
-            if let Some(staged) = self.staging[self.rank].pop_timeout(Duration::from_millis(50))? {
-                let mut staged = staged;
-                if !staged.payload.is_empty() {
-                    staged.payload = Bytes::from(staged.payload.to_vec());
-                }
-                self.inboxes[self.rank].push(staged, None)?;
             }
         }
     }
@@ -129,25 +124,25 @@ impl Endpoint for P4Endpoint {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Frame>> {
-        let deadline = std::time::Instant::now() + timeout;
+        // A timeout too large to add to the clock means "no deadline".
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             self.progress()?;
             if let Some(frame) = self.inboxes[self.rank].try_pop()? {
                 return Ok(Some(frame));
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            let remaining = deadline - now;
-            if let Some(staged) =
-                self.staging[self.rank].pop_timeout(remaining.min(Duration::from_millis(20)))?
-            {
-                let mut staged = staged;
-                if !staged.payload.is_empty() {
-                    staged.payload = Bytes::from(staged.payload.to_vec());
+            // Nothing ready yet: wait on the staging queue so we are woken
+            // when a sender enqueues, then loop back through progress().
+            let mut wait = Duration::from_millis(20);
+            if let Some(deadline) = deadline {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Ok(None);
                 }
-                self.inboxes[self.rank].push(staged, None)?;
+                wait = wait.min(deadline - now);
+            }
+            if let Some(staged) = self.staging[self.rank].pop_timeout(wait)? {
+                self.deliver(staged)?;
             }
         }
     }
@@ -243,5 +238,13 @@ mod tests {
         let eps = fabric(2);
         let got = eps[1].recv_timeout(Duration::from_millis(30)).unwrap();
         assert!(got.is_none());
+    }
+
+    #[test]
+    fn recv_timeout_too_large_for_the_clock_means_no_deadline() {
+        let eps = fabric(2);
+        eps[0].send(frame(0, 1, 3, b"late")).unwrap();
+        let got = eps[1].recv_timeout(Duration::MAX).unwrap();
+        assert_eq!(got.expect("frame was staged").header.tag, 3);
     }
 }
