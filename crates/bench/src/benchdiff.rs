@@ -395,6 +395,25 @@ mod tests {
         assert!(report.notes.is_empty(), "{}", report.render());
     }
 
+    /// The shape of the committed `BENCH_collectives.json`: unversioned,
+    /// sectioned, rows told apart only by numeric identity members. It
+    /// parses, keys every row uniquely and self-diffs clean — the one
+    /// thing CI's old self-diff of that file could check.
+    #[test]
+    fn unversioned_sectioned_files_parse_and_self_diff_clean() {
+        let legacy = r#"{
+          "cells": [
+            {"op": "bcast", "payload_bytes": 0, "ranks": 2, "us_per_op": 13.100},
+            {"op": "bcast", "payload_bytes": 4096, "ranks": 2, "us_per_op": 27.561}
+          ],
+          "persistent": [{"op": "allreduce", "payload_bytes": 1024, "speedup": 1.085}]
+        }"#;
+        let report = diff_bench_json(legacy, legacy, 0.25).unwrap();
+        assert!(report.entries.is_empty(), "{}", report.render());
+        assert_eq!(report.compared, 3);
+        assert_eq!(report.notes, ["both files are legacy (unversioned)"]);
+    }
+
     #[test]
     fn unmatched_rows_become_notes() {
         let after = BEFORE.replace("\"bytes\": 1024", "\"bytes\": 2048");

@@ -20,7 +20,7 @@ use crate::buffer::{bytes_of, with_bytes_mut, BufferElement};
 use crate::datatype::Datatype;
 use crate::exception::{MPIException, MpiResult};
 use crate::group::Group;
-use crate::request::{Prequest, Request};
+use crate::request::{Capture, Pending, Prequest, Request, Target};
 use crate::serial::{deserialize, serialize, Serializable};
 use crate::status::Status;
 use crate::RankEnv;
@@ -90,6 +90,32 @@ fn window_range<T: BufferElement>(
             too_small,
             format!("buffer too small: offset {offset} + span {span} > length {len}"),
         )),
+    }
+}
+
+/// What a point-to-point request captures — the array region of the real
+/// stub layer: `count` instances of `datatype` at element `offset` of
+/// `buf`, re-read on every start of a persistent send (`&[T]`, lent under
+/// `Pin`), stored into when a receive completes (`&mut [T]`).
+struct Region<B> {
+    comm: Comm,
+    buf: B,
+    offset: usize,
+    count: usize,
+    datatype: Datatype,
+}
+
+impl<T: BufferElement> Capture for Region<&[T]> {
+    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
+        self.comm
+            .pack_buffer(self.buf, self.offset, self.count, &self.datatype)
+    }
+}
+
+impl<T: BufferElement> Capture for Region<&mut [T]> {
+    fn unpack(&mut self, wire: &[u8]) -> MpiResult<()> {
+        self.comm
+            .unpack_buffer(wire, self.buf, self.offset, self.count, &self.datatype)
     }
 }
 
@@ -224,6 +250,16 @@ impl Comm {
             pack::unpack(wire, image, 0, count, datatype.def())
         })?;
         Ok(())
+    }
+
+    fn region<B>(&self, buf: B, offset: usize, count: usize, datatype: &Datatype) -> Region<B> {
+        Region {
+            comm: self.clone(),
+            buf,
+            offset,
+            count,
+            datatype: datatype.clone(),
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -428,7 +464,7 @@ impl Comm {
             .engine
             .lock()
             .isend(self.handle, dest, tag, &payload, mode)?;
-        Ok(Request::send(Arc::clone(&self.env), id))
+        Ok(Pending::new(&self.env, Target::P2p(id), ()).into())
     }
 
     /// `Comm.Isend`.
@@ -540,13 +576,12 @@ impl Comm {
             .engine
             .lock()
             .irecv(self.handle, source, tag, Some(max_len))?;
-        let comm = self.clone();
-        let datatype = datatype.clone();
-        Ok(Request::recv(
-            Arc::clone(&self.env),
-            id,
-            Box::new(move |wire: &[u8]| comm.unpack_buffer(wire, window, 0, count, &datatype)),
-        ))
+        Ok(Pending::new(
+            &self.env,
+            Target::P2p(id),
+            self.region(window, 0, count, datatype),
+        )
+        .into())
     }
 
     // ------------------------------------------------------------------
@@ -572,16 +607,8 @@ impl Comm {
             &payload,
             SendMode::Standard,
         )?;
-        let comm = self.clone();
-        let datatype = datatype.clone();
-        Ok(Prequest::send(
-            Arc::clone(&self.env),
-            id,
-            Box::new(move || {
-                comm.pack_buffer(buf, offset, count, &datatype)
-                    .map(Cow::into_owned)
-            }),
-        ))
+        let region = self.region(buf, offset, count, datatype);
+        Ok(Pending::new(&self.env, Target::PersistentP2p(id), region).into())
     }
 
     /// `Comm.Recv_init`: build a persistent receive request.
@@ -601,13 +628,8 @@ impl Comm {
             .engine
             .lock()
             .recv_init(self.handle, source, tag, Some(max_len))?;
-        let comm = self.clone();
-        let datatype = datatype.clone();
-        Ok(Prequest::recv(
-            Arc::clone(&self.env),
-            id,
-            Box::new(move |wire: &[u8]| comm.unpack_buffer(wire, window, 0, count, &datatype)),
-        ))
+        let region = self.region(window, 0, count, datatype);
+        Ok(Pending::new(&self.env, Target::PersistentP2p(id), region).into())
     }
 
     // ------------------------------------------------------------------

@@ -151,6 +151,13 @@
 //! The classic surface keeps its paper-faithful persistent pair:
 //! `Comm.Send_init` / `Comm.Recv_init` returning a [`Prequest`].
 //!
+//! A persistent send re-reads its buffer on every `start()`, the C idiom
+//! of reusing the buffer by address: under [`MarshalMode::Pin`] by
+//! reference — the engine takes its stored copy straight from the
+//! caller's slice — and under [`MarshalMode::Copy`] through one boundary
+//! copy first. Both shells and every other request are views of one
+//! pending-operation machine (see [`request`]).
+//!
 //! ### Progress: manual (default) and background-thread
 //!
 //! By default progress happens inside `test()`/`wait()` calls (and

@@ -1,193 +1,332 @@
-//! The `Request` and `Prequest` classes (mpiJava `Request`, `Prequest`).
+//! The `Request` and `Prequest` classes (mpiJava `Request`, `Prequest`)
+//! and their RAII twins of the idiomatic surface.
 //!
 //! A non-blocking receive in mpiJava hands the Java array to the wrapper,
 //! which fills it when the communication completes. The Rust equivalent is
-//! a [`Request`] that mutably borrows the receive buffer until it has been
+//! a request that mutably borrows the receive buffer until it has been
 //! waited on (or freed), so the type system enforces the rule MPI states
 //! informally: do not touch a buffer while a non-blocking operation is
 //! using it.
 //!
-//! `Prequest` is the persistent variant created by `Send_init` /
-//! `Recv_init` and restarted with `Start` / `Startall` (mpiJava routes
-//! `Start` through `Prequest`).
+//! ## One machine, four shells
+//!
+//! In mpiJava `Prequest` is a subclass of `Request`: one handle, one
+//! completion path. Here every handle is a shell over one private pending
+//! operation: the engine object it completes (its *target*), a capture of
+//! the caller's buffers — `pack` this rank's input on each start, `unpack`
+//! a completion's bytes into the buffer — and whether it is active. Start,
+//! poll, wait, cancel and release each have one body, and so does the
+//! completion tail: an engine completion or collective outcome becomes
+//! bytes plus a [`Status`], and the bytes go to the capture. A failed
+//! completion leaves the handle inactive — a persistent one startable
+//! again. The shells differ only in policy:
+//!
+//! | shell | misuse | status once complete | drop while active | drop while unwinding |
+//! |---|---|---|---|---|
+//! | [`Request`] | `wait` after completion errors | returned once | nothing | nothing |
+//! | [`Prequest`] | `start` while active, `wait` while inactive error | returned once | nothing | nothing |
+//! | [`TypedRequest`] | unrepresentable: `wait` consumes | cached: `wait` after `test` returns it | waits | abandons |
+//! | [`PersistentRequest`] | `start` while active errors | `wait` / `test` while inactive: empty | quiesces and releases | abandons |
+//!
+//! | target | made by | start | poll / wait | cancel | release |
+//! |---|---|---|---|---|---|
+//! | point-to-point | `isend` / `irecv` family | born active | `test` / `wait` | `cancel` | `request_free`: withdraws a pending receive |
+//! | collective | `rs` `i*` collectives | born active | `coll_test` / `coll_wait` | unsupported | `coll_abandon`: driven to completion |
+//! | persistent point-to-point | `send_init` / `recv_init` | `persistent_set_data` (sends), `start` | `test` / `wait` | – | quiesce, then `request_free` |
+//! | persistent collective | `rs` `*_init` collectives | `coll_start_persistent` | `coll_test_persistent` / `coll_wait_persistent` | – | `coll_free_persistent`: quiesces itself |
+//!
+//! Abandoning withdraws a point-to-point request and leaves anything
+//! collective to the job's teardown: driving it could block on peers
+//! that will never act once this rank's abort lands.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use mpi_native::{CollOutcome, CollRequestId, ErrorClass, PersistentCollId, RequestId};
+use bytes::Bytes;
+use mpi_native::request::Completion;
+use mpi_native::{CollOutcome, CollRequestId, ErrorClass, PersistentCollId, RequestId, StatusInfo};
 
 use crate::exception::{MPIException, MpiResult};
 use crate::status::Status;
 use crate::RankEnv;
 
-type UnpackOnce<'buf> = Box<dyn FnOnce(&[u8]) -> MpiResult<()> + Send + 'buf>;
-type UnpackMut<'buf> = Box<dyn FnMut(&[u8]) -> MpiResult<()> + Send + 'buf>;
-type Repack<'buf> = Box<dyn Fn() -> MpiResult<Vec<u8>> + Send + 'buf>;
-
-/// What engine object a [`Request`] completes: a point-to-point request
-/// or a nonblocking-collective schedule. The two share every completion
-/// surface (`wait`, `test`, batches, RAII), which is what lets a
-/// heterogeneous [`TypedRequest::wait_all`] batch mix them freely.
+/// The engine object a pending operation completes.
 #[derive(Debug, Clone, Copy)]
-enum ReqId {
+pub(crate) enum Target {
     P2p(RequestId),
     Coll(CollRequestId),
+    PersistentP2p(RequestId),
+    PersistentColl(PersistentCollId),
 }
 
-/// Handle to an outstanding non-blocking operation.
-pub struct Request<'buf> {
+impl From<CollRequestId> for Target {
+    fn from(id: CollRequestId) -> Target {
+        Target::Coll(id)
+    }
+}
+
+impl From<PersistentCollId> for Target {
+    fn from(id: PersistentCollId) -> Target {
+        Target::PersistentColl(id)
+    }
+}
+
+/// The caller's buffers as a pending operation sees them. `pack` is this
+/// rank's input for one start, re-read from the buffer each time (the C
+/// idiom of reusing the buffer by address); `unpack` stores one
+/// completion's bytes. Both default to nothing, so `()` captures an
+/// operation without buffers (a send marshalled at call time, a barrier).
+pub(crate) trait Capture: Send {
+    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
+        Ok(Cow::Borrowed(&[]))
+    }
+
+    fn unpack(&mut self, _bytes: &[u8]) -> MpiResult<()> {
+        Ok(())
+    }
+}
+
+impl Capture for () {}
+
+/// The one pending-operation type every handle is a view of.
+pub(crate) struct Pending<'buf> {
     env: Arc<RankEnv>,
-    id: ReqId,
-    unpack: Option<UnpackOnce<'buf>>,
-    done: bool,
+    target: Target,
+    capture: Box<dyn Capture + 'buf>,
+    active: bool,
 }
 
-impl std::fmt::Debug for Request<'_> {
+impl std::fmt::Debug for Pending<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Request")
-            .field("id", &self.id)
-            .field("done", &self.done)
+        f.debug_struct("Pending")
+            .field("target", &self.target)
+            .field("active", &self.active)
             .finish()
     }
 }
 
+impl<'buf> Pending<'buf> {
+    /// Transient operations are born active; persistent ones wait for
+    /// their first start.
+    pub(crate) fn new(
+        env: &Arc<RankEnv>,
+        target: Target,
+        capture: impl Capture + 'buf,
+    ) -> Pending<'buf> {
+        Pending {
+            env: Arc::clone(env),
+            target,
+            capture: Box::new(capture),
+            active: matches!(target, Target::P2p(_) | Target::Coll(_)),
+        }
+    }
+
+    /// Count one boundary crossing.
+    fn enter(&mut self, name: &'static str) -> &mut Self {
+        self.env.jni.enter(name);
+        self
+    }
+
+    fn p2p_id(&self) -> Option<RequestId> {
+        match self.target {
+            Target::P2p(id) => Some(id),
+            _ => None,
+        }
+    }
+
+    /// (Re)activate a persistent operation with the capture's current
+    /// input.
+    fn start(&mut self) -> MpiResult<()> {
+        let input = self.capture.pack()?;
+        let mut engine = self.env.engine.lock();
+        match self.target {
+            // A receive packs nothing, and a send whose input is empty
+            // stored that empty payload at init.
+            Target::PersistentP2p(id) => {
+                if !input.is_empty() {
+                    engine.persistent_set_data(id, &input)?;
+                }
+                engine.start(id)?;
+            }
+            Target::PersistentColl(id) => engine.coll_start_persistent(id, &input)?,
+            Target::P2p(_) | Target::Coll(_) => {
+                return Err(MPIException::new(
+                    ErrorClass::Request,
+                    "only a persistent request can be started",
+                ))
+            }
+        }
+        self.active = true;
+        Ok(())
+    }
+
+    /// Engine-side completion check without a boundary crossing: the
+    /// building block of `test` and of the batches. `None` while in
+    /// flight, and for an inactive operation.
+    fn poll(&mut self) -> MpiResult<Option<Status>> {
+        if !self.active {
+            return Ok(None);
+        }
+        let mut engine = self.env.engine.lock();
+        let done = match self.target {
+            Target::P2p(id) | Target::PersistentP2p(id) => engine.test(id),
+            Target::Coll(id) => engine.coll_test(id).map(|o| o.map(coll_completion)),
+            Target::PersistentColl(id) => engine
+                .coll_test_persistent(id)
+                .map(|o| o.map(coll_completion)),
+        };
+        drop(engine);
+        done.transpose().map(|done| self.complete(done)).transpose()
+    }
+
+    /// Block until the active operation completes.
+    fn wait(&mut self) -> MpiResult<Status> {
+        let mut engine = self.env.engine.lock();
+        let done = match self.target {
+            Target::P2p(id) | Target::PersistentP2p(id) => engine.wait(id),
+            Target::Coll(id) => engine.coll_wait(id).map(coll_completion),
+            Target::PersistentColl(id) => engine.coll_wait_persistent(id).map(coll_completion),
+        };
+        drop(engine);
+        self.complete(done)
+    }
+
+    /// The one completion tail: inactive from here on, failed or not, and
+    /// the completion's bytes (if any) go to the capture.
+    fn complete(&mut self, done: mpi_native::Result<Completion>) -> MpiResult<Status> {
+        self.active = false;
+        let done = done?;
+        if let Some(data) = &done.data {
+            self.capture.unpack(data)?;
+        }
+        Ok(Status::from_info(done.status))
+    }
+
+    fn cancel(&mut self) -> MpiResult<()> {
+        match self.target {
+            Target::P2p(id) | Target::PersistentP2p(id) => Ok(self.env.engine.lock().cancel(id)?),
+            Target::Coll(_) | Target::PersistentColl(_) => Err(MPIException::new(
+                ErrorClass::Unsupported,
+                "nonblocking collectives cannot be cancelled",
+            )),
+        }
+    }
+
+    /// Release the engine object (the table in the module docs); an
+    /// active persistent point-to-point iteration is driven to completion
+    /// and discarded first.
+    fn release(&mut self) -> MpiResult<()> {
+        if self.active && matches!(self.target, Target::PersistentP2p(_)) {
+            self.capture = Box::new(());
+            let _ = self.wait();
+        }
+        self.active = false;
+        let mut engine = self.env.engine.lock();
+        Ok(match self.target {
+            Target::P2p(id) | Target::PersistentP2p(id) => engine.request_free(id),
+            Target::Coll(id) => engine.coll_abandon(id),
+            Target::PersistentColl(id) => engine.coll_free_persistent(id),
+        }?)
+    }
+
+    /// Let go without blocking — the panic-unwind path.
+    fn abandon(&mut self) {
+        if let (true, Target::P2p(id)) = (self.active, self.target) {
+            let _ = self.env.engine.lock().request_free(id);
+        }
+        self.active = false;
+    }
+}
+
+/// A collective outcome as a completion: gather-family parts flattened in
+/// rank order, the byte count as the status.
+fn coll_completion(outcome: CollOutcome) -> Completion {
+    let mut status = StatusInfo::empty();
+    let data = match outcome {
+        CollOutcome::Done => return Completion { status, data: None },
+        CollOutcome::Buffer(buffer) => buffer,
+        CollOutcome::Parts(parts) => parts.concat(),
+    };
+    status.count_bytes = data.len();
+    Completion {
+        status,
+        data: Some(Bytes::from(data)),
+    }
+}
+
+fn empty() -> Status {
+    Status::from_info(StatusInfo::empty())
+}
+
+fn misuse(message: &str) -> MPIException {
+    MPIException::new(ErrorClass::Request, message)
+}
+
+impl<'buf> From<Pending<'buf>> for Request<'buf> {
+    fn from(op: Pending<'buf>) -> Self {
+        Request { op }
+    }
+}
+
+impl<'buf> From<Pending<'buf>> for TypedRequest<'buf> {
+    fn from(op: Pending<'buf>) -> Self {
+        TypedRequest { op, status: None }
+    }
+}
+
+impl<'buf> From<Pending<'buf>> for Prequest<'buf> {
+    fn from(op: Pending<'buf>) -> Self {
+        Prequest { op }
+    }
+}
+
+impl<'buf> From<Pending<'buf>> for PersistentRequest<'buf> {
+    fn from(op: Pending<'buf>) -> Self {
+        PersistentRequest { op, freed: false }
+    }
+}
+
+/// Handle to an outstanding non-blocking operation.
+#[derive(Debug)]
+pub struct Request<'buf> {
+    pub(crate) op: Pending<'buf>,
+}
+
 impl<'buf> Request<'buf> {
-    pub(crate) fn send(env: Arc<RankEnv>, id: RequestId) -> Request<'static> {
-        Request {
-            env,
-            id: ReqId::P2p(id),
-            unpack: None,
-            done: false,
-        }
-    }
-
-    pub(crate) fn recv(
-        env: Arc<RankEnv>,
-        id: RequestId,
-        unpack: UnpackOnce<'buf>,
-    ) -> Request<'buf> {
-        Request {
-            env,
-            id: ReqId::P2p(id),
-            unpack: Some(unpack),
-            done: false,
-        }
-    }
-
-    /// A nonblocking-collective request ([`crate::rs`]'s `i*` collective
-    /// methods). `unpack` delivers the collective's outcome bytes
-    /// (gather-family outcomes arrive flattened in rank order) into the
-    /// caller's buffer; `None` for outcome-free collectives (barrier)
-    /// and rooted collectives on non-root ranks.
-    pub(crate) fn coll(
-        env: Arc<RankEnv>,
-        id: CollRequestId,
-        unpack: Option<UnpackOnce<'buf>>,
-    ) -> Request<'buf> {
-        Request {
-            env,
-            id: ReqId::Coll(id),
-            unpack,
-            done: false,
-        }
-    }
-
     /// Engine-level id (exposed for diagnostics); `None` for
     /// collective-backed requests, whose engine handle lives in a
     /// different id space.
     pub fn id(&self) -> Option<RequestId> {
-        match self.id {
-            ReqId::P2p(id) => Some(id),
-            ReqId::Coll(_) => None,
-        }
+        self.op.p2p_id()
     }
 
     /// True once the request has been waited on / tested to completion.
     pub fn is_void(&self) -> bool {
-        self.done
-    }
-
-    fn finish(&mut self, completion: mpi_native::request::Completion) -> MpiResult<Status> {
-        self.done = true;
-        if let (Some(unpack), Some(data)) = (self.unpack.take(), completion.data.as_ref()) {
-            unpack(data)?;
-        }
-        Ok(Status::from_info(completion.status))
-    }
-
-    fn finish_coll(&mut self, outcome: CollOutcome) -> MpiResult<Status> {
-        self.done = true;
-        let unpack = self.unpack.take();
-        finish_coll(outcome, |bytes| unpack.map_or(Ok(()), |f| f(bytes)))
-    }
-
-    /// Engine-side completion check without the simulated JNI crossing —
-    /// the building block of the batched waits over mixed batches.
-    fn poll(&mut self) -> MpiResult<Option<Status>> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.id {
-            ReqId::P2p(id) => {
-                let completion = self.env.engine.lock().test(id)?;
-                match completion {
-                    Some(completion) => Ok(Some(self.finish(completion)?)),
-                    None => Ok(None),
-                }
-            }
-            ReqId::Coll(id) => {
-                let outcome = self.env.engine.lock().coll_test(id)?;
-                match outcome {
-                    Some(outcome) => Ok(Some(self.finish_coll(outcome)?)),
-                    None => Ok(None),
-                }
-            }
-        }
+        !self.op.active
     }
 
     /// `Request.Wait()`: block until complete, fill the receive buffer and
     /// return the `Status`.
     pub fn wait(&mut self) -> MpiResult<Status> {
-        if self.done {
-            return Err(MPIException::new(
-                ErrorClass::Request,
-                "request has already completed",
-            ));
+        if !self.op.active {
+            return Err(misuse("request has already completed"));
         }
-        self.env.jni.enter("Request.Wait");
-        match self.id {
-            ReqId::P2p(id) => {
-                let completion = self.env.engine.lock().wait(id)?;
-                self.finish(completion)
-            }
-            ReqId::Coll(id) => {
-                let outcome = self.env.engine.lock().coll_wait(id)?;
-                self.finish_coll(outcome)
-            }
-        }
+        self.op.enter("Request.Wait").wait()
     }
 
     /// `Request.Test()`: `Some(status)` if complete, `None` otherwise (the
     /// paper's null-for-failure convention, §2.1).
     pub fn test(&mut self) -> MpiResult<Option<Status>> {
-        if self.done {
+        if !self.op.active {
             return Ok(None);
         }
-        self.env.jni.enter("Request.Test");
-        self.poll()
+        self.op.enter("Request.Test").poll()
     }
 
     /// `Request.Cancel()`. Nonblocking collectives cannot be cancelled
     /// (the standard's rule — every rank participates).
     pub fn cancel(&mut self) -> MpiResult<()> {
-        self.env.jni.enter("Request.Cancel");
-        match self.id {
-            ReqId::P2p(id) => Ok(self.env.engine.lock().cancel(id)?),
-            ReqId::Coll(_) => Err(MPIException::new(
-                ErrorClass::Unsupported,
-                "nonblocking collectives cannot be cancelled",
-            )),
-        }
+        self.op.enter("Request.Cancel").cancel()
     }
 
     /// `Request.Free()`: release the request without inspecting its
@@ -196,97 +335,40 @@ impl<'buf> Request<'buf> {
     /// participates), so it is driven to completion and its outcome
     /// discarded — the handle quiesces either way.
     pub fn free(mut self) -> MpiResult<()> {
-        self.env.jni.enter("Request.Free");
-        self.done = true;
-        match self.id {
-            ReqId::P2p(id) => Ok(self.env.engine.lock().request_free(id)?),
-            ReqId::Coll(id) => Ok(self.env.engine.lock().coll_abandon(id)?),
-        }
-    }
-
-    /// Abandon the handle without blocking — the panic-unwind escape
-    /// hatch. A point-to-point receive is withdrawn; a collective's
-    /// engine-side schedule is left in place (driving it could block on
-    /// peers that will never act once this rank's abort lands, and the
-    /// job is about to tear down anyway).
-    pub(crate) fn forget(mut self) {
-        self.done = true;
-        if let ReqId::P2p(id) = self.id {
-            let _ = self.env.engine.lock().request_free(id);
-        }
+        self.op.enter("Request.Free").release()
     }
 
     /// `Request.Waitall(requests)`: complete every request, returning the
     /// statuses in order.
     pub fn wait_all(requests: &mut [Request<'buf>]) -> MpiResult<Vec<Status>> {
-        requests.iter_mut().map(|r| r.wait()).collect()
+        requests.iter_mut().map(Request::wait).collect()
     }
 
     /// `Request.Waitany(requests)`: wait for one to complete; its index is
     /// recorded in the returned status (`status.index()`), mirroring the
-    /// extra field the paper adds to `Status`. Batches mixing
-    /// point-to-point and collective requests are completed by polling
-    /// (each poll drives the engine's progress, collectives included).
+    /// extra field the paper adds to `Status`. The batch may mix
+    /// point-to-point and collective requests: each member is polled
+    /// (every poll drives the engine's progress, collectives included),
+    /// then the rank parks on the transport until the next frame.
     pub fn wait_any(requests: &mut [Request<'buf>]) -> MpiResult<Status> {
-        if requests.is_empty() {
-            return Err(MPIException::new(
-                ErrorClass::Request,
-                "Waitany on empty array",
-            ));
-        }
-        let env = Arc::clone(&requests[0].env);
+        let Some(first) = requests.first() else {
+            return Err(misuse("Waitany on empty array"));
+        };
+        let env = Arc::clone(&first.op.env);
         env.jni.enter("Request.Waitany");
-        let all_p2p = requests
-            .iter()
-            .all(|r| r.done || matches!(r.id, ReqId::P2p(_)));
-        if !all_p2p {
-            // Mixed batch: poll each member (each poll drives the
-            // engine's progress), then park on the transport until the
-            // next frame instead of spinning — anything still pending
-            // after a full poll is waiting on remote frames.
-            loop {
-                let mut any_pending = false;
-                for (slot, request) in requests.iter_mut().enumerate() {
-                    if request.done {
-                        continue;
-                    }
-                    any_pending = true;
-                    if let Some(status) = request.poll()? {
-                        return Ok(status.with_index(slot));
-                    }
+        loop {
+            let mut any_pending = false;
+            for (slot, request) in requests.iter_mut().enumerate() {
+                any_pending |= request.op.active;
+                if let Some(status) = request.op.poll()? {
+                    return Ok(status.with_index(slot));
                 }
-                if !any_pending {
-                    return Err(MPIException::new(
-                        ErrorClass::Request,
-                        "Waitany: every request has already completed",
-                    ));
-                }
-                env.engine.lock().progress_wait()?;
             }
+            if !any_pending {
+                return Err(misuse("Waitany: every request has already completed"));
+            }
+            env.engine.lock().progress_wait()?;
         }
-        let pending: Vec<RequestId> = requests
-            .iter()
-            .filter(|r| !r.done)
-            .filter_map(|r| match r.id {
-                ReqId::P2p(id) => Some(id),
-                ReqId::Coll(_) => None,
-            })
-            .collect();
-        if pending.is_empty() {
-            return Err(MPIException::new(
-                ErrorClass::Request,
-                "Waitany: every request has already completed",
-            ));
-        }
-        let (_, completion) = env.engine.lock().wait_any(&pending)?;
-        // Map the completed engine request back to its position in the
-        // caller's array.
-        let completed_id = pending[completion.status.index as usize];
-        let slot = requests
-            .iter()
-            .position(|r| matches!(r.id, ReqId::P2p(id) if id == completed_id))
-            .expect("completed request came from this array");
-        Ok(requests[slot].finish(completion)?.with_index(slot))
     }
 
     /// `Request.Testall(requests)`: statuses if every request is complete,
@@ -298,77 +380,43 @@ impl<'buf> Request<'buf> {
     /// `test`). This holds for pure point-to-point batches and for
     /// batches mixing point-to-point and collective requests alike.
     pub fn test_all(requests: &mut [Request<'buf>]) -> MpiResult<Option<Vec<Status>>> {
-        if requests.is_empty() {
+        let Some(first) = requests.first() else {
             return Ok(Some(Vec::new()));
-        }
-        let env = Arc::clone(&requests[0].env);
+        };
+        let env = Arc::clone(&first.op.env);
         env.jni.enter("Request.Testall");
-        let all_p2p = requests
-            .iter()
-            .all(|r| r.done || matches!(r.id, ReqId::P2p(_)));
-        if !all_p2p {
-            // Mixed batch: drive progress once without consuming
-            // anything, then check completion non-destructively. Only
-            // when the whole batch is complete does anyone's buffer get
-            // filled.
-            {
-                let mut engine = env.engine.lock();
-                engine.progress_poll()?;
-                for request in requests.iter() {
-                    if request.done {
-                        continue;
+        {
+            // Drive progress once, then check completion without
+            // consuming anything.
+            let mut engine = env.engine.lock();
+            engine.progress_poll()?;
+            for request in requests.iter().filter(|r| r.op.active) {
+                let complete = match request.op.target {
+                    Target::P2p(id) | Target::PersistentP2p(id) => engine.is_complete(id)?,
+                    Target::Coll(id) => engine.coll_is_complete(id)?,
+                    Target::PersistentColl(_) => {
+                        unreachable!("no persistent collective is a Request")
                     }
-                    let complete = match request.id {
-                        ReqId::P2p(id) => engine.is_complete(id)?,
-                        ReqId::Coll(id) => engine.coll_is_complete(id)?,
-                    };
-                    if !complete {
-                        return Ok(None);
-                    }
+                };
+                if !complete {
+                    return Ok(None);
                 }
-            }
-            let mut statuses = Vec::with_capacity(requests.len());
-            for request in requests.iter_mut() {
-                match request.poll()? {
-                    Some(status) => statuses.push(status),
-                    // Already consumed before this call (request.done).
-                    None => statuses.push(Status::from_info(mpi_native::StatusInfo::empty())),
-                }
-            }
-            return Ok(Some(statuses));
-        }
-        let ids: Vec<RequestId> = requests
-            .iter()
-            .filter(|r| !r.done)
-            .filter_map(|r| match r.id {
-                ReqId::P2p(id) => Some(id),
-                ReqId::Coll(_) => None,
-            })
-            .collect();
-        let completions = env.engine.lock().test_all(&ids)?;
-        match completions {
-            None => Ok(None),
-            Some(completions) => {
-                let mut statuses = Vec::with_capacity(requests.len());
-                let mut it = completions.into_iter();
-                for request in requests.iter_mut() {
-                    if request.done {
-                        statuses.push(Status::from_info(mpi_native::StatusInfo::empty()));
-                    } else {
-                        let completion = it.next().expect("one completion per pending request");
-                        statuses.push(request.finish(completion)?);
-                    }
-                }
-                Ok(Some(statuses))
             }
         }
+        // Members consumed before this call report an empty status.
+        let statuses = requests
+            .iter_mut()
+            .map(|r| Ok(r.op.poll()?.unwrap_or_else(empty)))
+            .collect::<MpiResult<_>>()?;
+        Ok(Some(statuses))
     }
 }
 
 /// RAII handle to a non-blocking operation of the idiomatic API
 /// ([`crate::rs`]).
 ///
-/// Wraps a [`Request`] with ownership-driven completion semantics:
+/// The same pending operation as a [`Request`], with ownership-driven
+/// completion semantics:
 ///
 /// * [`wait`](TypedRequest::wait) consumes the handle and returns the
 ///   [`Status`] — a completed request cannot be waited on twice by
@@ -391,33 +439,19 @@ impl<'buf> Request<'buf> {
 /// covariantly shorten to the caller's buffer lifetime).
 ///
 /// [`test`]: TypedRequest::test
+#[derive(Debug)]
 pub struct TypedRequest<'buf> {
-    inner: Option<Request<'buf>>,
+    op: Pending<'buf>,
     /// Status cached when `test()` observes completion, so a later
     /// `wait()` can return it instead of erroring.
     status: Option<Status>,
 }
 
-impl std::fmt::Debug for TypedRequest<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TypedRequest")
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
 impl<'buf> TypedRequest<'buf> {
-    pub(crate) fn new(inner: Request<'buf>) -> TypedRequest<'buf> {
-        TypedRequest {
-            inner: Some(inner),
-            status: None,
-        }
-    }
-
     /// Engine-level id (exposed for diagnostics); `None` for
     /// collective-backed requests.
     pub fn id(&self) -> Option<RequestId> {
-        self.inner.as_ref().expect("pending request").id()
+        self.op.p2p_id()
     }
 
     /// Block until the operation completes, fill the receive buffer, and
@@ -425,33 +459,25 @@ impl<'buf> TypedRequest<'buf> {
     /// already completed through [`test`](TypedRequest::test), returns
     /// the status that test observed.
     pub fn wait(mut self) -> MpiResult<Status> {
-        let mut request = self.inner.take().expect("pending request");
-        if request.is_void() {
-            let status = self.status.take();
-            return Ok(status.unwrap_or_else(|| Status::from_info(mpi_native::StatusInfo::empty())));
+        if !self.op.active {
+            return Ok(self.status.take().unwrap_or_else(empty));
         }
-        request.wait()
+        self.op.enter("Request.Wait").wait()
     }
 
     /// `Some(status)` if the operation has completed (filling the receive
     /// buffer), `None` if it is still in flight. Once completion has been
     /// observed, further calls keep returning the same status.
     pub fn test(&mut self) -> MpiResult<Option<Status>> {
-        match self.inner.as_mut() {
-            Some(request) if !request.is_void() => {
-                let status = request.test()?;
-                if let Some(status) = &status {
-                    self.status = Some(status.clone());
-                }
-                Ok(status)
-            }
-            _ => Ok(self.status.clone()),
+        if self.op.active {
+            self.status = self.op.enter("Request.Test").poll()?;
         }
+        Ok(self.status.clone())
     }
 
     /// True once the request has completed via [`test`](TypedRequest::test).
     pub fn is_complete(&self) -> bool {
-        self.inner.as_ref().map(Request::is_void).unwrap_or(true)
+        !self.op.active
     }
 
     /// `Request.Cancel()`: ask the engine to cancel the pending
@@ -459,10 +485,10 @@ impl<'buf> TypedRequest<'buf> {
     /// or dropped); the resulting status reports the cancellation.
     /// Cancelling an operation that already completed is a no-op.
     pub fn cancel(&mut self) -> MpiResult<()> {
-        match self.inner.as_mut() {
-            Some(request) if !request.is_void() => request.cancel(),
-            _ => Ok(()),
+        if !self.op.active {
+            return Ok(());
         }
+        self.op.enter("Request.Cancel").cancel()
     }
 
     /// `Request.Free()`: release the request without completing it — the
@@ -477,10 +503,10 @@ impl<'buf> TypedRequest<'buf> {
     /// engine had already committed to *this* request (a rendezvous
     /// transfer in progress) is discarded.
     pub fn free(mut self) -> MpiResult<()> {
-        match self.inner.take() {
-            Some(request) if !request.is_void() => request.free(),
-            _ => Ok(()),
+        if !self.op.active {
+            return Ok(());
         }
+        self.op.enter("Request.Free").release()
     }
 
     /// Complete every request of a batch, returning the statuses in order.
@@ -497,164 +523,65 @@ impl<'buf> TypedRequest<'buf> {
 
 impl Drop for TypedRequest<'_> {
     fn drop(&mut self) {
-        if let Some(mut request) = self.inner.take() {
-            if !request.is_void() {
-                if std::thread::panicking() {
-                    // Unwinding: blocking here could hang the rank on an
-                    // operation whose peer may never act (and mask the
-                    // panic message). Abandon the request instead — no
-                    // user code observes the buffer after a panic, so the
-                    // RAII completion guarantee is moot.
-                    request.forget();
-                } else {
-                    // Completion on drop: the buffer borrow ends here, so
-                    // the operation must be driven to completion first.
-                    // Errors are swallowed (drop cannot propagate them);
-                    // use `wait()` to observe the status or failure, or
-                    // `free()` to abandon a receive that may never match.
-                    let _ = request.wait();
-                }
-            }
+        if !self.op.active {
+            return;
+        }
+        if std::thread::panicking() {
+            // Unwinding: blocking here could hang the rank on an
+            // operation whose peer may never act (and mask the panic
+            // message); no user code observes the buffer after a panic.
+            self.op.abandon();
+        } else {
+            // Completion on drop: the buffer borrow ends here. Errors are
+            // swallowed; use `wait()` to observe them, or `free()` to
+            // abandon a receive that may never match.
+            let _ = self.op.enter("Request.Wait").wait();
         }
     }
 }
 
 /// A persistent request created by `Send_init` / `Recv_init`.
+#[derive(Debug)]
 pub struct Prequest<'buf> {
-    env: Arc<RankEnv>,
-    id: RequestId,
-    kind: PrequestKind<'buf>,
-    active: bool,
-}
-
-enum PrequestKind<'buf> {
-    Send { repack: Repack<'buf> },
-    Recv { unpack: UnpackMut<'buf> },
-}
-
-impl std::fmt::Debug for Prequest<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Prequest")
-            .field("id", &self.id)
-            .field("active", &self.active)
-            .finish()
-    }
+    pub(crate) op: Pending<'buf>,
 }
 
 impl<'buf> Prequest<'buf> {
-    pub(crate) fn send(env: Arc<RankEnv>, id: RequestId, repack: Repack<'buf>) -> Prequest<'buf> {
-        Prequest {
-            env,
-            id,
-            kind: PrequestKind::Send { repack },
-            active: false,
-        }
-    }
-
-    pub(crate) fn recv(
-        env: Arc<RankEnv>,
-        id: RequestId,
-        unpack: UnpackMut<'buf>,
-    ) -> Prequest<'buf> {
-        Prequest {
-            env,
-            id,
-            kind: PrequestKind::Recv { unpack },
-            active: false,
-        }
-    }
-
     /// `Prequest.Start()`: (re)activate the persistent communication.
     /// For a persistent send the current contents of the user buffer are
     /// re-marshalled, matching the C semantics of reusing the buffer by
     /// address.
     pub fn start(&mut self) -> MpiResult<()> {
-        if self.active {
-            return Err(MPIException::new(
-                ErrorClass::Request,
-                "persistent request is already active",
-            ));
+        if self.op.active {
+            return Err(misuse("persistent request is already active"));
         }
-        self.env.jni.enter("Prequest.Start");
-        if let PrequestKind::Send { repack } = &self.kind {
-            let payload = repack()?;
-            self.env
-                .engine
-                .lock()
-                .persistent_set_data(self.id, &payload)?;
-        }
-        self.env.engine.lock().start(self.id)?;
-        self.active = true;
-        Ok(())
+        self.op.enter("Prequest.Start").start()
     }
 
     /// `Prequest.Startall(requests)`.
     pub fn start_all(requests: &mut [Prequest<'buf>]) -> MpiResult<()> {
-        for r in requests.iter_mut() {
-            r.start()?;
-        }
-        Ok(())
+        requests.iter_mut().try_for_each(Prequest::start)
     }
 
     /// `Request.Wait()` on the persistent request: completes the active
     /// communication and returns the request to the inactive state.
     pub fn wait(&mut self) -> MpiResult<Status> {
-        if !self.active {
-            return Err(MPIException::new(
-                ErrorClass::Request,
-                "persistent request is not active",
-            ));
+        if !self.op.active {
+            return Err(misuse("persistent request is not active"));
         }
-        self.env.jni.enter("Prequest.Wait");
-        let completion = self.env.engine.lock().wait(self.id)?;
-        self.active = false;
-        if let (PrequestKind::Recv { unpack }, Some(data)) =
-            (&mut self.kind, completion.data.as_ref())
-        {
-            unpack(data)?;
-        }
-        Ok(Status::from_info(completion.status))
+        self.op.enter("Prequest.Wait").wait()
     }
 
-    /// `Request.Free()` on the persistent request.
-    pub fn free(self) -> MpiResult<()> {
-        self.env.jni.enter("Prequest.Free");
-        Ok(self.env.engine.lock().request_free(self.id)?)
+    /// `Request.Free()` on the persistent request (an active iteration
+    /// is driven to completion and discarded first).
+    pub fn free(mut self) -> MpiResult<()> {
+        self.op.enter("Prequest.Free").release()
     }
 
     /// True while a started communication has not yet been waited on.
     pub fn is_active(&self) -> bool {
-        self.active
+        self.op.active
     }
-}
-
-/// The buffers a persistent collective re-reads and re-fills on every
-/// iteration: one object owning both directions, so a single borrow can
-/// serve as the operation's input *and* output (a persistent bcast uses
-/// the same slice for both roles).
-pub(crate) trait PersistentCollBufs: Send {
-    /// This rank's contribution for one `start()` (re-marshalled from
-    /// the captured buffer, matching the C semantics of reusing the
-    /// buffer by address).
-    fn pack(&mut self) -> Cow<'_, [u8]>;
-    /// Deliver one completed iteration's outcome bytes into the
-    /// captured buffer (no-op for outcome-free shapes).
-    fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()>;
-}
-
-enum PersistentKind<'buf> {
-    P2pSend {
-        id: RequestId,
-        repack: Repack<'buf>,
-    },
-    P2pRecv {
-        id: RequestId,
-        unpack: UnpackMut<'buf>,
-    },
-    Coll {
-        id: PersistentCollId,
-        bufs: Box<dyn PersistentCollBufs + 'buf>,
-    },
 }
 
 /// RAII handle to a persistent operation of the idiomatic API
@@ -680,98 +607,30 @@ enum PersistentKind<'buf> {
 /// a reliable leak probe. During a panic-unwind the handle is abandoned
 /// so teardown cannot hang. Use [`free`](PersistentRequest::free) to
 /// observe release errors.
+#[derive(Debug)]
 pub struct PersistentRequest<'buf> {
-    env: Arc<RankEnv>,
-    kind: PersistentKind<'buf>,
-    active: bool,
+    op: Pending<'buf>,
     freed: bool,
 }
 
-impl std::fmt::Debug for PersistentRequest<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.kind {
-            PersistentKind::P2pSend { id, .. } => format!("send {id:?}"),
-            PersistentKind::P2pRecv { id, .. } => format!("recv {id:?}"),
-            PersistentKind::Coll { id, .. } => format!("coll {id:?}"),
-        };
-        f.debug_struct("PersistentRequest")
-            .field("kind", &kind)
-            .field("active", &self.active)
-            .finish()
-    }
-}
-
 impl<'buf> PersistentRequest<'buf> {
-    /// Adopt a (not yet started) classic `Send_init` / `Recv_init`
-    /// request: same engine registration, same marshalling closures.
-    pub(crate) fn p2p(request: Prequest<'buf>) -> PersistentRequest<'buf> {
-        let id = request.id;
-        let kind = match request.kind {
-            PrequestKind::Send { repack } => PersistentKind::P2pSend { id, repack },
-            PrequestKind::Recv { unpack } => PersistentKind::P2pRecv { id, unpack },
-        };
-        PersistentRequest {
-            env: request.env,
-            kind,
-            active: false,
-            freed: false,
-        }
-    }
-
-    pub(crate) fn coll(
-        env: Arc<RankEnv>,
-        id: PersistentCollId,
-        bufs: Box<dyn PersistentCollBufs + 'buf>,
-    ) -> PersistentRequest<'buf> {
-        PersistentRequest {
-            env,
-            kind: PersistentKind::Coll { id, bufs },
-            active: false,
-            freed: false,
-        }
-    }
-
     /// `MPI_Start`: launch one iteration. The captured send buffer is
     /// re-marshalled at this moment. Errors if the previous iteration
     /// has not been completed yet (collective starts are ordered like
     /// any collective: every rank must start in the same order).
     pub fn start(&mut self) -> MpiResult<()> {
-        if self.active {
-            return Err(MPIException::new(
-                ErrorClass::Request,
+        if self.op.active {
+            return Err(misuse(
                 "persistent request is already active; wait on it first",
             ));
         }
-        self.env.jni.enter("Prequest.Start");
-        match &mut self.kind {
-            PersistentKind::P2pSend { id, repack } => {
-                let payload = repack()?;
-                let mut engine = self.env.engine.lock();
-                engine.persistent_set_data(*id, &payload)?;
-                engine.start(*id)?;
-            }
-            PersistentKind::P2pRecv { id, .. } => {
-                self.env.engine.lock().start(*id)?;
-            }
-            PersistentKind::Coll { id, bufs } => {
-                let payload = bufs.pack();
-                self.env
-                    .engine
-                    .lock()
-                    .coll_start_persistent(*id, &payload)?;
-            }
-        }
-        self.active = true;
-        Ok(())
+        self.op.enter("Prequest.Start").start()
     }
 
     /// `MPI_Startall` over a batch (the batch may mix point-to-point
     /// and collective persistent handles).
     pub fn start_all(requests: &mut [PersistentRequest<'buf>]) -> MpiResult<()> {
-        for request in requests.iter_mut() {
-            request.start()?;
-        }
-        Ok(())
+        requests.iter_mut().try_for_each(PersistentRequest::start)
     }
 
     /// `MPI_Wait`: complete the current iteration, fill the captured
@@ -780,124 +639,37 @@ impl<'buf> PersistentRequest<'buf> {
     /// standard's semantics for waiting on an inactive persistent
     /// request).
     pub fn wait(&mut self) -> MpiResult<Status> {
-        self.env.jni.enter("Prequest.Wait");
-        if !self.active {
-            return Ok(Status::from_info(mpi_native::StatusInfo::empty()));
+        self.op.env.jni.enter("Prequest.Wait");
+        if !self.op.active {
+            return Ok(empty());
         }
-        self.active = false;
-        match &mut self.kind {
-            PersistentKind::P2pSend { id, .. } => {
-                let completion = self.env.engine.lock().wait(*id)?;
-                Ok(Status::from_info(completion.status))
-            }
-            PersistentKind::P2pRecv { id, unpack } => {
-                let completion = self.env.engine.lock().wait(*id)?;
-                if let Some(data) = completion.data.as_ref() {
-                    unpack(data)?;
-                }
-                Ok(Status::from_info(completion.status))
-            }
-            PersistentKind::Coll { id, bufs } => {
-                let outcome = self.env.engine.lock().coll_wait_persistent(*id)?;
-                finish_coll(outcome, |bytes| bufs.unpack(bytes))
-            }
-        }
+        self.op.wait()
     }
 
     /// `MPI_Test`: `Some(status)` if the current iteration completed
     /// (filling the captured receive buffer), `None` while it is still
     /// in flight. An inactive handle reports `Some` immediately.
     pub fn test(&mut self) -> MpiResult<Option<Status>> {
-        self.env.jni.enter("Prequest.Test");
-        if !self.active {
-            return Ok(Some(Status::from_info(mpi_native::StatusInfo::empty())));
+        self.op.env.jni.enter("Prequest.Test");
+        if !self.op.active {
+            return Ok(Some(empty()));
         }
-        match &mut self.kind {
-            PersistentKind::P2pSend { id, .. } => match self.env.engine.lock().test(*id)? {
-                Some(completion) => {
-                    self.active = false;
-                    Ok(Some(Status::from_info(completion.status)))
-                }
-                None => Ok(None),
-            },
-            PersistentKind::P2pRecv { id, unpack } => match self.env.engine.lock().test(*id)? {
-                Some(completion) => {
-                    self.active = false;
-                    if let Some(data) = completion.data.as_ref() {
-                        unpack(data)?;
-                    }
-                    Ok(Some(Status::from_info(completion.status)))
-                }
-                None => Ok(None),
-            },
-            PersistentKind::Coll { id, bufs } => {
-                match self.env.engine.lock().coll_test_persistent(*id)? {
-                    Some(outcome) => {
-                        self.active = false;
-                        Ok(Some(finish_coll(outcome, |bytes| bufs.unpack(bytes))?))
-                    }
-                    None => Ok(None),
-                }
-            }
-        }
+        self.op.poll()
     }
 
     /// True while a started iteration has not been completed yet.
     pub fn is_active(&self) -> bool {
-        self.active
+        self.op.active
     }
 
     /// `MPI_Request_free`: release the persistent operation, observing
     /// errors. An in-flight iteration is quiesced first (driven to
-    /// completion and discarded) — same policy as the drop, which calls
-    /// this and swallows the result.
+    /// completion and discarded) — same policy as the drop, which
+    /// swallows the result.
     pub fn free(mut self) -> MpiResult<()> {
-        self.env.jni.enter("Prequest.Free");
-        self.release()
-    }
-
-    fn release(&mut self) -> MpiResult<()> {
-        if self.freed {
-            return Ok(());
-        }
         self.freed = true;
-        match &mut self.kind {
-            PersistentKind::P2pSend { id, .. } | PersistentKind::P2pRecv { id, .. } => {
-                let mut engine = self.env.engine.lock();
-                if self.active {
-                    self.active = false;
-                    let _ = engine.wait(*id);
-                }
-                engine.request_free(*id)?;
-            }
-            PersistentKind::Coll { id, .. } => {
-                // coll_free_persistent quiesces an in-flight start
-                // itself (a collective cannot be withdrawn).
-                self.active = false;
-                self.env.engine.lock().coll_free_persistent(*id)?;
-            }
-        }
-        Ok(())
+        self.op.enter("Prequest.Free").release()
     }
-}
-
-/// Completion tail of every collective-backed handle ([`Request`] and
-/// [`PersistentRequest`] alike): flatten the outcome (gather-family
-/// parts arrive in rank order), deliver it through `unpack`, and
-/// synthesize the byte-count status.
-fn finish_coll(
-    outcome: CollOutcome,
-    unpack: impl FnOnce(&[u8]) -> MpiResult<()>,
-) -> MpiResult<Status> {
-    let data: Vec<u8> = match outcome {
-        CollOutcome::Done => return Ok(Status::from_info(mpi_native::StatusInfo::empty())),
-        CollOutcome::Buffer(buffer) => buffer,
-        CollOutcome::Parts(parts) => parts.into_iter().flatten().collect(),
-    };
-    unpack(&data)?;
-    let mut info = mpi_native::StatusInfo::empty();
-    info.count_bytes = data.len();
-    Ok(Status::from_info(info))
 }
 
 impl Drop for PersistentRequest<'_> {
@@ -906,23 +678,31 @@ impl Drop for PersistentRequest<'_> {
             return;
         }
         if std::thread::panicking() {
-            // Unwinding: quiescing could hang on peers that will never
-            // act once this rank's abort lands. Abandon the engine-side
-            // registration; finalize will not run after a panic, so its
-            // active-persistent check cannot misfire.
-            return;
+            // Quiescing could hang on peers that will never act once this
+            // rank's abort lands; finalize will not run after a panic, so
+            // its active-persistent check cannot misfire.
+            self.op.abandon();
+        } else {
+            let _ = self.op.release();
         }
-        // Quiesce + release on drop, mirroring TypedRequest. Errors are
-        // swallowed (drop cannot propagate them); use `free()` to
-        // observe them.
-        let _ = self.release();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jni::MarshalMode;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// A capture that only records that it was asked to store bytes.
+    struct Probe(Arc<AtomicBool>);
+
+    impl Capture for Probe {
+        fn unpack(&mut self, _bytes: &[u8]) -> MpiResult<()> {
+            self.0.store(true, Ordering::SeqCst);
+            Ok(())
+        }
+    }
 
     /// Regression for the documented mixed-batch `Testall` caveat: a
     /// batch mixing a pending point-to-point receive with an
@@ -952,15 +732,11 @@ mod tests {
                         )
                     })?;
                     let unpacked = Arc::new(AtomicBool::new(false));
-                    let unpacked_probe = Arc::clone(&unpacked);
-                    let coll_req = Request::coll(
-                        env,
-                        coll_id,
-                        Some(Box::new(move |_bytes: &[u8]| {
-                            unpacked_probe.store(true, Ordering::SeqCst);
-                            Ok(())
-                        })),
-                    );
+                    let coll_req = Request::from(Pending::new(
+                        &env,
+                        Target::Coll(coll_id),
+                        Probe(Arc::clone(&unpacked)),
+                    ));
                     // A receive whose matching send has deliberately not
                     // been posted yet.
                     let mut buf = [0u8; 4];
@@ -1023,6 +799,228 @@ mod tests {
                     let mut go = [0u8; 1];
                     world.recv_into(&mut go, 0, 8)?;
                     world.send(&[7u8; 4][..], 0, 9)?;
+                }
+                mpi.finalize()
+            })
+            .unwrap();
+    }
+
+    /// The handle an exchange runs through (the target follows from it
+    /// and from whether the exchange is a collective).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shell {
+        Request,
+        Typed,
+        Prequest,
+        Persistent,
+    }
+
+    /// Stores a completion's bytes into an `i32` slice.
+    struct Store<'a>(&'a mut [i32]);
+
+    impl Capture for Store<'_> {
+        fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
+            crate::buffer::store_bytes(bytes, self.0);
+            Ok(())
+        }
+    }
+
+    const PAYLOAD: [i32; 4] = [3, 1, 4, 1];
+
+    /// Move `PAYLOAD` from rank 0 to rank 1 — a tag-7 message, or a
+    /// broadcast from root 0 — through one handle, start to release.
+    /// Per rank: the buffer afterwards, the status, the boundary
+    /// crossings taken.
+    fn exchange(coll: bool, shell: Shell, mode: MarshalMode) -> Vec<(Vec<i32>, Status, u64)> {
+        use crate::rs::Communicator as _;
+        let jni = crate::JniConfig {
+            marshal: mode,
+            ..Default::default()
+        };
+        crate::MpiRuntime::new(2)
+            .jni(jni)
+            .run(|mpi| {
+                let world = mpi.comm_world();
+                let comm = world.as_comm();
+                let rank = world.rank()?;
+                let int = crate::Datatype::int();
+                let mut buf = if rank == 0 { PAYLOAD } else { [0; 4] };
+                let before = mpi.jni_stats().calls;
+                let status = match (coll, shell, rank) {
+                    (false, Shell::Request, 0) => {
+                        Request::wait_any(&mut [comm.isend(&buf, 0, 4, &int, 1, 7)?])?
+                    }
+                    (false, Shell::Request, _) => {
+                        Request::wait_any(&mut [comm.irecv(&mut buf, 0, 4, &int, 0, 7)?])?
+                    }
+                    (false, Shell::Typed, 0) => world.isend(&buf, 1, 7)?.wait()?,
+                    (false, Shell::Typed, _) => world.irecv_into(&mut buf, 0, 7)?.wait()?,
+                    (false, Shell::Prequest, _) => {
+                        let mut request = if rank == 0 {
+                            comm.send_init(&buf, 0, 4, &int, 1, 7)?
+                        } else {
+                            comm.recv_init(&mut buf, 0, 4, &int, 0, 7)?
+                        };
+                        request.start()?;
+                        let status = request.wait()?;
+                        request.free()?;
+                        status
+                    }
+                    (false, Shell::Persistent, _) => {
+                        let mut request = if rank == 0 {
+                            world.send_init(&buf, 1, 7)?
+                        } else {
+                            world.recv_init(&mut buf, 0, 7)?
+                        };
+                        request.start()?;
+                        let status = request.wait()?;
+                        request.free()?;
+                        status
+                    }
+                    (true, Shell::Request, _) => {
+                        let request: Request = crate::rs::launch(
+                            comm,
+                            "Intracomm.Ibcast",
+                            Store(&mut buf),
+                            |e, c| {
+                                let root = crate::buffer::bytes_of(c.0).into_owned();
+                                let root = if rank == 0 { root } else { Vec::new() };
+                                e.ibcast(comm.handle, 0, root)
+                            },
+                        )?;
+                        Request::wait_any(&mut [request])?
+                    }
+                    (true, Shell::Typed, _) => world.ibroadcast(&mut buf, 0)?.wait()?,
+                    (true, Shell::Persistent, _) => {
+                        let mut request = world.broadcast_init(&mut buf, 0)?;
+                        request.start()?;
+                        let status = request.wait()?;
+                        request.free()?;
+                        status
+                    }
+                    (true, Shell::Prequest, _) => unreachable!("no classic persistent collective"),
+                };
+                let calls = mpi.jni_stats().calls - before;
+                mpi.finalize()?;
+                Ok((buf.to_vec(), status, calls))
+            })
+            .unwrap()
+    }
+
+    /// Satellite test of the one machine: the same exchange through a
+    /// transient p2p, a transient collective, a persistent p2p and a
+    /// persistent collective handle, each through its classic and its
+    /// RAII shell, under both marshal modes, delivers the same bytes and
+    /// the same `Status` (count, source, tag, `wait_any`'s index) for
+    /// the same boundary crossings.
+    #[test]
+    fn four_shells_run_one_machine() {
+        use Shell::*;
+        let mut outcomes = Vec::new();
+        for (coll, persistent, shells) in [
+            (false, false, &[Request, Typed][..]),
+            (true, false, &[Request, Typed][..]),
+            (false, true, &[Prequest, Persistent][..]),
+            (true, true, &[Persistent][..]),
+        ] {
+            let runs: Vec<_> = shells
+                .iter()
+                .flat_map(|&shell| [MarshalMode::Copy, MarshalMode::Pin].map(|mode| (shell, mode)))
+                .map(|(shell, mode)| (shell, mode, exchange(coll, shell, mode)))
+                .collect();
+            let (_, _, first) = &runs[0];
+            for (shell, mode, ranks) in &runs {
+                assert_eq!(
+                    ranks, first,
+                    "{shell:?} under {mode:?} (collective: {coll})"
+                );
+            }
+            for (bytes, status, calls) in first {
+                assert_eq!(bytes[..], PAYLOAD);
+                assert_eq!(*calls, if persistent { 4 } else { 2 });
+                assert_eq!(status.index(), 0);
+            }
+            let received = &first[1].1;
+            assert_eq!(received.count_bytes(), 16);
+            if !coll {
+                assert_eq!((received.source(), received.tag()), (0, 7));
+            }
+            outcomes.push(
+                first
+                    .iter()
+                    .map(|(b, s, _)| (b.clone(), s.clone()))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        // A persistent handle completes exactly like its transient twin.
+        assert_eq!(outcomes[0], outcomes[2], "point-to-point");
+        assert_eq!(outcomes[1], outcomes[3], "collective");
+    }
+
+    /// `send_init`'s capture lends the caller's slice under `Pin` and
+    /// copies it under `Copy` (`Get*ArrayRegion`) on every start.
+    #[test]
+    fn send_init_packs_by_reference_under_pin_and_by_copy_under_copy() {
+        for mode in [MarshalMode::Copy, MarshalMode::Pin] {
+            let jni = crate::JniConfig {
+                marshal: mode,
+                ..Default::default()
+            };
+            crate::MpiRuntime::new(1)
+                .jni(jni)
+                .run(|mpi| {
+                    let buf = [1i32, 2, 3];
+                    let int = crate::Datatype::int();
+                    let mut request = mpi.comm_world().send_init(&buf, 0, 3, &int, 0, 5)?;
+                    let input = request.op.capture.pack()?;
+                    assert_eq!(*input, *crate::buffer::bytes_of(&buf));
+                    match (mode, input) {
+                        (MarshalMode::Pin, Cow::Borrowed(lent)) => {
+                            assert_eq!(lent.as_ptr(), buf.as_ptr().cast())
+                        }
+                        (MarshalMode::Copy, Cow::Owned(_)) => {}
+                        (mode, input) => panic!("{mode:?} packed {input:?}"),
+                    }
+                    request.free()
+                })
+                .unwrap();
+        }
+    }
+
+    /// Satellite bugfix, end to end: a persistent receive whose iteration
+    /// fails (truncation) is inactive afterwards on both shells, restarts,
+    /// delivers the next message, and `finalize` succeeds.
+    #[test]
+    fn a_truncated_persistent_receive_restarts_on_both_shells() {
+        crate::MpiRuntime::new(2)
+            .run(|mpi| {
+                use crate::rs::Communicator as _;
+                let world = mpi.comm_world();
+                if world.rank()? == 0 {
+                    for tag in 0..2 {
+                        world.send(&[9i32, 9], 1, tag)?;
+                        world.send(&[tag + 5], 1, tag)?;
+                    }
+                } else {
+                    let mut buf = [0i32];
+                    let int = crate::Datatype::int();
+                    let mut classic = world.as_comm().recv_init(&mut buf, 0, 1, &int, 0, 0)?;
+                    classic.start()?;
+                    assert_eq!(classic.wait().unwrap_err().class, ErrorClass::Truncate);
+                    assert!(!classic.is_active());
+                    classic.start()?;
+                    assert_eq!(classic.wait()?.count_bytes(), 4);
+                    classic.free()?;
+                    assert_eq!(buf, [5]);
+
+                    let mut idiomatic = world.recv_init(&mut buf, 0, 1)?;
+                    idiomatic.start()?;
+                    assert_eq!(idiomatic.wait().unwrap_err().class, ErrorClass::Truncate);
+                    assert!(!idiomatic.is_active());
+                    idiomatic.start()?;
+                    assert_eq!(idiomatic.wait()?.count_bytes(), 4);
+                    drop(idiomatic);
+                    assert_eq!(buf, [6]);
                 }
                 mpi.finalize()
             })

@@ -145,14 +145,14 @@
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
-use mpi_native::{ErrorClass, SendMode, PROC_NULL};
+use mpi_native::{Engine, ErrorClass, MpiError, SendMode, PROC_NULL};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::comm::Comm;
 use crate::exception::{MPIException, MpiResult};
 use crate::intracomm::Intracomm;
 use crate::op::Op;
-use crate::request::{PersistentCollBufs, Request};
+use crate::request::{Capture, Pending, Target};
 use crate::serial::Serializable;
 use crate::status::Status;
 
@@ -287,14 +287,10 @@ pub trait Communicator {
         dest: i32,
         tag: i32,
     ) -> MpiResult<TypedRequest<'buf>> {
-        Ok(TypedRequest::new(self.as_comm().isend(
-            buf,
-            0,
-            buf.len(),
-            &T::datatype(),
-            dest,
-            tag,
-        )?))
+        let request = self
+            .as_comm()
+            .isend(buf, 0, buf.len(), &T::datatype(), dest, tag)?;
+        Ok(request.op.into())
     }
 
     /// Start a non-blocking receive into the whole slice (classic
@@ -308,14 +304,10 @@ pub trait Communicator {
         tag: i32,
     ) -> MpiResult<TypedRequest<'buf>> {
         let count = buf.len();
-        Ok(TypedRequest::new(self.as_comm().irecv(
-            buf,
-            0,
-            count,
-            &T::datatype(),
-            source,
-            tag,
-        )?))
+        let request = self
+            .as_comm()
+            .irecv(buf, 0, count, &T::datatype(), source, tag)?;
+        Ok(request.op.into())
     }
 
     // ------------------------------------------------------------------
@@ -356,7 +348,7 @@ pub trait Communicator {
             "zero-copy send path must not copy payload bytes"
         );
         drop(engine);
-        Ok(TypedRequest::new(Request::send(Arc::clone(&comm.env), id)))
+        Ok(Pending::new(&comm.env, Target::P2p(id), ()).into())
     }
 
     // ------------------------------------------------------------------
@@ -539,9 +531,9 @@ pub trait Communicator {
     /// completes once every rank has entered the barrier.
     fn ibarrier(&self) -> MpiResult<TypedRequest<'static>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ibarrier");
-        let id = comm.env.engine.lock().ibarrier(comm.handle)?;
-        Ok(coll_request(comm, id, None))
+        launch(comm, "Intracomm.Ibarrier", (), |e, _| {
+            e.ibarrier(comm.handle)
+        })
     }
 
     /// Nonblocking broadcast (`MPI_Ibcast`): the root's slice contents
@@ -553,16 +545,14 @@ pub trait Communicator {
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ibcast");
-        let mut engine = comm.env.engine.lock();
-        let payload = if engine.comm_rank(comm.handle)? == root {
-            bytes_of(buf).into_owned()
-        } else {
-            Vec::new()
-        };
-        let id = engine.ibcast(comm.handle, root, payload)?;
-        drop(engine);
-        Ok(coll_request(comm, id, Some(unpack_into(buf))))
+        launch(comm, "Intracomm.Ibcast", CollBufs::out(buf), |e, c| {
+            let payload = if e.comm_rank(comm.handle)? == root {
+                bytes_of(c.recv).into_owned()
+            } else {
+                Vec::new()
+            };
+            e.ibcast(comm.handle, root, payload)
+        })
     }
 
     /// Nonblocking reduction to the root (`MPI_Ireduce`); non-root
@@ -575,17 +565,10 @@ pub trait Communicator {
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ireduce");
-        let payload = bytes_of(send);
-        let id = comm.env.engine.lock().ireduce(
-            comm.handle,
-            root,
-            &payload,
-            T::KIND,
-            send.len(),
-            op.borrow().engine_op(),
-        )?;
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+        launch(comm, "Intracomm.Ireduce", CollBufs::out(recv), |e, _| {
+            let op = op.borrow().engine_op();
+            e.ireduce(comm.handle, root, &bytes_of(send), T::KIND, send.len(), op)
+        })
     }
 
     /// Nonblocking allreduce (`MPI_Iallreduce`): `recv` holds the full
@@ -597,16 +580,10 @@ pub trait Communicator {
         op: impl Borrow<Op>,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Iallreduce");
-        let payload = bytes_of(send);
-        let id = comm.env.engine.lock().iallreduce(
-            comm.handle,
-            &payload,
-            T::KIND,
-            send.len(),
-            op.borrow().engine_op(),
-        )?;
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+        launch(comm, "Intracomm.Iallreduce", CollBufs::out(recv), |e, _| {
+            let op = op.borrow().engine_op();
+            e.iallreduce(comm.handle, &bytes_of(send), T::KIND, send.len(), op)
+        })
     }
 
     /// Nonblocking gather (`MPI_Igather`): the root's `recv` holds
@@ -619,14 +596,9 @@ pub trait Communicator {
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Igather");
-        let payload = bytes_of(send);
-        let id = comm
-            .env
-            .engine
-            .lock()
-            .igather(comm.handle, root, &payload)?;
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+        launch(comm, "Intracomm.Igather", CollBufs::out(recv), |e, _| {
+            e.igather(comm.handle, root, &bytes_of(send))
+        })
     }
 
     /// Nonblocking allgather (`MPI_Iallgather`): `recv` holds
@@ -637,10 +609,9 @@ pub trait Communicator {
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Iallgather");
-        let payload = bytes_of(send);
-        let id = comm.env.engine.lock().iallgather(comm.handle, &payload)?;
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+        launch(comm, "Intracomm.Iallgather", CollBufs::out(recv), |e, _| {
+            e.iallgather(comm.handle, &bytes_of(send))
+        })
     }
 
     /// Nonblocking scatter (`MPI_Iscatter`): each rank receives
@@ -654,27 +625,20 @@ pub trait Communicator {
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Iscatter");
-        let mut engine = comm.env.engine.lock();
-        let size = engine.comm_size(comm.handle)?;
-        let chunks: Option<Vec<Vec<u8>>> = if engine.comm_rank(comm.handle)? == root {
-            if send.len() != size * recv.len() {
-                return Err(MPIException::new(
-                    ErrorClass::Count,
-                    format!(
-                        "iscatter_from: root send length {} is not size ({size}) * recv length ({})",
-                        send.len(),
-                        recv.len()
-                    ),
-                ));
+        launch(comm, "Intracomm.Iscatter", CollBufs::out(recv), |e, c| {
+            let size = e.comm_size(comm.handle)?;
+            if e.comm_rank(comm.handle)? != root {
+                return e.iscatter(comm.handle, root, None);
             }
-            Some(wire_chunks(send, size))
-        } else {
-            None
-        };
-        let id = engine.iscatter(comm.handle, root, chunks.as_deref())?;
-        drop(engine);
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+            if send.len() != size * c.recv.len() {
+                return Err(count_error(format!(
+                    "iscatter_from: root send length {} is not size ({size}) * recv length ({})",
+                    send.len(),
+                    c.recv.len()
+                )));
+            }
+            e.iscatter(comm.handle, root, Some(&wire_chunks(send, size)))
+        })
     }
 
     /// Nonblocking total exchange (`MPI_Ialltoall`): every rank sends
@@ -687,21 +651,16 @@ pub trait Communicator {
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ialltoall");
-        let mut engine = comm.env.engine.lock();
-        let size = engine.comm_size(comm.handle)?;
-        if size == 0 || !send.len().is_multiple_of(size) {
-            return Err(MPIException::new(
-                ErrorClass::Count,
-                format!(
+        launch(comm, "Intracomm.Ialltoall", CollBufs::out(recv), |e, _| {
+            let size = e.comm_size(comm.handle)?;
+            if size == 0 || !send.len().is_multiple_of(size) {
+                return Err(count_error(format!(
                     "iall_to_all: send length {} is not a multiple of the communicator size {size}",
                     send.len()
-                ),
-            ));
-        }
-        let id = engine.ialltoall(comm.handle, &wire_chunks(send, size))?;
-        drop(engine);
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+                )));
+            }
+            e.ialltoall(comm.handle, &wire_chunks(send, size))
+        })
     }
 
     /// Nonblocking reduce-scatter (`MPI_Ireduce_scatter` with equal
@@ -716,30 +675,24 @@ pub trait Communicator {
         op: impl Borrow<Op>,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ireduce_scatter");
-        let mut engine = comm.env.engine.lock();
-        let size = engine.comm_size(comm.handle)?;
-        if send.len() != size * recv.len() {
-            return Err(MPIException::new(
-                ErrorClass::Count,
-                format!(
+        launch(
+            comm,
+            "Intracomm.Ireduce_scatter",
+            CollBufs::out(recv),
+            |e, c| {
+                let size = e.comm_size(comm.handle)?;
+                if send.len() != size * c.recv.len() {
+                    return Err(count_error(format!(
                     "ireduce_scatter_into: send length {} is not size ({size}) * recv length ({})",
                     send.len(),
-                    recv.len()
-                ),
-            ));
-        }
-        let counts = vec![recv.len(); size];
-        let payload = bytes_of(send);
-        let id = engine.ireduce_scatter(
-            comm.handle,
-            &payload,
-            &counts,
-            T::KIND,
-            op.borrow().engine_op(),
-        )?;
-        drop(engine);
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+                    c.recv.len()
+                )));
+                }
+                let counts = vec![c.recv.len(); size];
+                let op = op.borrow().engine_op();
+                e.ireduce_scatter(comm.handle, &bytes_of(send), &counts, T::KIND, op)
+            },
+        )
     }
 
     /// Nonblocking inclusive prefix reduction (`MPI_Iscan`): `recv`
@@ -751,16 +704,10 @@ pub trait Communicator {
         op: impl Borrow<Op>,
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Iscan");
-        let payload = bytes_of(send);
-        let id = comm.env.engine.lock().iscan(
-            comm.handle,
-            &payload,
-            T::KIND,
-            send.len(),
-            op.borrow().engine_op(),
-        )?;
-        Ok(coll_request(comm, id, Some(unpack_into(recv))))
+        launch(comm, "Intracomm.Iscan", CollBufs::out(recv), |e, _| {
+            let op = op.borrow().engine_op();
+            e.iscan(comm.handle, &bytes_of(send), T::KIND, send.len(), op)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -793,7 +740,7 @@ pub trait Communicator {
         let request = self
             .as_comm()
             .send_init(buf, 0, buf.len(), &T::datatype(), dest, tag)?;
-        Ok(PersistentRequest::p2p(request))
+        Ok(request.op.into())
     }
 
     /// Persistent receive (`MPI_Recv_init`): each completed iteration
@@ -809,20 +756,16 @@ pub trait Communicator {
         let request = self
             .as_comm()
             .recv_init(buf, 0, count, &T::datatype(), source, tag)?;
-        Ok(PersistentRequest::p2p(request))
+        Ok(request.op.into())
     }
 
     /// Persistent barrier (`MPI_Barrier_init`): each `start()`/`wait()`
     /// pair is one barrier over the pre-built schedule.
     fn barrier_init(&self) -> MpiResult<PersistentRequest<'static>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Barrier_init");
-        let id = comm.env.engine.lock().barrier_init(comm.handle)?;
-        Ok(PersistentRequest::coll(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(NoCollBufs),
-        ))
+        launch(comm, "Intracomm.Barrier_init", (), |e, _| {
+            e.barrier_init(comm.handle)
+        })
     }
 
     /// Persistent broadcast (`MPI_Bcast_init`): each iteration sends
@@ -834,16 +777,10 @@ pub trait Communicator {
         root: usize,
     ) -> MpiResult<PersistentRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Bcast_init");
-        let mut engine = comm.env.engine.lock();
-        let is_root = engine.comm_rank(comm.handle)? == root;
-        let id = engine.bcast_init(comm.handle, root, buf.len() * T::width())?;
-        drop(engine);
-        Ok(PersistentRequest::coll(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(BcastCollBufs { buf, is_root }),
-        ))
+        launch(comm, "Intracomm.Bcast_init", CollBufs::out(buf), |e, c| {
+            c.in_place = e.comm_rank(comm.handle)? == root;
+            e.bcast_init(comm.handle, root, c.recv.len() * T::width())
+        })
     }
 
     /// Persistent reduction to `root` (`MPI_Reduce_init`); each
@@ -857,19 +794,15 @@ pub trait Communicator {
         root: usize,
     ) -> MpiResult<PersistentRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Reduce_init");
-        let id = comm.env.engine.lock().reduce_init(
-            comm.handle,
-            root,
-            T::KIND,
-            send.len(),
-            op.borrow().engine_op(),
-        )?;
-        Ok(PersistentRequest::coll(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(SendRecvCollBufs { send, recv }),
-        ))
+        launch(
+            comm,
+            "Intracomm.Reduce_init",
+            CollBufs::new(send, recv),
+            |e, _| {
+                let op = op.borrow().engine_op();
+                e.reduce_init(comm.handle, root, T::KIND, send.len(), op)
+            },
+        )
     }
 
     /// Persistent allreduce (`MPI_Allreduce_init`): each iteration
@@ -882,18 +815,15 @@ pub trait Communicator {
         op: impl Borrow<Op>,
     ) -> MpiResult<PersistentRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Allreduce_init");
-        let id = comm.env.engine.lock().allreduce_init(
-            comm.handle,
-            T::KIND,
-            send.len(),
-            op.borrow().engine_op(),
-        )?;
-        Ok(PersistentRequest::coll(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(SendRecvCollBufs { send, recv }),
-        ))
+        launch(
+            comm,
+            "Intracomm.Allreduce_init",
+            CollBufs::new(send, recv),
+            |e, _| {
+                let op = op.borrow().engine_op();
+                e.allreduce_init(comm.handle, T::KIND, send.len(), op)
+            },
+        )
     }
 
     /// Persistent allgather (`MPI_Allgather_init`): each iteration
@@ -905,13 +835,12 @@ pub trait Communicator {
         recv: &'buf mut [T],
     ) -> MpiResult<PersistentRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Allgather_init");
-        let id = comm.env.engine.lock().allgather_init(comm.handle)?;
-        Ok(PersistentRequest::coll(
-            Arc::clone(&comm.env),
-            id,
-            Box::new(SendRecvCollBufs { send, recv }),
-        ))
+        launch(
+            comm,
+            "Intracomm.Allgather_init",
+            CollBufs::new(send, recv),
+            |e, _| e.allgather_init(comm.handle),
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1015,29 +944,19 @@ pub trait Communicator {
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ineighbor_allgather");
-        let mut engine = comm.env.engine.lock();
-        let neighbors = engine.topo_neighbors(comm.handle)?;
-        if recv.len() != neighbors.len() * send.len() {
-            return Err(MPIException::new(
-                ErrorClass::Count,
-                format!(
+        let parts = NeighborParts::new(send.len(), recv);
+        launch(comm, "Intracomm.Ineighbor_allgather", parts, |e, c| {
+            c.neighbors = e.topo_neighbors(comm.handle)?;
+            if c.recv.len() != c.neighbors.len() * send.len() {
+                return Err(count_error(format!(
                     "ineighbor_all_gather: recv length {} is not degree ({}) * send length ({})",
-                    recv.len(),
-                    neighbors.len(),
+                    c.recv.len(),
+                    c.neighbors.len(),
                     send.len()
-                ),
-            ));
-        }
-        let payload = bytes_of(send);
-        let id = engine.ineighbor_allgather(comm.handle, &payload)?;
-        drop(engine);
-        let chunk = send.len();
-        Ok(coll_request(
-            comm,
-            id,
-            Some(unpack_neighbor_parts(neighbors, chunk, recv)),
-        ))
+                )));
+            }
+            e.ineighbor_allgather(comm.handle, &bytes_of(send))
+        })
     }
 
     /// Nonblocking sparse total exchange (`MPI_Ineighbor_alltoall`):
@@ -1049,29 +968,21 @@ pub trait Communicator {
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
         let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Ineighbor_alltoall");
-        let mut engine = comm.env.engine.lock();
-        let neighbors = engine.topo_neighbors(comm.handle)?;
-        let degree = neighbors.len();
-        if recv.len() != send.len() {
-            return Err(MPIException::new(
-                ErrorClass::Count,
-                format!(
+        let parts = NeighborParts::new(0, recv);
+        launch(comm, "Intracomm.Ineighbor_alltoall", parts, |e, c| {
+            c.neighbors = e.topo_neighbors(comm.handle)?;
+            let degree = c.neighbors.len();
+            if c.recv.len() != send.len() {
+                return Err(count_error(format!(
                     "ineighbor_all_to_all: recv length {} differs from send length {}",
-                    recv.len(),
+                    c.recv.len(),
                     send.len()
-                ),
-            ));
-        }
-        let chunks = split_neighbor_chunks(send, degree, "ineighbor_all_to_all")?;
-        let id = engine.ineighbor_alltoall(comm.handle, &chunks)?;
-        drop(engine);
-        let chunk = send.len().checked_div(degree).unwrap_or(0);
-        Ok(coll_request(
-            comm,
-            id,
-            Some(unpack_neighbor_parts(neighbors, chunk, recv)),
-        ))
+                )));
+            }
+            let chunks = split_neighbor_chunks(send, degree, "ineighbor_all_to_all")?;
+            c.chunk = send.len().checked_div(degree).unwrap_or(0);
+            e.ineighbor_alltoall(comm.handle, &chunks)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1130,53 +1041,102 @@ pub trait Communicator {
     }
 }
 
-/// Buffer capture for persistent collectives without local buffers
-/// (barrier).
-struct NoCollBufs;
-
-impl PersistentCollBufs for NoCollBufs {
-    fn pack(&mut self) -> Cow<'_, [u8]> {
-        Cow::Borrowed(&[])
-    }
-    fn unpack(&mut self, _bytes: &[u8]) -> MpiResult<()> {
-        Ok(())
-    }
+/// The one launcher of every nonblocking and persistent collective:
+/// cross the boundary once as `name`, let `start` validate and start the
+/// engine side under one engine lock (it may complete the capture — a
+/// root flag, a neighbor list), and return the pending operation as the
+/// caller's handle.
+pub(crate) fn launch<'buf, C, I, R>(
+    comm: &Comm,
+    name: &'static str,
+    mut capture: C,
+    start: impl FnOnce(&mut Engine, &mut C) -> mpi_native::Result<I>,
+) -> MpiResult<R>
+where
+    C: Capture + 'buf,
+    I: Into<Target>,
+    R: From<Pending<'buf>>,
+{
+    comm.env.jni.enter(name);
+    let target = start(&mut comm.env.engine.lock(), &mut capture)?.into();
+    Ok(Pending::new(&comm.env, target, capture).into())
 }
 
-/// Buffer capture for a persistent broadcast: one slice is both the
-/// root's input and every rank's output.
-struct BcastCollBufs<'buf, T: BufferElement> {
-    buf: &'buf mut [T],
-    is_root: bool,
+/// A caller-side count mismatch, reported like the engine's own.
+fn count_error(message: String) -> MpiError {
+    MpiError::new(ErrorClass::Count, message)
 }
 
-impl<T: BufferElement> PersistentCollBufs for BcastCollBufs<'_, T> {
-    fn pack(&mut self) -> Cow<'_, [u8]> {
-        if self.is_root {
-            bytes_of(self.buf)
-        } else {
-            Cow::Borrowed(&[])
+/// The capture of a collective's local buffers: `pack` reads this rank's
+/// input — `send`, or `recv` itself at a broadcast root, whose one slice
+/// is both — and `unpack` stores the outcome (gather-family outcomes
+/// arrive flattened in rank order) into `recv` from its start.
+struct CollBufs<'buf, T> {
+    send: &'buf [T],
+    recv: &'buf mut [T],
+    in_place: bool,
+}
+
+impl<'buf, T: BufferElement> CollBufs<'buf, T> {
+    fn new(send: &'buf [T], recv: &'buf mut [T]) -> Self {
+        CollBufs {
+            send,
+            recv,
+            in_place: false,
         }
     }
+
+    /// Output only: a nonblocking collective's input is marshalled at
+    /// call time.
+    fn out(recv: &'buf mut [T]) -> Self {
+        CollBufs::new(&[], recv)
+    }
+}
+
+impl<T: BufferElement> Capture for CollBufs<'_, T> {
+    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
+        Ok(bytes_of(if self.in_place { self.recv } else { self.send }))
+    }
+
     fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
-        store_bytes(bytes, self.buf);
+        store_bytes(bytes, self.recv);
         Ok(())
     }
 }
 
-/// Buffer capture for the send/recv-shaped persistent collectives
-/// (reduce, allreduce, allgather).
-struct SendRecvCollBufs<'buf, T: BufferElement> {
-    send: &'buf [T],
+/// The capture of the `ineighbor_*` collectives: the outcome parts arrive
+/// flattened with `PROC_NULL` slots contributing nothing, so the neighbor
+/// list maps the present `chunk`-element blocks back to their slots
+/// (absent slots leave `recv` untouched).
+struct NeighborParts<'buf, T> {
+    neighbors: Vec<i32>,
+    chunk: usize,
     recv: &'buf mut [T],
 }
 
-impl<T: BufferElement> PersistentCollBufs for SendRecvCollBufs<'_, T> {
-    fn pack(&mut self) -> Cow<'_, [u8]> {
-        bytes_of(self.send)
+impl<'buf, T> NeighborParts<'buf, T> {
+    fn new(chunk: usize, recv: &'buf mut [T]) -> Self {
+        NeighborParts {
+            neighbors: Vec::new(),
+            chunk,
+            recv,
+        }
     }
+}
+
+impl<T: BufferElement> Capture for NeighborParts<'_, T> {
     fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
-        store_bytes(bytes, self.recv);
+        let chunk_bytes = self.chunk * T::width();
+        let mut cursor = 0;
+        for (slot, &peer) in self.neighbors.iter().enumerate() {
+            if peer == PROC_NULL {
+                continue;
+            }
+            let end = (cursor + chunk_bytes).min(bytes.len());
+            let block = &mut self.recv[slot * self.chunk..(slot + 1) * self.chunk];
+            store_bytes(&bytes[cursor..end], block);
+            cursor = end;
+        }
         Ok(())
     }
 }
@@ -1199,24 +1159,20 @@ fn split_neighbor_chunks<T: BufferElement>(
     send: &[T],
     degree: usize,
     what: &str,
-) -> MpiResult<Vec<Vec<u8>>> {
+) -> mpi_native::Result<Vec<Vec<u8>>> {
     if degree == 0 {
         if send.is_empty() {
             return Ok(Vec::new());
         }
-        return Err(MPIException::new(
-            ErrorClass::Count,
-            format!("{what}: non-empty send on a degree-0 topology"),
-        ));
+        return Err(count_error(format!(
+            "{what}: non-empty send on a degree-0 topology"
+        )));
     }
     if !send.len().is_multiple_of(degree) {
-        return Err(MPIException::new(
-            ErrorClass::Count,
-            format!(
-                "{what}: send length {} is not a multiple of the topology degree {degree}",
-                send.len()
-            ),
-        ));
+        return Err(count_error(format!(
+            "{what}: send length {} is not a multiple of the topology degree {degree}",
+            send.len()
+        )));
     }
     Ok(wire_chunks(send, degree))
 }
@@ -1228,56 +1184,6 @@ fn wire_chunks<T: BufferElement>(send: &[T], parts: usize) -> Vec<Vec<u8>> {
     (0..parts)
         .map(|r| bytes_of(&send[r * chunk..(r + 1) * chunk]).into_owned())
         .collect()
-}
-
-/// Completion closure attached to a nonblocking-collective request;
-/// consumes the collective's outcome bytes when the request is waited
-/// on.
-type CollUnpack<'buf> = Box<dyn FnOnce(&[u8]) -> MpiResult<()> + Send + 'buf>;
-
-/// The futures-style handle of a started collective.
-fn coll_request<'buf>(
-    comm: &Comm,
-    id: mpi_native::CollRequestId,
-    unpack: Option<CollUnpack<'buf>>,
-) -> TypedRequest<'buf> {
-    TypedRequest::new(Request::coll(Arc::clone(&comm.env), id, unpack))
-}
-
-/// Deliver the outcome bytes (gather-family outcomes arrive flattened
-/// in rank order) into `recv` from its start.
-fn unpack_into<T: BufferElement>(recv: &mut [T]) -> CollUnpack<'_> {
-    Box::new(move |bytes: &[u8]| {
-        store_bytes(bytes, recv);
-        Ok(())
-    })
-}
-
-/// Unpack closure for the `ineighbor_*` requests: the collective's
-/// outcome parts arrive flattened with `PROC_NULL` slots contributing
-/// nothing, so the captured neighbor list maps the present chunks back
-/// to their slots (absent slots leave `recv` untouched).
-fn unpack_neighbor_parts<'buf, T: BufferElement>(
-    neighbors: Vec<i32>,
-    chunk: usize,
-    recv: &'buf mut [T],
-) -> CollUnpack<'buf> {
-    Box::new(move |bytes: &[u8]| {
-        let chunk_bytes = chunk * T::width();
-        let mut cursor = 0;
-        for (slot, &peer) in neighbors.iter().enumerate() {
-            if peer == PROC_NULL {
-                continue;
-            }
-            let end = (cursor + chunk_bytes).min(bytes.len());
-            store_bytes(
-                &bytes[cursor..end],
-                &mut recv[slot * chunk..(slot + 1) * chunk],
-            );
-            cursor = end;
-        }
-        Ok(())
-    })
 }
 
 /// Cartesian-topology extensions of the idiomatic surface, implemented

@@ -71,6 +71,7 @@
 //! | classic `Recv` | either | 3: element loop over the window it is about to overwrite, `unpack`, element loop back; the completion `Bytes` dropped, uncounted | 0: [`Engine::recv_into`] delivers into the window's byte view — its one counted copy is the only one |
 //! | classic `Irecv`/`Sendrecv`/collective results | either | 3: as `Recv` | 1: one store from the completion buffer into the window |
 //! | `rs` `send` / `recv_into` | — | as classic `Send`; 1 (a hand-kept twin of `recv_into`) | as classic `Send` / `Recv`: they are the same calls |
+//! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 4: `into_owned`, [`Engine::persistent_set_data`], a clone of the stored payload in [`Engine::start`], the staging copy | 3 / 2: the boundary copy (`Copy` only), `persistent_set_data`, the staging copy; `start` lends the stored payload to the send. Only the staging copy is counted in `bytes_copied`, before and now |
 //!
 //! A datatype with holes costs one gather (`pack`) on the way out and
 //! one scatter (`unpack`) into the window on the way in, in both modes;

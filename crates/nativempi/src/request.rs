@@ -98,16 +98,17 @@ impl Engine {
     /// ([`crate::coll::nb`]).
     pub(crate) fn take_completion(&mut self, req: RequestId) -> Result<Completion> {
         // Persistent requests delegate to their active inner request and
-        // stay alive themselves.
+        // stay alive themselves; the inner request is consumed on failure
+        // too, so a failed iteration leaves the request startable.
         if let Some(RequestState::PersistentSend { active, .. })
         | Some(RequestState::PersistentRecv { active, .. }) = self.requests.get(&req.0)
         {
             let inner = *active;
             return match inner {
                 Some(inner_req) => {
-                    let completion = self.take_completion(inner_req)?;
+                    let completion = self.take_completion(inner_req);
                     self.clear_persistent_active(req);
-                    Ok(completion)
+                    completion
                 }
                 None => Ok(Completion {
                     status: StatusInfo::empty(),
@@ -428,7 +429,7 @@ impl Engine {
 
     /// `MPI_Start`.
     pub fn start(&mut self, req: RequestId) -> Result<()> {
-        let inner = match self.requests.get(&req.0) {
+        let inner_req = match self.requests.get_mut(&req.0) {
             Some(RequestState::PersistentSend {
                 comm,
                 dest,
@@ -437,8 +438,17 @@ impl Engine {
                 data,
                 active: None,
             }) => {
-                let (comm, dest, tag, mode, data) = (*comm, *dest, *tag, *mode, data.clone());
-                Some((true, comm, dest, tag, mode, data, None))
+                // Lend the stored payload to the send, which stages its
+                // own copy, and put it back — on the error path too.
+                let (comm, dest, tag, mode) = (*comm, *dest, *tag, *mode);
+                let data = std::mem::take(data);
+                let sent = self.isend(comm, dest, tag, &data, mode);
+                if let Some(RequestState::PersistentSend { data: stored, .. }) =
+                    self.requests.get_mut(&req.0)
+                {
+                    *stored = data;
+                }
+                sent?
             }
             Some(RequestState::PersistentRecv {
                 comm,
@@ -448,27 +458,13 @@ impl Engine {
                 active: None,
             }) => {
                 let (comm, src, tag, max_len) = (*comm, *src, *tag, *max_len);
-                Some((
-                    false,
-                    comm,
-                    src,
-                    tag,
-                    SendMode::Standard,
-                    Vec::new(),
-                    max_len,
-                ))
+                self.irecv(comm, src, tag, max_len)?
             }
             Some(RequestState::PersistentSend { .. })
             | Some(RequestState::PersistentRecv { .. }) => {
                 return err(ErrorClass::Request, "persistent request is already active")
             }
             _ => return err(ErrorClass::Request, "start on a non-persistent request"),
-        };
-        let (is_send, comm, peer, tag, mode, data, max_len) = inner.expect("checked above");
-        let inner_req = if is_send {
-            self.isend(comm, peer, tag, &data, mode)?
-        } else {
-            self.irecv(comm, peer, tag, max_len)?
         };
         match self.requests.get_mut(&req.0) {
             Some(RequestState::PersistentSend { active, .. })
@@ -624,6 +620,33 @@ mod tests {
                 }
                 engine.request_free(rreq).unwrap();
             }
+        })
+        .unwrap();
+    }
+
+    /// A failed iteration (here a truncation) consumes the inner request
+    /// and leaves the persistent one inactive: it restarts, delivers, and
+    /// `finalize` does not count it as active.
+    #[test]
+    fn a_failed_persistent_iteration_leaves_the_request_startable() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            if engine.world_rank() == 0 {
+                for payload in [&b"too long"[..], b"fits"] {
+                    engine
+                        .send(COMM_WORLD, 1, 6, payload, SendMode::Standard)
+                        .unwrap();
+                }
+            } else {
+                let req = engine.recv_init(COMM_WORLD, 0, 6, Some(4)).unwrap();
+                engine.start(req).unwrap();
+                let error = engine.wait(req).unwrap_err();
+                assert_eq!(error.class, ErrorClass::Truncate);
+                assert_eq!(engine.persistent_p2p_active(), 0);
+                engine.start(req).unwrap();
+                assert_eq!(engine.wait(req).unwrap().data.unwrap(), b"fits");
+                engine.request_free(req).unwrap();
+            }
+            engine.finalize().unwrap();
         })
         .unwrap();
     }
