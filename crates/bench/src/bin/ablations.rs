@@ -5,8 +5,7 @@
 //! * object serialization (`MPI.OBJECT`) vs derived datatypes for strided
 //!   data,
 //! * collective algorithm (linear vs binomial tree vs recursive doubling
-//!   vs ring) per device — the Figure-5/6-style axis for the collective
-//!   subsystem (full sweep: the `collectives` binary).
+//!   vs ring) — the Figure-5/6-style axis for the collective subsystem.
 //!
 //! ```text
 //! cargo run --release -p mpi-bench --bin ablations
@@ -14,7 +13,6 @@
 
 use std::time::{Duration, Instant};
 
-use mpi_transport::DeviceKind;
 use mpijava::{Datatype, JniConfig, MarshalMode, MpiRuntime, Serializable};
 
 fn time_it(f: impl FnOnce()) -> Duration {
@@ -158,35 +156,31 @@ fn ablation_serialization() {
     println!();
 }
 
-/// Ablation 4: the collective-algorithm axis. Bcast and allreduce at a
-/// bandwidth-bound payload on eight ranks, each algorithm pinned through
-/// `MpiRuntime::coll_algorithm` (the programmatic form of
-/// `MPIJAVA_COLL_ALG`); `auto` is the tuned size-aware selector.
+/// Ablation 4: the collective-algorithm axis. Bcast, allreduce,
+/// allgather and barrier at a bandwidth-bound payload on eight ranks,
+/// each algorithm pinned through `MpiRuntime::coll_algorithm` (the
+/// programmatic form of `MPIJAVA_COLL_ALG`) over the modelled link;
+/// `auto` is the tuned size-aware selector. An algorithm that cannot
+/// run an op is left out of its row.
 fn ablation_collectives() {
-    use mpi_bench::collbench::{run_suite, CollBenchSpec};
+    use mpi_bench::collbench::{algorithm_applies, measure};
     use mpijava::CollAlgorithm;
     println!("== ablation: collective algorithm (64 KiB, 8 ranks, SM) ==");
-    let spec = CollBenchSpec {
-        ranks: 8,
-        devices: vec![DeviceKind::ShmFast],
-        algorithms: vec![
-            None,
-            Some(CollAlgorithm::Linear),
-            Some(CollAlgorithm::BinomialTree),
-            Some(CollAlgorithm::RecursiveDoubling),
-            Some(CollAlgorithm::Ring),
-        ],
-        payloads: vec![64 * 1024],
-        reps: 10,
-        warmup: 3,
-        link: mpi_bench::collbench::modelled_link(),
-        trace_modes: Vec::new(),
-    };
-    let records = run_suite(&spec, |_| ());
+    let algorithms = [
+        None,
+        Some(CollAlgorithm::Linear),
+        Some(CollAlgorithm::BinomialTree),
+        Some(CollAlgorithm::RecursiveDoubling),
+        Some(CollAlgorithm::Ring),
+    ];
     for op in ["bcast", "allreduce", "allgather", "barrier"] {
+        let payload = if op == "barrier" { 0 } else { 64 * 1024 };
         print!("  {op:>10}:");
-        for r in records.iter().filter(|r| r.op == op) {
-            print!(" {}={:.1}us", r.algorithm, r.us_per_op);
+        for alg in algorithms {
+            if algorithm_applies(alg, op, 8, false) {
+                let label = alg.map_or("auto", |a| a.label());
+                print!(" {label}={:.1}us", measure(op, alg, 8, payload, 10, 3));
+            }
         }
         println!();
     }

@@ -1,20 +1,16 @@
-//! Collective-algorithm sweep: measures every collective under every
-//! algorithm on every device, plus the `icollectives`
-//! communication/computation overlap cells, and writes the
-//! machine-readable `BENCH_collectives.json` used to track the
-//! collective subsystem's performance across PRs.
+//! The collective gates `benchmark/` cannot run: the `iallreduce`
+//! compute/communication overlap cells, persistent vs transient
+//! allreduce, and the hierarchical collectives against the flat tree on
+//! hybrid fabrics. Prints each table and exits non-zero when a gate
+//! fails.
 //!
 //! ```text
-//! cargo run --release -p mpi-bench --bin collectives [RANKS] [REPS] [raw|quick]
+//! cargo run --release -p mpi-bench --bin collectives [RANKS] [REPS] [quick]
 //! ```
 //!
-//! Defaults: 8 ranks, 10 timed reps per cell (3 warm-up), with the
-//! modelled ~256 MB/s link attached (see `collbench` module docs: the link
-//! charge overlaps across rank pairs like independent link hardware, so
-//! the numbers reflect the link-level concurrency collective algorithms
-//! are chosen for; pass `raw` as the third argument for unmodelled wall
-//! clock). `quick` runs a tiny smoke sweep (2 ranks, one payload, two
-//! algorithms, one overlap cell) for CI.
+//! Defaults: 8 ranks, 5 timed reps per hybrid cell. `quick` runs the CI
+//! smoke (2 ranks, one overlap cell per progress mode, one persistent
+//! cell, one tiny hybrid cell).
 //!
 //! The overlap cells run `iallreduce` with injected compute over the
 //! *due-time* link model (the sender's thread is free while bytes are
@@ -41,17 +37,11 @@
 //! node shapes — is asserted in the full sweep; `quick` runs one tiny
 //! hybrid cell as the CI smoke.
 
-use std::fs;
-
 use mpi_bench::collbench::{
-    format_table, measure_hier_cell, measure_overlap, measure_persistent, run_hier_suite,
-    run_suite, to_json, CollBenchSpec, CollRecord, HierBenchSpec, OverlapRecord, PersistentRecord,
+    measure_hier_cell, measure_overlap, measure_persistent, run_hier_suite, CollRecord,
+    HierBenchSpec, OverlapRecord, PersistentRecord,
 };
 use mpijava::{DeviceKind, ProgressMode};
-
-fn find(records: &[CollRecord], op: &str, alg: &str, payload: usize) -> Option<f64> {
-    find_on(records, "shm-fast", op, alg, payload)
-}
 
 fn find_on(
     records: &[CollRecord],
@@ -77,50 +67,7 @@ fn main() {
     } else {
         first.and_then(|a| a.parse().ok()).unwrap_or(8)
     };
-    let reps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let mode = args.next();
-    let raw = mode.as_deref() == Some("raw");
-    let spec = if quick {
-        CollBenchSpec {
-            ranks,
-            reps: 2,
-            warmup: 1,
-            devices: vec![DeviceKind::ShmFast],
-            algorithms: vec![None, Some(mpijava::CollAlgorithm::BinomialTree)],
-            payloads: vec![4 * 1024],
-            link: mpijava::DeviceProfile::free(),
-            trace_modes: vec![
-                mpijava::TraceMode::Off,
-                mpijava::TraceMode::Counters,
-                mpijava::TraceMode::Events,
-            ],
-        }
-    } else {
-        CollBenchSpec {
-            ranks,
-            reps,
-            link: if raw {
-                mpijava::DeviceProfile::free()
-            } else {
-                mpi_bench::collbench::modelled_link()
-            },
-            ..CollBenchSpec::default()
-        }
-    };
-
-    eprintln!(
-        "collective sweep: {} ranks, {} devices, {} algorithms, payloads {:?}",
-        spec.ranks,
-        spec.devices.len(),
-        spec.algorithms.len(),
-        spec.payloads
-    );
-    let mut records = run_suite(&spec, |r| {
-        eprintln!(
-            "  {:>10} {:>9} {:>7} {:>10}B -> {:>10.2} us",
-            r.op, r.device, r.algorithm, r.payload_bytes, r.us_per_op
-        );
-    });
+    let reps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(5);
 
     // Hybrid-fabric cells: hier vs the flat algorithms over the
     // modelled inter-node link (intra-node free). The quick sweep runs a
@@ -138,7 +85,7 @@ fn main() {
     } else {
         HierBenchSpec {
             ranks,
-            reps: reps.min(5),
+            reps,
             ..HierBenchSpec::default()
         }
     };
@@ -146,13 +93,12 @@ fn main() {
         "hybrid hier sweep: {} ranks over {:?} nodes, payloads {:?}",
         hier_spec.ranks, hier_spec.node_counts, hier_spec.payloads
     );
-    records.extend(run_hier_suite(&hier_spec, |r| {
+    let records = run_hier_suite(&hier_spec, |r| {
         eprintln!(
             "  {:>10} {:>9} {:>7} {:>10}B -> {:>10.2} us",
             r.op, r.device, r.algorithm, r.payload_bytes, r.us_per_op
         );
-    }));
-    let records = records;
+    });
 
     // Overlap cells: iallreduce hiding communication behind injected
     // compute on the due-time shm-fast link model — once per progress
@@ -205,20 +151,6 @@ fn main() {
         );
         persistent.push(record);
     }
-
-    let json = mpi_bench::RunMeta::collect("collectives").wrap_object(&to_json(
-        &records,
-        &overlap,
-        &persistent,
-    ));
-    fs::write("BENCH_collectives.json", &json).expect("write BENCH_collectives.json");
-    println!("{}", format_table(&records));
-    println!(
-        "wrote BENCH_collectives.json ({} cells, {} overlap cells, {} persistent cells)",
-        records.len(),
-        overlap.len(),
-        persistent.len()
-    );
 
     println!("\n== iallreduce compute/communication overlap (shm-fast, due-time link) ==");
     for r in &overlap {
@@ -295,46 +227,6 @@ fn main() {
 
     if quick {
         return;
-    }
-
-    // Headline: the tuning table's claim at the large-payload end.
-    println!(
-        "\n== shm-fast, P={} — scalable algorithms vs the linear baseline ==",
-        spec.ranks
-    );
-    for op in ["bcast", "allreduce"] {
-        for &payload in spec.payloads.iter().filter(|&&p| p >= 64 * 1024) {
-            let linear = find(&records, op, "linear", payload);
-            for alg in ["tree", "rd", "ring", "pipelined"] {
-                if let (Some(lin), Some(us)) = (linear, find(&records, op, alg, payload)) {
-                    println!(
-                        "  {op:>9} {payload:>7}B: {alg:>9} {us:>9.1} us vs linear {lin:>9.1} us ({}{:.2}x)",
-                        if lin >= us { "+" } else { "-" },
-                        lin / us
-                    );
-                }
-            }
-        }
-    }
-
-    // The segmented-pipeline claim: every link carries the payload once,
-    // so the chain overtakes the binomial tree once the payload spans
-    // several segments.
-    println!(
-        "\n== shm-fast, P={} — pipelined (chain) vs tree bcast ==",
-        spec.ranks
-    );
-    for &payload in spec.payloads.iter().filter(|&&p| p >= 64 * 1024) {
-        if let (Some(tree), Some(pipe)) = (
-            find(&records, "bcast", "tree", payload),
-            find(&records, "bcast", "pipelined", payload),
-        ) {
-            println!(
-                "  {payload:>7}B: pipelined {pipe:>9.1} us vs tree {tree:>9.1} us ({}{:.2}x)",
-                if tree >= pipe { "+" } else { "-" },
-                tree / pipe
-            );
-        }
     }
 
     // The multi-fabric claim: on a hybrid fabric the hierarchical

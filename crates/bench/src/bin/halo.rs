@@ -1,7 +1,7 @@
 //! Halo-exchange sweep: two-sided isend/irecv vs neighborhood alltoall
 //! vs one-sided put+fence, over shared memory and hybrid 2-/4-node
-//! fabrics, and writes the machine-readable `BENCH_halo.json` used to
-//! track the one-sided / neighborhood subsystem across PRs.
+//! fabrics. Prints the table and the headline ratios; `quick` is the CI
+//! gate.
 //!
 //! ```text
 //! cargo run --release -p mpi-bench --bin halo [REPS | quick]
@@ -20,10 +20,8 @@
 //! round is the only extra cost, so a miss means the RMA datapath grew
 //! a real overhead (an extra copy, a serialization point), not noise.
 
-use std::fs;
-
 use mpi_bench::halobench::{
-    find_halo, format_halo_table, run_halo_suite, to_json, HaloBenchSpec, HaloFabric, HaloMethod,
+    find_halo, format_halo_table, run_halo_suite, HaloBenchSpec, HaloFabric, HaloMethod,
 };
 
 fn main() {
@@ -60,10 +58,6 @@ fn main() {
     println!("{}", format_halo_table(&records));
 
     if !quick {
-        let json = mpi_bench::RunMeta::collect("halo").wrap_rows(&to_json(&records));
-        fs::write("BENCH_halo.json", &json).expect("write BENCH_halo.json");
-        println!("wrote BENCH_halo.json ({} cells)", records.len());
-
         // Headline reading: one-sided and neighborhood against the
         // two-sided baseline, per fabric, at the bandwidth-bound end.
         for fabric in ["shm", "hybrid-2n", "hybrid-4n"] {

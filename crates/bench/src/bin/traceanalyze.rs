@@ -10,7 +10,8 @@
 //! The first form analyzes existing dumps (wait-state profiles with
 //! blame, clock alignment, collective skews, the global critical path)
 //! and prints the human report; `--json` also writes the
-//! schema-versioned analysis JSON for `benchdiff`.
+//! schema-versioned analysis JSON (`causal-analysis-v1`) for tools that
+//! compare runs.
 //!
 //! The drill forms run the CI acceptance workloads end to end and gate
 //! on their analyses:

@@ -75,9 +75,9 @@
 //! (transport hops are unattributed) by the end-to-end path time; a
 //! straggler that holds everyone else up collects the dominant share.
 //!
-//! The JSON emitted by [`Analysis::to_json`] is schema-versioned
-//! ([`ANALYSIS_SCHEMA`]) so the `benchdiff` regression gate can refuse
-//! to compare incompatible shapes.
+//! The JSON emitted by [`Analysis::to_json`] (what `traceanalyze
+//! --json` writes) is schema-versioned ([`ANALYSIS_SCHEMA`]) so a reader
+//! can refuse to compare incompatible shapes.
 //!
 //! # Drills
 //!
@@ -101,7 +101,7 @@ use mpijava::{
 use crate::tracemerge::{load_trace_dir, ArgValue, RankEvent, RankTrace};
 
 /// Schema tag stamped into [`Analysis::to_json`] output. Bump on any
-/// incompatible shape change; `benchdiff` refuses mixed schemas.
+/// incompatible shape change.
 pub const ANALYSIS_SCHEMA: &str = "causal-analysis-v1";
 
 /// The engine's collective tag ceiling (`p2p::COLLECTIVE_TAG_BASE`).

@@ -1,44 +1,43 @@
-//! Collective benchmark harness with machine-readable output: measures
-//! op × device × algorithm × payload → microseconds per call and emits
-//! `BENCH_collectives.json` so the performance trajectory of the
-//! collective subsystem is tracked across PRs.
+//! The collective cells `benchmark/` cannot run: they need more than two
+//! ranks, a modelled link or a second progress mode. Each kind backs a
+//! gate of the `collectives` binary:
+//!
+//! * [`measure_overlap`] — how much of an `iallreduce` hides behind
+//!   injected compute, under manual and thread progress;
+//! * [`measure_persistent`] — a persistent allreduce against its
+//!   transient twin;
+//! * [`run_hier_suite`] — the hierarchical collectives against the flat
+//!   algorithms over a hybrid two-node fabric.
+//!
+//! [`measure`] is the one flat latency cell left: the `ablations` binary
+//! prints the algorithm axis with it.
 //!
 //! Every measurement runs through the `mpijava` wrapper (the paper's
 //! stack), with the engine's collective algorithm either left to the
 //! tuned selector (`"auto"`) or pinned per run via
 //! [`MpiRuntime::coll_algorithm`]. The reduction payload is `MPI.INT`
-//! with `MPI.SUM`, whose order policy admits every algorithm, so the
-//! `linear` / `tree` / `rd` / `ring` / `pipelined` rows are directly
-//! comparable. Cells whose pinned algorithm cannot implement the
-//! operation (ring has no bcast, recursive doubling needs a power-of-two
-//! communicator, pipelined is bcast-only, …) are *skipped* rather than
-//! silently measuring the tuned fallback under a wrong label — every
-//! emitted row measures exactly the algorithm it names. The
-//! `pipelined`-vs-`tree` bcast cells at large payloads are the headline
-//! of the segmented-transfer work: interior tree ranks forward segment
-//! *k* while receiving *k+1*, so the pipelined rows pull ahead once the
-//! payload spans several segments.
+//! with `MPI.SUM`, whose order policy admits every algorithm. Cells whose
+//! pinned algorithm cannot implement the operation are skipped
+//! ([`algorithm_applies`]) rather than silently measuring the tuned
+//! fallback under a wrong label.
 //!
 //! ## The modelled link
 //!
-//! By default the sweep attaches a [`DeviceProfile`] charging
-//! [`LINK_NS_PER_BYTE`] per payload byte plus [`LINK_PER_MESSAGE_US`] per
-//! frame on the send path — a ~256 MB/s link. The charge occupies
-//! the modelled *link*, not the CPU (it yields while waiting), so
-//! transfers on different rank pairs overlap in wall time exactly as
-//! independent links do. This matters because collective algorithm choice
-//! is about link-level concurrency: on a CI container with fewer cores
-//! than ranks, raw wall clock degenerates to total-bytes-moved (identical
-//! across algorithms) and measures only scheduler noise. The structural
-//! no-cost mode is still available via [`CollBenchSpec::link`] =
-//! [`DeviceProfile::free`] (the `raw` flag of the `collectives` binary);
-//! the applied per-byte cost is recorded in every JSON record.
+//! [`measure`] attaches a [`DeviceProfile`] charging [`LINK_NS_PER_BYTE`]
+//! per payload byte plus [`LINK_PER_MESSAGE_US`] per frame on the send
+//! path — a ~256 MB/s link. The charge occupies the modelled *link*, not
+//! the CPU (it yields while waiting), so transfers on different rank
+//! pairs overlap in wall time exactly as independent links do. This
+//! matters because collective algorithm choice is about link-level
+//! concurrency: on a CI container with fewer cores than ranks, raw wall
+//! clock degenerates to total-bytes-moved (identical across algorithms)
+//! and measures only scheduler noise.
 
 use std::time::{Duration, Instant};
 
 use mpijava::{
     CollAlgorithm, Datatype, DeviceKind, DeviceProfile, MpiRuntime, NetworkModel, NodeMap, Op,
-    ProgressMode, TraceConfig, TraceMode,
+    ProgressMode, TraceConfig,
 };
 
 /// Modelled link cost per payload byte (4 ns/B ≈ a 256 MB/s link — the
@@ -72,26 +71,19 @@ pub fn modelled_overlap_link() -> NetworkModel {
     )
 }
 
-/// One measured cell of the sweep.
+/// One measured cell of the hybrid-fabric sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollRecord {
-    /// Collective name: `barrier`, `bcast`, `allreduce`, `allgather`.
+    /// Collective name: `bcast`, `allreduce`.
     pub op: String,
-    /// Device label (`shm-fast`, `shm-p4`, `tcp`).
+    /// Fabric label (`hybrid-2n`, `hybrid-4n`).
     pub device: String,
     /// Algorithm label (`auto` for the tuned selector).
     pub algorithm: String,
-    /// Total payload bytes of the collective (0 for barrier).
+    /// Total payload bytes of the collective.
     pub payload_bytes: usize,
-    /// Communicator size.
-    pub ranks: usize,
     /// Wall microseconds per collective call (rank 0, steady state).
     pub us_per_op: f64,
-    /// Modelled link cost applied during the run (0 = raw wall clock).
-    pub link_ns_per_byte: f64,
-    /// Observability mode pinned during the run (`off`, `counters`,
-    /// `events`) — the trace-overhead axis.
-    pub trace_mode: String,
 }
 
 /// One measured cell of the communication/computation overlap bench:
@@ -125,8 +117,6 @@ pub struct OverlapRecord {
     /// Fraction of the communication time hidden behind the compute:
     /// `(comm + compute - overlapped) / comm`, clamped to [0, 1].
     pub overlap_ratio: f64,
-    /// Modelled link bandwidth applied during the run (bytes/s).
-    pub link_bytes_per_sec: f64,
 }
 
 /// Measure one overlap cell (see [`OverlapRecord`]). The collective runs
@@ -255,7 +245,6 @@ pub fn measure_overlap(
         compute_us,
         overlapped_us,
         overlap_ratio: (hidden / comm_us).clamp(0.0, 1.0),
-        link_bytes_per_sec: 1e9 / LINK_NS_PER_BYTE,
     }
 }
 
@@ -367,85 +356,36 @@ pub fn measure_persistent(
     }
 }
 
-/// Sweep specification.
-#[derive(Debug, Clone)]
-pub struct CollBenchSpec {
-    pub ranks: usize,
-    pub devices: Vec<DeviceKind>,
-    /// `None` = the tuned selector (`auto`); `Some(alg)` pins one.
-    pub algorithms: Vec<Option<CollAlgorithm>>,
-    pub payloads: Vec<usize>,
-    pub reps: usize,
-    pub warmup: usize,
-    /// Synthetic link model charged per frame ([`modelled_link`] by
-    /// default; [`DeviceProfile::free`] for raw wall clock).
-    pub link: DeviceProfile,
-    /// Observability modes for the `trace_mode` axis: the tuned
-    /// allreduce re-measured under each mode at one representative
-    /// payload (the main sweep itself is pinned to `off`). Empty
-    /// disables the axis.
-    pub trace_modes: Vec<TraceMode>,
-}
-
-impl Default for CollBenchSpec {
-    fn default() -> CollBenchSpec {
-        CollBenchSpec {
-            ranks: 8,
-            devices: vec![DeviceKind::ShmFast, DeviceKind::ShmP4, DeviceKind::Tcp],
-            algorithms: vec![
-                None,
-                Some(CollAlgorithm::Linear),
-                Some(CollAlgorithm::BinomialTree),
-                Some(CollAlgorithm::RecursiveDoubling),
-                Some(CollAlgorithm::Ring),
-                Some(CollAlgorithm::Pipelined),
-            ],
-            payloads: vec![1024, 64 * 1024, 256 * 1024],
-            reps: 10,
-            warmup: 3,
-            link: modelled_link(),
-            trace_modes: vec![TraceMode::Off, TraceMode::Counters, TraceMode::Events],
-        }
-    }
-}
-
-/// The collectives the sweep covers.
-pub const COLL_OPS: [&str; 4] = ["barrier", "bcast", "allreduce", "allgather"];
-
 fn algorithm_label(alg: Option<CollAlgorithm>) -> String {
     alg.map_or_else(|| "auto".to_string(), |a| a.label().to_string())
 }
 
-/// Measure one (op, device, algorithm, payload) cell: microseconds per
-/// call, best of three timed windows, each opened *and closed* by a
-/// barrier so the clock covers the whole collective completing on every
-/// rank (not just the measuring rank's local part).
+/// Measure one (op, algorithm, payload) cell on `shm-fast` over the
+/// [`modelled_link`]: microseconds per call, best of three timed
+/// windows, each opened *and closed* by a barrier so the clock covers
+/// the whole collective completing on every rank (not just the
+/// measuring rank's local part).
 ///
-/// The eager threshold is raised above every swept payload: collective
-/// schedules post their receives before the matching sends, so the
-/// rendezvous handshake would be pure per-hop overhead here, and real
-/// MPI implementations use separate (higher) protocol switch-over points
-/// for collectives for exactly that reason.
-#[allow(clippy::too_many_arguments)]
+/// The eager threshold is raised above every measured payload:
+/// collective schedules post their receives before the matching sends,
+/// so the rendezvous handshake would be pure per-hop overhead here, and
+/// real MPI implementations use separate (higher) protocol switch-over
+/// points for collectives for exactly that reason.
 pub fn measure(
     op: &'static str,
-    device: DeviceKind,
     alg: Option<CollAlgorithm>,
     ranks: usize,
     payload_bytes: usize,
     reps: usize,
     warmup: usize,
-    link: DeviceProfile,
-    trace: TraceConfig,
 ) -> f64 {
-    // Pinned per cell so an ambient MPIJAVA_TRACE cannot relabel a row
-    // (same rule as the algorithm axis: every row measures what it
-    // names).
+    // Tracing pinned off so an ambient MPIJAVA_TRACE cannot change what
+    // a row measures (same rule as the algorithm axis).
     let mut runtime = MpiRuntime::new(ranks)
-        .device(device)
-        .profile(link)
+        .device(DeviceKind::ShmFast)
+        .profile(modelled_link())
         .eager_threshold(1 << 20)
-        .trace(trace);
+        .trace(TraceConfig::off());
     if let Some(alg) = alg {
         runtime = runtime.coll_algorithm(alg);
     }
@@ -598,11 +538,6 @@ impl Default for HierBenchSpec {
     }
 }
 
-/// Run the hybrid-fabric sweep. Cells are labelled
-/// `device = "hybrid-<nodes>n"` so the flat rows of the main sweep and
-/// the hierarchical rows stay distinguishable in one `cells` array;
-/// `link_ns_per_byte` records the *inter-node* link cost (intra-node is
-/// free).
 /// One cell of the hybrid-fabric sweep: `ranks` block-placed on
 /// `nodes` nodes, free intra-node fabric, gigabit due-time inter-node
 /// link (see [`HierBenchSpec`]). Exposed separately so a gate can
@@ -628,6 +563,9 @@ pub fn measure_hier_cell(
     measure_runtime(runtime, op, payload, reps, warmup)
 }
 
+/// Run the hybrid-fabric sweep; cells are labelled
+/// `device = "hybrid-<nodes>n"`. `progress` fires once per finished
+/// cell.
 pub fn run_hier_suite(
     spec: &HierBenchSpec,
     mut progress: impl FnMut(&CollRecord),
@@ -659,10 +597,7 @@ pub fn run_hier_suite(
                         device: device_label.clone(),
                         algorithm: algorithm_label(alg),
                         payload_bytes: payload,
-                        ranks: spec.ranks,
                         us_per_op: us,
-                        link_ns_per_byte: 1e9 / modelled_internode_link().peak_bandwidth(),
-                        trace_mode: TraceMode::Off.label().to_string(),
                     };
                     progress(&record);
                     records.push(record);
@@ -671,245 +606,11 @@ pub fn run_hier_suite(
         }
     }
     records
-}
-
-/// Run the full sweep. `progress` is called once per finished cell (the
-/// binary uses it for a live log; pass `|_| ()` to stay quiet).
-pub fn run_suite(spec: &CollBenchSpec, mut progress: impl FnMut(&CollRecord)) -> Vec<CollRecord> {
-    let mut records = Vec::new();
-    for &device in &spec.devices {
-        for &alg in &spec.algorithms {
-            for op in COLL_OPS {
-                if !algorithm_applies(alg, op, spec.ranks, false) {
-                    continue;
-                }
-                // Barrier has no payload axis; measure it once.
-                let payloads: &[usize] = if op == "barrier" {
-                    &[0]
-                } else {
-                    &spec.payloads
-                };
-                for &payload in payloads {
-                    let us = measure(
-                        op,
-                        device,
-                        alg,
-                        spec.ranks,
-                        payload,
-                        spec.reps,
-                        spec.warmup,
-                        spec.link,
-                        TraceConfig::off(),
-                    );
-                    let record = CollRecord {
-                        op: op.to_string(),
-                        device: device.label().to_string(),
-                        algorithm: algorithm_label(alg),
-                        payload_bytes: payload,
-                        ranks: spec.ranks,
-                        us_per_op: us,
-                        link_ns_per_byte: spec.link.per_byte_cost_ns,
-                        trace_mode: TraceMode::Off.label().to_string(),
-                    };
-                    progress(&record);
-                    records.push(record);
-                }
-            }
-        }
-    }
-    // The trace_mode axis: the tuned allreduce at one representative
-    // payload, re-measured under each observability mode (including a
-    // fresh `off` cell so all three share one host regime).
-    if !spec.trace_modes.is_empty() {
-        let device = spec.devices[0];
-        let payload = spec.payloads[spec.payloads.len() / 2];
-        for &mode in &spec.trace_modes {
-            let trace = TraceConfig {
-                mode,
-                ..TraceConfig::default()
-            };
-            let us = measure(
-                "allreduce",
-                device,
-                None,
-                spec.ranks,
-                payload,
-                spec.reps,
-                spec.warmup,
-                spec.link,
-                trace,
-            );
-            let record = CollRecord {
-                op: "allreduce".to_string(),
-                device: device.label().to_string(),
-                algorithm: algorithm_label(None),
-                payload_bytes: payload,
-                ranks: spec.ranks,
-                us_per_op: us,
-                link_ns_per_byte: spec.link.per_byte_cost_ns,
-                trace_mode: mode.label().to_string(),
-            };
-            progress(&record);
-            records.push(record);
-        }
-    }
-    records
-}
-
-/// Serialize the sweep as a JSON object `{"cells": [...], "overlap":
-/// [...], "persistent": [...]}` (all field values are plain numbers or
-/// label strings, so no escaping is required). The `cells` array
-/// carries the blocking latency sweep; `overlap` carries the
-/// `icollectives` communication/computation overlap cells (one row per
-/// progress mode); `persistent` carries the persistent-vs-transient
-/// allreduce latency cells.
-pub fn to_json(
-    records: &[CollRecord],
-    overlap: &[OverlapRecord],
-    persistent: &[PersistentRecord],
-) -> String {
-    let mut out = String::from("{\n\"cells\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"op\": \"{}\", \"device\": \"{}\", \"algorithm\": \"{}\", \
-             \"payload_bytes\": {}, \"ranks\": {}, \"us_per_op\": {:.3}, \
-             \"link_ns_per_byte\": {}, \"trace_mode\": \"{}\"}}{}\n",
-            r.op,
-            r.device,
-            r.algorithm,
-            r.payload_bytes,
-            r.ranks,
-            r.us_per_op,
-            r.link_ns_per_byte,
-            r.trace_mode,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("],\n\"overlap\": [\n");
-    for (i, r) in overlap.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"op\": \"iallreduce\", \"device\": \"{}\", \"algorithm\": \"{}\", \
-             \"progress\": \"{}\", \"manual_tests_per_op\": {}, \
-             \"payload_bytes\": {}, \"ranks\": {}, \"comm_us\": {:.3}, \
-             \"compute_us\": {:.3}, \"overlapped_us\": {:.3}, \
-             \"overlap_ratio\": {:.3}, \"link_bytes_per_sec\": {}}}{}\n",
-            r.device,
-            r.algorithm,
-            r.progress,
-            r.manual_tests_per_op,
-            r.payload_bytes,
-            r.ranks,
-            r.comm_us,
-            r.compute_us,
-            r.overlapped_us,
-            r.overlap_ratio,
-            r.link_bytes_per_sec,
-            if i + 1 < overlap.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("],\n\"persistent\": [\n");
-    for (i, r) in persistent.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"op\": \"allreduce\", \"device\": \"{}\", \"payload_bytes\": {}, \
-             \"ranks\": {}, \"transient_us\": {:.3}, \"persistent_us\": {:.3}, \
-             \"speedup\": {:.3}}}{}\n",
-            r.device,
-            r.payload_bytes,
-            r.ranks,
-            r.transient_us,
-            r.persistent_us,
-            r.speedup,
-            if i + 1 < persistent.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n}");
-    out
-}
-
-/// Aligned text table of the records (one row per cell), for humans.
-pub fn format_table(records: &[CollRecord]) -> String {
-    let mut out = format!(
-        "{:>10} {:>9} {:>7} {:>10} {:>6} {:>12}\n",
-        "op", "device", "alg", "bytes", "ranks", "us/op"
-    );
-    for r in records {
-        out.push_str(&format!(
-            "{:>10} {:>9} {:>7} {:>10} {:>6} {:>12.2}\n",
-            r.op, r.device, r.algorithm, r.payload_bytes, r.ranks, r.us_per_op
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_shape_is_stable() {
-        let records = vec![
-            CollRecord {
-                op: "bcast".into(),
-                device: "shm-fast".into(),
-                algorithm: "tree".into(),
-                payload_bytes: 65536,
-                ranks: 8,
-                us_per_op: 12.345,
-                link_ns_per_byte: 1.0,
-                trace_mode: "off".into(),
-            },
-            CollRecord {
-                op: "barrier".into(),
-                device: "tcp".into(),
-                algorithm: "auto".into(),
-                payload_bytes: 0,
-                ranks: 8,
-                us_per_op: 3.0,
-                link_ns_per_byte: 0.0,
-                trace_mode: "counters".into(),
-            },
-        ];
-        let overlap = vec![OverlapRecord {
-            device: "shm-fast".into(),
-            algorithm: "auto".into(),
-            progress: "thread".into(),
-            manual_tests_per_op: 0,
-            payload_bytes: 262144,
-            ranks: 8,
-            comm_us: 2000.0,
-            compute_us: 3000.0,
-            overlapped_us: 3200.0,
-            overlap_ratio: 0.9,
-            link_bytes_per_sec: 250e6,
-        }];
-        let persistent = vec![PersistentRecord {
-            device: "shm-fast".into(),
-            payload_bytes: 1024,
-            ranks: 8,
-            transient_us: 10.0,
-            persistent_us: 8.0,
-            speedup: 1.25,
-        }];
-        let json = to_json(&records, &overlap, &persistent);
-        assert!(json.starts_with("{\n\"cells\": [\n"));
-        assert!(json.ends_with('}'));
-        assert!(json.contains("\"op\": \"bcast\""));
-        assert!(json.contains("\"algorithm\": \"tree\""));
-        assert!(json.contains("\"payload_bytes\": 65536"));
-        assert!(json.contains("\"us_per_op\": 12.345"));
-        assert!(json.contains("\"link_ns_per_byte\": 1"));
-        assert!(json.contains("\"trace_mode\": \"counters\""));
-        assert!(json.contains("\"overlap\": ["));
-        assert!(json.contains("\"op\": \"iallreduce\""));
-        assert!(json.contains("\"progress\": \"thread\""));
-        assert!(json.contains("\"manual_tests_per_op\": 0"));
-        assert!(json.contains("\"overlap_ratio\": 0.900"));
-        assert!(json.contains("\"persistent\": ["));
-        assert!(json.contains("\"transient_us\": 10.000"));
-        assert!(json.contains("\"speedup\": 1.250"));
-        // Exactly one separating comma between the two latency cells.
-        assert_eq!(json.matches("},").count(), 1);
-    }
 
     /// A tiny overlap cell completes and reports a sane ratio (the
     /// headline ≥50% claim is asserted at full scale by the
@@ -959,34 +660,15 @@ mod tests {
         assert!(record.speedup > 0.0);
     }
 
+    /// A pinned algorithm that cannot run an op is skipped, not timed
+    /// under a wrong label; one that can is measured.
     #[test]
-    fn tiny_sweep_produces_one_record_per_cell() {
-        let spec = CollBenchSpec {
-            ranks: 2,
-            devices: vec![DeviceKind::ShmFast],
-            algorithms: vec![None, Some(CollAlgorithm::BinomialTree)],
-            payloads: vec![256],
-            reps: 2,
-            warmup: 1,
-            link: DeviceProfile::free(),
-            trace_modes: vec![TraceMode::Off, TraceMode::Events],
-        };
-        let records = run_suite(&spec, |_| ());
-        // auto covers all 4 ops; the pinned binomial tree implements
-        // barrier/bcast/allreduce but not allgather, whose cell must be
-        // skipped rather than mislabeled: 4 + 3 = 7 cells, plus the two
-        // trace-axis allreduce cells.
-        assert_eq!(records.len(), 9);
-        assert!(records
-            .iter()
-            .any(|r| r.trace_mode == "events" && r.op == "allreduce"));
-        assert!(records.iter().all(|r| r.us_per_op > 0.0));
-        assert!(records.iter().any(|r| r.algorithm == "auto"));
-        assert!(records
-            .iter()
-            .any(|r| r.op == "barrier" && r.payload_bytes == 0));
-        assert!(!records
-            .iter()
-            .any(|r| r.op == "allgather" && r.algorithm == "tree"));
+    fn inapplicable_cells_are_skipped_and_applicable_ones_measure() {
+        let tree = Some(CollAlgorithm::BinomialTree);
+        assert!(!algorithm_applies(tree, "allgather", 2, false));
+        assert!(algorithm_applies(tree, "allreduce", 2, false));
+        assert!(algorithm_applies(None, "allgather", 2, false));
+        assert!(measure("allreduce", tree, 2, 256, 2, 1) > 0.0);
+        assert!(measure("barrier", None, 2, 0, 2, 1) > 0.0);
     }
 }

@@ -324,26 +324,6 @@ pub fn run_halo_suite(
     records
 }
 
-/// Serialize as `{"cells": [...]}` (labels and numbers only — no
-/// escaping needed).
-pub fn to_json(records: &[HaloRecord]) -> String {
-    let mut out = String::from("{\n\"cells\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"method\": \"{}\", \"fabric\": \"{}\", \"payload_bytes\": {}, \
-             \"ranks\": {}, \"us_per_iter\": {:.3}}}{}\n",
-            r.method,
-            r.fabric,
-            r.payload_bytes,
-            r.ranks,
-            r.us_per_iter,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n}");
-    out
-}
-
 /// Aligned text table, for humans.
 pub fn format_halo_table(records: &[HaloRecord]) -> String {
     let mut out = format!(
@@ -375,33 +355,6 @@ pub fn find_halo(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_shape_is_stable() {
-        let records = vec![
-            HaloRecord {
-                method: "two-sided".into(),
-                fabric: "shm".into(),
-                payload_bytes: 65536,
-                ranks: 4,
-                us_per_iter: 42.5,
-            },
-            HaloRecord {
-                method: "rma-fence".into(),
-                fabric: "hybrid-2n".into(),
-                payload_bytes: 1024,
-                ranks: 4,
-                us_per_iter: 7.0,
-            },
-        ];
-        let json = to_json(&records);
-        assert!(json.starts_with("{\n\"cells\": [\n"));
-        assert!(json.ends_with('}'));
-        assert!(json.contains("\"method\": \"two-sided\""));
-        assert!(json.contains("\"fabric\": \"hybrid-2n\""));
-        assert!(json.contains("\"us_per_iter\": 42.500"));
-        assert_eq!(json.matches("},").count(), 1);
-    }
 
     /// Every method measures a sane tiny cell on shm — and because
     /// warm-up iterations verify the received halos, this also pins the

@@ -169,8 +169,8 @@
 //! With [`MpiRuntime::progress`]`(`[`ProgressMode::Thread`]`)` (or
 //! `MPIJAVA_PROGRESS=thread` in the environment) each rank additionally
 //! runs a background progress thread that keeps draining the engine —
-//! nonblocking-collective schedules, the rendezvous/segment pipeline,
-//! and passive-target RMA — while the application computes, so overlap
+//! nonblocking-collective schedules, rendezvous handshakes, and
+//! passive-target RMA — while the application computes, so overlap
 //! requires **zero** manual `test()` calls and a one-sided `lock`/`put`
 //! hits a compute-bound target without waiting for it to enter an MPI
 //! call. The engine is serialized behind a mutex, so the binding
@@ -305,8 +305,8 @@ pub enum ThreadLevel {
 /// Handle to one rank's background progress thread
 /// ([`ProgressMode::Thread`]): a loop that opportunistically takes the
 /// engine lock and drives one full progress sweep — incoming frames,
-/// nonblocking-collective schedules, the rendezvous/segment pipeline,
-/// and the RMA windows — then yields. Blocking MPI calls are untouched
+/// nonblocking-collective schedules, rendezvous handshakes, and the RMA
+/// windows — then yields. Blocking MPI calls are untouched
 /// (they progress the engine themselves while holding the lock); the
 /// thread's contribution is progress while the application computes
 /// *outside* MPI calls. Dropping the handle stops and joins the thread.
@@ -605,14 +605,6 @@ impl MpiRuntime {
     /// Override the eager/rendezvous threshold.
     pub fn eager_threshold(self, bytes: usize) -> Self {
         self.with(|c| c.with_eager_threshold(bytes))
-    }
-
-    /// Enable segmented (pipelined) large-message transfers with this
-    /// segment size on every rank (rendezvous payloads stream as
-    /// zero-copy segment frames; the `pipelined` bcast algorithm streams
-    /// them down the tree).
-    pub fn segment_bytes(self, bytes: usize) -> Self {
-        self.with(|c| c.with_segment_bytes(bytes))
     }
 
     /// Pin the collective algorithm on every rank, overriding the

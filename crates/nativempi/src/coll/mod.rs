@@ -504,12 +504,7 @@ impl Engine {
         } else {
             let [win] = self.sched_windows(comm, s);
             match alg {
-                CollAlgorithm::Pipelined => {
-                    let seg = self
-                        .segment_bytes
-                        .unwrap_or(pipeline::DEFAULT_BCAST_SEGMENT_BYTES);
-                    pipeline::bcast(s, win, rank, size, root, data, seg);
-                }
+                CollAlgorithm::Pipelined => pipeline::bcast(s, win, rank, size, root, data),
                 CollAlgorithm::BinomialTree => tree::bcast(s, win, rank, size, root, data),
                 _ => linear::bcast(s, win, rank, size, root, data),
             }

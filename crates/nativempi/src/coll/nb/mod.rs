@@ -39,11 +39,13 @@
 //!   this one finished;
 //! * [`Engine::coll_wait`] — blocks on the transport between advances
 //!   until this schedule finishes;
-//! * **background progress hook**: every blocking engine entry point
-//!   (`wait`, `wait_any`, `wait_some`, `probe`, and their `test`
-//!   counterparts) also advances all in-flight collective schedules, so
-//!   a rank blocked in unrelated point-to-point traffic still makes
-//!   collective progress for its peers.
+//! * **background progress hook**: every engine entry point that drives
+//!   the transport (`wait`, `test`, `probe`, `iprobe`, and the
+//!   [`Engine::progress_poll`] / [`Engine::progress_wait`] pair the
+//!   binding's batch waits are built on) also advances all in-flight
+//!   collective schedules, so a rank blocked in unrelated
+//!   point-to-point traffic still makes collective progress for its
+//!   peers.
 //!
 //! Advancing is strictly non-parking: completed transfers are harvested
 //! with the engine's non-blocking `is_complete`/`take_completion`
@@ -1025,13 +1027,6 @@ impl Engine {
     /// deadlock, no leaked posted receives.
     pub fn coll_abandon(&mut self, req: CollRequestId) -> Result<()> {
         self.coll_wait(req).map(|_| ())
-    }
-
-    /// Wait for every request of a batch, collective or not mixed at the
-    /// binding layer — this engine-level variant takes collective ids
-    /// only; heterogeneous batches are sequenced by the binding.
-    pub fn coll_wait_all(&mut self, reqs: &[CollRequestId]) -> Result<Vec<CollOutcome>> {
-        reqs.iter().map(|&r| self.coll_wait(r)).collect()
     }
 
     /// Number of collective schedules currently in flight (finished but

@@ -33,9 +33,8 @@
 //! the successor starts receiving *k* while the predecessor pushes
 //! *k+1* — the overlap the algorithm exists for.
 //!
-//! The segment size comes from the engine's pipeline configuration
-//! (`MPIJAVA_SEGMENT_BYTES` / [`Engine::set_segment_bytes`]), falling
-//! back to [`DEFAULT_BCAST_SEGMENT_BYTES`].
+//! Segments are a fixed 32 KiB (`SEGMENT_LEN`): the chain is the only
+//! place the engine segments a payload, so there is no knob for it.
 //!
 //! ## Selection
 //!
@@ -44,22 +43,19 @@
 //! the call, so a payload-keyed choice could diverge across ranks — see
 //! [`super::tuning`]), and without a payload axis the plain tree is the
 //! safe default. Pin it with `MPIJAVA_COLL_ALG=pipelined`,
-//! [`Engine::set_coll_algorithm`] or `MpiRuntime::coll_algorithm` — the
-//! collectives benchmark does exactly that for its pipelined-vs-tree
-//! cells. Results are byte-identical to every other bcast algorithm (the
+//! [`Engine::set_coll_algorithm`] or `MpiRuntime::coll_algorithm`.
+//! Results are byte-identical to every other bcast algorithm (the
 //! equivalence suite includes the pipelined run).
 //!
-//! [`Engine::set_segment_bytes`]: crate::Engine::set_segment_bytes
 //! [`Engine::set_coll_algorithm`]: crate::Engine::set_coll_algorithm
 
 use super::nb::{Round, Sched, SlotId, TagWindow, ROUND_SPACE};
 use crate::error::{err, ErrorClass};
 
-/// Segment size used when the engine has no explicit pipeline
-/// configuration. 32 KiB keeps eight-plus segments in flight for the
-/// payloads where pipelining matters (≥ 256 KiB) without drowning the
-/// stream in per-segment overhead.
-pub const DEFAULT_BCAST_SEGMENT_BYTES: usize = 32 * 1024;
+/// Segment size of the pipelined chain. 32 KiB keeps eight-plus
+/// segments in flight for the payloads where pipelining matters
+/// (≥ 256 KiB) without drowning the stream in per-segment overhead.
+const SEGMENT_LEN: usize = 32 * 1024;
 
 /// Tag for segment `index`: rounds 1.. of the window, cycling, never
 /// touching the header's round 0.
@@ -77,9 +73,8 @@ pub(crate) fn bcast(
     size: usize,
     root: usize,
     data: SlotId,
-    seg: usize,
 ) {
-    let seg = seg.max(1);
+    let seg = SEGMENT_LEN;
     // Chain neighbours in root-relative rank order: root → root+1 →
     // … → root-1 (wrapping), so any root costs the same.
     let relative = (rank + size - root) % size;
@@ -168,15 +163,16 @@ pub(crate) fn bcast(
 
 #[cfg(test)]
 mod tests {
+    use super::SEGMENT_LEN as SEG;
+    use crate::coll::nb::ROUND_SPACE;
     use crate::comm::COMM_WORLD;
     use crate::universe::Universe;
     use crate::CollAlgorithm;
     use mpi_transport::DeviceKind;
 
-    fn pipelined_bcast_roundtrip(size: usize, root: usize, len: usize, segment: Option<usize>) {
+    fn pipelined_bcast_roundtrip(size: usize, root: usize, len: usize) {
         Universe::run(size, DeviceKind::ShmFast, move |engine| {
             engine.set_coll_algorithm(Some(CollAlgorithm::Pipelined));
-            engine.set_segment_bytes(segment);
             let expected: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut buf = if engine.world_rank() == root {
                 expected.clone()
@@ -191,26 +187,22 @@ mod tests {
 
     #[test]
     fn pipelined_bcast_matches_on_many_shapes() {
-        // Payloads below, at and far above one segment; pow2 and odd
-        // communicator sizes; root at both ends.
+        // Empty, one byte, exactly one segment, several with a ragged
+        // tail; pow2 and odd communicator sizes; root at both ends.
         for (size, root) in [(2usize, 0usize), (3, 2), (4, 1), (8, 0), (8, 5)] {
-            for len in [0usize, 1, 4096, 100_000] {
-                pipelined_bcast_roundtrip(size, root, len, Some(4096));
+            for len in [0usize, 1, SEG, 3 * SEG + 7] {
+                pipelined_bcast_roundtrip(size, root, len);
             }
         }
     }
 
     #[test]
-    fn pipelined_bcast_uses_default_segment_when_unconfigured() {
-        // 200 KB over the 32 KiB default ≈ 7 segments.
-        pipelined_bcast_roundtrip(4, 0, 200_000, None);
-    }
-
-    #[test]
     fn more_segments_than_the_tag_window_still_works() {
-        // 96 segments > ROUND_SPACE: tags wrap within the window; the
-        // per-pair FIFO keeps the stream ordered.
-        pipelined_bcast_roundtrip(3, 1, 96 * 256, Some(256));
+        // More segments than ROUND_SPACE: tags wrap within the window;
+        // the per-pair FIFO keeps the stream ordered.
+        for (size, root) in [(2usize, 0usize), (3, 2), (4, 1), (8, 0), (8, 5)] {
+            pipelined_bcast_roundtrip(size, root, (ROUND_SPACE + 2) * SEG + 5);
+        }
     }
 
     /// The nonblocking form of the pipelined bcast: the schedule extends
@@ -219,8 +211,7 @@ mod tests {
     fn nonblocking_pipelined_bcast_completes_via_test() {
         Universe::run(3, DeviceKind::ShmFast, |engine| {
             engine.set_coll_algorithm(Some(CollAlgorithm::Pipelined));
-            engine.set_segment_bytes(Some(512));
-            let expected: Vec<u8> = (0..20_000).map(|i| (i % 239) as u8).collect();
+            let expected: Vec<u8> = (0..5 * SEG + 3).map(|i| (i % 239) as u8).collect();
             let buf = if engine.world_rank() == 0 {
                 expected.clone()
             } else {

@@ -7,7 +7,7 @@
 //! Every run-time knob is one `Option` field of
 //! [`UniverseConfig`]; [`overlay`] fills the
 //! fields nobody set programmatically from the `MPIJAVA_*` variables,
-//! once per job, and documents all ten in **one knob table** (variable,
+//! once per job, and documents all nine in **one knob table** (variable,
 //! field, `MpiRuntime` method, grammar, default, what a malformed value
 //! does) together with the one precedence rule. The sections below only
 //! spell out the longer grammars. Every rank of a job shares the process
@@ -15,13 +15,13 @@
 //! symmetric by construction.
 //!
 //! Sizes accept an optional `k`/`K` (KiB) or `m`/`M` (MiB) suffix:
-//! `MPIJAVA_EAGER_LIMIT=64k`, `MPIJAVA_SEGMENT_BYTES=1M`.
+//! `MPIJAVA_EAGER_LIMIT=64k` or `MPIJAVA_EAGER_LIMIT=1M`.
 //!
 //! ## `MPIJAVA_PROGRESS`
 //!
 //! `thread` (aliases `background`, `async`) spawns one background
 //! progress thread per rank that keeps draining the
-//! nonblocking-collective engine, the rendezvous/segment pipeline and
+//! nonblocking-collective engine, the rendezvous handshakes and
 //! the RMA windows while application code computes; `manual` (alias
 //! `none`) keeps the classic behavior where progress happens only
 //! inside MPI calls. Anything else warns and runs `manual`, so a typo
@@ -112,12 +112,6 @@ use crate::{Engine, UniverseConfig};
 /// the knob table on [`overlay`]).
 pub const EAGER_LIMIT_ENV: &str = "MPIJAVA_EAGER_LIMIT";
 
-/// `MPIJAVA_SEGMENT_BYTES`: the segment size of pipelined large-message
-/// transfers. Unset means no segmentation for point-to-point rendezvous
-/// payloads (the pipelined broadcast falls back to its own default
-/// segment size).
-pub const SEGMENT_BYTES_ENV: &str = "MPIJAVA_SEGMENT_BYTES";
-
 /// `MPIJAVA_NODES`: rank → node placement (grammar in the module docs).
 pub const NODES_ENV: &str = "MPIJAVA_NODES";
 
@@ -149,8 +143,8 @@ pub enum ProgressMode {
     #[default]
     Manual,
     /// A background thread per rank drives the progress engine
-    /// continuously: nonblocking collectives, rendezvous and segment
-    /// pipelines, and passive-target RMA advance while the application
+    /// continuously: nonblocking collectives, rendezvous handshakes and
+    /// passive-target RMA advance while the application
     /// computes, with zero manual `test()` calls.
     Thread,
 }
@@ -212,7 +206,7 @@ impl Overlay<'_> {
 /// `lookup` (the process environment in production, a table in tests).
 /// Returns the filled configuration and one message per malformed value.
 ///
-/// **The one rule, for all ten knobs:** a value set programmatically
+/// **The one rule, for all nine knobs:** a value set programmatically
 /// (`UniverseConfig::with_*`, the `MpiRuntime` builder, or an engine
 /// setter called after launch) wins; else the environment variable, if
 /// set and not blank; else the default. A malformed value warns once per
@@ -222,7 +216,6 @@ impl Overlay<'_> {
 /// | variable | `UniverseConfig` field | `MpiRuntime` method | grammar | default | malformed |
 /// |---|---|---|---|---|---|
 /// | [`EAGER_LIMIT_ENV`] | `eager_threshold` | `eager_threshold` | `<bytes>[k\|m]` | [`crate::DEFAULT_EAGER_THRESHOLD`] | ignored |
-/// | [`SEGMENT_BYTES_ENV`] | `segment_bytes` | `segment_bytes` | `<bytes>[k\|m]`, `0` = off | no segmentation | ignored |
 /// | [`COLL_ALG_ENV`] | `coll_algorithm` | `coll_algorithm` | `linear\|tree\|rd\|ring\|pipelined\|hier\|auto` | `auto`: the tuned selection | ignored |
 /// | [`NODES_ENV`] | `nodes` | `nodes` | `<nodes>`, `<nodes>x<ranks>` or `<id,id,…>` | one flat node | ignored |
 /// | [`PROGRESS_ENV`] | `progress` | `progress` | `thread\|manual` | `manual` | `manual` |
@@ -246,7 +239,6 @@ pub fn overlay(
     };
     let path = |raw: &str| Ok::<_, &str>(Some(PathBuf::from(raw)));
     env.fill(&mut config.eager_threshold, EAGER_LIMIT_ENV, bytes);
-    env.fill(&mut config.segment_bytes, SEGMENT_BYTES_ENV, bytes);
     env.fill(&mut config.coll_algorithm, COLL_ALG_ENV, |raw| {
         CollAlgorithm::parse_override(raw).map_err(|()| {
             "is not a recognized collective algorithm (expected \
@@ -463,11 +455,11 @@ mod tests {
     }
 
     /// The one `MPIJAVA_*` mechanism, driven through an injected lookup
-    /// (no test touches the process environment): all ten variables ×
+    /// (no test touches the process environment): all nine variables ×
     /// {unset, blank, valid, malformed}, "programmatic beats env" for
     /// every knob, and the exact warning count.
     #[test]
-    fn overlay_applies_one_rule_to_all_ten_variables() {
+    fn overlay_applies_one_rule_to_all_nine_variables() {
         fn show<T: std::fmt::Debug>(value: T) -> String {
             format!("{value:?}")
         }
@@ -489,13 +481,6 @@ mod tests {
                 malformed: vec!["lots", "-1"],
                 get: |c| show(c.eager_threshold),
                 set: |c| c.with_eager_threshold(7),
-            },
-            Knob {
-                name: SEGMENT_BYTES_ENV,
-                valid: vec![("1M", show(Some(1 << 20))), ("0", show(Some(0)))],
-                malformed: vec!["lots"],
-                get: |c| show(c.segment_bytes),
-                set: |c| c.with_segment_bytes(7),
             },
             Knob {
                 name: COLL_ALG_ENV,
@@ -604,7 +589,7 @@ mod tests {
         }
 
         // A whole job: every variable at once, first valid, then malformed
-        // (a path cannot be malformed, hence eight warnings, one per
+        // (a path cannot be malformed, hence seven warnings, one per
         // variable), then malformed under a fully programmatic config.
         let all = |pick: fn(&Knob) -> Option<&'static str>| {
             let values: Vec<_> = knobs.iter().map(|k| (k.name, pick(k))).collect();
@@ -620,7 +605,7 @@ mod tests {
         }
         let malformed = all(|k| k.malformed.first().copied());
         let (config, warnings) = overlay(base(), &malformed);
-        assert_eq!(warnings.len(), 8, "{warnings:?}");
+        assert_eq!(warnings.len(), 7, "{warnings:?}");
         for knob in knobs.iter().filter(|k| !k.malformed.is_empty()) {
             let named = warnings.iter().filter(|w| w.starts_with(knob.name));
             assert_eq!(named.count(), 1, "{} in {warnings:?}", knob.name);

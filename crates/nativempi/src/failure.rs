@@ -209,8 +209,8 @@ impl Engine {
             .copied()
             .collect();
         for key in keys {
-            let a = self.awaiting_rendezvous_data.remove(&key).expect("listed");
-            doomed.push(a.req);
+            let req = self.awaiting_rendezvous_data.remove(&key).expect("listed");
+            doomed.push(req);
         }
         let error = self.rank_failed_error(dead);
         for req in doomed {

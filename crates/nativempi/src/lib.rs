@@ -83,7 +83,7 @@ use std::time::Instant;
 use mpi_transport::Endpoint;
 
 use comm::CommRecord;
-use p2p::{PendingRendezvous, PostedRecv, RdvAssembly, UnexpectedMsg};
+use p2p::{PendingRendezvous, PostedRecv, UnexpectedMsg};
 use request::RequestState;
 
 /// Counters the engine keeps about its own activity. The benchmark harness
@@ -94,9 +94,6 @@ pub struct EngineStats {
     pub eager_sends: u64,
     /// Messages sent with the rendezvous protocol.
     pub rendezvous_sends: u64,
-    /// Rendezvous payloads that were pipelined as multiple segment frames
-    /// (see [`Engine::set_segment_bytes`]).
-    pub segmented_sends: u64,
     /// Messages that were matched from the unexpected queue.
     pub unexpected_hits: u64,
     /// Messages that matched an already-posted receive on arrival.
@@ -106,7 +103,7 @@ pub struct EngineStats {
     /// Total payload bytes received.
     pub bytes_received: u64,
     /// Payload bytes the engine datapath physically copied (send-side
-    /// staging, segmented reassembly, [`Engine::recv_into`] delivery —
+    /// staging, [`Engine::recv_into`] delivery —
     /// the copy inventory in [`p2p`]'s module docs lists every site).
     /// The copy-accounting regression suite pins eager sends, rendezvous
     /// sends and `recv_into` at exactly one payload copy each through
@@ -167,16 +164,13 @@ pub struct Engine {
     /// rank installs the record, and those frames must park.
     pub(crate) freed_contexts: std::collections::HashSet<u32>,
     pub(crate) pending_rendezvous: HashMap<u64, PendingRendezvous>,
-    /// Receiver-side state of granted rendezvous transfers, keyed by
+    /// The receive request each granted rendezvous completes, keyed by
     /// `(sender world rank, sender token)` — tokens are only unique per
     /// sender, and concurrent collectives legally have several senders
     /// at the same token count.
-    pub(crate) awaiting_rendezvous_data: HashMap<(u32, u64), RdvAssembly>,
+    pub(crate) awaiting_rendezvous_data: HashMap<(u32, u64), u64>,
     pub(crate) next_token: u64,
     pub(crate) eager_threshold: usize,
-    /// Segment size for pipelined large-message transfers (`None`
-    /// disables segmentation; see [`Engine::set_segment_bytes`]).
-    pub(crate) segment_bytes: Option<usize>,
     /// Recycled payload staging buffers (see the copy inventory in
     /// [`p2p`]'s module docs).
     pub(crate) send_pool: Vec<Vec<u8>>,
@@ -268,9 +262,9 @@ impl Engine {
     }
 
     /// Build one rank's engine from a *resolved* job configuration: the
-    /// one place the per-engine knobs (eager limit, segment bytes,
-    /// collective algorithm, trace, trace dir, processor name) are
-    /// applied, for the launcher and for [`Engine::new`] alike.
+    /// one place the per-engine knobs (eager limit, collective algorithm,
+    /// trace, trace dir, processor name) are applied, for the launcher
+    /// and for [`Engine::new`] alike.
     pub(crate) fn with_config(endpoint: Box<dyn Endpoint>, config: &UniverseConfig) -> Engine {
         let world_rank = endpoint.rank();
         let world_size = endpoint.size();
@@ -292,9 +286,6 @@ impl Engine {
             awaiting_rendezvous_data: HashMap::new(),
             next_token: 1,
             eager_threshold: config.eager_threshold.unwrap_or(DEFAULT_EAGER_THRESHOLD),
-            // Same `> 0` normalization as `set_segment_bytes`: an
-            // explicit 0 means "segmentation off", never Some(0).
-            segment_bytes: config.segment_bytes.filter(|&b| b > 0),
             send_pool: Vec::new(),
             attached_buffer: None,
             start_time: Instant::now(),
@@ -337,23 +328,6 @@ impl Engine {
     /// Current eager/rendezvous switch-over point (bytes).
     pub fn eager_threshold(&self) -> usize {
         self.eager_threshold
-    }
-
-    /// Configure the segment size for pipelined large-message transfers:
-    /// rendezvous payloads larger than `bytes` are shipped as a stream of
-    /// zero-copy segment frames instead of one big frame, letting the
-    /// receiver reassemble while later segments are still on the wire
-    /// (and, through the pipelined broadcast of [`coll`], letting
-    /// interior tree ranks forward segment *k* while receiving *k+1*).
-    /// `None` disables segmentation (the default — see
-    /// [`env::SEGMENT_BYTES_ENV`]).
-    pub fn set_segment_bytes(&mut self, bytes: Option<usize>) {
-        self.segment_bytes = bytes.filter(|&b| b > 0);
-    }
-
-    /// Current pipeline segment size, if segmentation is enabled.
-    pub fn segment_bytes(&self) -> Option<usize> {
-        self.segment_bytes
     }
 
     /// Pin (or with `None`, un-pin) the collective algorithm, overriding
@@ -462,7 +436,6 @@ impl Engine {
         let mut pvars = vec![
             counter("engine.eager_sends", s.eager_sends),
             counter("engine.rendezvous_sends", s.rendezvous_sends),
-            counter("engine.segmented_sends", s.segmented_sends),
             counter("engine.unexpected_hits", s.unexpected_hits),
             counter("engine.posted_hits", s.posted_hits),
             counter("engine.bytes_sent", s.bytes_sent),

@@ -12,16 +12,9 @@
 //!   [`FrameKind::RendezvousRequest`] (envelope only). When the receiver
 //!   has a matching receive posted it replies with a
 //!   [`FrameKind::RendezvousAck`]; the sender then ships the payload in one
-//!   or more [`FrameKind::RendezvousData`] frames and completes. Because
-//!   the ack is only generated once a matching receive exists, this doubles
-//!   as the synchronous-mode completion rule.
-//! * **Segmented** — when a segment size is configured (the
-//!   `MPIJAVA_SEGMENT_BYTES` environment variable, read once at engine
-//!   construction, or [`Engine::set_segment_bytes`]), rendezvous payloads
-//!   larger than one segment are shipped as a pipeline of chunk frames —
-//!   zero-copy [`Bytes::slice`] views of the single held payload — and
-//!   reassembled on the receiver. The per-pair FIFO of the transport keeps
-//!   the chunks in order; the shared `token` keys the reassembly.
+//!   [`FrameKind::RendezvousData`] frame and completes. Because the ack is
+//!   only generated once a matching receive exists, this doubles as the
+//!   synchronous-mode completion rule.
 //!
 //! ## Matching
 //!
@@ -48,14 +41,13 @@
 //! | eager send ([`Engine::isend_bytes`]) | user `Bytes` → frame | refcount move | 0 |
 //! | eager delivery | frame → inbox → completion | the *same* `Bytes` end to end | 0 |
 //! | rendezvous send ([`Engine::isend`]) | user slice → `PendingRendezvous` | pooled copy, held until the ack | 1 |
-//! | rendezvous data | held `Bytes` → data frame(s) | refcount move / zero-copy [`Bytes::slice`] per segment | 0 |
-//! | segmented reassembly | chunk frames → receive buffer | `extend_from_slice` per chunk | 1 |
+//! | rendezvous data | held `Bytes` → data frame | refcount move | 0 |
 //! | receive completion ([`Engine::recv`]) | completion → caller | `Bytes` handover | 0 |
 //! | [`Engine::recv_into`] | completion `Bytes` → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
 //!
-//! End to end, an unsegmented transfer therefore costs exactly one copy on
-//! the send side (zero via [`Engine::isend_bytes`]) and exactly one on the
-//! receive side; segmented transfers add the one reassembly copy.
+//! End to end, a transfer therefore costs exactly one copy on the send
+//! side (zero via [`Engine::isend_bytes`]) and exactly one on the receive
+//! side.
 //!
 //! ### Surface rows
 //!
@@ -160,20 +152,6 @@ pub(crate) struct PendingRendezvous {
     pub context: u32,
     pub tag: i32,
     pub data: Bytes,
-}
-
-/// Receiver-side state of a granted rendezvous, keyed by token: which
-/// request the data completes, and — for segmented transfers — the
-/// reassembly buffer.
-#[derive(Debug)]
-pub(crate) struct RdvAssembly {
-    pub req: u64,
-    /// Payload bytes seen so far (counted even when the receive was freed
-    /// mid-transfer, so the book-keeping drains with the chunks).
-    pub received: usize,
-    /// Reassembled chunks (left empty for single-frame transfers and for
-    /// freed receives).
-    pub assembled: Vec<u8>,
 }
 
 /// Book-keeping for `MPI_Buffer_attach` / `MPI_Buffer_detach`.
@@ -608,7 +586,7 @@ impl Engine {
                 }
                 UnexpectedKind::Rendezvous => {
                     // Grant the rendezvous; completion happens when the data
-                    // frame(s) arrive.
+                    // frame arrives.
                     self.emit(
                         EventKind::RendezvousGrant,
                         EventPhase::Instant,
@@ -616,14 +594,8 @@ impl Engine {
                         msg.token as i64,
                         msg.msg_len as i64,
                     );
-                    self.awaiting_rendezvous_data.insert(
-                        (msg.src_world, msg.token),
-                        RdvAssembly {
-                            req: req_raw,
-                            received: 0,
-                            assembled: Vec::new(),
-                        },
-                    );
+                    self.awaiting_rendezvous_data
+                        .insert((msg.src_world, msg.token), req_raw);
                     self.requests.insert(
                         req_raw,
                         RequestState::RecvAwaitingData {
@@ -1013,14 +985,8 @@ impl Engine {
                 let src_comm = self
                     .comm_rank_of_world(posted.comm, header.src as usize)?
                     .expect("matched above") as i32;
-                self.awaiting_rendezvous_data.insert(
-                    (header.src, header.token),
-                    RdvAssembly {
-                        req: posted.req,
-                        received: 0,
-                        assembled: Vec::new(),
-                    },
-                );
+                self.awaiting_rendezvous_data
+                    .insert((header.src, header.token), posted.req);
                 self.requests.insert(
                     posted.req,
                     RequestState::RecvAwaitingData {
@@ -1048,11 +1014,8 @@ impl Engine {
         }
     }
 
-    /// The receiver granted a rendezvous: ship the held payload. Below the
-    /// segment size (or with segmentation disabled) it goes as a single
-    /// frame whose `Bytes` is the held buffer itself; above, it is chopped
-    /// into zero-copy [`Bytes::slice`] chunks that stream down the wire
-    /// and pipeline against the receiver's reassembly.
+    /// The receiver granted a rendezvous: ship the held payload as one
+    /// frame whose `Bytes` is the held buffer itself.
     fn on_rendezvous_ack(&mut self, frame: Frame) -> Result<()> {
         let token = frame.header.token;
         let Some(pending) = self.pending_rendezvous.remove(&token) else {
@@ -1063,7 +1026,7 @@ impl Engine {
         };
         let total = pending.data.len();
         let (rdv_dst, rdv_tag) = (pending.dst_world as i64, pending.tag as i64);
-        let header = |_offset: usize| FrameHeader {
+        let header = FrameHeader {
             kind: FrameKind::RendezvousData,
             src: self.world_rank as u32,
             dst: pending.dst_world,
@@ -1072,21 +1035,7 @@ impl Engine {
             token,
             msg_len: total as u64,
         };
-        match self.segment_bytes {
-            Some(seg) if seg > 0 && total > seg => {
-                self.stats.segmented_sends += 1;
-                let mut offset = 0;
-                while offset < total {
-                    let end = (offset + seg).min(total);
-                    self.endpoint
-                        .send(Frame::new(header(offset), pending.data.slice(offset..end)))?;
-                    offset = end;
-                }
-            }
-            _ => {
-                self.endpoint.send(Frame::new(header(0), pending.data))?;
-            }
-        }
+        self.endpoint.send(Frame::new(header, pending.data))?;
         self.requests
             .insert(pending.req, RequestState::SendComplete);
         self.emit_full(
@@ -1103,24 +1052,19 @@ impl Engine {
 
     fn on_rendezvous_data(&mut self, frame: Frame) -> Result<()> {
         let key = (frame.header.src, frame.header.token);
-        let total = frame.header.msg_len as usize;
-        let chunk = frame.payload;
-
-        let req = match self.awaiting_rendezvous_data.get(&key) {
-            Some(entry) => entry.req,
-            None => {
-                return err(
-                    ErrorClass::Intern,
-                    format!("rendezvous data for unknown sender/token {key:?}"),
-                )
-            }
+        let Some(&req) = self.awaiting_rendezvous_data.get(&key) else {
+            return err(
+                ErrorClass::Intern,
+                format!("rendezvous data for unknown sender/token {key:?}"),
+            );
         };
         // A receive freed (`MPI_Request_free`) after it matched the
-        // envelope has no buffer left: its data is swallowed, but the
-        // reassembly entry keeps draining until every chunk has arrived.
-        let live = match self.requests.get(&req) {
-            Some(RequestState::RecvAwaitingData { .. }) => true,
-            None => false,
+        // envelope has no buffer left: its data is swallowed.
+        let target = match self.requests.get(&req) {
+            Some(&RequestState::RecvAwaitingData { src, tag, max_len }) => {
+                Some((src, tag, max_len))
+            }
+            None => None,
             Some(_) => {
                 return err(
                     ErrorClass::Intern,
@@ -1128,58 +1072,17 @@ impl Engine {
                 )
             }
         };
-
-        let mut completed: Option<Bytes> = None;
-        {
-            let entry = self
-                .awaiting_rendezvous_data
-                .get_mut(&key)
-                .expect("present above");
-            let first = entry.received == 0;
-            entry.received += chunk.len();
-            let done = entry.received >= total;
-            if first && done {
-                // Whole message in one frame: the frame's buffer *is* the
-                // received payload. No copy.
-                completed = Some(chunk);
-            } else {
-                if live {
-                    if first {
-                        entry.assembled.reserve_exact(total);
-                    }
-                    entry.assembled.extend_from_slice(&chunk);
-                    self.stats.bytes_copied += chunk.len() as u64;
-                }
-                if done {
-                    completed = Some(Bytes::from(std::mem::take(&mut entry.assembled)));
-                }
-            }
-            if !done {
-                return Ok(());
-            }
-        }
         self.awaiting_rendezvous_data.remove(&key);
         self.emit(
             EventKind::RendezvousData,
             EventPhase::Instant,
             key.0 as i64,
             key.1 as i64,
-            total as i64,
+            frame.header.msg_len as i64,
         );
-        if live {
-            let (src, tag, max_len) = match self.requests.get(&req) {
-                Some(RequestState::RecvAwaitingData { src, tag, max_len }) => {
-                    (*src, *tag, *max_len)
-                }
-                _ => unreachable!("state checked above"),
-            };
-            self.complete_recv(
-                req,
-                completed.expect("transfer complete"),
-                src,
-                tag,
-                max_len,
-            );
+        if let Some((src, tag, max_len)) = target {
+            // The frame's buffer *is* the received payload. No copy.
+            self.complete_recv(req, frame.payload, src, tag, max_len);
         }
         Ok(())
     }
@@ -1370,53 +1273,6 @@ mod tests {
                 assert_eq!(data.len(), payload.len());
                 assert_eq!(data, payload);
                 assert_eq!(status.count_bytes, payload.len());
-            }
-        })
-        .unwrap();
-    }
-
-    /// Tentpole regression: a segmented rendezvous transfer arrives intact
-    /// on every device, ships as zero-copy slices of one held payload, and
-    /// is counted by the `segmented_sends` stat.
-    #[test]
-    fn segmented_rendezvous_reassembles_on_all_devices() {
-        for device in [DeviceKind::ShmFast, DeviceKind::ShmP4, DeviceKind::Tcp] {
-            Universe::run(2, device, move |engine| {
-                engine.set_eager_threshold(1024);
-                engine.set_segment_bytes(Some(4096));
-                let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
-                if engine.world_rank() == 0 {
-                    engine
-                        .send(COMM_WORLD, 1, 9, &payload, SendMode::Standard)
-                        .unwrap();
-                    assert_eq!(engine.stats().segmented_sends, 1, "{device:?}");
-                    // The payload was copied exactly once (at the isend
-                    // boundary); slicing it into segments copied nothing.
-                    assert_eq!(engine.stats().bytes_copied, payload.len() as u64);
-                } else {
-                    let (data, status) = engine.recv(COMM_WORLD, 0, 9, None).unwrap();
-                    assert_eq!(status.count_bytes, payload.len());
-                    assert_eq!(data, payload, "{device:?}");
-                }
-            })
-            .unwrap();
-        }
-    }
-
-    /// A segment size at least as large as the payload must not segment.
-    #[test]
-    fn segment_size_above_payload_sends_one_frame() {
-        Universe::run(2, DeviceKind::ShmFast, |engine| {
-            engine.set_eager_threshold(16);
-            engine.set_segment_bytes(Some(1 << 20));
-            if engine.world_rank() == 0 {
-                engine
-                    .send(COMM_WORLD, 1, 2, &[7u8; 4096], SendMode::Standard)
-                    .unwrap();
-                assert_eq!(engine.stats().segmented_sends, 0);
-            } else {
-                let (data, _) = engine.recv(COMM_WORLD, 0, 2, None).unwrap();
-                assert_eq!(data, vec![7u8; 4096]);
             }
         })
         .unwrap();

@@ -1,5 +1,7 @@
-//! Request objects and the `Wait*` / `Test*` families (MPI-1.1 §3.7),
-//! plus persistent communication requests (§3.9).
+//! Request objects, `MPI_Wait` / `MPI_Test` (MPI-1.1 §3.7) and
+//! persistent communication requests (§3.9). The `Waitall` / `Waitany`
+//! / `Testsome` / `Startall` families are the binding's (`mpijava`'s
+//! `Request`), built on the single-request calls here.
 
 use bytes::Bytes;
 
@@ -27,9 +29,7 @@ pub struct Completion {
 pub(crate) enum RequestState {
     /// Receive posted, not yet matched.
     RecvPending,
-    /// Receive matched a rendezvous envelope; waiting for the data
-    /// frame(s). (The reassembly buffer of a segmented transfer lives in
-    /// the engine's token-keyed `awaiting_rendezvous_data` map.)
+    /// Receive matched a rendezvous envelope; waiting for the data frame.
     RecvAwaitingData {
         src: i32,
         tag: i32,
@@ -210,110 +210,6 @@ impl Engine {
         }
     }
 
-    /// `MPI_Waitall`: wait for every request, returning completions in the
-    /// same order.
-    pub fn wait_all(&mut self, reqs: &[RequestId]) -> Result<Vec<Completion>> {
-        reqs.iter().map(|&r| self.wait(r)).collect()
-    }
-
-    /// `MPI_Waitany`: wait until any one of `reqs` completes; returns its
-    /// index and completion. The status's `index` field is set accordingly,
-    /// mirroring the extra field mpiJava adds to `Status`.
-    pub fn wait_any(&mut self, reqs: &[RequestId]) -> Result<(usize, Completion)> {
-        if reqs.is_empty() {
-            return err(ErrorClass::Request, "wait_any on an empty request list");
-        }
-        loop {
-            self.nb_progress()?;
-            for (i, &r) in reqs.iter().enumerate() {
-                if self.is_complete(r)? {
-                    let mut completion = self.take_completion(r)?;
-                    completion.status.index = i as i32;
-                    return Ok((i, completion));
-                }
-            }
-            if self.aborted {
-                return err(ErrorClass::Aborted, "job aborted while waiting");
-            }
-            self.blocking_pump()?;
-        }
-    }
-
-    /// `MPI_Waitsome`: wait until at least one request completes, then
-    /// return every request that is complete at that point.
-    pub fn wait_some(&mut self, reqs: &[RequestId]) -> Result<Vec<(usize, Completion)>> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        loop {
-            self.nb_progress()?;
-            let ready = self.collect_ready(reqs)?;
-            if !ready.is_empty() {
-                return Ok(ready);
-            }
-            if self.aborted {
-                return err(ErrorClass::Aborted, "job aborted while waiting");
-            }
-            self.blocking_pump()?;
-        }
-    }
-
-    /// `MPI_Testall`: if every request is complete, return all completions;
-    /// otherwise complete none and return `None`.
-    pub fn test_all(&mut self, reqs: &[RequestId]) -> Result<Option<Vec<Completion>>> {
-        while let Some(frame) = self.endpoint.try_recv()? {
-            self.on_frame(frame)?;
-        }
-        self.nb_progress()?;
-        for &r in reqs {
-            if !self.is_complete(r)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(
-            reqs.iter()
-                .map(|&r| self.take_completion(r))
-                .collect::<Result<Vec<_>>>()?,
-        ))
-    }
-
-    /// `MPI_Testany`.
-    pub fn test_any(&mut self, reqs: &[RequestId]) -> Result<Option<(usize, Completion)>> {
-        while let Some(frame) = self.endpoint.try_recv()? {
-            self.on_frame(frame)?;
-        }
-        self.nb_progress()?;
-        for (i, &r) in reqs.iter().enumerate() {
-            if self.is_complete(r)? {
-                let mut completion = self.take_completion(r)?;
-                completion.status.index = i as i32;
-                return Ok(Some((i, completion)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// `MPI_Testsome`.
-    pub fn test_some(&mut self, reqs: &[RequestId]) -> Result<Vec<(usize, Completion)>> {
-        while let Some(frame) = self.endpoint.try_recv()? {
-            self.on_frame(frame)?;
-        }
-        self.nb_progress()?;
-        self.collect_ready(reqs)
-    }
-
-    fn collect_ready(&mut self, reqs: &[RequestId]) -> Result<Vec<(usize, Completion)>> {
-        let mut out = Vec::new();
-        for (i, &r) in reqs.iter().enumerate() {
-            if self.requests.contains_key(&r.0) && self.is_complete(r)? {
-                let mut completion = self.take_completion(r)?;
-                completion.status.index = i as i32;
-                out.push((i, completion));
-            }
-        }
-        Ok(out)
-    }
-
     /// `MPI_Cancel`: only pending receives can be cancelled by this engine
     /// (cancelling sends is allowed by the standard but rarely usable; the
     /// engine reports it as unsupported).
@@ -478,14 +374,6 @@ impl Engine {
             ),
         }
     }
-
-    /// `MPI_Startall`.
-    pub fn start_all(&mut self, reqs: &[RequestId]) -> Result<()> {
-        for &r in reqs {
-            self.start(r)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -545,15 +433,17 @@ mod tests {
         .unwrap();
     }
 
+    /// Receives posted for several sources complete with each source's
+    /// own message, whatever order the senders ran in.
     #[test]
-    fn waitall_and_waitany_over_multiple_receives() {
+    fn waits_over_multiple_receives_deliver_per_source() {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             if engine.world_rank() == 0 {
                 let reqs: Vec<RequestId> = (1..4)
                     .map(|src| engine.irecv(COMM_WORLD, src, 9, None).unwrap())
                     .collect();
-                let completions = engine.wait_all(&reqs).unwrap();
-                for (i, c) in completions.iter().enumerate() {
+                for (i, &req) in reqs.iter().enumerate() {
+                    let c = engine.wait(req).unwrap();
                     assert_eq!(c.status.source, (i + 1) as i32);
                     assert_eq!(c.data.as_ref().unwrap()[0] as usize, i + 1);
                 }
@@ -572,16 +462,22 @@ mod tests {
         .unwrap();
     }
 
+    /// Polling two receives finds the one that matched; the other stays
+    /// pending and cancels cleanly.
     #[test]
-    fn waitany_reports_completed_index() {
+    fn test_finds_the_matched_receive_and_the_other_cancels() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             if engine.world_rank() == 0 {
                 // Post two receives; only the second will ever be satisfied.
                 let never = engine.irecv(COMM_WORLD, 1, 100, None).unwrap();
                 let will = engine.irecv(COMM_WORLD, 1, 200, None).unwrap();
-                let (idx, completion) = engine.wait_any(&[never, will]).unwrap();
-                assert_eq!(idx, 1);
-                assert_eq!(completion.status.index, 1);
+                let completion = loop {
+                    assert!(engine.test(never).unwrap().is_none());
+                    if let Some(c) = engine.test(will).unwrap() {
+                        break c;
+                    }
+                    std::thread::yield_now();
+                };
                 assert_eq!(completion.data.unwrap(), b"second");
                 engine.cancel(never).unwrap();
                 let c = engine.wait(never).unwrap();

@@ -74,10 +74,10 @@
 //! | `win_get` + `win_get_take`       | 0 + 1  | origin 0; target staging 1 |
 //! | `win_get_take_into`              | 1      | origin delivery copy       |
 //!
-//! Large payloads switch to the rendezvous protocol (and, when enabled,
-//! the segmented pipeline) exactly like two-sided traffic: the target's
-//! progress hook grants parked rendezvous envelopes on the data channel
-//! the same way a posted receive would.
+//! Large payloads switch to the rendezvous protocol exactly like
+//! two-sided traffic: the target's progress hook grants parked
+//! rendezvous envelopes on the data channel the same way a posted
+//! receive would.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -123,8 +123,8 @@ pub struct WinHandle(pub(crate) u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RmaGetId(u64);
 
-/// A payload that is either fully here or still being assembled by the
-/// rendezvous/segmented machinery.
+/// A payload that is either fully here or still awaiting its rendezvous
+/// data frame.
 #[derive(Debug)]
 enum PayloadRef {
     Ready(Bytes),
@@ -959,14 +959,8 @@ impl Engine {
                         max_len: None,
                     });
                     let RequestId(req_raw) = req;
-                    self.awaiting_rendezvous_data.insert(
-                        (msg.src_world, msg.token),
-                        crate::p2p::RdvAssembly {
-                            req: req_raw,
-                            received: 0,
-                            assembled: Vec::new(),
-                        },
-                    );
+                    self.awaiting_rendezvous_data
+                        .insert((msg.src_world, msg.token), req_raw);
                     let ack = FrameHeader {
                         kind: FrameKind::RendezvousAck,
                         src: self.world_rank as u32,

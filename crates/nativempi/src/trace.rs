@@ -89,7 +89,7 @@
 //! pvars/histograms in [`MetricsSnapshot`], and the per-event `wait_ns`
 //! stamp lets the offline analyzer recompute the same classification.
 //!
-//! # End-to-end walkthrough: trace → merge → analyze → benchdiff
+//! # End-to-end walkthrough: trace → merge → analyze → record
 //!
 //! 1. **Trace**: run with `MPIJAVA_TRACE=events` (optionally
 //!    `events:<capacity>`) and `MPIJAVA_TRACE_DIR=<dir>`; each rank dumps
@@ -108,10 +108,10 @@
 //!    human-readable report always prints; `--json` adds the
 //!    schema-versioned machine output. `--drill straggler|killcoll`
 //!    runs the CI acceptance workloads end to end and gates on them.
-//! 4. **Diff**: `benchdiff old.json new.json [--mode analysis] --gate`
-//!    compares two bench result files (or two analysis reports) cell by
-//!    cell and exits nonzero on changes past a threshold — the CI gate
-//!    glue.
+//! 4. **Record**: `traceanalyze <dir> --json analysis.json` writes the
+//!    analysis as schema-versioned JSON (`causal-analysis-v1`), the
+//!    artifact to keep or compare between runs. The gate is the drills'
+//!    exit status; CI only checks that the schema tag is present.
 //!
 //! **Clock-alignment caveats**: each rank's events are timestamped on
 //! its own monotonic clock, anchored to the wall clock once at engine

@@ -45,9 +45,6 @@ pub struct UniverseConfig {
     pub profile: DeviceProfile,
     /// Eager/rendezvous threshold on every rank.
     pub eager_threshold: Option<usize>,
-    /// Pipeline segment size for large transfers on every rank
-    /// (`Some(0)` and the default both mean no segmentation).
-    pub segment_bytes: Option<usize>,
     /// Pin the collective algorithm on every rank (the default is the
     /// tuned size-aware selection; see [`crate::coll`]).
     pub coll_algorithm: Option<CollAlgorithm>,
@@ -98,7 +95,6 @@ impl UniverseConfig {
             network: NetworkModel::unshaped(),
             profile: DeviceProfile::default(),
             eager_threshold: None,
-            segment_bytes: None,
             coll_algorithm: None,
             nodes: None,
             inter_profile: DeviceProfile::default(),
@@ -128,13 +124,6 @@ impl UniverseConfig {
     /// Override the eager threshold on every rank.
     pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
         self.eager_threshold = Some(bytes);
-        self
-    }
-
-    /// Enable segmented (pipelined) large-message transfers with the
-    /// given segment size on every rank.
-    pub fn with_segment_bytes(mut self, bytes: usize) -> Self {
-        self.segment_bytes = Some(bytes);
         self
     }
 

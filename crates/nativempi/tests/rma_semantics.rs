@@ -12,8 +12,8 @@
 //! * passive-target epochs (`lock`/`put`/`flush`/`unlock`) expose the
 //!   holder's operations at `flush`, and the lock serializes origins;
 //! * `win_free` and `finalize` refuse un-synced epochs;
-//! * everything above survives the rendezvous and segmented datapaths
-//!   (tiny eager threshold / small segments) and hybrid fabrics.
+//! * everything above survives the rendezvous datapath (tiny eager
+//!   threshold, large payloads) and hybrid fabrics.
 
 use mpi_native::comm::COMM_WORLD;
 use mpi_native::{
@@ -311,14 +311,13 @@ fn epoch_semantics_survive_an_all_rendezvous_regime() {
     }
 }
 
-/// Large payloads over the segmented pipeline: a put bigger than the
-/// segment size reassembles before application, and a get reply can
-/// trail its flush-ack without being lost.
+/// Large payloads over rendezvous: a put far above the eager limit
+/// arrives whole before application, and a get reply can trail its
+/// flush-ack without being lost.
 #[test]
-fn large_transfers_ride_the_segmented_pipeline() {
+fn large_transfers_ride_the_rendezvous_path() {
     let mut config = UniverseConfig::new(2, DeviceKind::ShmFast);
     config.eager_threshold = Some(1024);
-    config.segment_bytes = Some(4096);
     Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         let len = 200_000usize;

@@ -515,20 +515,13 @@ fn coll_events_carry_the_planned_operation_in_every_call_mode() {
 #[test]
 fn universe_and_mpiruntime_are_one_launcher() {
     use mpi_native::{CollAlgorithm, Engine, ErrorClass, Universe, UniverseConfig};
-    type Knobs = (
-        usize,
-        Option<usize>,
-        Option<CollAlgorithm>,
-        TraceConfig,
-        Vec<usize>,
-    );
+    type Knobs = (usize, Option<CollAlgorithm>, TraceConfig, Vec<usize>);
     fn knobs(engine: &Engine) -> Knobs {
         let placement: Vec<usize> = (0..engine.world_size())
             .map(|rank| engine.node_map().node_of(rank))
             .collect();
         (
             engine.eager_threshold(),
-            engine.segment_bytes(),
             engine.coll_algorithm(),
             engine.trace_config(),
             placement,
@@ -537,14 +530,12 @@ fn universe_and_mpiruntime_are_one_launcher() {
     let trace = TraceConfig::events().with_capacity(512);
     let config = UniverseConfig::new(4, DeviceKind::Hybrid)
         .with_eager_threshold(4096)
-        .with_segment_bytes(1024)
         .with_coll_algorithm(CollAlgorithm::Ring)
         .with_trace(trace)
         .with_nodes(NodeMap::regular(2, 2));
     let runtime = MpiRuntime::new(4)
         .device(DeviceKind::Hybrid)
         .eager_threshold(4096)
-        .segment_bytes(1024)
         .coll_algorithm(CollAlgorithm::Ring)
         .trace(trace)
         .nodes(NodeMap::regular(2, 2));
@@ -554,7 +545,7 @@ fn universe_and_mpiruntime_are_one_launcher() {
         .unwrap();
     assert_eq!(from_universe, from_runtime);
     let ring = Some(CollAlgorithm::Ring);
-    let expected: Knobs = (4096, Some(1024), ring, trace, vec![0, 0, 1, 1]);
+    let expected: Knobs = (4096, ring, trace, vec![0, 0, 1, 1]);
     assert_eq!(from_universe, vec![expected; 4]);
 
     // A job of zero ranks is the caller's mistake, whoever launches it.
