@@ -27,7 +27,11 @@
 //! (`all_reduce_init` + `start()`/`wait()` per call) against its
 //! transient twin on raw wall clock; at small payloads the persistent
 //! path must be at least as fast (the gate runs in `quick` mode too,
-//! at 1 KiB).
+//! at 1 KiB). That margin is a few percent, so the start path is also
+//! gated by count, exactly and without noise, in `quick` mode too: below
+//! the ring cut-over (`RING_PAYLOAD_BYTES`; the ring allreduce plans per
+//! start by design) each timed `start()` must add one schedule-cache hit
+//! (its pinned template replayed) and no miss (no re-plan).
 //!
 //! The `hybrid-{2,4}n` cells sweep the hierarchical collectives against
 //! the flat algorithms over a two-class fabric: intra-node free,
@@ -41,6 +45,7 @@ use mpi_bench::collbench::{
     measure_hier_cell, measure_overlap, measure_persistent, run_hier_suite, CollRecord,
     HierBenchSpec, OverlapRecord, PersistentRecord,
 };
+use mpi_native::coll::tuning::RING_PAYLOAD_BYTES;
 use mpijava::{DeviceKind, ProgressMode};
 
 fn find_on(
@@ -171,6 +176,22 @@ fn main() {
         println!(
             "  P={} {:>8}B: persistent {:.2} us vs transient {:.2} us ({:+.2}x)",
             r.ranks, r.payload_bytes, r.persistent_us, r.transient_us, r.speedup
+        );
+    }
+
+    // Count gate (quick mode too): each persistent start of a templatable
+    // allreduce replays its template — one cache hit, no miss, no re-plan.
+    for r in persistent
+        .iter()
+        .filter(|r| r.payload_bytes < RING_PAYLOAD_BYTES)
+    {
+        assert!(
+            r.sched_cache_hits == r.starts && r.sched_cache_misses == 0,
+            "persistent allreduce re-planned at {}B: {} starts, {} cache hits, {} misses",
+            r.payload_bytes,
+            r.starts,
+            r.sched_cache_hits,
+            r.sched_cache_misses
         );
     }
 

@@ -256,7 +256,9 @@ pub fn measure_overlap(
 /// lookup every time). Raw wall clock, no modelled link — the cell
 /// exists to expose exactly the per-call software overhead the
 /// persistent path amortizes, which a modelled link charge would
-/// drown.
+/// drown. Beside the times, the engine's schedule-cache counters over
+/// the timed persistent loops: a start that replays its pinned template
+/// adds exactly one hit and no miss, so they count re-plans exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistentRecord {
     /// Device label (`shm-fast`, ...).
@@ -272,6 +274,12 @@ pub struct PersistentRecord {
     pub persistent_us: f64,
     /// `transient_us / persistent_us` (>1 = persistent faster).
     pub speedup: f64,
+    /// Persistent `start()`s in the timed loops (rank 0).
+    pub starts: u64,
+    /// `sched_cache_hits` those loops added (rank 0).
+    pub sched_cache_hits: u64,
+    /// `sched_cache_misses` those loops added (rank 0).
+    pub sched_cache_misses: u64,
 }
 
 /// Measure one persistent-vs-transient allreduce cell (see
@@ -304,6 +312,7 @@ pub fn measure_persistent(
             }
             let mut transient_us = f64::INFINITY;
             let mut persistent_us = f64::INFINITY;
+            let (mut hits, mut misses) = (0, 0);
             {
                 // The persistent handle owns its receive borrow for
                 // its whole lifetime, so the transient side keeps its
@@ -331,21 +340,25 @@ pub fn measure_persistent(
                         transient_us.min(start.elapsed().as_secs_f64() * 1e6 / reps as f64);
 
                     world.barrier()?;
+                    let before = mpi.engine_stats();
                     let start = Instant::now();
                     for _ in 0..reps {
                         req.start()?;
                         req.wait()?;
                     }
+                    let after = mpi.engine_stats();
                     world.barrier()?;
+                    hits += after.sched_cache_hits - before.sched_cache_hits;
+                    misses += after.sched_cache_misses - before.sched_cache_misses;
                     persistent_us =
                         persistent_us.min(start.elapsed().as_secs_f64() * 1e6 / reps as f64);
                 }
                 req.free()?;
             }
-            Ok((transient_us, persistent_us))
+            Ok((transient_us, persistent_us, hits, misses))
         })
         .expect("persistent bench run");
-    let (transient_us, persistent_us) = per_rank[0];
+    let (transient_us, persistent_us, sched_cache_hits, sched_cache_misses) = per_rank[0];
     PersistentRecord {
         device: device.label().to_string(),
         payload_bytes,
@@ -353,6 +366,9 @@ pub fn measure_persistent(
         transient_us,
         persistent_us,
         speedup: transient_us / persistent_us,
+        starts: 3 * reps as u64,
+        sched_cache_hits,
+        sched_cache_misses,
     }
 }
 
@@ -651,13 +667,16 @@ mod tests {
 
     /// A tiny persistent cell completes and reports both latencies (the
     /// persistent ≤ transient gate runs at real scale in the
-    /// `collectives` binary).
+    /// `collectives` binary), and every timed start replayed its template.
     #[test]
     fn persistent_cell_measures_without_hanging() {
         let record = measure_persistent(DeviceKind::ShmFast, 2, 1024, 5, 2);
         assert!(record.transient_us > 0.0);
         assert!(record.persistent_us > 0.0);
         assert!(record.speedup > 0.0);
+        assert_eq!(record.starts, 15);
+        assert_eq!(record.sched_cache_hits, record.starts);
+        assert_eq!(record.sched_cache_misses, 0);
     }
 
     /// A pinned algorithm that cannot run an op is skipped, not timed

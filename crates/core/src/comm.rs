@@ -20,7 +20,7 @@ use crate::buffer::{bytes_of, with_bytes_mut, BufferElement};
 use crate::datatype::Datatype;
 use crate::exception::{MPIException, MpiResult};
 use crate::group::Group;
-use crate::request::{Capture, Pending, Prequest, Request, Target};
+use crate::request::{Capture, Pending, Prequest, Request};
 use crate::serial::{deserialize, serialize, Serializable};
 use crate::status::Status;
 use crate::RankEnv;
@@ -464,7 +464,7 @@ impl Comm {
             .engine
             .lock()
             .isend(self.handle, dest, tag, &payload, mode)?;
-        Ok(Pending::new(&self.env, Target::P2p(id), ()).into())
+        Ok(Pending::new(&self.env, id, ()).into())
     }
 
     /// `Comm.Isend`.
@@ -576,12 +576,7 @@ impl Comm {
             .engine
             .lock()
             .irecv(self.handle, source, tag, Some(max_len))?;
-        Ok(Pending::new(
-            &self.env,
-            Target::P2p(id),
-            self.region(window, 0, count, datatype),
-        )
-        .into())
+        Ok(Pending::new(&self.env, id, self.region(window, 0, count, datatype)).into())
     }
 
     // ------------------------------------------------------------------
@@ -589,6 +584,7 @@ impl Comm {
     // ------------------------------------------------------------------
 
     /// `Comm.Send_init`: build a persistent send request (a `Prequest`).
+    /// The buffer is checked here and marshalled by each `Start`.
     pub fn send_init<'buf, T: BufferElement>(
         &self,
         buf: &'buf [T],
@@ -599,16 +595,15 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Prequest<'buf>> {
         self.env.jni.enter("Comm.Send_init");
-        let payload = self.pack_buffer(buf, offset, count, datatype)?;
-        let id = self.env.engine.lock().send_init(
-            self.handle,
-            dest,
-            tag,
-            &payload,
-            SendMode::Standard,
-        )?;
+        self.check_type::<T>(datatype)?;
+        window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?;
+        let id = self
+            .env
+            .engine
+            .lock()
+            .send_init(self.handle, dest, tag, SendMode::Standard)?;
         let region = self.region(buf, offset, count, datatype);
-        Ok(Pending::new(&self.env, Target::PersistentP2p(id), region).into())
+        Ok(Pending::new(&self.env, id, region).into())
     }
 
     /// `Comm.Recv_init`: build a persistent receive request.
@@ -629,7 +624,7 @@ impl Comm {
             .lock()
             .recv_init(self.handle, source, tag, Some(max_len))?;
         let region = self.region(window, 0, count, datatype);
-        Ok(Pending::new(&self.env, Target::PersistentP2p(id), region).into())
+        Ok(Pending::new(&self.env, id, region).into())
     }
 
     // ------------------------------------------------------------------

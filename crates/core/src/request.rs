@@ -12,12 +12,13 @@
 //!
 //! In mpiJava `Prequest` is a subclass of `Request`: one handle, one
 //! completion path. Here every handle is a shell over one private pending
-//! operation: the engine object it completes (its *target*), a capture of
-//! the caller's buffers — `pack` this rank's input on each start, `unpack`
-//! a completion's bytes into the buffer — and whether it is active. Start,
-//! poll, wait, cancel and release each have one body, and so does the
-//! completion tail: an engine completion or collective outcome becomes
-//! bytes plus a [`Status`], and the bytes go to the capture. A failed
+//! operation: the engine request it completes (one [`RequestId`], of any
+//! kind), whether that request is persistent, a capture of the caller's
+//! buffers — `pack` this rank's input on each start, `unpack` a
+//! completion's bytes into the buffer — and whether it is active. Start,
+//! poll, wait, cancel and release each have one body, one engine call,
+//! and so does the completion tail: an engine completion becomes bytes
+//! plus a [`Status`], and the bytes go to the capture. A failed
 //! completion leaves the handle inactive — a persistent one startable
 //! again. The shells differ only in policy:
 //!
@@ -28,48 +29,29 @@
 //! | [`TypedRequest`] | unrepresentable: `wait` consumes | cached: `wait` after `test` returns it | waits | abandons |
 //! | [`PersistentRequest`] | `start` while active errors | `wait` / `test` while inactive: empty | quiesces and releases | abandons |
 //!
-//! | target | made by | start | poll / wait | cancel | release |
-//! |---|---|---|---|---|---|
-//! | point-to-point | `isend` / `irecv` family | born active | `test` / `wait` | `cancel` | `request_free`: withdraws a pending receive |
-//! | collective | `rs` `i*` collectives | born active | `coll_test` / `coll_wait` | unsupported | `coll_abandon`: driven to completion |
-//! | persistent point-to-point | `send_init` / `recv_init` | `persistent_set_data` (sends), `start` | `test` / `wait` | – | quiesce, then `request_free` |
-//! | persistent collective | `rs` `*_init` collectives | `coll_start_persistent` | `coll_test_persistent` / `coll_wait_persistent` | – | `coll_free_persistent`: quiesces itself |
+//! | request | start | poll / wait | cancel | release |
+//! |---|---|---|---|---|
+//! | any: `isend` / `irecv` family, `rs` `i*` collectives, `send_init` / `recv_init`, `rs` `*_init` collectives | `start(id, input)` | `test` / `wait` | `cancel` (a collective: unsupported) | `request_free`: withdraws a pending receive, drives anything else to completion and discards it |
 //!
-//! Abandoning withdraws a point-to-point request and leaves anything
-//! collective to the job's teardown: driving it could block on peers
-//! that will never act once this rank's abort lands.
+//! A persistent request is born inactive and each `start` passes the
+//! capture's packed input straight to the engine (a send's payload, a
+//! collective's contribution); a transient one is born active and cannot
+//! be started.
+//!
+//! Abandoning withdraws what can be withdrawn without blocking — a
+//! pending point-to-point receive, through `cancel` — and leaves the
+//! rest to the job's teardown: driving it could block on peers that will
+//! never act once this rank's abort lands.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use mpi_native::request::Completion;
-use mpi_native::{CollOutcome, CollRequestId, ErrorClass, PersistentCollId, RequestId, StatusInfo};
+use mpi_native::{ErrorClass, RequestId, StatusInfo};
 
 use crate::exception::{MPIException, MpiResult};
 use crate::status::Status;
 use crate::RankEnv;
-
-/// The engine object a pending operation completes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Target {
-    P2p(RequestId),
-    Coll(CollRequestId),
-    PersistentP2p(RequestId),
-    PersistentColl(PersistentCollId),
-}
-
-impl From<CollRequestId> for Target {
-    fn from(id: CollRequestId) -> Target {
-        Target::Coll(id)
-    }
-}
-
-impl From<PersistentCollId> for Target {
-    fn from(id: PersistentCollId) -> Target {
-        Target::PersistentColl(id)
-    }
-}
 
 /// The caller's buffers as a pending operation sees them. `pack` is this
 /// rank's input for one start, re-read from the buffer each time (the C
@@ -91,7 +73,8 @@ impl Capture for () {}
 /// The one pending-operation type every handle is a view of.
 pub(crate) struct Pending<'buf> {
     env: Arc<RankEnv>,
-    target: Target,
+    id: RequestId,
+    persistent: bool,
     capture: Box<dyn Capture + 'buf>,
     active: bool,
 }
@@ -99,25 +82,37 @@ pub(crate) struct Pending<'buf> {
 impl std::fmt::Debug for Pending<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pending")
-            .field("target", &self.target)
+            .field("id", &self.id)
+            .field("persistent", &self.persistent)
             .field("active", &self.active)
             .finish()
     }
 }
 
 impl<'buf> Pending<'buf> {
-    /// Transient operations are born active; persistent ones wait for
-    /// their first start.
+    /// A transient operation, born active. The persistent shells turn it
+    /// into a persistent one (see [`Pending::persistent`]).
     pub(crate) fn new(
         env: &Arc<RankEnv>,
-        target: Target,
+        id: RequestId,
         capture: impl Capture + 'buf,
     ) -> Pending<'buf> {
         Pending {
             env: Arc::clone(env),
-            target,
+            id,
+            persistent: false,
             capture: Box::new(capture),
-            active: matches!(target, Target::P2p(_) | Target::Coll(_)),
+            active: true,
+        }
+    }
+
+    /// The same operation as a persistent one: inactive until its first
+    /// start.
+    fn persistent(self) -> Pending<'buf> {
+        Pending {
+            persistent: true,
+            active: false,
+            ..self
         }
     }
 
@@ -127,35 +122,11 @@ impl<'buf> Pending<'buf> {
         self
     }
 
-    fn p2p_id(&self) -> Option<RequestId> {
-        match self.target {
-            Target::P2p(id) => Some(id),
-            _ => None,
-        }
-    }
-
     /// (Re)activate a persistent operation with the capture's current
     /// input.
     fn start(&mut self) -> MpiResult<()> {
         let input = self.capture.pack()?;
-        let mut engine = self.env.engine.lock();
-        match self.target {
-            // A receive packs nothing, and a send whose input is empty
-            // stored that empty payload at init.
-            Target::PersistentP2p(id) => {
-                if !input.is_empty() {
-                    engine.persistent_set_data(id, &input)?;
-                }
-                engine.start(id)?;
-            }
-            Target::PersistentColl(id) => engine.coll_start_persistent(id, &input)?,
-            Target::P2p(_) | Target::Coll(_) => {
-                return Err(MPIException::new(
-                    ErrorClass::Request,
-                    "only a persistent request can be started",
-                ))
-            }
-        }
+        self.env.engine.lock().start(self.id, &input)?;
         self.active = true;
         Ok(())
     }
@@ -167,27 +138,13 @@ impl<'buf> Pending<'buf> {
         if !self.active {
             return Ok(None);
         }
-        let mut engine = self.env.engine.lock();
-        let done = match self.target {
-            Target::P2p(id) | Target::PersistentP2p(id) => engine.test(id),
-            Target::Coll(id) => engine.coll_test(id).map(|o| o.map(coll_completion)),
-            Target::PersistentColl(id) => engine
-                .coll_test_persistent(id)
-                .map(|o| o.map(coll_completion)),
-        };
-        drop(engine);
+        let done = self.env.engine.lock().test(self.id);
         done.transpose().map(|done| self.complete(done)).transpose()
     }
 
     /// Block until the active operation completes.
     fn wait(&mut self) -> MpiResult<Status> {
-        let mut engine = self.env.engine.lock();
-        let done = match self.target {
-            Target::P2p(id) | Target::PersistentP2p(id) => engine.wait(id),
-            Target::Coll(id) => engine.coll_wait(id).map(coll_completion),
-            Target::PersistentColl(id) => engine.coll_wait_persistent(id).map(coll_completion),
-        };
-        drop(engine);
+        let done = self.env.engine.lock().wait(self.id);
         self.complete(done)
     }
 
@@ -203,54 +160,24 @@ impl<'buf> Pending<'buf> {
     }
 
     fn cancel(&mut self) -> MpiResult<()> {
-        match self.target {
-            Target::P2p(id) | Target::PersistentP2p(id) => Ok(self.env.engine.lock().cancel(id)?),
-            Target::Coll(_) | Target::PersistentColl(_) => Err(MPIException::new(
-                ErrorClass::Unsupported,
-                "nonblocking collectives cannot be cancelled",
-            )),
-        }
+        Ok(self.env.engine.lock().cancel(self.id)?)
     }
 
-    /// Release the engine object (the table in the module docs); an
-    /// active persistent point-to-point iteration is driven to completion
-    /// and discarded first.
+    /// Release the engine request (the table in the module docs).
     fn release(&mut self) -> MpiResult<()> {
-        if self.active && matches!(self.target, Target::PersistentP2p(_)) {
-            self.capture = Box::new(());
-            let _ = self.wait();
-        }
         self.active = false;
-        let mut engine = self.env.engine.lock();
-        Ok(match self.target {
-            Target::P2p(id) | Target::PersistentP2p(id) => engine.request_free(id),
-            Target::Coll(id) => engine.coll_abandon(id),
-            Target::PersistentColl(id) => engine.coll_free_persistent(id),
-        }?)
+        Ok(self.env.engine.lock().request_free(self.id)?)
     }
 
     /// Let go without blocking — the panic-unwind path.
     fn abandon(&mut self) {
-        if let (true, Target::P2p(id)) = (self.active, self.target) {
-            let _ = self.env.engine.lock().request_free(id);
+        if self.active && !self.persistent {
+            let mut engine = self.env.engine.lock();
+            if engine.cancel(self.id).is_ok() {
+                let _ = engine.request_free(self.id);
+            }
         }
         self.active = false;
-    }
-}
-
-/// A collective outcome as a completion: gather-family parts flattened in
-/// rank order, the byte count as the status.
-fn coll_completion(outcome: CollOutcome) -> Completion {
-    let mut status = StatusInfo::empty();
-    let data = match outcome {
-        CollOutcome::Done => return Completion { status, data: None },
-        CollOutcome::Buffer(buffer) => buffer,
-        CollOutcome::Parts(parts) => parts.concat(),
-    };
-    status.count_bytes = data.len();
-    Completion {
-        status,
-        data: Some(Bytes::from(data)),
     }
 }
 
@@ -276,13 +203,18 @@ impl<'buf> From<Pending<'buf>> for TypedRequest<'buf> {
 
 impl<'buf> From<Pending<'buf>> for Prequest<'buf> {
     fn from(op: Pending<'buf>) -> Self {
-        Prequest { op }
+        Prequest {
+            op: op.persistent(),
+        }
     }
 }
 
 impl<'buf> From<Pending<'buf>> for PersistentRequest<'buf> {
     fn from(op: Pending<'buf>) -> Self {
-        PersistentRequest { op, freed: false }
+        PersistentRequest {
+            op: op.persistent(),
+            freed: false,
+        }
     }
 }
 
@@ -293,11 +225,11 @@ pub struct Request<'buf> {
 }
 
 impl<'buf> Request<'buf> {
-    /// Engine-level id (exposed for diagnostics); `None` for
-    /// collective-backed requests, whose engine handle lives in a
-    /// different id space.
+    /// Engine-level id (exposed for diagnostics). Every request has one
+    /// — point-to-point and collective requests share the engine's one
+    /// request table — so this is always `Some`.
     pub fn id(&self) -> Option<RequestId> {
-        self.op.p2p_id()
+        Some(self.op.id)
     }
 
     /// True once the request has been waited on / tested to completion.
@@ -391,14 +323,7 @@ impl<'buf> Request<'buf> {
             let mut engine = env.engine.lock();
             engine.progress_poll()?;
             for request in requests.iter().filter(|r| r.op.active) {
-                let complete = match request.op.target {
-                    Target::P2p(id) | Target::PersistentP2p(id) => engine.is_complete(id)?,
-                    Target::Coll(id) => engine.coll_is_complete(id)?,
-                    Target::PersistentColl(_) => {
-                        unreachable!("no persistent collective is a Request")
-                    }
-                };
-                if !complete {
+                if !engine.is_complete(request.op.id)? {
                     return Ok(None);
                 }
             }
@@ -448,10 +373,10 @@ pub struct TypedRequest<'buf> {
 }
 
 impl<'buf> TypedRequest<'buf> {
-    /// Engine-level id (exposed for diagnostics); `None` for
-    /// collective-backed requests.
+    /// Engine-level id (exposed for diagnostics); always `Some`, as for
+    /// [`Request::id`].
     pub fn id(&self) -> Option<RequestId> {
-        self.op.p2p_id()
+        Some(self.op.id)
     }
 
     /// Block until the operation completes, fill the receive buffer, and
@@ -732,11 +657,8 @@ mod tests {
                         )
                     })?;
                     let unpacked = Arc::new(AtomicBool::new(false));
-                    let coll_req = Request::from(Pending::new(
-                        &env,
-                        Target::Coll(coll_id),
-                        Probe(Arc::clone(&unpacked)),
-                    ));
+                    let coll_req =
+                        Request::from(Pending::new(&env, coll_id, Probe(Arc::clone(&unpacked))));
                     // A receive whose matching send has deliberately not
                     // been posted yet.
                     let mut buf = [0u8; 4];
@@ -760,7 +682,7 @@ mod tests {
                             batch.iter().all(|r| !r.is_void()),
                             "test_all consumed a member of an incomplete batch"
                         );
-                        if mpi.with_engine(|e| e.coll_is_complete(coll_id))? {
+                        if mpi.with_engine(|e| e.is_complete(coll_id))? {
                             break;
                         }
                         std::thread::yield_now();
@@ -794,7 +716,7 @@ mod tests {
                             &sum,
                         )
                     })?;
-                    mpi.with_engine(|e| e.coll_wait(coll_id))?;
+                    mpi.with_engine(|e| e.wait(coll_id))?;
                     // Wait for the go signal, then post the matching send.
                     let mut go = [0u8; 1];
                     world.recv_into(&mut go, 0, 8)?;
@@ -805,8 +727,8 @@ mod tests {
             .unwrap();
     }
 
-    /// The handle an exchange runs through (the target follows from it
-    /// and from whether the exchange is a collective).
+    /// The handle an exchange runs through (the engine request follows
+    /// from it and from whether the exchange is a collective).
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Shell {
         Request,

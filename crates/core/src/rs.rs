@@ -145,14 +145,14 @@
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
-use mpi_native::{Engine, ErrorClass, MpiError, SendMode, PROC_NULL};
+use mpi_native::{Engine, ErrorClass, MpiError, RequestId, SendMode, PROC_NULL};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::comm::Comm;
 use crate::exception::{MPIException, MpiResult};
 use crate::intracomm::Intracomm;
 use crate::op::Op;
-use crate::request::{Capture, Pending, Target};
+use crate::request::{Capture, Pending};
 use crate::serial::Serializable;
 use crate::status::Status;
 
@@ -348,7 +348,7 @@ pub trait Communicator {
             "zero-copy send path must not copy payload bytes"
         );
         drop(engine);
-        Ok(Pending::new(&comm.env, Target::P2p(id), ()).into())
+        Ok(Pending::new(&comm.env, id, ()).into())
     }
 
     // ------------------------------------------------------------------
@@ -1042,24 +1042,23 @@ pub trait Communicator {
 }
 
 /// The one launcher of every nonblocking and persistent collective:
-/// cross the boundary once as `name`, let `start` validate and start the
-/// engine side under one engine lock (it may complete the capture — a
+/// cross the boundary once as `name`, let `start` validate and create the
+/// engine request under one engine lock (it may complete the capture — a
 /// root flag, a neighbor list), and return the pending operation as the
-/// caller's handle.
-pub(crate) fn launch<'buf, C, I, R>(
+/// caller's handle (a persistent shell makes it persistent).
+pub(crate) fn launch<'buf, C, R>(
     comm: &Comm,
     name: &'static str,
     mut capture: C,
-    start: impl FnOnce(&mut Engine, &mut C) -> mpi_native::Result<I>,
+    start: impl FnOnce(&mut Engine, &mut C) -> mpi_native::Result<RequestId>,
 ) -> MpiResult<R>
 where
     C: Capture + 'buf,
-    I: Into<Target>,
     R: From<Pending<'buf>>,
 {
     comm.env.jni.enter(name);
-    let target = start(&mut comm.env.engine.lock(), &mut capture)?.into();
-    Ok(Pending::new(&comm.env, target, capture).into())
+    let id = start(&mut comm.env.engine.lock(), &mut capture)?;
+    Ok(Pending::new(&comm.env, id, capture).into())
 }
 
 /// A caller-side count mismatch, reported like the engine's own.

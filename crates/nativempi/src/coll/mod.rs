@@ -24,12 +24,13 @@
 //!    cache store. The result is a runnable `nb::CollSchedule` labelled
 //!    with the `(op, algorithm)` pair it was planned with.
 //! 3. **Launchers.** `coll_launch` starts the plan and returns a
-//!    [`CollRequestId`] (the `i*` forms, completed through
-//!    [`Engine::coll_test`] / [`Engine::coll_wait`]); `coll_run` is
-//!    launch + wait (the blocking forms — the two cannot diverge);
-//!    `coll_init` plans without a payload and pins the schedule as a
-//!    persistent operation's template (the `*_init` forms, restarted
-//!    with [`Engine::coll_start_persistent`]).
+//!    [`RequestId`] (the `i*` forms, completed like any request through
+//!    [`Engine::test`] / [`Engine::wait`], whose completion is the
+//!    result bytes); `coll_run` is launch + wait (the blocking forms —
+//!    the two cannot diverge); `coll_init` plans without a payload and
+//!    pins the schedule as a persistent operation's template (the
+//!    `*_init` forms: one more [`RequestId`], restarted with
+//!    [`Engine::start`]).
 //!
 //! See [`nb`] for the schedule model, the progress semantics, the
 //! tag-window accounting and the schedule cache.
@@ -116,16 +117,16 @@ pub mod tree;
 pub mod tuning;
 
 pub use algorithm::{CollAlgorithm, COLL_ALG_ENV};
-pub use nb::{CollOutcome, CollRequestId, PersistentCollId};
 pub use tuning::{CollOp, OrderPolicy, TopoHint};
 
 use desc::{CollDesc, Payload, Reduction};
 use nb::cache::{cache_use, CacheUse, PersistentColl, SchedTemplate};
-use nb::{CollSchedule, Round, SlotId, TagWindow};
+use nb::{CollOutcome, CollSchedule, Round, SlotId, TagWindow};
 
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::ops::Op;
+use crate::request::{PersistentDef, RequestId};
 use crate::types::PrimitiveKind;
 use crate::Engine;
 
@@ -346,7 +347,7 @@ impl Engine {
         comm: CommHandle,
         d: &CollDesc<'_>,
         payload: Payload<'_>,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         match self.plan(comm, d, payload)? {
             Plan::Immediate(outcome) => self.coll_immediate(outcome),
             Plan::Run(schedule, alg) => self.coll_start(comm, schedule, Some((d.op(), alg))),
@@ -363,7 +364,7 @@ impl Engine {
         payload: Payload<'_>,
     ) -> Result<CollOutcome> {
         let req = self.coll_launch(comm, d, payload)?;
-        self.coll_wait(req)
+        self.wait_outcome(req)
     }
 
     /// Launcher: plan without a payload and keep the schedule as a
@@ -377,24 +378,17 @@ impl Engine {
         comm: CommHandle,
         desc: CollDesc<'static>,
         root_len: Option<usize>,
-    ) -> Result<PersistentCollId> {
+    ) -> Result<RequestId> {
         let template = match self.plan(comm, &desc, Payload::Deferred)? {
             Plan::Run(schedule, alg) => SchedTemplate::capture(&schedule).map(|tpl| (tpl, alg)),
             Plan::Immediate(_) | Plan::PerStart => None,
         };
-        let id = self.next_request;
-        self.next_request += 1;
-        self.persistent_colls.insert(
-            id,
-            PersistentColl {
-                comm,
-                desc,
-                root_len,
-                template,
-                active: None,
-            },
-        );
-        Ok(PersistentCollId(id))
+        self.persistent_init(PersistentDef::Coll(Box::new(PersistentColl {
+            comm,
+            desc,
+            root_len,
+            template,
+        })))
     }
 
     // ---------------------------------------------------------------------
@@ -769,14 +763,14 @@ impl Engine {
         Ok(())
     }
 
-    /// `MPI_Ibarrier`: outcome [`CollOutcome::Done`].
-    pub fn ibarrier(&mut self, comm: CommHandle) -> Result<CollRequestId> {
+    /// `MPI_Ibarrier`: completes with no payload.
+    pub fn ibarrier(&mut self, comm: CommHandle) -> Result<RequestId> {
         self.coll_launch(comm, &CollDesc::Barrier, Payload::Bytes(&[]))
     }
 
     /// `MPI_Barrier_init`: a reusable barrier. Start iterations with
-    /// [`Engine::coll_start_persistent`] (payload ignored).
-    pub fn barrier_init(&mut self, comm: CommHandle) -> Result<PersistentCollId> {
+    /// [`Engine::start`] (input ignored).
+    pub fn barrier_init(&mut self, comm: CommHandle) -> Result<RequestId> {
         self.coll_init(comm, CollDesc::Barrier, None)
     }
 
@@ -793,21 +787,15 @@ impl Engine {
     }
 
     /// `MPI_Ibcast`: `buf` is the payload on the root (ignored
-    /// elsewhere); outcome [`CollOutcome::Buffer`] with the broadcast
-    /// payload on every rank.
-    pub fn ibcast(&mut self, comm: CommHandle, root: usize, buf: Vec<u8>) -> Result<CollRequestId> {
+    /// elsewhere); completes with the broadcast payload on every rank.
+    pub fn ibcast(&mut self, comm: CommHandle, root: usize, buf: Vec<u8>) -> Result<RequestId> {
         self.coll_launch(comm, &CollDesc::Bcast { root }, Payload::Owned(buf))
     }
 
     /// `MPI_Bcast_init`: a reusable broadcast from `root`. `len` is the
     /// payload length the root will pass to every `start()` (ignored on
     /// other ranks, which receive whatever arrives).
-    pub fn bcast_init(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        len: usize,
-    ) -> Result<PersistentCollId> {
+    pub fn bcast_init(&mut self, comm: CommHandle, root: usize, len: usize) -> Result<RequestId> {
         let root_len = (self.comm_rank(comm)? == root).then_some(len);
         self.coll_init(comm, CollDesc::Bcast { root }, root_len)
     }
@@ -826,9 +814,10 @@ impl Engine {
         }
     }
 
-    /// `MPI_Igather` / `Igatherv`: outcome [`CollOutcome::Parts`] (rank
-    /// order) on the root, [`CollOutcome::Done`] elsewhere.
-    pub fn igather(&mut self, comm: CommHandle, root: usize, send: &[u8]) -> Result<CollRequestId> {
+    /// `MPI_Igather` / `Igatherv`: completes with every rank's
+    /// contribution, concatenated in rank order, on the root, and with
+    /// no payload elsewhere.
+    pub fn igather(&mut self, comm: CommHandle, root: usize, send: &[u8]) -> Result<RequestId> {
         self.coll_launch(comm, &CollDesc::Gather { root }, Payload::Bytes(send))
     }
 
@@ -845,14 +834,13 @@ impl Engine {
     }
 
     /// `MPI_Iscatter` / `Iscatterv`: the root supplies one buffer per
-    /// rank (`chunks`, rank order); outcome [`CollOutcome::Buffer`] with
-    /// this rank's chunk.
+    /// rank (`chunks`, rank order); completes with this rank's chunk.
     pub fn iscatter(
         &mut self,
         comm: CommHandle,
         root: usize,
         chunks: Option<&[Vec<u8>]>,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         self.coll_launch(comm, &CollDesc::Scatter { root }, Payload::Chunks(chunks))
     }
 
@@ -863,15 +851,15 @@ impl Engine {
         Self::expect_parts(outcome)
     }
 
-    /// `MPI_Iallgather` / `Iallgatherv`: outcome [`CollOutcome::Parts`]
-    /// (one buffer per rank, rank order) on every rank.
-    pub fn iallgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<CollRequestId> {
+    /// `MPI_Iallgather` / `Iallgatherv`: completes with every rank's
+    /// contribution, concatenated in rank order, on every rank.
+    pub fn iallgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<RequestId> {
         self.coll_launch(comm, &CollDesc::Allgather, Payload::Bytes(send))
     }
 
     /// `MPI_Allgather_init`: a reusable allgather (per-rank lengths may
     /// vary between starts — the wire format is length-independent).
-    pub fn allgather_init(&mut self, comm: CommHandle) -> Result<PersistentCollId> {
+    pub fn allgather_init(&mut self, comm: CommHandle) -> Result<RequestId> {
         self.coll_init(comm, CollDesc::Allgather, None)
     }
 
@@ -883,9 +871,9 @@ impl Engine {
     }
 
     /// `MPI_Ialltoall` / `Ialltoallv`: `chunks[d]` goes to rank `d`;
-    /// outcome [`CollOutcome::Parts`] with the chunk received from every
-    /// rank.
-    pub fn ialltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<CollRequestId> {
+    /// completes with the chunks received from every rank, concatenated
+    /// in rank order.
+    pub fn ialltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<RequestId> {
         self.coll_launch(comm, &CollDesc::Alltoall, Payload::Chunks(Some(chunks)))
     }
 
@@ -908,8 +896,8 @@ impl Engine {
     }
 
     /// `MPI_Ireduce`: element-wise reduction of `count` elements of
-    /// `kind` with `op`, rank order; outcome [`CollOutcome::Buffer`] on
-    /// the root, [`CollOutcome::Done`] elsewhere.
+    /// `kind` with `op`, rank order; completes with the result on the
+    /// root and with no payload elsewhere.
     pub fn ireduce(
         &mut self,
         comm: CommHandle,
@@ -918,7 +906,7 @@ impl Engine {
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         let red = Reduction::borrowed(kind, count, op);
         self.coll_launch(comm, &CollDesc::Reduce { root, red }, Payload::Bytes(send))
     }
@@ -931,7 +919,7 @@ impl Engine {
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
-    ) -> Result<PersistentCollId> {
+    ) -> Result<RequestId> {
         let red = Reduction::owned(kind, count, op);
         self.coll_init(comm, CollDesc::Reduce { root, red }, None)
     }
@@ -949,8 +937,8 @@ impl Engine {
         Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)
     }
 
-    /// `MPI_Iallreduce`: outcome [`CollOutcome::Buffer`] with the full
-    /// reduction on every rank.
+    /// `MPI_Iallreduce`: completes with the full reduction on every
+    /// rank.
     pub fn iallreduce(
         &mut self,
         comm: CommHandle,
@@ -958,21 +946,21 @@ impl Engine {
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         let desc = CollDesc::Allreduce(Reduction::borrowed(kind, count, op));
         self.coll_launch(comm, &desc, Payload::Bytes(send))
     }
 
     /// `MPI_Allreduce_init`: a reusable allreduce. Each `start()` takes
     /// this rank's `count * kind.size()`-byte contribution; the wait's
-    /// outcome is the full reduction, as for `iallreduce`.
+    /// completion is the full reduction, as for `iallreduce`.
     pub fn allreduce_init(
         &mut self,
         comm: CommHandle,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
-    ) -> Result<PersistentCollId> {
+    ) -> Result<RequestId> {
         let red = Reduction::owned(kind, count, op);
         self.coll_init(comm, CollDesc::Allreduce(red), None)
     }
@@ -993,8 +981,8 @@ impl Engine {
         Ok(my_chunk)
     }
 
-    /// `MPI_Ireduce_scatter`: outcome [`CollOutcome::Buffer`] with this
-    /// rank's `counts[rank]`-element slice of the reduced vector.
+    /// `MPI_Ireduce_scatter`: completes with this rank's
+    /// `counts[rank]`-element slice of the reduced vector.
     pub fn ireduce_scatter(
         &mut self,
         comm: CommHandle,
@@ -1002,7 +990,7 @@ impl Engine {
         counts: &[usize],
         kind: PrimitiveKind,
         op: &Op,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         let desc = CollDesc::reduce_scatter(counts, kind, op);
         self.coll_launch(comm, &desc, Payload::Bytes(send))
     }
@@ -1020,8 +1008,8 @@ impl Engine {
         Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)
     }
 
-    /// `MPI_Iscan`: inclusive prefix reduction in rank order; outcome
-    /// [`CollOutcome::Buffer`] with this rank's prefix.
+    /// `MPI_Iscan`: inclusive prefix reduction in rank order; completes
+    /// with this rank's prefix.
     pub fn iscan(
         &mut self,
         comm: CommHandle,
@@ -1029,7 +1017,7 @@ impl Engine {
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
         self.coll_launch(comm, &desc, Payload::Bytes(send))
     }
@@ -1054,8 +1042,14 @@ mod tests {
     use super::*;
     use crate::comm::{COMM_SELF, COMM_WORLD};
     use crate::ops::PredefinedOp;
+    use crate::request::Completion;
     use crate::universe::Universe;
     use mpi_transport::DeviceKind;
+
+    /// The payload a collective's completion delivers.
+    fn payload(completion: Completion) -> Vec<u8> {
+        completion.data.expect("a payload").into()
+    }
 
     fn ints(values: &[i32]) -> Vec<u8> {
         values.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -1463,13 +1457,13 @@ mod tests {
             let req = engine
                 .iallreduce(COMM_WORLD, &ints(&[1]), PrimitiveKind::Int, 1, &sum)
                 .unwrap();
-            let outcome = loop {
-                if let Some(outcome) = engine.coll_test(req).unwrap() {
-                    break outcome;
+            let completion = loop {
+                if let Some(completion) = engine.test(req).unwrap() {
+                    break completion;
                 }
                 std::thread::yield_now();
             };
-            assert_eq!(to_ints(&outcome.into_buffer()), vec![8]);
+            assert_eq!(to_ints(&payload(completion)), vec![8]);
             engine.finalize().unwrap();
         })
         .unwrap();
@@ -1502,7 +1496,7 @@ mod tests {
     // Nonblocking entry points
     // -----------------------------------------------------------------
 
-    /// All seven nonblocking collectives complete through `coll_wait` and
+    /// All seven nonblocking collectives complete through `wait` and
     /// match their blocking twins' results.
     #[test]
     fn nonblocking_collectives_complete_via_wait() {
@@ -1511,7 +1505,7 @@ mod tests {
             let sum = Op::Predefined(PredefinedOp::Sum);
 
             let req = engine.ibarrier(COMM_WORLD).unwrap();
-            assert_eq!(engine.coll_wait(req).unwrap(), CollOutcome::Done);
+            assert_eq!(engine.wait(req).unwrap(), Completion::empty());
 
             let buf = if rank == 1 {
                 b"nb-bcast".to_vec()
@@ -1519,21 +1513,15 @@ mod tests {
                 Vec::new()
             };
             let req = engine.ibcast(COMM_WORLD, 1, buf).unwrap();
-            assert_eq!(
-                engine.coll_wait(req).unwrap().into_buffer(),
-                b"nb-bcast".to_vec()
-            );
+            assert_eq!(payload(engine.wait(req).unwrap()), b"nb-bcast".to_vec());
 
             let req = engine.igather(COMM_WORLD, 2, &[rank as u8; 3]).unwrap();
-            let outcome = engine.coll_wait(req).unwrap();
+            let completion = engine.wait(req).unwrap();
             if rank == 2 {
-                let parts = outcome.into_parts().unwrap();
-                assert_eq!(parts.len(), 4);
-                for (r, p) in parts.iter().enumerate() {
-                    assert_eq!(p, &vec![r as u8; 3]);
-                }
+                let all: Vec<u8> = (0..4u8).flat_map(|r| [r; 3]).collect();
+                assert_eq!(payload(completion), all);
             } else {
-                assert_eq!(outcome, CollOutcome::Done);
+                assert_eq!(completion, Completion::empty());
             }
 
             let chunks: Option<Vec<Vec<u8>>> = if rank == 0 {
@@ -1543,13 +1531,12 @@ mod tests {
             };
             let req = engine.iscatter(COMM_WORLD, 0, chunks.as_deref()).unwrap();
             assert_eq!(
-                engine.coll_wait(req).unwrap().into_buffer(),
+                payload(engine.wait(req).unwrap()),
                 vec![rank as u8; rank + 1]
             );
 
             let req = engine.iallgather(COMM_WORLD, &[rank as u8]).unwrap();
-            let parts = engine.coll_wait(req).unwrap().into_parts().unwrap();
-            assert_eq!(parts, (0..4).map(|r| vec![r as u8]).collect::<Vec<_>>());
+            assert_eq!(payload(engine.wait(req).unwrap()), vec![0, 1, 2, 3]);
 
             let req = engine
                 .ireduce(
@@ -1561,11 +1548,11 @@ mod tests {
                     &sum,
                 )
                 .unwrap();
-            let outcome = engine.coll_wait(req).unwrap();
+            let completion = engine.wait(req).unwrap();
             if rank == 3 {
-                assert_eq!(to_ints(&outcome.into_buffer()), vec![6]);
+                assert_eq!(to_ints(&payload(completion)), vec![6]);
             } else {
-                assert_eq!(outcome, CollOutcome::Done);
+                assert_eq!(completion, Completion::empty());
             }
 
             let req = engine
@@ -1577,15 +1564,12 @@ mod tests {
                     &sum,
                 )
                 .unwrap();
-            assert_eq!(
-                to_ints(&engine.coll_wait(req).unwrap().into_buffer()),
-                vec![10]
-            );
+            assert_eq!(to_ints(&payload(engine.wait(req).unwrap())), vec![10]);
         })
         .unwrap();
     }
 
-    /// A nonblocking collective completes through non-parking `coll_test`
+    /// A nonblocking collective completes through non-parking `test`
     /// polling alone.
     #[test]
     fn nonblocking_allreduce_completes_via_test() {
@@ -1595,13 +1579,13 @@ mod tests {
             let req = engine
                 .iallreduce(COMM_WORLD, &ints(&[rank]), PrimitiveKind::Int, 1, &sum)
                 .unwrap();
-            let outcome = loop {
-                if let Some(outcome) = engine.coll_test(req).unwrap() {
-                    break outcome;
+            let completion = loop {
+                if let Some(completion) = engine.test(req).unwrap() {
+                    break completion;
                 }
                 std::thread::yield_now();
             };
-            assert_eq!(to_ints(&outcome.into_buffer()), vec![6]);
+            assert_eq!(to_ints(&payload(completion)), vec![6]);
         })
         .unwrap();
     }
@@ -1628,20 +1612,17 @@ mod tests {
             let r3 = engine.iallgather(COMM_WORLD, &[rank as u8; 2]).unwrap();
             let r4 = engine.ibarrier(COMM_WORLD).unwrap();
             // Complete in reverse order of issue.
-            assert_eq!(engine.coll_wait(r4).unwrap(), CollOutcome::Done);
-            let parts = engine.coll_wait(r3).unwrap().into_parts().unwrap();
-            assert_eq!(parts, (0..4).map(|r| vec![r as u8; 2]).collect::<Vec<_>>());
-            assert_eq!(engine.coll_wait(r2).unwrap().into_buffer(), vec![7u8; 50]);
-            assert_eq!(
-                to_ints(&engine.coll_wait(r1).unwrap().into_buffer()),
-                vec![6]
-            );
+            assert_eq!(engine.wait(r4).unwrap(), Completion::empty());
+            let all: Vec<u8> = (0..4u8).flat_map(|r| [r; 2]).collect();
+            assert_eq!(payload(engine.wait(r3).unwrap()), all);
+            assert_eq!(payload(engine.wait(r2).unwrap()), vec![7u8; 50]);
+            assert_eq!(to_ints(&payload(engine.wait(r1).unwrap())), vec![6]);
         })
         .unwrap();
     }
 
     /// Outstanding (unfinished, unwaited) collectives block `finalize`;
-    /// abandoned ones quiesce and leave no posted receives behind.
+    /// freed ones quiesce and leave no posted receives behind.
     #[test]
     fn abandoned_collectives_quiesce_before_finalize() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
@@ -1650,7 +1631,7 @@ mod tests {
             let req = engine
                 .iallreduce(COMM_WORLD, &ints(&[rank]), PrimitiveKind::Int, 1, &sum)
                 .unwrap();
-            engine.coll_abandon(req).unwrap();
+            engine.request_free(req).unwrap();
             assert_eq!(engine.coll_outstanding(), 0);
             engine.finalize().unwrap();
         })
@@ -1792,15 +1773,13 @@ mod tests {
                 .unwrap();
             let misses_after_init = engine.stats().sched_cache_misses;
             for round in 1..=4i32 {
-                engine
-                    .coll_start_persistent(op, &ints(&[rank * round]))
-                    .unwrap();
-                let outcome = engine.coll_wait_persistent(op).unwrap();
-                assert_eq!(to_ints(&outcome.into_buffer()), vec![6 * round]);
+                engine.start(op, &ints(&[rank * round])).unwrap();
+                let completion = engine.wait(op).unwrap();
+                assert_eq!(to_ints(&payload(completion)), vec![6 * round]);
             }
             assert_eq!(engine.stats().sched_cache_misses, misses_after_init);
-            engine.coll_free_persistent(op).unwrap();
-            assert_eq!(engine.persistent_colls_registered(), 0);
+            engine.request_free(op).unwrap();
+            assert!(engine.is_complete(op).is_err(), "freed, so unknown");
         })
         .unwrap();
     }
@@ -1815,42 +1794,29 @@ mod tests {
             let bcast = engine.bcast_init(COMM_WORLD, 0, 4).unwrap();
             let allgather = engine.allgather_init(COMM_WORLD).unwrap();
             for round in 0..3u8 {
-                engine.coll_start_persistent(barrier, &[]).unwrap();
-                assert_eq!(
-                    engine.coll_wait_persistent(barrier).unwrap(),
-                    CollOutcome::Done
-                );
-                let payload = if rank == 0 {
+                engine.start(barrier, &[]).unwrap();
+                assert_eq!(engine.wait(barrier).unwrap(), Completion::empty());
+                let root_buf = if rank == 0 {
                     vec![round; 4]
                 } else {
                     Vec::new()
                 };
-                engine.coll_start_persistent(bcast, &payload).unwrap();
-                let got = engine.coll_wait_persistent(bcast).unwrap().into_buffer();
-                assert_eq!(got, vec![round; 4]);
-                engine
-                    .coll_start_persistent(allgather, &[rank as u8, round])
-                    .unwrap();
-                let parts = engine
-                    .coll_wait_persistent(allgather)
-                    .unwrap()
-                    .into_parts()
-                    .unwrap();
-                assert_eq!(
-                    parts,
-                    (0..3).map(|r| vec![r as u8, round]).collect::<Vec<_>>()
-                );
+                engine.start(bcast, &root_buf).unwrap();
+                assert_eq!(payload(engine.wait(bcast).unwrap()), vec![round; 4]);
+                engine.start(allgather, &[rank as u8, round]).unwrap();
+                let all: Vec<u8> = (0..3u8).flat_map(|r| [r, round]).collect();
+                assert_eq!(payload(engine.wait(allgather).unwrap()), all);
             }
             for op in [barrier, bcast, allgather] {
-                engine.coll_free_persistent(op).unwrap();
+                engine.request_free(op).unwrap();
             }
         })
         .unwrap();
     }
 
     /// Double-start without an intervening wait is refused; an inactive
-    /// persistent op reports `Done` from wait/test, matching `MPI_Test`
-    /// on an inactive persistent request.
+    /// persistent op completes at once, empty, matching `MPI_Test` on an
+    /// inactive persistent request.
     #[test]
     fn persistent_double_start_is_refused() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
@@ -1858,11 +1824,11 @@ mod tests {
             let op = engine
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
                 .unwrap();
-            assert_eq!(engine.coll_wait_persistent(op).unwrap(), CollOutcome::Done);
-            engine.coll_start_persistent(op, &ints(&[1])).unwrap();
-            assert!(engine.coll_start_persistent(op, &ints(&[1])).is_err());
-            engine.coll_wait_persistent(op).unwrap();
-            engine.coll_free_persistent(op).unwrap();
+            assert_eq!(engine.wait(op).unwrap(), Completion::empty());
+            engine.start(op, &ints(&[1])).unwrap();
+            assert!(engine.start(op, &ints(&[1])).is_err());
+            engine.wait(op).unwrap();
+            engine.request_free(op).unwrap();
         })
         .unwrap();
     }
@@ -1876,11 +1842,28 @@ mod tests {
             let op = engine
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
                 .unwrap();
-            engine.coll_start_persistent(op, &ints(&[1])).unwrap();
+            engine.start(op, &ints(&[1])).unwrap();
             assert!(engine.finalize().is_err());
-            engine.coll_free_persistent(op).unwrap();
-            assert_eq!(engine.persistent_colls_active(), 0);
+            engine.request_free(op).unwrap();
+            assert_eq!(engine.persistent_active(), 0);
             engine.finalize().unwrap();
+        })
+        .unwrap();
+    }
+
+    /// A `*_init` whose element count overflows fails with `Count`
+    /// before it registers anything: the request table stays empty.
+    #[test]
+    fn overflowing_persistent_inits_register_nothing() {
+        const HUGE: usize = 1 << 62;
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let sum = Op::Predefined(PredefinedOp::Sum);
+            let int = PrimitiveKind::Int;
+            let r = engine.reduce_init(COMM_WORLD, 0, int, HUGE, &sum);
+            assert_eq!(r.unwrap_err().class, ErrorClass::Count, "reduce_init");
+            let r = engine.allreduce_init(COMM_WORLD, int, HUGE, &sum);
+            assert_eq!(r.unwrap_err().class, ErrorClass::Count, "allreduce_init");
+            assert_eq!(engine.requests.values().count(), 0);
         })
         .unwrap();
     }
@@ -1899,13 +1882,11 @@ mod tests {
                     .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 4, &sum)
                     .unwrap();
                 for round in 1..=2i32 {
-                    engine
-                        .coll_start_persistent(op, &ints(&[rank * round; 4]))
-                        .unwrap();
-                    let got = engine.coll_wait_persistent(op).unwrap().into_buffer();
+                    engine.start(op, &ints(&[rank * round; 4])).unwrap();
+                    let got = payload(engine.wait(op).unwrap());
                     assert_eq!(to_ints(&got), vec![6 * round; 4], "{alg}");
                 }
-                engine.coll_free_persistent(op).unwrap();
+                engine.request_free(op).unwrap();
             })
             .unwrap();
         }

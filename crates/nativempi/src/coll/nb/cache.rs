@@ -5,18 +5,19 @@
 //! design: keying, what is cacheable, tag retargeting and invalidation.
 //! This file holds the mechanics — [`SchedTemplate`] (a reusable,
 //! payload-free image of a built [`CollSchedule`]), [`SchedKey`] (the
-//! per-rank memoization key), and the engine-side registry of
-//! [`PersistentColl`]s created by the `*_init` entry points in
-//! [`crate::coll`].
+//! per-rank memoization key), and [`PersistentColl`], the definition a
+//! persistent collective (the `*_init` entry points in [`crate::coll`])
+//! keeps in the request table.
 
 use std::collections::VecDeque;
 
-use super::{CollOutcome, CollRequestId, CollSchedule, Round, SlotId, ROUND_SPACE};
+use super::{CollSchedule, Round, SlotId, ROUND_SPACE};
 use crate::coll::desc::{CollDesc, Payload};
 use crate::coll::CollOp;
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, Result};
 use crate::ops::{Op, PredefinedOp};
+use crate::request::RequestId;
 use crate::types::PrimitiveKind;
 use crate::{CollAlgorithm, Engine};
 
@@ -165,7 +166,7 @@ impl SchedTemplate {
     }
 }
 
-/// Engine-side state of one persistent collective operation.
+/// What each start of a persistent collective operation runs.
 pub(crate) struct PersistentColl {
     pub(crate) comm: CommHandle,
     /// The operation, owning its reduction operator.
@@ -181,16 +182,7 @@ pub(crate) struct PersistentColl {
     /// order. `None` (single-rank communicator, non-templatable
     /// algorithm) → every start plans the transient form.
     pub(crate) template: Option<(SchedTemplate, CollAlgorithm)>,
-    pub(crate) active: Option<CollRequestId>,
 }
-
-/// Handle to a persistent collective operation (the engine analogue of
-/// `MPI_Barrier_init` / `MPI_Bcast_init` / `MPI_Allreduce_init` /…).
-/// Start it with [`Engine::coll_start_persistent`], complete each start
-/// with [`Engine::coll_wait_persistent`] / [`Engine::coll_test_persistent`],
-/// release it with [`Engine::coll_free_persistent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PersistentCollId(pub(crate) u64);
 
 impl Engine {
     /// Consult the schedule cache. On a hit the template is instantiated
@@ -239,39 +231,13 @@ impl Engine {
         }
     }
 
-    /// Start one iteration of a persistent collective (`MPI_Start`).
-    /// `payload` is this rank's contribution (ignored by operations
-    /// without local input — barrier, bcast at non-root ranks). Errors
-    /// if the previous start has not been waited/tested to completion.
-    pub fn coll_start_persistent(&mut self, id: PersistentCollId, payload: &[u8]) -> Result<()> {
-        self.check_live()?;
-        let Some(p) = self.persistent_colls.get(&id.0) else {
-            return err(
-                ErrorClass::Request,
-                format!("unknown persistent collective {id:?}"),
-            );
-        };
-        if p.active.is_some() {
-            return err(
-                ErrorClass::Request,
-                "persistent collective is already started; wait on it first",
-            );
-        }
-        let p = self.persistent_colls.remove(&id.0).expect("checked above");
-        let started = self.start_persistent_inner(&p, payload);
-        let p = PersistentColl {
-            active: started.as_ref().ok().copied(),
-            ..p
-        };
-        self.persistent_colls.insert(id.0, p);
-        started.map(|_| ())
-    }
-
-    fn start_persistent_inner(
+    /// Launch one iteration of a persistent collective with this rank's
+    /// `payload` (see [`Engine::start`]).
+    pub(crate) fn start_persistent_coll(
         &mut self,
         p: &PersistentColl,
         payload: &[u8],
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         if let Some(len) = p.root_len.filter(|&len| len != payload.len()) {
             return err(
                 ErrorClass::Count,
@@ -293,95 +259,5 @@ impl Engine {
         schedule.set_input(payload[..need].to_vec());
         self.stats.sched_cache_hits += 1;
         self.coll_start(p.comm, schedule, Some((p.desc.op(), *alg)))
-    }
-
-    /// Non-parking test of a persistent collective's current start. An
-    /// inactive operation (never started, or already completed and
-    /// claimed) reports `Done` immediately, matching `MPI_Test` on an
-    /// inactive persistent request.
-    pub fn coll_test_persistent(&mut self, id: PersistentCollId) -> Result<Option<CollOutcome>> {
-        let req = match self.persistent_colls.get(&id.0) {
-            None => {
-                return err(
-                    ErrorClass::Request,
-                    format!("unknown persistent collective {id:?}"),
-                )
-            }
-            Some(p) => match p.active {
-                None => return Ok(Some(CollOutcome::Done)),
-                Some(req) => req,
-            },
-        };
-        match self.coll_test(req) {
-            Ok(Some(outcome)) => {
-                self.clear_persistent_coll_active(id);
-                Ok(Some(outcome))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => {
-                // The underlying request is consumed on failure.
-                self.clear_persistent_coll_active(id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Block until the persistent collective's current start completes
-    /// (`MPI_Wait`); inactive operations report `Done` immediately.
-    pub fn coll_wait_persistent(&mut self, id: PersistentCollId) -> Result<CollOutcome> {
-        let req = match self.persistent_colls.get(&id.0) {
-            None => {
-                return err(
-                    ErrorClass::Request,
-                    format!("unknown persistent collective {id:?}"),
-                )
-            }
-            Some(p) => match p.active {
-                None => return Ok(CollOutcome::Done),
-                Some(req) => req,
-            },
-        };
-        let outcome = self.coll_wait(req);
-        self.clear_persistent_coll_active(id);
-        outcome
-    }
-
-    /// Release a persistent collective (`MPI_Request_free` on a
-    /// persistent handle). An in-flight start is quiesced first — driven
-    /// to completion and discarded — because a collective cannot be
-    /// withdrawn once every rank participates.
-    pub fn coll_free_persistent(&mut self, id: PersistentCollId) -> Result<()> {
-        let Some(p) = self.persistent_colls.remove(&id.0) else {
-            return err(
-                ErrorClass::Request,
-                format!("unknown persistent collective {id:?}"),
-            );
-        };
-        if let Some(req) = p.active {
-            // Quiesce; a drive failure was the start's outcome, not the
-            // free's — swallow it like a dropped handle does.
-            let _ = self.coll_abandon(req);
-        }
-        Ok(())
-    }
-
-    /// Number of persistent collectives with an unwaited `start()` —
-    /// `finalize` refuses while this is non-zero.
-    pub fn persistent_colls_active(&self) -> usize {
-        self.persistent_colls
-            .values()
-            .filter(|p| p.active.is_some())
-            .count()
-    }
-
-    /// Number of registered persistent collectives (active or not).
-    pub fn persistent_colls_registered(&self) -> usize {
-        self.persistent_colls.len()
-    }
-
-    fn clear_persistent_coll_active(&mut self, id: PersistentCollId) {
-        if let Some(p) = self.persistent_colls.get_mut(&id.0) {
-            p.active = None;
-        }
     }
 }

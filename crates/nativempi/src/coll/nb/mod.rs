@@ -23,7 +23,8 @@
 //! run time.
 //!
 //! The same schedules back every call mode: a blocking collective is
-//! exactly its nonblocking launch followed by [`Engine::coll_wait`], so
+//! exactly its nonblocking launch followed by a wait on the request
+//! (`Engine::wait_outcome`, which keeps gather-family parts apart), so
 //! the blocking and nonblocking paths cannot diverge — there are no
 //! per-algorithm blocking send/receive loops left anywhere.
 //!
@@ -31,13 +32,15 @@
 //!
 //! Starting a collective posts round 0 (receives first, then sends — the
 //! deadlock-free order the blocking exchanges always used) and returns a
-//! [`CollRequestId`]. The schedule then advances only when the engine is
-//! *driven*:
+//! [`RequestId`] in the engine's one request table (see
+//! [`crate::request`]), whose id also goes on the table's list of
+//! schedules in flight. The schedule then advances only when the engine
+//! is *driven*:
 //!
-//! * [`Engine::coll_test`] — non-parking: drains the transport, advances
+//! * [`Engine::test`] — non-parking: drains the transport, advances
 //!   every in-flight schedule as far as it can go, and reports whether
 //!   this one finished;
-//! * [`Engine::coll_wait`] — blocks on the transport between advances
+//! * [`Engine::wait`] — blocks on the transport between advances
 //!   until this schedule finishes;
 //! * **background progress hook**: every engine entry point that drives
 //!   the transport (`wait`, `test`, `probe`, `iprobe`, and the
@@ -47,13 +50,16 @@
 //!   point-to-point traffic still makes collective progress for its
 //!   peers.
 //!
-//! Advancing is strictly non-parking: completed transfers are harvested
-//! with the engine's non-blocking `is_complete`/`take_completion`
-//! machinery, computes run, and the next round is posted; the first
-//! still-pending transfer stops the sweep. A rank that stops testing
-//! simply holds its collectives where they are — exactly the progress
-//! rule of real MPI nonblocking collectives without an async progress
-//! thread.
+//! The hook walks the in-flight list only — never the request table —
+//! and drops each schedule from the list once it finishes, so a
+//! point-to-point wait with no collective in flight pays one emptiness
+//! check. Advancing is strictly non-parking: completed transfers are
+//! harvested with the engine's non-blocking
+//! `is_complete`/`take_completion` machinery, computes run, and the next
+//! round is posted; the first still-pending transfer stops the sweep. A
+//! rank that stops testing simply holds its collectives where they are —
+//! exactly the progress rule of real MPI nonblocking collectives without
+//! an async progress thread.
 //!
 //! ## Tag-window accounting
 //!
@@ -128,18 +134,18 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use bytes::Bytes;
+
 use super::{CollAlgorithm, CollOp};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::p2p::COLLECTIVE_TAG_BASE;
-use crate::request::RequestId;
+use crate::request::{Completion, RequestId, RequestState};
 use crate::trace::{EventKind, EventPhase};
-use crate::types::SendMode;
+use crate::types::{SendMode, StatusInfo};
 use crate::Engine;
 
 pub(crate) mod cache;
-
-pub use cache::PersistentCollId;
 
 /// Tags reserved per collective schedule phase (one per round).
 pub(crate) const ROUND_SPACE: usize = 64;
@@ -266,7 +272,7 @@ impl Round {
 /// What a completed collective delivers (see the per-operation docs in
 /// [`crate::coll`] for which variant each operation produces).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CollOutcome {
+pub(crate) enum CollOutcome {
     /// Nothing to deliver (barrier; non-root ranks of rooted operations).
     Done,
     /// A single result buffer (bcast, scatter, reduce at the root,
@@ -278,20 +284,20 @@ pub enum CollOutcome {
 }
 
 impl CollOutcome {
-    /// The single result buffer; `Done` yields an empty buffer.
-    pub fn into_buffer(self) -> Vec<u8> {
-        match self {
-            CollOutcome::Buffer(b) => b,
-            CollOutcome::Done => Vec::new(),
-            CollOutcome::Parts(parts) => parts.into_iter().flatten().collect(),
-        }
-    }
-
-    /// The per-rank buffers of a gather-family result, if any.
-    pub fn into_parts(self) -> Option<Vec<Vec<u8>>> {
-        match self {
-            CollOutcome::Parts(p) => Some(p),
-            _ => None,
+    /// The outcome as a request completion: no payload for `Done`, else
+    /// the buffer — gather-family parts concatenated in rank order — with
+    /// its byte count as the status.
+    pub(crate) fn into_completion(self) -> Completion {
+        let data = match self {
+            CollOutcome::Done => return Completion::empty(),
+            CollOutcome::Buffer(buffer) => buffer,
+            CollOutcome::Parts(parts) => parts.concat(),
+        };
+        let mut status = StatusInfo::empty();
+        status.count_bytes = data.len();
+        Completion {
+            status,
+            data: Some(Bytes::from(data)),
         }
     }
 }
@@ -546,10 +552,6 @@ impl Sched for Subgroup<'_> {
     }
 }
 
-/// Handle to an in-flight nonblocking collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CollRequestId(pub(crate) u64);
-
 /// One transfer of the current round still in flight.
 enum Flight {
     Send(RequestId),
@@ -599,7 +601,7 @@ pub(crate) struct NbColl {
     /// ready to be claimed.
     finished: bool,
     /// A drive error (malformed frame, failed compute): held for the
-    /// owner to claim through `coll_test`/`coll_wait` instead of leaking
+    /// owner to claim through `test`/`wait` instead of leaking
     /// out of whichever unrelated call happened to drive progress. The
     /// failed schedule is quiesced (rounds dropped, in-flight receives
     /// withdrawn) so it cannot corrupt later rounds or block finalize
@@ -653,7 +655,7 @@ impl Engine {
         comm: CommHandle,
         schedule: CollSchedule,
         planned: Option<(CollOp, CollAlgorithm)>,
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         let id = self.next_request;
         self.next_request += 1;
         let (op_idx, alg_idx) = planned.map_or((-1, -1), |(op, alg)| {
@@ -682,7 +684,7 @@ impl Engine {
                 cseq,
             );
         }
-        let mut state = NbColl {
+        let mut state = Box::new(NbColl {
             comm,
             schedule,
             in_flight: Vec::new(),
@@ -698,43 +700,37 @@ impl Engine {
                 traced,
                 ..CollTraceState::default()
             },
-        };
+        });
         if let Err(error) = self.drive_nb(&mut state) {
             self.fail_nb(&mut state, error);
         }
-        self.coll_requests.insert(id, state);
-        Ok(CollRequestId(id))
+        self.requests.insert(id, RequestState::Coll(state));
+        Ok(RequestId(id))
     }
 
     /// A collective that is already complete at start (single-rank
     /// communicators — no frames, no schedule).
-    pub(crate) fn coll_immediate(&mut self, outcome: CollOutcome) -> Result<CollRequestId> {
-        let id = self.next_request;
-        self.next_request += 1;
+    pub(crate) fn coll_immediate(&mut self, outcome: CollOutcome) -> Result<RequestId> {
         let schedule = CollSchedule {
             outcome: Some(outcome),
             ..CollSchedule::new()
         };
-        self.coll_requests.insert(
-            id,
-            NbColl {
-                comm: crate::comm::COMM_SELF,
-                schedule,
-                in_flight: Vec::new(),
-                pending_compute: None,
-                finished: true,
-                failed: None,
-                // No schedule, no rounds, nothing to bracket.
-                trace: CollTraceState::default(),
-            },
-        );
-        Ok(CollRequestId(id))
+        Ok(self.alloc_request(RequestState::Coll(Box::new(NbColl {
+            comm: crate::comm::COMM_SELF,
+            schedule,
+            in_flight: Vec::new(),
+            pending_compute: None,
+            finished: true,
+            failed: None,
+            // No schedule, no rounds, nothing to bracket.
+            trace: CollTraceState::default(),
+        }))))
     }
 
     /// Quiesce a schedule that can no longer make progress: withdraw its
     /// in-flight transfers, drop its remaining rounds, and park the
     /// error for the owner to claim. The request stays claimable (so
-    /// `coll_wait` reports the failure) and no posted receive leaks.
+    /// `wait` reports the failure) and no posted receive leaks.
     pub(crate) fn fail_nb(&mut self, st: &mut NbColl, error: MpiError) {
         for flight in st.in_flight.drain(..) {
             let req = match flight {
@@ -894,98 +890,56 @@ impl Engine {
 
     /// Advance every in-flight collective schedule as far as possible
     /// without blocking — the engine's background progress hook, called
-    /// from every blocking/polling entry point.
+    /// from every blocking/polling entry point. Walks the request table's
+    /// in-flight list only, dropping each schedule from it once finished.
     pub(crate) fn nb_progress(&mut self) -> Result<()> {
         // One-sided windows piggy-back on the same hook: ingest arrived
         // RMA traffic and apply any epochs whose markers are in (see
         // `crate::rma`; no-op when no window is open).
         self.rma_progress()?;
-        if self.coll_requests.is_empty() {
-            return Ok(());
-        }
-        let ids: Vec<u64> = self.coll_requests.keys().copied().collect();
-        for id in ids {
-            if let Some(mut st) = self.coll_requests.remove(&id) {
-                if let Err(error) = self.drive_nb(&mut st) {
-                    // Contain the failure in the schedule's own state:
-                    // the *owner* sees it on its next test/wait; the
-                    // unrelated call that happened to drive progress
-                    // proceeds untouched.
-                    self.fail_nb(&mut st, error);
-                }
-                self.coll_requests.insert(id, st);
+        let mut i = 0;
+        while let Some((id, mut st)) = self.requests.take_schedule(i) {
+            if let Err(error) = self.drive_nb(&mut st) {
+                // Contain the failure in the schedule's own state: the
+                // *owner* sees it on its next test/wait; the unrelated
+                // call that happened to drive progress proceeds
+                // untouched.
+                self.fail_nb(&mut st, error);
             }
+            i = self.requests.restore_schedule(i, id, st);
         }
         Ok(())
     }
 
-    fn coll_take_done(&mut self, req: CollRequestId) -> Result<Option<CollOutcome>> {
-        match self.coll_requests.get(&req.0) {
-            None => err(
-                ErrorClass::Request,
-                format!("unknown collective request {req:?}"),
-            ),
-            Some(st) if st.finished => {
-                let st = self.coll_requests.remove(&req.0).expect("checked above");
-                if st.trace.traced {
-                    self.emit_full(
-                        EventKind::Coll,
-                        EventPhase::End,
-                        st.trace.op,
-                        st.trace.alg,
-                        st.trace.id,
-                        st.trace.ctx,
-                        st.trace.cseq,
-                    );
-                }
-                match st.failed {
-                    Some(error) => Err(error),
-                    None => Ok(Some(st.schedule.outcome.unwrap_or(CollOutcome::Done))),
-                }
-            }
-            Some(_) => Ok(None),
+    /// Retire a finished schedule: close its `coll` trace bracket and
+    /// hand over its outcome (or the error it failed with).
+    pub(crate) fn claim_schedule(&mut self, st: NbColl) -> Result<CollOutcome> {
+        if st.trace.traced {
+            self.emit_full(
+                EventKind::Coll,
+                EventPhase::End,
+                st.trace.op,
+                st.trace.alg,
+                st.trace.id,
+                st.trace.ctx,
+                st.trace.cseq,
+            );
+        }
+        match st.failed {
+            Some(error) => Err(error),
+            None => Ok(st.schedule.outcome.unwrap_or(CollOutcome::Done)),
         }
     }
 
-    /// True when [`Engine::coll_wait`] would return without blocking.
-    /// Does not drive progress.
-    pub fn coll_is_complete(&self, req: CollRequestId) -> Result<bool> {
-        match self.coll_requests.get(&req.0) {
-            Some(st) => Ok(st.finished),
-            None => err(
-                ErrorClass::Request,
-                format!("unknown collective request {req:?}"),
-            ),
-        }
-    }
-
-    /// Non-parking test of a nonblocking collective: drains the
-    /// transport, advances every in-flight schedule, and returns the
-    /// outcome if this one completed. The request is consumed on
-    /// completion.
-    pub fn coll_test(&mut self, req: CollRequestId) -> Result<Option<CollOutcome>> {
-        while let Some(frame) = self.endpoint.try_recv()? {
-            self.on_frame(frame)?;
-        }
-        self.nb_progress()?;
-        self.coll_take_done(req)
-    }
-
-    /// Drive the engine until the collective completes, returning its
-    /// outcome (`MPI_Wait` for collective requests).
-    pub fn coll_wait(&mut self, req: CollRequestId) -> Result<CollOutcome> {
-        loop {
-            while let Some(frame) = self.endpoint.try_recv()? {
-                self.on_frame(frame)?;
-            }
-            self.nb_progress()?;
-            if let Some(outcome) = self.coll_take_done(req)? {
-                return Ok(outcome);
-            }
-            if self.aborted {
-                return err(ErrorClass::Aborted, "job aborted while waiting");
-            }
-            self.blocking_pump()?;
+    /// [`Engine::wait`] on an `i*` collective, returning its outcome with
+    /// gather-family parts kept apart — a blocking collective is its
+    /// launch followed by this.
+    pub(crate) fn wait_outcome(&mut self, req: RequestId) -> Result<CollOutcome> {
+        self.block_until_complete(req)?;
+        match self.requests.remove(req.0) {
+            Some(RequestState::Coll(st)) => self.claim_schedule(*st),
+            Some(RequestState::Failed(error)) => Err(error),
+            _ => err(ErrorClass::Intern, "not a collective request"),
         }
     }
 
@@ -993,9 +947,8 @@ impl Engine {
     /// advance every in-flight collective schedule, without parking and
     /// without consuming any request's completion — the non-committal
     /// progress primitive behind all-or-nothing batched tests at the
-    /// binding layer: drive once, *check* with [`Engine::is_complete`] /
-    /// [`Engine::coll_is_complete`], and only then decide whether to
-    /// harvest anything.
+    /// binding layer: drive once, *check* with [`Engine::is_complete`],
+    /// and only then decide whether to harvest anything.
     pub fn progress_poll(&mut self) -> Result<()> {
         // Liveness first: a background progress thread calling this is
         // what drives failure detection while the application computes
@@ -1020,22 +973,10 @@ impl Engine {
         self.nb_progress()
     }
 
-    /// Release a collective request without inspecting its result: the
-    /// schedule is still driven to completion (a collective cannot be
-    /// withdrawn — every rank participates), then discarded. This is the
-    /// quiesce path behind dropping an unfinished collective handle: no
-    /// deadlock, no leaked posted receives.
-    pub fn coll_abandon(&mut self, req: CollRequestId) -> Result<()> {
-        self.coll_wait(req).map(|_| ())
-    }
-
-    /// Number of collective schedules currently in flight (finished but
-    /// unclaimed ones included) — used by `finalize` checks and tests.
+    /// Number of collective schedules still running (finished but
+    /// unclaimed ones excluded) — used by `finalize` checks and tests.
     pub fn coll_outstanding(&self) -> usize {
-        self.coll_requests
-            .values()
-            .filter(|st| !st.finished)
-            .count()
+        self.requests.schedules_running()
     }
 }
 
@@ -1095,11 +1036,11 @@ mod tests {
                 assert_eq!(status.count_bytes, 2);
                 let (data, _) = engine.recv(COMM_WORLD, 1, 7, None).unwrap();
                 assert_eq!(&data[..], b"ok");
-                engine.coll_wait(req).unwrap();
+                engine.wait(req).unwrap();
             } else {
                 // Completes the barrier first, then sends the message
                 // rank 0 is probing for.
-                engine.coll_wait(req).unwrap();
+                engine.wait(req).unwrap();
                 engine
                     .send(COMM_WORLD, 0, 7, b"ok", crate::types::SendMode::Standard)
                     .unwrap();
@@ -1132,35 +1073,48 @@ mod tests {
             }
             // The engine is still usable and nothing leaked.
             let req = engine.ibarrier(COMM_WORLD).unwrap();
-            engine.coll_wait(req).unwrap();
+            engine.wait(req).unwrap();
             engine.finalize().unwrap();
         })
         .unwrap();
     }
 
+    /// An `i*` collective's id is known only while the schedule is
+    /// outstanding: a bogus id, and one whose result `wait` has already
+    /// claimed, are refused by every lifecycle call.
     #[test]
     fn unknown_collective_requests_are_rejected() {
         Universe::run(1, DeviceKind::ShmFast, |engine| {
-            let bogus = CollRequestId(987_654);
-            assert!(engine.coll_is_complete(bogus).is_err());
-            assert!(engine.coll_test(bogus).is_err());
-            assert!(engine.coll_wait(bogus).is_err());
+            let req = engine.ibarrier(COMM_WORLD).unwrap();
+            engine.wait(req).unwrap();
+            assert_eq!(engine.coll_outstanding(), 0);
+            for id in [RequestId(987_654), req] {
+                assert!(engine.is_complete(id).is_err());
+                assert!(engine.test(id).is_err());
+                assert!(engine.wait(id).is_err());
+                assert!(engine.request_free(id).is_err());
+            }
+            engine.finalize().unwrap();
         })
         .unwrap();
     }
 
+    /// A collective's completion is its result bytes — gather-family
+    /// parts concatenated in rank order — with the byte count as status.
     #[test]
     fn outcome_helpers() {
-        assert_eq!(CollOutcome::Done.into_buffer(), Vec::<u8>::new());
-        assert_eq!(CollOutcome::Buffer(vec![1, 2]).into_buffer(), vec![1, 2]);
-        assert_eq!(
-            CollOutcome::Parts(vec![vec![1], vec![2]]).into_buffer(),
-            vec![1, 2]
-        );
-        assert!(CollOutcome::Done.into_parts().is_none());
-        assert_eq!(
-            CollOutcome::Parts(vec![vec![3]]).into_parts(),
-            Some(vec![vec![3]])
-        );
+        assert_eq!(CollOutcome::Done.into_completion(), Completion::empty());
+        for (outcome, bytes) in [
+            (CollOutcome::Buffer(vec![1, 2]), vec![1, 2]),
+            (
+                CollOutcome::Parts(vec![vec![1], vec![], vec![2, 3]]),
+                vec![1, 2, 3],
+            ),
+            (CollOutcome::Buffer(Vec::new()), Vec::new()),
+        ] {
+            let completion = outcome.into_completion();
+            assert_eq!(completion.status.count_bytes, bytes.len());
+            assert_eq!(completion.data.unwrap().as_ref(), &bytes[..]);
+        }
     }
 }

@@ -29,9 +29,10 @@
 //! need no special casing (the transfers are point-to-point pairs
 //! routed by the device).
 
-use crate::coll::nb::{CollOutcome, CollRequestId, CollSchedule, Round};
+use crate::coll::nb::{CollOutcome, CollSchedule, Round};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, Result};
+use crate::request::RequestId;
 use crate::topology::Topology;
 use crate::types::PROC_NULL;
 use crate::Engine;
@@ -118,12 +119,12 @@ impl Engine {
 
     /// `MPI_Ineighbor_alltoallv` (byte-level): send `chunks[j]` to
     /// neighbor `j`, receive one part per neighbor. Chunk lengths may be
-    /// ragged. Completes to [`CollOutcome::Parts`] in slot order.
+    /// ragged. Completes with the parts concatenated in slot order.
     pub fn ineighbor_alltoallv(
         &mut self,
         comm: CommHandle,
         chunks: &[Vec<u8>],
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         self.check_live()?;
         let spec = self.neighbor_spec(comm)?;
         let degree = spec.peers.len();
@@ -194,7 +195,7 @@ impl Engine {
         &mut self,
         comm: CommHandle,
         chunks: &[Vec<u8>],
-    ) -> Result<CollRequestId> {
+    ) -> Result<RequestId> {
         if let Some(first) = chunks.first() {
             if chunks.iter().any(|c| c.len() != first.len()) {
                 return err(
@@ -208,11 +209,7 @@ impl Engine {
 
     /// `MPI_Ineighbor_allgather`: send the same payload to every
     /// neighbor, receive one part per neighbor.
-    pub fn ineighbor_allgather(
-        &mut self,
-        comm: CommHandle,
-        payload: &[u8],
-    ) -> Result<CollRequestId> {
+    pub fn ineighbor_allgather(&mut self, comm: CommHandle, payload: &[u8]) -> Result<RequestId> {
         let degree = self.neighbor_spec(comm)?.peers.len();
         let chunks = vec![payload.to_vec(); degree];
         self.ineighbor_alltoallv(comm, &chunks)
@@ -226,7 +223,7 @@ impl Engine {
         chunks: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>> {
         let req = self.ineighbor_alltoallv(comm, chunks)?;
-        Self::expect_parts(self.coll_wait(req)?)
+        Self::expect_parts(self.wait_outcome(req)?)
     }
 
     /// Blocking `MPI_Neighbor_alltoall`.
@@ -236,13 +233,13 @@ impl Engine {
         chunks: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>> {
         let req = self.ineighbor_alltoall(comm, chunks)?;
-        Self::expect_parts(self.coll_wait(req)?)
+        Self::expect_parts(self.wait_outcome(req)?)
     }
 
     /// Blocking `MPI_Neighbor_allgather`.
     pub fn neighbor_allgather(&mut self, comm: CommHandle, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
         let req = self.ineighbor_allgather(comm, payload)?;
-        Self::expect_parts(self.coll_wait(req)?)
+        Self::expect_parts(self.wait_outcome(req)?)
     }
 }
 

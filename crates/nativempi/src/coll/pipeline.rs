@@ -206,7 +206,7 @@ mod tests {
     }
 
     /// The nonblocking form of the pipelined bcast: the schedule extends
-    /// itself once the header arrives, driven purely by `coll_test`.
+    /// itself once the header arrives, driven purely by `test`.
     #[test]
     fn nonblocking_pipelined_bcast_completes_via_test() {
         Universe::run(3, DeviceKind::ShmFast, |engine| {
@@ -218,13 +218,13 @@ mod tests {
                 Vec::new()
             };
             let req = engine.ibcast(COMM_WORLD, 0, buf).unwrap();
-            let outcome = loop {
-                if let Some(outcome) = engine.coll_test(req).unwrap() {
-                    break outcome;
+            let completion = loop {
+                if let Some(completion) = engine.test(req).unwrap() {
+                    break completion;
                 }
                 std::thread::yield_now();
             };
-            assert_eq!(outcome.into_buffer(), expected);
+            assert_eq!(completion.data.unwrap(), expected);
         })
         .unwrap();
     }

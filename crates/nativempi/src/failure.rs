@@ -214,25 +214,19 @@ impl Engine {
         }
         let error = self.rank_failed_error(dead);
         for req in doomed {
-            self.requests
-                .insert(req, RequestState::Failed(error.clone()));
+            self.requests.set(req, RequestState::Failed(error.clone()));
         }
 
         // In-flight collective schedules on any communicator containing
         // the dead rank are quiesced with the error; their owner sees it
         // on the next test/wait.
-        let ids: Vec<u64> = self.coll_requests.keys().copied().collect();
-        for id in ids {
-            if let Some(mut st) = self.coll_requests.remove(&id) {
-                let involved = !st.is_finished() && {
-                    let comm = st.comm_handle();
-                    self.comm(comm).is_ok() && self.comm_rank_of_world(comm, dead)?.is_some()
-                };
-                if involved {
-                    self.fail_nb(&mut st, error.clone());
-                }
-                self.coll_requests.insert(id, st);
+        let mut i = 0;
+        while let Some((id, mut st)) = self.requests.take_schedule(i) {
+            let comm = st.comm_handle();
+            if matches!(self.comm_rank_of_world(comm, dead), Ok(Some(_))) {
+                self.fail_nb(&mut st, error.clone());
             }
+            i = self.requests.restore_schedule(i, id, st);
         }
         Ok(())
     }
@@ -284,39 +278,20 @@ impl Engine {
 
     /// Tear down every outstanding operation so a survivor can
     /// [`Engine::finalize`] after a peer died: posted receives,
-    /// rendezvous state, collective schedules, persistent definitions
-    /// and windows are dropped, and every incomplete request is marked
-    /// failed so a late `wait` on it errors instead of hanging.
+    /// rendezvous state and windows are dropped, and every incomplete
+    /// request — point-to-point, collective schedule, or a persistent
+    /// operation's started iteration — is marked failed, so a late
+    /// `wait` on it errors with [`ErrorClass::RankFailed`] instead of
+    /// hanging.
     pub(crate) fn abort_outstanding(&mut self) {
         self.posted.clear();
         self.pending_rendezvous.clear();
         self.awaiting_rendezvous_data.clear();
-        self.coll_requests.clear();
-        self.persistent_colls.clear();
         self.windows.clear();
-        let error = MpiError::new(
+        self.requests.fail_incomplete(&MpiError::new(
             ErrorClass::RankFailed,
             "operation aborted: the job shut down after a rank failure",
-        );
-        for state in self.requests.values_mut() {
-            let incomplete = matches!(
-                state,
-                RequestState::RecvPending
-                    | RequestState::RecvAwaitingData { .. }
-                    | RequestState::SendPendingRendezvous
-                    | RequestState::PersistentSend {
-                        active: Some(_),
-                        ..
-                    }
-                    | RequestState::PersistentRecv {
-                        active: Some(_),
-                        ..
-                    }
-            );
-            if incomplete {
-                *state = RequestState::Failed(error.clone());
-            }
-        }
+        ));
     }
 
     /// Shared guard for blocking probe loops.

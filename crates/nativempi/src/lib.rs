@@ -60,7 +60,6 @@ pub mod trace;
 pub mod types;
 pub mod universe;
 
-pub use coll::nb::{CollOutcome, CollRequestId, PersistentCollId};
 pub use coll::{CollAlgorithm, CollOp, COLL_ALG_ENV};
 pub use comm::{CommHandle, COMM_SELF, COMM_WORLD};
 pub use datatype::DatatypeDef;
@@ -84,7 +83,7 @@ use mpi_transport::Endpoint;
 
 use comm::CommRecord;
 use p2p::{PendingRendezvous, PostedRecv, UnexpectedMsg};
-use request::RequestState;
+use request::Requests;
 
 /// Counters the engine keeps about its own activity. The benchmark harness
 /// reads these to report, e.g., how many messages went eager vs rendezvous.
@@ -147,7 +146,8 @@ pub struct Engine {
     pub(crate) comms: Vec<Option<CommRecord>>,
     pub(crate) context_to_comm: HashMap<u32, usize>,
     pub(crate) next_context: u32,
-    pub(crate) requests: HashMap<u64, RequestState>,
+    /// Every pending operation of this rank, one id space (see [`request`]).
+    pub(crate) requests: Requests,
     pub(crate) next_request: u64,
     /// Posted receives, FIFO per communicator context (see [`p2p`]'s
     /// matching notes: wildcards never cross contexts, so the split is
@@ -182,8 +182,6 @@ pub struct Engine {
     pub(crate) stats: EngineStats,
     pub(crate) keyvals: HashMap<i32, Vec<u8>>,
     pub(crate) forced_coll_alg: Option<coll::CollAlgorithm>,
-    /// In-flight nonblocking collective schedules (see [`coll::nb`]).
-    pub(crate) coll_requests: HashMap<u64, coll::nb::NbColl>,
     /// Per-communicator collective sequence counters for tag-window
     /// allocation (see [`coll::nb`]'s tag-window accounting).
     pub(crate) coll_seqs: HashMap<comm::CommHandle, u64>,
@@ -197,9 +195,6 @@ pub struct Engine {
     /// Built-schedule templates, keyed per rank on the local call shape
     /// (see the schedule-caching section of [`coll::nb`]).
     pub(crate) sched_cache: HashMap<coll::nb::cache::SchedKey, coll::nb::cache::SchedTemplate>,
-    /// Persistent collective operations created by the `*_init` entry
-    /// points, keyed by [`coll::nb::cache::PersistentCollId`] value.
-    pub(crate) persistent_colls: HashMap<u64, coll::nb::cache::PersistentColl>,
     /// Open one-sided memory windows, keyed by [`rma::WinHandle`] value
     /// (see [`rma`]'s epoch model and tag accounting).
     pub(crate) windows: HashMap<u64, rma::WindowState>,
@@ -277,7 +272,7 @@ impl Engine {
             comms: Vec::new(),
             context_to_comm: HashMap::new(),
             next_context: 0,
-            requests: HashMap::new(),
+            requests: Requests::default(),
             next_request: 1,
             posted: HashMap::new(),
             unexpected: HashMap::new(),
@@ -298,11 +293,9 @@ impl Engine {
             stats: EngineStats::default(),
             keyvals: HashMap::new(),
             forced_coll_alg: config.coll_algorithm,
-            coll_requests: HashMap::new(),
             coll_seqs: HashMap::new(),
             coll_causal_seqs: HashMap::new(),
             sched_cache: HashMap::new(),
-            persistent_colls: HashMap::new(),
             windows: HashMap::new(),
             next_win: 1,
             win_seqs: HashMap::new(),
@@ -687,7 +680,7 @@ impl Engine {
                 "finalize called with outstanding communication",
             );
         }
-        if self.persistent_colls_active() > 0 || self.persistent_p2p_active() > 0 {
+        if self.persistent_active() > 0 {
             return error::err(
                 ErrorClass::Other,
                 "finalize called with started persistent operations (wait them first)",

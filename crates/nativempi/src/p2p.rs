@@ -63,7 +63,7 @@
 //! | classic `Recv` | either | 3: element loop over the window it is about to overwrite, `unpack`, element loop back; the completion `Bytes` dropped, uncounted | 0: [`Engine::recv_into`] delivers into the window's byte view — its one counted copy is the only one |
 //! | classic `Irecv`/`Sendrecv`/collective results | either | 3: as `Recv` | 1: one store from the completion buffer into the window |
 //! | `rs` `send` / `recv_into` | — | as classic `Send`; 1 (a hand-kept twin of `recv_into`) | as classic `Send` / `Recv`: they are the same calls |
-//! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 4: `into_owned`, [`Engine::persistent_set_data`], a clone of the stored payload in [`Engine::start`], the staging copy | 3 / 2: the boundary copy (`Copy` only), `persistent_set_data`, the staging copy; `start` lends the stored payload to the send. Only the staging copy is counted in `bytes_copied`, before and now |
+//! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 4: `into_owned`, a refresh of the engine's stored payload, a clone of it in [`Engine::start`], the staging copy | 2 / 1: the boundary copy (`Copy` only) and the staging copy; [`Engine::start`] hands its input straight to [`Engine::isend`], and the engine stores no payload. Only the staging copy is counted in `bytes_copied`, before and now |
 //!
 //! A datatype with holes costs one gather (`pack`) on the way out and
 //! one scatter (`unpack`) into the window on the way in, in both modes;
@@ -180,13 +180,6 @@ impl Engine {
         let t = self.next_token;
         self.next_token += 1;
         t
-    }
-
-    pub(crate) fn alloc_request(&mut self, state: RequestState) -> RequestId {
-        let id = self.next_request;
-        self.next_request += 1;
-        self.requests.insert(id, state);
-        RequestId(id)
     }
 
     // ---------------------------------------------------------------------
@@ -1036,8 +1029,7 @@ impl Engine {
             msg_len: total as u64,
         };
         self.endpoint.send(Frame::new(header, pending.data))?;
-        self.requests
-            .insert(pending.req, RequestState::SendComplete);
+        self.requests.set(pending.req, RequestState::SendComplete);
         self.emit_full(
             EventKind::SendRendezvous,
             EventPhase::End,
@@ -1060,7 +1052,7 @@ impl Engine {
         };
         // A receive freed (`MPI_Request_free`) after it matched the
         // envelope has no buffer left: its data is swallowed.
-        let target = match self.requests.get(&req) {
+        let target = match self.requests.get(req) {
             Some(&RequestState::RecvAwaitingData { src, tag, max_len }) => {
                 Some((src, tag, max_len))
             }

@@ -171,6 +171,74 @@ enum PendingHeader {
     },
 }
 
+impl PendingHeader {
+    /// The operation, once its payload message is here.
+    fn with(self, data: Bytes) -> RmaEntry {
+        match self {
+            PendingHeader::Put { offset } => RmaEntry::Put { offset, data },
+            PendingHeader::Acc { offset, kind, op } => RmaEntry::Acc {
+                offset,
+                kind,
+                op,
+                data,
+            },
+        }
+    }
+}
+
+/// One data-channel header message, decoded.
+#[derive(Debug)]
+enum Header {
+    /// A put or accumulate: its payload is the next message.
+    Payload(PendingHeader),
+    /// An operation or marker complete in itself.
+    Entry(RmaEntry),
+    /// A passive-target lock request.
+    Lock,
+}
+
+/// Decode a data-channel header message — the one decoder of the self
+/// path and the wire path. A header shorter than its op code's layout,
+/// or with an unknown op, kind or reduction code, is an `Intern` error:
+/// these bytes come off a device, so they must never index out of range.
+fn decode(header: &[u8]) -> Result<Header> {
+    let min_len = match header.first() {
+        Some(&(OP_PUT | OP_GET)) => 17,
+        Some(&OP_ACC) => 19,
+        Some(&OP_FLUSH) => 2,
+        Some(&(OP_FENCE | OP_LOCK)) => 1,
+        other => return err(ErrorClass::Intern, format!("bad RMA op code {other:?}")),
+    };
+    if header.len() < min_len {
+        return err(
+            ErrorClass::Intern,
+            format!(
+                "short RMA header: {} bytes for op code {}, need {min_len}",
+                header.len(),
+                header[0]
+            ),
+        );
+    }
+    let at = |i: usize| u64::from_le_bytes(header[i..i + 8].try_into().expect("8 bytes")) as usize;
+    Ok(match header[0] {
+        OP_PUT => Header::Payload(PendingHeader::Put { offset: at(1) }),
+        OP_ACC => Header::Payload(PendingHeader::Acc {
+            offset: at(1),
+            kind: kind_from_code(header[17])?,
+            op: op_from_code(header[18])?,
+        }),
+        OP_GET => Header::Entry(RmaEntry::Get {
+            offset: at(1),
+            len: at(9),
+        }),
+        OP_FENCE => Header::Entry(RmaEntry::Fence),
+        OP_FLUSH => Header::Entry(RmaEntry::Flush {
+            release: header[1] != 0,
+        }),
+        _ => Header::Lock,
+    })
+}
+
 /// Per-origin arrival state at the target.
 #[derive(Debug, Default)]
 struct OriginState {
@@ -320,8 +388,7 @@ impl Engine {
         // No peer may touch the window after its rank returns from
         // win_free, so a barrier separates the last epoch from teardown.
         let comm = self.win_state(win)?.comm;
-        let barrier = self.ibarrier(comm)?;
-        self.coll_wait(barrier)?;
+        self.barrier(comm)?;
         self.rma_progress()?;
         let st = self.win_state(win)?;
         if st
@@ -797,7 +864,14 @@ impl Engine {
         };
         let is_op = header[0] == OP_PUT || header[0] == OP_ACC || header[0] == OP_GET;
         if target == my_rank {
-            let entry = Self::parse_self_entry(&header, payload)?;
+            // Self-targeted operations skip the wire but take the
+            // identical queue path, so the applied-at-sync semantics hold
+            // locally too.
+            let entry = match (decode(&header)?, payload) {
+                (Header::Payload(pending), Some(data)) => pending.with(data),
+                (Header::Entry(entry), None) => entry,
+                _ => return err(ErrorClass::Intern, "self RMA header without its payload"),
+            };
             let st = self.win_state_mut(win)?;
             st.incoming[my_rank].queue.push_back(entry);
         } else {
@@ -826,34 +900,6 @@ impl Engine {
             self.win_state_mut(win)?.unsynced_ops += 1;
         }
         Ok(())
-    }
-
-    /// Self-targeted operations skip the wire but take the identical
-    /// queue path, so the applied-at-sync semantics hold locally too.
-    fn parse_self_entry(header: &[u8], payload: Option<Bytes>) -> Result<RmaEntry> {
-        Ok(match header[0] {
-            OP_PUT => RmaEntry::Put {
-                offset: read_u64(header, 1) as usize,
-                data: payload.expect("put carries a payload"),
-            },
-            OP_ACC => RmaEntry::Acc {
-                offset: read_u64(header, 1) as usize,
-                kind: kind_from_code(header[17])?,
-                op: op_from_code(header[18])?,
-                data: payload.expect("accumulate carries a payload"),
-            },
-            OP_GET => RmaEntry::Get {
-                offset: read_u64(header, 1) as usize,
-                len: read_u64(header, 9) as usize,
-            },
-            OP_FENCE => RmaEntry::Fence,
-            OP_FLUSH => RmaEntry::Flush {
-                release: header[1] != 0,
-            },
-            other => {
-                return err(ErrorClass::Intern, format!("bad self RMA op code {other}"));
-            }
-        })
     }
 
     /// Fence completion test: our epoch applied locally, our transport
@@ -1017,46 +1063,13 @@ impl Engine {
                     unreachable!("checked above");
                 };
                 if let Some(pending) = origin.pending.take() {
-                    let entry = match pending {
-                        PendingHeader::Put { offset } => RmaEntry::Put { offset, data },
-                        PendingHeader::Acc { offset, kind, op } => RmaEntry::Acc {
-                            offset,
-                            kind,
-                            op,
-                            data,
-                        },
-                    };
-                    origin.queue.push_back(entry);
+                    origin.queue.push_back(pending.with(data));
                     continue;
                 }
-                match data.first().copied() {
-                    Some(OP_PUT) => {
-                        origin.pending = Some(PendingHeader::Put {
-                            offset: read_u64(&data, 1) as usize,
-                        });
-                    }
-                    Some(OP_ACC) => {
-                        origin.pending = Some(PendingHeader::Acc {
-                            offset: read_u64(&data, 1) as usize,
-                            kind: kind_from_code(data[17])?,
-                            op: op_from_code(data[18])?,
-                        });
-                    }
-                    Some(OP_GET) => origin.queue.push_back(RmaEntry::Get {
-                        offset: read_u64(&data, 1) as usize,
-                        len: read_u64(&data, 9) as usize,
-                    }),
-                    Some(OP_FENCE) => origin.queue.push_back(RmaEntry::Fence),
-                    Some(OP_FLUSH) => origin.queue.push_back(RmaEntry::Flush {
-                        release: data[1] != 0,
-                    }),
-                    Some(OP_LOCK) => self.rma_grant_or_enqueue(st, rank)?,
-                    other => {
-                        return err(
-                            ErrorClass::Intern,
-                            format!("bad RMA op code {other:?} from rank {rank}"),
-                        );
-                    }
+                match decode(&data)? {
+                    Header::Payload(pending) => origin.pending = Some(pending),
+                    Header::Entry(entry) => origin.queue.push_back(entry),
+                    Header::Lock => self.rma_grant_or_enqueue(st, rank)?,
                 }
             }
         }
@@ -1295,10 +1308,6 @@ impl Engine {
     }
 }
 
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("header length checked"))
-}
-
 fn kind_code(kind: PrimitiveKind) -> u8 {
     match kind {
         PrimitiveKind::Byte => 0,
@@ -1425,6 +1434,41 @@ mod tests {
             crate::p2p::COLLECTIVE_TAG_BASE - 1 - (crate::coll::nb::NUM_TAG_WINDOWS as i32) * 64;
         assert!(RMA_TAG_BASE < deepest_coll);
         assert!(RMA_TAG_BASE - TAGS_PER_WINDOW * (WIN_SEQ_SPACE as i32) > i32::MIN / 2);
+    }
+
+    /// Every op code cut short at every length below its layout decodes
+    /// to an `Intern` error instead of indexing out of range, and so do
+    /// unknown codes; the full layouts decode.
+    #[test]
+    fn short_and_unknown_headers_are_errors_not_panics() {
+        let span = [7u64.to_le_bytes(), 3u64.to_le_bytes()].concat();
+        let put = [&[OP_PUT][..], &span].concat();
+        let get = [&[OP_GET][..], &span].concat();
+        let codes = [kind_code(PrimitiveKind::Int), op_code(PredefinedOp::Sum)];
+        let acc = [&[OP_ACC][..], &span, &codes].concat();
+        let table: [(&[u8], usize); 6] = [
+            (&put, 17),
+            (&acc, 19),
+            (&get, 17),
+            (&[OP_FENCE], 1),
+            (&[OP_FLUSH, 1], 2),
+            (&[OP_LOCK], 1),
+        ];
+        for (full, min_len) in table {
+            assert_eq!(full.len(), min_len);
+            decode(full).unwrap();
+            for cut in 0..min_len {
+                let e = decode(&full[..cut]).unwrap_err();
+                assert_eq!(e.class, ErrorClass::Intern, "op {} cut to {cut}", full[0]);
+            }
+        }
+        let mut bad_kind = acc.clone();
+        bad_kind[17] = 200;
+        let mut bad_op = acc;
+        bad_op[18] = 200;
+        for bad in [&[OP_LOCK + 1][..], &[0xff], &bad_kind, &bad_op] {
+            assert_eq!(decode(bad).unwrap_err().class, ErrorClass::Intern);
+        }
     }
 
     #[test]

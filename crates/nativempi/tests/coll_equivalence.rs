@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use mpi_native::comm::COMM_WORLD;
+use mpi_native::request::Completion;
 use mpi_native::{
     CollAlgorithm, Engine, NodeMap, Op, PredefinedOp, PrimitiveKind, Universe, UniverseConfig,
 };
@@ -49,6 +50,11 @@ fn log_result(log: &mut Vec<u8>, op_id: u8, bytes: &[u8]) {
     log.push(op_id);
     log.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     log.extend_from_slice(bytes);
+}
+
+/// The payload a request's completion delivers (empty if none).
+fn bytes(completion: Completion) -> Vec<u8> {
+    completion.data.map(Vec::from).unwrap_or_default()
 }
 
 fn log_parts(log: &mut Vec<u8>, op_id: u8, parts: &[Vec<u8>]) {
@@ -266,7 +272,7 @@ fn assert_equivalence(device: DeviceKind, eager_threshold: Option<usize>) {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum TwinStyle {
     Blocking,
-    /// `i*` + `coll_wait` / `coll_test`.
+    /// `i*` + `wait` / `test`.
     Nonblocking,
     /// The five operations with a `*_init` form are initialized once, up
     /// front, and started/waited at their transcript step (the
@@ -276,12 +282,13 @@ enum TwinStyle {
 }
 
 /// The seven nonblocking collectives plus a concurrent-in-flight block,
-/// executed blockingly, through `i* + coll_wait`/`coll_test`, or through
-/// persistent `*_init` + start/wait, logging every result. All variants
-/// issue the same logical collectives in the same order (the standard's
-/// rule), so their logs must be byte-identical.
+/// executed blockingly, through `i* + wait`/`test`, or through persistent
+/// `*_init` + start/wait, logging every result. All variants issue the
+/// same logical collectives in the same order (the standard's rule), so
+/// their logs must be byte-identical: a request completes with a
+/// gather-family result as one buffer, so the blocking run logs its
+/// parts concatenated in rank order.
 fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
-    use mpi_native::CollOutcome;
     let rank = engine.world_rank();
     let size = engine.world_size();
     let sum = Op::Predefined(PredefinedOp::Sum);
@@ -302,10 +309,10 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
         ]
         .map(Result::unwrap)
     });
-    let run_persistent = |engine: &mut Engine, slot: usize, payload: &[u8]| -> CollOutcome {
+    let run_persistent = |engine: &mut Engine, slot: usize, payload: &[u8]| -> Completion {
         let id = persistent.expect("persistent style")[slot];
-        engine.coll_start_persistent(id, payload).unwrap();
-        engine.coll_wait_persistent(id).unwrap()
+        engine.start(id, payload).unwrap();
+        engine.wait(id).unwrap()
     };
 
     // barrier
@@ -313,7 +320,7 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
         TwinStyle::Blocking => engine.barrier(COMM_WORLD).unwrap(),
         TwinStyle::Nonblocking => {
             let req = engine.ibarrier(COMM_WORLD).unwrap();
-            engine.coll_wait(req).unwrap();
+            engine.wait(req).unwrap();
         }
         TwinStyle::Persistent => {
             run_persistent(engine, 0, &[]);
@@ -331,9 +338,9 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
             let req = engine
                 .ibcast(COMM_WORLD, root, std::mem::take(&mut buf))
                 .unwrap();
-            buf = engine.coll_wait(req).unwrap().into_buffer();
+            buf = bytes(engine.wait(req).unwrap());
         }
-        TwinStyle::Persistent => buf = run_persistent(engine, 1, &buf).into_buffer(),
+        TwinStyle::Persistent => buf = bytes(run_persistent(engine, 1, &buf)),
     }
     log_result(&mut log, 1, &buf);
 
@@ -342,12 +349,13 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     let send = vec![rank as u8; rank % 3];
     let gathered = if style == TwinStyle::Nonblocking {
         let req = engine.igather(COMM_WORLD, root, &send).unwrap();
-        engine.coll_wait(req).unwrap().into_parts()
+        engine.wait(req).unwrap().data.map(Vec::from)
     } else {
-        engine.gather(COMM_WORLD, root, &send).unwrap()
+        let parts = engine.gather(COMM_WORLD, root, &send).unwrap();
+        parts.map(|parts| parts.concat())
     };
-    if let Some(parts) = gathered {
-        log_parts(&mut log, 2, &parts);
+    if let Some(all) = gathered {
+        log_result(&mut log, 2, &all);
     }
 
     // scatterv (variable chunks incl. empty)
@@ -364,7 +372,7 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
         let req = engine
             .iscatter(COMM_WORLD, root, chunks.as_deref())
             .unwrap();
-        engine.coll_wait(req).unwrap().into_buffer()
+        bytes(engine.wait(req).unwrap())
     } else {
         engine.scatter(COMM_WORLD, root, chunks.as_deref()).unwrap()
     };
@@ -372,24 +380,21 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
 
     // allgatherv
     let contribution: Vec<u8> = (0..(rank + 1) * 2).map(|i| (i * 7 + rank) as u8).collect();
-    let parts = match style {
-        TwinStyle::Blocking => engine.allgather(COMM_WORLD, &contribution).unwrap(),
+    let all = match style {
+        TwinStyle::Blocking => engine
+            .allgather(COMM_WORLD, &contribution)
+            .unwrap()
+            .concat(),
         TwinStyle::Nonblocking => {
             let req = engine.iallgather(COMM_WORLD, &contribution).unwrap();
-            engine.coll_wait(req).unwrap().into_parts().unwrap()
+            bytes(engine.wait(req).unwrap())
         }
-        TwinStyle::Persistent => run_persistent(engine, 2, &contribution)
-            .into_parts()
-            .unwrap(),
+        TwinStyle::Persistent => bytes(run_persistent(engine, 2, &contribution)),
     };
-    log_parts(&mut log, 4, &parts);
+    log_result(&mut log, 4, &all);
 
     // reduce to a non-zero root (non-commutative user op)
     let own = ints(&[rank as i32 * 2 + 3, rank as i32 + 1, 3, rank as i32 - 2]);
-    let done_is_none = |outcome: CollOutcome| match outcome {
-        CollOutcome::Done => None,
-        outcome => Some(outcome.into_buffer()),
-    };
     let reduced = match style {
         TwinStyle::Blocking => engine
             .reduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
@@ -398,9 +403,9 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
             let req = engine
                 .ireduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
                 .unwrap();
-            done_is_none(engine.coll_wait(req).unwrap())
+            engine.wait(req).unwrap().data.map(Vec::from)
         }
-        TwinStyle::Persistent => done_is_none(run_persistent(engine, 3, &own)),
+        TwinStyle::Persistent => run_persistent(engine, 3, &own).data.map(Vec::from),
     };
     if let Some(data) = reduced {
         log_result(&mut log, 5, &data);
@@ -420,13 +425,13 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
                 .iallreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 512, &sum)
                 .unwrap();
             loop {
-                if let Some(outcome) = engine.coll_test(req).unwrap() {
-                    break outcome.into_buffer();
+                if let Some(completion) = engine.test(req).unwrap() {
+                    break bytes(completion);
                 }
                 std::thread::yield_now();
             }
         }
-        TwinStyle::Persistent => run_persistent(engine, 4, &ints(&vector)).into_buffer(),
+        TwinStyle::Persistent => bytes(run_persistent(engine, 4, &ints(&vector))),
     };
     log_result(&mut log, 6, &got);
 
@@ -447,7 +452,7 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
                 .unwrap();
             engine.bcast(COMM_WORLD, 0, &mut bcast_buf).unwrap();
             let parts = engine.allgather(COMM_WORLD, &gather_in).unwrap();
-            log_parts(&mut log, 7, &parts);
+            log_result(&mut log, 7, &parts.concat());
             log_result(&mut log, 8, &bcast_buf);
             log_result(&mut log, 9, &red);
         }
@@ -457,26 +462,22 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
                 .unwrap();
             let r2 = engine.ibcast(COMM_WORLD, 0, bcast_buf).unwrap();
             let r3 = engine.iallgather(COMM_WORLD, &gather_in).unwrap();
-            let parts = engine.coll_wait(r3).unwrap().into_parts().unwrap();
-            log_parts(&mut log, 7, &parts);
-            log_result(&mut log, 8, &engine.coll_wait(r2).unwrap().into_buffer());
-            log_result(&mut log, 9, &engine.coll_wait(r1).unwrap().into_buffer());
+            log_result(&mut log, 7, &bytes(engine.wait(r3).unwrap()));
+            log_result(&mut log, 8, &bytes(engine.wait(r2).unwrap()));
+            log_result(&mut log, 9, &bytes(engine.wait(r1).unwrap()));
         }
         TwinStyle::Persistent => {
             let [_, _, allgather, _, _, allreduce, bcast] = persistent.expect("persistent style");
-            engine.coll_start_persistent(allreduce, &red_in).unwrap();
-            engine.coll_start_persistent(bcast, &bcast_buf).unwrap();
-            engine.coll_start_persistent(allgather, &gather_in).unwrap();
-            let parts = engine.coll_wait_persistent(allgather).unwrap();
-            log_parts(&mut log, 7, &parts.into_parts().unwrap());
-            let got = engine.coll_wait_persistent(bcast).unwrap();
-            log_result(&mut log, 8, &got.into_buffer());
-            let got = engine.coll_wait_persistent(allreduce).unwrap();
-            log_result(&mut log, 9, &got.into_buffer());
+            engine.start(allreduce, &red_in).unwrap();
+            engine.start(bcast, &bcast_buf).unwrap();
+            engine.start(allgather, &gather_in).unwrap();
+            log_result(&mut log, 7, &bytes(engine.wait(allgather).unwrap()));
+            log_result(&mut log, 8, &bytes(engine.wait(bcast).unwrap()));
+            log_result(&mut log, 9, &bytes(engine.wait(allreduce).unwrap()));
         }
     }
     for id in persistent.into_iter().flatten() {
-        engine.coll_free_persistent(id).unwrap();
+        engine.request_free(id).unwrap();
     }
 
     log
@@ -654,7 +655,9 @@ fn algorithms_survive_a_tiny_eager_threshold() {
 // ---------------------------------------------------------------------
 // Neighborhood collectives: the schedule-built sparse exchanges must be
 // byte-identical to a hand-rolled isend/irecv reference, and the
-// `ineighbor_*` twins byte-identical to the blocking forms.
+// `ineighbor_*` twins byte-identical to the blocking forms (each result
+// logged as its parts concatenated in slot order, which is what a
+// request's completion carries).
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy, PartialEq)]
@@ -768,24 +771,24 @@ fn neighbor_exchange(
     match style {
         NeighborStyle::Blocking => {
             let parts = engine.neighbor_alltoallv(comm, &chunks).unwrap();
-            log_parts(log, op_base, &parts);
+            log_result(log, op_base, &parts.concat());
             let parts = engine.neighbor_allgather(comm, &payload).unwrap();
-            log_parts(log, op_base + 1, &parts);
+            log_result(log, op_base + 1, &parts.concat());
         }
         NeighborStyle::Nonblocking => {
             let r1 = engine.ineighbor_alltoallv(comm, &chunks).unwrap();
             let r2 = engine.ineighbor_allgather(comm, &payload).unwrap();
-            let g2 = engine.coll_wait(r2).unwrap().into_parts().unwrap();
-            let g1 = engine.coll_wait(r1).unwrap().into_parts().unwrap();
-            log_parts(log, op_base, &g1);
-            log_parts(log, op_base + 1, &g2);
+            let g2 = bytes(engine.wait(r2).unwrap());
+            let g1 = bytes(engine.wait(r1).unwrap());
+            log_result(log, op_base, &g1);
+            log_result(log, op_base + 1, &g2);
         }
         NeighborStyle::HandRolled => {
             let parts = hand_rolled_neighbor_alltoallv(engine, comm, &chunks);
-            log_parts(log, op_base, &parts);
+            log_result(log, op_base, &parts.concat());
             let replicated = vec![payload.clone(); degree];
             let parts = hand_rolled_neighbor_alltoallv(engine, comm, &replicated);
-            log_parts(log, op_base + 1, &parts);
+            log_result(log, op_base + 1, &parts.concat());
         }
     }
 }

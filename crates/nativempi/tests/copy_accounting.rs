@@ -334,23 +334,23 @@ fn persistent_allreduce_stages_no_new_copies_over_transient() {
             let req = engine
                 .iallreduce(COMM_WORLD, &payload, PrimitiveKind::Int, count, &sum)
                 .unwrap();
-            engine.coll_wait(req).unwrap();
+            engine.wait(req).unwrap();
             let pid = engine
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, count, &sum)
                 .unwrap();
-            engine.coll_start_persistent(pid, &payload).unwrap();
-            engine.coll_wait_persistent(pid).unwrap();
+            engine.start(pid, &payload).unwrap();
+            engine.wait(pid).unwrap();
 
             let base = engine.stats().bytes_copied;
             let req = engine
                 .iallreduce(COMM_WORLD, &payload, PrimitiveKind::Int, count, &sum)
                 .unwrap();
-            engine.coll_wait(req).unwrap();
+            engine.wait(req).unwrap();
             let transient = engine.stats().bytes_copied - base;
 
             let base = engine.stats().bytes_copied;
-            engine.coll_start_persistent(pid, &payload).unwrap();
-            engine.coll_wait_persistent(pid).unwrap();
+            engine.start(pid, &payload).unwrap();
+            engine.wait(pid).unwrap();
             let persistent = engine.stats().bytes_copied - base;
 
             assert!(
@@ -358,7 +358,7 @@ fn persistent_allreduce_stages_no_new_copies_over_transient() {
                 "persistent start()+wait() copied {persistent} bytes vs \
                  transient {transient} ({device:?})"
             );
-            engine.coll_free_persistent(pid).unwrap();
+            engine.request_free(pid).unwrap();
         })
         .unwrap();
     }

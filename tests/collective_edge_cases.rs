@@ -263,14 +263,18 @@ fn overflowing_element_counts_are_count_errors() {
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "reduce_init");
             let r = engine.allreduce_init(COMM_WORLD, int, HUGE, &sum);
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "allreduce_init");
-            assert_eq!(engine.persistent_colls_registered(), 0);
 
             // A persistent start with a short buffer reports the same
             // class from the same routine as the transient form.
             let op = engine.allreduce_init(COMM_WORLD, int, 8, &sum).unwrap();
-            let r = engine.coll_start_persistent(op, &send);
+            let r = engine.start(op, &send);
             assert_eq!(class(r), ErrorClass::Count, "short persistent start");
-            engine.coll_free_persistent(op).unwrap();
+            assert_eq!(
+                engine.persistent_active(),
+                0,
+                "a failed start leaves it inactive"
+            );
+            engine.request_free(op).unwrap();
 
             engine.barrier(COMM_WORLD).unwrap();
         })

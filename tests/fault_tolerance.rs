@@ -127,6 +127,8 @@ fn finalize_aborts_outstanding_operations_after_a_death() {
         // An irecv from the soon-dead rank stays outstanding across the
         // failed collective and must not wedge finalize.
         let req = engine.irecv(COMM_WORLD, 2, 77, None).unwrap();
+        // So does a collective the dead rank never joins.
+        let barrier = engine.ibarrier(COMM_WORLD).unwrap();
         let err = engine
             .allreduce(
                 COMM_WORLD,
@@ -138,8 +140,11 @@ fn finalize_aborts_outstanding_operations_after_a_death() {
             .expect_err("allreduce with a dead member");
         assert_eq!(err.class, ErrorClass::RankFailed);
         engine.finalize().expect("finalize aborts the leftovers");
-        // The aborted request completes with an error, never a hang.
-        assert!(engine.wait(req).is_err());
+        // The aborted requests complete with the failure, never a hang,
+        // whatever their kind.
+        for id in [req, barrier] {
+            assert_eq!(engine.wait(id).unwrap_err().class, ErrorClass::RankFailed);
+        }
     })
     .unwrap();
 }

@@ -478,10 +478,10 @@ fn coll_events_carry_the_planned_operation_in_every_call_mode() {
             .scan(COMM_WORLD, &one, PrimitiveKind::Int, 1, &sum)
             .unwrap();
         for _ in 0..2 {
-            engine.coll_start_persistent(persistent, &one).unwrap();
-            engine.coll_wait_persistent(persistent).unwrap();
+            engine.start(persistent, &one).unwrap();
+            engine.wait(persistent).unwrap();
         }
-        engine.coll_free_persistent(persistent).unwrap();
+        engine.request_free(persistent).unwrap();
         engine.trace_events()
     })
     .unwrap();
