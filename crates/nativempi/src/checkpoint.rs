@@ -29,6 +29,13 @@
 //! an engine that already did work can only move allocators forward —
 //! tokens and request ids must never be reissued (a reissued token could
 //! match a stale rendezvous still sitting in the spool).
+//!
+//! A `coll_seq.N` / `win_seq.N` line names a communicator by handle, and
+//! it is applied only if handle `N` exists at restore: `MPI_COMM_WORLD`
+//! and `MPI_COMM_SELF`. Handles are never reused, so a restarted rank's
+//! later communicators are new ones, which start at 0 like their peers'
+//! copies; a saved counter for any other handle belonged to a
+//! communicator that is gone, and is skipped like an unknown key.
 
 use std::fs;
 use std::path::PathBuf;
@@ -61,15 +68,17 @@ impl Engine {
         record.push_str(&format!("next_token={}\n", self.next_token));
         record.push_str(&format!("next_request={}\n", self.next_request));
         record.push_str(&format!("next_context={}\n", self.next_context));
-        let mut coll: Vec<_> = self.coll_seqs.iter().collect();
-        coll.sort();
-        for (comm, seq) in coll {
-            record.push_str(&format!("coll_seq.{comm}={seq}\n"));
+        let live = || {
+            self.comms
+                .iter()
+                .enumerate()
+                .filter_map(|(comm, c)| Some((comm, c.as_ref()?)))
+        };
+        for (comm, c) in live().filter(|(_, c)| c.coll_seq > 0) {
+            record.push_str(&format!("coll_seq.{comm}={}\n", c.coll_seq));
         }
-        let mut wins: Vec<_> = self.win_seqs.iter().collect();
-        wins.sort();
-        for (comm, seq) in wins {
-            record.push_str(&format!("win_seq.{comm}={seq}\n"));
+        for (comm, c) in live().filter(|(_, c)| c.win_seq > 0) {
+            record.push_str(&format!("win_seq.{comm}={}\n", c.win_seq));
         }
         let tmp = rank_dir.join("tmp").join("checkpoint.tmp");
         let path = rank_dir.join("checkpoint");
@@ -132,14 +141,17 @@ impl Engine {
                     engine.next_context = engine.next_context.max(parse(value)? as u32)
                 }
                 k if k.starts_with("coll_seq.") => {
-                    let comm = parse_handle(k, "coll_seq.")?;
-                    let seq = engine.coll_seqs.entry(comm).or_insert(0);
-                    *seq = (*seq).max(parse(value)?);
+                    let (comm, seq) = (parse_handle(k, "coll_seq.")?, parse(value)?);
+                    // Only communicators that exist now (see the module docs).
+                    if let Ok(record) = engine.comm_mut(comm) {
+                        record.coll_seq = record.coll_seq.max(seq);
+                    }
                 }
                 k if k.starts_with("win_seq.") => {
-                    let comm = parse_handle(k, "win_seq.")?;
-                    let seq = engine.win_seqs.entry(comm).or_insert(0);
-                    *seq = (*seq).max(parse(value)?);
+                    let (comm, seq) = (parse_handle(k, "win_seq.")?, parse(value)?);
+                    if let Ok(record) = engine.comm_mut(comm) {
+                        record.win_seq = record.win_seq.max(seq);
+                    }
                 }
                 _ => {
                     // Unknown keys from a newer writer are skipped; the
@@ -248,6 +260,39 @@ mod tests {
         let ep = SpoolDevice::attach(&root, 0, 1, Duration::from_millis(500)).unwrap();
         let engine = Engine::restore(Box::new(ep)).unwrap();
         assert_eq!(engine.next_token, 1);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Saved sequence counters go only to communicators that exist at
+    /// restore. A communicator the restarted rank creates takes a fresh
+    /// handle and starts at 0, as its peers' copies do, even when the
+    /// record names that handle.
+    #[test]
+    fn restore_applies_saved_counters_only_to_existing_communicators() {
+        let root = std::env::temp_dir().join(format!(
+            "mpijava-ckpt-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let lease = Duration::from_millis(500);
+        {
+            let _eps = Fabric::build(
+                FabricConfig::new(1, DeviceKind::Spool)
+                    .with_spool_dir(&root)
+                    .with_lease(lease),
+            )
+            .unwrap();
+        }
+        let record = format!("{MAGIC}\ncoll_seq.0=7\nwin_seq.1=4\ncoll_seq.2=3\nwin_seq.2=5\n");
+        fs::write(root.join("rank00000").join("checkpoint"), record).unwrap();
+        let ep = SpoolDevice::attach(&root, 0, 1, lease).unwrap();
+        let mut engine = Engine::restore(Box::new(ep)).unwrap();
+        assert_eq!(engine.comm(COMM_WORLD).unwrap().coll_seq, 7);
+        assert_eq!(engine.comm(crate::comm::COMM_SELF).unwrap().win_seq, 4);
+        let dup = engine.comm_dup(COMM_WORLD).unwrap();
+        assert_eq!(dup, 2, "the record names the handle the dup takes");
+        let record = engine.comm(dup).unwrap();
+        assert_eq!((record.coll_seq, record.win_seq), (0, 0));
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -68,7 +68,11 @@
 //! round a frame belongs to. Every schedule (and every phase of a
 //! composite schedule, e.g. the reduce and bcast halves of a tree
 //! allreduce) allocates a fresh `TagWindow` of `ROUND_SPACE`
-//! consecutive tags from a per-communicator sequence counter. MPI
+//! consecutive tags from the communicator's sequence counter, which
+//! lives in its record ([`crate::comm::CommRecord`]): a new
+//! communicator starts it at 0 and `comm_free` drops it with the record,
+//! and a checkpoint restores it only for the built-in communicators
+//! ([`crate::checkpoint`]). MPI
 //! requires every rank to issue collectives on a communicator in the
 //! same order, so the counters stay symmetric without communication, and
 //! concurrent nonblocking collectives occupy *distinct* windows — their
@@ -630,10 +634,16 @@ impl Engine {
     /// the module docs). Every rank calls collectives in the same order,
     /// so the allocation is symmetric without communication.
     pub(crate) fn alloc_tag_window(&mut self, comm: CommHandle) -> TagWindow {
-        let seq = self.coll_seqs.entry(comm).or_insert(0);
-        let window = (*seq % NUM_TAG_WINDOWS) as u32;
-        *seq += 1;
-        TagWindow(window)
+        // Every collective has resolved `comm` before it plans; an
+        // unknown handle draws window 0 and fails at its first transfer.
+        let seq = match self.comm_mut(comm) {
+            Ok(record) => {
+                record.coll_seq += 1;
+                record.coll_seq - 1
+            }
+            Err(_) => 0,
+        };
+        TagWindow((seq % NUM_TAG_WINDOWS) as u32)
     }
 
     /// [`Engine::alloc_tag_window`], recorded on the schedule under
@@ -656,8 +666,7 @@ impl Engine {
         schedule: CollSchedule,
         planned: Option<(CollOp, CollAlgorithm)>,
     ) -> Result<RequestId> {
-        let id = self.next_request;
-        self.next_request += 1;
+        let id = self.fresh_request_id();
         let (op_idx, alg_idx) = planned.map_or((-1, -1), |(op, alg)| {
             (op.index() as i64, alg.index() as i64)
         });
@@ -666,12 +675,9 @@ impl Engine {
         // identical on every rank for the same logical operation — the
         // join key the cross-rank analyzer matches round brackets with.
         // The local `id` is a per-rank request number and is not.
-        let ctx = self.comm(comm)?.context_coll as i64;
-        let cseq = {
-            let seq = self.coll_causal_seqs.entry(comm).or_insert(0);
-            *seq += 1;
-            *seq as i64
-        };
+        let record = self.comm_mut(comm)?;
+        record.coll_causal_seq += 1;
+        let (ctx, cseq) = (record.context_coll as i64, record.coll_causal_seq as i64);
         let traced = self.tracer.events_on();
         if traced {
             self.emit_full(

@@ -7,6 +7,17 @@
 //! can never match each other. New context ids are agreed collectively by
 //! an allreduce(MAX) over the parent communicator, exactly the scheme small
 //! MPI implementations use.
+//!
+//! A communicator's state lives in one place, its [`CommRecord`]: the two
+//! context ids, the group, this rank's place in it, an attached topology,
+//! and three counters that every member advances in the same order and
+//! so keeps equal without communication — the collective tag-window
+//! sequence, the collective start count that stamps trace events, and
+//! the RMA window sequence. A new communicator starts them at 0, and
+//! [`Engine::comm_free`] drops them with the record. Outside the record
+//! the engine keeps only what is keyed by context id (the matching
+//! queues, whose frames can arrive before the record exists or after it
+//! is gone) and the schedule templates cached per communicator.
 
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::group::{CompareResult, Group};
@@ -35,9 +46,43 @@ pub struct CommRecord {
     pub my_rank: Option<usize>,
     /// Attached virtual topology, if any.
     pub topology: Option<Topology>,
+    /// Collective tag-window sequence (see [`crate::coll::nb`]).
+    pub(crate) coll_seq: u64,
+    /// Collectives started: the causal stamp of their trace events.
+    /// Several tag windows may go to one collective; this moves once.
+    pub(crate) coll_causal_seq: u64,
+    /// RMA windows created (see [`crate::rma`]).
+    pub(crate) win_seq: u64,
 }
 
 impl CommRecord {
+    fn new(
+        (context_p2p, context_coll): (u32, u32),
+        group: Group,
+        my_rank: Option<usize>,
+        topology: Option<Topology>,
+    ) -> CommRecord {
+        CommRecord {
+            context_p2p,
+            context_coll,
+            group,
+            my_rank,
+            topology,
+            coll_seq: 0,
+            coll_causal_seq: 0,
+            win_seq: 0,
+        }
+    }
+
+    /// The context of collective or point-to-point traffic.
+    pub(crate) fn context(&self, collective: bool) -> u32 {
+        if collective {
+            self.context_coll
+        } else {
+            self.context_p2p
+        }
+    }
+
     /// Number of processes in the communicator.
     pub fn size(&self) -> usize {
         self.group.size()
@@ -47,26 +92,20 @@ impl CommRecord {
 impl Engine {
     pub(crate) fn install_builtin_comms(&mut self) {
         // COMM_WORLD: contexts 0 (p2p) and 1 (coll).
-        let world = CommRecord {
-            context_p2p: 0,
-            context_coll: 1,
-            group: Group::world(self.world_size),
-            my_rank: Some(self.world_rank),
-            topology: None,
-        };
+        let world = CommRecord::new(
+            (0, 1),
+            Group::world(self.world_size),
+            Some(self.world_rank),
+            None,
+        );
         // COMM_SELF: contexts 2 and 3.
-        let selfc = CommRecord {
-            context_p2p: 2,
-            context_coll: 3,
-            group: Group::from_ranks(vec![self.world_rank]).expect("single rank group"),
-            my_rank: Some(0),
-            topology: None,
-        };
+        let selfc = CommRecord::new(
+            (2, 3),
+            Group::from_ranks(vec![self.world_rank]).expect("single rank group"),
+            Some(0),
+            None,
+        );
         self.comms = vec![Some(world), Some(selfc)];
-        self.context_to_comm.insert(0, COMM_WORLD);
-        self.context_to_comm.insert(1, COMM_WORLD);
-        self.context_to_comm.insert(2, COMM_SELF);
-        self.context_to_comm.insert(3, COMM_SELF);
         self.next_context = 4;
     }
 
@@ -96,8 +135,6 @@ impl Engine {
 
     fn register_comm(&mut self, record: CommRecord) -> CommHandle {
         let handle = self.comms.len();
-        self.context_to_comm.insert(record.context_p2p, handle);
-        self.context_to_comm.insert(record.context_coll, handle);
         self.comms.push(Some(record));
         handle
     }
@@ -152,32 +189,20 @@ impl Engine {
                     format!("invalid communicator handle {comm}"),
                 )
             })?;
-        self.context_to_comm.remove(&record.context_p2p);
-        self.context_to_comm.remove(&record.context_coll);
-        // Release the freed contexts' matching queues too, or the
-        // per-context maps grow one dead entry per dup/free cycle.
-        // Receives still posted on the communicator are completed as
-        // cancelled — their match can never arrive once the record is
-        // gone, and silently dropping them would hang a later wait() —
-        // and the context ids go into the tombstone set so in-flight
-        // frames for them are discarded on arrival instead of parking
-        // unmatchably in the unexpected queue forever.
+        // The record took its counters with it. Close its contexts too:
+        // receives still posted on them complete as cancelled — their
+        // match can never arrive, and dropping them would hang a later
+        // wait() — and frames still in flight for them are dropped on
+        // arrival instead of parking unmatchably forever.
         for context in [record.context_p2p, record.context_coll] {
-            if let Some(queue) = self.posted.remove(&context) {
-                for posted in queue {
-                    self.requests
-                        .insert(posted.req, crate::request::RequestState::Cancelled);
-                }
+            for req in self.matching.close(context) {
+                self.requests
+                    .insert(req, crate::request::RequestState::Cancelled);
             }
-            self.unexpected.remove(&context);
-            self.freed_contexts.insert(context);
         }
-        // Cached schedule templates are keyed to the communicator and
-        // reference its tag-window sequence — drop them with it. A
-        // handle can be recycled by a later communicator, which must
-        // start with a cold cache.
+        // Cached schedule templates are keyed to the communicator: drop
+        // them with it, or dup/free churn grows the cache.
         self.sched_cache.retain(|key, _| key.comm != comm);
-        self.coll_seqs.remove(&comm);
         Ok(())
     }
 
@@ -196,15 +221,14 @@ impl Engine {
     /// `MPI_Comm_dup`: same group, fresh context ids. Collective.
     pub fn comm_dup(&mut self, comm: CommHandle) -> Result<CommHandle> {
         self.check_live()?;
-        let (p2p, coll) = self.allocate_context_pair(comm)?;
+        let contexts = self.allocate_context_pair(comm)?;
         let src = self.comm(comm)?;
-        let record = CommRecord {
-            context_p2p: p2p,
-            context_coll: coll,
-            group: src.group.clone(),
-            my_rank: src.my_rank,
-            topology: src.topology.clone(),
-        };
+        let record = CommRecord::new(
+            contexts,
+            src.group.clone(),
+            src.my_rank,
+            src.topology.clone(),
+        );
         Ok(self.register_comm(record))
     }
 
@@ -223,18 +247,12 @@ impl Engine {
                 );
             }
         }
-        let (p2p, coll) = self.allocate_context_pair(comm)?;
+        let contexts = self.allocate_context_pair(comm)?;
         let my_rank = group.rank_of(self.world_rank);
         if my_rank.is_none() {
             return Ok(None);
         }
-        let record = CommRecord {
-            context_p2p: p2p,
-            context_coll: coll,
-            group: group.clone(),
-            my_rank,
-            topology: None,
-        };
+        let record = CommRecord::new(contexts, group.clone(), my_rank, None);
         Ok(Some(self.register_comm(record)))
     }
 
@@ -263,7 +281,7 @@ impl Engine {
             let k = i32::from_le_bytes(bytes[4..8].try_into().unwrap());
             entries.push((c, k, rank));
         }
-        let (p2p, coll) = self.allocate_context_pair(comm)?;
+        let contexts = self.allocate_context_pair(comm)?;
         if color == UNDEFINED {
             return Ok(None);
         }
@@ -281,13 +299,7 @@ impl Engine {
             .collect::<Result<Vec<_>>>()?;
         let group = Group::from_ranks(world_ranks)?;
         let my_new_rank = members.iter().position(|(_, r)| *r == my_rank);
-        let record = CommRecord {
-            context_p2p: p2p,
-            context_coll: coll,
-            group,
-            my_rank: my_new_rank,
-            topology: None,
-        };
+        let record = CommRecord::new(contexts, group, my_new_rank, None);
         Ok(Some(self.register_comm(record)))
     }
 
@@ -390,14 +402,16 @@ mod tests {
         .unwrap();
     }
 
-    /// Freeing a communicator must release its per-context matching
-    /// queues, or dup/free churn grows the engine's posted/unexpected
-    /// maps by one dead entry per cycle.
+    /// Freeing a communicator releases everything it owned: dup/free
+    /// churn with point-to-point traffic, a collective and an RMA window
+    /// on every dup leaves only the built-ins' state and one tombstone
+    /// per freed context.
     #[test]
     fn comm_free_releases_matching_queue_state() {
         use crate::types::SendMode;
+        const CYCLES: usize = 10;
         Universe::run(2, DeviceKind::ShmFast, |engine| {
-            for _ in 0..10 {
+            for _ in 0..CYCLES {
                 let dup = engine.comm_dup(COMM_WORLD).unwrap();
                 // Traffic on the dup materializes its queue entries.
                 if engine.world_rank() == 0 {
@@ -407,20 +421,24 @@ mod tests {
                     engine.recv(dup, 0, 1, None).unwrap();
                     engine.send(dup, 0, 2, b"y", SendMode::Standard).unwrap();
                 }
+                engine.barrier(dup).unwrap();
+                let win = engine.win_create(dup, vec![0; 8]).unwrap();
+                engine.win_free(win).unwrap();
                 engine.barrier(COMM_WORLD).unwrap();
                 engine.comm_free(dup).unwrap();
             }
-            // Only the built-in communicators' contexts may remain.
+            let live: Vec<CommHandle> = (0..engine.comms.len())
+                .filter(|&c| engine.comm(c).is_ok())
+                .collect();
+            assert_eq!(live, [COMM_WORLD, COMM_SELF]);
+            let open = engine.matching.open_contexts();
             assert!(
-                engine.posted.len() <= 4,
-                "posted queue map leaked: {} entries",
-                engine.posted.len()
+                open.iter().all(|&context| context < 4),
+                "freed contexts still hold queues: {open:?}"
             );
-            assert!(
-                engine.unexpected.len() <= 4,
-                "unexpected queue map leaked: {} entries",
-                engine.unexpected.len()
-            );
+            assert_eq!(engine.matching.closed_contexts(), 2 * CYCLES);
+            assert!(engine.sched_cache.keys().all(|key| key.comm < 2));
+            assert!(engine.windows.is_empty());
         })
         .unwrap();
     }
@@ -467,7 +485,7 @@ mod tests {
                 let (data, _) = engine.recv(COMM_WORLD, 0, 4, None).unwrap();
                 assert_eq!(&data[..], b"after");
                 assert!(
-                    !engine.unexpected.contains_key(&dup_context),
+                    !engine.matching.open_contexts().contains(&dup_context),
                     "freed-context queue was resurrected"
                 );
             }

@@ -166,52 +166,34 @@ impl Engine {
 
         // Posted receives that can only (or, for ANY_SOURCE, might only)
         // be satisfied by the dead rank fail in place.
-        let contexts: Vec<u32> = self.posted.keys().copied().collect();
-        let mut doomed: Vec<u64> = Vec::new();
-        for context in contexts {
-            let queue = self.posted.get(&context).expect("context listed");
-            let mut keep: Vec<bool> = Vec::with_capacity(queue.len());
-            for p in queue.iter() {
-                let fails = if p.src == ANY_SOURCE {
-                    self.comm_rank_of_world(p.comm, dead)?.is_some()
-                } else {
-                    self.world_rank_of(p.comm, p.src as usize)? == dead
-                };
-                if fails {
-                    doomed.push(p.req);
-                }
-                keep.push(!fails);
-            }
-            let mut keep = keep.into_iter();
-            self.posted
-                .get_mut(&context)
-                .expect("context listed")
-                .retain(|_| keep.next().unwrap_or(true));
-        }
+        let comms = &self.comms;
+        let member = |comm: CommHandle| {
+            comms
+                .get(comm)
+                .and_then(Option::as_ref)
+                .is_some_and(|record| record.group.rank_of(dead).is_some())
+        };
+        let mut doomed = self.matching.withdraw_where(|p| match p.want.src {
+            Some(src) => src as usize == dead,
+            None => member(p.comm),
+        });
 
         // Un-acked rendezvous sends to the dead rank, and granted
         // rendezvous receives awaiting its data frames.
         let dead_u32 = dead as u32;
-        let tokens: Vec<u64> = self
-            .pending_rendezvous
-            .iter()
-            .filter(|(_, p)| p.dst_world == dead_u32)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in tokens {
-            let p = self.pending_rendezvous.remove(&token).expect("listed");
-            doomed.push(p.req);
-        }
-        let keys: Vec<(u32, u64)> = self
-            .awaiting_rendezvous_data
-            .keys()
-            .filter(|(src, _)| *src == dead_u32)
-            .copied()
-            .collect();
-        for key in keys {
-            let req = self.awaiting_rendezvous_data.remove(&key).expect("listed");
-            doomed.push(req);
-        }
+        self.pending_rendezvous.retain(|_, p| {
+            let hit = p.dst_world == dead_u32;
+            if hit {
+                doomed.push(p.req);
+            }
+            !hit
+        });
+        self.awaiting_rendezvous_data.retain(|&(src, _), &mut req| {
+            if src == dead_u32 {
+                doomed.push(req);
+            }
+            src != dead_u32
+        });
         let error = self.rank_failed_error(dead);
         for req in doomed {
             self.requests.set(req, RequestState::Failed(error.clone()));
@@ -284,7 +266,7 @@ impl Engine {
     /// `wait` on it errors with [`ErrorClass::RankFailed`] instead of
     /// hanging.
     pub(crate) fn abort_outstanding(&mut self) {
-        self.posted.clear();
+        self.matching.withdraw_where(|_| true);
         self.pending_rendezvous.clear();
         self.awaiting_rendezvous_data.clear();
         self.windows.clear();

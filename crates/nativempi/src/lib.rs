@@ -50,6 +50,7 @@ pub mod env;
 pub mod error;
 pub mod failure;
 pub mod group;
+mod matching;
 pub mod ops;
 pub mod p2p;
 pub mod pack;
@@ -76,13 +77,14 @@ pub use trace::{
 pub use types::{PrimitiveKind, SendMode, StatusInfo, ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED};
 pub use universe::{Universe, UniverseConfig};
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use mpi_transport::Endpoint;
 
 use comm::CommRecord;
-use p2p::{PendingRendezvous, PostedRecv, UnexpectedMsg};
+use matching::Matching;
+use p2p::PendingRendezvous;
 use request::Requests;
 
 /// Counters the engine keeps about its own activity. The benchmark harness
@@ -143,26 +145,16 @@ pub struct Engine {
     /// launched with a [`NodeMap`]). Drives the topology queries and the
     /// hierarchical collective tuning.
     pub(crate) nodes: NodeMap,
+    /// Every communicator by handle, with its per-communicator state
+    /// (see [`comm`]); a freed one leaves `None`, handles are not reused.
     pub(crate) comms: Vec<Option<CommRecord>>,
-    pub(crate) context_to_comm: HashMap<u32, usize>,
     pub(crate) next_context: u32,
     /// Every pending operation of this rank, one id space (see [`request`]).
     pub(crate) requests: Requests,
     pub(crate) next_request: u64,
-    /// Posted receives, FIFO per communicator context (see [`p2p`]'s
-    /// matching notes: wildcards never cross contexts, so the split is
-    /// semantics-preserving and kills the O(all posted) arrival scan).
-    pub(crate) posted: HashMap<u32, VecDeque<PostedRecv>>,
-    /// Unexpected arrivals, FIFO per communicator context.
-    pub(crate) unexpected: HashMap<u32, VecDeque<UnexpectedMsg>>,
-    /// Context ids of freed communicators. Context ids are never reused,
-    /// so frames still in flight for these contexts are dropped on
-    /// arrival instead of being parked unmatchably forever (8 bytes per
-    /// freed communicator, vs. an unbounded payload queue). An *unknown*
-    /// context is NOT sufficient to drop: a peer that finished
-    /// constructing a communicator may legally send on it before this
-    /// rank installs the record, and those frames must park.
-    pub(crate) freed_contexts: std::collections::HashSet<u32>,
+    /// Every context's posted and unexpected FIFOs and the freed-context
+    /// tombstones (see [`p2p`]'s matching notes).
+    pub(crate) matching: Matching,
     pub(crate) pending_rendezvous: HashMap<u64, PendingRendezvous>,
     /// The receive request each granted rendezvous completes, keyed by
     /// `(sender world rank, sender token)` — tokens are only unique per
@@ -182,16 +174,6 @@ pub struct Engine {
     pub(crate) stats: EngineStats,
     pub(crate) keyvals: HashMap<i32, Vec<u8>>,
     pub(crate) forced_coll_alg: Option<coll::CollAlgorithm>,
-    /// Per-communicator collective sequence counters for tag-window
-    /// allocation (see [`coll::nb`]'s tag-window accounting).
-    pub(crate) coll_seqs: HashMap<comm::CommHandle, u64>,
-    /// Per-communicator *causal* collective sequence: bumped exactly once
-    /// per collective start. Collectives are called in the same order on
-    /// every member, so `(comm context, this counter)` is a cross-rank
-    /// join key for the `coll`/`coll_round` trace brackets — unlike
-    /// [`Engine::coll_seqs`] (several bumps per op for tag windows) or
-    /// the local schedule id (a per-rank request number).
-    pub(crate) coll_causal_seqs: HashMap<comm::CommHandle, u64>,
     /// Built-schedule templates, keyed per rank on the local call shape
     /// (see the schedule-caching section of [`coll::nb`]).
     pub(crate) sched_cache: HashMap<coll::nb::cache::SchedKey, coll::nb::cache::SchedTemplate>,
@@ -199,11 +181,6 @@ pub struct Engine {
     /// (see [`rma`]'s epoch model and tag accounting).
     pub(crate) windows: HashMap<u64, rma::WindowState>,
     pub(crate) next_win: u64,
-    /// Per-communicator window sequence counters: `win_create` is
-    /// collective, so symmetric calls yield identical sequence numbers on
-    /// every rank, which is what makes the per-window RMA tag channels
-    /// line up without communication.
-    pub(crate) win_seqs: HashMap<comm::CommHandle, u64>,
     /// World ranks declared dead (lease expiry or fault-plan kill).
     /// Membership is permanent; see [`mod@failure`].
     pub(crate) failed_ranks: std::collections::HashSet<usize>,
@@ -270,13 +247,10 @@ impl Engine {
             world_size,
             nodes,
             comms: Vec::new(),
-            context_to_comm: HashMap::new(),
             next_context: 0,
             requests: Requests::default(),
             next_request: 1,
-            posted: HashMap::new(),
-            unexpected: HashMap::new(),
-            freed_contexts: std::collections::HashSet::new(),
+            matching: Matching::default(),
             pending_rendezvous: HashMap::new(),
             awaiting_rendezvous_data: HashMap::new(),
             next_token: 1,
@@ -293,12 +267,9 @@ impl Engine {
             stats: EngineStats::default(),
             keyvals: HashMap::new(),
             forced_coll_alg: config.coll_algorithm,
-            coll_seqs: HashMap::new(),
-            coll_causal_seqs: HashMap::new(),
             sched_cache: HashMap::new(),
             windows: HashMap::new(),
             next_win: 1,
-            win_seqs: HashMap::new(),
             failed_ranks: std::collections::HashSet::new(),
             last_failure_poll: None,
             tracer: trace::Tracer::new(config.trace.unwrap_or_default()),
@@ -426,6 +397,7 @@ impl Engine {
             class: PvarClass::Gauge,
             value,
         };
+        let (posted_depth, unexpected_depth) = self.matching.depths();
         let mut pvars = vec![
             counter("engine.eager_sends", s.eager_sends),
             counter("engine.rendezvous_sends", s.rendezvous_sends),
@@ -442,14 +414,8 @@ impl Engine {
             counter("engine.sched_cache_misses", s.sched_cache_misses),
             counter("engine.progress_thread_polls", s.progress_thread_polls),
             counter("engine.trace.dropped", self.tracer.dropped()),
-            gauge(
-                "p2p.posted_depth".to_string(),
-                self.posted.values().map(|q| q.len()).sum::<usize>() as i64,
-            ),
-            gauge(
-                "p2p.unexpected_depth".to_string(),
-                self.unexpected.values().map(|q| q.len()).sum::<usize>() as i64,
-            ),
+            gauge("p2p.posted_depth".to_string(), posted_depth as i64),
+            gauge("p2p.unexpected_depth".to_string(), unexpected_depth as i64),
             gauge(
                 "coll.outstanding".to_string(),
                 self.coll_outstanding() as i64,
@@ -671,7 +637,7 @@ impl Engine {
         if !self.windows.is_empty() {
             return error::err(ErrorClass::Other, "finalize called with open RMA windows");
         }
-        if self.posted.values().any(|q| !q.is_empty())
+        if self.matching.depths().0 > 0
             || !self.pending_rendezvous.is_empty()
             || self.coll_outstanding() > 0
         {

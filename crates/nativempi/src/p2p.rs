@@ -18,16 +18,33 @@
 //!
 //! ## Matching
 //!
-//! Envelopes are `(context id, source, tag)`. Each engine keeps a FIFO
-//! *posted-receive* queue and a FIFO *unexpected-message* queue **per
-//! context id**: arrival scans the posted queue of the frame's context in
-//! order, posting scans the unexpected queue of the receive's context in
-//! order, which together give MPI's non-overtaking guarantee over the
-//! per-pair FIFO the transport provides, without paying an O(all posted
-//! receives) scan when many communicators are active. `ANY_SOURCE` /
-//! `ANY_TAG` wildcards never cross communicators (a context id belongs to
-//! exactly one communicator), so the per-context split preserves the
-//! matching semantics exactly.
+//! Envelopes are `(context id, source, tag)`. One `Matching` value owns
+//! every context's FIFO *posted-receive* queue and FIFO
+//! *unexpected-message* queue: an arrival takes the oldest posted receive
+//! of its context that it matches, or parks; a post takes the oldest
+//! parked message of its context that it matches, or queues. Together
+//! with the per-pair FIFO the transport provides this is MPI's
+//! non-overtaking guarantee, and no scan ever looks at another context's
+//! queues. `ANY_SOURCE` / `ANY_TAG` wildcards never cross communicators (a
+//! context id belongs to exactly one communicator), so the per-context
+//! split preserves the matching semantics exactly.
+//!
+//! Each matching call — post, arrival, probe, RMA drain, withdraw, close —
+//! finds and takes with one lookup of its context: one hash operation per
+//! message. Sources are matched as world ranks, translated once per call
+//! rather than once per queued entry.
+//!
+//! Freeing a communicator closes its two contexts: their queues go, and a
+//! tombstone (four bytes) stays, so a frame still in flight for a freed
+//! context is dropped on arrival instead of parking unmatchably forever.
+//! Context ids are never reissued, so a tombstone cannot be wrong. An
+//! *unknown* context is not a closed one: a peer that finished
+//! constructing a communicator may send on it before this rank has
+//! installed the record, and those frames park.
+//!
+//! A matched rendezvous announcement is granted in one place
+//! (`Engine::grant_rendezvous`), whichever side arrived first, and the RMA
+//! data channel grants through it too.
 //!
 //! ## Copy inventory
 //!
@@ -75,6 +92,7 @@ use mpi_transport::{Frame, FrameHeader, FrameKind};
 
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
+use crate::matching::{PostedRecv, UnexpectedKind, UnexpectedMsg, Want};
 use crate::request::{RequestId, RequestState};
 use crate::trace::{EventKind, EventPhase, WaitClass};
 use crate::types::{SendMode, StatusInfo, ANY_SOURCE, ANY_TAG, PROC_NULL};
@@ -99,47 +117,6 @@ const SEND_POOL_MIN_BYTES: usize = 1024;
 /// (a `Bytes` keeps its `Vec`'s full capacity alive for as long as the
 /// message sits in any queue).
 const SEND_POOL_MAX_BYTES: usize = 1 << 20;
-
-/// A receive that has been posted but not yet matched. Queued under its
-/// communicator's context id (the engine's `posted` map), so the context
-/// is implicit.
-#[derive(Debug)]
-pub(crate) struct PostedRecv {
-    pub req: u64,
-    pub comm: CommHandle,
-    /// Source rank *within the communicator*, or `ANY_SOURCE`.
-    pub src: i32,
-    pub tag: i32,
-    pub max_len: Option<usize>,
-    /// Engine clock at posting time, feeding the `p2p.latency`
-    /// histogram when the arrival matches (0 when timing is off).
-    pub posted_ns: u64,
-}
-
-/// What kind of unexpected arrival is parked in the queue.
-#[derive(Debug)]
-pub(crate) enum UnexpectedKind {
-    /// Full payload already here.
-    Eager(Bytes),
-    /// Envelope of a rendezvous; payload still held by the sender.
-    Rendezvous,
-}
-
-/// A message that arrived before a matching receive was posted. Queued
-/// under its context id (the engine's `unexpected` map), so the context
-/// is implicit.
-#[derive(Debug)]
-pub(crate) struct UnexpectedMsg {
-    pub src_world: u32,
-    pub tag: i32,
-    pub token: u64,
-    pub msg_len: u64,
-    pub kind: UnexpectedKind,
-    /// Engine clock at parking time, feeding the `p2p.latency`
-    /// histogram with queue residency when a receive matches (0 when
-    /// timing is off).
-    pub arrived_ns: u64,
-}
 
 /// Payload parked on the sender side until the receiver grants the
 /// rendezvous. The payload was copied exactly once (at the `isend`
@@ -169,10 +146,6 @@ fn validate_tag(tag: i32, allow_any: bool) -> Result<()> {
     } else {
         err(ErrorClass::Tag, format!("invalid tag {tag}"))
     }
-}
-
-fn envelope_matches(want_src: i32, want_tag: i32, src: i32, tag: i32) -> bool {
-    (want_src == ANY_SOURCE || want_src == src) && (want_tag == ANY_TAG || want_tag == tag)
 }
 
 impl Engine {
@@ -236,11 +209,7 @@ impl Engine {
         collective: bool,
     ) -> Result<FrameHeader> {
         let record = self.comm(comm)?;
-        let context = if collective {
-            record.context_coll
-        } else {
-            record.context_p2p
-        };
+        let context = record.context(collective);
         let dst_world = record.group.world_rank(dest)?;
         Ok(FrameHeader {
             kind,
@@ -487,148 +456,134 @@ impl Engine {
         max_len: Option<usize>,
         collective: bool,
     ) -> Result<RequestId> {
-        self.check_live()?;
-        validate_tag(tag, true)?;
-        if src == PROC_NULL {
+        let Some(want) = self.recv_want(comm, src, tag)? else {
             return Ok(self.alloc_request(RequestState::RecvComplete {
                 data: Bytes::new(),
                 status: StatusInfo::empty(),
                 error: None,
             }));
-        }
-        if src != ANY_SOURCE {
-            if src < 0 {
-                return err(ErrorClass::Rank, format!("invalid source rank {src}"));
-            }
-            let size = self.comm_size(comm)?;
-            if src as usize >= size {
-                return err(
-                    ErrorClass::Rank,
-                    format!("source rank {src} out of range for communicator of size {size}"),
-                );
-            }
-        }
+        };
         // A receive that can only (specific source) or might only
         // (ANY_SOURCE, conservatively) be satisfied by a dead rank fails
         // at posting time (see `crate::failure`).
         self.check_peer_alive(comm, src)?;
-        let record = self.comm(comm)?;
-        let context = if collective {
-            record.context_coll
-        } else {
-            record.context_p2p
+        let context = self.comm(comm)?.context(collective);
+        let req = self.fresh_request_id();
+        let now = self.timing_now();
+        let recv = PostedRecv {
+            req,
+            comm,
+            want,
+            max_len,
+            posted_ns: now,
         };
-
-        let req = self.alloc_request(RequestState::RecvPending);
-        let RequestId(req_raw) = req;
-
-        // Look for an already-arrived match, in arrival order, among the
-        // unexpected messages of this context only.
-        let mut matched_idx: Option<usize> = None;
-        if let Some(queue) = self.unexpected.get(&context) {
-            for (i, msg) in queue.iter().enumerate() {
-                let Some(src_comm) = self.comm_rank_of_world(comm, msg.src_world as usize)? else {
-                    continue;
-                };
-                if envelope_matches(src, tag, src_comm as i32, msg.tag) {
-                    matched_idx = Some(i);
-                    break;
-                }
+        match self.matching.post(context, recv) {
+            None => self
+                .requests
+                .insert(req, RequestState::RecvPending { context }),
+            Some((recv, msg)) => {
+                self.stats.unexpected_hits += 1;
+                self.note_unexpected_hit(&msg, now);
+                self.deliver(&recv, context, msg)?;
             }
         }
+        Ok(RequestId(req))
+    }
 
-        if let Some(idx) = matched_idx {
-            let msg = self
-                .unexpected
-                .get_mut(&context)
-                .expect("matched above")
-                .remove(idx)
-                .expect("index valid");
-            self.stats.unexpected_hits += 1;
-            if self.tracer.timing_on() {
-                let now = self.clock_ns();
-                // The payload beat the matching receive to this rank;
-                // whose fault that is depends on the tag space — a rank
-                // late to its own collective round is imbalance, not a
-                // user-level late receiver.
-                let wait = now.saturating_sub(msg.arrived_ns);
-                self.tracer.p2p_latency.record(wait);
-                let class = WaitClass::for_unexpected_tag(
-                    msg.tag,
-                    COLLECTIVE_TAG_BASE,
-                    crate::rma::RMA_TAG_BASE,
-                );
-                self.tracer.note_wait(class, wait);
-                self.emit_at_full(
-                    now,
-                    EventKind::RecvUnexpected,
-                    EventPhase::Instant,
-                    msg.src_world as i64,
-                    msg.tag as i64,
-                    msg.msg_len as i64,
-                    msg.token as i64,
-                    wait as i64,
-                );
-            }
-            let src_comm = self
-                .comm_rank_of_world(comm, msg.src_world as usize)?
-                .expect("matched above") as i32;
-            match msg.kind {
-                UnexpectedKind::Eager(data) => {
-                    self.complete_recv(req_raw, data, src_comm, msg.tag, max_len);
-                }
-                UnexpectedKind::Rendezvous => {
-                    // Grant the rendezvous; completion happens when the data
-                    // frame arrives.
-                    self.emit(
-                        EventKind::RendezvousGrant,
-                        EventPhase::Instant,
-                        msg.src_world as i64,
-                        msg.token as i64,
-                        msg.msg_len as i64,
-                    );
-                    self.awaiting_rendezvous_data
-                        .insert((msg.src_world, msg.token), req_raw);
-                    self.requests.insert(
-                        req_raw,
-                        RequestState::RecvAwaitingData {
-                            src: src_comm,
-                            tag: msg.tag,
-                            max_len,
-                        },
-                    );
-                    let ack = FrameHeader {
-                        kind: FrameKind::RendezvousAck,
-                        src: self.world_rank as u32,
-                        dst: msg.src_world,
-                        tag: msg.tag,
-                        context,
-                        token: msg.token,
-                        msg_len: msg.msg_len,
-                    };
-                    self.endpoint.send(Frame::control(ack))?;
-                }
-            }
-            return Ok(req);
+    /// The envelope checks a receive and a probe share: the tag, then the
+    /// source. `None` is `PROC_NULL`, which answers at once with an empty
+    /// status; otherwise the source as a world rank.
+    fn recv_want(&self, comm: CommHandle, src: i32, tag: i32) -> Result<Option<Want>> {
+        self.check_live()?;
+        validate_tag(tag, true)?;
+        if src == PROC_NULL {
+            return Ok(None);
         }
+        let src = match usize::try_from(src) {
+            _ if src == ANY_SOURCE => None,
+            Ok(rank) => Some(self.world_rank_of(comm, rank)? as u32),
+            Err(_) => return err(ErrorClass::Rank, format!("invalid source rank {src}")),
+        };
+        Ok(Some(Want { src, tag }))
+    }
 
-        let posted_ns = if self.tracer.timing_on() {
+    /// The engine clock when timing is on, else 0: one read serves a post
+    /// or an arrival whichever way it matches.
+    fn timing_now(&self) -> u64 {
+        if self.tracer.timing_on() {
             self.clock_ns()
         } else {
             0
-        };
-        self.posted
-            .entry(context)
-            .or_default()
-            .push_back(PostedRecv {
-                req: req_raw,
-                comm,
-                src,
-                tag,
+        }
+    }
+
+    /// `src_world`'s rank in `comm`. Only members send on a
+    /// communicator's contexts, so a stranger is an internal error.
+    pub(crate) fn source_rank(&self, comm: CommHandle, src_world: u32) -> Result<usize> {
+        self.comm_rank_of_world(comm, src_world as usize)?
+            .ok_or_else(|| {
+                MpiError::new(
+                    ErrorClass::Intern,
+                    format!("message from world rank {src_world}, outside communicator {comm}"),
+                )
+            })
+    }
+
+    /// Hand a matched message to its receive: an eager payload completes
+    /// it, a rendezvous announcement is granted.
+    fn deliver(&mut self, recv: &PostedRecv, context: u32, msg: UnexpectedMsg) -> Result<()> {
+        let src = self.source_rank(recv.comm, msg.src_world)?;
+        match msg.kind {
+            UnexpectedKind::Eager(data) => {
+                self.complete_recv(recv.req, data, src as i32, msg.tag, recv.max_len);
+                Ok(())
+            }
+            UnexpectedKind::Rendezvous => {
+                self.grant_rendezvous(recv.req, src, recv.max_len, context, &msg)
+            }
+        }
+    }
+
+    /// Grant a rendezvous to receive `req` (`src` is the sender's rank in
+    /// the receive's communicator): the request awaits the data frame
+    /// under `(sender, token)`, and the sender gets its ack. Completion
+    /// happens when the data frame arrives.
+    pub(crate) fn grant_rendezvous(
+        &mut self,
+        req: u64,
+        src: usize,
+        max_len: Option<usize>,
+        context: u32,
+        msg: &UnexpectedMsg,
+    ) -> Result<()> {
+        self.emit(
+            EventKind::RendezvousGrant,
+            EventPhase::Instant,
+            msg.src_world as i64,
+            msg.token as i64,
+            msg.msg_len as i64,
+        );
+        self.awaiting_rendezvous_data
+            .insert((msg.src_world, msg.token), req);
+        self.requests.insert(
+            req,
+            RequestState::RecvAwaitingData {
+                src: src as i32,
+                tag: msg.tag,
                 max_len,
-                posted_ns,
-            });
-        Ok(req)
+            },
+        );
+        let ack = FrameHeader {
+            kind: FrameKind::RendezvousAck,
+            src: self.world_rank as u32,
+            dst: msg.src_world,
+            tag: msg.tag,
+            context,
+            token: msg.token,
+            msg_len: msg.msg_len,
+        };
+        self.endpoint.send(Frame::control(ack))?;
+        Ok(())
     }
 
     // ---------------------------------------------------------------------
@@ -729,31 +684,25 @@ impl Engine {
     /// (background progress — a rank parked in a probe loop must not
     /// stall its peers' collectives).
     pub fn iprobe(&mut self, comm: CommHandle, src: i32, tag: i32) -> Result<Option<StatusInfo>> {
-        self.check_live()?;
+        let Some(want) = self.recv_want(comm, src, tag)? else {
+            return Ok(Some(StatusInfo::empty()));
+        };
         // Drain anything the transport already has so the probe sees it.
         while let Some(frame) = self.endpoint.try_recv()? {
             self.on_frame(frame)?;
         }
         self.nb_progress()?;
         let context = self.comm(comm)?.context_p2p;
-        let Some(queue) = self.unexpected.get(&context) else {
+        let Some(msg) = self.matching.peek(context, want) else {
             return Ok(None);
         };
-        for msg in queue.iter() {
-            let Some(src_comm) = self.comm_rank_of_world(comm, msg.src_world as usize)? else {
-                continue;
-            };
-            if envelope_matches(src, tag, src_comm as i32, msg.tag) {
-                return Ok(Some(StatusInfo {
-                    source: src_comm as i32,
-                    tag: msg.tag,
-                    count_bytes: msg.msg_len as usize,
-                    cancelled: false,
-                    index: 0,
-                }));
-            }
-        }
-        Ok(None)
+        Ok(Some(StatusInfo {
+            source: self.source_rank(comm, msg.src_world)? as i32,
+            tag: msg.tag,
+            count_bytes: msg.msg_len as usize,
+            cancelled: false,
+            index: 0,
+        }))
     }
 
     /// `MPI_Probe`: block until a matching message is available. Errors
@@ -841,8 +790,10 @@ impl Engine {
     /// Handle one incoming frame. Called from every blocking/polling loop.
     pub(crate) fn on_frame(&mut self, frame: Frame) -> Result<()> {
         match frame.header.kind {
-            FrameKind::Eager => self.on_eager(frame),
-            FrameKind::RendezvousRequest => self.on_rendezvous_request(frame),
+            FrameKind::Eager => self.on_message(frame.header, UnexpectedKind::Eager(frame.payload)),
+            FrameKind::RendezvousRequest => {
+                self.on_message(frame.header, UnexpectedKind::Rendezvous)
+            }
             FrameKind::RendezvousAck => self.on_rendezvous_ack(frame),
             FrameKind::RendezvousData => self.on_rendezvous_data(frame),
             FrameKind::SyncAck => Ok(()),
@@ -854,156 +805,78 @@ impl Engine {
         }
     }
 
-    /// First posted receive of `context` matching `(src_world, tag)`, in
-    /// posting order. Only the queue of that context is scanned.
-    fn find_posted(&self, context: u32, src_world: u32, tag: i32) -> Result<Option<usize>> {
-        let Some(queue) = self.posted.get(&context) else {
-            return Ok(None);
+    /// An eager payload or a rendezvous announcement arrives: it takes
+    /// the oldest posted receive of its context that it matches, or
+    /// parks (see the module's matching notes).
+    fn on_message(&mut self, header: FrameHeader, kind: UnexpectedKind) -> Result<()> {
+        let now = self.timing_now();
+        let msg = UnexpectedMsg {
+            src_world: header.src,
+            tag: header.tag,
+            token: header.token,
+            msg_len: header.msg_len,
+            kind,
+            arrived_ns: now,
         };
-        for (i, p) in queue.iter().enumerate() {
-            let Some(src_comm) = self.comm_rank_of_world(p.comm, src_world as usize)? else {
-                continue;
-            };
-            if envelope_matches(p.src, p.tag, src_comm as i32, tag) {
-                return Ok(Some(i));
-            }
-        }
-        Ok(None)
+        let Some((recv, msg)) = self.matching.arrive(header.context, msg) else {
+            return Ok(());
+        };
+        self.stats.posted_hits += 1;
+        self.note_posted_hit(&recv, &msg, now);
+        self.deliver(&recv, header.context, msg)
     }
 
     /// Histogram + trace bookkeeping for an arrival that matched an
     /// already-posted receive: the sample is post-to-match latency.
-    fn note_posted_hit(&mut self, posted: &PostedRecv, header: &FrameHeader) {
+    fn note_posted_hit(&mut self, posted: &PostedRecv, msg: &UnexpectedMsg, now: u64) {
         if self.tracer.timing_on() {
-            let now = self.clock_ns();
             let wait = now.saturating_sub(posted.posted_ns);
             self.tracer.p2p_latency.record(wait);
             // A posted receive that waited was held up by its peer;
             // which *kind* of wait depends on the tag space the message
             // travelled in (user p2p, collective round, RMA channel).
-            let class = WaitClass::for_posted_tag(
-                header.tag,
+            let class =
+                WaitClass::for_posted_tag(msg.tag, COLLECTIVE_TAG_BASE, crate::rma::RMA_TAG_BASE);
+            self.tracer.note_wait(class, wait);
+            self.emit_at_full(
+                now,
+                EventKind::RecvPosted,
+                EventPhase::Instant,
+                msg.src_world as i64,
+                msg.tag as i64,
+                msg.msg_len as i64,
+                msg.token as i64,
+                wait as i64,
+            );
+        }
+    }
+
+    /// Histogram + trace bookkeeping for a receive that found its
+    /// message parked: the sample is queue residency.
+    fn note_unexpected_hit(&mut self, msg: &UnexpectedMsg, now: u64) {
+        if self.tracer.timing_on() {
+            // The payload beat the matching receive to this rank; whose
+            // fault that is depends on the tag space — a rank late to its
+            // own collective round is imbalance, not a user-level late
+            // receiver.
+            let wait = now.saturating_sub(msg.arrived_ns);
+            self.tracer.p2p_latency.record(wait);
+            let class = WaitClass::for_unexpected_tag(
+                msg.tag,
                 COLLECTIVE_TAG_BASE,
                 crate::rma::RMA_TAG_BASE,
             );
             self.tracer.note_wait(class, wait);
             self.emit_at_full(
                 now,
-                EventKind::RecvPosted,
+                EventKind::RecvUnexpected,
                 EventPhase::Instant,
-                header.src as i64,
-                header.tag as i64,
-                header.msg_len as i64,
-                header.token as i64,
+                msg.src_world as i64,
+                msg.tag as i64,
+                msg.msg_len as i64,
+                msg.token as i64,
                 wait as i64,
             );
-        }
-    }
-
-    fn take_posted(&mut self, context: u32, idx: usize) -> PostedRecv {
-        self.posted
-            .get_mut(&context)
-            .expect("queue exists")
-            .remove(idx)
-            .expect("index valid")
-    }
-
-    fn park_unexpected(&mut self, header: FrameHeader, kind: UnexpectedKind) {
-        // Traffic for a freed communicator can never match (the record
-        // is gone and its context id is never reissued): drop it instead
-        // of resurrecting the queue comm_free just removed. Frames for
-        // *unknown* contexts still park — a peer may legally send on a
-        // freshly constructed communicator before this rank installs it.
-        if self.freed_contexts.contains(&header.context) {
-            return;
-        }
-        let arrived_ns = if self.tracer.timing_on() {
-            self.clock_ns()
-        } else {
-            0
-        };
-        self.unexpected
-            .entry(header.context)
-            .or_default()
-            .push_back(UnexpectedMsg {
-                src_world: header.src,
-                tag: header.tag,
-                token: header.token,
-                msg_len: header.msg_len,
-                kind,
-                arrived_ns,
-            });
-    }
-
-    fn on_eager(&mut self, frame: Frame) -> Result<()> {
-        let header = frame.header;
-        match self.find_posted(header.context, header.src, header.tag)? {
-            Some(idx) => {
-                let posted = self.take_posted(header.context, idx);
-                self.stats.posted_hits += 1;
-                self.note_posted_hit(&posted, &header);
-                let src_comm = self
-                    .comm_rank_of_world(posted.comm, header.src as usize)?
-                    .expect("matched above") as i32;
-                self.complete_recv(
-                    posted.req,
-                    frame.payload,
-                    src_comm,
-                    header.tag,
-                    posted.max_len,
-                );
-                Ok(())
-            }
-            None => {
-                self.park_unexpected(header, UnexpectedKind::Eager(frame.payload));
-                Ok(())
-            }
-        }
-    }
-
-    fn on_rendezvous_request(&mut self, frame: Frame) -> Result<()> {
-        let header = frame.header;
-        match self.find_posted(header.context, header.src, header.tag)? {
-            Some(idx) => {
-                let posted = self.take_posted(header.context, idx);
-                self.stats.posted_hits += 1;
-                self.note_posted_hit(&posted, &header);
-                self.emit(
-                    EventKind::RendezvousGrant,
-                    EventPhase::Instant,
-                    header.src as i64,
-                    header.token as i64,
-                    header.msg_len as i64,
-                );
-                let src_comm = self
-                    .comm_rank_of_world(posted.comm, header.src as usize)?
-                    .expect("matched above") as i32;
-                self.awaiting_rendezvous_data
-                    .insert((header.src, header.token), posted.req);
-                self.requests.insert(
-                    posted.req,
-                    RequestState::RecvAwaitingData {
-                        src: src_comm,
-                        tag: header.tag,
-                        max_len: posted.max_len,
-                    },
-                );
-                let ack = FrameHeader {
-                    kind: FrameKind::RendezvousAck,
-                    src: self.world_rank as u32,
-                    dst: header.src,
-                    tag: header.tag,
-                    context: header.context,
-                    token: header.token,
-                    msg_len: header.msg_len,
-                };
-                self.endpoint.send(Frame::control(ack))?;
-                Ok(())
-            }
-            None => {
-                self.park_unexpected(header, UnexpectedKind::Rendezvous);
-                Ok(())
-            }
         }
     }
 
@@ -1044,7 +917,7 @@ impl Engine {
 
     fn on_rendezvous_data(&mut self, frame: Frame) -> Result<()> {
         let key = (frame.header.src, frame.header.token);
-        let Some(&req) = self.awaiting_rendezvous_data.get(&key) else {
+        let Some(req) = self.awaiting_rendezvous_data.remove(&key) else {
             return err(
                 ErrorClass::Intern,
                 format!("rendezvous data for unknown sender/token {key:?}"),
@@ -1064,7 +937,6 @@ impl Engine {
                 )
             }
         };
-        self.awaiting_rendezvous_data.remove(&key);
         self.emit(
             EventKind::RendezvousData,
             EventPhase::Instant,

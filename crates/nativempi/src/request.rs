@@ -61,8 +61,8 @@ impl Completion {
 
 /// One entry of the request table.
 pub(crate) enum RequestState {
-    /// Receive posted, not yet matched.
-    RecvPending,
+    /// Receive posted on `context`, not yet matched.
+    RecvPending { context: u32 },
     /// Receive matched a rendezvous envelope; waiting for the data frame.
     RecvAwaitingData {
         src: i32,
@@ -211,7 +211,7 @@ impl Requests {
         self.schedules.clear();
         for state in self.entries.values_mut() {
             let incomplete = match state {
-                RequestState::RecvPending
+                RequestState::RecvPending { .. }
                 | RequestState::RecvAwaitingData { .. }
                 | RequestState::SendPendingRendezvous => true,
                 RequestState::Coll(st) => !st.is_finished(),
@@ -230,10 +230,17 @@ fn unknown(req: RequestId) -> MpiError {
 
 impl Engine {
     pub(crate) fn alloc_request(&mut self, state: RequestState) -> RequestId {
-        let id = self.next_request;
-        self.next_request += 1;
+        let id = self.fresh_request_id();
         self.requests.insert(id, state);
         RequestId(id)
+    }
+
+    /// The next request id, not yet in the table: for callers that know
+    /// the entry's state only after using the id.
+    pub(crate) fn fresh_request_id(&mut self) -> u64 {
+        let id = self.next_request;
+        self.next_request += 1;
+        id
     }
 
     fn entry(&self, req: RequestId) -> Result<&RequestState> {
@@ -248,7 +255,7 @@ impl Engine {
             | RequestState::SendComplete
             | RequestState::Cancelled
             | RequestState::Failed(_) => true,
-            RequestState::RecvPending
+            RequestState::RecvPending { .. }
             | RequestState::RecvAwaitingData { .. }
             | RequestState::SendPendingRendezvous => false,
             RequestState::Coll(st) => st.is_finished(),
@@ -345,8 +352,8 @@ impl Engine {
     /// cancelled at all). A persistent request cancels its started
     /// iteration.
     pub fn cancel(&mut self, req: RequestId) -> Result<()> {
-        match self.entry(req)? {
-            RequestState::RecvPending => {}
+        let context = match self.entry(req)? {
+            &RequestState::RecvPending { context } => context,
             RequestState::RecvComplete { .. } | RequestState::SendComplete => return Ok(()),
             RequestState::SendPendingRendezvous => {
                 return err(
@@ -366,17 +373,10 @@ impl Engine {
                 }
             }
             _ => return err(ErrorClass::Request, "request cannot be cancelled"),
-        }
-        self.withdraw(req);
+        };
+        self.matching.withdraw(context, req.0);
         self.requests.insert(req.0, RequestState::Cancelled);
         Ok(())
-    }
-
-    /// Take a pending receive off the posted queues.
-    fn withdraw(&mut self, req: RequestId) {
-        for queue in self.posted.values_mut() {
-            queue.retain(|p| p.req != req.0);
-        }
     }
 
     /// `MPI_Request_free`: drop a request handle. A pending receive is
@@ -392,7 +392,7 @@ impl Engine {
             }
         }
         match self.requests.remove(req.0).ok_or_else(|| unknown(req))? {
-            RequestState::RecvPending => self.withdraw(req),
+            RequestState::RecvPending { context } => self.matching.withdraw(context, req.0),
             RequestState::Coll(st) => {
                 let _ = self.claim_schedule(*st);
             }

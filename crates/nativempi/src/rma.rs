@@ -82,12 +82,11 @@
 use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
-use mpi_transport::{Frame, FrameHeader, FrameKind};
 
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, Result};
 use crate::ops::{Op, PredefinedOp};
-use crate::request::{RequestId, RequestState};
+use crate::request::RequestId;
 use crate::types::{PrimitiveKind, SendMode};
 use crate::Engine;
 
@@ -317,11 +316,10 @@ impl Engine {
         self.check_live()?;
         let size = self.comm_size(comm)?;
         let my_rank = self.comm_rank(comm)?;
-        let record = self.comm(comm)?;
-        let context_coll = record.context_coll;
-        let seq = self.win_seqs.entry(comm).or_insert(0);
-        let base = RMA_TAG_BASE - TAGS_PER_WINDOW * ((*seq % WIN_SEQ_SPACE) as i32);
-        *seq += 1;
+        let record = self.comm_mut(comm)?;
+        let (context_coll, seq) = (record.context_coll, record.win_seq);
+        record.win_seq += 1;
+        let base = RMA_TAG_BASE - TAGS_PER_WINDOW * ((seq % WIN_SEQ_SPACE) as i32);
         let id = self.next_win;
         self.next_win += 1;
         self.windows.insert(
@@ -971,53 +969,18 @@ impl Engine {
     /// queue (in arrival order), granting parked rendezvous envelopes
     /// exactly like a posted receive would.
     fn ingest_arrivals(&mut self, st: &mut WindowState) -> Result<()> {
-        use crate::p2p::UnexpectedKind;
-        let Some(queue) = self.unexpected.get_mut(&st.context_coll) else {
-            return Ok(());
-        };
-        let mut extracted = Vec::new();
-        let mut i = 0;
-        while i < queue.len() {
-            if queue[i].tag == st.data_tag {
-                extracted.push(queue.remove(i).expect("index in range"));
-            } else {
-                i += 1;
-            }
-        }
-        for msg in extracted {
-            let origin = self
-                .comm_rank_of_world(st.comm, msg.src_world as usize)?
-                .ok_or_else(|| {
-                    crate::error::MpiError::new(
-                        ErrorClass::Intern,
-                        "RMA frame from a rank outside the window's communicator",
-                    )
-                })?;
+        use crate::matching::UnexpectedKind;
+        for msg in self.matching.take_tagged(st.context_coll, st.data_tag) {
+            let origin = self.source_rank(st.comm, msg.src_world)?;
             let payload = match msg.kind {
                 UnexpectedKind::Eager(data) => {
                     self.stats.bytes_received += data.len() as u64;
                     PayloadRef::Ready(data)
                 }
                 UnexpectedKind::Rendezvous => {
-                    let req = self.alloc_request(RequestState::RecvAwaitingData {
-                        src: origin as i32,
-                        tag: msg.tag,
-                        max_len: None,
-                    });
-                    let RequestId(req_raw) = req;
-                    self.awaiting_rendezvous_data
-                        .insert((msg.src_world, msg.token), req_raw);
-                    let ack = FrameHeader {
-                        kind: FrameKind::RendezvousAck,
-                        src: self.world_rank as u32,
-                        dst: msg.src_world,
-                        tag: msg.tag,
-                        context: st.context_coll,
-                        token: msg.token,
-                        msg_len: msg.msg_len,
-                    };
-                    self.endpoint.send(Frame::control(ack))?;
-                    PayloadRef::Awaiting(req)
+                    let req = self.fresh_request_id();
+                    self.grant_rendezvous(req, origin, None, st.context_coll, &msg)?;
+                    PayloadRef::Awaiting(RequestId(req))
                 }
             };
             st.incoming[origin].raw.push_back(payload);

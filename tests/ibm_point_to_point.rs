@@ -3,7 +3,7 @@
 //! shared-memory devices and the TCP device, mirroring the paper running
 //! the suite in SM and DM modes.
 
-use mpijava::{Datatype, MpiRuntime, Request, MPI};
+use mpijava::{Datatype, ErrorClass, MpiRuntime, Request, MPI};
 use mpijava_suite::test_runtimes;
 
 #[test]
@@ -197,6 +197,39 @@ fn probe_then_receive_exact_size() {
             }
             Ok(())
         })
+        .unwrap();
+}
+
+/// A probe checks its envelope as a receive does: `PROC_NULL` answers at
+/// once with an empty status, a source outside the communicator is a
+/// `Rank` error and a bad tag a `Tag` error. None of them waits for a
+/// message. The job runs under a deadline because a probe that skips the
+/// checks never returns.
+#[test]
+fn probe_checks_its_envelope_like_a_receive() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let result = MpiRuntime::new(2).run(|mpi| {
+            let world = mpi.comm_world();
+            let status = world.probe(MPI::PROC_NULL, 5)?;
+            assert_eq!(status.source(), MPI::PROC_NULL);
+            assert_eq!(status.tag(), MPI::ANY_TAG);
+            assert_eq!(status.get_count(&Datatype::byte()), Some(0));
+            let status = world.iprobe(MPI::PROC_NULL, 5)?;
+            assert_eq!(status.map(|s| s.source()), Some(MPI::PROC_NULL));
+            for source in [2, -7] {
+                assert_eq!(world.probe(source, 5).unwrap_err().class, ErrorClass::Rank);
+                assert_eq!(world.iprobe(source, 5).unwrap_err().class, ErrorClass::Rank);
+            }
+            assert_eq!(world.probe(0, -5).unwrap_err().class, ErrorClass::Tag);
+            assert_eq!(world.iprobe(0, -5).unwrap_err().class, ErrorClass::Tag);
+            Ok(())
+        });
+        let _ = done.send(result);
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a probe did not return")
         .unwrap();
 }
 
