@@ -1,4 +1,5 @@
-//! Ablation experiments for the design choices called out in DESIGN.md §5:
+//! Ablation experiments for the design choices listed in the binary table
+//! of `crates/bench/src/lib.rs` (knobs the repo benchmark pins):
 //!
 //! * eager vs rendezvous threshold in the engine,
 //! * marshalling copy vs pinning on the simulated JNI boundary,

@@ -13,8 +13,9 @@
 //! Every call crosses the simulated JNI boundary of [`crate::jni`]; that is
 //! where the wrapper overhead the paper measures lives.
 
+use bytes::Bytes;
 use mpi_native::comm::CommHandle;
-use mpi_native::{pack, ErrorClass, PrimitiveKind, SendMode};
+use mpi_native::{pack, Engine, ErrorClass, PrimitiveKind, RequestId, SendMode};
 
 use crate::buffer::{bytes_of, with_bytes_mut, BufferElement};
 use crate::datatype::Datatype;
@@ -197,8 +198,10 @@ impl Comm {
     /// The wire payload of `count` instances of `datatype` starting at
     /// element `offset` of `buf` (the `Get*ArrayRegion` + `MPI_Pack` step
     /// of the real stub layer). Dense: the window's byte image, carried
-    /// across the boundary as the marshal mode says. Holes: gathered out
-    /// of it — the gather is the one copy, in both modes.
+    /// across the boundary as the marshal mode says — a `Copy` lands in a
+    /// buffer from the engine's staging pool, which a send then hands on
+    /// as the message. Holes: gathered out of it — the gather is the one
+    /// copy, in both modes.
     pub(crate) fn pack_buffer<'buf, T: BufferElement>(
         &self,
         buf: &'buf [T],
@@ -211,7 +214,8 @@ impl Comm {
             &buf[window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?];
         let image = bytes_of(window);
         if datatype.def().is_contiguous_dense() {
-            return Ok(self.env.jni.marshal_in(image));
+            let native = |len| self.env.engine.lock().pool_take(len);
+            return Ok(self.env.jni.marshal_in(image, native));
         }
         self.env.jni.note_pinned_in(image.len());
         Ok(Cow::Owned(pack::pack(&image, 0, count, datatype.def())?))
@@ -262,6 +266,27 @@ impl Comm {
         }
     }
 
+    /// The one binding-side send: every `Send`, `Isend`, `Sendrecv` and
+    /// `Send[OBJECT]` hands its marshalled payload to the engine here
+    /// (a persistent `Start` hands it to `Engine::start`, which does the
+    /// same). An owned payload — a `Copy` image, a gather, a `bool` /
+    /// `char` conversion, an object stream — is the message itself and
+    /// is moved, not copied; only a slice lent under `Pin` takes the
+    /// engine's one staging copy.
+    fn isend_payload(
+        &self,
+        engine: &mut Engine,
+        payload: Cow<'_, [u8]>,
+        dest: i32,
+        tag: i32,
+        mode: SendMode,
+    ) -> mpi_native::Result<RequestId> {
+        match payload {
+            Cow::Owned(buf) => engine.isend_bytes(self.handle, dest, tag, Bytes::from(buf), mode),
+            Cow::Borrowed(data) => engine.isend(self.handle, dest, tag, data, mode),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn send_mode<T: BufferElement>(
         &self,
@@ -276,10 +301,9 @@ impl Comm {
     ) -> MpiResult<()> {
         self.env.jni.enter(name);
         let payload = self.pack_buffer(buf, offset, count, datatype)?;
-        self.env
-            .engine
-            .lock()
-            .send(self.handle, dest, tag, &payload, mode)?;
+        let mut engine = self.env.engine.lock();
+        let req = self.isend_payload(&mut engine, payload, dest, tag, mode)?;
+        engine.wait(req)?;
         Ok(())
     }
 
@@ -428,17 +452,21 @@ impl Comm {
         self.env.jni.enter("Comm.Sendrecv");
         let payload = self.pack_buffer(send_buf, send_offset, send_count, send_type)?;
         let (window, max_len) = self.recv_window(recv_buf, recv_offset, recv_count, recv_type)?;
-        let (data, info) = self.env.engine.lock().sendrecv(
-            self.handle,
-            dest,
-            send_tag,
-            &payload,
-            source,
-            recv_tag,
-            Some(max_len),
-        )?;
+        // `Engine::sendrecv`'s steps, with the payload handed on as
+        // marshalled: receive posted first, so the exchange cannot
+        // deadlock.
+        let done = {
+            let mut engine = self.env.engine.lock();
+            let recv = engine.irecv(self.handle, source, recv_tag, Some(max_len))?;
+            let send =
+                self.isend_payload(&mut engine, payload, dest, send_tag, SendMode::Standard)?;
+            let done = engine.wait(recv)?;
+            engine.wait(send)?;
+            done
+        };
+        let data = done.data.unwrap_or_default();
         self.unpack_buffer(&data, window, 0, recv_count, recv_type)?;
-        Ok(Status::from_info(info))
+        Ok(Status::from_info(done.status))
     }
 
     // ------------------------------------------------------------------
@@ -459,11 +487,7 @@ impl Comm {
     ) -> MpiResult<Request<'static>> {
         self.env.jni.enter(name);
         let payload = self.pack_buffer(buf, offset, count, datatype)?;
-        let id = self
-            .env
-            .engine
-            .lock()
-            .isend(self.handle, dest, tag, &payload, mode)?;
+        let id = self.isend_payload(&mut self.env.engine.lock(), payload, dest, tag, mode)?;
         Ok(Pending::new(&self.env, id, ()).into())
     }
 
@@ -721,10 +745,15 @@ impl Comm {
     ) -> MpiResult<()> {
         self.env.jni.enter("Comm.Send[OBJECT]");
         let payload = self.serialize_objects(buf, offset, count)?;
-        self.env
-            .engine
-            .lock()
-            .send(self.handle, dest, tag, &payload, SendMode::Standard)?;
+        let mut engine = self.env.engine.lock();
+        let req = self.isend_payload(
+            &mut engine,
+            Cow::Owned(payload),
+            dest,
+            tag,
+            SendMode::Standard,
+        )?;
+        engine.wait(req)?;
         Ok(())
     }
 

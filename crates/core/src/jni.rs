@@ -22,13 +22,15 @@
 //!
 //! ## What the two modes cost
 //!
-//! Passes the binding makes over the payload around the engine call, for
-//! numeric element types (whose slice is its own byte image, see
-//! [`crate::buffer`]; `bool`/`char` add one conversion pass each way):
+//! Passes over the payload per call, the binding's and the engine's
+//! together, for numeric element types (whose slice is its own byte
+//! image, see [`crate::buffer`]; `bool`/`char` add one conversion pass
+//! each way). A buffer the binding fills is the message: the engine
+//! sends it without a copy of its own.
 //!
 //! | datatype | send, [`MarshalMode::Copy`] | send, [`MarshalMode::Pin`] | receive, either mode |
 //! |---|---|---|---|
-//! | dense | one block copy ([`JniBoundary::marshal_in`]) | none: the engine reads the user's slice | one store into the window |
+//! | dense | one: the block copy ([`JniBoundary::marshal_in`]) into a buffer from the engine's staging pool | one: the engine's staging copy of the user's slice | one store into the window |
 //! | holes | one gather (`pack`) | one gather | one scatter (`unpack`) into the window |
 //!
 //! The modes differ in one expression, the arms of `marshal_in`; a
@@ -121,13 +123,23 @@ impl JniBoundary {
     }
 
     /// Carry the byte image of a user buffer across the boundary to the
-    /// native layer: duplicated in copy mode (`Get*ArrayRegion`), the
-    /// caller's own memory in pin mode.
-    pub fn marshal_in<'a>(&self, image: Cow<'a, [u8]>) -> Cow<'a, [u8]> {
+    /// native layer: in copy mode duplicated into `native(len)`, a
+    /// native-side buffer (`Get*ArrayRegion`); in pin mode the caller's
+    /// own memory. An image that is already an owned conversion
+    /// (`bool`, `char`) crosses as it is in either mode.
+    pub fn marshal_in<'a>(
+        &self,
+        image: Cow<'a, [u8]>,
+        native: impl FnOnce(usize) -> Vec<u8>,
+    ) -> Cow<'a, [u8]> {
         self.note_pinned_in(image.len());
-        match self.config.marshal {
-            MarshalMode::Copy => Cow::Owned(image.into_owned()),
-            MarshalMode::Pin => image,
+        match (self.config.marshal, image) {
+            (MarshalMode::Copy, Cow::Borrowed(window)) => {
+                let mut buf = native(window.len());
+                buf.extend_from_slice(window);
+                Cow::Owned(buf)
+            }
+            (_, image) => image,
         }
     }
 
@@ -165,7 +177,7 @@ mod tests {
         let jni = JniBoundary::new(JniConfig::default());
         jni.enter("MPI_Send");
         jni.enter("MPI_Recv");
-        let copied = jni.marshal_in(Cow::Borrowed(&[1, 2, 3, 4]));
+        let copied = jni.marshal_in(Cow::Borrowed(&[1, 2, 3, 4]), Vec::with_capacity);
         assert_eq!(copied, vec![1, 2, 3, 4]);
         jni.note_out(10);
         let s = jni.stats();
@@ -190,14 +202,16 @@ mod tests {
         let user = [1u8, 2, 3];
         let copy = JniBoundary::new(JniConfig::default());
         assert!(matches!(
-            copy.marshal_in(Cow::Borrowed(&user)),
+            copy.marshal_in(Cow::Borrowed(&user), Vec::with_capacity),
             Cow::Owned(_)
         ));
         let pin = JniBoundary::new(JniConfig {
             marshal: MarshalMode::Pin,
             per_call_cost: Duration::ZERO,
         });
-        let lent = pin.marshal_in(Cow::Borrowed(&user));
+        let lent = pin.marshal_in(Cow::Borrowed(&user), |_| {
+            unreachable!("pin mode copies nothing")
+        });
         assert!(matches!(lent, Cow::Borrowed(_)));
         assert_eq!(lent.as_ptr(), user.as_ptr());
         // Both modes count the bytes that crossed.

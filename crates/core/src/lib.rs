@@ -153,10 +153,11 @@
 //!
 //! A persistent send re-reads its buffer on every `start()`, the C idiom
 //! of reusing the buffer by address: under [`MarshalMode::Pin`] by
-//! reference — the engine takes its stored copy straight from the
+//! reference — the engine stages its one copy straight from the
 //! caller's slice — and under [`MarshalMode::Copy`] through one boundary
-//! copy first. Both shells and every other request are views of one
-//! pending-operation machine (see [`request`]).
+//! copy, whose buffer the engine sends as it is. Both shells and every
+//! other request are views of one pending-operation machine (see
+//! [`request`]).
 //!
 //! ### Progress: manual (default) and background-thread
 //!

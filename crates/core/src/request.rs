@@ -126,7 +126,7 @@ impl<'buf> Pending<'buf> {
     /// input.
     fn start(&mut self) -> MpiResult<()> {
         let input = self.capture.pack()?;
-        self.env.engine.lock().start(self.id, &input)?;
+        self.env.engine.lock().start(self.id, input)?;
         self.active = true;
         Ok(())
     }

@@ -1045,6 +1045,7 @@ mod tests {
     use crate::request::Completion;
     use crate::universe::Universe;
     use mpi_transport::DeviceKind;
+    use std::borrow::Cow;
 
     /// The payload a collective's completion delivers.
     fn payload(completion: Completion) -> Vec<u8> {
@@ -1773,7 +1774,9 @@ mod tests {
                 .unwrap();
             let misses_after_init = engine.stats().sched_cache_misses;
             for round in 1..=4i32 {
-                engine.start(op, &ints(&[rank * round])).unwrap();
+                engine
+                    .start(op, Cow::Borrowed(&ints(&[rank * round])))
+                    .unwrap();
                 let completion = engine.wait(op).unwrap();
                 assert_eq!(to_ints(&payload(completion)), vec![6 * round]);
             }
@@ -1794,16 +1797,18 @@ mod tests {
             let bcast = engine.bcast_init(COMM_WORLD, 0, 4).unwrap();
             let allgather = engine.allgather_init(COMM_WORLD).unwrap();
             for round in 0..3u8 {
-                engine.start(barrier, &[]).unwrap();
+                engine.start(barrier, Cow::Borrowed(&[])).unwrap();
                 assert_eq!(engine.wait(barrier).unwrap(), Completion::empty());
                 let root_buf = if rank == 0 {
                     vec![round; 4]
                 } else {
                     Vec::new()
                 };
-                engine.start(bcast, &root_buf).unwrap();
+                engine.start(bcast, Cow::Borrowed(&root_buf)).unwrap();
                 assert_eq!(payload(engine.wait(bcast).unwrap()), vec![round; 4]);
-                engine.start(allgather, &[rank as u8, round]).unwrap();
+                engine
+                    .start(allgather, Cow::Borrowed(&[rank as u8, round]))
+                    .unwrap();
                 let all: Vec<u8> = (0..3u8).flat_map(|r| [r, round]).collect();
                 assert_eq!(payload(engine.wait(allgather).unwrap()), all);
             }
@@ -1825,8 +1830,8 @@ mod tests {
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
                 .unwrap();
             assert_eq!(engine.wait(op).unwrap(), Completion::empty());
-            engine.start(op, &ints(&[1])).unwrap();
-            assert!(engine.start(op, &ints(&[1])).is_err());
+            engine.start(op, Cow::Borrowed(&ints(&[1]))).unwrap();
+            assert!(engine.start(op, Cow::Borrowed(&ints(&[1]))).is_err());
             engine.wait(op).unwrap();
             engine.request_free(op).unwrap();
         })
@@ -1842,7 +1847,7 @@ mod tests {
             let op = engine
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
                 .unwrap();
-            engine.start(op, &ints(&[1])).unwrap();
+            engine.start(op, Cow::Borrowed(&ints(&[1]))).unwrap();
             assert!(engine.finalize().is_err());
             engine.request_free(op).unwrap();
             assert_eq!(engine.persistent_active(), 0);
@@ -1882,7 +1887,9 @@ mod tests {
                     .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 4, &sum)
                     .unwrap();
                 for round in 1..=2i32 {
-                    engine.start(op, &ints(&[rank * round; 4])).unwrap();
+                    engine
+                        .start(op, Cow::Borrowed(&ints(&[rank * round; 4])))
+                        .unwrap();
                     let got = payload(engine.wait(op).unwrap());
                     assert_eq!(to_ints(&got), vec![6 * round; 4], "{alg}");
                 }

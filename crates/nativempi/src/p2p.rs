@@ -68,24 +68,30 @@
 //!
 //! ### Surface rows
 //!
-//! What the `mpijava` binding adds on top, in passes over the payload per
-//! call made *by the binding* (the engine rows above come after them),
-//! for a dense datatype over a numeric element type. "Before" is the
-//! pipeline the marshal seam of `mpijava::buffer` replaced.
+//! What a call of the `mpijava` binding costs in passes over the payload,
+//! the binding's own and the engine's above together, for a dense
+//! datatype over a numeric element type. A payload the binding marshals
+//! into a buffer it owns is handed over by ownership
+//! ([`Engine::isend_bytes`]: the engine copies nothing); only a slice
+//! lent under `Pin` takes [`Engine::isend`]'s staging copy.
 //!
-//! | call | mode | before | now |
-//! |------|------|--------|-----|
-//! | classic `Send` | `Copy` | 3: element loop over the window, `to_vec`, `pack` | 1: the block copy across the boundary (`Get*ArrayRegion`) |
-//! | classic `Send` | `Pin` | 3: the same code ran in both modes | 0: the engine reads the user's slice |
-//! | classic `Recv` | either | 3: element loop over the window it is about to overwrite, `unpack`, element loop back; the completion `Bytes` dropped, uncounted | 0: [`Engine::recv_into`] delivers into the window's byte view — its one counted copy is the only one |
-//! | classic `Irecv`/`Sendrecv`/collective results | either | 3: as `Recv` | 1: one store from the completion buffer into the window |
-//! | `rs` `send` / `recv_into` | — | as classic `Send`; 1 (a hand-kept twin of `recv_into`) | as classic `Send` / `Recv`: they are the same calls |
-//! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 4: `into_owned`, a refresh of the engine's stored payload, a clone of it in [`Engine::start`], the staging copy | 2 / 1: the boundary copy (`Copy` only) and the staging copy; [`Engine::start`] hands its input straight to [`Engine::isend`], and the engine stores no payload. Only the staging copy is counted in `bytes_copied`, before and now |
+//! | call | mode | send-side passes | receive-side passes |
+//! |------|------|------------------|---------------------|
+//! | classic `Send`, `Isend`, `Sendrecv` (and the `rs` `send`, `isend`, `sendrecv`, which are these calls) | `Copy` | 1: the block copy across the boundary (`Get*ArrayRegion`) into a buffer from the engine's staging pool; that buffer is the message | — |
+//! | the same | `Pin` | 1: the engine's staging copy of the lent slice | — |
+//! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
+//! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view |
+//! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window |
 //!
-//! A datatype with holes costs one gather (`pack`) on the way out and
-//! one scatter (`unpack`) into the window on the way in, in both modes;
-//! `bool` and `char` buffers add one conversion pass each way (their
-//! memory is not their wire image).
+//! `bytes_copied` counts the engine's passes only: a `Copy` send moves it
+//! by nothing, a `Pin` send by the payload, a `Recv` by the payload.
+//!
+//! A datatype with holes costs one gather (`pack`) on the way out — the
+//! gathered buffer is the message, in both modes — and one scatter
+//! (`unpack`) into the window on the way in. `bool` and `char` buffers
+//! add one conversion pass each way (their memory is not their wire
+//! image), and the converted buffer is the message. An `MPI.OBJECT`
+//! stream is the message too.
 
 use bytes::Bytes;
 use mpi_transport::{Frame, FrameHeader, FrameKind};
@@ -134,10 +140,10 @@ pub(crate) struct PendingRendezvous {
 /// Book-keeping for `MPI_Buffer_attach` / `MPI_Buffer_detach`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BsendBuffer {
-    /// Total capacity in bytes the user attached.
+    /// Total capacity in bytes the user attached. The check against it is
+    /// per message: a buffered send leaves for the device at once, so no
+    /// capacity stays in use after the call.
     pub capacity: usize,
-    /// Bytes of that capacity notionally in use by in-flight buffered sends.
-    pub in_use: usize,
 }
 
 fn validate_tag(tag: i32, allow_any: bool) -> Result<()> {
@@ -159,18 +165,21 @@ impl Engine {
     // Payload staging pool
     // ---------------------------------------------------------------------
 
+    /// An empty buffer with room for `len` bytes: a pooled one when the
+    /// pool holds one, else a fresh allocation. The binding's `Copy`-mode
+    /// marshal copy lands here too, so the buffer a receiver recycled
+    /// carries its next send and a steady ping-pong allocates nothing.
+    pub fn pool_take(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = self.send_pool.pop().unwrap_or_default();
+        buf.reserve(len);
+        buf
+    }
+
     /// Copy `data` into a pooled staging buffer and wrap it as `Bytes`
     /// without a second copy. This is the *single* send-side copy of the
     /// slice-based send APIs.
     fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
-        let mut buf = match self.send_pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.reserve(data.len());
-                v
-            }
-            None => Vec::with_capacity(data.len()),
-        };
+        let mut buf = self.pool_take(data.len());
         buf.extend_from_slice(data);
         self.stats.bytes_copied += data.len() as u64;
         Bytes::from(buf)
@@ -324,11 +333,7 @@ impl Engine {
         // drain (see `crate::failure`).
         self.check_peer_alive(comm, dest as i32)?;
         if matches!(mode, SendMode::Buffered) {
-            let available = self
-                .attached_buffer
-                .as_ref()
-                .map(|b| b.capacity - b.in_use)
-                .unwrap_or(0);
+            let available = self.attached_buffer.as_ref().map_or(0, |b| b.capacity);
             if len > available {
                 return err(
                     ErrorClass::BufferExhausted,
@@ -731,10 +736,7 @@ impl Engine {
         if self.attached_buffer.is_some() {
             return err(ErrorClass::Buffer, "a buffer is already attached");
         }
-        self.attached_buffer = Some(BsendBuffer {
-            capacity,
-            in_use: 0,
-        });
+        self.attached_buffer = Some(BsendBuffer { capacity });
         Ok(())
     }
 
@@ -970,6 +972,41 @@ mod tests {
             assert!(engine.send_pool.is_empty(), "tiny buffer pooled");
             engine.pool_put(Vec::with_capacity(64 * 1024));
             assert_eq!(engine.send_pool.len(), 1);
+        })
+        .unwrap();
+    }
+
+    /// A `Copy`-mode send is the binding's marshal copy into a
+    /// `pool_take` buffer, sent by `isend_bytes`. In a 1 MiB ping-pong
+    /// each send draws the buffer the peer's last message left in the
+    /// pool, so after warm-up no send allocates and no pool fills with
+    /// idle buffers (a fresh buffer per send would leave every receiver
+    /// holding `SEND_POOL_MAX` of them).
+    #[test]
+    fn copy_mode_ping_pong_reuses_pooled_buffers() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let rank = engine.world_rank();
+            let peer = 1 - rank as i32;
+            let payload = vec![7u8; SEND_POOL_MAX_BYTES];
+            let mut window = vec![0u8; SEND_POOL_MAX_BYTES];
+            let mut seen = std::collections::HashSet::new();
+            for round in 0..4 * SEND_POOL_MAX {
+                for turn in 0..2 {
+                    if turn == rank {
+                        let mut buf = engine.pool_take(payload.len());
+                        buf.extend_from_slice(&payload);
+                        let fresh = seen.insert(buf.as_ptr() as usize);
+                        assert!(round == 0 || !fresh, "round {round}: send allocated");
+                        engine
+                            .send_bytes(COMM_WORLD, peer, 0, Bytes::from(buf), SendMode::Standard)
+                            .unwrap();
+                    } else {
+                        engine.recv_into(COMM_WORLD, peer, 0, &mut window).unwrap();
+                        assert_eq!(window, payload);
+                    }
+                    assert!(engine.send_pool.len() <= SEND_POOL_MAX);
+                }
+            }
         })
         .unwrap();
     }

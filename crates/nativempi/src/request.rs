@@ -22,6 +22,7 @@
 //! `Waitany` / `Testsome` / `Startall` families are the binding's
 //! (`mpijava`'s `Request`), built on the single-request calls here.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use bytes::Bytes;
@@ -457,12 +458,13 @@ impl Engine {
     }
 
     /// `MPI_Start`: launch one iteration of a persistent operation.
-    /// `input` is this rank's contribution: a send's payload (handed
-    /// straight to `isend`, which stages its one copy) or a collective's
-    /// input (ignored by those without one — barrier, bcast off the
-    /// root); a receive ignores it. Errors if the previous iteration has
-    /// not been claimed yet.
-    pub fn start(&mut self, req: RequestId, input: &[u8]) -> Result<()> {
+    /// `input` is this rank's contribution as the caller marshalled it: a
+    /// send's payload (an owned buffer is the message itself, moved as by
+    /// `isend_bytes`; a borrowed slice takes `isend`'s one staging copy)
+    /// or a collective's input (ignored by those without one — barrier,
+    /// bcast off the root); a receive ignores it. Errors if the previous
+    /// iteration has not been claimed yet.
+    pub fn start(&mut self, req: RequestId, input: Cow<'_, [u8]>) -> Result<()> {
         let mut p = match self.requests.remove(req.0).ok_or_else(|| unknown(req))? {
             RequestState::Persistent(p) if p.active.is_none() => p,
             other => {
@@ -480,14 +482,17 @@ impl Engine {
                 dest,
                 tag,
                 mode,
-            } => self.isend(comm, dest, tag, input, mode),
+            } => match input {
+                Cow::Owned(buf) => self.isend_bytes(comm, dest, tag, Bytes::from(buf), mode),
+                Cow::Borrowed(data) => self.isend(comm, dest, tag, data, mode),
+            },
             &PersistentDef::Recv {
                 comm,
                 src,
                 tag,
                 max_len,
             } => self.irecv(comm, src, tag, max_len),
-            PersistentDef::Coll(coll) => self.start_persistent_coll(coll, input),
+            PersistentDef::Coll(coll) => self.start_persistent_coll(coll, &input),
         };
         p.active = started.as_ref().ok().copied();
         self.requests.insert(req.0, RequestState::Persistent(p));
@@ -638,7 +643,7 @@ mod tests {
                     .unwrap();
                 for round in 0..ROUNDS {
                     engine
-                        .start(sreq, format!("round-{round}").as_bytes())
+                        .start(sreq, Cow::Borrowed(format!("round-{round}").as_bytes()))
                         .unwrap();
                     engine.wait(sreq).unwrap();
                 }
@@ -646,7 +651,7 @@ mod tests {
             } else {
                 let rreq = engine.recv_init(COMM_WORLD, 0, 11, None).unwrap();
                 for round in 0..ROUNDS {
-                    engine.start(rreq, &[]).unwrap();
+                    engine.start(rreq, Cow::Borrowed(&[])).unwrap();
                     let c = engine.wait(rreq).unwrap();
                     assert_eq!(c.data.unwrap(), format!("round-{round}").as_bytes());
                 }
@@ -670,11 +675,11 @@ mod tests {
                 }
             } else {
                 let req = engine.recv_init(COMM_WORLD, 0, 6, Some(4)).unwrap();
-                engine.start(req, &[]).unwrap();
+                engine.start(req, Cow::Borrowed(&[])).unwrap();
                 let error = engine.wait(req).unwrap_err();
                 assert_eq!(error.class, ErrorClass::Truncate);
                 assert_eq!(engine.persistent_active(), 0);
-                engine.start(req, &[]).unwrap();
+                engine.start(req, Cow::Borrowed(&[])).unwrap();
                 assert_eq!(engine.wait(req).unwrap().data.unwrap(), b"fits");
                 engine.request_free(req).unwrap();
             }
@@ -688,8 +693,8 @@ mod tests {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             if engine.world_rank() == 0 {
                 let req = engine.recv_init(COMM_WORLD, ANY_SOURCE, 3, None).unwrap();
-                engine.start(req, &[]).unwrap();
-                assert!(engine.start(req, &[]).is_err());
+                engine.start(req, Cow::Borrowed(&[])).unwrap();
+                assert!(engine.start(req, Cow::Borrowed(&[])).is_err());
                 engine
                     .send(COMM_WORLD, 1, 1, b"wake", SendMode::Standard)
                     .unwrap();
@@ -720,7 +725,7 @@ mod tests {
                 assert!(engine.wait(id).is_err());
                 assert!(engine.test(id).is_err());
                 assert!(engine.cancel(id).is_err());
-                assert!(engine.start(id, &[]).is_err());
+                assert!(engine.start(id, Cow::Borrowed(&[])).is_err());
                 assert!(engine.request_free(id).is_err());
             }
             engine.finalize().unwrap();
@@ -735,7 +740,7 @@ mod tests {
     fn freeing_a_started_persistent_receive_retires_its_iteration() {
         Universe::run(1, DeviceKind::ShmFast, |engine| {
             let req = engine.recv_init(COMM_WORLD, 0, 2, None).unwrap();
-            engine.start(req, &[]).unwrap();
+            engine.start(req, Cow::Borrowed(&[])).unwrap();
             let send = engine
                 .isend(COMM_WORLD, 0, 2, b"self", SendMode::Standard)
                 .unwrap();
@@ -765,7 +770,10 @@ mod tests {
             assert_eq!(class(engine.test(bogus).map(drop)), ErrorClass::Request);
             assert_eq!(class(engine.cancel(bogus)), ErrorClass::Request);
             assert_eq!(class(engine.request_free(bogus)), ErrorClass::Request);
-            assert_eq!(class(engine.start(bogus, &[])), ErrorClass::Request);
+            assert_eq!(
+                class(engine.start(bogus, Cow::Borrowed(&[]))),
+                ErrorClass::Request
+            );
 
             // Transient kinds: born active, never startable.
             let recv = engine.irecv(COMM_WORLD, 0, 5, None).unwrap();
@@ -776,7 +784,10 @@ mod tests {
                 .iallreduce(COMM_WORLD, &one, PrimitiveKind::Int, 1, &sum)
                 .unwrap();
             for id in [send, recv, coll] {
-                assert_eq!(class(engine.start(id, &one)), ErrorClass::Request);
+                assert_eq!(
+                    class(engine.start(id, Cow::Borrowed(&one))),
+                    ErrorClass::Request
+                );
                 engine.progress_poll().unwrap();
                 let complete = engine.is_complete(id).unwrap();
                 assert_eq!(complete, engine.test(id).unwrap().is_some());
@@ -792,8 +803,11 @@ mod tests {
                 assert!(engine.is_complete(id).unwrap());
                 assert_eq!(engine.wait(id).unwrap(), Completion::empty());
                 assert_eq!(engine.test(id).unwrap(), Some(Completion::empty()));
-                engine.start(id, &one).unwrap();
-                assert_eq!(class(engine.start(id, &one)), ErrorClass::Request);
+                engine.start(id, Cow::Borrowed(&one)).unwrap();
+                assert_eq!(
+                    class(engine.start(id, Cow::Borrowed(&one))),
+                    ErrorClass::Request
+                );
             }
             assert_eq!(engine.persistent_active(), 2);
             assert!(!engine.is_complete(precv).unwrap());
@@ -813,7 +827,7 @@ mod tests {
             let psend = engine
                 .send_init(COMM_WORLD, 0, 6, SendMode::Standard)
                 .unwrap();
-            engine.start(psend, b"y").unwrap();
+            engine.start(psend, Cow::Borrowed(b"y")).unwrap();
             for id in [coll, precv, psend, pcoll] {
                 engine.request_free(id).unwrap();
                 assert_eq!(class(engine.is_complete(id).map(drop)), ErrorClass::Request);

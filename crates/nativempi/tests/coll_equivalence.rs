@@ -13,6 +13,7 @@
 //! through the tuning layer, so the comparison also covers the fallback
 //! paths.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use mpi_native::comm::COMM_WORLD;
@@ -311,7 +312,7 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     });
     let run_persistent = |engine: &mut Engine, slot: usize, payload: &[u8]| -> Completion {
         let id = persistent.expect("persistent style")[slot];
-        engine.start(id, payload).unwrap();
+        engine.start(id, Cow::Borrowed(payload)).unwrap();
         engine.wait(id).unwrap()
     };
 
@@ -468,9 +469,9 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
         }
         TwinStyle::Persistent => {
             let [_, _, allgather, _, _, allreduce, bcast] = persistent.expect("persistent style");
-            engine.start(allreduce, &red_in).unwrap();
-            engine.start(bcast, &bcast_buf).unwrap();
-            engine.start(allgather, &gather_in).unwrap();
+            engine.start(allreduce, Cow::Borrowed(&red_in)).unwrap();
+            engine.start(bcast, Cow::Borrowed(&bcast_buf)).unwrap();
+            engine.start(allgather, Cow::Borrowed(&gather_in)).unwrap();
             log_result(&mut log, 7, &bytes(engine.wait(allgather).unwrap()));
             log_result(&mut log, 8, &bytes(engine.wait(bcast).unwrap()));
             log_result(&mut log, 9, &bytes(engine.wait(allreduce).unwrap()));

@@ -18,6 +18,7 @@ use bytes::Bytes;
 use mpi_native::comm::COMM_WORLD;
 use mpi_native::{SendMode, Universe};
 use mpi_transport::DeviceKind;
+use std::borrow::Cow;
 
 const DEVICES: [DeviceKind; 3] = [DeviceKind::ShmFast, DeviceKind::ShmP4, DeviceKind::Tcp];
 
@@ -338,7 +339,7 @@ fn persistent_allreduce_stages_no_new_copies_over_transient() {
             let pid = engine
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, count, &sum)
                 .unwrap();
-            engine.start(pid, &payload).unwrap();
+            engine.start(pid, Cow::Borrowed(&payload)).unwrap();
             engine.wait(pid).unwrap();
 
             let base = engine.stats().bytes_copied;
@@ -349,7 +350,7 @@ fn persistent_allreduce_stages_no_new_copies_over_transient() {
             let transient = engine.stats().bytes_copied - base;
 
             let base = engine.stats().bytes_copied;
-            engine.start(pid, &payload).unwrap();
+            engine.start(pid, Cow::Borrowed(&payload)).unwrap();
             engine.wait(pid).unwrap();
             let persistent = engine.stats().bytes_copied - base;
 

@@ -5,6 +5,8 @@
 //! stack: wrapper packing, the simulated JNI boundary, and the engine's
 //! tuned algorithm selection.
 
+use std::borrow::Cow;
+
 use mpijava::{Datatype, Op};
 use mpijava_suite::test_runtimes;
 
@@ -267,7 +269,7 @@ fn overflowing_element_counts_are_count_errors() {
             // A persistent start with a short buffer reports the same
             // class from the same routine as the transient form.
             let op = engine.allreduce_init(COMM_WORLD, int, 8, &sum).unwrap();
-            let r = engine.start(op, &send);
+            let r = engine.start(op, Cow::Borrowed(&send));
             assert_eq!(class(r), ErrorClass::Count, "short persistent start");
             assert_eq!(
                 engine.persistent_active(),

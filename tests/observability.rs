@@ -15,6 +15,7 @@
 //!   JSON showing the collective rounds, the victim's observed
 //!   heartbeats, and the survivors' `rank_failed` markers.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -478,7 +479,7 @@ fn coll_events_carry_the_planned_operation_in_every_call_mode() {
             .scan(COMM_WORLD, &one, PrimitiveKind::Int, 1, &sum)
             .unwrap();
         for _ in 0..2 {
-            engine.start(persistent, &one).unwrap();
+            engine.start(persistent, Cow::Borrowed(&one)).unwrap();
             engine.wait(persistent).unwrap();
         }
         engine.request_free(persistent).unwrap();

@@ -1,4 +1,4 @@
-//! Property-style tests over the invariants DESIGN.md calls out: datatype
+//! Property-style tests over the invariants the library relies on: datatype
 //! size/extent algebra, pack/unpack round trips, group set algebra,
 //! reduction correctness against a serial fold, and object serialization
 //! round trips.
