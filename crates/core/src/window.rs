@@ -54,21 +54,25 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use mpi_native::{ErrorClass, RmaGetId, WinHandle};
+use mpi_native::{ErrorClass, RequestId, WinHandle};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::exception::{MPIException, MpiResult};
 use crate::op::Op;
 use crate::RankEnv;
 
-/// Handle to an outstanding one-sided [`get`](Window::get). The value
-/// becomes takeable only after a synchronization that covers the get
+/// Handle to an outstanding one-sided [`get`](Window::get): privately,
+/// the engine request of the get's reply, an entry of the one request
+/// table every pending operation lives in. The value becomes takeable
+/// only after a synchronization that covers the get
 /// ([`fence`](Window::fence), or [`flush`](Window::flush) /
 /// [`unlock`](Window::unlock) of the target) — enforced by the engine,
-/// which refuses un-synced takes.
+/// which refuses un-synced takes. A token dropped untaken is released
+/// when its window is freed. A get outside the target's window fails
+/// the covering synchronization, and taking it, with `Buffer`.
 #[derive(Debug)]
 pub struct GetToken<T: BufferElement> {
-    id: RmaGetId,
+    id: RequestId,
     count: usize,
     _elem: PhantomData<T>,
 }

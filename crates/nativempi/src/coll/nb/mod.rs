@@ -941,7 +941,7 @@ impl Engine {
     /// gather-family parts kept apart — a blocking collective is its
     /// launch followed by this.
     pub(crate) fn wait_outcome(&mut self, req: RequestId) -> Result<CollOutcome> {
-        self.block_until_complete(req)?;
+        self.block_on(|engine| Ok(engine.is_complete(req)?.then_some(())))?;
         match self.requests.remove(req.0) {
             Some(RequestState::Coll(st)) => self.claim_schedule(*st),
             Some(RequestState::Failed(error)) => Err(error),

@@ -7,9 +7,10 @@
 //! device). This module turns those reports into *errors instead of
 //! hangs*, in the spirit of ULFM's `MPI_ERR_PROC_FAILED`:
 //!
-//! * every blocking loop pumps frames through `Engine::blocking_pump`,
-//!   which polls for failures on a bounded-timeout receive instead of
-//!   parking forever;
+//! * the engine's one blocking loop (`Engine::block_on`, behind every
+//!   wait, probe and RMA sync) pumps frames through
+//!   `Engine::blocking_pump`, which polls for failures on a
+//!   bounded-timeout receive instead of parking forever;
 //! * when a rank is declared dead, `Engine::on_rank_failed` sweeps the
 //!   engine: posted receives that can only be satisfied by the dead rank
 //!   (specific-source matches, and — conservatively — `ANY_SOURCE`
@@ -241,7 +242,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Error out of an RMA synchronization loop when any member of the
+    /// Fail an RMA synchronization's wait when any member of the
     /// window's communicator is dead (an epoch cannot close without
     /// every member's markers).
     pub(crate) fn rma_check_failed(&self, comm: CommHandle) -> Result<()> {
@@ -276,7 +277,7 @@ impl Engine {
         ));
     }
 
-    /// Shared guard for blocking probe loops.
+    /// The blocking probe's guard: fail when its source is dead.
     pub(crate) fn probe_check_failed(&self, comm: CommHandle, src: i32) -> Result<()> {
         self.check_peer_alive(comm, src)
     }

@@ -69,7 +69,7 @@ pub use group::{CompareResult, Group};
 pub use mpi_transport::NodeMap;
 pub use ops::{Op, PredefinedOp};
 pub use request::RequestId;
-pub use rma::{RmaGetId, WinHandle};
+pub use rma::WinHandle;
 pub use trace::{
     EventKind, EventPhase, HistSnapshot, MetricsSnapshot, Pvar, PvarClass, TraceConfig, TraceEvent,
     TraceMode, WaitClass,

@@ -144,7 +144,8 @@ impl Matching {
     }
 
     /// Take every unexpected message of `context` carrying `tag`, in
-    /// arrival order (an RMA window's data channel).
+    /// arrival order (an RMA window's data channel). A standing posted
+    /// receive cannot do this: it would be re-posted for every message.
     pub(crate) fn take_tagged(&mut self, context: u32, tag: i32) -> Vec<UnexpectedMsg> {
         let mut taken = Vec::new();
         if let Some(queues) = self.open.get_mut(&context) {

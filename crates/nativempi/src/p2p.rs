@@ -715,16 +715,13 @@ impl Engine {
     /// source (or, for `ANY_SOURCE`, any member of `comm`) is declared
     /// dead (see [`crate::failure`]).
     pub fn probe(&mut self, comm: CommHandle, src: i32, tag: i32) -> Result<StatusInfo> {
-        loop {
-            if let Some(status) = self.iprobe(comm, src, tag)? {
-                return Ok(status);
+        self.block_on(|engine| {
+            let status = engine.iprobe(comm, src, tag)?;
+            if status.is_none() {
+                engine.probe_check_failed(comm, src)?;
             }
-            if self.aborted {
-                return err(ErrorClass::Aborted, "job aborted while probing");
-            }
-            self.probe_check_failed(comm, src)?;
-            self.blocking_pump()?;
-        }
+            Ok(status)
+        })
     }
 
     // ---------------------------------------------------------------------

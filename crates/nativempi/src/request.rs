@@ -8,7 +8,7 @@
 //!
 //! | entry | made by | a completion carries |
 //! |---|---|---|
-//! | point-to-point | the `isend` / `irecv` families | the received bytes; nothing for a send |
+//! | point-to-point | the `isend` / `irecv` families, and an RMA `get` (the receive of its reply, see [`crate::rma`]) | the received bytes; nothing for a send |
 //! | `i*` collective | `ibarrier` … `iscan`, `ineighbor_*` | the result bytes, gather-family parts concatenated in rank order; nothing where the call delivers nothing (barrier, off-root ranks of rooted operations) |
 //! | persistent | `send_init`, `recv_init`, the `*_init` collectives | the started iteration's completion; an inactive one completes at once, empty |
 //!
@@ -310,14 +310,21 @@ impl Engine {
         }
     }
 
-    /// Drive the engine until `req` is complete. Advances every
-    /// in-flight collective schedule while blocked (the background
-    /// progress hook of [`crate::coll::nb`]).
-    pub(crate) fn block_until_complete(&mut self, req: RequestId) -> Result<()> {
+    /// The engine's one blocking loop: drive progress until `ready`
+    /// yields a value, parking for a frame between tries. Every blocking
+    /// call ends here — [`Engine::wait`], [`Engine::probe`], the RMA
+    /// syncs — each with its own predicate, which may also fail the wait
+    /// (a dead peer). Advances every in-flight collective schedule while
+    /// blocked (the background progress hook of [`crate::coll::nb`]).
+    /// Generic rather than `dyn`: this is the engine's hottest loop.
+    pub(crate) fn block_on<T>(
+        &mut self,
+        mut ready: impl FnMut(&mut Engine) -> Result<Option<T>>,
+    ) -> Result<T> {
         loop {
             self.nb_progress()?;
-            if self.is_complete(req)? {
-                return Ok(());
+            if let Some(value) = ready(self)? {
+                return Ok(value);
             }
             if self.aborted {
                 return err(ErrorClass::Aborted, "job aborted while waiting");
@@ -329,7 +336,7 @@ impl Engine {
     /// `MPI_Wait`: drive the engine until `req` is complete and claim its
     /// completion.
     pub fn wait(&mut self, req: RequestId) -> Result<Completion> {
-        self.block_until_complete(req)?;
+        self.block_on(|engine| Ok(engine.is_complete(req)?.then_some(())))?;
         self.take_completion(req)
     }
 

@@ -12,12 +12,13 @@
 //!
 //! * **Fence epochs** ([`Engine::win_fence`]) — collective over the
 //!   window's communicator. Each rank streams a fence *marker* to every
-//!   other rank on the same ordered channel as the operations
-//!   themselves, so the marker's queue position delimits the epoch
-//!   exactly. A target applies an epoch once **every** origin's marker
-//!   has arrived, applying origins in **rank order** (and each origin's
-//!   operations in issue order) — which is what makes concurrent
-//!   `accumulate`s from two origins deterministic on every device.
+//!   rank, itself included, on the same ordered channel as the
+//!   operations themselves, so the marker's queue position delimits the
+//!   epoch exactly. A target applies an epoch once **every** origin's
+//!   marker has arrived, applying origins in **rank order** (and each
+//!   origin's operations in issue order) — which is what makes
+//!   concurrent `accumulate`s from two origins deterministic on every
+//!   device.
 //! * **Passive-target epochs** ([`Engine::win_lock`] /
 //!   [`Engine::win_unlock`], with [`Engine::win_flush`] inside) — the
 //!   origin acquires an exclusive lock (granted by the target's progress
@@ -31,6 +32,32 @@
 //! calls, and updates from peers become visible only after the rank's
 //! own sync call returns. `get` results are likewise retrievable only
 //! after the covering sync ([`Engine::win_get_take`]).
+//!
+//! # On the engine's own mechanisms
+//!
+//! * **Self is a peer.** Every message — operation, fence or flush
+//!   marker, lock request, grant, flush-ack, `get` reply — goes through
+//!   the device, a rank's messages to itself over the device loopback.
+//!   A target sees its own operations in the same queues as a peer's and
+//!   applies them with the same code, and self traffic shows up in the
+//!   message counts like any other.
+//! * **A `get` is a request.** [`Engine::win_get`] returns the
+//!   [`RequestId`] of the reply receive it posts, an entry of the one
+//!   request table (see [`crate::request`]). The window lists only the
+//!   gets not yet taken, and which of them a covering sync has reached.
+//! * **One blocking loop.** Every sync blocks in `Engine::block_on`, the
+//!   loop behind [`Engine::wait`], on a predicate over its epoch state;
+//!   a dead member of the window's communicator fails the predicate.
+//!
+//! # Errors from the target
+//!
+//! An operation outside the target's window is skipped, the rest of its
+//! epoch is applied, and the `Buffer` error is reported once: by the
+//! target's fence for a fence epoch, by the origin's flush or unlock
+//! (through the flush-ack) for a passive one — never by an unrelated call
+//! that happened to drive progress. An out-of-range `get` is still
+//! answered, with a reply whose length differs from the request, so the
+//! origin's covering sync reports `Buffer` too, and so does taking it.
 //!
 //! # Wire protocol and tag accounting
 //!
@@ -56,8 +83,8 @@
 //! Because RMA rides the p2p datapath, its waits are classified for
 //! free by the [`crate::trace`] wait-state machinery: any posted
 //! receive that blocks on a tag at or below `RMA_TAG_BASE` — a lock
-//! grant, a flush-ack, a `get` reply — is counted as a
-//! *progress-starved RMA target* wait
+//! grant, a flush-ack, a `get` reply, a rank's own included — is
+//! counted as a *progress-starved RMA target* wait
 //! ([`crate::trace::WaitClass::RmaTarget`]), distinct from user-tag
 //! late-sender waits and collective-window imbalance waits. A passive
 //! target that never enters the library starves its origins, and the
@@ -66,27 +93,29 @@
 //!
 //! # Copy inventory (extends the table in [`crate::p2p`])
 //!
-//! | operation                        | copies | where                      |
-//! |----------------------------------|--------|----------------------------|
-//! | `win_put_bytes` (owned `Bytes`)  | 0      | origin ships the buffer    |
-//! | `win_put` / `win_accumulate`     | 1      | origin staging             |
-//! | put/accumulate application       | 1      | target region write        |
-//! | `win_get` + `win_get_take`       | 0 + 1  | origin 0; target staging 1 |
-//! | `win_get_take_into`              | 1      | origin delivery copy       |
+//! | operation                        | copies | where                          |
+//! |----------------------------------|--------|--------------------------------|
+//! | `win_put_bytes` (owned `Bytes`)  | 0      | origin ships the buffer        |
+//! | `win_put` / `win_accumulate`     | 1      | origin staging                 |
+//! | put/accumulate application       | 1      | target region write            |
+//! | `get` reply                      | 1      | target staging of the region   |
+//! | `win_get_take`                   | 0      | the reply's buffer, handed over |
+//! | `win_get_take_into`              | 1      | origin delivery copy, as `recv_into` |
 //!
-//! Large payloads switch to the rendezvous protocol exactly like
-//! two-sided traffic: the target's progress hook grants parked
-//! rendezvous envelopes on the data channel the same way a posted
-//! receive would.
+//! The loopback moves a buffer without copying, so a rank's operations
+//! on its own window cost the same. Large payloads switch to the
+//! rendezvous protocol exactly like two-sided traffic: the target's
+//! progress hook grants parked rendezvous envelopes on the data channel
+//! the same way a posted receive would.
 
 use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
 
 use crate::comm::CommHandle;
-use crate::error::{err, ErrorClass, Result};
+use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::ops::{Op, PredefinedOp};
-use crate::request::RequestId;
+use crate::request::{RequestId, RequestState};
 use crate::types::{PrimitiveKind, SendMode};
 use crate::Engine;
 
@@ -113,14 +142,54 @@ const OP_LOCK: u8 = 5;
 // Ack-channel payloads.
 const ACK_LOCK_GRANT: u8 = 1;
 const ACK_FLUSH_DONE: u8 = 2;
+/// Flush-ack of a passive run in which an operation failed at the
+/// target (fell outside its window).
+const ACK_FLUSH_FAILED: u8 = 3;
+
+/// Accumulate element kinds by wire code: the code is the index.
+const KINDS: [PrimitiveKind; 14] = {
+    use PrimitiveKind::*;
+    [
+        Byte, Char, Boolean, Short, Int, Long, Float, Double, Packed, Int2, Long2, Float2, Double2,
+        Short2,
+    ]
+};
+
+/// Accumulate reductions by wire code: the code is the index.
+const OPS: [PredefinedOp; 12] = {
+    use PredefinedOp::*;
+    [
+        Max, Min, Sum, Prod, Land, Band, Lor, Bor, Lxor, Bxor, Maxloc, Minloc,
+    ]
+};
+
+fn code_of<T: PartialEq>(table: &[T], value: T) -> u8 {
+    table
+        .iter()
+        .position(|v| *v == value)
+        .expect("every variant has a wire code") as u8
+}
+
+/// Decode a wire code; the byte comes off a device, so an unknown one is
+/// an `Intern` error.
+fn from_code<T: Copy>(table: &[T], code: u8, what: &str) -> Result<T> {
+    match table.get(code as usize) {
+        Some(&value) => Ok(value),
+        None => err(ErrorClass::Intern, format!("bad RMA {what} code {code}")),
+    }
+}
+
+fn kind_code(kind: PrimitiveKind) -> u8 {
+    code_of(&KINDS, kind)
+}
+
+fn op_code(op: PredefinedOp) -> u8 {
+    code_of(&OPS, op)
+}
 
 /// Handle to an open one-sided memory window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WinHandle(pub(crate) u64);
-
-/// Handle to an outstanding `get`; resolves at the next covering sync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RmaGetId(u64);
 
 /// A payload that is either fully here or still awaiting its rendezvous
 /// data frame.
@@ -130,13 +199,17 @@ enum PayloadRef {
     Awaiting(RequestId),
 }
 
-/// A parsed one-sided operation parked at the target, payload included.
+/// A parsed data-channel message: an operation parked at the target,
+/// a marker, or a lock request.
 #[derive(Debug)]
 enum RmaEntry {
+    /// Decoded with an empty payload; the next message of its origin
+    /// fills it in.
     Put {
         offset: usize,
         data: Bytes,
     },
+    /// As `Put`.
     Acc {
         offset: usize,
         kind: PrimitiveKind,
@@ -154,53 +227,15 @@ enum RmaEntry {
     Flush {
         release: bool,
     },
-}
-
-/// Header parsed off the data channel whose payload message has not
-/// arrived yet.
-#[derive(Debug)]
-enum PendingHeader {
-    Put {
-        offset: usize,
-    },
-    Acc {
-        offset: usize,
-        kind: PrimitiveKind,
-        op: PredefinedOp,
-    },
-}
-
-impl PendingHeader {
-    /// The operation, once its payload message is here.
-    fn with(self, data: Bytes) -> RmaEntry {
-        match self {
-            PendingHeader::Put { offset } => RmaEntry::Put { offset, data },
-            PendingHeader::Acc { offset, kind, op } => RmaEntry::Acc {
-                offset,
-                kind,
-                op,
-                data,
-            },
-        }
-    }
-}
-
-/// One data-channel header message, decoded.
-#[derive(Debug)]
-enum Header {
-    /// A put or accumulate: its payload is the next message.
-    Payload(PendingHeader),
-    /// An operation or marker complete in itself.
-    Entry(RmaEntry),
-    /// A passive-target lock request.
+    /// A passive-target lock request: acted on when parsed, never queued.
     Lock,
 }
 
-/// Decode a data-channel header message — the one decoder of the self
-/// path and the wire path. A header shorter than its op code's layout,
-/// or with an unknown op, kind or reduction code, is an `Intern` error:
-/// these bytes come off a device, so they must never index out of range.
-fn decode(header: &[u8]) -> Result<Header> {
+/// Decode a data-channel header message. A header shorter than its op
+/// code's layout, or with an unknown op, kind or reduction code, is an
+/// `Intern` error: these bytes come off a device, so they must never
+/// index out of range.
+fn decode(header: &[u8]) -> Result<RmaEntry> {
     let min_len = match header.first() {
         Some(&(OP_PUT | OP_GET)) => 17,
         Some(&OP_ACC) => 19,
@@ -220,21 +255,25 @@ fn decode(header: &[u8]) -> Result<Header> {
     }
     let at = |i: usize| u64::from_le_bytes(header[i..i + 8].try_into().expect("8 bytes")) as usize;
     Ok(match header[0] {
-        OP_PUT => Header::Payload(PendingHeader::Put { offset: at(1) }),
-        OP_ACC => Header::Payload(PendingHeader::Acc {
+        OP_PUT => RmaEntry::Put {
             offset: at(1),
-            kind: kind_from_code(header[17])?,
-            op: op_from_code(header[18])?,
-        }),
-        OP_GET => Header::Entry(RmaEntry::Get {
+            data: Bytes::new(),
+        },
+        OP_ACC => RmaEntry::Acc {
+            offset: at(1),
+            kind: from_code(&KINDS, header[17], "kind")?,
+            op: from_code(&OPS, header[18], "reduction")?,
+            data: Bytes::new(),
+        },
+        OP_GET => RmaEntry::Get {
             offset: at(1),
             len: at(9),
-        }),
-        OP_FENCE => Header::Entry(RmaEntry::Fence),
-        OP_FLUSH => Header::Entry(RmaEntry::Flush {
+        },
+        OP_FENCE => RmaEntry::Fence,
+        OP_FLUSH => RmaEntry::Flush {
             release: header[1] != 0,
-        }),
-        _ => Header::Lock,
+        },
+        _ => RmaEntry::Lock,
     })
 }
 
@@ -245,48 +284,37 @@ struct OriginState {
     /// front is ever inspected, so rendezvous payloads that are still
     /// assembling stall parsing (never reorder it).
     raw: VecDeque<PayloadRef>,
-    /// Header parsed, payload message still pending.
-    pending: Option<PendingHeader>,
+    /// A put or accumulate whose payload message is still to come.
+    pending: Option<RmaEntry>,
     /// Parsed operations awaiting their covering sync.
     queue: VecDeque<RmaEntry>,
 }
 
-/// Exclusive passive-target lock state of a window.
-#[derive(Debug, Default)]
-struct LockState {
-    holder: Option<usize>,
-    waiters: VecDeque<usize>,
-    /// Set by the grant path when this rank wins its own lock.
-    granted_self: bool,
-    /// Set when a self-flush marker has been applied.
-    self_flush_done: bool,
+impl OriginState {
+    /// The first fence or flush marker queued, if any: what the next
+    /// application of this origin's operations stops at.
+    fn first_marker(&self) -> Option<&RmaEntry> {
+        self.queue
+            .iter()
+            .find(|e| matches!(e, RmaEntry::Fence | RmaEntry::Flush { .. }))
+    }
 }
 
-#[derive(Debug)]
-enum GetState {
-    /// Reply receive posted; resolves when the target serves the epoch.
-    Waiting(RequestId),
-    /// Get on the local window; served when our own sync applies it.
-    SelfPending,
-    Ready(Bytes),
-}
-
+/// A `get` not yet taken: its reply receive in the request table.
 #[derive(Debug)]
 struct GetRec {
-    id: u64,
+    req: RequestId,
     target: usize,
     len: usize,
-    state: GetState,
     /// A covering sync (fence, or flush/unlock of `target`) completed.
     synced: bool,
 }
 
 /// Full state of one open window (engine-internal).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WindowState {
     comm: CommHandle,
     context_coll: u32,
-    my_rank: usize,
     size: usize,
     data_tag: i32,
     reply_tag: i32,
@@ -295,16 +323,62 @@ pub(crate) struct WindowState {
     /// Peers modified the region since the last `win_take_dirty`.
     dirty: bool,
     incoming: Vec<OriginState>,
-    lock: LockState,
+    /// The exclusive passive-target lock: its holder, then who waits.
+    lock_holder: Option<usize>,
+    lock_waiters: VecDeque<usize>,
+    /// The first operation of a fence epoch that failed here (fell
+    /// outside the region); the fence closing the epoch reports it.
+    failed: Option<MpiError>,
     // Origin-side state.
     send_reqs: Vec<RequestId>,
     gets: Vec<GetRec>,
-    next_get: u64,
     /// Fence-epoch ops issued since the last `win_fence`.
     unsynced_ops: u64,
     fences_started: u64,
     fences_applied: u64,
     locks_held: HashSet<usize>,
+}
+
+impl WindowState {
+    /// Why the window cannot be freed now, or `None` when it is quiet:
+    /// the one refusal of `win_free` and `finalize`.
+    fn busy(&self) -> Option<&'static str> {
+        if self.unsynced_ops > 0
+            || !self.send_reqs.is_empty()
+            || self.fences_applied < self.fences_started
+        {
+            Some("an un-synced RMA epoch")
+        } else if !self.locks_held.is_empty() {
+            Some("a passive-target lock held")
+        } else if self.lock_holder.is_some() || !self.lock_waiters.is_empty() {
+            Some("the window locked by a peer")
+        } else if self.gets.iter().any(|g| !g.synced) {
+            Some("un-synced outstanding gets")
+        } else if self
+            .incoming
+            .iter()
+            .any(|o| !o.raw.is_empty() || o.pending.is_some() || !o.queue.is_empty())
+        {
+            Some("unapplied peer operations (missing sync)")
+        } else {
+            None
+        }
+    }
+
+    /// The byte range `offset..offset + len` of the region, or the
+    /// `Buffer` error of an operation that falls outside it.
+    fn span(&self, offset: usize, len: usize, what: &str) -> Result<std::ops::Range<usize>> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.region.len() => Ok(offset..end),
+            _ => err(
+                ErrorClass::Buffer,
+                format!(
+                    "{what} of {len} bytes at offset {offset} exceeds window of {} bytes",
+                    self.region.len()
+                ),
+            ),
+        }
+    }
 }
 
 impl Engine {
@@ -315,7 +389,6 @@ impl Engine {
     pub fn win_create(&mut self, comm: CommHandle, region: Vec<u8>) -> Result<WinHandle> {
         self.check_live()?;
         let size = self.comm_size(comm)?;
-        let my_rank = self.comm_rank(comm)?;
         let record = self.comm_mut(comm)?;
         let (context_coll, seq) = (record.context_coll, record.win_seq);
         record.win_seq += 1;
@@ -327,80 +400,45 @@ impl Engine {
             WindowState {
                 comm,
                 context_coll,
-                my_rank,
                 size,
                 data_tag: base,
                 reply_tag: base - 1,
                 ack_tag: base - 2,
                 region,
-                dirty: false,
                 incoming: (0..size).map(|_| OriginState::default()).collect(),
-                lock: LockState::default(),
-                send_reqs: Vec::new(),
-                gets: Vec::new(),
-                next_get: 1,
-                unsynced_ops: 0,
-                fences_started: 0,
-                fences_applied: 0,
-                locks_held: HashSet::new(),
+                ..WindowState::default()
             },
         );
         Ok(WinHandle(id))
     }
 
-    /// `MPI_Win_free`: collective teardown. Refuses un-synced epochs
-    /// (outstanding operations, held locks, unretrieved un-synced gets),
-    /// then barriers so no peer can still have window traffic in flight,
-    /// and returns the exposed region to the caller.
+    /// `MPI_Win_free`: collective teardown. Refuses a window that is not
+    /// quiet (un-synced epochs, held locks, un-synced gets), then
+    /// barriers so no peer can still have window traffic in flight, and
+    /// returns the exposed region to the caller. Gets never taken are
+    /// dropped with the window.
     pub fn win_free(&mut self, win: WinHandle) -> Result<Vec<u8>> {
         self.check_live()?;
         self.rma_progress()?;
-        {
-            let st = self.win_state(win)?;
-            if st.unsynced_ops > 0 || !st.send_reqs.is_empty() {
-                return err(
-                    ErrorClass::Other,
-                    "win_free called with an un-synced RMA epoch",
-                );
-            }
-            if !st.locks_held.is_empty() {
-                return err(
-                    ErrorClass::Other,
-                    "win_free called while holding a passive-target lock",
-                );
-            }
-            if st.lock.holder.is_some() || !st.lock.waiters.is_empty() {
-                return err(ErrorClass::Other, "win_free called on a locked window");
-            }
-            if st
-                .gets
-                .iter()
-                .any(|g| !matches!(g.state, GetState::Ready(_)) || !g.synced)
-            {
-                return err(
-                    ErrorClass::Other,
-                    "win_free called with un-synced outstanding gets",
-                );
-            }
-        }
+        self.refuse_busy(win)?;
         // No peer may touch the window after its rank returns from
         // win_free, so a barrier separates the last epoch from teardown.
         let comm = self.win_state(win)?.comm;
         self.barrier(comm)?;
         self.rma_progress()?;
-        let st = self.win_state(win)?;
-        if st
-            .incoming
-            .iter()
-            .any(|o| !o.queue.is_empty() || !o.raw.is_empty() || o.pending.is_some())
-        {
-            return err(
-                ErrorClass::Other,
-                "win_free called with unapplied peer operations (missing sync)",
-            );
-        }
+        self.refuse_busy(win)?;
         let st = self.windows.remove(&win.0).expect("checked above");
+        for get in st.gets {
+            self.requests.remove(get.req.0);
+        }
         Ok(st.region)
+    }
+
+    fn refuse_busy(&self, win: WinHandle) -> Result<()> {
+        match self.win_state(win)?.busy() {
+            Some(why) => err(ErrorClass::Other, format!("win_free called with {why}")),
+            None => Ok(()),
+        }
     }
 
     /// Size in bytes of the locally exposed region.
@@ -450,24 +488,7 @@ impl Engine {
         offset: usize,
         data: Bytes,
     ) -> Result<()> {
-        self.check_live()?;
-        self.validate_rma_target(win, target)?;
-        let len = data.len();
-        let mut header = Vec::with_capacity(17);
-        header.push(OP_PUT);
-        header.extend_from_slice(&(offset as u64).to_le_bytes());
-        header.extend_from_slice(&(len as u64).to_le_bytes());
-        self.rma_issue(win, target, header, Some(data))?;
-        self.stats.rma_puts += 1;
-        self.stats.rma_bytes += len as u64;
-        self.emit(
-            crate::trace::EventKind::RmaPut,
-            crate::trace::EventPhase::Instant,
-            target as i64,
-            len as i64,
-            win.0 as i64,
-        );
-        Ok(())
+        self.rma_op(win, target, [OP_PUT], offset, data.len(), Some(data))
     }
 
     /// `MPI_Accumulate` with a predefined reduction (the wire carries
@@ -482,8 +503,6 @@ impl Engine {
         kind: PrimitiveKind,
         op: PredefinedOp,
     ) -> Result<()> {
-        self.check_live()?;
-        self.validate_rma_target(win, target)?;
         if data.is_empty() || !data.len().is_multiple_of(kind.size()) {
             return err(
                 ErrorClass::Count,
@@ -495,93 +514,51 @@ impl Engine {
         }
         let staged = Bytes::from(data.to_vec());
         self.stats.bytes_copied += data.len() as u64;
-        let mut header = Vec::with_capacity(19);
-        header.push(OP_ACC);
-        header.extend_from_slice(&(offset as u64).to_le_bytes());
-        header.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        header.push(kind_code(kind));
-        header.push(op_code(op));
-        self.rma_issue(win, target, header, Some(staged))?;
-        self.stats.rma_puts += 1;
-        self.stats.rma_bytes += data.len() as u64;
-        self.emit(
-            crate::trace::EventKind::RmaPut,
-            crate::trace::EventPhase::Instant,
-            target as i64,
-            data.len() as i64,
-            win.0 as i64,
-        );
-        Ok(())
+        let codes = [OP_ACC, kind_code(kind), op_code(op)];
+        self.rma_op(win, target, codes, offset, data.len(), Some(staged))
     }
 
     /// `MPI_Get`: request `len` bytes at `offset` of `target`'s region.
-    /// The reply resolves at the next covering sync; retrieve it with
-    /// [`Engine::win_get_take`] / [`Engine::win_get_take_into`].
+    /// The returned request is the reply's receive; it resolves at the
+    /// next covering sync. Retrieve it with [`Engine::win_get_take`] /
+    /// [`Engine::win_get_take_into`].
     pub fn win_get(
         &mut self,
         win: WinHandle,
         target: usize,
         offset: usize,
         len: usize,
-    ) -> Result<RmaGetId> {
-        self.check_live()?;
-        self.validate_rma_target(win, target)?;
-        let (comm, reply_tag, my_rank) = {
-            let st = self.win_state(win)?;
-            (st.comm, st.reply_tag, st.my_rank)
-        };
-        let state = if target == my_rank {
-            GetState::SelfPending
-        } else {
-            // Post the reply receive before the target can possibly
-            // serve it, so it never parks unexpectedly.
-            let req = self.irecv_on_context(comm, target as i32, reply_tag, None, true)?;
-            GetState::Waiting(req)
-        };
-        let mut header = Vec::with_capacity(17);
-        header.push(OP_GET);
-        header.extend_from_slice(&(offset as u64).to_le_bytes());
-        header.extend_from_slice(&(len as u64).to_le_bytes());
-        self.rma_issue(win, target, header, None)?;
-        let st = self.win_state_mut(win)?;
-        let id = st.next_get;
-        st.next_get += 1;
-        st.gets.push(GetRec {
-            id,
+    ) -> Result<RequestId> {
+        self.rma_op(win, target, [OP_GET], offset, len, None)?;
+        // The reply can only come once a sync of ours has sent the
+        // target the marker that follows this get.
+        let st = self.win_state(win)?;
+        let (comm, reply_tag) = (st.comm, st.reply_tag);
+        let req = self.irecv_on_context(comm, target as i32, reply_tag, None, true)?;
+        self.win_state_mut(win)?.gets.push(GetRec {
+            req,
             target,
             len,
-            state,
             synced: false,
         });
-        self.stats.rma_gets += 1;
-        self.stats.rma_bytes += len as u64;
-        self.emit(
-            crate::trace::EventKind::RmaGet,
-            crate::trace::EventPhase::Instant,
-            target as i64,
-            len as i64,
-            win.0 as i64,
-        );
-        Ok(RmaGetId(id))
+        Ok(req)
     }
 
-    /// Take a synced `get` result as an owned buffer (no copy).
-    pub fn win_get_take(&mut self, win: WinHandle, get: RmaGetId) -> Result<Bytes> {
+    /// Take a synced `get` result as an owned buffer (no copy). Refused
+    /// until a covering sync has completed.
+    pub fn win_get_take(&mut self, win: WinHandle, get: RequestId) -> Result<Bytes> {
         let st = self.win_state_mut(win)?;
-        let idx = st.gets.iter().position(|g| g.id == get.0).ok_or_else(|| {
-            crate::error::MpiError::new(ErrorClass::Request, "unknown get handle")
-        })?;
-        if !st.gets[idx].synced || !matches!(st.gets[idx].state, GetState::Ready(_)) {
+        let Some(idx) = st.gets.iter().position(|g| g.req == get) else {
+            return err(ErrorClass::Request, "unknown get handle");
+        };
+        if !st.gets[idx].synced {
             return err(
                 ErrorClass::Other,
                 "get result not yet synchronized (fence or flush the window first)",
             );
         }
-        let rec = st.gets.swap_remove(idx);
-        match rec.state {
-            GetState::Ready(data) => Ok(data),
-            _ => unreachable!("checked above"),
-        }
+        st.gets.swap_remove(idx);
+        Ok(self.take_completion(get)?.data.unwrap_or_default())
     }
 
     /// Take a synced `get` result into a caller buffer (one delivery
@@ -589,7 +566,7 @@ impl Engine {
     pub fn win_get_take_into(
         &mut self,
         win: WinHandle,
-        get: RmaGetId,
+        get: RequestId,
         buf: &mut [u8],
     ) -> Result<()> {
         let data = self.win_get_take(win, get)?;
@@ -615,7 +592,7 @@ impl Engine {
     /// local `get`s are resolved.
     pub fn win_fence(&mut self, win: WinHandle) -> Result<()> {
         self.check_live()?;
-        let (size, my_rank) = {
+        let size = {
             let st = self.win_state(win)?;
             if !st.locks_held.is_empty() {
                 return err(
@@ -623,51 +600,17 @@ impl Engine {
                     "win_fence called while holding passive-target locks",
                 );
             }
-            (st.size, st.my_rank)
+            st.size
         };
         for target in 0..size {
-            if target == my_rank {
-                let st = self.win_state_mut(win)?;
-                st.incoming[my_rank].queue.push_back(RmaEntry::Fence);
-            } else {
-                self.rma_issue(win, target, vec![OP_FENCE], None)?;
-            }
-        }
-        {
-            let st = self.win_state_mut(win)?;
-            st.fences_started += 1;
-            st.unsynced_ops = 0;
-        }
-        let comm = self.win_state(win)?.comm;
-        loop {
-            // A fence cannot close once any member of the window's
-            // communicator is dead: error instead of spinning forever.
-            self.rma_check_failed(comm)?;
-            self.rma_progress()?;
-            if self.fence_done(win)? {
-                break;
-            }
-            self.progress_poll()?;
-            if self.fence_done(win)? {
-                break;
-            }
-            // Anything still pending needs remote frames; block for one.
-            self.progress_wait()?;
+            self.rma_issue(win, target, vec![OP_FENCE], None)?;
         }
         let st = self.win_state_mut(win)?;
-        for g in &mut st.gets {
-            g.synced = true;
-        }
-        self.stats.epochs += 1;
-        let epochs = self.stats.epochs as i64;
-        self.emit(
-            crate::trace::EventKind::RmaEpoch,
-            crate::trace::EventPhase::Instant,
-            win.0 as i64,
-            0,
-            epochs,
-        );
-        Ok(())
+        st.fences_started += 1;
+        st.unsynced_ops = 0;
+        self.block_on(|engine| Ok(engine.sync_reached(win, None)?.then_some(())))?;
+        self.close_epoch(win, 0);
+        self.finish_sync(win, None)
     }
 
     /// `MPI_Win_lock` (exclusive): open a passive-target epoch on
@@ -676,38 +619,16 @@ impl Engine {
     pub fn win_lock(&mut self, win: WinHandle, target: usize) -> Result<()> {
         self.check_live()?;
         self.validate_rma_target(win, target)?;
-        let (comm, ack_tag, my_rank) = {
-            let st = self.win_state(win)?;
-            if st.locks_held.contains(&target) {
-                return err(ErrorClass::Other, "window already locked at this target");
-            }
-            (st.comm, st.ack_tag, st.my_rank)
-        };
-        if target == my_rank {
-            let st = self.win_state_mut(win)?;
-            if st.lock.holder.is_none() && st.lock.waiters.is_empty() {
-                st.lock.holder = Some(my_rank);
-            } else {
-                st.lock.waiters.push_back(my_rank);
-                loop {
-                    self.rma_check_failed(comm)?;
-                    self.rma_progress()?;
-                    if self.win_state(win)?.lock.granted_self {
-                        break;
-                    }
-                    self.progress_wait()?;
-                }
-                self.win_state_mut(win)?.lock.granted_self = false;
-            }
-        } else {
-            let req = self.irecv_on_context(comm, target as i32, ack_tag, None, true)?;
-            self.rma_issue(win, target, vec![OP_LOCK], None)?;
-            let completion = self.wait(req)?;
-            if let Some(data) = completion.data {
-                debug_assert_eq!(data.as_ref(), &[ACK_LOCK_GRANT]);
-                self.recycle(data);
-            }
+        if self.win_state(win)?.locks_held.contains(&target) {
+            return err(ErrorClass::Other, "window already locked at this target");
         }
+        let ack = self.rma_request(win, target, vec![OP_LOCK])?;
+        let comm = self.win_state(win)?.comm;
+        self.block_on(|engine| {
+            engine.rma_check_failed(comm)?;
+            Ok(engine.is_complete(ack)?.then_some(()))
+        })?;
+        self.claim_ack(ack, ACK_LOCK_GRANT)?;
         self.win_state_mut(win)?.locks_held.insert(target);
         Ok(())
     }
@@ -721,96 +642,37 @@ impl Engine {
 
     /// `MPI_Win_unlock`: flush and close the passive-target epoch.
     pub fn win_unlock(&mut self, win: WinHandle, target: usize) -> Result<()> {
-        self.passive_sync(win, target, true)?;
-        self.win_state_mut(win)?.locks_held.remove(&target);
-        self.stats.epochs += 1;
-        let epochs = self.stats.epochs as i64;
-        self.emit(
-            crate::trace::EventKind::RmaEpoch,
-            crate::trace::EventPhase::Instant,
-            win.0 as i64,
-            1,
-            epochs,
-        );
-        Ok(())
+        self.passive_sync(win, target, true)
     }
 
     fn passive_sync(&mut self, win: WinHandle, target: usize, release: bool) -> Result<()> {
         self.check_live()?;
-        let (comm, ack_tag, my_rank) = {
-            let st = self.win_state(win)?;
-            if !st.locks_held.contains(&target) {
-                return err(
-                    ErrorClass::Other,
-                    "flush/unlock without a lock on this target",
-                );
-            }
-            (st.comm, st.ack_tag, st.my_rank)
-        };
-        if target == my_rank {
-            let st = self.win_state_mut(win)?;
-            st.incoming[my_rank]
-                .queue
-                .push_back(RmaEntry::Flush { release });
-            loop {
-                self.rma_check_failed(comm)?;
-                self.rma_progress()?;
-                if self.win_state(win)?.lock.self_flush_done {
-                    break;
-                }
-                self.progress_wait()?;
-            }
-            self.win_state_mut(win)?.lock.self_flush_done = false;
-        } else {
-            let req = self.irecv_on_context(comm, target as i32, ack_tag, None, true)?;
-            self.rma_issue(win, target, vec![OP_FLUSH, release as u8], None)?;
-            let completion = self.wait(req)?;
-            if let Some(data) = completion.data {
-                debug_assert_eq!(data.as_ref(), &[ACK_FLUSH_DONE]);
-                self.recycle(data);
-            }
+        if !self.win_state(win)?.locks_held.contains(&target) {
+            return err(
+                ErrorClass::Other,
+                "flush/unlock without a lock on this target",
+            );
         }
+        let ack = self.rma_request(win, target, vec![OP_FLUSH, release as u8])?;
         // The ack proves application at the target; still drain our own
-        // transport-level sends and any get replies from this target
-        // (a large reply can trail the ack on the rendezvous path).
-        loop {
-            self.rma_check_failed(comm)?;
-            self.rma_progress()?;
-            let st = self.win_state(win)?;
-            let sends_done = st.send_reqs.is_empty();
-            let gets_done = st
-                .gets
-                .iter()
-                .filter(|g| g.target == target)
-                .all(|g| matches!(g.state, GetState::Ready(_)));
-            if sends_done && gets_done {
-                break;
-            }
-            self.progress_wait()?;
+        // sends and the get replies from this target (a large reply can
+        // trail the ack on the rendezvous path).
+        self.block_on(|engine| {
+            let done = engine.is_complete(ack)? && engine.sync_reached(win, Some(target))?;
+            Ok(done.then_some(()))
+        })?;
+        if release {
+            self.win_state_mut(win)?.locks_held.remove(&target);
+            self.close_epoch(win, 1);
         }
-        let st = self.win_state_mut(win)?;
-        for g in st.gets.iter_mut().filter(|g| g.target == target) {
-            g.synced = true;
-        }
-        Ok(())
+        let acked = self.claim_ack(ack, ACK_FLUSH_DONE);
+        acked.and(self.finish_sync(win, Some(target)))
     }
 
-    /// True if any window has an open (un-synced) epoch — the finalize
-    /// leak probe.
+    /// True if any window is not quiet (see `WindowState::busy`) — the
+    /// finalize leak probe.
     pub(crate) fn rma_open_epoch(&self) -> bool {
-        self.windows.values().any(|st| {
-            st.unsynced_ops > 0
-                || !st.send_reqs.is_empty()
-                || !st.locks_held.is_empty()
-                || st.lock.holder.is_some()
-                || !st.lock.waiters.is_empty()
-                || st.fences_applied < st.fences_started
-                || st.gets.iter().any(|g| !g.synced)
-                || st
-                    .incoming
-                    .iter()
-                    .any(|o| !o.queue.is_empty() || !o.raw.is_empty() || o.pending.is_some())
-        })
+        self.windows.values().any(|st| st.busy().is_some())
     }
 
     // ---- internal machinery -------------------------------------------
@@ -818,13 +680,13 @@ impl Engine {
     fn win_state(&self, win: WinHandle) -> Result<&WindowState> {
         self.windows
             .get(&win.0)
-            .ok_or_else(|| crate::error::MpiError::new(ErrorClass::Other, "unknown RMA window"))
+            .ok_or_else(|| MpiError::new(ErrorClass::Other, "unknown RMA window"))
     }
 
     fn win_state_mut(&mut self, win: WinHandle) -> Result<&mut WindowState> {
         self.windows
             .get_mut(&win.0)
-            .ok_or_else(|| crate::error::MpiError::new(ErrorClass::Other, "unknown RMA window"))
+            .ok_or_else(|| MpiError::new(ErrorClass::Other, "unknown RMA window"))
     }
 
     fn validate_rma_target(&self, win: WinHandle, target: usize) -> Result<()> {
@@ -841,9 +703,46 @@ impl Engine {
         Ok(())
     }
 
-    /// Ship one operation: header message, then (for put/accumulate) the
-    /// payload message, both on the window's ordered data channel. Self
-    /// targets bypass the transport and enqueue directly.
+    /// Issue a put, accumulate or get: its header — the op code, `offset`,
+    /// `len`, then an accumulate's kind and reduction codes — and
+    /// payload, then its statistics and trace event.
+    fn rma_op<const N: usize>(
+        &mut self,
+        win: WinHandle,
+        target: usize,
+        codes: [u8; N],
+        offset: usize,
+        len: usize,
+        payload: Option<Bytes>,
+    ) -> Result<()> {
+        self.check_live()?;
+        self.validate_rma_target(win, target)?;
+        let mut header = Vec::with_capacity(17 + N);
+        header.push(codes[0]);
+        header.extend_from_slice(&(offset as u64).to_le_bytes());
+        header.extend_from_slice(&(len as u64).to_le_bytes());
+        header.extend_from_slice(&codes[1..]);
+        self.rma_issue(win, target, header, payload)?;
+        let st = self.win_state_mut(win)?;
+        if !st.locks_held.contains(&target) {
+            st.unsynced_ops += 1;
+        }
+        let kind = if codes[0] == OP_GET {
+            self.stats.rma_gets += 1;
+            crate::trace::EventKind::RmaGet
+        } else {
+            self.stats.rma_puts += 1;
+            crate::trace::EventKind::RmaPut
+        };
+        self.stats.rma_bytes += len as u64;
+        let phase = crate::trace::EventPhase::Instant;
+        self.emit(kind, phase, target as i64, len as i64, win.0 as i64);
+        Ok(())
+    }
+
+    /// Ship one operation or marker: the header message, then (for
+    /// put/accumulate) the payload message, both on the window's ordered
+    /// data channel — to a peer or, over the loopback, to this rank.
     fn rma_issue(
         &mut self,
         win: WinHandle,
@@ -851,85 +750,135 @@ impl Engine {
         header: Vec<u8>,
         payload: Option<Bytes>,
     ) -> Result<()> {
-        let (comm, data_tag, my_rank, in_passive) = {
+        let (comm, data_tag) = {
             let st = self.win_state(win)?;
-            (
-                st.comm,
-                st.data_tag,
-                st.my_rank,
-                st.locks_held.contains(&target),
-            )
+            (st.comm, st.data_tag)
         };
-        let is_op = header[0] == OP_PUT || header[0] == OP_ACC || header[0] == OP_GET;
-        if target == my_rank {
-            // Self-targeted operations skip the wire but take the
-            // identical queue path, so the applied-at-sync semantics hold
-            // locally too.
-            let entry = match (decode(&header)?, payload) {
-                (Header::Payload(pending), Some(data)) => pending.with(data),
-                (Header::Entry(entry), None) => entry,
-                _ => return err(ErrorClass::Intern, "self RMA header without its payload"),
-            };
-            let st = self.win_state_mut(win)?;
-            st.incoming[my_rank].queue.push_back(entry);
-        } else {
+        for message in std::iter::once(Bytes::from(header)).chain(payload) {
             let req = self.isend_bytes_on_context(
                 comm,
                 target as i32,
                 data_tag,
-                Bytes::from(header),
+                message,
                 SendMode::Standard,
                 true,
             )?;
             self.win_state_mut(win)?.send_reqs.push(req);
-            if let Some(data) = payload {
-                let req = self.isend_bytes_on_context(
-                    comm,
-                    target as i32,
-                    data_tag,
-                    data,
-                    SendMode::Standard,
-                    true,
-                )?;
-                self.win_state_mut(win)?.send_reqs.push(req);
-            }
-        }
-        if is_op && !in_passive {
-            self.win_state_mut(win)?.unsynced_ops += 1;
         }
         Ok(())
     }
 
-    /// Fence completion test: our epoch applied locally, our transport
-    /// sends drained, and every issued get resolved.
-    fn fence_done(&mut self, win: WinHandle) -> Result<bool> {
+    /// Send `target` a lock request or flush marker, with the receive of
+    /// its answer on the ack channel posted first.
+    fn rma_request(&mut self, win: WinHandle, target: usize, header: Vec<u8>) -> Result<RequestId> {
         let st = self.win_state(win)?;
-        Ok(st.fences_applied >= st.fences_started
-            && st.send_reqs.is_empty()
-            && st
-                .gets
-                .iter()
-                .all(|g| matches!(g.state, GetState::Ready(_))))
+        let (comm, ack_tag) = (st.comm, st.ack_tag);
+        let ack = self.irecv_on_context(comm, target as i32, ack_tag, None, true)?;
+        self.rma_issue(win, target, header, None)?;
+        Ok(ack)
+    }
+
+    /// The predicate a sync blocks on: this rank's sends have left, every
+    /// get the sync covers has its reply, and for a fence (`target`
+    /// `None`) the epoch is applied here. A dead member of the window's
+    /// communicator is an error: the epoch can never close.
+    fn sync_reached(&self, win: WinHandle, target: Option<usize>) -> Result<bool> {
+        let st = self.win_state(win)?;
+        self.rma_check_failed(st.comm)?;
+        if !st.send_reqs.is_empty() || (target.is_none() && st.fences_applied < st.fences_started) {
+            return Ok(false);
+        }
+        for get in st.gets.iter().filter(|g| covers(g, target)) {
+            if !self.is_complete(get.req)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Close a sync that [`Engine::sync_reached`]: the gets it covers
+    /// become takeable, and the first error it reports is returned once —
+    /// a fence's error from applying a peer's operation here, or a get
+    /// answered with a reply of the wrong length because it fell outside
+    /// its target's window (taking that get returns the error too).
+    fn finish_sync(&mut self, win: WinHandle, target: Option<usize>) -> Result<()> {
+        let st = self
+            .windows
+            .get_mut(&win.0)
+            .ok_or_else(|| MpiError::new(ErrorClass::Other, "unknown RMA window"))?;
+        let mut failed = target.is_none().then(|| st.failed.take()).flatten();
+        for get in st.gets.iter_mut().filter(|g| covers(g, target)) {
+            get.synced = true;
+            let replied = match self.requests.get(get.req.0) {
+                Some(RequestState::RecvComplete { data, .. }) => data.len(),
+                _ => get.len,
+            };
+            if replied != get.len {
+                let error = MpiError::new(
+                    ErrorClass::Buffer,
+                    format!(
+                        "get of {} bytes fell outside the window of target {}",
+                        get.len, get.target
+                    ),
+                );
+                self.requests
+                    .set(get.req.0, RequestState::Failed(error.clone()));
+                failed.get_or_insert(error);
+            }
+        }
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// Count a closed epoch (`passive` 0 for a fence, 1 for an unlock).
+    fn close_epoch(&mut self, win: WinHandle, passive: i64) {
+        self.stats.epochs += 1;
+        let epochs = self.stats.epochs as i64;
+        self.emit(
+            crate::trace::EventKind::RmaEpoch,
+            crate::trace::EventPhase::Instant,
+            win.0 as i64,
+            passive,
+            epochs,
+        );
+    }
+
+    /// Claim a lock grant or flush-ack. Its one byte comes off a device,
+    /// so anything but the expected code is an `Intern` error — except a
+    /// flush-ack reporting an operation that failed at the target (one
+    /// outside its window), which is a `Buffer` error.
+    fn claim_ack(&mut self, ack: RequestId, expected: u8) -> Result<()> {
+        let data = self.take_completion(ack)?.data.unwrap_or_default();
+        let code = (data.len() == 1).then(|| data[0]);
+        self.recycle(data);
+        match code {
+            Some(code) if code == expected => Ok(()),
+            Some(ACK_FLUSH_FAILED) if expected == ACK_FLUSH_DONE => err(
+                ErrorClass::Buffer,
+                "an operation of this passive-target epoch failed at the target",
+            ),
+            _ => err(
+                ErrorClass::Intern,
+                format!("bad RMA ack {code:?}, expected code {expected}"),
+            ),
+        }
     }
 
     /// The RMA progress hook, run from `nb_progress` (so every blocking
     /// or polling engine call drives it): ingest data-channel arrivals,
     /// resolve in-flight payloads, and apply whatever epochs the markers
-    /// now cover. Must never re-enter the progress engine.
+    /// now cover. The window map is taken out for the sweep and put back
+    /// after it, which is sound because the hook never re-enters the
+    /// progress engine.
     pub(crate) fn rma_progress(&mut self) -> Result<()> {
         if self.windows.is_empty() {
             return Ok(());
         }
-        let ids: Vec<u64> = self.windows.keys().copied().collect();
-        for id in ids {
-            let Some(mut st) = self.windows.remove(&id) else {
-                continue;
-            };
-            let outcome = self.drive_window(&mut st);
-            self.windows.insert(id, st);
-            outcome?;
-        }
-        Ok(())
+        let mut windows = std::mem::take(&mut self.windows);
+        let outcome = windows
+            .values_mut()
+            .try_for_each(|st| self.drive_window(st));
+        self.windows = windows;
+        outcome
     }
 
     fn drive_window(&mut self, st: &mut WindowState) -> Result<()> {
@@ -946,28 +895,29 @@ impl Engine {
                 break;
             }
         }
-        self.harvest_sends(st)?;
-        self.harvest_gets(st)?;
         // Apply every epoch the markers now cover; each application can
-        // unblock the next (pipelined fences), so loop to a fixpoint.
-        loop {
-            let mut progressed = self.try_apply_flushes(st)?;
-            progressed |= self.try_apply_fence(st)?;
-            if !progressed {
-                break;
+        // unblock the next (pipelined fences, the next lock holder's
+        // flush), so loop to a fixpoint.
+        while self.try_apply_flush(st)? | self.try_apply_fence(st)? {}
+        // Harvest completed sends, those the applications just issued
+        // (get replies, acks) included: a sync waits for `send_reqs` to
+        // empty.
+        let reqs = std::mem::take(&mut st.send_reqs);
+        for req in reqs {
+            if self.is_complete(req)? {
+                self.take_completion(req)?;
+            } else {
+                st.send_reqs.push(req);
             }
         }
-        // Applying epochs issues new sends (get replies, acks); harvest
-        // the ones that completed at issue (eager) right away, or a
-        // fence/flush wait could park on `send_reqs` that are already
-        // done with no further frame coming to wake it.
-        self.harvest_sends(st)?;
         Ok(())
     }
 
     /// Move this window's data-channel messages out of the unexpected
     /// queue (in arrival order), granting parked rendezvous envelopes
-    /// exactly like a posted receive would.
+    /// exactly like a posted receive would. The channel must be consumed
+    /// in per-origin arrival order whatever receives are posted, hence
+    /// `Matching::take_tagged` rather than a standing posted receive.
     fn ingest_arrivals(&mut self, st: &mut WindowState) -> Result<()> {
         use crate::matching::UnexpectedKind;
         for msg in self.matching.take_tagged(st.context_coll, st.data_tag) {
@@ -994,15 +944,12 @@ impl Engine {
     fn resolve_payloads(&mut self, st: &mut WindowState) -> Result<bool> {
         let mut resolved = false;
         for origin in st.incoming.iter_mut() {
-            if let Some(PayloadRef::Awaiting(req)) = origin.raw.front() {
-                let req = *req;
+            if let Some(&PayloadRef::Awaiting(req)) = origin.raw.front() {
                 if !self.is_complete(req)? {
                     continue;
                 }
-                let completion = self.take_completion(req)?;
-                let data = completion.data.unwrap_or_default();
-                origin.raw.pop_front();
-                origin.raw.push_front(PayloadRef::Ready(data));
+                let data = self.take_completion(req)?.data.unwrap_or_default();
+                origin.raw[0] = PayloadRef::Ready(data);
                 resolved = true;
             }
         }
@@ -1025,37 +972,33 @@ impl Engine {
                 let Some(PayloadRef::Ready(data)) = origin.raw.pop_front() else {
                     unreachable!("checked above");
                 };
-                if let Some(pending) = origin.pending.take() {
-                    origin.queue.push_back(pending.with(data));
+                if let Some(mut entry) = origin.pending.take() {
+                    if let RmaEntry::Put { data: slot, .. } | RmaEntry::Acc { data: slot, .. } =
+                        &mut entry
+                    {
+                        *slot = data;
+                    }
+                    origin.queue.push_back(entry);
                     continue;
                 }
                 match decode(&data)? {
-                    Header::Payload(pending) => origin.pending = Some(pending),
-                    Header::Entry(entry) => origin.queue.push_back(entry),
-                    Header::Lock => self.rma_grant_or_enqueue(st, rank)?,
+                    entry @ (RmaEntry::Put { .. } | RmaEntry::Acc { .. }) => {
+                        origin.pending = Some(entry)
+                    }
+                    RmaEntry::Lock if st.lock_holder.is_none() && st.lock_waiters.is_empty() => {
+                        self.rma_grant(st, rank)?
+                    }
+                    RmaEntry::Lock => st.lock_waiters.push_back(rank),
+                    entry => origin.queue.push_back(entry),
                 }
             }
         }
         Ok(parsed)
     }
 
-    fn rma_grant_or_enqueue(&mut self, st: &mut WindowState, origin: usize) -> Result<()> {
-        if st.lock.holder.is_none() && st.lock.waiters.is_empty() {
-            self.rma_grant(st, origin)
-        } else {
-            st.lock.waiters.push_back(origin);
-            Ok(())
-        }
-    }
-
     fn rma_grant(&mut self, st: &mut WindowState, origin: usize) -> Result<()> {
-        st.lock.holder = Some(origin);
-        if origin == st.my_rank {
-            st.lock.granted_self = true;
-            Ok(())
-        } else {
-            self.rma_ack(st, origin, ACK_LOCK_GRANT)
-        }
+        st.lock_holder = Some(origin);
+        self.rma_ack(st, origin, ACK_LOCK_GRANT)
     }
 
     fn rma_ack(&mut self, st: &mut WindowState, origin: usize, code: u8) -> Result<()> {
@@ -1071,134 +1014,85 @@ impl Engine {
         Ok(())
     }
 
-    fn harvest_sends(&mut self, st: &mut WindowState) -> Result<()> {
-        let reqs = std::mem::take(&mut st.send_reqs);
-        for req in reqs {
-            if self.is_complete(req)? {
-                self.take_completion(req)?;
-            } else {
-                st.send_reqs.push(req);
-            }
-        }
-        Ok(())
-    }
-
-    fn harvest_gets(&mut self, st: &mut WindowState) -> Result<()> {
-        for rec in st.gets.iter_mut() {
-            if let GetState::Waiting(req) = rec.state {
-                if self.is_complete(req)? {
-                    let completion = self.take_completion(req)?;
-                    let data = completion.data.unwrap_or_default();
-                    if data.len() != rec.len {
-                        return err(
-                            ErrorClass::Intern,
-                            format!(
-                                "get reply of {} bytes for a {}-byte request",
-                                data.len(),
-                                rec.len
-                            ),
-                        );
-                    }
-                    rec.state = GetState::Ready(data);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Apply one fence epoch if every origin's marker is in: origins in
     /// rank order, each origin's operations in issue order. This single
     /// ordering rule is what the deterministic-accumulate guarantee
     /// rests on.
     fn try_apply_fence(&mut self, st: &mut WindowState) -> Result<bool> {
-        for origin in st.incoming.iter() {
-            let first_marker = origin
-                .queue
-                .iter()
-                .find(|e| matches!(e, RmaEntry::Fence | RmaEntry::Flush { .. }));
-            match first_marker {
-                Some(RmaEntry::Fence) => {}
-                // No marker yet, or a passive epoch is still ahead of
-                // the fence in this origin's stream.
-                _ => return Ok(false),
-            }
+        // No marker yet, or a passive epoch still ahead of the fence in
+        // some origin's stream.
+        if !st
+            .incoming
+            .iter()
+            .all(|o| matches!(o.first_marker(), Some(RmaEntry::Fence)))
+        {
+            return Ok(false);
         }
         for rank in 0..st.size {
-            loop {
-                let entry = st.incoming[rank]
-                    .queue
-                    .pop_front()
-                    .expect("fence marker guarantees entries");
-                match entry {
-                    RmaEntry::Fence => break,
-                    other => self.apply_entry(st, rank, other)?,
-                }
+            if let Some(error) = self.apply_run(st, rank) {
+                st.failed.get_or_insert(error);
             }
         }
         st.fences_applied += 1;
         Ok(true)
     }
 
-    /// Apply passive-target runs whose flush marker has arrived (only
-    /// the lock holder can have one — exclusivity is the determinism
-    /// argument here).
-    fn try_apply_flushes(&mut self, st: &mut WindowState) -> Result<bool> {
-        let mut progressed = false;
-        for rank in 0..st.size {
-            if st.lock.holder != Some(rank) {
-                continue;
+    /// Apply the lock holder's passive run once its flush marker is in
+    /// (only the holder can have one — exclusivity is the determinism
+    /// argument here), answer with the flush-ack, and on release grant
+    /// the lock to the next waiter.
+    fn try_apply_flush(&mut self, st: &mut WindowState) -> Result<bool> {
+        let Some(holder) = st.lock_holder else {
+            return Ok(false);
+        };
+        let Some(&RmaEntry::Flush { release }) = st.incoming[holder].first_marker() else {
+            return Ok(false);
+        };
+        let code = match self.apply_run(st, holder) {
+            Some(_) => ACK_FLUSH_FAILED,
+            None => ACK_FLUSH_DONE,
+        };
+        self.rma_ack(st, holder, code)?;
+        if release {
+            st.lock_holder = None;
+            if let Some(next) = st.lock_waiters.pop_front() {
+                self.rma_grant(st, next)?;
             }
-            let first_marker = st.incoming[rank]
-                .queue
-                .iter()
-                .find(|e| matches!(e, RmaEntry::Fence | RmaEntry::Flush { .. }));
-            let release = match first_marker {
-                Some(RmaEntry::Flush { release }) => *release,
-                _ => continue,
-            };
-            loop {
-                let entry = st.incoming[rank]
-                    .queue
-                    .pop_front()
-                    .expect("flush marker guarantees entries");
-                match entry {
-                    RmaEntry::Flush { .. } => break,
-                    other => self.apply_entry(st, rank, other)?,
-                }
-            }
-            if rank == st.my_rank {
-                st.lock.self_flush_done = true;
-            } else {
-                self.rma_ack(st, rank, ACK_FLUSH_DONE)?;
-            }
-            if release {
-                st.lock.holder = None;
-                if let Some(next) = st.lock.waiters.pop_front() {
-                    self.rma_grant(st, next)?;
-                }
-            }
-            progressed = true;
         }
-        Ok(progressed)
+        Ok(true)
     }
 
-    fn apply_entry(&mut self, st: &mut WindowState, origin: usize, entry: RmaEntry) -> Result<()> {
+    /// Apply `origin`'s queued operations up to its first marker, which
+    /// the caller has seen, and consume the marker. An operation that
+    /// fails — one outside the region — is skipped and the rest are
+    /// applied; the first error is returned for the epoch's sync to
+    /// report, so it never surfaces from an unrelated call that happened
+    /// to drive progress.
+    fn apply_run(&mut self, st: &mut WindowState, origin: usize) -> Option<MpiError> {
+        let mut failed = None;
+        while let Some(entry) = st.incoming[origin].queue.pop_front() {
+            match self.apply_entry(st, origin, entry) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(error) => {
+                    failed.get_or_insert(error);
+                }
+            }
+        }
+        failed
+    }
+
+    /// Apply one queued entry; `false` for the marker that ends a run.
+    fn apply_entry(
+        &mut self,
+        st: &mut WindowState,
+        origin: usize,
+        entry: RmaEntry,
+    ) -> Result<bool> {
         match entry {
             RmaEntry::Put { offset, data } => {
-                let end = offset
-                    .checked_add(data.len())
-                    .filter(|&e| e <= st.region.len());
-                let Some(end) = end else {
-                    return err(
-                        ErrorClass::Buffer,
-                        format!(
-                            "put of {} bytes at offset {offset} exceeds window of {} bytes",
-                            data.len(),
-                            st.region.len()
-                        ),
-                    );
-                };
-                st.region[offset..end].copy_from_slice(&data);
+                let span = st.span(offset, data.len(), "put")?;
+                st.region[span].copy_from_slice(&data);
                 self.stats.bytes_copied += data.len() as u64;
                 st.dirty = true;
                 self.recycle(data);
@@ -1209,140 +1103,47 @@ impl Engine {
                 op,
                 data,
             } => {
-                let end = offset
-                    .checked_add(data.len())
-                    .filter(|&e| e <= st.region.len());
-                let Some(end) = end else {
-                    return err(
-                        ErrorClass::Buffer,
-                        format!(
-                            "accumulate of {} bytes at offset {offset} exceeds window of {} bytes",
-                            data.len(),
-                            st.region.len()
-                        ),
-                    );
-                };
+                let span = st.span(offset, data.len(), "accumulate")?;
                 let count = data.len() / kind.size();
-                Op::Predefined(op).apply(&data, &mut st.region[offset..end], kind, count)?;
+                Op::Predefined(op).apply(&data, &mut st.region[span], kind, count)?;
                 st.dirty = true;
                 self.recycle(data);
             }
             RmaEntry::Get { offset, len } => {
-                let end = offset.checked_add(len).filter(|&e| e <= st.region.len());
-                let Some(end) = end else {
-                    return err(
-                        ErrorClass::Buffer,
-                        format!(
-                            "get of {len} bytes at offset {offset} exceeds window of {} bytes",
-                            st.region.len()
-                        ),
-                    );
-                };
                 // Stage a copy of the current region contents (the reply
-                // must reflect this sync point, not a later one).
-                let staged = Bytes::from(st.region[offset..end].to_vec());
-                self.stats.bytes_copied += len as u64;
-                if origin == st.my_rank {
-                    let rec = st
-                        .gets
-                        .iter_mut()
-                        .find(|g| {
-                            g.target == st.my_rank && matches!(g.state, GetState::SelfPending)
-                        })
-                        .expect("self get entry has a matching record");
-                    rec.state = GetState::Ready(staged);
-                } else {
-                    let req = self.isend_bytes_on_context(
-                        st.comm,
-                        origin as i32,
-                        st.reply_tag,
-                        staged,
-                        SendMode::Standard,
-                        true,
-                    )?;
-                    st.send_reqs.push(req);
-                }
+                // must reflect this sync point, not a later one). An
+                // out-of-range get is answered too, with a reply of
+                // another length, so its origin's sync fails instead of
+                // waiting forever.
+                let span = st.span(offset, len, "get");
+                let reply = match &span {
+                    Ok(span) => {
+                        self.stats.bytes_copied += len as u64;
+                        Bytes::from(st.region[span.clone()].to_vec())
+                    }
+                    Err(_) => Bytes::from(vec![0; usize::from(len == 0)]),
+                };
+                let req = self.isend_bytes_on_context(
+                    st.comm,
+                    origin as i32,
+                    st.reply_tag,
+                    reply,
+                    SendMode::Standard,
+                    true,
+                )?;
+                st.send_reqs.push(req);
+                span?;
             }
-            RmaEntry::Fence | RmaEntry::Flush { .. } => {
-                unreachable!("markers are consumed by the epoch loops")
-            }
+            RmaEntry::Fence | RmaEntry::Flush { .. } | RmaEntry::Lock => return Ok(false),
         }
-        Ok(())
+        Ok(true)
     }
 }
 
-fn kind_code(kind: PrimitiveKind) -> u8 {
-    match kind {
-        PrimitiveKind::Byte => 0,
-        PrimitiveKind::Char => 1,
-        PrimitiveKind::Boolean => 2,
-        PrimitiveKind::Short => 3,
-        PrimitiveKind::Int => 4,
-        PrimitiveKind::Long => 5,
-        PrimitiveKind::Float => 6,
-        PrimitiveKind::Double => 7,
-        PrimitiveKind::Packed => 8,
-        PrimitiveKind::Int2 => 9,
-        PrimitiveKind::Long2 => 10,
-        PrimitiveKind::Float2 => 11,
-        PrimitiveKind::Double2 => 12,
-        PrimitiveKind::Short2 => 13,
-    }
-}
-
-fn kind_from_code(code: u8) -> Result<PrimitiveKind> {
-    Ok(match code {
-        0 => PrimitiveKind::Byte,
-        1 => PrimitiveKind::Char,
-        2 => PrimitiveKind::Boolean,
-        3 => PrimitiveKind::Short,
-        4 => PrimitiveKind::Int,
-        5 => PrimitiveKind::Long,
-        6 => PrimitiveKind::Float,
-        7 => PrimitiveKind::Double,
-        8 => PrimitiveKind::Packed,
-        9 => PrimitiveKind::Int2,
-        10 => PrimitiveKind::Long2,
-        11 => PrimitiveKind::Float2,
-        12 => PrimitiveKind::Double2,
-        13 => PrimitiveKind::Short2,
-        other => return err(ErrorClass::Intern, format!("bad RMA kind code {other}")),
-    })
-}
-
-fn op_code(op: PredefinedOp) -> u8 {
-    match op {
-        PredefinedOp::Max => 0,
-        PredefinedOp::Min => 1,
-        PredefinedOp::Sum => 2,
-        PredefinedOp::Prod => 3,
-        PredefinedOp::Land => 4,
-        PredefinedOp::Band => 5,
-        PredefinedOp::Lor => 6,
-        PredefinedOp::Bor => 7,
-        PredefinedOp::Lxor => 8,
-        PredefinedOp::Bxor => 9,
-        PredefinedOp::Maxloc => 10,
-        PredefinedOp::Minloc => 11,
-    }
-}
-
-fn op_from_code(code: u8) -> Result<PredefinedOp> {
-    Ok(match code {
-        0 => PredefinedOp::Max,
-        1 => PredefinedOp::Min,
-        2 => PredefinedOp::Sum,
-        3 => PredefinedOp::Prod,
-        4 => PredefinedOp::Land,
-        5 => PredefinedOp::Band,
-        6 => PredefinedOp::Lor,
-        7 => PredefinedOp::Bor,
-        8 => PredefinedOp::Lxor,
-        9 => PredefinedOp::Bxor,
-        10 => PredefinedOp::Maxloc,
-        11 => PredefinedOp::Minloc,
-        other => return err(ErrorClass::Intern, format!("bad RMA op code {other}")),
-    })
+/// Whether a sync of `target` (`None`: a fence) covers `get` and has not
+/// covered it already.
+fn covers(get: &GetRec, target: Option<usize>) -> bool {
+    !get.synced && target.is_none_or(|t| get.target == t)
 }
 
 #[cfg(test)]
@@ -1432,6 +1233,108 @@ mod tests {
         for bad in [&[OP_LOCK + 1][..], &[0xff], &bad_kind, &bad_op] {
             assert_eq!(decode(bad).unwrap_err().class, ErrorClass::Intern);
         }
+    }
+
+    /// The wire codes are the table positions, unchanged from the
+    /// hand-kept encoders they replaced; every kind and reduction has
+    /// one and decodes back, and no other code decodes.
+    #[test]
+    fn wire_codes_round_trip_for_every_kind_and_reduction() {
+        use PredefinedOp as O;
+        use PrimitiveKind as K;
+        // Exhaustive matches: a new variant does not compile until it
+        // has a code here.
+        let kind_wire = |kind: K| match kind {
+            K::Byte => 0,
+            K::Char => 1,
+            K::Boolean => 2,
+            K::Short => 3,
+            K::Int => 4,
+            K::Long => 5,
+            K::Float => 6,
+            K::Double => 7,
+            K::Packed => 8,
+            K::Int2 => 9,
+            K::Long2 => 10,
+            K::Float2 => 11,
+            K::Double2 => 12,
+            K::Short2 => 13,
+        };
+        let op_wire = |op: O| match op {
+            O::Max => 0,
+            O::Min => 1,
+            O::Sum => 2,
+            O::Prod => 3,
+            O::Land => 4,
+            O::Band => 5,
+            O::Lor => 6,
+            O::Bor => 7,
+            O::Lxor => 8,
+            O::Bxor => 9,
+            O::Maxloc => 10,
+            O::Minloc => 11,
+        };
+        let (mut kinds, mut ops) = (0, 0);
+        for code in 0..=u8::MAX {
+            if let Ok(kind) = from_code(&KINDS, code, "kind") {
+                assert_eq!((kind_wire(kind), kind_code(kind)), (code, code));
+                kinds += 1;
+            }
+            if let Ok(op) = from_code(&OPS, code, "reduction") {
+                assert_eq!((op_wire(op), op_code(op)), (code, code));
+                ops += 1;
+            }
+        }
+        assert_eq!((kinds, ops), (14, 12));
+    }
+
+    /// Lock grants and flush-acks come off a device: a wrong byte is an
+    /// `Intern` error in every build, never a panic or an accepted ack.
+    #[test]
+    fn forged_acks_are_intern_errors() {
+        Universe::run(1, DeviceKind::ShmFast, |engine| {
+            let forge = |engine: &mut Engine, win: WinHandle, code: u8| {
+                let ack_tag = engine.win_state(win).unwrap().ack_tag;
+                let data = Bytes::from(vec![code]);
+                let req = engine
+                    .isend_bytes_on_context(COMM_WORLD, 0, ack_tag, data, SendMode::Standard, true)
+                    .unwrap();
+                engine.wait(req).unwrap();
+            };
+            let win = engine.win_create(COMM_WORLD, vec![0u8; 8]).unwrap();
+            forge(engine, win, 9);
+            assert_eq!(
+                engine.win_lock(win, 0).unwrap_err().class,
+                ErrorClass::Intern
+            );
+            let win = engine.win_create(COMM_WORLD, vec![0u8; 8]).unwrap();
+            engine.win_lock(win, 0).unwrap();
+            forge(engine, win, ACK_LOCK_GRANT);
+            assert_eq!(
+                engine.win_flush(win, 0).unwrap_err().class,
+                ErrorClass::Intern
+            );
+        })
+        .unwrap();
+    }
+
+    /// A get is an entry of the request table; one never taken goes with
+    /// its window.
+    #[test]
+    fn an_untaken_get_leaves_no_request_after_win_free() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let win = engine.win_create(COMM_WORLD, vec![0u8; 8]).unwrap();
+            engine.win_fence(win).unwrap();
+            for target in 0..2 {
+                engine.win_get(win, target, 0, 4).unwrap();
+            }
+            engine.win_fence(win).unwrap();
+            assert_eq!(engine.requests.values().count(), 2);
+            engine.win_free(win).unwrap();
+            assert_eq!(engine.requests.values().count(), 0);
+            engine.finalize().unwrap();
+        })
+        .unwrap();
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //!   holder's operations at `flush`, and the lock serializes origins;
 //! * `win_free` and `finalize` refuse un-synced epochs;
 //! * everything above survives the rendezvous datapath (tiny eager
-//!   threshold, large payloads) and hybrid fabrics.
+//!   threshold, large payloads) and hybrid fabrics;
+//! * an operation outside its target's window fails the covering sync
+//!   once, with `Buffer`, and the next epoch works on every rank.
 
 use mpi_native::comm::COMM_WORLD;
+use std::time::Duration;
+
 use mpi_native::{
-    Engine, NodeMap, PredefinedOp, PrimitiveKind, SendMode, Universe, UniverseConfig,
+    Engine, ErrorClass, NodeMap, PredefinedOp, PrimitiveKind, SendMode, Universe, UniverseConfig,
 };
 use mpi_transport::DeviceKind;
 
@@ -356,4 +360,97 @@ fn large_transfers_ride_the_rendezvous_path() {
         engine.win_free(win).unwrap();
     })
     .unwrap();
+}
+
+/// Run `f` on two `ShmFast` ranks, failing instead of hanging when the
+/// job is not done by a deadline.
+fn within_deadline(f: impl Fn(&mut Engine) + Send + Sync + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(Universe::run(2, DeviceKind::ShmFast, f)));
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the job hung")
+        .unwrap();
+}
+
+/// `bad_origin` puts (or gets) 4 bytes at offset 100 of its peer's
+/// 8-byte window. The target skips the operation and its fence fails
+/// once with `Buffer`; a bad get is still answered, so its origin's
+/// fence and the take fail too, while a bad put's origin sees `Ok`.
+/// The next epoch then works on both ranks.
+fn out_of_range_fence_epoch(engine: &mut Engine, bad_origin: usize, get: bool) {
+    let rank = engine.world_rank();
+    let target = 1 - bad_origin;
+    let win = engine.win_create(COMM_WORLD, vec![0u8; 8]).unwrap();
+    engine.win_fence(win).unwrap();
+    let mut pending = None;
+    if rank == bad_origin && get {
+        pending = Some(engine.win_get(win, target, 100, 4).unwrap());
+    } else if rank == bad_origin {
+        engine.win_put(win, target, 100, &[1, 2, 3, 4]).unwrap();
+    }
+    let fenced = engine.win_fence(win);
+    if rank == target || get {
+        assert_eq!(fenced.unwrap_err().class, ErrorClass::Buffer, "rank {rank}");
+    } else {
+        fenced.unwrap();
+    }
+    if let Some(pending) = pending {
+        let taken = engine.win_get_take(win, pending);
+        assert_eq!(taken.unwrap_err().class, ErrorClass::Buffer);
+    }
+    if rank == bad_origin {
+        engine.win_put(win, target, 4, &[9; 4]).unwrap();
+    }
+    engine.win_fence(win).unwrap();
+    if rank == target {
+        assert_eq!(engine.win_region(win).unwrap(), &[0, 0, 0, 0, 9, 9, 9, 9]);
+    }
+    engine.win_free(win).unwrap();
+    engine.finalize().unwrap();
+}
+
+#[test]
+fn an_out_of_range_put_fails_one_fence_and_the_next_epoch_works() {
+    for bad_origin in [0, 1] {
+        within_deadline(move |engine| out_of_range_fence_epoch(engine, bad_origin, false));
+    }
+}
+
+#[test]
+fn an_out_of_range_get_fails_both_fences_and_the_next_epoch_works() {
+    for bad_origin in [0, 1] {
+        within_deadline(move |engine| out_of_range_fence_epoch(engine, bad_origin, true));
+    }
+}
+
+/// Passive target: the origin's unlock reports its out-of-range put
+/// through the flush-ack, the lock is released all the same, and the
+/// next passive epoch applies normally.
+#[test]
+fn an_out_of_range_passive_put_fails_its_unlock_and_the_lock_is_released() {
+    for bad_origin in [0, 1] {
+        within_deadline(move |engine| {
+            let rank = engine.world_rank();
+            let target = 1 - bad_origin;
+            let win = engine.win_create(COMM_WORLD, vec![0u8; 8]).unwrap();
+            if rank == bad_origin {
+                engine.win_lock(win, target).unwrap();
+                engine.win_put(win, target, 100, &[1; 4]).unwrap();
+                let unlocked = engine.win_unlock(win, target);
+                assert_eq!(unlocked.unwrap_err().class, ErrorClass::Buffer);
+                engine.win_lock(win, target).unwrap();
+                engine.win_put(win, target, 0, &[7; 4]).unwrap();
+                engine.win_unlock(win, target).unwrap();
+                engine
+                    .send(COMM_WORLD, target as i32, 5, b"done", SendMode::Standard)
+                    .unwrap();
+            } else {
+                engine.recv(COMM_WORLD, bad_origin as i32, 5, None).unwrap();
+                assert_eq!(engine.win_region(win).unwrap(), &[7, 7, 7, 7, 0, 0, 0, 0]);
+            }
+            engine.win_free(win).unwrap();
+            engine.finalize().unwrap();
+        });
+    }
 }
