@@ -28,10 +28,10 @@
 //! transient twin on raw wall clock; at small payloads the persistent
 //! path must be at least as fast (the gate runs in `quick` mode too,
 //! at 1 KiB). That margin is a few percent, so the start path is also
-//! gated by count, exactly and without noise, in `quick` mode too: below
-//! the ring cut-over (`RING_PAYLOAD_BYTES`; the ring allreduce plans per
-//! start by design) each timed `start()` must add one schedule-cache hit
-//! (its pinned template replayed) and no miss (no re-plan).
+//! gated by count, exactly and without noise, in `quick` mode too: at
+//! every payload, the ring's included, each timed `start()` must add one
+//! schedule-cache hit (its pinned template replayed) and no miss (no
+//! re-plan).
 //!
 //! The `hybrid-{2,4}n` cells sweep the hierarchical collectives against
 //! the flat algorithms over a two-class fabric: intra-node free,
@@ -45,7 +45,6 @@ use mpi_bench::collbench::{
     measure_hier_cell, measure_overlap, measure_persistent, run_hier_suite, CollRecord,
     HierBenchSpec, OverlapRecord, PersistentRecord,
 };
-use mpi_native::coll::tuning::RING_PAYLOAD_BYTES;
 use mpijava::{DeviceKind, ProgressMode};
 
 fn find_on(
@@ -179,12 +178,9 @@ fn main() {
         );
     }
 
-    // Count gate (quick mode too): each persistent start of a templatable
-    // allreduce replays its template — one cache hit, no miss, no re-plan.
-    for r in persistent
-        .iter()
-        .filter(|r| r.payload_bytes < RING_PAYLOAD_BYTES)
-    {
+    // Count gate (quick mode too): each persistent start of an allreduce
+    // replays its template — one cache hit, no miss, no re-plan.
+    for r in &persistent {
         assert!(
             r.sched_cache_hits == r.starts && r.sched_cache_misses == 0,
             "persistent allreduce re-planned at {}B: {} starts, {} cache hits, {} misses",

@@ -558,7 +558,7 @@ impl Intracomm {
         let result = self.base.env.engine.lock().reduce(
             self.base.handle,
             root,
-            &payload,
+            payload,
             datatype.base_kind(),
             element_count,
             op.engine_op(),
@@ -589,7 +589,7 @@ impl Intracomm {
         let element_count = count * datatype.elements_per_instance();
         let data = self.base.env.engine.lock().allreduce(
             self.base.handle,
-            &payload,
+            payload,
             datatype.base_kind(),
             element_count,
             op.engine_op(),
@@ -625,7 +625,7 @@ impl Intracomm {
             .collect();
         let data = self.base.env.engine.lock().reduce_scatter(
             self.base.handle,
-            &payload,
+            payload,
             &element_counts,
             datatype.base_kind(),
             op.engine_op(),
@@ -654,7 +654,7 @@ impl Intracomm {
         let element_count = count * datatype.elements_per_instance();
         let data = self.base.env.engine.lock().scan(
             self.base.handle,
-            &payload,
+            payload,
             datatype.base_kind(),
             element_count,
             op.engine_op(),

@@ -32,6 +32,11 @@
 //! |---|---|---|---|
 //! | dense | one: the block copy ([`JniBoundary::marshal_in`]) into a buffer from the engine's staging pool | one: the engine's staging copy of the user's slice | one store into the window |
 //! | holes | one gather (`pack`) | one gather | one scatter (`unpack`) into the window |
+//! | dense, reduction input (`Reduce`, `Allreduce`, `Reduce_scatter`, `Scan`) | one: the block copy, which becomes the schedule's input buffer | one: the engine's copy of the lent slice into the input | one store of the result into the window |
+//!
+//! A reduction's input buffer is where the schedule folds: the ring
+//! allreduce reduces into it in place and hands it back as the result,
+//! so under `Copy` the marshalled buffer is the result buffer too.
 //!
 //! The modes differ in one expression, the arms of `marshal_in`; a
 //! receive never reads the window before it overwrites it.

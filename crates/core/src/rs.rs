@@ -567,7 +567,7 @@ pub trait Communicator {
         let comm = self.as_comm();
         launch(comm, "Intracomm.Ireduce", CollBufs::out(recv), |e, _| {
             let op = op.borrow().engine_op();
-            e.ireduce(comm.handle, root, &bytes_of(send), T::KIND, send.len(), op)
+            e.ireduce(comm.handle, root, bytes_of(send), T::KIND, send.len(), op)
         })
     }
 
@@ -582,7 +582,7 @@ pub trait Communicator {
         let comm = self.as_comm();
         launch(comm, "Intracomm.Iallreduce", CollBufs::out(recv), |e, _| {
             let op = op.borrow().engine_op();
-            e.iallreduce(comm.handle, &bytes_of(send), T::KIND, send.len(), op)
+            e.iallreduce(comm.handle, bytes_of(send), T::KIND, send.len(), op)
         })
     }
 
@@ -690,7 +690,7 @@ pub trait Communicator {
                 }
                 let counts = vec![c.recv.len(); size];
                 let op = op.borrow().engine_op();
-                e.ireduce_scatter(comm.handle, &bytes_of(send), &counts, T::KIND, op)
+                e.ireduce_scatter(comm.handle, bytes_of(send), &counts, T::KIND, op)
             },
         )
     }
@@ -706,7 +706,7 @@ pub trait Communicator {
         let comm = self.as_comm();
         launch(comm, "Intracomm.Iscan", CollBufs::out(recv), |e, _| {
             let op = op.borrow().engine_op();
-            e.iscan(comm.handle, &bytes_of(send), T::KIND, send.len(), op)
+            e.iscan(comm.handle, bytes_of(send), T::KIND, send.len(), op)
         })
     }
 

@@ -80,13 +80,25 @@ pub(crate) enum Payload<'a> {
     /// validates and builds without one.
     Deferred,
     /// Borrowed bytes, copied exactly once: into the schedule's input
-    /// slot, or by the builder that segments them.
+    /// slot.
     Bytes(&'a [u8]),
-    /// Owned bytes, moved into the schedule (`ibcast`).
+    /// Owned bytes, moved into the schedule's input slot, not copied:
+    /// `ibcast`'s buffer, and a reduction's `Cow::Owned` contribution —
+    /// the classic surface's marshalled buffer, which so becomes the
+    /// ring's one buffer and, on an allreduce, the result.
     Owned(Vec<u8>),
     /// One chunk per destination rank (scatter at the root, alltoall);
     /// `None` at scatter's non-root ranks.
     Chunks(Option<&'a [Vec<u8>]>),
+}
+
+impl<'a> From<Cow<'a, [u8]>> for Payload<'a> {
+    fn from(bytes: Cow<'a, [u8]>) -> Payload<'a> {
+        match bytes {
+            Cow::Borrowed(b) => Payload::Bytes(b),
+            Cow::Owned(v) => Payload::Owned(v),
+        }
+    }
 }
 
 impl<'a> Payload<'a> {
@@ -95,14 +107,6 @@ impl<'a> Payload<'a> {
             Payload::Bytes(b) => Some(b.len()),
             Payload::Owned(v) => Some(v.len()),
             Payload::Deferred | Payload::Chunks(_) => None,
-        }
-    }
-
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            Payload::Bytes(b) => b,
-            Payload::Owned(v) => v,
-            Payload::Deferred | Payload::Chunks(_) => &[],
         }
     }
 
@@ -271,6 +275,10 @@ impl<'a> CollDesc<'a> {
             reduction: self
                 .reduction()
                 .map(|red| (red.kind, red.count, OpKey::of(&red.op))),
+            counts: match self {
+                CollDesc::ReduceScatter { counts, .. } => counts.to_vec(),
+                _ => Vec::new(),
+            },
         }
     }
 }

@@ -67,15 +67,16 @@
 //! | allgather | ✓ | | ✓ | ✓ | | ✓ |
 //! | alltoall | ✗ | | | | | |
 //! | reduce | ✓ | ✓ | | | | ✓ |
-//! | allreduce | ✓ | ✓ | ✓ | ✗ | | ✓ |
-//! | reduce_scatter | ✗ | | | ✗ | | |
+//! | allreduce | ✓ | ✓ | ✓ | ✓ | | ✓ |
+//! | reduce_scatter | ✗ | | | ✓ | | |
 //! | scan | ✓ | | | | | |
 //!
 //! The `✗` cells: the pipelined bcast extends its segment chain at run
 //! time from the payload length; scatter and alltoall stage one chunk
-//! per destination at build time; the ring reduce-scatter (alone, or as
-//! the first half of ring allreduce) slices its segments straight from
-//! the caller's buffer, and the linear reduce-scatter ends in a scatter.
+//! per destination at build time; the linear reduce-scatter ends in a
+//! scatter. The ring reduce-scatter and allreduce run over their input
+//! slot alone (see [`ring`]), so a reduce-scatter's cache key adds its
+//! per-rank counts.
 //! A templatable call staging more than
 //! `nb::cache::SCHED_CACHE_MAX_INPUT_BYTES` bypasses the cache too —
 //! one function, `nb::cache::cache_use`, holds both rules.
@@ -118,6 +119,8 @@ pub mod tuning;
 
 pub use algorithm::{CollAlgorithm, COLL_ALG_ENV};
 pub use tuning::{CollOp, OrderPolicy, TopoHint};
+
+use std::borrow::Cow;
 
 use desc::{CollDesc, Payload, Reduction};
 use nb::cache::{cache_use, CacheUse, PersistentColl, SchedTemplate};
@@ -433,9 +436,9 @@ impl Engine {
             CollDesc::Reduce { root, red } => {
                 self.build_reduce(s, at, *root, red, payload.into_vec(need))?
             }
-            CollDesc::Allreduce(red) => self.build_allreduce(s, at, red, payload, need)?,
+            CollDesc::Allreduce(red) => self.build_allreduce(s, at, red, payload.into_vec(need))?,
             CollDesc::ReduceScatter { counts, red } => {
-                self.build_reduce_scatter(s, at, counts, red, &payload.bytes()[..need])
+                self.build_reduce_scatter(s, at, counts, red, payload.into_vec(need))
             }
             CollDesc::Scan(red) => {
                 // The prefix chain *is* sequential: linear is the only
@@ -640,8 +643,7 @@ impl Engine {
         s: &mut CollSchedule,
         at: Site,
         red: &Reduction<'_>,
-        payload: Payload<'_>,
-        need: usize,
+        own: Vec<u8>,
     ) -> Result<()> {
         let Site {
             comm,
@@ -650,33 +652,14 @@ impl Engine {
             alg,
         } = at;
         let (kind, count) = (red.kind, red.count);
-        if alg == CollAlgorithm::Ring {
-            // Reduce-scatter into P near-equal segments, then
-            // ring-allgather the reduced segments back — the classic
-            // bandwidth-optimal large-payload allreduce. The segments
-            // are sliced straight from the caller's buffer: no staging
-            // copy of the whole payload.
-            let [w1, w2] = self.sched_windows(comm, s);
-            let (base, extra) = (count / size, count % size);
-            let counts: Vec<usize> = (0..size).map(|i| base + usize::from(i < extra)).collect();
-            let send = &payload.bytes()[..need];
-            let segs = ring::reduce_scatter(s, w1, rank, size, send, &counts, kind, &red.op);
-            let parts = ring::allgather(s, w2, rank, size, segs[rank]);
-            let joined = s.empty();
-            s.push(Round::new().compute(move |ctx| {
-                let mut out = Vec::new();
-                for &slot in &parts {
-                    out.extend_from_slice(&ctx.take(slot)?);
-                }
-                ctx.put(joined, out);
-                Ok(())
-            }));
-            finalize_buffer(s, joined);
-            return Ok(());
-        }
-        let own = s.input(payload.into_vec(need));
+        let own = s.input(own);
         let op = Op::clone(&red.op);
         let out = match alg {
+            CollAlgorithm::Ring => {
+                let wins = self.sched_windows(comm, s);
+                ring::allreduce(s, wins, rank, size, own, kind, count, op);
+                own
+            }
             CollAlgorithm::Hierarchical => {
                 let topo = self.comm_topology(comm)?;
                 let wins = self.sched_windows(comm, s);
@@ -711,7 +694,7 @@ impl Engine {
         at: Site,
         counts: &[usize],
         red: &Reduction<'_>,
-        send: &[u8],
+        own: Vec<u8>,
     ) {
         let Site {
             comm,
@@ -720,14 +703,24 @@ impl Engine {
             alg,
         } = at;
         let kind = red.kind;
+        let own = s.input(own);
         let out = if alg == CollAlgorithm::Ring {
             let [win] = self.sched_windows(comm, s);
-            ring::reduce_scatter(s, win, rank, size, send, counts, kind, &red.op)[rank]
+            let bounds = ring::bounds(counts, kind.size());
+            ring::reduce_scatter(s, win, rank, size, own, &bounds, kind, Op::clone(&red.op));
+            // This rank's reduced segment becomes the whole buffer.
+            let (lo, hi) = (bounds[rank], bounds[rank + 1]);
+            s.push(Round::new().compute(move |ctx| {
+                let data = ctx.get_mut(own)?;
+                data.copy_within(lo..hi, 0);
+                data.truncate(hi - lo);
+                Ok(())
+            }));
+            own
         } else {
             // Linear composite: reduce the full vector at rank 0, then
             // scatter `counts[i]`-element segments.
             let [w1, w2] = self.sched_windows(comm, s);
-            let own = s.filled(send.to_vec());
             let op = Op::clone(&red.op);
             let reduced = linear::reduce(s, w1, rank, size, 0, own, kind, red.count, op);
             let out = s.empty();
@@ -879,17 +872,21 @@ impl Engine {
 
     /// `MPI_Reduce`: element-wise reduction of `count` elements of `kind`
     /// with `op`, rank order, result on the root.
-    pub fn reduce(
+    pub fn reduce<'a>(
         &mut self,
         comm: CommHandle,
         root: usize,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
     ) -> Result<Option<Vec<u8>>> {
         let red = Reduction::borrowed(kind, count, op);
-        match self.coll_run(comm, &CollDesc::Reduce { root, red }, Payload::Bytes(send))? {
+        match self.coll_run(
+            comm,
+            &CollDesc::Reduce { root, red },
+            Payload::from(send.into()),
+        )? {
             CollOutcome::Done => Ok(None),
             outcome => Ok(Some(Self::expect_buffer(outcome)?)),
         }
@@ -898,17 +895,21 @@ impl Engine {
     /// `MPI_Ireduce`: element-wise reduction of `count` elements of
     /// `kind` with `op`, rank order; completes with the result on the
     /// root and with no payload elsewhere.
-    pub fn ireduce(
+    pub fn ireduce<'a>(
         &mut self,
         comm: CommHandle,
         root: usize,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
     ) -> Result<RequestId> {
         let red = Reduction::borrowed(kind, count, op);
-        self.coll_launch(comm, &CollDesc::Reduce { root, red }, Payload::Bytes(send))
+        self.coll_launch(
+            comm,
+            &CollDesc::Reduce { root, red },
+            Payload::from(send.into()),
+        )
     }
 
     /// `MPI_Reduce_init`: a reusable rank-order reduction to `root`.
@@ -925,30 +926,30 @@ impl Engine {
     }
 
     /// `MPI_Allreduce`: the reduction delivered to every rank.
-    pub fn allreduce(
+    pub fn allreduce<'a>(
         &mut self,
         comm: CommHandle,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
     ) -> Result<Vec<u8>> {
         let desc = CollDesc::Allreduce(Reduction::borrowed(kind, count, op));
-        Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)
+        Self::expect_buffer(self.coll_run(comm, &desc, Payload::from(send.into()))?)
     }
 
     /// `MPI_Iallreduce`: completes with the full reduction on every
     /// rank.
-    pub fn iallreduce(
+    pub fn iallreduce<'a>(
         &mut self,
         comm: CommHandle,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
     ) -> Result<RequestId> {
         let desc = CollDesc::Allreduce(Reduction::borrowed(kind, count, op));
-        self.coll_launch(comm, &desc, Payload::Bytes(send))
+        self.coll_launch(comm, &desc, Payload::from(send.into()))
     }
 
     /// `MPI_Allreduce_init`: a reusable allreduce. Each `start()` takes
@@ -967,59 +968,60 @@ impl Engine {
 
     /// `MPI_Reduce_scatter`: reduce the full vector, deliver `counts[i]`
     /// elements of the result to rank `i`.
-    pub fn reduce_scatter(
+    pub fn reduce_scatter<'a>(
         &mut self,
         comm: CommHandle,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         counts: &[usize],
         kind: PrimitiveKind,
         op: &Op,
     ) -> Result<Vec<u8>> {
         let desc = CollDesc::reduce_scatter(counts, kind, op);
-        let my_chunk = Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)?;
+        let my_chunk =
+            Self::expect_buffer(self.coll_run(comm, &desc, Payload::from(send.into()))?)?;
         debug_assert_eq!(my_chunk.len(), counts[self.comm_rank(comm)?] * kind.size());
         Ok(my_chunk)
     }
 
     /// `MPI_Ireduce_scatter`: completes with this rank's
     /// `counts[rank]`-element slice of the reduced vector.
-    pub fn ireduce_scatter(
+    pub fn ireduce_scatter<'a>(
         &mut self,
         comm: CommHandle,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         counts: &[usize],
         kind: PrimitiveKind,
         op: &Op,
     ) -> Result<RequestId> {
         let desc = CollDesc::reduce_scatter(counts, kind, op);
-        self.coll_launch(comm, &desc, Payload::Bytes(send))
+        self.coll_launch(comm, &desc, Payload::from(send.into()))
     }
 
     /// `MPI_Scan`: inclusive prefix reduction in rank order.
-    pub fn scan(
+    pub fn scan<'a>(
         &mut self,
         comm: CommHandle,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
     ) -> Result<Vec<u8>> {
         let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
-        Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(send))?)
+        Self::expect_buffer(self.coll_run(comm, &desc, Payload::from(send.into()))?)
     }
 
     /// `MPI_Iscan`: inclusive prefix reduction in rank order; completes
     /// with this rank's prefix.
-    pub fn iscan(
+    pub fn iscan<'a>(
         &mut self,
         comm: CommHandle,
-        send: &[u8],
+        send: impl Into<Cow<'a, [u8]>>,
         kind: PrimitiveKind,
         count: usize,
         op: &Op,
     ) -> Result<RequestId> {
         let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
-        self.coll_launch(comm, &desc, Payload::Bytes(send))
+        self.coll_launch(comm, &desc, Payload::from(send.into()))
     }
 
     /// Agree on the maximum of a `u32` across the communicator (used for
@@ -1277,7 +1279,7 @@ mod tests {
             }));
             let rank = engine.world_rank() as i32;
             let got = engine
-                .allreduce(COMM_WORLD, &ints(&[rank + 1]), PrimitiveKind::Int, 1, &op)
+                .allreduce(COMM_WORLD, ints(&[rank + 1]), PrimitiveKind::Int, 1, &op)
                 .unwrap();
             // fold in rank order: ((1*10+2)*10+3) = 123
             assert_eq!(to_ints(&got), vec![123]);
@@ -1305,7 +1307,7 @@ mod tests {
                 let got = engine
                     .allreduce(
                         COMM_WORLD,
-                        &ints(&[rank]),
+                        ints(&[rank]),
                         PrimitiveKind::Int,
                         1,
                         &Op::Predefined(PredefinedOp::Sum),
@@ -1341,20 +1343,20 @@ mod tests {
             let exchanged = engine.alltoall(COMM_WORLD, &[b"a2a".to_vec()]).unwrap();
             assert_eq!(exchanged, vec![b"a2a".to_vec()]);
             let reduced = engine
-                .reduce(COMM_WORLD, 0, &ints(&[7]), PrimitiveKind::Int, 1, &op)
+                .reduce(COMM_WORLD, 0, ints(&[7]), PrimitiveKind::Int, 1, &op)
                 .unwrap()
                 .unwrap();
             assert_eq!(to_ints(&reduced), vec![7]);
             let allred = engine
-                .allreduce(COMM_WORLD, &ints(&[8]), PrimitiveKind::Int, 1, &op)
+                .allreduce(COMM_WORLD, ints(&[8]), PrimitiveKind::Int, 1, &op)
                 .unwrap();
             assert_eq!(to_ints(&allred), vec![8]);
             let rs = engine
-                .reduce_scatter(COMM_WORLD, &ints(&[4, 5]), &[2], PrimitiveKind::Int, &op)
+                .reduce_scatter(COMM_WORLD, ints(&[4, 5]), &[2], PrimitiveKind::Int, &op)
                 .unwrap();
             assert_eq!(to_ints(&rs), vec![4, 5]);
             let scanned = engine
-                .scan(COMM_WORLD, &ints(&[6]), PrimitiveKind::Int, 1, &op)
+                .scan(COMM_WORLD, ints(&[6]), PrimitiveKind::Int, 1, &op)
                 .unwrap();
             assert_eq!(to_ints(&scanned), vec![6]);
             let stats = engine.stats();
@@ -1375,7 +1377,7 @@ mod tests {
             let got = engine
                 .allreduce(
                     COMM_SELF,
-                    &ints(&[rank]),
+                    ints(&[rank]),
                     PrimitiveKind::Int,
                     1,
                     &Op::Predefined(PredefinedOp::Sum),
@@ -1421,7 +1423,7 @@ mod tests {
             let got = engine
                 .allreduce(
                     COMM_WORLD,
-                    &ints(&[rank as i32, 1]),
+                    ints(&[rank as i32, 1]),
                     PrimitiveKind::Int,
                     2,
                     &sum,
@@ -1434,7 +1436,7 @@ mod tests {
                 .reduce(
                     COMM_WORLD,
                     3,
-                    &ints(&[rank as i32]),
+                    ints(&[rank as i32]),
                     PrimitiveKind::Int,
                     1,
                     &sum,
@@ -1456,7 +1458,7 @@ mod tests {
 
             // And the nonblocking twin of one of them, driven by test().
             let req = engine
-                .iallreduce(COMM_WORLD, &ints(&[1]), PrimitiveKind::Int, 1, &sum)
+                .iallreduce(COMM_WORLD, ints(&[1]), PrimitiveKind::Int, 1, &sum)
                 .unwrap();
             let completion = loop {
                 if let Some(completion) = engine.test(req).unwrap() {
@@ -1543,7 +1545,7 @@ mod tests {
                 .ireduce(
                     COMM_WORLD,
                     3,
-                    &ints(&[rank as i32]),
+                    ints(&[rank as i32]),
                     PrimitiveKind::Int,
                     1,
                     &sum,
@@ -1559,7 +1561,7 @@ mod tests {
             let req = engine
                 .iallreduce(
                     COMM_WORLD,
-                    &ints(&[rank as i32 + 1]),
+                    ints(&[rank as i32 + 1]),
                     PrimitiveKind::Int,
                     1,
                     &sum,
@@ -1578,7 +1580,7 @@ mod tests {
             let rank = engine.world_rank() as i32;
             let sum = Op::Predefined(PredefinedOp::Sum);
             let req = engine
-                .iallreduce(COMM_WORLD, &ints(&[rank]), PrimitiveKind::Int, 1, &sum)
+                .iallreduce(COMM_WORLD, ints(&[rank]), PrimitiveKind::Int, 1, &sum)
                 .unwrap();
             let completion = loop {
                 if let Some(completion) = engine.test(req).unwrap() {
@@ -1602,7 +1604,7 @@ mod tests {
             let r1 = engine
                 .iallreduce(
                     COMM_WORLD,
-                    &ints(&[rank as i32]),
+                    ints(&[rank as i32]),
                     PrimitiveKind::Int,
                     1,
                     &sum,
@@ -1630,7 +1632,7 @@ mod tests {
             let rank = engine.world_rank() as i32;
             let sum = Op::Predefined(PredefinedOp::Sum);
             let req = engine
-                .iallreduce(COMM_WORLD, &ints(&[rank]), PrimitiveKind::Int, 1, &sum)
+                .iallreduce(COMM_WORLD, ints(&[rank]), PrimitiveKind::Int, 1, &sum)
                 .unwrap();
             engine.request_free(req).unwrap();
             assert_eq!(engine.coll_outstanding(), 0);
@@ -1652,7 +1654,7 @@ mod tests {
                 let got = engine
                     .allreduce(
                         COMM_WORLD,
-                        &ints(&[rank * round]),
+                        ints(&[rank * round]),
                         PrimitiveKind::Int,
                         1,
                         &sum,
@@ -1693,13 +1695,13 @@ mod tests {
                 let parts = engine.allgather(COMM_WORLD, &[rank as u8]).unwrap();
                 assert_eq!(parts, (0..4).map(|r| vec![r as u8]).collect::<Vec<_>>());
                 let reduced = engine
-                    .reduce(COMM_WORLD, 0, &ints(&[1]), PrimitiveKind::Int, 1, &sum)
+                    .reduce(COMM_WORLD, 0, ints(&[1]), PrimitiveKind::Int, 1, &sum)
                     .unwrap();
                 if rank == 0 {
                     assert_eq!(to_ints(&reduced.unwrap()), vec![4]);
                 }
                 let scanned = engine
-                    .scan(COMM_WORLD, &ints(&[1]), PrimitiveKind::Int, 1, &sum)
+                    .scan(COMM_WORLD, ints(&[1]), PrimitiveKind::Int, 1, &sum)
                     .unwrap();
                 assert_eq!(to_ints(&scanned), vec![rank as i32 + 1]);
             }
@@ -1715,8 +1717,8 @@ mod tests {
     #[test]
     fn large_payloads_bypass_the_schedule_cache() {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
-            // Pin a *cacheable* algorithm: the tuned selector would pick
-            // the ring at this size, which never consults the cache.
+            // Pin an algorithm whose templates do not depend on the
+            // size, so only the input-byte cutoff decides.
             engine.forced_coll_alg = Some(CollAlgorithm::BinomialTree);
             let sum = Op::Predefined(PredefinedOp::Sum);
             let rank = engine.world_rank() as i32;
@@ -1738,6 +1740,87 @@ mod tests {
         .unwrap();
     }
 
+    /// An owned contribution is moved, not copied: the 1 MiB ring
+    /// allreduce folds into the caller's buffer and hands that same
+    /// allocation back as the result.
+    #[test]
+    fn ring_allreduce_returns_an_owned_contribution_as_the_result() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let rank = engine.world_rank() as i32;
+            let count = (1 << 20) / 4;
+            let send: Vec<i32> = (0..count as i32).map(|i| i ^ rank).collect();
+            let v: Vec<u8> = send.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let ptr = v.as_ptr();
+            let sum = Op::Predefined(PredefinedOp::Sum);
+            let got = engine
+                .allreduce(COMM_WORLD, Cow::Owned(v), PrimitiveKind::Int, count, &sum)
+                .unwrap();
+            assert_eq!(got.as_ptr(), ptr, "the contribution's own allocation");
+            let want: Vec<i32> = (0..count as i32).map(|i| i + (i ^ 1)).collect();
+            assert_eq!(to_ints(&got), want);
+        })
+        .unwrap();
+    }
+
+    /// The ring schedules depend on the payload only through their input
+    /// slot, so at 64 KiB (under the cache's input cutoff) the second
+    /// allreduce and the second reduce-scatter replay the first one's
+    /// template: one hit, no new miss.
+    #[test]
+    fn ring_schedules_replay_from_the_cache() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            engine.set_coll_algorithm(Some(CollAlgorithm::Ring));
+            let sum = Op::Predefined(PredefinedOp::Sum);
+            let rank = engine.world_rank() as i32;
+            let count = (64 << 10) / 4;
+            let send = ints(&vec![rank + 1; count]);
+            let counts = [count / 2 - 3, count / 2 + 3];
+            for call in 0..2 {
+                let (hits, misses) = (
+                    engine.stats().sched_cache_hits,
+                    engine.stats().sched_cache_misses,
+                );
+                let all = engine
+                    .allreduce(COMM_WORLD, &send, PrimitiveKind::Int, count, &sum)
+                    .unwrap();
+                assert_eq!(to_ints(&all), vec![3; count]);
+                let mine = engine
+                    .reduce_scatter(COMM_WORLD, &send, &counts, PrimitiveKind::Int, &sum)
+                    .unwrap();
+                assert_eq!(to_ints(&mine), vec![3; counts[rank as usize]]);
+                let stats = engine.stats();
+                let (new_hits, new_misses) = (
+                    stats.sched_cache_hits - hits,
+                    stats.sched_cache_misses - misses,
+                );
+                assert_eq!(
+                    (new_hits, new_misses),
+                    if call == 0 { (0, 2) } else { (2, 0) }
+                );
+            }
+        })
+        .unwrap();
+    }
+
+    /// Integer `SUM` wraps on the wire as in the kernel: `i32::MAX + 1`
+    /// across two ranks is `i32::MIN`, in debug builds too.
+    #[test]
+    fn allreduce_sum_wraps_on_overflow() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let mine = if engine.world_rank() == 0 {
+                i32::MAX
+            } else {
+                1
+            };
+            let sum = Op::Predefined(PredefinedOp::Sum);
+            let got = engine
+                .allreduce(COMM_WORLD, ints(&[mine, -1]), PrimitiveKind::Int, 2, &sum)
+                .unwrap();
+            assert_eq!(to_ints(&got), vec![i32::MIN, -2]);
+        })
+        .unwrap();
+    }
+
     /// Freeing a communicator drops its cached schedule templates (a
     /// recycled handle must start cold, not replay a dead comm's wiring).
     #[test]
@@ -1751,7 +1834,7 @@ mod tests {
             let sum = Op::Predefined(PredefinedOp::Sum);
             for _ in 0..2 {
                 engine
-                    .allreduce(sub, &ints(&[1]), PrimitiveKind::Int, 1, &sum)
+                    .allreduce(sub, ints(&[1]), PrimitiveKind::Int, 1, &sum)
                     .unwrap();
             }
             assert!(engine.sched_cache.keys().any(|k| k.comm == sub));
@@ -1873,9 +1956,8 @@ mod tests {
         .unwrap();
     }
 
-    /// Persistent collectives work under every forced algorithm,
-    /// including the non-templatable ones (ring allreduce re-dispatches
-    /// per start).
+    /// Persistent collectives work under every forced algorithm, each
+    /// replaying the template its init pinned.
     #[test]
     fn persistent_collectives_under_forced_algorithms() {
         for alg in CollAlgorithm::ALL {

@@ -9,6 +9,7 @@
 //! persistent collective (the `*_init` entry points in [`crate::coll`])
 //! keeps in the request table.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use super::{CollSchedule, Round, SlotId, ROUND_SPACE};
@@ -67,6 +68,9 @@ pub(crate) struct SchedKey {
     pub(crate) op: CollOp,
     pub(crate) root: usize,
     pub(crate) reduction: Option<(PrimitiveKind, usize, OpKey)>,
+    /// Reduce-scatter's per-rank element counts (empty for every other
+    /// operation): the ring's segment bounds are built from them.
+    pub(crate) counts: Vec<usize>,
 }
 
 /// How one planned call relates to the schedule cache.
@@ -87,9 +91,10 @@ pub(crate) enum CacheUse {
 /// docs.
 pub(crate) fn cache_use(op: CollOp, alg: CollAlgorithm, staged: usize) -> CacheUse {
     match (op, alg) {
-        (CollOp::Bcast, CollAlgorithm::Pipelined)
-        | (CollOp::Allreduce, CollAlgorithm::Ring)
-        | (CollOp::Scatter | CollOp::Alltoall | CollOp::ReduceScatter, _) => CacheUse::Never,
+        (CollOp::Bcast, CollAlgorithm::Pipelined) | (CollOp::Scatter | CollOp::Alltoall, _) => {
+            CacheUse::Never
+        }
+        (CollOp::ReduceScatter, alg) if alg != CollAlgorithm::Ring => CacheUse::Never,
         _ if staged > SCHED_CACHE_MAX_INPUT_BYTES => CacheUse::Bypass,
         _ => CacheUse::Template,
     }
@@ -232,11 +237,12 @@ impl Engine {
     }
 
     /// Launch one iteration of a persistent collective with this rank's
-    /// `payload` (see [`Engine::start`]).
+    /// `payload` (see [`Engine::start`]); an owned payload is moved into
+    /// the schedule, not copied.
     pub(crate) fn start_persistent_coll(
         &mut self,
         p: &PersistentColl,
-        payload: &[u8],
+        payload: Cow<'_, [u8]>,
     ) -> Result<RequestId> {
         if let Some(len) = p.root_len.filter(|&len| len != payload.len()) {
             return err(
@@ -247,16 +253,17 @@ impl Engine {
                 ),
             );
         }
+        let payload = Payload::from(payload);
         let Some((tpl, alg)) = &p.template else {
             // Symmetric: every rank's init made the same
             // template-or-not decision.
-            return self.coll_launch(p.comm, &p.desc, Payload::Bytes(payload));
+            return self.coll_launch(p.comm, &p.desc, payload);
         };
-        let (_, _, need) = self.coll_validate(p.comm, &p.desc, &Payload::Bytes(payload))?;
+        let (_, _, need) = self.coll_validate(p.comm, &p.desc, &payload)?;
         // Reusing the pinned windows is the whole point: no window
         // allocation, no tag shift, no schedule build.
         let mut schedule = tpl.instantiate(tpl.base_window);
-        schedule.set_input(payload[..need].to_vec());
+        schedule.set_input(payload.into_vec(need));
         self.stats.sched_cache_hits += 1;
         self.coll_start(p.comm, schedule, Some((p.desc.op(), *alg)))
     }

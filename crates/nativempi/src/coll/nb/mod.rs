@@ -476,10 +476,10 @@ pub(crate) trait Sched {
     /// Append a round (empty rounds are dropped).
     fn push(&mut self, round: Round);
     /// Declare that this schedule bakes per-call payload into ordinary
-    /// slots at build time (ring reduce-scatter segments, alltoall
-    /// chunks): it must not be stored as a cache template. Constant
-    /// builder-filled slots — zero-byte signals, the pipelined root's
-    /// length header for a fixed payload length — do *not* need this:
+    /// slots at build time (scatter and alltoall chunks): it must not
+    /// be stored as a cache template. Constant builder-filled slots —
+    /// zero-byte signals, the pipelined root's length header for a
+    /// fixed payload length — do *not* need this:
     /// they are identical for every call with the same cache key.
     fn uncacheable(&mut self);
 }

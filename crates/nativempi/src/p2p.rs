@@ -82,6 +82,7 @@
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
 //! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view |
 //! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window |
+//! | classic `Reduce`, `Allreduce`, `Reduce_scatter`, `Scan` (and the blocking `rs` reductions, which forward to them) | `Copy` / `Pin` | 1 / 1: the boundary block copy is the schedule's input buffer, moved in (a ring allreduce folds into it and returns it as the result) / the engine's copy of the lent slice into that input | — |
 //!
 //! `bytes_copied` counts the engine's passes only: a `Copy` send moves it
 //! by nothing, a `Pin` send by the payload, a `Recv` by the payload.

@@ -499,7 +499,7 @@ impl Engine {
                 tag,
                 max_len,
             } => self.irecv(comm, src, tag, max_len),
-            PersistentDef::Coll(coll) => self.start_persistent_coll(coll, &input),
+            PersistentDef::Coll(coll) => self.start_persistent_coll(coll, input),
         };
         p.active = started.as_ref().ok().copied();
         self.requests.insert(req.0, RequestState::Persistent(p));

@@ -174,7 +174,7 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
     let got = engine
         .allreduce(
             COMM_WORLD,
-            &ints(&[rank as i32]),
+            ints(&[rank as i32]),
             PrimitiveKind::Int,
             1,
             &sum,
@@ -185,7 +185,7 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
         .map(|i| i.wrapping_mul(rank as i32 + 1))
         .collect();
     let got = engine
-        .allreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 2048, &sum)
+        .allreduce(COMM_WORLD, ints(&vector), PrimitiveKind::Int, 2048, &sum)
         .unwrap();
     log_result(&mut log, 14, &got);
 
@@ -196,7 +196,7 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
     let total: usize = counts.iter().sum();
     let vec: Vec<i32> = (0..total as i32).map(|i| i + rank as i32).collect();
     let got = engine
-        .reduce_scatter(COMM_WORLD, &ints(&vec), &counts, PrimitiveKind::Int, &sum)
+        .reduce_scatter(COMM_WORLD, ints(&vec), &counts, PrimitiveKind::Int, &sum)
         .unwrap();
     log_result(&mut log, 15, &got);
 
@@ -204,7 +204,7 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
     let got = engine
         .scan(
             COMM_WORLD,
-            &ints(&[rank as i32 + 1, 2]),
+            ints(&[rank as i32 + 1, 2]),
             PrimitiveKind::Int,
             2,
             &sum,
@@ -220,7 +220,7 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
         .unwrap()
         .unwrap();
     let got = engine
-        .allreduce(sub, &ints(&[rank as i32 + 5]), PrimitiveKind::Int, 1, &sum)
+        .allreduce(sub, ints(&[rank as i32 + 5]), PrimitiveKind::Int, 1, &sum)
         .unwrap();
     log_result(&mut log, 17, &got);
     let sub_size = engine.comm_size(sub).unwrap();
@@ -419,11 +419,11 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
         .collect();
     let got = match style {
         TwinStyle::Blocking => engine
-            .allreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 512, &sum)
+            .allreduce(COMM_WORLD, ints(&vector), PrimitiveKind::Int, 512, &sum)
             .unwrap(),
         TwinStyle::Nonblocking => {
             let req = engine
-                .iallreduce(COMM_WORLD, &ints(&vector), PrimitiveKind::Int, 512, &sum)
+                .iallreduce(COMM_WORLD, ints(&vector), PrimitiveKind::Int, 512, &sum)
                 .unwrap();
             loop {
                 if let Some(completion) = engine.test(req).unwrap() {
