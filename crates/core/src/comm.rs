@@ -24,7 +24,7 @@ use crate::group::Group;
 use crate::request::{Capture, Pending, Prequest, Request};
 use crate::serial::{deserialize, serialize, Serializable};
 use crate::status::Status;
-use crate::RankEnv;
+use crate::{RankEnv, Spent};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -214,7 +214,15 @@ impl Comm {
             &buf[window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?];
         let image = bytes_of(window);
         if datatype.def().is_contiguous_dense() {
-            let native = |len| self.env.engine.lock().pool_take(len);
+            // A length the staging pool cannot serve is a fresh
+            // allocation either way: make it here, without the lock.
+            let native = |len| {
+                if Engine::pool_accepts(len) {
+                    self.env.engine.lock().pool_take(len)
+                } else {
+                    Vec::with_capacity(len)
+                }
+            };
             return Ok(self.env.jni.marshal_in(image, native));
         }
         self.env.jni.note_pinned_in(image.len());
@@ -254,6 +262,23 @@ impl Comm {
             pack::unpack(wire, image, 0, count, datatype.def())
         })?;
         Ok(())
+    }
+
+    /// [`unpack_buffer`](Self::unpack_buffer), consuming: store `wire`
+    /// — a collective's result or a receive's completion — into `buf`,
+    /// then hand it to the engine's staging pool. Every binding call
+    /// that stores a payload it owns ends its buffer here.
+    pub(crate) fn store<T: BufferElement>(
+        &self,
+        wire: impl Spent,
+        buf: &mut [T],
+        offset: usize,
+        count: usize,
+        datatype: &Datatype,
+    ) -> MpiResult<()> {
+        let stored = self.unpack_buffer(wire.as_ref(), buf, offset, count, datatype);
+        self.env.hand_back(wire);
+        stored
     }
 
     fn region<B>(&self, buf: B, offset: usize, count: usize, datatype: &Datatype) -> Region<B> {
@@ -417,7 +442,7 @@ impl Comm {
                     .engine
                     .lock()
                     .recv(self.handle, source, tag, Some(max_len))?;
-            self.unpack_buffer(&data, window, 0, count, datatype)?;
+            self.store(data, window, 0, count, datatype)?;
             return Ok(Status::from_info(info));
         }
         // Dense: the window's byte image is the wire layout, so the
@@ -465,7 +490,7 @@ impl Comm {
             done
         };
         let data = done.data.unwrap_or_default();
-        self.unpack_buffer(&data, window, 0, recv_count, recv_type)?;
+        self.store(data, window, 0, recv_count, recv_type)?;
         Ok(Status::from_info(done.status))
     }
 

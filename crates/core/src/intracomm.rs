@@ -166,8 +166,9 @@ impl Intracomm {
             .lock()
             .bcast(self.base.handle, root, &mut payload)?;
         if rank != root {
-            self.base
-                .unpack_buffer(&payload, buf, offset, count, datatype)?;
+            self.base.store(payload, buf, offset, count, datatype)?;
+        } else {
+            self.base.env.hand_back(payload);
         }
         Ok(())
     }
@@ -266,10 +267,10 @@ impl Intracomm {
                     "gather: recvcounts/displs must have one entry per rank",
                 ));
             }
-            for (rank, part) in parts.iter().enumerate() {
+            for (rank, part) in parts.into_iter().enumerate() {
                 let elem_off = displaced(recv_offset, displs[rank], recv_type);
                 self.base
-                    .unpack_buffer(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
+                    .store(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
             }
         }
         Ok(())
@@ -356,7 +357,7 @@ impl Intracomm {
                 .lock()
                 .scatter(self.base.handle, root, chunks.as_deref())?;
         self.base
-            .unpack_buffer(&mine, recv_buf, recv_offset, recv_count, recv_type)?;
+            .store(mine, recv_buf, recv_offset, recv_count, recv_type)?;
         Ok(())
     }
 
@@ -446,10 +447,10 @@ impl Intracomm {
                 "allgather: recvcounts/displs must have one entry per rank",
             ));
         }
-        for (rank, part) in parts.iter().enumerate() {
+        for (rank, part) in parts.into_iter().enumerate() {
             let elem_off = displaced(recv_offset, displs[rank], recv_type);
             self.base
-                .unpack_buffer(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
+                .store(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
         }
         Ok(())
     }
@@ -528,10 +529,10 @@ impl Intracomm {
             .engine
             .lock()
             .alltoall(self.base.handle, &chunks)?;
-        for (rank, part) in received.iter().enumerate() {
+        for (rank, part) in received.into_iter().enumerate() {
             let elem_off = displaced(recv_offset, rdispls[rank], recv_type);
             self.base
-                .unpack_buffer(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
+                .store(part, recv_buf, elem_off, recv_counts[rank], recv_type)?;
         }
         Ok(())
     }
@@ -565,7 +566,7 @@ impl Intracomm {
         )?;
         if let Some(data) = result {
             self.base
-                .unpack_buffer(&data, recv_buf, recv_offset, count, datatype)?;
+                .store(data, recv_buf, recv_offset, count, datatype)?;
         }
         Ok(())
     }
@@ -595,7 +596,7 @@ impl Intracomm {
             op.engine_op(),
         )?;
         self.base
-            .unpack_buffer(&data, recv_buf, recv_offset, count, datatype)?;
+            .store(data, recv_buf, recv_offset, count, datatype)?;
         Ok(())
     }
 
@@ -631,7 +632,7 @@ impl Intracomm {
             op.engine_op(),
         )?;
         self.base
-            .unpack_buffer(&data, recv_buf, recv_offset, recv_counts[rank], datatype)?;
+            .store(data, recv_buf, recv_offset, recv_counts[rank], datatype)?;
         Ok(())
     }
 
@@ -660,7 +661,7 @@ impl Intracomm {
             op.engine_op(),
         )?;
         self.base
-            .unpack_buffer(&data, recv_buf, recv_offset, count, datatype)?;
+            .store(data, recv_buf, recv_offset, count, datatype)?;
         Ok(())
     }
 

@@ -282,6 +282,39 @@ pub(crate) struct RankEnv {
     pub(crate) jni: jni::JniBoundary,
 }
 
+impl RankEnv {
+    /// Hand a spent payload buffer to the engine's staging pool, where
+    /// the next marshal copy or send of this rank picks it up. A buffer
+    /// the pool would refuse is dropped here without taking the engine
+    /// lock, so a small message's buffer costs no lock.
+    pub(crate) fn hand_back(&self, spent: impl Spent) {
+        if let Some(buf) = spent.reclaim() {
+            if Engine::pool_accepts(buf.capacity()) {
+                self.engine.lock().pool_put(buf);
+            }
+        }
+    }
+}
+
+/// A payload buffer the binding has stored and is done with: an engine
+/// result (`Vec`), or a completion (`Bytes`), whose allocation is
+/// reclaimed only when this was its last reference.
+pub(crate) trait Spent: AsRef<[u8]> {
+    fn reclaim(self) -> Option<Vec<u8>>;
+}
+
+impl Spent for Vec<u8> {
+    fn reclaim(self) -> Option<Vec<u8>> {
+        Some(self)
+    }
+}
+
+impl Spent for bytes::Bytes {
+    fn reclaim(self) -> Option<Vec<u8>> {
+        self.try_into_vec().ok()
+    }
+}
+
 /// Thread support levels of `MPI_Init_thread` (MPI-2 §8.7).
 ///
 /// The engine sits behind a per-rank mutex, so every call is internally

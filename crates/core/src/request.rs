@@ -149,12 +149,15 @@ impl<'buf> Pending<'buf> {
     }
 
     /// The one completion tail: inactive from here on, failed or not, and
-    /// the completion's bytes (if any) go to the capture.
+    /// the completion's bytes (if any) go to the capture, then to the
+    /// engine's staging pool.
     fn complete(&mut self, done: mpi_native::Result<Completion>) -> MpiResult<Status> {
         self.active = false;
         let done = done?;
-        if let Some(data) = &done.data {
-            self.capture.unpack(data)?;
+        if let Some(data) = done.data {
+            let stored = self.capture.unpack(&data);
+            self.env.hand_back(data);
+            stored?;
         }
         Ok(Status::from_info(done.status))
     }

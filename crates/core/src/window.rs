@@ -232,11 +232,10 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     /// Errors if no synchronization has covered the get yet.
     pub fn take(&self, token: GetToken<T>) -> MpiResult<Vec<T>> {
         self.env.jni.enter("Win.Get[take]");
-        let mut engine = self.env.engine.lock();
-        let data = engine.win_get_take(self.handle, token.id)?;
+        let data = self.env.engine.lock().win_get_take(self.handle, token.id)?;
         let mut out = vec![T::default(); token.count];
         store_bytes(&data, &mut out);
-        engine.recycle(data);
+        self.env.hand_back(data);
         Ok(out)
     }
 
@@ -247,7 +246,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     pub fn fence(&mut self) -> MpiResult<()> {
         self.env.jni.enter("Win.Fence");
         self.env.engine.lock().win_fence(self.handle)?;
-        self.refresh()
+        Ok(())
     }
 
     /// `MPI_Win_lock` (exclusive): open a passive-target epoch on
@@ -265,7 +264,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     pub fn flush(&mut self, target: usize) -> MpiResult<()> {
         self.env.jni.enter("Win.Flush");
         self.env.engine.lock().win_flush(self.handle, target)?;
-        self.refresh()
+        Ok(())
     }
 
     /// `MPI_Win_unlock`: flush and close the passive-target epoch on
@@ -273,7 +272,7 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
     pub fn unlock(&mut self, target: usize) -> MpiResult<()> {
         self.env.jni.enter("Win.Unlock");
         self.env.engine.lock().win_unlock(self.handle, target)?;
-        self.refresh()
+        Ok(())
     }
 
     /// `MPI_Win_free` (collective): tear the window down, leaving the

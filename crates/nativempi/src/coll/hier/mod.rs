@@ -429,11 +429,13 @@ pub(crate) fn allgather(
     if my_idx == 0 {
         let members = group.to_vec();
         s.push(Round::new().compute(move |ctx| {
-            let entries: Vec<(u32, Vec<u8>)> = unframe_entries(&ctx.take(raw)?)?
+            let wire = ctx.take(raw)?;
+            let entries: Vec<(u32, Vec<u8>)> = unframe_entries(&wire)?
                 .into_iter()
                 .map(|(idx, payload)| (members[idx as usize] as u32, payload))
                 .collect();
             ctx.put(node_frame, frame_entries(&entries));
+            ctx.recycle(wire);
             Ok(())
         }));
     }
@@ -461,11 +463,13 @@ pub(crate) fn allgather(
     // Flatten the frame-of-frames into one comm-rank-keyed frame.
     let out = s.empty();
     s.push(Round::new().compute(move |ctx| {
+        let wire = ctx.take(outer)?;
         let mut entries: Vec<(u32, Vec<u8>)> = Vec::new();
-        for (_, node_frame) in unframe_entries(&ctx.take(outer)?)? {
+        for (_, node_frame) in unframe_entries(&wire)? {
             entries.extend(unframe_entries(&node_frame)?);
         }
         ctx.put(out, frame_entries(&entries));
+        ctx.recycle(wire);
         Ok(())
     }));
     out

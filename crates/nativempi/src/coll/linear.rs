@@ -102,6 +102,9 @@ pub(crate) fn gather(
                 entries.push((src as u32, ctx.take(slot)?));
             }
             ctx.put(out, frame_entries(&entries));
+            for (_, payload) in entries {
+                ctx.recycle(payload);
+            }
             Ok(())
         });
         s.push(collect);
@@ -229,9 +232,12 @@ pub(crate) fn reduce(
                 }
                 contributions[src] = data;
             }
-            let mut acc = contributions[0][..need].to_vec();
-            for contribution in contributions.iter().skip(1) {
+            let mut contributions = contributions.into_iter();
+            let mut acc = contributions.next().unwrap_or_default();
+            acc.truncate(need);
+            for contribution in contributions {
                 op.apply(&contribution[..need], &mut acc, kind, count)?;
+                ctx.recycle(contribution);
             }
             ctx.put(out, acc);
             Ok(())
@@ -270,6 +276,7 @@ pub(crate) fn scan(
                     let mut folded = ctx.take(prefix)?;
                     op.apply(&own, &mut folded, kind, count)?;
                     ctx.put(acc, folded);
+                    ctx.recycle(own);
                     Ok(())
                 }),
         );

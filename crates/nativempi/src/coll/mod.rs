@@ -211,8 +211,10 @@ fn finalize_buffer(s: &mut CollSchedule, slot: SlotId) {
 /// rank-ordered `Parts` outcome.
 fn finalize_parts_from_frame(s: &mut CollSchedule, slot: SlotId, size: usize) {
     s.push(Round::new().compute(move |ctx| {
-        let parts = entries_to_parts(unframe_entries(ctx.get(slot)?)?, size)?;
+        let wire = ctx.take(slot)?;
+        let parts = entries_to_parts(unframe_entries(&wire)?, size)?;
         ctx.set_outcome(CollOutcome::Parts(parts));
+        ctx.recycle(wire);
         Ok(())
     }));
 }
@@ -334,8 +336,8 @@ impl Engine {
                         hit
                     }
                     None => {
-                        let built = self.build(at, d, payload, need)?;
-                        self.sched_cache_put(key, &built);
+                        let mut built = self.build(at, d, payload, need)?;
+                        self.sched_cache_put(key, &mut built);
                         built
                     }
                 }
@@ -383,7 +385,9 @@ impl Engine {
         root_len: Option<usize>,
     ) -> Result<RequestId> {
         let template = match self.plan(comm, &desc, Payload::Deferred)? {
-            Plan::Run(schedule, alg) => SchedTemplate::capture(&schedule).map(|tpl| (tpl, alg)),
+            Plan::Run(mut schedule, alg) => {
+                SchedTemplate::capture(&mut schedule).map(|tpl| (tpl, alg))
+            }
             Plan::Immediate(_) | Plan::PerStart => None,
         };
         self.persistent_init(PersistentDef::Coll(Box::new(PersistentColl {
@@ -737,6 +741,7 @@ impl Engine {
                         ctx.put(slot, full[cursor..cursor + bytes].to_vec());
                         cursor += bytes;
                     }
+                    ctx.recycle(full);
                     Ok(())
                 }));
             }

@@ -10,7 +10,7 @@
 //! keeps in the request table.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use super::{CollSchedule, Round, SlotId, ROUND_SPACE};
 use crate::coll::desc::{CollDesc, Payload};
@@ -31,11 +31,14 @@ const SCHED_CACHE_CAP: usize = 1024;
 /// the schedule cache and rebuild from scratch. The cache amortizes the
 /// payload-independent build cost (rounds, closures, window plumbing),
 /// which dominates small calls; at large payloads that cost is noise
-/// against the transfer itself, and on the collectives bench's modelled
-/// links the template-clone path measures consistently *slower* there
-/// than a fresh build. Persistent operations are exempt — their
-/// templates pin the init-time tag windows (no per-start retargeting),
-/// which is the semantic point of `MPI_Start`, not just a cache.
+/// against the transfer itself, and a hit (which replays the template's
+/// rounds by reference) has no copy left to save there. The bypass
+/// stays until a workload shows that caching large calls helps:
+/// removing it would change what `sched_cache_hit_share` reads on a
+/// 1 MiB allreduce. Persistent
+/// operations are exempt — their templates pin the init-time tag
+/// windows (no per-start retargeting), which is the semantic point of
+/// `MPI_Start`, not just a cache.
 pub(crate) const SCHED_CACHE_MAX_INPUT_BYTES: usize = 128 * 1024;
 
 /// Identity of a reduction operation for cache keying.
@@ -100,14 +103,19 @@ pub(crate) fn cache_use(op: CollOp, alg: CollAlgorithm, staged: usize) -> CacheU
     }
 }
 
-/// A reusable image of a built schedule: rounds (compute closures are
-/// `Arc`-shared, so a clone is cheap), the slot store with the per-call
-/// input slot cleared, and the consecutive tag-window run it was built
-/// over. Instantiating yields a runnable [`CollSchedule`] — on the same
-/// windows (persistent operations, which pin theirs at init) or shifted
-/// onto fresh ones (transient cache hits).
+/// A reusable image of a built schedule: its rounds, shared by
+/// reference with every schedule instantiated from it, the slot store
+/// with the per-call input slot cleared, and the consecutive tag-window
+/// run it was captured on. Instantiating yields a runnable
+/// [`CollSchedule`] — on the same windows (persistent operations, which
+/// pin theirs at init) or on fresh ones (transient cache hits), which
+/// only changes the tag shift the executor adds as it posts.
 pub(crate) struct SchedTemplate {
-    rounds: Vec<Round>,
+    rounds: Arc<[Round]>,
+    /// The shift that puts `rounds`' tags on `base_window`'s run: 0 for
+    /// a template captured from a fresh build, the instance's own shift
+    /// for one captured from a cache hit.
+    shift: i32,
     slots: Vec<Option<Vec<u8>>>,
     input: Option<SlotId>,
     base_window: u32,
@@ -115,58 +123,44 @@ pub(crate) struct SchedTemplate {
 }
 
 impl SchedTemplate {
-    /// Capture a template from a freshly built (not yet started)
-    /// schedule. `None` when the schedule cannot be reused: a builder
-    /// marked it uncacheable, or its windows are not one consecutive
-    /// run (the once-per-`NUM_TAG_WINDOWS` sequence wrap).
-    pub(crate) fn capture(s: &CollSchedule) -> Option<SchedTemplate> {
+    /// Capture a template from a schedule that has not started — a
+    /// fresh build, whose rounds this freezes into shared ones, or a
+    /// cache hit, whose shared rounds and shift it keeps. `None` when
+    /// the schedule cannot be reused: a builder marked it uncacheable,
+    /// or its windows are not one consecutive run (the
+    /// once-per-`NUM_TAG_WINDOWS` sequence wrap).
+    pub(crate) fn capture(s: &mut CollSchedule) -> Option<SchedTemplate> {
         if s.uncacheable || s.outcome.is_some() {
             return None;
-        }
-        let base = s.windows.first().copied().unwrap_or(0);
-        for (i, &w) in s.windows.iter().enumerate() {
-            if w != base + i as u32 {
-                return None;
-            }
         }
         let mut slots = s.slots.clone();
         if let Some(slot) = s.input {
             slots[slot] = None;
         }
         Some(SchedTemplate {
-            rounds: s.rounds.iter().cloned().collect(),
+            rounds: s.freeze(),
+            shift: s.shift,
             slots,
             input: s.input,
-            base_window: base,
-            nwindows: s.windows.len() as u32,
+            base_window: s.windows.0,
+            nwindows: s.windows.1,
         })
     }
 
-    /// Clone into a runnable schedule whose input slot is still empty
-    /// (the caller fills it with [`CollSchedule::set_input`]): rounds
-    /// are reference-bumped and — when `new_base` differs from the
-    /// template's — every step tag is shifted by the uniform window
-    /// delta.
+    /// A runnable schedule on the `nwindows` windows from `new_base`,
+    /// its input slot still empty (the caller fills it with
+    /// [`CollSchedule::set_input`]). The rounds are not copied: the
+    /// schedule holds them by reference, with the uniform tag shift from
+    /// the template's windows to the new ones.
     pub(crate) fn instantiate(&self, new_base: u32) -> CollSchedule {
-        let mut rounds: VecDeque<Round> = self.rounds.iter().cloned().collect();
         let delta = (self.base_window as i32 - new_base as i32) * ROUND_SPACE as i32;
-        if delta != 0 {
-            for round in &mut rounds {
-                for r in &mut round.recvs {
-                    r.tag += delta;
-                }
-                for s in &mut round.sends {
-                    s.tag += delta;
-                }
-            }
-        }
         CollSchedule {
-            rounds,
+            shared: Some(Arc::clone(&self.rounds)),
+            shift: self.shift + delta,
             slots: self.slots.clone(),
-            outcome: None,
-            windows: (new_base..new_base + self.nwindows).collect(),
+            windows: (new_base, self.nwindows),
             input: self.input,
-            uncacheable: false,
+            ..CollSchedule::default()
         }
     }
 }
@@ -227,7 +221,7 @@ impl Engine {
 
     /// Store a freshly built schedule's template under `key` (no-op if
     /// the schedule is not templatable or the cache is full).
-    pub(crate) fn sched_cache_put(&mut self, key: SchedKey, s: &CollSchedule) {
+    pub(crate) fn sched_cache_put(&mut self, key: SchedKey, s: &mut CollSchedule) {
         if self.sched_cache.len() >= SCHED_CACHE_CAP && !self.sched_cache.contains_key(&key) {
             return;
         }

@@ -22,6 +22,15 @@
 //! known once the length header arrives — builds its streaming phase at
 //! run time.
 //!
+//! A slot buffer's life ends in the engine's staging pool (see
+//! [`crate::p2p`]), not in the allocator. A compute that takes a buffer
+//! and does not keep it — the operand a fold merged away, a received
+//! ring segment, a framed wire buffer once unframed — hands it back
+//! through `SchedCtx::recycle`, and a retiring schedule hands back
+//! whatever is left in its slot store. The received buffers came out of
+//! a peer's pool as that peer's send, so in a steady loop of small
+//! collectives every payload buffer is a pooled one.
+//!
 //! The same schedules back every call mode: a blocking collective is
 //! exactly its nonblocking launch followed by a wait on the request
 //! (`Engine::wait_outcome`, which keeps gather-family parts apart), so
@@ -88,10 +97,14 @@
 //! allocation, closure construction — repeated identically for every
 //! call of a tight iteration loop. The `cache` submodule turns that
 //! into a one-time cost: after the first build of a cacheable operation
-//! the engine stores a `SchedTemplate` and later calls clone it
-//! instead of rebuilding. Exactly one place consults it — the `plan`
-//! step in [`crate::coll`], which every collective in every call mode
-//! (blocking, `i*`, `*_init`) passes through.
+//! the engine stores a `SchedTemplate`, and a later call replays it by
+//! reference. The template's rounds sit in one `Arc<[Round]>`; an
+//! instance holds that `Arc`, a round cursor and a uniform tag shift,
+//! and the executor reads each round in place and adds the shift as it
+//! posts. A hit copies no round and rewrites no tag — it allocates the
+//! slot store and nothing else. Exactly one place consults the cache —
+//! the `plan` step in [`crate::coll`], which every collective in every
+//! call mode (blocking, `i*`, `*_init`) passes through.
 //!
 //! **Keying.** The cache is *per-rank local memoization*: each engine
 //! keys on its own local call parameters — `(communicator, chosen
@@ -116,19 +129,27 @@
 //! `Sched::uncacheable`, so a table entry that disagrees with a builder
 //! fails safe: `SchedTemplate::capture` refuses the schedule.
 //!
-//! **Tag retargeting.** A cached clone must not reuse the template's
-//! tag windows while another transient collective might occupy them, so
+//! **Tag retargeting.** An instance must not reuse the template's tag
+//! windows while another transient collective might occupy them, so
 //! every instantiation allocates fresh consecutive windows from the
-//! communicator's sequence and shifts each step tag by the uniform
-//! window delta. If the sequence wraps mid-allocation (non-consecutive
-//! windows, once per `NUM_TAG_WINDOWS` collectives) the call falls back
-//! to a full rebuild and counts as a miss. Persistent collectives pin
-//! the windows their `*_init` plan consumed instead — strictly
-//! sequential `start()`s may reuse the same tags because the transport
-//! is FIFO per pair and a schedule uses its tags in a deterministic
-//! order. An `*_init` whose plan is not templatable (or whose
-//! communicator has one rank) pins nothing and plans the transient form
-//! on every start.
+//! communicator's sequence, and its tag shift is the uniform window
+//! delta. A schedule records its windows as one `(first, count)` run.
+//! If the sequence wraps mid-allocation (non-consecutive windows, once
+//! per `NUM_TAG_WINDOWS` collectives) the call falls back to a full
+//! rebuild and counts as a miss. Persistent collectives pin the windows
+//! their `*_init` plan consumed instead — strictly sequential `start()`s
+//! may reuse the same tags because the transport is FIFO per pair and a
+//! schedule uses its tags in a deterministic order. Because `*_init`
+//! plans through the transient cache, its plan may itself be an
+//! instance; the persistent template then keeps the instance's shared
+//! rounds *and* its shift. An `*_init` whose plan is not templatable
+//! (or whose communicator has one rank) pins nothing and plans the
+//! transient form on every start.
+//!
+//! Rounds a compute inserts at run time go on the schedule's own queue
+//! and run before the cursor resumes. Only the pipelined broadcast makes
+//! them, and that schedule is never a template, so there is one
+//! executor for both kinds of round.
 //!
 //! **Invalidation.** Freeing a communicator drops every template keyed
 //! to it ([`Engine::comm_free`]); templates never outlive the tag-window
@@ -143,7 +164,7 @@ use bytes::Bytes;
 use super::{CollAlgorithm, CollOp};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
-use crate::p2p::COLLECTIVE_TAG_BASE;
+use crate::p2p::{StagingPool, COLLECTIVE_TAG_BASE};
 use crate::request::{Completion, RequestId, RequestState};
 use crate::trace::{EventKind, EventPhase};
 use crate::types::{SendMode, StatusInfo};
@@ -207,12 +228,12 @@ pub(crate) struct RecvStep {
 /// completed. It may read/write slots, set the final outcome, and extend
 /// the schedule with further rounds.
 ///
-/// Shared (`Arc` + `Fn`) rather than owned-once so a built schedule is
-/// cheaply cloneable: the schedule cache stores one template per
-/// (comm, op, algorithm, shape) key and every instantiation clones the
-/// rounds — compute closures are reference-bumped, never re-built. Each
-/// clone still runs its compute exactly once (the driver consumes the
-/// round), so `Fn` is a capability requirement, not a semantic change.
+/// Shared (`Arc` + `Fn`) rather than owned-once because a round is: the
+/// schedule cache stores one template per (comm, op, algorithm, shape)
+/// key, and every instantiation runs the template's rounds by reference.
+/// Each run still calls a round's compute exactly once (the cursor moves
+/// past the round), so `Fn` is a capability requirement, not a semantic
+/// change.
 pub(crate) type ComputeFn = Arc<dyn Fn(&mut SchedCtx<'_>) -> Result<()> + Send + Sync>;
 
 /// One round of a schedule: receives are posted before sends (the
@@ -306,12 +327,15 @@ impl CollOutcome {
     }
 }
 
-/// The mutable view a compute step gets: the slots, the outcome cell and
-/// the extension queue (rounds inserted immediately after this compute).
+/// The mutable view a compute step gets: the slots, the outcome cell,
+/// the extension queue (rounds inserted immediately after this compute)
+/// and the engine's staging pool, where a slot buffer the compute is
+/// done with goes.
 pub(crate) struct SchedCtx<'a> {
     slots: &'a mut Vec<Option<Vec<u8>>>,
     outcome: &'a mut Option<CollOutcome>,
     extension: &'a mut Vec<Round>,
+    pool: &'a mut StagingPool,
 }
 
 impl SchedCtx<'_> {
@@ -321,14 +345,6 @@ impl SchedCtx<'_> {
         self.slots
             .get_mut(slot)
             .and_then(Option::take)
-            .ok_or_else(|| MpiError::new(ErrorClass::Intern, "collective schedule slot is empty"))
-    }
-
-    /// Borrow the contents of a slot.
-    pub(crate) fn get(&self, slot: SlotId) -> Result<&[u8]> {
-        self.slots
-            .get(slot)
-            .and_then(|s| s.as_deref())
             .ok_or_else(|| MpiError::new(ErrorClass::Intern, "collective schedule slot is empty"))
     }
 
@@ -343,6 +359,13 @@ impl SchedCtx<'_> {
     /// (Re)fill a slot.
     pub(crate) fn put(&mut self, slot: SlotId, data: Vec<u8>) {
         self.slots[slot] = Some(data);
+    }
+
+    /// Hand a buffer this compute took and does not keep — a folded-away
+    /// operand, an unframed wire buffer — to the engine's staging pool,
+    /// where the next payload of this rank picks it up.
+    pub(crate) fn recycle(&mut self, buf: Vec<u8>) {
+        self.pool.put(buf);
     }
 
     /// Allocate a fresh slot at run time (dynamic schedule extension).
@@ -366,15 +389,31 @@ impl SchedCtx<'_> {
 
 /// An executable collective: rounds plus the slot store they operate on.
 /// Built by the algorithm modules, run by the engine's progress driver.
+///
+/// The rounds live in two places. `queue` holds what a builder pushed
+/// and what a compute inserts at run time; it runs first. `shared` holds
+/// rounds that a [`cache::SchedTemplate`] shares with every schedule
+/// instantiated from it: they are posted by reference from the `next`
+/// cursor, with `shift` added to every tag. [`CollSchedule::freeze`]
+/// moves a built schedule's queue into `shared` when it becomes a
+/// template, so a cache miss and every later hit run the same rounds.
 #[derive(Default)]
 pub(crate) struct CollSchedule {
-    pub(crate) rounds: VecDeque<Round>,
+    queue: VecDeque<Round>,
+    shared: Option<Arc<[Round]>>,
+    /// The next round of `shared` to post.
+    next: usize,
+    /// Added to every tag of a `shared` round when it is posted: the
+    /// distance, in tags, from the windows the rounds were built over to
+    /// the windows this schedule runs on.
+    shift: i32,
     pub(crate) slots: Vec<Option<Vec<u8>>>,
     pub(crate) outcome: Option<CollOutcome>,
-    /// Tag windows this schedule was built over, in allocation order —
-    /// what [`cache::SchedTemplate`] retags when a cached clone runs on
-    /// fresh windows.
-    pub(crate) windows: Vec<u32>,
+    /// Tag windows this schedule runs over, as `(first, count)`: `count`
+    /// consecutive windows of the communicator's sequence. A build whose
+    /// windows are not consecutive (the sequence wrapped mid-build) is
+    /// marked `uncacheable` instead.
+    pub(crate) windows: (u32, u32),
     /// The slot registered through [`CollSchedule::input`]: the call's
     /// payload. A template stores this slot *empty* and every
     /// instantiation refills it — everything else in the slot store is
@@ -421,7 +460,37 @@ impl CollSchedule {
     /// Append a round, dropping empty ones.
     pub(crate) fn push(&mut self, round: Round) {
         if !round.is_empty() {
-            self.rounds.push_back(round);
+            self.queue.push_back(round);
+        }
+    }
+
+    /// Record the next tag window this schedule was built over.
+    fn push_window(&mut self, window: u32) {
+        let (first, count) = self.windows;
+        if count == 0 {
+            self.windows = (window, 1);
+        } else if window == first + count {
+            self.windows.1 += 1;
+        } else {
+            self.uncacheable = true;
+        }
+    }
+
+    /// Make the built rounds shareable: move the queue into `shared`
+    /// (a no-op for a schedule that already runs shared rounds). Only a
+    /// schedule that has not started is frozen.
+    fn freeze(&mut self) -> Arc<[Round]> {
+        debug_assert_eq!(self.next, 0, "a started schedule is not frozen");
+        match &self.shared {
+            Some(rounds) => {
+                debug_assert!(self.queue.is_empty());
+                Arc::clone(rounds)
+            }
+            None => {
+                let rounds: Arc<[Round]> = Vec::from(std::mem::take(&mut self.queue)).into();
+                self.shared = Some(Arc::clone(&rounds));
+                rounds
+            }
         }
     }
 
@@ -651,7 +720,7 @@ impl Engine {
     /// built over (and how many a fresh instantiation must allocate).
     pub(crate) fn sched_window(&mut self, comm: CommHandle, s: &mut CollSchedule) -> TagWindow {
         let win = self.alloc_tag_window(comm);
-        s.windows.push(win.0);
+        s.push_window(win.0);
         win
     }
 
@@ -756,7 +825,8 @@ impl Engine {
                 st.trace.cseq,
             );
         }
-        st.schedule.rounds.clear();
+        st.schedule.queue.clear();
+        st.schedule.shared = None;
         st.pending_compute = None;
         st.finished = true;
         st.failed = Some(error);
@@ -810,88 +880,107 @@ impl Engine {
                 }
                 st.trace.round_idx += 1;
             }
+            let s = &mut st.schedule;
             // The round's transfers are done: run its compute (which may
             // extend the schedule with rounds that run next).
             if let Some(compute) = st.pending_compute.take() {
                 let mut extension = Vec::new();
                 let mut ctx = SchedCtx {
-                    slots: &mut st.schedule.slots,
-                    outcome: &mut st.schedule.outcome,
+                    slots: &mut s.slots,
+                    outcome: &mut s.outcome,
                     extension: &mut extension,
+                    pool: &mut self.send_pool,
                 };
                 (*compute)(&mut ctx)?;
                 for round in extension.into_iter().rev() {
                     if !round.is_empty() {
-                        st.schedule.rounds.push_front(round);
+                        s.queue.push_front(round);
                     }
                 }
             }
-            match st.schedule.rounds.pop_front() {
-                Some(round) => self.post_round(st, round)?,
-                None => {
-                    st.finished = true;
-                    return Ok(());
-                }
-            }
+            // Queued rounds first (their tags are final), then the shared
+            // ones from the cursor.
+            let queued;
+            let (round, shift) = if let Some(round) = s.queue.pop_front() {
+                queued = round;
+                (&queued, 0)
+            } else if let Some(round) = s.shared.as_ref().and_then(|r| r.get(s.next)) {
+                s.next += 1;
+                (round, s.shift)
+            } else {
+                st.finished = true;
+                return Ok(());
+            };
+            st.pending_compute = self.post_round(
+                st.comm,
+                &mut st.in_flight,
+                &mut st.trace,
+                &s.slots,
+                round,
+                shift,
+            )?;
         }
     }
 
-    /// Post one round: receives first, then sends (the deadlock-free
-    /// order the blocking exchanges always used).
-    fn post_round(&mut self, st: &mut NbColl, mut round: Round) -> Result<()> {
-        st.trace.round_transfers = (round.recvs.len() + round.sends.len()) as i64;
-        st.trace.round_open = true;
+    /// Post one round, every tag moved by `shift`: receives first, then
+    /// sends (the deadlock-free order the blocking exchanges always
+    /// used). Returns the round's compute, to run once its transfers are
+    /// done.
+    fn post_round(
+        &mut self,
+        comm: CommHandle,
+        in_flight: &mut Vec<Flight>,
+        trace: &mut CollTraceState,
+        slots: &[Option<Vec<u8>>],
+        round: &Round,
+        shift: i32,
+    ) -> Result<Option<ComputeFn>> {
+        trace.round_transfers = (round.recvs.len() + round.sends.len()) as i64;
+        trace.round_open = true;
         if self.tracer.timing_on() {
             let now = self.clock_ns();
-            st.trace.round_started_ns = now;
+            trace.round_started_ns = now;
             self.emit_at_full(
                 now,
                 EventKind::CollRound,
                 EventPhase::Begin,
-                st.trace.id,
-                st.trace.round_idx,
-                st.trace.round_transfers,
-                st.trace.ctx,
-                st.trace.cseq,
+                trace.id,
+                trace.round_idx,
+                trace.round_transfers,
+                trace.ctx,
+                trace.cseq,
             );
         }
-        for r in round.recvs.drain(..) {
-            let req = self.irecv_on_context(st.comm, r.peer as i32, r.tag, None, true)?;
-            st.in_flight.push(Flight::Recv(req, r.slot));
+        for r in &round.recvs {
+            let req = self.irecv_on_context(comm, r.peer as i32, r.tag + shift, None, true)?;
+            in_flight.push(Flight::Recv(req, r.slot));
         }
-        for s in round.sends.drain(..) {
-            let req = {
-                let payload: &[u8] = match s.data {
-                    SendData::Slot(slot) => {
-                        st.schedule.slots[slot].as_deref().ok_or_else(|| {
-                            MpiError::new(ErrorClass::Intern, "collective send from empty slot")
-                        })?
-                    }
-                    SendData::SlotRange(slot, start, end) => {
-                        let full = st.schedule.slots[slot].as_deref().ok_or_else(|| {
-                            MpiError::new(ErrorClass::Intern, "collective send from empty slot")
-                        })?;
-                        full.get(start..end).ok_or_else(|| {
-                            MpiError::new(ErrorClass::Intern, "collective send range out of bounds")
-                        })?
-                    }
-                };
-                // The slot borrow and the engine borrow are disjoint
-                // (`st` was taken out of the engine's map); the payload
-                // is staged exactly once inside `isend_on_context`.
-                self.isend_on_context(
-                    st.comm,
-                    s.peer as i32,
-                    s.tag,
-                    payload,
-                    SendMode::Standard,
-                    true,
-                )?
+        for s in &round.sends {
+            let empty = || MpiError::new(ErrorClass::Intern, "collective send from empty slot");
+            let payload: &[u8] = match s.data {
+                SendData::Slot(slot) => slots[slot].as_deref().ok_or_else(empty)?,
+                SendData::SlotRange(slot, start, end) => slots[slot]
+                    .as_deref()
+                    .ok_or_else(empty)?
+                    .get(start..end)
+                    .ok_or_else(|| {
+                        MpiError::new(ErrorClass::Intern, "collective send range out of bounds")
+                    })?,
             };
-            st.in_flight.push(Flight::Send(req));
+            // The slot borrow and the engine borrow are disjoint (the
+            // schedule was taken out of the engine's map); the payload
+            // is staged exactly once inside `isend_on_context`.
+            let req = self.isend_on_context(
+                comm,
+                s.peer as i32,
+                s.tag + shift,
+                payload,
+                SendMode::Standard,
+                true,
+            )?;
+            in_flight.push(Flight::Send(req));
         }
-        st.pending_compute = round.compute.take();
-        Ok(())
+        Ok(round.compute.clone())
     }
 
     /// Advance every in-flight collective schedule as far as possible
@@ -917,9 +1006,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Retire a finished schedule: close its `coll` trace bracket and
-    /// hand over its outcome (or the error it failed with).
-    pub(crate) fn claim_schedule(&mut self, st: NbColl) -> Result<CollOutcome> {
+    /// Retire a finished schedule: close its `coll` trace bracket, hand
+    /// whatever is left in its slot store to the staging pool, and hand
+    /// over its outcome (or the error it failed with).
+    pub(crate) fn claim_schedule(&mut self, mut st: NbColl) -> Result<CollOutcome> {
+        for buf in st.schedule.slots.drain(..).flatten() {
+            self.send_pool.put(buf);
+        }
         if st.trace.traced {
             self.emit_full(
                 EventKind::Coll,

@@ -152,6 +152,7 @@ pub(crate) fn bcast(
                             return err(ErrorClass::Intern, "pipelined bcast segment length skew");
                         }
                         ctx.get_mut(data)?.extend_from_slice(&chunk);
+                        ctx.recycle(chunk);
                         Ok(())
                     });
                     ctx.push_round(round);

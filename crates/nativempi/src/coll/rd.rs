@@ -55,7 +55,8 @@ pub(crate) fn allgather(
     let acc = s.empty();
     s.push(Round::new().compute(move |ctx| {
         let own = ctx.take(send)?;
-        ctx.put(acc, frame_entries(&[(rank as u32, own)]));
+        ctx.put(acc, frame_entries(&[(rank as u32, &own)]));
+        ctx.recycle(own);
         Ok(())
     }));
     let mut mask = 1usize;
@@ -69,9 +70,12 @@ pub(crate) fn allgather(
                 .send(partner, win.tag(round), acc)
                 .compute(move |ctx| {
                     let wire = ctx.take(incoming)?;
-                    let mut entries = unframe_entries(ctx.get(acc)?)?;
+                    let held = ctx.take(acc)?;
+                    let mut entries = unframe_entries(&held)?;
                     entries.extend(unframe_entries(&wire)?);
                     ctx.put(acc, frame_entries(&entries));
+                    ctx.recycle(wire);
+                    ctx.recycle(held);
                     Ok(())
                 }),
         );
@@ -113,17 +117,15 @@ pub(crate) fn allreduce(
                     if incoming.len() != current.len() {
                         return err(ErrorClass::Count, "allreduce partners disagree on count");
                     }
-                    let merged = if partner < rank {
-                        // Partner's block is the lower (left) operand.
-                        let mut merged = incoming;
-                        op.apply(&current, &mut merged, kind, count)?;
-                        merged
+                    // Partner's block is the lower (left) operand.
+                    let (left, mut merged) = if partner < rank {
+                        (current, incoming)
                     } else {
-                        let mut merged = current;
-                        op.apply(&incoming, &mut merged, kind, count)?;
-                        merged
+                        (incoming, current)
                     };
+                    op.apply(&left, &mut merged, kind, count)?;
                     ctx.put(acc, merged);
+                    ctx.recycle(left);
                     Ok(())
                 }),
         );

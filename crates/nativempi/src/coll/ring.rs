@@ -153,10 +153,12 @@ fn rounds(
                 .send_range(next, win.tag(round), data, bounds[send], bounds[send + 1])
                 .compute(move |ctx| {
                     let incoming = ctx.take(incoming)?;
-                    match ctx.get_mut(data)?.get_mut(lo..hi) {
+                    let merged = match ctx.get_mut(data)?.get_mut(lo..hi) {
                         Some(seg) if seg.len() == incoming.len() => merge(&incoming, seg),
                         _ => err(ErrorClass::Count, "ring partners disagree on counts"),
-                    }
+                    };
+                    ctx.recycle(incoming);
+                    merged
                 }),
         );
     }

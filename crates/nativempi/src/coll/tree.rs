@@ -158,11 +158,17 @@ pub(crate) fn gather(
     }
     // `mask` is now the lowest set bit of `relative` (when non-zero).
     collect = collect.compute(move |ctx| {
-        let mut entries: Vec<(u32, Vec<u8>)> = vec![(rank as u32, ctx.take(send)?)];
+        let own = ctx.take(send)?;
+        let mut entries: Vec<(u32, Vec<u8>)> = vec![(rank as u32, own)];
         for &slot in &children {
-            entries.extend(unframe_entries(&ctx.take(slot)?)?);
+            let wire = ctx.take(slot)?;
+            entries.extend(unframe_entries(&wire)?);
+            ctx.recycle(wire);
         }
         ctx.put(out, frame_entries(&entries));
+        for (_, payload) in entries {
+            ctx.recycle(payload);
+        }
         Ok(())
     });
     s.push(collect);
@@ -223,7 +229,9 @@ pub(crate) fn scatter(
     }
 
     let partition = move |ctx: &mut super::nb::SchedCtx<'_>| -> Result<()> {
-        let mut entries = unframe_entries(&ctx.take(incoming)?)?;
+        let wire = ctx.take(incoming)?;
+        let mut entries = unframe_entries(&wire)?;
+        ctx.recycle(wire);
         for &(_, child_rel, mask, slot) in &child_list {
             // The child's subtree covers relative ids [child_rel, child_rel + mask).
             let (subtree, keep): (Vec<_>, Vec<_>) = entries.into_iter().partition(|(r, _)| {
@@ -302,6 +310,7 @@ pub(crate) fn reduce(
             // The child holds the fold of ranks [child, child + mask),
             // all above our block: accumulator stays the left operand.
             op.apply(&data[..need], &mut folded, kind, count)?;
+            ctx.recycle(data);
         }
         ctx.put(acc, folded);
         Ok(())

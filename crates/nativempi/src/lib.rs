@@ -165,7 +165,7 @@ pub struct Engine {
     pub(crate) eager_threshold: usize,
     /// Recycled payload staging buffers (see the copy inventory in
     /// [`p2p`]'s module docs).
-    pub(crate) send_pool: Vec<Vec<u8>>,
+    pub(crate) send_pool: p2p::StagingPool,
     pub(crate) attached_buffer: Option<p2p::BsendBuffer>,
     pub(crate) start_time: Instant,
     pub(crate) processor_name: String,
@@ -255,7 +255,7 @@ impl Engine {
             awaiting_rendezvous_data: HashMap::new(),
             next_token: 1,
             eager_threshold: config.eager_threshold.unwrap_or(DEFAULT_EAGER_THRESHOLD),
-            send_pool: Vec::new(),
+            send_pool: p2p::StagingPool::default(),
             attached_buffer: None,
             start_time: Instant::now(),
             processor_name: match &config.processor_name_prefix {

@@ -66,6 +66,35 @@
 //! side (zero via [`Engine::isend_bytes`]) and exactly one on the receive
 //! side.
 //!
+//! ### The staging pool
+//!
+//! Every payload buffer this rank fills comes from one pool
+//! (`StagingPool`, [`Engine::pool_take`]) and every spent one goes back
+//! to it ([`Engine::pool_put`], [`Engine::recycle`]). The pool holds at
+//! most 8 buffers of 1 KiB–1 MiB capacity and starts empty. A take gets
+//! the *smallest* pooled buffer that fits, so a 4 KiB send never pins a
+//! 1 MiB buffer while it is queued, and a 1 MiB marshal copy is not
+//! handed a 4 KiB buffer to grow. A take below 1 KiB allocates and
+//! leaves the pool alone. The paths that end a buffer's life in the
+//! pool:
+//!
+//! * [`Engine::recv_into`]: the completion, once delivered;
+//! * the collective executor ([`crate::coll::nb`]): a compute's spent
+//!   operands and wire buffers, and a retiring schedule's slot store;
+//! * RMA: an applied `put` or `accumulate`, a redeemed `get` reply, a
+//!   spent grant or ack (and RMA stages its payloads from the pool, as
+//!   a slice send does);
+//! * the `mpijava` binding: every result or completion it stores into
+//!   the caller's array — the classic reductions, `Bcast`, the gather
+//!   family, `Sendrecv`, a completed `Irecv`, a non-dense `Recv` and
+//!   `Win.Get`'s `take`. The binding asks [`Engine::pool_accepts`]
+//!   first, so a buffer the pool would refuse is dropped without the
+//!   engine lock.
+//!
+//! A buffer goes back only when its last reference does
+//! ([`bytes::Bytes::try_into_vec`]): one still held — by a pending
+//! rendezvous, or by another queue — is never reissued.
+//!
 //! ### Surface rows
 //!
 //! What a call of the `mpijava` binding costs in passes over the payload,
@@ -81,7 +110,7 @@
 //! | the same | `Pin` | 1: the engine's staging copy of the lent slice | — |
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
 //! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view |
-//! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window |
+//! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window, which then goes to the staging pool |
 //! | classic `Reduce`, `Allreduce`, `Reduce_scatter`, `Scan` (and the blocking `rs` reductions, which forward to them) | `Copy` / `Pin` | 1 / 1: the boundary block copy is the schedule's input buffer, moved in (a ring allreduce folds into it and returns it as the result) / the engine's copy of the lent slice into that input | — |
 //!
 //! `bytes_copied` counts the engine's passes only: a `Copy` send moves it
@@ -125,6 +154,44 @@ const SEND_POOL_MIN_BYTES: usize = 1024;
 /// message sits in any queue).
 const SEND_POOL_MAX_BYTES: usize = 1 << 20;
 
+/// The engine's one payload staging pool: spent buffers of
+/// [`SEND_POOL_MIN_BYTES`]..=[`SEND_POOL_MAX_BYTES`] capacity, at most
+/// [`SEND_POOL_MAX`] of them, waiting to carry the next payload. Every
+/// path that ends a payload buffer's life hands it back here (see the
+/// copy inventory in the module docs); it starts empty.
+#[derive(Debug, Default)]
+pub(crate) struct StagingPool(Vec<Vec<u8>>);
+
+impl StagingPool {
+    /// The smallest pooled buffer with room for `len` bytes, emptied, or
+    /// a fresh allocation when none fits. A request below
+    /// [`SEND_POOL_MIN_BYTES`] always allocates: a pooled buffer is
+    /// large, and a small message would pin it for as long as it is
+    /// queued.
+    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
+        let fit = (len >= SEND_POOL_MIN_BYTES)
+            .then(|| {
+                (0..self.0.len())
+                    .filter(|&i| self.0[i].capacity() >= len)
+                    .min_by_key(|&i| self.0[i].capacity())
+            })
+            .flatten();
+        match fit {
+            Some(i) => self.0.swap_remove(i),
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// Keep `buf` for a later [`take`](Self::take) if the pool has room
+    /// and its capacity is in bounds; drop it otherwise.
+    pub(crate) fn put(&mut self, mut buf: Vec<u8>) {
+        if Engine::pool_accepts(buf.capacity()) && self.0.len() < SEND_POOL_MAX {
+            buf.clear();
+            self.0.push(buf);
+        }
+    }
+}
+
 /// Payload parked on the sender side until the receiver grants the
 /// rendezvous. The payload was copied exactly once (at the `isend`
 /// boundary, into a pooled buffer); everything after this struct is
@@ -166,20 +233,20 @@ impl Engine {
     // Payload staging pool
     // ---------------------------------------------------------------------
 
-    /// An empty buffer with room for `len` bytes: a pooled one when the
-    /// pool holds one, else a fresh allocation. The binding's `Copy`-mode
-    /// marshal copy lands here too, so the buffer a receiver recycled
-    /// carries its next send and a steady ping-pong allocates nothing.
+    /// An empty buffer with room for `len` bytes: the best-fitting pooled
+    /// one (see `StagingPool::take`), else a fresh allocation. The
+    /// binding's `Copy`-mode marshal copy lands here too, so the buffer a
+    /// receiver recycled carries its next send and a steady ping-pong
+    /// allocates nothing.
     pub fn pool_take(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = self.send_pool.pop().unwrap_or_default();
-        buf.reserve(len);
-        buf
+        self.send_pool.take(len)
     }
 
     /// Copy `data` into a pooled staging buffer and wrap it as `Bytes`
     /// without a second copy. This is the *single* send-side copy of the
-    /// slice-based send APIs.
-    fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
+    /// slice-based send APIs, and of an RMA `put`, `accumulate` or `get`
+    /// reply.
+    pub(crate) fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
         let mut buf = self.pool_take(data.len());
         buf.extend_from_slice(data);
         self.stats.bytes_copied += data.len() as u64;
@@ -188,13 +255,15 @@ impl Engine {
 
     /// Return a spent buffer to the staging pool (bounded in count and
     /// per-buffer capacity; tiny buffers are not worth keeping).
-    pub(crate) fn pool_put(&mut self, mut buf: Vec<u8>) {
-        if (SEND_POOL_MIN_BYTES..=SEND_POOL_MAX_BYTES).contains(&buf.capacity())
-            && self.send_pool.len() < SEND_POOL_MAX
-        {
-            buf.clear();
-            self.send_pool.push(buf);
-        }
+    pub fn pool_put(&mut self, buf: Vec<u8>) {
+        self.send_pool.put(buf);
+    }
+
+    /// Whether the staging pool keeps a buffer of `capacity` bytes. The
+    /// binding asks before it takes the engine lock to hand a buffer
+    /// back, so a small message's spent buffer costs no lock.
+    pub fn pool_accepts(capacity: usize) -> bool {
+        (SEND_POOL_MIN_BYTES..=SEND_POOL_MAX_BYTES).contains(&capacity)
     }
 
     /// Recycle a completion payload the caller is done with: if this was
@@ -965,11 +1034,54 @@ mod tests {
     fn oversized_buffers_are_not_pooled() {
         Universe::run(1, DeviceKind::ShmFast, |engine| {
             engine.pool_put(Vec::with_capacity(4 * 1024 * 1024));
-            assert!(engine.send_pool.is_empty(), "oversized buffer pooled");
+            assert!(engine.send_pool.0.is_empty(), "oversized buffer pooled");
             engine.pool_put(Vec::with_capacity(16)); // below the minimum
-            assert!(engine.send_pool.is_empty(), "tiny buffer pooled");
+            assert!(engine.send_pool.0.is_empty(), "tiny buffer pooled");
             engine.pool_put(Vec::with_capacity(64 * 1024));
-            assert_eq!(engine.send_pool.len(), 1);
+            assert_eq!(engine.send_pool.0.len(), 1);
+        })
+        .unwrap();
+    }
+
+    /// `pool_take` returns the smallest pooled buffer that fits, in
+    /// whichever order the buffers were pooled, and a request below the
+    /// pool minimum leaves the pool alone.
+    #[test]
+    fn pool_take_picks_the_best_fit() {
+        Universe::run(1, DeviceKind::ShmFast, |engine| {
+            for small_first in [true, false] {
+                let small = Vec::with_capacity(4096);
+                let large = Vec::with_capacity(1 << 20);
+                let (small_ptr, large_ptr) = (small.as_ptr(), large.as_ptr());
+                let order = if small_first {
+                    [small, large]
+                } else {
+                    [large, small]
+                };
+                for buf in order {
+                    engine.pool_put(buf);
+                }
+                let tiny = engine.pool_take(8);
+                assert_eq!(
+                    engine.send_pool.0.len(),
+                    2,
+                    "a tiny request took a pooled buffer"
+                );
+                assert!(tiny.capacity() < 4096);
+                let fit = engine.pool_take(4096);
+                assert_eq!(
+                    fit.as_ptr(),
+                    small_ptr,
+                    "4 KiB did not take the 4 KiB buffer"
+                );
+                let big = engine.pool_take(1 << 20);
+                assert_eq!(
+                    big.as_ptr(),
+                    large_ptr,
+                    "1 MiB did not take the 1 MiB buffer"
+                );
+                assert!(engine.send_pool.0.is_empty());
+            }
         })
         .unwrap();
     }
@@ -1002,7 +1114,7 @@ mod tests {
                         engine.recv_into(COMM_WORLD, peer, 0, &mut window).unwrap();
                         assert_eq!(window, payload);
                     }
-                    assert!(engine.send_pool.len() <= SEND_POOL_MAX);
+                    assert!(engine.send_pool.0.len() <= SEND_POOL_MAX);
                 }
             }
         })

@@ -474,8 +474,7 @@ impl Engine {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        let staged = Bytes::from(data.to_vec());
-        self.stats.bytes_copied += data.len() as u64;
+        let staged = self.wrap_payload(data);
         self.win_put_bytes(win, target, offset, staged)
     }
 
@@ -512,8 +511,7 @@ impl Engine {
                 ),
             );
         }
-        let staged = Bytes::from(data.to_vec());
-        self.stats.bytes_copied += data.len() as u64;
+        let staged = self.wrap_payload(data);
         let codes = [OP_ACC, kind_code(kind), op_code(op)];
         self.rma_op(win, target, codes, offset, data.len(), Some(staged))
     }
@@ -1117,10 +1115,7 @@ impl Engine {
                 // waiting forever.
                 let span = st.span(offset, len, "get");
                 let reply = match &span {
-                    Ok(span) => {
-                        self.stats.bytes_copied += len as u64;
-                        Bytes::from(st.region[span.clone()].to_vec())
-                    }
+                    Ok(span) => self.wrap_payload(&st.region[span.clone()]),
                     Err(_) => Bytes::from(vec![0; usize::from(len == 0)]),
                 };
                 let req = self.isend_bytes_on_context(
