@@ -258,7 +258,8 @@ pub fn measure_overlap(
 /// persistent path amortizes, which a modelled link charge would
 /// drown. Beside the times, the engine's schedule-cache counters over
 /// the timed persistent loops: a start that replays its pinned template
-/// adds exactly one hit and no miss, so they count re-plans exactly.
+/// looks nothing up and adds no hit and no miss, so any count there is
+/// a re-plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistentRecord {
     /// Device label (`shm-fast`, ...).
@@ -667,7 +668,8 @@ mod tests {
 
     /// A tiny persistent cell completes and reports both latencies (the
     /// persistent ≤ transient gate runs at real scale in the
-    /// `collectives` binary), and every timed start replayed its template.
+    /// `collectives` binary), and every timed start replayed its template
+    /// without planning: no cache hit, no miss.
     #[test]
     fn persistent_cell_measures_without_hanging() {
         let record = measure_persistent(DeviceKind::ShmFast, 2, 1024, 5, 2);
@@ -675,7 +677,7 @@ mod tests {
         assert!(record.persistent_us > 0.0);
         assert!(record.speedup > 0.0);
         assert_eq!(record.starts, 15);
-        assert_eq!(record.sched_cache_hits, record.starts);
+        assert_eq!(record.sched_cache_hits, 0);
         assert_eq!(record.sched_cache_misses, 0);
     }
 

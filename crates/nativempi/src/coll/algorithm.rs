@@ -18,7 +18,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Environment variable pinning the collective algorithm for ablations:
-/// `MPIJAVA_COLL_ALG=linear|tree|rd|ring|pipelined|hier`. Unset, empty
+/// `MPIJAVA_COLL_ALG=linear|tree|rd|ring|hier`. Unset, empty
 /// or `auto` keeps the tuned size-aware selection.
 pub const COLL_ALG_ENV: &str = "MPIJAVA_COLL_ALG";
 
@@ -42,13 +42,6 @@ pub enum CollAlgorithm {
     /// allgather). O(P) rounds but every link is busy every round, so it
     /// has the best bandwidth term for large payloads.
     Ring,
-    /// Pipelined segmented broadcast: the payload streams along a chain
-    /// in fixed-size segments, so interior ranks forward segment *k*
-    /// while receiving *k+1* and every link carries the payload exactly
-    /// once (see [`super::pipeline`]). Pin explicitly for huge payloads;
-    /// the tuned selector stays on the plain tree because bcast
-    /// selection is payload-blind.
-    Pipelined,
     /// Leader-based hierarchical collectives for multi-fabric jobs
     /// (see [`super::hier`]): reduce/gather intra-node to the node
     /// leader over the cheap fabric, run the flat tree/recursive-
@@ -63,12 +56,11 @@ pub enum CollAlgorithm {
 
 impl CollAlgorithm {
     /// Every algorithm, in ablation-sweep order.
-    pub const ALL: [CollAlgorithm; 6] = [
+    pub const ALL: [CollAlgorithm; 5] = [
         CollAlgorithm::Linear,
         CollAlgorithm::BinomialTree,
         CollAlgorithm::RecursiveDoubling,
         CollAlgorithm::Ring,
-        CollAlgorithm::Pipelined,
         CollAlgorithm::Hierarchical,
     ];
 
@@ -84,7 +76,6 @@ impl CollAlgorithm {
             CollAlgorithm::BinomialTree => "tree",
             CollAlgorithm::RecursiveDoubling => "rd",
             CollAlgorithm::Ring => "ring",
-            CollAlgorithm::Pipelined => "pipelined",
             CollAlgorithm::Hierarchical => "hier",
         }
     }
@@ -121,7 +112,6 @@ impl FromStr for CollAlgorithm {
                 Ok(CollAlgorithm::RecursiveDoubling)
             }
             "ring" => Ok(CollAlgorithm::Ring),
-            "pipelined" | "pipeline" | "segmented" => Ok(CollAlgorithm::Pipelined),
             "hier" | "hierarchical" => Ok(CollAlgorithm::Hierarchical),
             _ => Err(()),
         }

@@ -43,9 +43,6 @@
 //! * [`rd`] — recursive doubling on power-of-two communicators,
 //! * [`ring`] — ring allgather / reduce-scatter / allreduce for large
 //!   payloads (every link busy every round),
-//! * [`pipeline`] — segmented pipelined (chain) bcast for huge payloads
-//!   (interior ranks forward segment *k* while receiving *k+1*; pin with
-//!   `MPIJAVA_COLL_ALG=pipelined`),
 //! * [`hier`] — leader-based schedules for multi-fabric jobs: intra-node
 //!   traffic folds to the node leaders over the cheap fabric, the
 //!   leaders run the flat tree/recursive-doubling schedules among
@@ -58,25 +55,25 @@
 //! templatable, `✗` built per call, blank = the algorithm does not
 //! implement the op ([`tuning::supported`]) and selection falls back:
 //!
-//! | op | linear | tree | rd | ring | pipelined | hier |
-//! |---|---|---|---|---|---|---|
-//! | barrier | ✓ | ✓ | ✓ | | | ✓ |
-//! | bcast | ✓ | ✓ | | | ✗ | ✓ |
-//! | gather | ✓ | ✓ | | | | |
-//! | scatter | ✗ | ✗ | | | | |
-//! | allgather | ✓ | | ✓ | ✓ | | ✓ |
-//! | alltoall | ✗ | | | | | |
-//! | reduce | ✓ | ✓ | | | | ✓ |
-//! | allreduce | ✓ | ✓ | ✓ | ✓ | | ✓ |
-//! | reduce_scatter | ✗ | | | ✓ | | |
-//! | scan | ✓ | | | | | |
+//! | op | linear | tree | rd | ring | hier |
+//! |---|---|---|---|---|---|
+//! | barrier | ✓ | ✓ | ✓ | | ✓ |
+//! | bcast | ✓ | ✓ | | | ✓ |
+//! | gather | ✓ | ✓ | | | |
+//! | scatter | ✗ | ✗ | | | |
+//! | allgather | ✓ | | ✓ | ✓ | ✓ |
+//! | alltoall | ✗ | | | | |
+//! | reduce | ✓ | ✓ | | | ✓ |
+//! | allreduce | ✓ | ✓ | ✓ | ✓ | ✓ |
+//! | reduce_scatter | ✗ | | | ✓ | |
+//! | scan | ✓ | | | | |
 //!
-//! The `✗` cells: the pipelined bcast extends its segment chain at run
-//! time from the payload length; scatter and alltoall stage one chunk
-//! per destination at build time; the linear reduce-scatter ends in a
-//! scatter. The ring reduce-scatter and allreduce run over their input
-//! slot alone (see [`ring`]), so a reduce-scatter's cache key adds its
-//! per-rank counts.
+//! Every schedule is a static list of rounds fixed at build time. The
+//! `✗` cells bake the payload into that list: scatter and alltoall
+//! stage one chunk per destination at build time, and the linear
+//! reduce-scatter ends in a scatter. The ring reduce-scatter and
+//! allreduce run over their input slot alone (see [`ring`]), so a
+//! reduce-scatter's cache key adds its per-rank counts.
 //! A templatable call staging more than
 //! `nb::cache::SCHED_CACHE_MAX_INPUT_BYTES` bypasses the cache too —
 //! one function, `nb::cache::cache_use`, holds both rules.
@@ -111,7 +108,6 @@ pub mod hier;
 pub mod linear;
 pub mod nb;
 pub mod neighborhood;
-pub mod pipeline;
 pub mod rd;
 pub mod ring;
 pub mod tree;
@@ -505,7 +501,6 @@ impl Engine {
         } else {
             let [win] = self.sched_windows(comm, s);
             match alg {
-                CollAlgorithm::Pipelined => pipeline::bcast(s, win, rank, size, root, data),
                 CollAlgorithm::BinomialTree => tree::bcast(s, win, rank, size, root, data),
                 _ => linear::bcast(s, win, rank, size, root, data),
             }
@@ -679,8 +674,7 @@ impl Engine {
                 tree::bcast(s, w2, rank, size, 0, reduced);
                 reduced
             }
-            // `supported` never offers Pipelined here, so only the
-            // linear composite remains.
+            // Linear: reduce to rank 0, then broadcast the result.
             _ => {
                 let [w1, w2] = self.sched_windows(comm, s);
                 let reduced = linear::reduce(s, w1, rank, size, 0, own, kind, count, op);
@@ -1092,6 +1086,43 @@ mod tests {
             assert_eq!(&buf, b"broadcast payload");
         })
         .unwrap();
+        // Under each bcast algorithm, blocking and nonblocking: empty,
+        // one-byte, 32 KiB and ragged 96 KiB payloads from a root at
+        // either end replace a non-root's stale buffer, and an `ibcast`
+        // completes when driven by `test` alone.
+        for alg in [CollAlgorithm::Linear, CollAlgorithm::BinomialTree] {
+            for size in [2usize, 3, 4, 8] {
+                Universe::run(size, DeviceKind::ShmFast, move |engine| {
+                    engine.set_coll_algorithm(Some(alg));
+                    let rank = engine.world_rank();
+                    for root in [0, size - 1] {
+                        for len in [0usize, 1, 32 << 10, (96 << 10) + 7] {
+                            let expected: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+                            let contribution = || {
+                                if rank == root {
+                                    expected.clone()
+                                } else {
+                                    vec![0xEE; 3]
+                                }
+                            };
+                            let at = format!("{alg} size={size} root={root} len={len}");
+                            let mut buf = contribution();
+                            engine.bcast(COMM_WORLD, root, &mut buf).unwrap();
+                            assert_eq!(buf, expected, "{at}");
+                            let req = engine.ibcast(COMM_WORLD, root, contribution()).unwrap();
+                            let completion = loop {
+                                if let Some(completion) = engine.test(req).unwrap() {
+                                    break completion;
+                                }
+                                std::thread::yield_now();
+                            };
+                            assert_eq!(payload(completion), expected, "{at}");
+                        }
+                    }
+                })
+                .unwrap();
+            }
+        }
     }
 
     #[test]
@@ -1850,8 +1881,8 @@ mod tests {
     }
 
     /// A persistent allreduce built once replays across starts with
-    /// fresh payloads, reusing its pinned template (cache hits, no new
-    /// builds after init).
+    /// fresh payloads, reusing its pinned template (no cache lookup, so
+    /// no hit and no miss after init).
     #[test]
     fn persistent_allreduce_replays_with_fresh_payloads() {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
@@ -1860,6 +1891,7 @@ mod tests {
             let op = engine
                 .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
                 .unwrap();
+            let hits_after_init = engine.stats().sched_cache_hits;
             let misses_after_init = engine.stats().sched_cache_misses;
             for round in 1..=4i32 {
                 engine
@@ -1868,6 +1900,7 @@ mod tests {
                 let completion = engine.wait(op).unwrap();
                 assert_eq!(to_ints(&payload(completion)), vec![6 * round]);
             }
+            assert_eq!(engine.stats().sched_cache_hits, hits_after_init);
             assert_eq!(engine.stats().sched_cache_misses, misses_after_init);
             engine.request_free(op).unwrap();
             assert!(engine.is_complete(op).is_err(), "freed, so unknown");

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use super::{CollSchedule, Round, SlotId, ROUND_SPACE};
+use super::{CollSchedule, Round, Rounds, SlotId, ROUND_SPACE};
 use crate::coll::desc::{CollDesc, Payload};
 use crate::coll::CollOp;
 use crate::comm::CommHandle;
@@ -79,8 +79,8 @@ pub(crate) struct SchedKey {
 /// How one planned call relates to the schedule cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CacheUse {
-    /// The schedule bakes this call's payload in or grows at run time:
-    /// it can never be a template.
+    /// The schedule bakes this call's payload in: it can never be a
+    /// template.
     Never,
     /// Templatable, but the staged payload is past
     /// [`SCHED_CACHE_MAX_INPUT_BYTES`]: build fresh, count a miss.
@@ -94,9 +94,7 @@ pub(crate) enum CacheUse {
 /// docs.
 pub(crate) fn cache_use(op: CollOp, alg: CollAlgorithm, staged: usize) -> CacheUse {
     match (op, alg) {
-        (CollOp::Bcast, CollAlgorithm::Pipelined) | (CollOp::Scatter | CollOp::Alltoall, _) => {
-            CacheUse::Never
-        }
+        (CollOp::Scatter | CollOp::Alltoall, _) => CacheUse::Never,
         (CollOp::ReduceScatter, alg) if alg != CollAlgorithm::Ring => CacheUse::Never,
         _ if staged > SCHED_CACHE_MAX_INPUT_BYTES => CacheUse::Bypass,
         _ => CacheUse::Template,
@@ -155,7 +153,7 @@ impl SchedTemplate {
     pub(crate) fn instantiate(&self, new_base: u32) -> CollSchedule {
         let delta = (self.base_window as i32 - new_base as i32) * ROUND_SPACE as i32;
         CollSchedule {
-            shared: Some(Arc::clone(&self.rounds)),
+            rounds: Rounds::Shared(Arc::clone(&self.rounds)),
             shift: self.shift + delta,
             slots: self.slots.clone(),
             windows: (new_base, self.nwindows),
@@ -255,10 +253,10 @@ impl Engine {
         };
         let (_, _, need) = self.coll_validate(p.comm, &p.desc, &payload)?;
         // Reusing the pinned windows is the whole point: no window
-        // allocation, no tag shift, no schedule build.
+        // allocation, no tag shift, no schedule build, and no cache
+        // lookup, so neither cache counter moves.
         let mut schedule = tpl.instantiate(tpl.base_window);
         schedule.set_input(payload.into_vec(need));
-        self.stats.sched_cache_hits += 1;
         self.coll_start(p.comm, schedule, Some((p.desc.op(), *alg)))
     }
 }

@@ -4,8 +4,9 @@
 //! ## The schedule model
 //!
 //! Every collective algorithm in [`super`] — linear, binomial tree,
-//! recursive doubling, ring, pipelined chain — is expressed as a
-//! `CollSchedule`: an ordered list of `Round`s, each holding
+//! recursive doubling, ring, hierarchical — is expressed as a
+//! `CollSchedule`: a static list of `Round`s, fixed when the schedule is
+//! built, each holding
 //!
 //! * **receive steps** (peer, tag, destination slot),
 //! * **send steps** (peer, tag, source slot or slot range), and
@@ -16,11 +17,9 @@
 //! Data flows between rounds through *slots* — indexed byte buffers owned
 //! by the schedule. A send posted in round *k* reads its slot at post
 //! time, so a compute in round *k−1* is how one round's result becomes
-//! the next round's payload. A compute step may also *extend* the
-//! schedule with additional rounds (inserted immediately after itself),
-//! which is how the pipelined broadcast — whose segment count is only
-//! known once the length header arrives — builds its streaming phase at
-//! run time.
+//! the next round's payload. A compute never adds rounds: the executor
+//! walks the list with one cursor, so what a schedule will post is known
+//! before its first round goes out.
 //!
 //! A slot buffer's life ends in the engine's staging pool (see
 //! [`crate::p2p`]), not in the allocator. A compute that takes a buffer
@@ -98,13 +97,15 @@
 //! call of a tight iteration loop. The `cache` submodule turns that
 //! into a one-time cost: after the first build of a cacheable operation
 //! the engine stores a `SchedTemplate`, and a later call replays it by
-//! reference. The template's rounds sit in one `Arc<[Round]>`; an
-//! instance holds that `Arc`, a round cursor and a uniform tag shift,
-//! and the executor reads each round in place and adds the shift as it
-//! posts. A hit copies no round and rewrites no tag — it allocates the
-//! slot store and nothing else. Exactly one place consults the cache —
-//! the `plan` step in [`crate::coll`], which every collective in every
-//! call mode (blocking, `i*`, `*_init`) passes through.
+//! reference. A schedule's rounds are one list read through one cursor
+//! and one uniform tag shift: a fresh build owns its `Vec<Round>` (shift
+//! 0), and capturing it as a template freezes that list, in place, into
+//! the `Arc<[Round]>` the template shares with every instance. The
+//! executor reads each round in place and adds the shift as it posts. A
+//! hit copies no round and rewrites no tag — it allocates the slot store
+//! and nothing else. Exactly one place consults the cache — the `plan`
+//! step in [`crate::coll`], which every collective in every call mode
+//! (blocking, `i*`, `*_init`) passes through.
 //!
 //! **Keying.** The cache is *per-rank local memoization*: each engine
 //! keys on its own local call parameters — `(communicator, chosen
@@ -142,21 +143,16 @@
 //! schedule uses its tags in a deterministic order. Because `*_init`
 //! plans through the transient cache, its plan may itself be an
 //! instance; the persistent template then keeps the instance's shared
-//! rounds *and* its shift. An `*_init` whose plan is not templatable
+//! rounds *and* its shift. A pinned start looks nothing up, so it counts
+//! neither a hit nor a miss. An `*_init` whose plan is not templatable
 //! (or whose communicator has one rank) pins nothing and plans the
 //! transient form on every start.
-//!
-//! Rounds a compute inserts at run time go on the schedule's own queue
-//! and run before the cursor resumes. Only the pipelined broadcast makes
-//! them, and that schedule is never a template, so there is one
-//! executor for both kinds of round.
 //!
 //! **Invalidation.** Freeing a communicator drops every template keyed
 //! to it ([`Engine::comm_free`]); templates never outlive the tag-window
 //! sequence or context they were built against. Hit/miss counts are
 //! surfaced through `EngineStats::sched_cache_hits`/`_misses`.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -203,8 +199,8 @@ pub(crate) type SlotId = usize;
 pub(crate) enum SendData {
     /// The whole contents of a slot.
     Slot(SlotId),
-    /// A sub-range `[start, end)` of a slot (the pipelined broadcast's
-    /// segments, avoiding a per-segment copy at the root).
+    /// A sub-range `[start, end)` of a slot (a ring segment, sent
+    /// straight out of the buffer it is folded into, with no copy).
     SlotRange(SlotId, usize, usize),
 }
 
@@ -225,8 +221,7 @@ pub(crate) struct RecvStep {
 }
 
 /// A local computation that runs once all transfers of its round have
-/// completed. It may read/write slots, set the final outcome, and extend
-/// the schedule with further rounds.
+/// completed. It may read/write slots and set the final outcome.
 ///
 /// Shared (`Arc` + `Fn`) rather than owned-once because a round is: the
 /// schedule cache stores one template per (comm, op, algorithm, shape)
@@ -327,14 +322,12 @@ impl CollOutcome {
     }
 }
 
-/// The mutable view a compute step gets: the slots, the outcome cell,
-/// the extension queue (rounds inserted immediately after this compute)
+/// The mutable view a compute step gets: the slots, the outcome cell
 /// and the engine's staging pool, where a slot buffer the compute is
 /// done with goes.
 pub(crate) struct SchedCtx<'a> {
-    slots: &'a mut Vec<Option<Vec<u8>>>,
+    slots: &'a mut [Option<Vec<u8>>],
     outcome: &'a mut Option<CollOutcome>,
-    extension: &'a mut Vec<Round>,
     pool: &'a mut StagingPool,
 }
 
@@ -368,44 +361,52 @@ impl SchedCtx<'_> {
         self.pool.put(buf);
     }
 
-    /// Allocate a fresh slot at run time (dynamic schedule extension).
-    pub(crate) fn alloc(&mut self, data: Option<Vec<u8>>) -> SlotId {
-        self.slots.push(data);
-        self.slots.len() - 1
-    }
-
     /// Record the collective's final result.
     pub(crate) fn set_outcome(&mut self, outcome: CollOutcome) {
         *self.outcome = Some(outcome);
     }
+}
 
-    /// Append a round to run immediately after this compute (before any
-    /// round that was already queued behind it). Multiple pushes keep
-    /// their relative order.
-    pub(crate) fn push_round(&mut self, round: Round) {
-        self.extension.push(round);
+/// A schedule's rounds: the list a builder pushed, or, once the
+/// schedule is a template, the list a [`cache::SchedTemplate`] shares
+/// with every schedule instantiated from it. The executor reads either
+/// through one `&[Round]` view.
+enum Rounds {
+    Built(Vec<Round>),
+    Shared(Arc<[Round]>),
+}
+
+impl Default for Rounds {
+    fn default() -> Rounds {
+        Rounds::Built(Vec::new())
+    }
+}
+
+impl std::ops::Deref for Rounds {
+    type Target = [Round];
+
+    fn deref(&self) -> &[Round] {
+        match self {
+            Rounds::Built(rounds) => rounds,
+            Rounds::Shared(rounds) => rounds,
+        }
     }
 }
 
 /// An executable collective: rounds plus the slot store they operate on.
-/// Built by the algorithm modules, run by the engine's progress driver.
-///
-/// The rounds live in two places. `queue` holds what a builder pushed
-/// and what a compute inserts at run time; it runs first. `shared` holds
-/// rounds that a [`cache::SchedTemplate`] shares with every schedule
-/// instantiated from it: they are posted by reference from the `next`
-/// cursor, with `shift` added to every tag. [`CollSchedule::freeze`]
-/// moves a built schedule's queue into `shared` when it becomes a
-/// template, so a cache miss and every later hit run the same rounds.
+/// Built by the algorithm modules, run by the engine's progress driver,
+/// which posts `rounds[next]` with `shift` added to every tag.
+/// [`CollSchedule::freeze`] turns a built schedule's rounds into shared
+/// ones when it becomes a template, so a cache miss and every later hit
+/// run the same rounds.
 #[derive(Default)]
 pub(crate) struct CollSchedule {
-    queue: VecDeque<Round>,
-    shared: Option<Arc<[Round]>>,
-    /// The next round of `shared` to post.
+    rounds: Rounds,
+    /// The next round to post.
     next: usize,
-    /// Added to every tag of a `shared` round when it is posted: the
-    /// distance, in tags, from the windows the rounds were built over to
-    /// the windows this schedule runs on.
+    /// Added to every tag of a round when it is posted: the distance, in
+    /// tags, from the windows the rounds were built over to the windows
+    /// this schedule runs on (0 for a fresh build).
     shift: i32,
     pub(crate) slots: Vec<Option<Vec<u8>>>,
     pub(crate) outcome: Option<CollOutcome>,
@@ -447,20 +448,14 @@ impl CollSchedule {
         self.slots[slot] = Some(data);
     }
 
-    /// Length of a pre-filled slot (0 if empty) — used by builders whose
-    /// wire structure depends on the local payload size (the pipelined
-    /// broadcast root).
-    pub(crate) fn len_of(&self, slot: SlotId) -> usize {
-        self.slots
-            .get(slot)
-            .and_then(|s| s.as_ref())
-            .map_or(0, Vec::len)
-    }
-
-    /// Append a round, dropping empty ones.
+    /// Append a round, dropping empty ones. Only a schedule under
+    /// construction takes rounds.
     pub(crate) fn push(&mut self, round: Round) {
+        let Rounds::Built(rounds) = &mut self.rounds else {
+            unreachable!("rounds are pushed only while a schedule is built");
+        };
         if !round.is_empty() {
-            self.queue.push_back(round);
+            rounds.push(round);
         }
     }
 
@@ -476,22 +471,17 @@ impl CollSchedule {
         }
     }
 
-    /// Make the built rounds shareable: move the queue into `shared`
-    /// (a no-op for a schedule that already runs shared rounds). Only a
-    /// schedule that has not started is frozen.
+    /// Make the built rounds shareable, in place (a no-op for a
+    /// schedule that already runs shared rounds). Only a schedule that
+    /// has not started is frozen.
     fn freeze(&mut self) -> Arc<[Round]> {
         debug_assert_eq!(self.next, 0, "a started schedule is not frozen");
-        match &self.shared {
-            Some(rounds) => {
-                debug_assert!(self.queue.is_empty());
-                Arc::clone(rounds)
-            }
-            None => {
-                let rounds: Arc<[Round]> = Vec::from(std::mem::take(&mut self.queue)).into();
-                self.shared = Some(Arc::clone(&rounds));
-                rounds
-            }
-        }
+        let rounds = match std::mem::take(&mut self.rounds) {
+            Rounds::Built(rounds) => Arc::from(rounds),
+            Rounds::Shared(rounds) => rounds,
+        };
+        self.rounds = Rounds::Shared(Arc::clone(&rounds));
+        rounds
     }
 
     /// Allocate the slot holding the caller's per-call payload and
@@ -516,8 +506,8 @@ impl CollSchedule {
 /// What the algorithm modules need from a schedule under construction.
 ///
 /// The builders in [`super::linear`] / [`super::tree`] / [`super::rd`] /
-/// [`super::ring`] / [`super::pipeline`] are generic over this trait so
-/// the same wire patterns compose at two scopes:
+/// [`super::ring`] are generic over this trait so the same wire patterns
+/// compose at two scopes:
 ///
 /// * directly on a [`CollSchedule`] — peers are the communicator's own
 ///   ranks (the flat algorithms), or
@@ -540,16 +530,13 @@ pub(crate) trait Sched {
     fn filled(&mut self, data: Vec<u8>) -> SlotId;
     /// Pre-fill an existing slot.
     fn fill(&mut self, slot: SlotId, data: Vec<u8>);
-    /// Length of a pre-filled slot (0 if empty).
-    fn len_of(&self, slot: SlotId) -> usize;
     /// Append a round (empty rounds are dropped).
     fn push(&mut self, round: Round);
     /// Declare that this schedule bakes per-call payload into ordinary
     /// slots at build time (scatter and alltoall chunks): it must not
-    /// be stored as a cache template. Constant builder-filled slots —
-    /// zero-byte signals, the pipelined root's length header for a
-    /// fixed payload length — do *not* need this:
-    /// they are identical for every call with the same cache key.
+    /// be stored as a cache template. Constant builder-filled slots,
+    /// such as zero-byte signals, do *not* need this: they are
+    /// identical for every call with the same cache key.
     fn uncacheable(&mut self);
 }
 
@@ -563,9 +550,6 @@ impl Sched for CollSchedule {
     fn fill(&mut self, slot: SlotId, data: Vec<u8>) {
         CollSchedule::fill(self, slot, data)
     }
-    fn len_of(&self, slot: SlotId) -> usize {
-        CollSchedule::len_of(self, slot)
-    }
     fn push(&mut self, round: Round) {
         CollSchedule::push(self, round)
     }
@@ -578,13 +562,6 @@ impl Sched for CollSchedule {
 /// `0..members.len()`, and every peer of a pushed round is translated
 /// through `members` to the owning communicator's rank space. See
 /// [`Sched`].
-///
-/// Caveat: only rounds pushed **at build time** are remapped. A builder
-/// that extends its schedule at *run time* through
-/// [`SchedCtx::push_round`] (the pipelined broadcast) would emit
-/// unremapped peers — do not run such builders through a `Subgroup`
-/// (the hierarchical composer only reuses the static tree / recursive-
-/// doubling / linear builders).
 pub(crate) struct Subgroup<'a> {
     inner: &'a mut CollSchedule,
     members: &'a [usize],
@@ -607,9 +584,6 @@ impl Sched for Subgroup<'_> {
     }
     fn fill(&mut self, slot: SlotId, data: Vec<u8>) {
         self.inner.fill(slot, data)
-    }
-    fn len_of(&self, slot: SlotId) -> usize {
-        self.inner.len_of(slot)
     }
     fn uncacheable(&mut self) {
         self.inner.uncacheable();
@@ -825,8 +799,7 @@ impl Engine {
                 st.trace.cseq,
             );
         }
-        st.schedule.queue.clear();
-        st.schedule.shared = None;
+        st.schedule.next = st.schedule.rounds.len();
         st.pending_compute = None;
         st.finished = true;
         st.failed = Some(error);
@@ -881,43 +854,26 @@ impl Engine {
                 st.trace.round_idx += 1;
             }
             let s = &mut st.schedule;
-            // The round's transfers are done: run its compute (which may
-            // extend the schedule with rounds that run next).
+            // The round's transfers are done: run its compute.
             if let Some(compute) = st.pending_compute.take() {
-                let mut extension = Vec::new();
-                let mut ctx = SchedCtx {
+                (*compute)(&mut SchedCtx {
                     slots: &mut s.slots,
                     outcome: &mut s.outcome,
-                    extension: &mut extension,
                     pool: &mut self.send_pool,
-                };
-                (*compute)(&mut ctx)?;
-                for round in extension.into_iter().rev() {
-                    if !round.is_empty() {
-                        s.queue.push_front(round);
-                    }
-                }
+                })?;
             }
-            // Queued rounds first (their tags are final), then the shared
-            // ones from the cursor.
-            let queued;
-            let (round, shift) = if let Some(round) = s.queue.pop_front() {
-                queued = round;
-                (&queued, 0)
-            } else if let Some(round) = s.shared.as_ref().and_then(|r| r.get(s.next)) {
-                s.next += 1;
-                (round, s.shift)
-            } else {
+            let Some(round) = s.rounds.get(s.next) else {
                 st.finished = true;
                 return Ok(());
             };
+            s.next += 1;
             st.pending_compute = self.post_round(
                 st.comm,
                 &mut st.in_flight,
                 &mut st.trace,
                 &s.slots,
                 round,
-                shift,
+                s.shift,
             )?;
         }
     }

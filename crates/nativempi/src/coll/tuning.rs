@@ -25,7 +25,7 @@
 //! | *hierarchical map* (barrier/bcast/allgather/reduce/allreduce) | any | any | hier (order rules permitting) |
 //! | barrier | power of two | — | recursive doubling |
 //! | barrier | other | — | binomial tree |
-//! | bcast | ≥ 2 | any | binomial tree (pin `pipelined` for huge payloads) |
+//! | bcast | ≥ 2 | any | binomial tree |
 //! | gather / scatter | 2–3 | any | linear |
 //! | gather / scatter | ≥ 4 | any | binomial tree |
 //! | allgather | power of two | any | recursive doubling |
@@ -223,8 +223,6 @@ pub fn supported(
             O::Allreduce | O::ReduceScatter => policy == OrderPolicy::Any,
             _ => false,
         },
-        // Segmented tree bcast only; every other operation falls back.
-        A::Pipelined => op == O::Bcast,
         // The leader scheme needs real hierarchy, and its reductions
         // re-associate across node boundaries: rank order survives only
         // on contiguous placements (see the hier module docs).

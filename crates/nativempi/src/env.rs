@@ -216,7 +216,7 @@ impl Overlay<'_> {
 /// | variable | `UniverseConfig` field | `MpiRuntime` method | grammar | default | malformed |
 /// |---|---|---|---|---|---|
 /// | [`EAGER_LIMIT_ENV`] | `eager_threshold` | `eager_threshold` | `<bytes>[k\|m]` | [`crate::DEFAULT_EAGER_THRESHOLD`] | ignored |
-/// | [`COLL_ALG_ENV`] | `coll_algorithm` | `coll_algorithm` | `linear\|tree\|rd\|ring\|pipelined\|hier\|auto` | `auto`: the tuned selection | ignored |
+/// | [`COLL_ALG_ENV`] | `coll_algorithm` | `coll_algorithm` | `linear\|tree\|rd\|ring\|hier\|auto` | `auto`: the tuned selection | ignored |
 /// | [`NODES_ENV`] | `nodes` | `nodes` | `<nodes>`, `<nodes>x<ranks>` or `<id,id,…>` | one flat node | ignored |
 /// | [`PROGRESS_ENV`] | `progress` | `progress` | `thread\|manual` | `manual` | `manual` |
 /// | [`SPOOL_DIR_ENV`] | `spool_dir` | `spool_dir` | a path | ephemeral temp dir | — (the device reports a bad path) |
@@ -242,7 +242,7 @@ pub fn overlay(
     env.fill(&mut config.coll_algorithm, COLL_ALG_ENV, |raw| {
         CollAlgorithm::parse_override(raw).map_err(|()| {
             "is not a recognized collective algorithm (expected \
-             linear|tree|rd|ring|pipelined|hier|auto); falling back to the tuned selection"
+             linear|tree|rd|ring|hier|auto); falling back to the tuned selection"
         })
     });
     env.fill(&mut config.nodes, NODES_ENV, |raw| {
@@ -488,7 +488,7 @@ mod tests {
                     ("ring", show(Some(CollAlgorithm::Ring))),
                     ("auto", show(None::<CollAlgorithm>)),
                 ],
-                malformed: vec!["zzz", "linear,ring"],
+                malformed: vec!["zzz", "linear,ring", "pipelined"],
                 get: |c| show(c.coll_algorithm),
                 set: |c| c.with_coll_algorithm(CollAlgorithm::Linear),
             },

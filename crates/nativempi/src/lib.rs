@@ -123,8 +123,10 @@ pub struct EngineStats {
     /// [`Engine::win_unlock`] passive-target epoch.
     pub epochs: u64,
     /// Collective calls served from the schedule cache (template
-    /// instantiated instead of rebuilt — persistent `start()`s count
-    /// here too; see the schedule-caching section of [`coll::nb`]).
+    /// instantiated instead of rebuilt; see the schedule-caching section
+    /// of [`coll::nb`]). A persistent `start()` that replays its pinned
+    /// template looks nothing up and counts neither here nor in
+    /// `sched_cache_misses`.
     pub sched_cache_hits: u64,
     /// Cacheable collective calls that had to build their schedule from
     /// scratch (cold key, or the tag-window sequence wrapped

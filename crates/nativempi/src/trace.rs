@@ -858,6 +858,26 @@ mod tests {
         assert_eq!(TraceConfig::parse(""), None);
     }
 
+    /// A `coll` event stores its operation and algorithm as indices into
+    /// `CollOp::ALL` / `CollAlgorithm::ALL`, and the dump writes them
+    /// back as labels: every index reads its own label, and anything
+    /// outside the tables reads `unknown`.
+    #[test]
+    fn coll_event_indices_decode_to_their_labels() {
+        for alg in CollAlgorithm::ALL {
+            assert_eq!(alg_label(alg.index() as i64), alg.label());
+        }
+        for op in CollOp::ALL {
+            assert_eq!(op_label(op.index() as i64), op.label());
+        }
+        for idx in [-1, CollAlgorithm::ALL.len() as i64] {
+            assert_eq!(alg_label(idx), "unknown");
+        }
+        for idx in [-1, CollOp::ALL.len() as i64] {
+            assert_eq!(op_label(idx), "unknown");
+        }
+    }
+
     #[test]
     fn trace_config_display_roundtrips() {
         for s in ["off", "counters", "events", "events:512"] {
