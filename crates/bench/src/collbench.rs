@@ -284,9 +284,10 @@ pub struct PersistentRecord {
 }
 
 /// Measure one persistent-vs-transient allreduce cell (see
-/// [`PersistentRecord`]). Both paths are warmed first so the schedule
-/// cache and staging pools are in steady state; each is then timed as
-/// the best of three barrier-fenced windows of `reps` calls.
+/// [`PersistentRecord`]). Each rank thread is pinned to its own core
+/// ([`crate::pin_rank_thread`]). Both paths are warmed first so the
+/// schedule cache and staging pools are in steady state; each is then
+/// timed as the best of three barrier-fenced windows of `reps` calls.
 pub fn measure_persistent(
     device: DeviceKind,
     ranks: usize,
@@ -302,6 +303,7 @@ pub fn measure_persistent(
             use mpijava::rs::Communicator as _;
             let world = mpi.comm_world();
             let rank = world.rank()?;
+            crate::pin_rank_thread(rank);
             let count = (payload_bytes / 4).max(1);
             let send: Vec<i32> = (0..count as i32)
                 .map(|i| i.wrapping_mul(rank as i32 + 1))

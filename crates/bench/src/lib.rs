@@ -70,3 +70,26 @@ pub use tracemerge::{
     load_trace_dir, merge as merge_traces, merge_dir_to_file, merge_with_corrections,
     parse_rank_trace, validate_chrome_trace, ChromeSummary, RankTrace,
 };
+
+extern "C" {
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// Pin the calling rank thread to core `rank % nproc`, as `benchmark/`
+/// pins its rank threads: for the first fraction of a second the kernel
+/// keeps newly spawned threads on one core, and an unpinned short cell
+/// measures that placement instead of the library. Failure (a `taskset`
+/// mask without that core, a kernel that refuses) leaves the thread
+/// where it is, so the one-core drills still run.
+pub fn pin_rank_thread(rank: usize) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let core = rank % nproc;
+    let mut mask = [0u64; 16];
+    if core >= mask.len() * 64 {
+        return;
+    }
+    mask[core / 64] = 1 << (core % 64);
+    // SAFETY: `mask` is a live, correctly sized bitset for the duration
+    // of the call; pid 0 names the calling thread.
+    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+}

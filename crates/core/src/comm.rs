@@ -824,43 +824,41 @@ impl Comm {
         Ok(payload)
     }
 
+    /// Decode an object stream from a peer: every length it declares is
+    /// checked against the bytes it has, so a corrupt or hostile stream
+    /// is a `Truncate` error, never a panic or an unbounded allocation.
     pub(crate) fn deserialize_objects<T: Serializable>(
         &self,
         data: &[u8],
         max_count: usize,
     ) -> MpiResult<Vec<T>> {
-        if data.len() < 8 {
-            return Err(MPIException::new(
-                ErrorClass::Truncate,
-                "object message shorter than its header",
-            ));
-        }
-        let n = u64::from_le_bytes(data[0..8].try_into().unwrap()) as usize;
+        let truncated = || MPIException::new(ErrorClass::Truncate, "object stream truncated");
+        let field = |at: usize, len: usize| {
+            let end = at.checked_add(len).ok_or_else(truncated)?;
+            data.get(at..end).ok_or_else(truncated)
+        };
+        let word = |at| -> MpiResult<usize> {
+            let bytes = field(at, 8)?.try_into().expect("an 8-byte field");
+            Ok(u64::from_le_bytes(bytes) as usize)
+        };
+        let n = word(0)?;
         if n > max_count {
             return Err(MPIException::new(
                 ErrorClass::Truncate,
                 format!("received {n} objects but the receive asked for at most {max_count}"),
             ));
         }
-        let mut cursor = 8usize;
+        // Each object needs its 8-byte length field, which bounds how
+        // many the stream can hold whatever its count claims.
+        if n > data.len() / 8 {
+            return Err(truncated());
+        }
+        let mut cursor = 8;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            if cursor + 8 > data.len() {
-                return Err(MPIException::new(
-                    ErrorClass::Truncate,
-                    "object stream truncated",
-                ));
-            }
-            let len = u64::from_le_bytes(data[cursor..cursor + 8].try_into().unwrap()) as usize;
-            cursor += 8;
-            if cursor + len > data.len() {
-                return Err(MPIException::new(
-                    ErrorClass::Truncate,
-                    "object stream truncated",
-                ));
-            }
-            out.push(deserialize(&data[cursor..cursor + len])?);
-            cursor += len;
+            let len = word(cursor)?;
+            out.push(deserialize(field(cursor + 8, len)?)?);
+            cursor += 8 + len;
         }
         Ok(out)
     }

@@ -155,9 +155,13 @@
 //! of reusing the buffer by address: under [`MarshalMode::Pin`] by
 //! reference — the engine stages its one copy straight from the
 //! caller's slice — and under [`MarshalMode::Copy`] through one boundary
-//! copy, whose buffer the engine sends as it is. Both shells and every
-//! other request are views of one pending-operation machine (see
-//! [`request`]).
+//! copy, whose buffer the engine sends as it is. A persistent collective
+//! does the same: each `start()` marshals its send slice (a broadcast
+//! root: its buffer) in through the same seam as the blocking and
+//! nonblocking forms, and each completion stores the outcome into the
+//! receive slice through it, so all three forms count the same
+//! `jni.bytes_in` / `bytes_out`. Both shells and every other request are
+//! views of one pending-operation machine (see [`request`]).
 //!
 //! ### Progress: manual (default) and background-thread
 //!

@@ -59,9 +59,14 @@
 //!   [`send_obj`](Communicator::send_obj) / [`recv_obj`](Communicator::recv_obj)
 //!   are generic over [`Serializable`].
 //!
-//! Every method delegates to the corresponding classic method, so each
-//! call crosses the simulated JNI boundary exactly as the paper's
-//! measurements require — the idiomatic surface is sugar, not a bypass.
+//! Every method crosses the simulated JNI boundary through the classic
+//! seam, exactly as the paper's measurements require — the idiomatic
+//! surface is sugar, not a bypass. Point-to-point methods delegate to
+//! the classic methods; every collective, blocking, `i*` or `*_init`, is
+//! one call of the classic surface's collective launcher under the
+//! classic method's boundary name, so its input marshals in through
+//! `Comm::pack_buffer` and its outcome is stored through
+//! `Comm::unpack_buffer` like the classic twin's.
 //!
 //! The paper's Figure 3 program, idiomatic form:
 //!
@@ -142,15 +147,16 @@
 //! form fully qualified, `Comm::send(&world, buf, off, count, ty, dest,
 //! tag)` — inherent methods named explicitly ignore trait shadowing.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
+use mpi_native::coll::{CollDesc, Reduction};
 use mpi_native::{Engine, ErrorClass, MpiError, RequestId, SendMode, PROC_NULL};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::comm::Comm;
 use crate::exception::{MPIException, MpiResult};
-use crate::intracomm::Intracomm;
+use crate::intracomm::{Array, Intracomm, Mode, Shape};
 use crate::op::Op;
 use crate::request::{Capture, Pending};
 use crate::serial::Serializable;
@@ -354,6 +360,11 @@ pub trait Communicator {
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------
+    //
+    // Every collective below is one `Intracomm::collective` call over
+    // whole-slice sides, under the classic method's boundary name: the
+    // blocking, nonblocking and persistent forms of an operation marshal
+    // the same bytes through the same seam.
 
     /// Synchronize every rank (classic `Barrier`).
     fn barrier(&self) -> MpiResult<()> {
@@ -363,9 +374,10 @@ pub trait Communicator {
     /// Broadcast the root's slice contents to every rank (classic
     /// `Bcast`). Every rank passes a buffer of the same length.
     fn broadcast<T: BufferElement>(&self, buf: &mut [T], root: usize) -> MpiResult<()> {
-        let count = buf.len();
+        let mode = Mode::Blocking(CollDesc::Bcast { root });
+        let buf = Array::whole(buf);
         self.as_intracomm()
-            .bcast(buf, 0, count, &T::datatype(), root)
+            .collective("Intracomm.Bcast", mode, (), buf)
     }
 
     /// Element-wise reduction of `send` into the root's `recv` (classic
@@ -380,16 +392,11 @@ pub trait Communicator {
         op: impl Borrow<Op>,
         root: usize,
     ) -> MpiResult<()> {
-        self.as_intracomm().reduce(
-            send,
-            0,
-            recv,
-            0,
-            send.len(),
-            &T::datatype(),
-            op.borrow(),
-            root,
-        )
+        let red = reduction::<T>(send.len(), op.borrow());
+        let mode = Mode::Blocking(CollDesc::Reduce { root, red });
+        let (send, recv) = (Array::whole(send), Array::whole(recv));
+        self.as_intracomm()
+            .collective("Intracomm.Reduce", mode, send, recv)
     }
 
     /// Element-wise reduction delivered to every rank (classic
@@ -400,8 +407,10 @@ pub trait Communicator {
         recv: &mut [T],
         op: impl Borrow<Op>,
     ) -> MpiResult<()> {
+        let mode = Mode::Blocking(CollDesc::Allreduce(reduction::<T>(send.len(), op.borrow())));
+        let (send, recv) = (Array::whole(send), Array::whole(recv));
         self.as_intracomm()
-            .allreduce(send, 0, recv, 0, send.len(), &T::datatype(), op.borrow())
+            .collective("Intracomm.Allreduce", mode, send, recv)
     }
 
     /// Inclusive prefix reduction (classic `Scan`).
@@ -411,8 +420,10 @@ pub trait Communicator {
         recv: &mut [T],
         op: impl Borrow<Op>,
     ) -> MpiResult<()> {
+        let mode = Mode::Blocking(CollDesc::Scan(reduction::<T>(send.len(), op.borrow())));
+        let (send, recv) = (Array::whole(send), Array::whole(recv));
         self.as_intracomm()
-            .scan(send, 0, recv, 0, send.len(), &T::datatype(), op.borrow())
+            .collective("Intracomm.Scan", mode, send, recv)
     }
 
     /// Gather every rank's `send` slice to the root (classic `Gather`).
@@ -424,32 +435,19 @@ pub trait Communicator {
         recv: &mut [T],
         root: usize,
     ) -> MpiResult<()> {
-        self.as_intracomm().gather(
-            send,
-            0,
-            send.len(),
-            &T::datatype(),
-            recv,
-            0,
-            send.len(),
-            &T::datatype(),
-            root,
-        )
+        let mode = Mode::Blocking(CollDesc::Gather { root });
+        let recv = Array::of(recv, Shape::Each(send.len()));
+        self.as_intracomm()
+            .collective("Intracomm.Gather", mode, Array::whole(send), recv)
     }
 
     /// Gather every rank's `send` slice to every rank (classic
     /// `Allgather`). `recv` holds `size * send.len()` elements.
     fn all_gather<T: BufferElement>(&self, send: &[T], recv: &mut [T]) -> MpiResult<()> {
-        self.as_intracomm().allgather(
-            send,
-            0,
-            send.len(),
-            &T::datatype(),
-            recv,
-            0,
-            send.len(),
-            &T::datatype(),
-        )
+        let mode = Mode::Blocking(CollDesc::Allgather);
+        let recv = Array::of(recv, Shape::Each(send.len()));
+        self.as_intracomm()
+            .collective("Intracomm.Allgather", mode, Array::whole(send), recv)
     }
 
     /// Scatter equal chunks of the root's `send` slice (classic
@@ -462,18 +460,10 @@ pub trait Communicator {
         recv: &mut [T],
         root: usize,
     ) -> MpiResult<()> {
-        let count = recv.len();
-        self.as_intracomm().scatter(
-            send,
-            0,
-            count,
-            &T::datatype(),
-            recv,
-            0,
-            count,
-            &T::datatype(),
-            root,
-        )
+        let mode = Mode::Blocking(CollDesc::Scatter { root });
+        let send = Array::of(send, Shape::Each(recv.len()));
+        self.as_intracomm()
+            .collective("Intracomm.Scatter", mode, send, Array::whole(recv))
     }
 
     /// Total exchange (classic `Alltoall`): every rank sends
@@ -481,32 +471,11 @@ pub trait Communicator {
     /// amount from each, so `send` and `recv` both hold `size * chunk`
     /// elements.
     fn all_to_all<T: BufferElement>(&self, send: &[T], recv: &mut [T]) -> MpiResult<()> {
-        // Read the size directly from the engine rather than through
-        // `self.size()`: the latter would count an extra `Comm.Size` JNI
-        // crossing that the classic `alltoall` call site does not make,
-        // skewing the wrapper-overhead statistics the paper measures.
-        let comm = self.as_comm();
-        let size = comm.env.engine.lock().comm_size(comm.handle)?;
-        if size == 0 || !send.len().is_multiple_of(size) {
-            return Err(MPIException::new(
-                ErrorClass::Count,
-                format!(
-                    "all_to_all: send length {} is not a multiple of the communicator size {size}",
-                    send.len()
-                ),
-            ));
-        }
-        let chunk = send.len() / size;
-        self.as_intracomm().alltoall(
-            send,
-            0,
-            chunk,
-            &T::datatype(),
-            recv,
-            0,
-            chunk,
-            &T::datatype(),
-        )
+        let mode = Mode::Blocking(CollDesc::Alltoall);
+        let split = Shape::Split(send.len());
+        let (send, recv) = (Array::of(send, split), Array::of(recv, split));
+        self.as_intracomm()
+            .collective("Intracomm.Alltoall", mode, send, recv)
     }
 
     // ------------------------------------------------------------------
@@ -524,16 +493,15 @@ pub trait Communicator {
     // the `icollectives` benchmark measures exactly that. Every rank of
     // the communicator must start the same collectives in the same
     // order (the standard's nonblocking-collective rule); results are
-    // byte-identical to the blocking twins, which are themselves
-    // `start + wait` over the same schedules.
+    // byte-identical to the blocking twins, which run the same schedules
+    // over the same marshalled input.
 
     /// Nonblocking barrier (`MPI_Ibarrier`): the returned request
     /// completes once every rank has entered the barrier.
     fn ibarrier(&self) -> MpiResult<TypedRequest<'static>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Ibarrier", (), |e, _| {
-            e.ibarrier(comm.handle)
-        })
+        let mode = Mode::Nonblocking(CollDesc::Barrier);
+        self.as_intracomm()
+            .collective("Intracomm.Ibarrier", mode, (), ())
     }
 
     /// Nonblocking broadcast (`MPI_Ibcast`): the root's slice contents
@@ -544,15 +512,10 @@ pub trait Communicator {
         buf: &'buf mut [T],
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Ibcast", CollBufs::out(buf), |e, c| {
-            let payload = if e.comm_rank(comm.handle)? == root {
-                bytes_of(c.recv).into_owned()
-            } else {
-                Vec::new()
-            };
-            e.ibcast(comm.handle, root, payload)
-        })
+        let mode = Mode::Nonblocking(CollDesc::Bcast { root });
+        let buf = Array::whole(buf);
+        self.as_intracomm()
+            .collective("Intracomm.Ibcast", mode, (), buf)
     }
 
     /// Nonblocking reduction to the root (`MPI_Ireduce`); non-root
@@ -564,11 +527,11 @@ pub trait Communicator {
         op: impl Borrow<Op>,
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Ireduce", CollBufs::out(recv), |e, _| {
-            let op = op.borrow().engine_op();
-            e.ireduce(comm.handle, root, bytes_of(send), T::KIND, send.len(), op)
-        })
+        let red = reduction::<T>(send.len(), op.borrow());
+        let mode = Mode::Nonblocking(CollDesc::Reduce { root, red });
+        let (send, recv) = (Array::whole(send), Array::whole(recv));
+        self.as_intracomm()
+            .collective("Intracomm.Ireduce", mode, send, recv)
     }
 
     /// Nonblocking allreduce (`MPI_Iallreduce`): `recv` holds the full
@@ -579,11 +542,11 @@ pub trait Communicator {
         recv: &'buf mut [T],
         op: impl Borrow<Op>,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Iallreduce", CollBufs::out(recv), |e, _| {
-            let op = op.borrow().engine_op();
-            e.iallreduce(comm.handle, bytes_of(send), T::KIND, send.len(), op)
-        })
+        let red = reduction::<T>(send.len(), op.borrow());
+        let mode = Mode::Nonblocking(CollDesc::Allreduce(red));
+        let (send, recv) = (Array::whole(send), Array::whole(recv));
+        self.as_intracomm()
+            .collective("Intracomm.Iallreduce", mode, send, recv)
     }
 
     /// Nonblocking gather (`MPI_Igather`): the root's `recv` holds
@@ -595,10 +558,10 @@ pub trait Communicator {
         recv: &'buf mut [T],
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Igather", CollBufs::out(recv), |e, _| {
-            e.igather(comm.handle, root, &bytes_of(send))
-        })
+        let mode = Mode::Nonblocking(CollDesc::Gather { root });
+        let recv = Array::of(recv, Shape::Each(send.len()));
+        let comm = self.as_intracomm();
+        comm.collective("Intracomm.Igather", mode, Array::whole(send), recv)
     }
 
     /// Nonblocking allgather (`MPI_Iallgather`): `recv` holds
@@ -608,10 +571,10 @@ pub trait Communicator {
         send: &[T],
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Iallgather", CollBufs::out(recv), |e, _| {
-            e.iallgather(comm.handle, &bytes_of(send))
-        })
+        let mode = Mode::Nonblocking(CollDesc::Allgather);
+        let recv = Array::of(recv, Shape::Each(send.len()));
+        let comm = self.as_intracomm();
+        comm.collective("Intracomm.Iallgather", mode, Array::whole(send), recv)
     }
 
     /// Nonblocking scatter (`MPI_Iscatter`): each rank receives
@@ -624,21 +587,10 @@ pub trait Communicator {
         recv: &'buf mut [T],
         root: usize,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Iscatter", CollBufs::out(recv), |e, c| {
-            let size = e.comm_size(comm.handle)?;
-            if e.comm_rank(comm.handle)? != root {
-                return e.iscatter(comm.handle, root, None);
-            }
-            if send.len() != size * c.recv.len() {
-                return Err(count_error(format!(
-                    "iscatter_from: root send length {} is not size ({size}) * recv length ({})",
-                    send.len(),
-                    c.recv.len()
-                )));
-            }
-            e.iscatter(comm.handle, root, Some(&wire_chunks(send, size)))
-        })
+        let mode = Mode::Nonblocking(CollDesc::Scatter { root });
+        let send = Array::of(send, Shape::Each(recv.len()));
+        let comm = self.as_intracomm();
+        comm.collective("Intracomm.Iscatter", mode, send, Array::whole(recv))
     }
 
     /// Nonblocking total exchange (`MPI_Ialltoall`): every rank sends
@@ -650,17 +602,11 @@ pub trait Communicator {
         send: &[T],
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Ialltoall", CollBufs::out(recv), |e, _| {
-            let size = e.comm_size(comm.handle)?;
-            if size == 0 || !send.len().is_multiple_of(size) {
-                return Err(count_error(format!(
-                    "iall_to_all: send length {} is not a multiple of the communicator size {size}",
-                    send.len()
-                )));
-            }
-            e.ialltoall(comm.handle, &wire_chunks(send, size))
-        })
+        let mode = Mode::Nonblocking(CollDesc::Alltoall);
+        let split = Shape::Split(send.len());
+        let (send, recv) = (Array::of(send, split), Array::of(recv, split));
+        self.as_intracomm()
+            .collective("Intracomm.Ialltoall", mode, send, recv)
     }
 
     /// Nonblocking reduce-scatter (`MPI_Ireduce_scatter` with equal
@@ -674,25 +620,12 @@ pub trait Communicator {
         recv: &'buf mut [T],
         op: impl Borrow<Op>,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(
-            comm,
-            "Intracomm.Ireduce_scatter",
-            CollBufs::out(recv),
-            |e, c| {
-                let size = e.comm_size(comm.handle)?;
-                if send.len() != size * c.recv.len() {
-                    return Err(count_error(format!(
-                    "ireduce_scatter_into: send length {} is not size ({size}) * recv length ({})",
-                    send.len(),
-                    c.recv.len()
-                )));
-                }
-                let counts = vec![c.recv.len(); size];
-                let op = op.borrow().engine_op();
-                e.ireduce_scatter(comm.handle, bytes_of(send), &counts, T::KIND, op)
-            },
-        )
+        let comm = self.as_intracomm();
+        let counts = vec![recv.len(); comm.env.engine.lock().comm_size(comm.handle)?];
+        let desc = CollDesc::reduce_scatter(&counts, T::KIND, op.borrow().engine_op());
+        let mode = Mode::Nonblocking(desc);
+        let send = Array::of(send, Shape::Each(recv.len()));
+        comm.collective("Intracomm.Ireduce_scatter", mode, send, Array::whole(recv))
     }
 
     /// Nonblocking inclusive prefix reduction (`MPI_Iscan`): `recv`
@@ -703,11 +636,10 @@ pub trait Communicator {
         recv: &'buf mut [T],
         op: impl Borrow<Op>,
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Iscan", CollBufs::out(recv), |e, _| {
-            let op = op.borrow().engine_op();
-            e.iscan(comm.handle, bytes_of(send), T::KIND, send.len(), op)
-        })
+        let mode = Mode::Nonblocking(CollDesc::Scan(reduction::<T>(send.len(), op.borrow())));
+        let (send, recv) = (Array::whole(send), Array::whole(recv));
+        self.as_intracomm()
+            .collective("Intracomm.Iscan", mode, send, recv)
     }
 
     // ------------------------------------------------------------------
@@ -762,10 +694,9 @@ pub trait Communicator {
     /// Persistent barrier (`MPI_Barrier_init`): each `start()`/`wait()`
     /// pair is one barrier over the pre-built schedule.
     fn barrier_init(&self) -> MpiResult<PersistentRequest<'static>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Barrier_init", (), |e, _| {
-            e.barrier_init(comm.handle)
-        })
+        let mode = Mode::Persistent(CollDesc::Barrier);
+        self.as_intracomm()
+            .collective("Intracomm.Barrier_init", mode, (), ())
     }
 
     /// Persistent broadcast (`MPI_Bcast_init`): each iteration sends
@@ -776,11 +707,10 @@ pub trait Communicator {
         buf: &'buf mut [T],
         root: usize,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(comm, "Intracomm.Bcast_init", CollBufs::out(buf), |e, c| {
-            c.in_place = e.comm_rank(comm.handle)? == root;
-            e.bcast_init(comm.handle, root, c.recv.len() * T::width())
-        })
+        let mode = Mode::Persistent(CollDesc::Bcast { root });
+        let buf = Array::whole(buf);
+        self.as_intracomm()
+            .collective("Intracomm.Bcast_init", mode, (), buf)
     }
 
     /// Persistent reduction to `root` (`MPI_Reduce_init`); each
@@ -793,16 +723,11 @@ pub trait Communicator {
         op: impl Borrow<Op>,
         root: usize,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(
-            comm,
-            "Intracomm.Reduce_init",
-            CollBufs::new(send, recv),
-            |e, _| {
-                let op = op.borrow().engine_op();
-                e.reduce_init(comm.handle, root, T::KIND, send.len(), op)
-            },
-        )
+        let red = Reduction::owned(T::KIND, send.len(), op.borrow().engine_op());
+        let mode = Mode::Persistent(CollDesc::Reduce { root, red });
+        let sides = (Array::whole(send), Array::whole(recv));
+        self.as_intracomm()
+            .collective("Intracomm.Reduce_init", mode, (), sides)
     }
 
     /// Persistent allreduce (`MPI_Allreduce_init`): each iteration
@@ -814,16 +739,11 @@ pub trait Communicator {
         recv: &'buf mut [T],
         op: impl Borrow<Op>,
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(
-            comm,
-            "Intracomm.Allreduce_init",
-            CollBufs::new(send, recv),
-            |e, _| {
-                let op = op.borrow().engine_op();
-                e.allreduce_init(comm.handle, T::KIND, send.len(), op)
-            },
-        )
+        let red = Reduction::owned(T::KIND, send.len(), op.borrow().engine_op());
+        let mode = Mode::Persistent(CollDesc::Allreduce(red));
+        let sides = (Array::whole(send), Array::whole(recv));
+        self.as_intracomm()
+            .collective("Intracomm.Allreduce_init", mode, (), sides)
     }
 
     /// Persistent allgather (`MPI_Allgather_init`): each iteration
@@ -834,13 +754,10 @@ pub trait Communicator {
         send: &'buf [T],
         recv: &'buf mut [T],
     ) -> MpiResult<PersistentRequest<'buf>> {
-        let comm = self.as_comm();
-        launch(
-            comm,
-            "Intracomm.Allgather_init",
-            CollBufs::new(send, recv),
-            |e, _| e.allgather_init(comm.handle),
-        )
+        let mode = Mode::Persistent(CollDesc::Allgather);
+        let sides = (Array::whole(send), Array::of(recv, Shape::Each(send.len())));
+        self.as_intracomm()
+            .collective("Intracomm.Allgather_init", mode, (), sides)
     }
 
     // ------------------------------------------------------------------
@@ -1066,41 +983,9 @@ fn count_error(message: String) -> MpiError {
     MpiError::new(ErrorClass::Count, message)
 }
 
-/// The capture of a collective's local buffers: `pack` reads this rank's
-/// input — `send`, or `recv` itself at a broadcast root, whose one slice
-/// is both — and `unpack` stores the outcome (gather-family outcomes
-/// arrive flattened in rank order) into `recv` from its start.
-struct CollBufs<'buf, T> {
-    send: &'buf [T],
-    recv: &'buf mut [T],
-    in_place: bool,
-}
-
-impl<'buf, T: BufferElement> CollBufs<'buf, T> {
-    fn new(send: &'buf [T], recv: &'buf mut [T]) -> Self {
-        CollBufs {
-            send,
-            recv,
-            in_place: false,
-        }
-    }
-
-    /// Output only: a nonblocking collective's input is marshalled at
-    /// call time.
-    fn out(recv: &'buf mut [T]) -> Self {
-        CollBufs::new(&[], recv)
-    }
-}
-
-impl<T: BufferElement> Capture for CollBufs<'_, T> {
-    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
-        Ok(bytes_of(if self.in_place { self.recv } else { self.send }))
-    }
-
-    fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
-        store_bytes(bytes, self.recv);
-        Ok(())
-    }
+/// A reduction of `count` elements of `T` under `op`.
+fn reduction<T: BufferElement>(count: usize, op: &Op) -> Reduction<'_> {
+    Reduction::borrowed(T::KIND, count, op.engine_op())
 }
 
 /// The capture of the `ineighbor_*` collectives: the outcome parts arrive
@@ -1173,16 +1058,10 @@ fn split_neighbor_chunks<T: BufferElement>(
             send.len()
         )));
     }
-    Ok(wire_chunks(send, degree))
-}
-
-/// The wire images of `send`'s `parts` equal consecutive chunks (one per
-/// peer of a scatter / total exchange; `parts` divides `send.len()`).
-fn wire_chunks<T: BufferElement>(send: &[T], parts: usize) -> Vec<Vec<u8>> {
-    let chunk = send.len() / parts;
-    (0..parts)
+    let chunk = send.len() / degree;
+    Ok((0..degree)
         .map(|r| bytes_of(&send[r * chunk..(r + 1) * chunk]).into_owned())
-        .collect()
+        .collect())
 }
 
 /// Cartesian-topology extensions of the idiomatic surface, implemented

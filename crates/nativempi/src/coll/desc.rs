@@ -8,6 +8,10 @@
 //! operator through the same type (`Cow::Owned`, `CollDesc<'static>`).
 //! The per-call contribution travels beside it as a [`Payload`]. See the
 //! [parent module](super) for the descriptor → plan → launcher flow.
+//!
+//! Both types are public because they are the binding's entry point
+//! too: the `mpijava` crate builds one descriptor per collective call,
+//! on every surface and in every call mode.
 
 use std::borrow::Cow;
 
@@ -20,8 +24,10 @@ use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::ops::Op;
 use crate::types::PrimitiveKind;
 
-/// The `(kind, count, op)` triple of the reduction family.
-pub(crate) struct Reduction<'a> {
+/// The `(kind, count, op)` triple of the reduction family: build it with
+/// [`Reduction::borrowed`] for a call, [`Reduction::owned`] for a
+/// persistent operation's `CollDesc<'static>`.
+pub struct Reduction<'a> {
     pub(crate) kind: PrimitiveKind,
     /// Elements reduced; for reduce-scatter the total over all ranks.
     pub(crate) count: usize,
@@ -30,7 +36,7 @@ pub(crate) struct Reduction<'a> {
 
 impl<'a> Reduction<'a> {
     /// A transient call's reduction: nothing is cloned.
-    pub(crate) fn borrowed(kind: PrimitiveKind, count: usize, op: &'a Op) -> Reduction<'a> {
+    pub fn borrowed(kind: PrimitiveKind, count: usize, op: &'a Op) -> Reduction<'a> {
         Reduction {
             kind,
             count,
@@ -39,7 +45,7 @@ impl<'a> Reduction<'a> {
     }
 
     /// A persistent operation's reduction, owning its operator.
-    pub(crate) fn owned(kind: PrimitiveKind, count: usize, op: &Op) -> Reduction<'static> {
+    pub fn owned(kind: PrimitiveKind, count: usize, op: &Op) -> Reduction<'static> {
         Reduction {
             kind,
             count,
@@ -48,34 +54,55 @@ impl<'a> Reduction<'a> {
     }
 }
 
-/// One collective operation and its parameters.
-pub(crate) enum CollDesc<'a> {
+/// One collective operation and its parameters. The comments name the
+/// [`Payload`] each rank passes and the [`CollOutcome`] it gets back.
+pub enum CollDesc<'a> {
+    /// No payload; [`CollOutcome::Done`].
     Barrier,
+    /// The root's bytes (ignored elsewhere); the root's buffer on
+    /// every rank.
     Bcast {
+        /// The broadcasting rank.
         root: usize,
     },
+    /// Every rank's bytes; the parts at the root, `Done` elsewhere.
     Gather {
+        /// The gathering rank.
         root: usize,
     },
+    /// One chunk per rank at the root (`Chunks(None)` elsewhere); this
+    /// rank's chunk.
     Scatter {
+        /// The scattering rank.
         root: usize,
     },
+    /// Every rank's bytes; the parts on every rank.
     Allgather,
+    /// One chunk per destination rank; the chunk from every rank.
     Alltoall,
+    /// The reduction input; the result at the root, `Done` elsewhere.
     Reduce {
+        /// The rank the result goes to.
         root: usize,
+        /// What is reduced, and how.
         red: Reduction<'a>,
     },
+    /// The reduction input; the result on every rank.
     Allreduce(Reduction<'a>),
+    /// The whole input vector; this rank's `counts[rank]` elements of
+    /// the result.
     ReduceScatter {
+        /// Reduced elements per rank.
         counts: &'a [usize],
+        /// What is reduced (`count`: the sum of `counts`), and how.
         red: Reduction<'a>,
     },
+    /// The reduction input; the fold over ranks `0..=rank`.
     Scan(Reduction<'a>),
 }
 
 /// This rank's contribution to one collective call.
-pub(crate) enum Payload<'a> {
+pub enum Payload<'a> {
     /// `*_init`: the contribution arrives with each start, so the plan
     /// validates and builds without one.
     Deferred,
@@ -134,12 +161,8 @@ impl<'a> Payload<'a> {
 
 impl<'a> CollDesc<'a> {
     /// `counts[i]` reduced elements go to rank `i`. An overflowing total
-    /// saturates, which [`CollDesc::need`] then rejects.
-    pub(crate) fn reduce_scatter(
-        counts: &'a [usize],
-        kind: PrimitiveKind,
-        op: &'a Op,
-    ) -> CollDesc<'a> {
+    /// saturates, which `CollDesc::need` then rejects.
+    pub fn reduce_scatter(counts: &'a [usize], kind: PrimitiveKind, op: &'a Op) -> CollDesc<'a> {
         let total = counts.iter().fold(0usize, |sum, &c| sum.saturating_add(c));
         CollDesc::ReduceScatter {
             counts,

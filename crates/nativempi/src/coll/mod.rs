@@ -6,9 +6,17 @@
 //!
 //! Every public entry point — blocking (`allreduce`), nonblocking
 //! (`iallreduce`) or persistent (`allreduce_init`) — is one line: it
-//! names its operation as a `desc::CollDesc` (the op plus root /
+//! names its operation as a [`CollDesc`] (the op plus root /
 //! `kind`·`count`·`&Op` / per-rank counts, all borrowed), pairs it with
-//! the caller's `desc::Payload`, and hands both to a launcher.
+//! the caller's [`Payload`], and hands both to a launcher.
+//!
+//! The descriptor and the three launchers are also the binding's entry
+//! point: the `mpijava` crate describes each classic and idiomatic
+//! collective call as one [`CollDesc`] plus its marshalled payload and
+//! runs it through [`Engine::coll_run`], [`Engine::coll_launch`] or
+//! [`Engine::coll_init`], storing the [`CollOutcome`] (or the request's
+//! completion) back through its own marshal seam. The per-operation
+//! methods below stay as the engine-level API of tests and benchmarks.
 //!
 //! 1. **Descriptor.** Everything the dispatch needs is derived from it:
 //!    the [`CollOp`], the selector's inputs (payload bytes,
@@ -23,14 +31,14 @@
 //!    `match` over the descriptor into the algorithm modules below) and
 //!    cache store. The result is a runnable `nb::CollSchedule` labelled
 //!    with the `(op, algorithm)` pair it was planned with.
-//! 3. **Launchers.** `coll_launch` starts the plan and returns a
-//!    [`RequestId`] (the `i*` forms, completed like any request through
-//!    [`Engine::test`] / [`Engine::wait`], whose completion is the
-//!    result bytes); `coll_run` is launch + wait (the blocking forms —
-//!    the two cannot diverge); `coll_init` plans without a payload and
-//!    pins the schedule as a persistent operation's template (the
-//!    `*_init` forms: one more [`RequestId`], restarted with
-//!    [`Engine::start`]).
+//! 3. **Launchers.** [`Engine::coll_launch`] starts the plan and
+//!    returns a [`RequestId`] (the `i*` forms, completed like any
+//!    request through [`Engine::test`] / [`Engine::wait`], whose
+//!    completion is the result bytes); [`Engine::coll_run`] is launch +
+//!    wait (the blocking forms — the two cannot diverge);
+//!    [`Engine::coll_init`] plans without a payload and pins the
+//!    schedule as a persistent operation's template (the `*_init`
+//!    forms: one more [`RequestId`], restarted with [`Engine::start`]).
 //!
 //! See [`nb`] for the schedule model, the progress semantics, the
 //! tag-window accounting and the schedule cache.
@@ -103,7 +111,7 @@
 //!   their nonblocking requests are born complete.
 
 pub mod algorithm;
-pub(crate) mod desc;
+pub mod desc;
 pub mod hier;
 pub mod linear;
 pub mod nb;
@@ -114,13 +122,14 @@ pub mod tree;
 pub mod tuning;
 
 pub use algorithm::{CollAlgorithm, COLL_ALG_ENV};
+pub use desc::{CollDesc, Payload, Reduction};
+pub use nb::CollOutcome;
 pub use tuning::{CollOp, OrderPolicy, TopoHint};
 
 use std::borrow::Cow;
 
-use desc::{CollDesc, Payload, Reduction};
 use nb::cache::{cache_use, CacheUse, PersistentColl, SchedTemplate};
-use nb::{CollOutcome, CollSchedule, Round, SlotId, TagWindow};
+use nb::{CollSchedule, Round, SlotId, TagWindow};
 
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
@@ -342,8 +351,11 @@ impl Engine {
         Ok(Plan::Run(schedule, alg))
     }
 
-    /// Launcher: start the planned call, return its request.
-    pub(crate) fn coll_launch(
+    /// Launcher: start the planned call, return its request. Its
+    /// completion is the [`CollOutcome`] as bytes: nothing for
+    /// [`CollOutcome::Done`], the buffer, or the parts concatenated in
+    /// rank order.
+    pub fn coll_launch(
         &mut self,
         comm: CommHandle,
         d: &CollDesc<'_>,
@@ -358,7 +370,7 @@ impl Engine {
 
     /// Launcher: start the planned call and wait for it — the blocking
     /// collectives run the same schedules as their `i*` twins.
-    fn coll_run(
+    pub fn coll_run(
         &mut self,
         comm: CommHandle,
         d: &CollDesc<'_>,
@@ -373,8 +385,10 @@ impl Engine {
     /// plan consumed (the schedule itself is never started). Init is a
     /// collective call — every member must call it in the same order
     /// relative to other collectives on the communicator, because it
-    /// draws from the shared window sequence.
-    fn coll_init(
+    /// draws from the shared window sequence. Each [`Engine::start`]
+    /// passes this rank's payload; `root_len`, on a broadcast root, is
+    /// the length every start must pass (`None`: unchecked).
+    pub fn coll_init(
         &mut self,
         comm: CommHandle,
         desc: CollDesc<'static>,

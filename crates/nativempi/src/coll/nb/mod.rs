@@ -292,7 +292,7 @@ impl Round {
 /// What a completed collective delivers (see the per-operation docs in
 /// [`crate::coll`] for which variant each operation produces).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum CollOutcome {
+pub enum CollOutcome {
     /// Nothing to deliver (barrier; non-root ranks of rooted operations).
     Done,
     /// A single result buffer (bcast, scatter, reduce at the root,

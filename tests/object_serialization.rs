@@ -2,7 +2,7 @@
 //! serializable objects through the wrapper.
 
 use mpijava::serial::{ObjectInputStream, ObjectOutputStream};
-use mpijava::{ErrorClass, MpiResult, MpiRuntime, Serializable};
+use mpijava::{Datatype, ErrorClass, MpiResult, MpiRuntime, Serializable};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
@@ -78,17 +78,31 @@ fn object_buffers_respect_offset_and_count() {
         .unwrap();
 }
 
+/// More objects than the receive asked for, and two crafted streams a
+/// peer could send with a classic byte `Send`: one object whose length
+/// runs past the end of the stream (into `recv_obj`), and a count no
+/// stream of that size can hold (into `recv_object` with no limit).
+/// Each is a `Truncate` error, never a panic.
 #[test]
 fn receiving_more_objects_than_expected_is_an_error() {
     MpiRuntime::new(2)
         .run(|mpi| {
             let world = mpi.comm_world();
+            let past_end = [1u64.to_le_bytes(), u64::MAX.to_le_bytes()].concat();
+            let huge_count = (u64::MAX / 4).to_le_bytes();
             if world.rank()? == 0 {
                 let records = sample_records(0);
                 world.send_object(&records, 0, 5, 1, 2)?;
+                let byte = Datatype::byte();
+                world.send(&past_end, 0, past_end.len(), &byte, 1, 3)?;
+                world.send(&huge_count, 0, huge_count.len(), &byte, 1, 4)?;
             } else {
                 let err = world.recv_object::<Record>(2, 0, 2).unwrap_err();
                 assert_eq!(err.class, ErrorClass::Truncate);
+                let err = mpijava::rs::Communicator::recv_obj::<Record>(&world, 0, 3).unwrap_err();
+                assert_eq!(err.class, ErrorClass::Truncate, "length past the end");
+                let err = world.recv_object::<Record>(usize::MAX, 0, 4).unwrap_err();
+                assert_eq!(err.class, ErrorClass::Truncate, "count past the end");
             }
             Ok(())
         })

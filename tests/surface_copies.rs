@@ -9,6 +9,17 @@
 //! | `Send`, `Isend`, `Sendrecv`, `Prequest.Start` | len / 0 | len / len |
 //! | `Send[OBJECT]` | stream / 0 | stream / 0 |
 //!
+//! Collective rows: every form of a collective crosses the boundary
+//! alike. Per rank of a 2-rank `MPI.INT` `SUM` `Allreduce` at 256 B and
+//! 16 KiB, in both modes:
+//!
+//! | form | in / out | engine copies |
+//! |---|---|---|
+//! | classic `Allreduce` | len / len | the classic form's (len at 2 ranks) |
+//! | `rs` `all_reduce` | len / len | the same |
+//! | `iall_reduce` + `wait` | len / len | the same |
+//! | `all_reduce_init` + `start` / `wait` | len / len | the same |
+//!
 //! A `Copy` send's boundary copy is the message: the engine sends that
 //! buffer and copies nothing. A `Pin` send lends the caller's slice, and
 //! the engine's one staging copy is the only pass. An object stream is
@@ -217,4 +228,87 @@ fn prequest_start_copies() {
 #[test]
 fn send_object_copies() {
     pin(Call::SendObject);
+}
+
+/// The four forms of one `Allreduce`, each a separate call on the same
+/// buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    Classic,
+    Rs,
+    Nonblocking,
+    Persistent,
+}
+
+const FORMS: [Form; 4] = [Form::Classic, Form::Rs, Form::Nonblocking, Form::Persistent];
+
+/// One `len`-byte `MPI.INT` `SUM` allreduce over 2 ranks in each form.
+/// Returns, per rank, each form's `(bytes_in, bytes_out, bytes_copied)`.
+fn allreduce_forms(marshal: MarshalMode, len: usize) -> Vec<Vec<(Form, [u64; 3])>> {
+    use mpijava::rs::Communicator as _;
+    let jni = JniConfig {
+        marshal,
+        ..JniConfig::default()
+    };
+    MpiRuntime::new(2)
+        .eager_threshold(THRESHOLD)
+        .jni(jni)
+        .run(move |mpi| {
+            let world = mpi.comm_world();
+            let count = len / 4;
+            let rank = world.rank()? as i32;
+            let send: Vec<i32> = (0..count as i32).map(|i| i * 3 + rank).collect();
+            let expected: Vec<i32> = (0..count as i32).map(|i| i * 6 + 1).collect();
+            let mut passes = Vec::new();
+            for form in FORMS {
+                let mut recv = vec![0i32; count];
+                let pass = measure(mpi, || match form {
+                    Form::Classic => {
+                        let sum = mpijava::Op::sum();
+                        world.allreduce(&send, 0, &mut recv, 0, count, &Datatype::int(), &sum)
+                    }
+                    Form::Rs => world.all_reduce(&send, &mut recv, mpijava::Op::sum()),
+                    Form::Nonblocking => {
+                        let request = world.iall_reduce(&send, &mut recv, mpijava::Op::sum())?;
+                        request.wait().map(drop)
+                    }
+                    Form::Persistent => {
+                        let mut request =
+                            world.all_reduce_init(&send, &mut recv, mpijava::Op::sum())?;
+                        request.start()?;
+                        request.wait()?;
+                        request.free()
+                    }
+                })?;
+                assert_eq!(recv, expected, "{form:?}, {marshal:?}, {len} B: result");
+                passes.push((form, [pass.bytes_in, pass.bytes_out, pass.bytes_copied]));
+            }
+            mpi.finalize()?;
+            Ok(passes)
+        })
+        .unwrap()
+}
+
+/// Every form of a collective crosses the boundary alike: the classic
+/// `Allreduce`, the `rs` `all_reduce`, `iall_reduce` + `wait` and
+/// `all_reduce_init` + `start`/`wait` each marshal the input in and the
+/// result out once, and the engine copies the same bytes for all four.
+#[test]
+fn allreduce_forms_cross_the_boundary_alike() {
+    for marshal in MODES {
+        for len in SIZES {
+            for (rank, passes) in allreduce_forms(marshal, len).iter().enumerate() {
+                let (_, first) = passes[0];
+                for &(form, pass) in passes {
+                    let row = format!("{form:?}, {marshal:?}, {len} B, rank {rank}");
+                    assert_eq!(pass, first, "{row}: against the classic form");
+                    assert_eq!(
+                        pass[..2],
+                        [len as u64; 2],
+                        "{row}: jni.bytes_in / bytes_out"
+                    );
+                }
+            }
+        }
+    }
 }
