@@ -194,6 +194,7 @@ pub fn measure_halo(
         .runtime()
         .run(move |mpi| {
             let world = mpi.comm_world();
+            crate::pin_rank_thread(world.rank()?);
             let cart = make_grid(&world)?;
             let rank = cart.rank()?;
             let peers = slot_peers(&cart)?;

@@ -335,6 +335,7 @@ fn native_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPongPoi
     let warmup = spec.warmup;
     let results = Universe::run_with_config(universe, move |engine| {
         let rank = engine.world_rank();
+        crate::pin_rank_thread(rank);
         let mut points = Vec::new();
         for &size in &sizes {
             // What a C program does: `MPI_Send` from, and `MPI_Recv`
@@ -390,6 +391,7 @@ fn wrapper_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPongPo
         .run(move |mpi| {
             let world = mpi.comm_world();
             let rank = world.rank()?;
+            crate::pin_rank_thread(rank);
             let byte_type = Datatype::byte();
             let mut points = Vec::new();
             for &size in &sizes {

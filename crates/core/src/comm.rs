@@ -209,10 +209,31 @@ impl Comm {
         count: usize,
         datatype: &Datatype,
     ) -> MpiResult<Cow<'buf, [u8]>> {
+        let window = self.send_window(buf, offset, count, datatype)?;
+        self.marshal(bytes_of(window), count, datatype)
+    }
+
+    /// Send-side entry of the seam: the window of `buf` that `count`
+    /// instances of `datatype` at `offset` span.
+    fn send_window<'buf, T: BufferElement>(
+        &self,
+        buf: &'buf [T],
+        offset: usize,
+        count: usize,
+        datatype: &Datatype,
+    ) -> MpiResult<&'buf [T]> {
         self.check_type::<T>(datatype)?;
-        let window =
-            &buf[window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?];
-        let image = bytes_of(window);
+        Ok(&buf[window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?])
+    }
+
+    /// [`pack_buffer`](Self::pack_buffer)'s second step: carry a
+    /// window's byte image across the boundary.
+    fn marshal<'buf>(
+        &self,
+        image: Cow<'buf, [u8]>,
+        count: usize,
+        datatype: &Datatype,
+    ) -> MpiResult<Cow<'buf, [u8]>> {
         if datatype.def().is_contiguous_dense() {
             // A length the staging pool cannot serve is a fresh
             // allocation either way: make it here, without the lock.
@@ -291,9 +312,10 @@ impl Comm {
         }
     }
 
-    /// The one binding-side send: every `Send`, `Isend`, `Sendrecv` and
-    /// `Send[OBJECT]` hands its marshalled payload to the engine here
-    /// (a persistent `Start` hands it to `Engine::start`, which does the
+    /// The binding-side send of a marshalled payload: every `Isend`,
+    /// `Sendrecv` and `Send[OBJECT]`, and every blocking send but a
+    /// dense window's (see `send_mode`), hands it to the engine here (a
+    /// persistent `Start` hands it to `Engine::start`, which does the
     /// same). An owned payload — a `Copy` image, a gather, a `bool` /
     /// `char` conversion, an object stream — is the message itself and
     /// is moved, not copied; only a slice lent under `Pin` takes the
@@ -312,6 +334,11 @@ impl Comm {
         }
     }
 
+    /// The blocking sends. A dense window whose memory is its own wire
+    /// image goes to the engine's blocking send as it is: a rendezvous
+    /// is staged one frame at a time once granted, so under `Copy` the
+    /// boundary copy overlaps the receiver's (see [`Engine::send_staged`]).
+    /// Anything else is marshalled first and handed over as the message.
     #[allow(clippy::too_many_arguments)]
     fn send_mode<T: BufferElement>(
         &self,
@@ -325,7 +352,13 @@ impl Comm {
         mode: SendMode,
     ) -> MpiResult<()> {
         self.env.jni.enter(name);
-        let payload = self.pack_buffer(buf, offset, count, datatype)?;
+        let image = bytes_of(self.send_window(buf, offset, count, datatype)?);
+        if let (true, Cow::Borrowed(window)) = (datatype.def().is_contiguous_dense(), &image) {
+            let staging = self.env.jni.stream_in(window.len());
+            let mut engine = self.env.engine.lock();
+            return Ok(engine.send_staged(self.handle, dest, tag, window, mode, staging)?);
+        }
+        let payload = self.marshal(image, count, datatype)?;
         let mut engine = self.env.engine.lock();
         let req = self.isend_payload(&mut engine, payload, dest, tag, mode)?;
         engine.wait(req)?;

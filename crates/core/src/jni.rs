@@ -31,6 +31,7 @@
 //! | datatype | send, [`MarshalMode::Copy`] | send, [`MarshalMode::Pin`] | receive, either mode |
 //! |---|---|---|---|
 //! | dense | one: the block copy ([`JniBoundary::marshal_in`]) into a buffer from the engine's staging pool | one: the engine's staging copy of the user's slice | one store into the window |
+//! | dense, blocking send (`Send`, `Bsend`, `Ssend`, `Rsend`) | one: the block copy, taken by the engine ([`JniBoundary::stream_in`]) — whole for an eager message, one chunk at a time for a rendezvous, each chunk shipped as it fills | one: the engine's staging copy of the user's slice, chunk by chunk alike | one store into the window, each chunk as it lands |
 //! | holes | one gather (`pack`) | one gather | one scatter (`unpack`) into the window |
 //! | dense, reduction input (`Reduce`, `Allreduce`, `Reduce_scatter`, `Scan`) | one: the block copy, which becomes the schedule's input buffer | one: the engine's copy of the lent slice into the input | one store of the result into the window |
 //!
@@ -38,12 +39,18 @@
 //! allreduce reduces into it in place and hands it back as the result,
 //! so under `Copy` the marshalled buffer is the result buffer too.
 //!
-//! The modes differ in one expression, the arms of `marshal_in`; a
-//! receive never reads the window before it overwrites it.
+//! Taking a blocking send's block copy one chunk at a time is what lets
+//! it overlap the receiver's store: the first chunk leaves while the
+//! rest of the window is still on this side of the boundary.
+//!
+//! The modes differ in two expressions, the arms of `marshal_in` and of
+//! `stream_in`; a receive never reads the window before it overwrites it.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use mpi_native::Staging;
 
 /// How array arguments cross the simulated JNI boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +152,21 @@ impl JniBoundary {
                 Cow::Owned(buf)
             }
             (_, image) => image,
+        }
+    }
+
+    /// Carry a dense window of `len` bytes across for a blocking send
+    /// that the engine stages itself ([`Engine::send_staged`]): under
+    /// `Copy` that staging is this boundary's block copy, taken one frame
+    /// at a time; under `Pin` it is the engine's own staging copy of the
+    /// lent slice. Either way the window counts as crossed.
+    ///
+    /// [`Engine::send_staged`]: mpi_native::Engine::send_staged
+    pub fn stream_in(&self, len: usize) -> Staging {
+        self.note_pinned_in(len);
+        match self.config.marshal {
+            MarshalMode::Copy => Staging::Boundary,
+            MarshalMode::Pin => Staging::Engine,
         }
     }
 

@@ -68,6 +68,7 @@ pub use error::{ErrorClass, MpiError, Result};
 pub use group::{CompareResult, Group};
 pub use mpi_transport::NodeMap;
 pub use ops::{Op, PredefinedOp};
+pub use p2p::Staging;
 pub use request::RequestId;
 pub use rma::WinHandle;
 pub use trace::{
@@ -157,6 +158,8 @@ pub struct Engine {
     /// Every context's posted and unexpected FIFOs and the freed-context
     /// tombstones (see [`p2p`]'s matching notes).
     pub(crate) matching: Matching,
+    /// Every rendezvous this rank announced that its receiver has not
+    /// granted yet, by token (see [`p2p`]'s protocol notes).
     pub(crate) pending_rendezvous: HashMap<u64, PendingRendezvous>,
     /// The receive request each granted rendezvous completes, keyed by
     /// `(sender world rank, sender token)` — tokens are only unique per

@@ -34,6 +34,9 @@ pub(crate) struct PostedRecv {
     pub comm: CommHandle,
     pub want: Want,
     pub max_len: Option<usize>,
+    /// A receive holding a buffer of `max_len` bytes
+    /// ([`crate::Engine::recv_into`]): a rendezvous it matches streams.
+    pub window: bool,
     /// Engine clock at posting time, feeding the `p2p.latency`
     /// histogram when the arrival matches (0 when timing is off).
     pub posted_ns: u64,

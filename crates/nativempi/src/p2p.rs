@@ -11,10 +11,32 @@
 //!   synchronous sends first announce themselves with a
 //!   [`FrameKind::RendezvousRequest`] (envelope only). When the receiver
 //!   has a matching receive posted it replies with a
-//!   [`FrameKind::RendezvousAck`]; the sender then ships the payload in one
-//!   [`FrameKind::RendezvousData`] frame and completes. Because the ack is
-//!   only generated once a matching receive exists, this doubles as the
-//!   synchronous-mode completion rule.
+//!   [`FrameKind::RendezvousAck`]; the sender then ships the payload in
+//!   [`FrameKind::RendezvousData`] frames, each carrying its byte offset,
+//!   and completes. Because the ack is only generated once a matching
+//!   receive exists, this doubles as the synchronous-mode completion rule.
+//!
+//! What the ack grants depends on the receive. One that holds a window —
+//! [`Engine::recv_into`], behind the classic dense `Recv` — and that the
+//! message fits is granted *chunks* of [`RENDEZVOUS_CHUNK`] bytes: it
+//! copies each into place as it lands and pools the chunk's buffer. Any
+//! other receive — [`Engine::recv`]'s `Bytes`, an `irecv`, a schedule
+//! slot, a receive the message would truncate — is granted *one frame*,
+//! which becomes its completion as it is, so none of them gains a copy.
+//!
+//! What the sender ships depends on whether it staged the payload before
+//! announcing it. An owned or already-staged payload ([`Engine::isend`],
+//! [`Engine::isend_bytes`], a persistent `start`, collective rounds,
+//! RMA) ships as one frame at offset 0, whatever was granted — a window
+//! receive takes that as one chunk. A blocking send of a borrowed
+//! window ([`Engine::send`], [`Engine::send_staged`]) stages nothing
+//! until the grant, then stages and ships one granted frame at a time:
+//! its staging of chunk `k + 1` overlaps the receiver's copy of chunk
+//! `k`, so a large message costs about one copy's time, not two. The
+//! grant and the offset ride in the header's `msg_len` field (see
+//! [`FrameHeader`]); either way the sender's trace bracket
+//! (`send_rendezvous`) closes when its last frame leaves, and the
+//! receiver logs one `rendezvous_data` when its last byte lands.
 //!
 //! ## Matching
 //!
@@ -59,12 +81,13 @@
 //! | eager delivery | frame → inbox → completion | the *same* `Bytes` end to end | 0 |
 //! | rendezvous send ([`Engine::isend`]) | user slice → `PendingRendezvous` | pooled copy, held until the ack | 1 |
 //! | rendezvous data | held `Bytes` → data frame | refcount move | 0 |
+//! | streamed rendezvous send ([`Engine::send`], [`Engine::send_staged`]) | user slice → one data frame per granted chunk | after the grant, `extend_from_slice` of each chunk into a pooled buffer, shipped at once | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
 //! | receive completion ([`Engine::recv`]) | completion → caller | `Bytes` handover | 0 |
-//! | [`Engine::recv_into`] | completion `Bytes` → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
+//! | [`Engine::recv_into`] | completion `Bytes`, or each streamed chunk as it lands → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
 //!
 //! End to end, a transfer therefore costs exactly one copy on the send
 //! side (zero via [`Engine::isend_bytes`]) and exactly one on the receive
-//! side.
+//! side; streaming overlaps the two without adding a third.
 //!
 //! ### The staging pool
 //!
@@ -91,9 +114,12 @@
 //!   first, so a buffer the pool would refuse is dropped without the
 //!   engine lock.
 //!
-//! A buffer goes back only when its last reference does
-//! ([`bytes::Bytes::try_into_vec`]): one still held — by a pending
-//! rendezvous, or by another queue — is never reissued.
+//! A buffer goes back only when its last reference does: one still held
+//! — by a pending rendezvous, or by another queue — is never reissued. A
+//! spent payload is kept as the `Bytes` it travelled in, and the engine's
+//! next staging copy refills it in place ([`bytes::Bytes::try_refill`]),
+//! so a steady stream of chunks allocates neither buffers nor reference
+//! counts.
 //!
 //! ### Surface rows
 //!
@@ -102,14 +128,18 @@
 //! datatype over a numeric element type. A payload the binding marshals
 //! into a buffer it owns is handed over by ownership
 //! ([`Engine::isend_bytes`]: the engine copies nothing); only a slice
-//! lent under `Pin` takes [`Engine::isend`]'s staging copy.
+//! lent under `Pin` takes [`Engine::isend`]'s staging copy. A blocking
+//! send hands its window to [`Engine::send_staged`] unmarshalled, and
+//! the engine's staging is the one pass, counted by the mode's owner.
 //!
 //! | call | mode | send-side passes | receive-side passes |
 //! |------|------|------------------|---------------------|
-//! | classic `Send`, `Isend`, `Sendrecv` (and the `rs` `send`, `isend`, `sendrecv`, which are these calls) | `Copy` | 1: the block copy across the boundary (`Get*ArrayRegion`) into a buffer from the engine's staging pool; that buffer is the message | — |
+//! | classic `Send`, `Bsend`, `Ssend`, `Rsend` (and the `rs` `send`, which is `Send`) | `Copy` | 1: the block copy across the boundary (`Get*ArrayRegion`), taken by the engine into staging-pool buffers ([`Staging::Boundary`]): whole for an eager message, one granted chunk at a time for a rendezvous, each shipped as it fills | — |
+//! | the same | `Pin` | 1: the engine's staging copy of the lent slice, whole or chunk by chunk as under `Copy` ([`Staging::Engine`]) | — |
+//! | classic `Isend`, `Sendrecv` (and the `rs` `isend`, `sendrecv`) | `Copy` | 1: the block copy across the boundary into a buffer from the engine's staging pool; that buffer is the message | — |
 //! | the same | `Pin` | 1: the engine's staging copy of the lent slice | — |
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
-//! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view |
+//! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view, chunk by chunk as a streamed rendezvous lands |
 //! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window, which then goes to the staging pool |
 //! | classic `Reduce`, `Allreduce`, `Reduce_scatter`, `Scan` (and the blocking `rs` reductions, which forward to them) | `Copy` / `Pin` | 1 / 1: the boundary block copy is the schedule's input buffer, moved in (a ring allreduce folds into it and returns it as the result) / the engine's copy of the lent slice into that input | — |
 //!
@@ -160,49 +190,133 @@ const SEND_POOL_MAX_BYTES: usize = 1 << 20;
 /// path that ends a payload buffer's life hands it back here (see the
 /// copy inventory in the module docs); it starts empty.
 #[derive(Debug, Default)]
-pub(crate) struct StagingPool(Vec<Vec<u8>>);
+pub(crate) struct StagingPool(Vec<Spare>);
 
-impl StagingPool {
-    /// The smallest pooled buffer with room for `len` bytes, emptied, or
-    /// a fresh allocation when none fits. A request below
-    /// [`SEND_POOL_MIN_BYTES`] always allocates: a pooled buffer is
-    /// large, and a small message would pin it for as long as it is
-    /// queued.
-    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
-        let fit = (len >= SEND_POOL_MIN_BYTES)
-            .then(|| {
-                (0..self.0.len())
-                    .filter(|&i| self.0[i].capacity() >= len)
-                    .min_by_key(|&i| self.0[i].capacity())
-            })
-            .flatten();
-        match fit {
-            Some(i) => self.0.swap_remove(i),
-            None => Vec::with_capacity(len),
-        }
-    }
+/// A pooled buffer: a vector, or a spent payload kept as the `Bytes` it
+/// travelled in, whose reference count a later
+/// [`stage`](StagingPool::stage) reuses too.
+#[derive(Debug)]
+enum Spare {
+    Vec(Vec<u8>),
+    Bytes(Bytes),
+}
 
-    /// Keep `buf` for a later [`take`](Self::take) if the pool has room
-    /// and its capacity is in bounds; drop it otherwise.
-    pub(crate) fn put(&mut self, mut buf: Vec<u8>) {
-        if Engine::pool_accepts(buf.capacity()) && self.0.len() < SEND_POOL_MAX {
-            buf.clear();
-            self.0.push(buf);
+impl Spare {
+    fn capacity(&self) -> usize {
+        match self {
+            Spare::Vec(buf) => buf.capacity(),
+            Spare::Bytes(buf) => buf.capacity(),
         }
     }
 }
 
-/// Payload parked on the sender side until the receiver grants the
-/// rendezvous. The payload was copied exactly once (at the `isend`
-/// boundary, into a pooled buffer); everything after this struct is
-/// refcount moves and zero-copy slices.
+impl StagingPool {
+    /// The smallest pooled buffer with room for `len` bytes. A request
+    /// below [`SEND_POOL_MIN_BYTES`] gets none: a pooled buffer is
+    /// large, and a small message would pin it for as long as it is
+    /// queued.
+    fn fit(&mut self, len: usize) -> Option<Spare> {
+        if len < SEND_POOL_MIN_BYTES {
+            return None;
+        }
+        let i = (0..self.0.len())
+            .filter(|&i| self.0[i].capacity() >= len)
+            .min_by_key(|&i| self.0[i].capacity())?;
+        Some(self.0.swap_remove(i))
+    }
+
+    /// The best-fitting pooled buffer (see `fit`) as an empty vector, or
+    /// a fresh allocation when none fits.
+    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
+        let spare = match self.fit(len) {
+            Some(Spare::Vec(buf)) => Some(buf),
+            Some(Spare::Bytes(buf)) => buf.try_into_vec().ok(),
+            None => None,
+        };
+        match spare {
+            Some(mut buf) => {
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// A copy of `data` in the best-fitting pooled buffer (see `fit`),
+    /// or in a fresh one. A spent `Bytes` is refilled in place, so a
+    /// steady stream of same-sized payloads allocates nothing at all.
+    fn stage(&mut self, data: &[u8]) -> Bytes {
+        let mut buf = match self.fit(data.len()) {
+            Some(Spare::Bytes(mut buf)) => {
+                if buf.try_refill(data) {
+                    return buf;
+                }
+                Vec::with_capacity(data.len())
+            }
+            Some(Spare::Vec(mut buf)) => {
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(data.len()),
+        };
+        buf.extend_from_slice(data);
+        Bytes::from(buf)
+    }
+
+    /// Keep `buf` for a later take if the pool has room and its capacity
+    /// is in bounds; drop it otherwise.
+    pub(crate) fn put(&mut self, buf: Vec<u8>) {
+        self.keep(Spare::Vec(buf));
+    }
+
+    /// Keep a spent payload, emptied, if this was its last reference
+    /// (see `put`); one still shared is dropped here, its allocation left
+    /// to the other holders.
+    fn put_bytes(&mut self, mut buf: Bytes) {
+        if buf.try_refill(&[]) {
+            self.keep(Spare::Bytes(buf));
+        }
+    }
+
+    fn keep(&mut self, spare: Spare) {
+        if Engine::pool_accepts(spare.capacity()) && self.0.len() < SEND_POOL_MAX {
+            self.0.push(spare);
+        }
+    }
+}
+
+/// Most payload bytes one data frame of a streamed rendezvous carries
+/// (see the protocol notes): the default eager threshold, so every
+/// frame of a large message is the size of the largest eager one. Not a
+/// knob: 64 KiB and 256 KiB chunks both made a 1 MiB ping-pong slower.
+pub const RENDEZVOUS_CHUNK: usize = crate::DEFAULT_EAGER_THRESHOLD;
+
+/// Who a blocking send's staging copy ([`Engine::send_staged`]) belongs
+/// to in the copy accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Staging {
+    /// The engine's own staging copy, counted in `bytes_copied`: a C
+    /// program's `MPI_Send` ([`Engine::send`]), and the binding under
+    /// `Pin`.
+    Engine,
+    /// The binding's boundary copy (`Get*ArrayRegion` under `Copy`),
+    /// taken by the engine one frame at a time: the binding counts it,
+    /// `bytes_copied` does not.
+    Boundary,
+}
+
+/// A rendezvous announced on the sender side, until the receiver grants
+/// it. `data` is the payload staged at the `isend` boundary, copied
+/// exactly once into a pooled buffer (everything after is refcount
+/// moves), or `None` for a streamed send, which stages the caller's
+/// window only once granted ([`Engine::send_staged`]).
 #[derive(Debug)]
 pub(crate) struct PendingRendezvous {
     pub req: u64,
     pub dst_world: u32,
     pub context: u32,
     pub tag: i32,
-    pub data: Bytes,
+    pub data: Option<Bytes>,
 }
 
 /// Book-keeping for `MPI_Buffer_attach` / `MPI_Buffer_detach`.
@@ -247,10 +361,15 @@ impl Engine {
     /// slice-based send APIs, and of an RMA `put`, `accumulate` or `get`
     /// reply.
     pub(crate) fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
-        let mut buf = self.pool_take(data.len());
-        buf.extend_from_slice(data);
-        self.stats.bytes_copied += data.len() as u64;
-        Bytes::from(buf)
+        self.stage(data, Staging::Engine)
+    }
+
+    /// [`wrap_payload`](Self::wrap_payload), counted as `staging` says.
+    fn stage(&mut self, data: &[u8], staging: Staging) -> Bytes {
+        if staging == Staging::Engine {
+            self.stats.bytes_copied += data.len() as u64;
+        }
+        self.send_pool.stage(data)
     }
 
     /// Return a spent buffer to the staging pool (bounded in count and
@@ -267,12 +386,10 @@ impl Engine {
     }
 
     /// Recycle a completion payload the caller is done with: if this was
-    /// the last reference to an un-sliced buffer, its allocation feeds the
-    /// send pool (no copy either way).
+    /// the last reference to its buffer, the allocation feeds the send
+    /// pool (no copy either way).
     pub fn recycle(&mut self, data: Bytes) {
-        if let Ok(buf) = data.try_into_vec() {
-            self.pool_put(buf);
-        }
+        self.send_pool.put_bytes(data);
     }
 
     /// Translate `dest` (communicator rank) and build a frame header.
@@ -416,6 +533,16 @@ impl Engine {
         Ok(Some(dest))
     }
 
+    /// Whether a `len`-byte send in `mode` announces itself and waits
+    /// for a grant (rendezvous) instead of travelling eagerly.
+    fn uses_rendezvous(&self, mode: SendMode, len: usize) -> bool {
+        match mode {
+            SendMode::Synchronous => true,
+            SendMode::Buffered | SendMode::Ready => false,
+            SendMode::Standard => len > self.eager_threshold,
+        }
+    }
+
     /// Ship an owned payload: eager frame or rendezvous announcement,
     /// depending on `mode` and the eager threshold. No copies happen here.
     fn dispatch_send(
@@ -427,87 +554,94 @@ impl Engine {
         mode: SendMode,
         collective: bool,
     ) -> Result<RequestId> {
-        let use_rendezvous = match mode {
-            SendMode::Synchronous => true,
-            SendMode::Buffered | SendMode::Ready => false,
-            SendMode::Standard => payload.len() > self.eager_threshold,
-        };
         self.stats.bytes_sent += payload.len() as u64;
         let len = payload.len() as i64;
-
-        if use_rendezvous {
-            let token = self.next_token();
-            let req = self.alloc_request(RequestState::SendPendingRendezvous);
-            let RequestId(req_raw) = req;
-            let header = self.make_header(
-                comm,
-                dest,
-                tag,
-                FrameKind::RendezvousRequest,
-                token,
-                payload.len() as u64,
-                collective,
-            )?;
-            let dst = header.dst as i64;
-            self.pending_rendezvous.insert(
-                token,
-                PendingRendezvous {
-                    req: req_raw,
-                    dst_world: header.dst,
-                    context: header.context,
-                    tag,
-                    data: payload,
-                },
-            );
-            self.endpoint.send(Frame::control(header))?;
-            self.stats.rendezvous_sends += 1;
-            // The matching End is emitted when the data ships on ACK
-            // (`on_rendezvous_ack`), bracketing the handshake. The token
-            // stamp joins this interval with the receiver's events.
-            self.emit_full(
-                EventKind::SendRendezvous,
-                EventPhase::Begin,
-                dst,
-                tag as i64,
-                len,
-                token as i64,
-                0,
-            );
-            Ok(req)
-        } else {
-            let token = self.next_token();
-            let header = self.make_header(
-                comm,
-                dest,
-                tag,
-                FrameKind::Eager,
-                token,
-                payload.len() as u64,
-                collective,
-            )?;
-            let dst = header.dst as i64;
-            self.emit_full(
-                EventKind::SendEager,
-                EventPhase::Begin,
-                dst,
-                tag as i64,
-                len,
-                token as i64,
-                0,
-            );
-            self.endpoint.send(Frame::new(header, payload))?;
-            self.stats.eager_sends += 1;
-            self.emit_full(
-                EventKind::SendEager,
-                EventPhase::End,
-                dst,
-                tag as i64,
-                len,
-                token as i64,
-                0,
-            );
-            Ok(self.alloc_request(RequestState::SendComplete))
+        if self.uses_rendezvous(mode, payload.len()) {
+            return self.announce(comm, dest, tag, payload.len(), Some(payload), collective);
         }
+        let token = self.next_token();
+        let header = self.make_header(
+            comm,
+            dest,
+            tag,
+            FrameKind::Eager,
+            token,
+            payload.len() as u64,
+            collective,
+        )?;
+        let dst = header.dst as i64;
+        self.emit_full(
+            EventKind::SendEager,
+            EventPhase::Begin,
+            dst,
+            tag as i64,
+            len,
+            token as i64,
+            0,
+        );
+        self.endpoint.send(Frame::new(header, payload))?;
+        self.stats.eager_sends += 1;
+        self.emit_full(
+            EventKind::SendEager,
+            EventPhase::End,
+            dst,
+            tag as i64,
+            len,
+            token as i64,
+            0,
+        );
+        Ok(self.alloc_request(RequestState::SendComplete))
+    }
+
+    /// Announce a `len`-byte rendezvous: the request waits for the
+    /// receiver's grant, which ships `data` (see `on_rendezvous_ack`),
+    /// or — with nothing staged — hands the grant to the streaming
+    /// sender ([`Engine::send_staged`]).
+    fn announce(
+        &mut self,
+        comm: CommHandle,
+        dest: usize,
+        tag: i32,
+        len: usize,
+        data: Option<Bytes>,
+        collective: bool,
+    ) -> Result<RequestId> {
+        let token = self.next_token();
+        let req = self.alloc_request(RequestState::SendPendingRendezvous);
+        let header = self.make_header(
+            comm,
+            dest,
+            tag,
+            FrameKind::RendezvousRequest,
+            token,
+            len as u64,
+            collective,
+        )?;
+        self.pending_rendezvous.insert(
+            token,
+            PendingRendezvous {
+                req: req.0,
+                dst_world: header.dst,
+                context: header.context,
+                tag,
+                data,
+            },
+        );
+        self.endpoint.send(Frame::control(header))?;
+        self.stats.rendezvous_sends += 1;
+        // The matching End is emitted when the last data frame ships
+        // (`on_rendezvous_ack`, or `stream`), bracketing the handshake.
+        // The token stamp joins this interval with the receiver's events.
+        self.emit_full(
+            EventKind::SendRendezvous,
+            EventPhase::Begin,
+            header.dst as i64,
+            tag as i64,
+            len as i64,
+            token as i64,
+            0,
+        );
+        Ok(req)
     }
 
     /// `MPI_Irecv`. `src` is a communicator rank, `ANY_SOURCE` or
@@ -531,6 +665,21 @@ impl Engine {
         max_len: Option<usize>,
         collective: bool,
     ) -> Result<RequestId> {
+        self.post_recv(comm, src, tag, max_len, collective, false)
+    }
+
+    /// Post a receive. A `window` receive is [`Engine::recv_into`]'s: it
+    /// holds a buffer of `max_len` bytes, so a rendezvous it matches is
+    /// granted in chunks.
+    fn post_recv(
+        &mut self,
+        comm: CommHandle,
+        src: i32,
+        tag: i32,
+        max_len: Option<usize>,
+        collective: bool,
+        window: bool,
+    ) -> Result<RequestId> {
         let Some(want) = self.recv_want(comm, src, tag)? else {
             return Ok(self.alloc_request(RequestState::RecvComplete {
                 data: Bytes::new(),
@@ -550,6 +699,7 @@ impl Engine {
             comm,
             want,
             max_len,
+            window,
             posted_ns: now,
         };
         match self.matching.post(context, recv) {
@@ -614,20 +764,23 @@ impl Engine {
                 Ok(())
             }
             UnexpectedKind::Rendezvous => {
-                self.grant_rendezvous(recv.req, src, recv.max_len, context, &msg)
+                self.grant_rendezvous(recv.req, src, recv.max_len, recv.window, context, &msg)
             }
         }
     }
 
     /// Grant a rendezvous to receive `req` (`src` is the sender's rank in
-    /// the receive's communicator): the request awaits the data frame
-    /// under `(sender, token)`, and the sender gets its ack. Completion
-    /// happens when the data frame arrives.
+    /// the receive's communicator): the request awaits the data under
+    /// `(sender, token)`, and the sender gets its ack. A `window` receive
+    /// whose `max_len` the message fits is granted chunks of
+    /// [`RENDEZVOUS_CHUNK`] bytes, which [`Engine::recv_into`] copies out
+    /// as they land; any other is granted one frame, which completes it.
     pub(crate) fn grant_rendezvous(
         &mut self,
         req: u64,
         src: usize,
         max_len: Option<usize>,
+        window: bool,
         context: u32,
         msg: &UnexpectedMsg,
     ) -> Result<()> {
@@ -640,14 +793,25 @@ impl Engine {
         );
         self.awaiting_rendezvous_data
             .insert((msg.src_world, msg.token), req);
-        self.requests.insert(
-            req,
-            RequestState::RecvAwaitingData {
-                src: src as i32,
-                tag: msg.tag,
-                max_len,
-            },
-        );
+        let (src, tag) = (src as i32, msg.tag);
+        let total = usize::try_from(msg.msg_len).ok();
+        let (state, frame_len) = match (total, max_len) {
+            (Some(total), Some(cap)) if window && total <= cap => (
+                RequestState::RecvStreaming {
+                    src,
+                    tag,
+                    total,
+                    received: 0,
+                    landed: None,
+                },
+                RENDEZVOUS_CHUNK as u64,
+            ),
+            _ => (
+                RequestState::RecvAwaitingData { src, tag, max_len },
+                msg.msg_len,
+            ),
+        };
+        self.requests.insert(req, state);
         let ack = FrameHeader {
             kind: FrameKind::RendezvousAck,
             src: self.world_rank as u32,
@@ -655,7 +819,7 @@ impl Engine {
             tag: msg.tag,
             context,
             token: msg.token,
-            msg_len: msg.msg_len,
+            msg_len: frame_len,
         };
         self.endpoint.send(Frame::control(ack))?;
         Ok(())
@@ -665,7 +829,9 @@ impl Engine {
     // Blocking convenience wrappers
     // ---------------------------------------------------------------------
 
-    /// Blocking send (`MPI_Send` / `Bsend` / `Ssend` / `Rsend`).
+    /// Blocking send (`MPI_Send` / `Bsend` / `Ssend` / `Rsend`): the
+    /// engine's staging copy of `data`, streamed as
+    /// [`Engine::send_staged`] describes.
     pub fn send(
         &mut self,
         comm: CommHandle,
@@ -674,8 +840,87 @@ impl Engine {
         data: &[u8],
         mode: SendMode,
     ) -> Result<()> {
-        let req = self.isend(comm, dest, tag, data, mode)?;
-        self.wait(req)?;
+        self.send_staged(comm, dest, tag, data, mode, Staging::Engine)
+    }
+
+    /// Blocking send of a borrowed window, its one staging copy counted
+    /// as `staging` says. An eager message is staged whole and leaves at
+    /// once. A rendezvous is announced before anything is staged; once
+    /// the receiver grants it, the window is staged one granted frame at
+    /// a time, and each frame ships as soon as it is full — so a window
+    /// receive ([`Engine::recv_into`]) copies chunk `k` out while this
+    /// side stages chunk `k + 1`.
+    pub fn send_staged(
+        &mut self,
+        comm: CommHandle,
+        dest: i32,
+        tag: i32,
+        data: &[u8],
+        mode: SendMode,
+        staging: Staging,
+    ) -> Result<()> {
+        let Some(dest) = self.prepare_send(comm, dest, tag, data.len(), mode)? else {
+            return Ok(());
+        };
+        if !self.uses_rendezvous(mode, data.len()) {
+            let payload = self.stage(data, staging);
+            let req = self.dispatch_send(comm, dest, tag, payload, mode, false)?;
+            return self.wait(req).map(drop);
+        }
+        self.stats.bytes_sent += data.len() as u64;
+        let req = self.announce(comm, dest, tag, data.len(), None, false)?;
+        let (header, frame_len) = self.block_on(|engine| engine.granted(req))?;
+        self.stream(header, frame_len, data, staging)
+    }
+
+    /// The streamed send `req`'s grant, once it has come: the header its
+    /// data frames carry and the most bytes one may hold. The request
+    /// leaves the table with it.
+    fn granted(&mut self, req: RequestId) -> Result<Option<(FrameHeader, usize)>> {
+        match self.requests.get(req.0) {
+            Some(RequestState::SendPendingRendezvous) => Ok(None),
+            Some(&RequestState::SendGranted { header, frame_len }) => {
+                self.requests.remove(req.0);
+                Ok(Some((header, frame_len)))
+            }
+            // Failed: the receiver died before granting.
+            _ => Err(self.take_completion(req).err().unwrap_or_else(|| {
+                MpiError::new(ErrorClass::Intern, "streamed send completed ungranted")
+            })),
+        }
+    }
+
+    /// Stage `data` into data frames of at most `frame_len` bytes and ship
+    /// each as soon as it is staged (at least one frame, so an empty
+    /// message still completes its receive).
+    fn stream(
+        &mut self,
+        mut header: FrameHeader,
+        frame_len: usize,
+        data: &[u8],
+        staging: Staging,
+    ) -> Result<()> {
+        let frame_len = frame_len.max(1);
+        let mut offset = 0usize;
+        loop {
+            let end = data.len().min(offset.saturating_add(frame_len));
+            header.msg_len = offset as u64;
+            let chunk = self.stage(&data[offset..end], staging);
+            self.endpoint.send(Frame::new(header, chunk))?;
+            offset = end;
+            if offset == data.len() {
+                break;
+            }
+        }
+        self.emit_full(
+            EventKind::SendRendezvous,
+            EventPhase::End,
+            header.dst as i64,
+            header.tag as i64,
+            data.len() as i64,
+            header.token as i64,
+            0,
+        );
         Ok(())
     }
 
@@ -708,10 +953,12 @@ impl Engine {
     }
 
     /// Blocking receive straight into a caller buffer: the single
-    /// receive-side payload copy of the datapath. The spent transport
-    /// buffer is recycled into the send pool when this was its last
-    /// reference. Returns the status; `status.count_bytes` says how much
-    /// of `buf` was filled.
+    /// receive-side payload copy of the datapath. A rendezvous that fits
+    /// `buf` is granted in chunks, and each is copied into place as it
+    /// lands, while the sender stages the next; anything else completes
+    /// in one buffer, copied once it is whole. Every spent buffer whose
+    /// last reference this was goes to the staging pool. Returns the
+    /// status; `status.count_bytes` says how much of `buf` was filled.
     pub fn recv_into(
         &mut self,
         comm: CommHandle,
@@ -719,15 +966,49 @@ impl Engine {
         tag: i32,
         buf: &mut [u8],
     ) -> Result<StatusInfo> {
-        let req = self.irecv(comm, src, tag, Some(buf.len()))?;
-        let completion = self.wait(req)?;
-        if let Some(data) = completion.data {
-            let n = data.len().min(buf.len());
-            buf[..n].copy_from_slice(&data[..n]);
-            self.stats.bytes_copied += n as u64;
-            self.recycle(data);
-        }
-        Ok(completion.status)
+        let req = self.post_recv(comm, src, tag, Some(buf.len()), false, true)?;
+        self.block_on(|engine| {
+            if !engine.deliver_landed(req, buf) {
+                return Ok(None);
+            }
+            let completion = engine.take_completion(req)?;
+            if let Some(data) = completion.data {
+                let n = data.len().min(buf.len());
+                buf[..n].copy_from_slice(&data[..n]);
+                engine.stats.bytes_copied += n as u64;
+                engine.recycle(data);
+            }
+            Ok(Some(completion.status))
+        })
+    }
+
+    /// One look at [`Engine::recv_into`]'s receive `req`: copy the chunk
+    /// of a stream that landed, if any, into its place in `buf` and pool
+    /// its buffer. Returns whether the receive is complete. The loop of
+    /// `recv_into` looks after every frame it pumps, so at most one chunk
+    /// waits at a time.
+    fn deliver_landed(&mut self, req: RequestId, buf: &mut [u8]) -> bool {
+        let (offset, chunk, done) = match self.requests.get_mut(req.0) {
+            Some(RequestState::RecvPending { .. } | RequestState::RecvAwaitingData { .. }) => {
+                return false
+            }
+            Some(RequestState::RecvStreaming {
+                landed,
+                received,
+                total,
+                ..
+            }) => match landed.take() {
+                Some((offset, chunk)) => (offset, chunk, received == total),
+                None => return false,
+            },
+            _ => return true,
+        };
+        // The grant bounded the message by `buf`, and every chunk by the
+        // message (`on_rendezvous_data`).
+        buf[offset..offset + chunk.len()].copy_from_slice(&chunk);
+        self.stats.bytes_copied += chunk.len() as u64;
+        self.recycle(chunk);
+        done
     }
 
     /// `MPI_Sendrecv`: exchange with possibly different partners without
@@ -949,8 +1230,9 @@ impl Engine {
         }
     }
 
-    /// The receiver granted a rendezvous: ship the held payload as one
-    /// frame whose `Bytes` is the held buffer itself.
+    /// The receiver granted a rendezvous: ship the staged payload as one
+    /// frame at offset 0, whose `Bytes` is the held buffer itself, or
+    /// hand a streamed send its grant.
     fn on_rendezvous_ack(&mut self, frame: Frame) -> Result<()> {
         let token = frame.header.token;
         let Some(pending) = self.pending_rendezvous.remove(&token) else {
@@ -959,8 +1241,6 @@ impl Engine {
                 format!("rendezvous ack for unknown token {token}"),
             );
         };
-        let total = pending.data.len();
-        let (rdv_dst, rdv_tag) = (pending.dst_world as i64, pending.tag as i64);
         let header = FrameHeader {
             kind: FrameKind::RendezvousData,
             src: self.world_rank as u32,
@@ -968,37 +1248,74 @@ impl Engine {
             tag: pending.tag,
             context: pending.context,
             token,
-            msg_len: total as u64,
+            msg_len: 0,
         };
-        self.endpoint.send(Frame::new(header, pending.data))?;
+        let Some(data) = pending.data else {
+            let frame_len = usize::try_from(frame.header.msg_len).unwrap_or(usize::MAX);
+            self.requests
+                .set(pending.req, RequestState::SendGranted { header, frame_len });
+            return Ok(());
+        };
+        let total = data.len() as i64;
+        self.endpoint.send(Frame::new(header, data))?;
         self.requests.set(pending.req, RequestState::SendComplete);
         self.emit_full(
             EventKind::SendRendezvous,
             EventPhase::End,
-            rdv_dst,
-            rdv_tag,
-            total as i64,
+            header.dst as i64,
+            header.tag as i64,
+            total,
             token as i64,
             0,
         );
         Ok(())
     }
 
+    /// A data frame of a granted rendezvous lands at its offset. One
+    /// frame completes a receive granted one; a streamed receive parks
+    /// each chunk for [`Engine::recv_into`] to copy out, and its grant
+    /// ends with the last byte.
     fn on_rendezvous_data(&mut self, frame: Frame) -> Result<()> {
         let key = (frame.header.src, frame.header.token);
-        let Some(req) = self.awaiting_rendezvous_data.remove(&key) else {
+        let Some(&req) = self.awaiting_rendezvous_data.get(&key) else {
             return err(
                 ErrorClass::Intern,
                 format!("rendezvous data for unknown sender/token {key:?}"),
             );
         };
-        // A receive freed (`MPI_Request_free`) after it matched the
-        // envelope has no buffer left: its data is swallowed.
-        let target = match self.requests.get(req) {
-            Some(&RequestState::RecvAwaitingData { src, tag, max_len }) => {
-                Some((src, tag, max_len))
+        let (offset, len) = (frame.header.msg_len, frame.payload.len());
+        let total = match self.requests.get_mut(req) {
+            Some(RequestState::RecvStreaming {
+                total,
+                received,
+                landed,
+                ..
+            }) => {
+                let at = usize::try_from(offset).ok().filter(|&at| {
+                    landed.is_none() && at.checked_add(len).is_some_and(|end| end <= *total)
+                });
+                let Some(at) = at else {
+                    return err(
+                        ErrorClass::Intern,
+                        format!("rendezvous data at offset {offset} out of place for {key:?}"),
+                    );
+                };
+                self.stats.bytes_received += len as u64;
+                *landed = Some((at, frame.payload));
+                *received += len;
+                if *received < *total {
+                    return Ok(());
+                }
+                *total
             }
-            None => None,
+            Some(&mut RequestState::RecvAwaitingData { src, tag, max_len }) => {
+                // The frame's buffer *is* the received payload. No copy.
+                self.complete_recv(req, frame.payload, src, tag, max_len);
+                len
+            }
+            // A receive freed (`MPI_Request_free`) after it matched the
+            // envelope has no buffer left: its data is swallowed.
+            None => len,
             Some(_) => {
                 return err(
                     ErrorClass::Intern,
@@ -1006,17 +1323,14 @@ impl Engine {
                 )
             }
         };
+        self.awaiting_rendezvous_data.remove(&key);
         self.emit(
             EventKind::RendezvousData,
             EventPhase::Instant,
             key.0 as i64,
             key.1 as i64,
-            frame.header.msg_len as i64,
+            total as i64,
         );
-        if let Some((src, tag, max_len)) = target {
-            // The frame's buffer *is* the received payload. No copy.
-            self.complete_recv(req, frame.payload, src, tag, max_len);
-        }
         Ok(())
     }
 }

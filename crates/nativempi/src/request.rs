@@ -26,6 +26,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use bytes::Bytes;
+use mpi_transport::FrameHeader;
 
 use crate::coll::nb::cache::PersistentColl;
 use crate::coll::nb::NbColl;
@@ -70,6 +71,18 @@ pub(crate) enum RequestState {
         tag: i32,
         max_len: Option<usize>,
     },
+    /// A window receive ([`Engine::recv_into`]) granted a streamed
+    /// rendezvous of `total` bytes: `received` of them have landed, and
+    /// `landed` holds the chunk (with its offset) not yet copied into the
+    /// window. Complete once every byte has landed and been copied; its
+    /// completion carries no data, which is in the window already.
+    RecvStreaming {
+        src: i32,
+        tag: i32,
+        total: usize,
+        received: usize,
+        landed: Option<(usize, Bytes)>,
+    },
     /// Receive finished (possibly with a deferred error such as truncation).
     RecvComplete {
         data: Bytes,
@@ -78,6 +91,13 @@ pub(crate) enum RequestState {
     },
     /// Send waiting for its rendezvous acknowledgement.
     SendPendingRendezvous,
+    /// A streamed send ([`Engine::send_staged`]) the receiver granted:
+    /// the header its data frames carry, and the most payload bytes one
+    /// may hold.
+    SendGranted {
+        header: FrameHeader,
+        frame_len: usize,
+    },
     /// Send finished.
     SendComplete,
     /// Receive cancelled before it matched.
@@ -138,6 +158,12 @@ fn running(state: &RequestState) -> bool {
 impl Requests {
     pub(crate) fn get(&self, id: u64) -> Option<&RequestState> {
         self.entries.get(&id)
+    }
+
+    /// An entry to update in place; never one that changes whether it is
+    /// a running schedule (use [`Requests::insert`] for that).
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut RequestState> {
+        self.entries.get_mut(&id)
     }
 
     pub(crate) fn values(&self) -> impl Iterator<Item = &RequestState> {
@@ -214,7 +240,9 @@ impl Requests {
             let incomplete = match state {
                 RequestState::RecvPending { .. }
                 | RequestState::RecvAwaitingData { .. }
-                | RequestState::SendPendingRendezvous => true,
+                | RequestState::RecvStreaming { .. }
+                | RequestState::SendPendingRendezvous
+                | RequestState::SendGranted { .. } => true,
                 RequestState::Coll(st) => !st.is_finished(),
                 _ => false,
             };
@@ -256,9 +284,16 @@ impl Engine {
             | RequestState::SendComplete
             | RequestState::Cancelled
             | RequestState::Failed(_) => true,
+            RequestState::RecvStreaming {
+                total,
+                received,
+                landed,
+                ..
+            } => received == total && landed.is_none(),
             RequestState::RecvPending { .. }
             | RequestState::RecvAwaitingData { .. }
-            | RequestState::SendPendingRendezvous => false,
+            | RequestState::SendPendingRendezvous
+            | RequestState::SendGranted { .. } => false,
             RequestState::Coll(st) => st.is_finished(),
             RequestState::Persistent(p) => match p.active {
                 Some(inner) => self.is_complete(inner)?,
@@ -284,6 +319,22 @@ impl Engine {
                     data: Some(data),
                 }),
             },
+            RequestState::RecvStreaming {
+                src,
+                tag,
+                total,
+                received,
+                landed: None,
+            } if received == total => Ok(Completion {
+                status: StatusInfo {
+                    source: src,
+                    tag,
+                    count_bytes: total,
+                    cancelled: false,
+                    index: 0,
+                },
+                data: None,
+            }),
             RequestState::SendComplete => Ok(Completion::empty()),
             RequestState::Cancelled => {
                 let mut status = StatusInfo::empty();
@@ -363,7 +414,7 @@ impl Engine {
         let context = match self.entry(req)? {
             &RequestState::RecvPending { context } => context,
             RequestState::RecvComplete { .. } | RequestState::SendComplete => return Ok(()),
-            RequestState::SendPendingRendezvous => {
+            RequestState::SendPendingRendezvous | RequestState::SendGranted { .. } => {
                 return err(
                     ErrorClass::Unsupported,
                     "cancelling an in-flight send is not supported",

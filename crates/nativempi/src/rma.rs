@@ -927,7 +927,7 @@ impl Engine {
                 }
                 UnexpectedKind::Rendezvous => {
                     let req = self.fresh_request_id();
-                    self.grant_rendezvous(req, origin, None, st.context_coll, &msg)?;
+                    self.grant_rendezvous(req, origin, None, false, st.context_coll, &msg)?;
                     PayloadRef::Awaiting(RequestId(req))
                 }
             };

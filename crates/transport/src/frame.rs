@@ -23,7 +23,7 @@ pub enum FrameKind {
     RendezvousRequest = 1,
     /// Receiver grants a rendezvous (clear-to-send).
     RendezvousAck = 2,
-    /// Payload of a granted rendezvous.
+    /// Payload of a granted rendezvous, whole or one chunk of it.
     RendezvousData = 3,
     /// Synchronous-send completion acknowledgement.
     SyncAck = 4,
@@ -66,7 +66,13 @@ pub struct FrameHeader {
     pub token: u64,
     /// Length in bytes of the full logical message (may exceed the payload
     /// length of this particular frame for rendezvous request frames, whose
-    /// payload is empty).
+    /// payload is empty). Two kinds carry another length here, where the
+    /// message length is known from the announcement already:
+    ///
+    /// * [`FrameKind::RendezvousAck`]: the grant, the most payload bytes
+    ///   one data frame may carry (the message length grants it whole);
+    /// * [`FrameKind::RendezvousData`]: the byte offset of this frame's
+    ///   payload within the message (0 for a payload shipped whole).
     pub msg_len: u64,
 }
 
@@ -177,6 +183,20 @@ mod tests {
         let (decoded, payload_len) = FrameHeader::decode(&wire).unwrap();
         assert_eq!(decoded, h);
         assert_eq!(payload_len, 512);
+    }
+
+    /// A streamed chunk's offset rides in `msg_len`, whatever its size.
+    #[test]
+    fn a_data_frame_offset_roundtrips() {
+        for offset in [0, 128 * 1024, u64::MAX - 7] {
+            let h = FrameHeader {
+                kind: FrameKind::RendezvousData,
+                msg_len: offset,
+                ..sample_header()
+            };
+            let (decoded, payload_len) = FrameHeader::decode(&h.encode(7)).unwrap();
+            assert_eq!((decoded, decoded.msg_len, payload_len), (h, offset, 7));
+        }
     }
 
     #[test]

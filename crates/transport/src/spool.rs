@@ -325,21 +325,32 @@ impl SpoolEndpoint {
             return Ok(None);
         };
         let bytes = fs::read(&path)?;
-        let (header, payload_len) = FrameHeader::decode(&bytes)?;
-        if bytes.len() < FrameHeader::WIRE_LEN + payload_len {
-            return Err(TransportError::Corrupt(format!(
-                "spool frame {} truncated: {} < {}",
-                path.display(),
-                bytes.len(),
-                FrameHeader::WIRE_LEN + payload_len
-            )));
-        }
+        let frame = decode_frame_file(&bytes).map_err(|e| match e {
+            TransportError::Corrupt(why) => {
+                TransportError::Corrupt(format!("spool frame {}: {why}", path.display()))
+            }
+            other => other,
+        })?;
         fs::remove_file(&path)?;
-        let payload = Bytes::copy_from_slice(
-            &bytes[FrameHeader::WIRE_LEN..FrameHeader::WIRE_LEN + payload_len],
-        );
-        Ok(Some(Frame::new(header, payload)))
+        Ok(Some(frame))
     }
+}
+
+/// Decode one frame file: an encoded header, then exactly the payload
+/// length it declares. The length comes from the file, so a file too
+/// short for it — or a length whose end overflows — is `Corrupt`.
+fn decode_frame_file(bytes: &[u8]) -> Result<Frame> {
+    let (header, payload_len) = FrameHeader::decode(bytes)?;
+    let payload = FrameHeader::WIRE_LEN
+        .checked_add(payload_len)
+        .and_then(|end| bytes.get(FrameHeader::WIRE_LEN..end))
+        .ok_or_else(|| {
+            TransportError::Corrupt(format!(
+                "truncated: {} bytes hold no {payload_len}-byte payload",
+                bytes.len()
+            ))
+        })?;
+    Ok(Frame::new(header, Bytes::copy_from_slice(payload)))
 }
 
 /// Parse `s<src>-q<seq>.frame`.
@@ -532,6 +543,29 @@ mod tests {
             assert_eq!(f.header.src, 0);
         }
         assert!(eps[1].try_recv().unwrap().is_none());
+    }
+
+    /// A frame file's payload length is read from the file: a length
+    /// past the end of the file, or one whose end overflows, is a
+    /// `Corrupt` error, not a panic.
+    #[test]
+    fn a_crafted_payload_length_is_corrupt_not_a_panic() {
+        let f = frame(0, 1, 3, b"four");
+        for declared in [5, usize::MAX] {
+            let mut bytes = f.header.encode(declared).to_vec();
+            bytes.extend_from_slice(&f.payload);
+            assert!(
+                matches!(decode_frame_file(&bytes), Err(TransportError::Corrupt(_))),
+                "declared {declared}"
+            );
+        }
+        let mut bytes = f.header.encode(4).to_vec();
+        bytes.extend_from_slice(&f.payload);
+        let decoded = decode_frame_file(&bytes).unwrap();
+        assert_eq!(
+            (decoded.header, &decoded.payload[..]),
+            (f.header, &b"four"[..])
+        );
     }
 
     #[test]

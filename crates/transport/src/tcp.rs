@@ -116,26 +116,36 @@ fn spawn_reader(
     network: NetworkModel,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut header_buf = [0u8; FrameHeader::WIRE_LEN];
-        loop {
-            if stream.read_exact(&mut header_buf).is_err() {
-                break; // peer closed the connection or fabric shut down
-            }
-            let (header, payload_len) = match FrameHeader::decode(&header_buf) {
-                Ok(v) => v,
-                Err(_) => break,
-            };
-            let mut payload = vec![0u8; payload_len];
-            if payload_len > 0 && stream.read_exact(&mut payload).is_err() {
-                break;
-            }
-            let due = network.due(payload_len);
-            let frame = Frame::new(header, Bytes::from(payload));
+        // The connection ends at EOF, at an error, or at a corrupt frame.
+        while let Ok(frame) = read_frame(&mut stream) {
+            let due = network.due(frame.len());
             if inbox.push(frame, due).is_err() {
                 break;
             }
         }
     })
+}
+
+/// Read one frame: its encoded header, then the payload length the
+/// header declares. That length comes off the wire, so its buffer is
+/// reserved fallibly and filled only as far as bytes arrive: a corrupt
+/// length is an error, never an allocation that aborts the process.
+fn read_frame(reader: &mut impl Read) -> Result<Frame> {
+    let mut header_buf = [0u8; FrameHeader::WIRE_LEN];
+    reader.read_exact(&mut header_buf)?;
+    let (header, payload_len) = FrameHeader::decode(&header_buf)?;
+    let mut payload = Vec::new();
+    payload
+        .try_reserve_exact(payload_len)
+        .map_err(|e| TransportError::Corrupt(format!("payload of {payload_len} bytes: {e}")))?;
+    reader.take(payload_len as u64).read_to_end(&mut payload)?;
+    if payload.len() != payload_len {
+        return Err(TransportError::Corrupt(format!(
+            "payload truncated: {} of {payload_len} bytes",
+            payload.len()
+        )));
+    }
+    Ok(Frame::new(header, Bytes::from(payload)))
 }
 
 impl Endpoint for TcpEndpoint {
@@ -230,6 +240,27 @@ mod tests {
             },
             Bytes::copy_from_slice(payload),
         )
+    }
+
+    /// The reader trusts no length off the wire: a header declaring
+    /// `u64::MAX` payload bytes, or more than follow, is an error, and a
+    /// well-formed frame reads back whole.
+    #[test]
+    fn a_crafted_payload_length_is_an_error_not_an_abort() {
+        let f = frame(0, 1, 3, b"four");
+        for declared in [usize::MAX, 5] {
+            let mut wire = f.header.encode(declared).to_vec();
+            wire.extend_from_slice(&f.payload);
+            let read = read_frame(&mut std::io::Cursor::new(wire));
+            assert!(
+                matches!(read, Err(TransportError::Corrupt(_))),
+                "declared {declared}"
+            );
+        }
+        let mut wire = f.header.encode(4).to_vec();
+        wire.extend_from_slice(&f.payload);
+        let read = read_frame(&mut std::io::Cursor::new(wire)).unwrap();
+        assert_eq!((read.header, &read.payload[..]), (f.header, &b"four"[..]));
     }
 
     #[test]

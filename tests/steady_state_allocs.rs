@@ -12,6 +12,7 @@
 //! | classic `Copy` `Allreduce`, 1024 `INT` `SUM` (recursive doubling) | 0 | ≤ 6 |
 //! | classic `Copy` `Allreduce`, 262144 `INT` `SUM` (ring) | 0 | — |
 //! | classic `Sendrecv`, 1024 `DOUBLE` (a halo row) | 0 | — |
+//! | classic `Send` + `Recv` ping-pong, 1 MiB `BYTE` (streamed) | 0 | 0 |
 //! | classic `Copy` `Reduce` to rank 0, 1024 `INT` `SUM` | ≤ 0.75 | — |
 //! | `Bytes::new()`, `Bytes::default()`, `Frame::control(..)` | 0 | 0 |
 //!
@@ -22,6 +23,11 @@
 //! in its schedule's slot store, and only the retiring schedule's sweep
 //! returns it to the pool; without the sweep the non-root allocates
 //! twice per call (1.0 per rank).
+//!
+//! A streamed 1 MiB message is eight 128 KiB chunks: the receiver pools
+//! each chunk as the `Bytes` it landed in, and its next send refills
+//! that buffer in place, so no chunk allocates even the reference count
+//! a fresh `Bytes` needs (an unstreamed message allocated one).
 //!
 //! The rows run in one test, one after another: a second test thread
 //! would allocate inside another row's window. The `MPIJAVA_*`
@@ -192,6 +198,26 @@ fn sendrecv_row() -> PerCall {
     )
 }
 
+/// Classic ping-pong of 1 MiB of `BYTE`s: rank 0 sends and receives,
+/// rank 1 receives and sends back.
+fn pingpong_1mib() -> PerCall {
+    const LEN: usize = 1 << 20;
+    let byte = Datatype::byte();
+    measure(
+        |rank| (vec![rank as u8; LEN], vec![0; LEN]),
+        |world, send, recv| {
+            if world.rank().unwrap() == 0 {
+                world.send(send, 0, LEN, &byte, 1, 9).unwrap();
+                world.recv(recv, 0, LEN, &byte, 1, 9).unwrap();
+            } else {
+                world.recv(recv, 0, LEN, &byte, 0, 9).unwrap();
+                world.send(send, 0, LEN, &byte, 0, 9).unwrap();
+            }
+            black_box(recv);
+        },
+    )
+}
+
 /// An empty `Bytes` and a control frame, built on this thread alone.
 fn empty_payloads() -> PerCall {
     const N: usize = 1000;
@@ -239,6 +265,7 @@ fn small_operations_allocate_nothing_payload_sized_in_steady_state() {
         ),
         row("allreduce 262144 INT (ring)", allreduce(262_144), 0.0, None),
         row("sendrecv 1024 DOUBLE", sendrecv_row(), 0.0, None),
+        row("pingpong 1 MiB BYTE", pingpong_1mib(), 0.0, Some(0.0)),
         row("reduce 1024 INT to rank 0", reduce_to_root(), 0.75, None),
         row(
             "Bytes::new, Bytes::default, Frame::control",

@@ -22,7 +22,11 @@
 //!
 //! A `Copy` send's boundary copy is the message: the engine sends that
 //! buffer and copies nothing. A `Pin` send lends the caller's slice, and
-//! the engine's one staging copy is the only pass. An object stream is
+//! the engine's one staging copy is the only pass. A blocking dense
+//! `Send` of a rendezvous streams: under `Copy` the engine takes the
+//! boundary copy one chunk at a time, and counts none of it. The
+//! 1 MiB + 7 B `BYTE` row (nine chunks, the last 7 B, at the default
+//! eager threshold) pins the same figures for it. An object stream is
 //! always an owned buffer. The receiving side of the `Send`, `Isend` and
 //! `Prequest.Start` rows is a classic `Recv`: one engine delivery copy
 //! into the window, nothing marshalled in.
@@ -228,6 +232,55 @@ fn prequest_start_copies() {
 #[test]
 fn send_object_copies() {
     pin(Call::SendObject);
+}
+
+/// A classic `Send` / `Recv` of 1 MiB + 7 B of `BYTE` at the default
+/// eager threshold: a streamed rendezvous whose last chunk is short.
+/// Each rank's counters read as the module table says, in both modes.
+#[test]
+fn classic_send_of_an_odd_megabyte_streams_with_the_same_copies() {
+    const LEN: usize = (1 << 20) + 7;
+    for marshal in MODES {
+        let jni = JniConfig {
+            marshal,
+            ..JniConfig::default()
+        };
+        let ranks = MpiRuntime::new(2)
+            .eager_threshold(mpi_native::DEFAULT_EAGER_THRESHOLD)
+            .jni(jni)
+            .run(move |mpi| {
+                let world = mpi.comm_world();
+                let byte = Datatype::byte();
+                let sent: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+                if world.rank()? == 0 {
+                    measure(mpi, || world.send(&sent, 0, LEN, &byte, 1, TAG))
+                } else {
+                    let mut recv = vec![0u8; LEN];
+                    let pass = measure(mpi, || {
+                        world.recv(&mut recv, 0, LEN, &byte, 0, TAG).map(drop)
+                    })?;
+                    assert!(recv == sent, "{marshal:?}: payload");
+                    Ok(pass)
+                }
+            })
+            .unwrap();
+        let len = LEN as u64;
+        let sender = Pass {
+            bytes_in: len,
+            bytes_out: 0,
+            bytes_copied: if marshal == MarshalMode::Pin { len } else { 0 },
+            eager_sends: 0,
+            rendezvous_sends: 1,
+        };
+        let receiver = Pass {
+            bytes_in: 0,
+            bytes_out: len,
+            bytes_copied: len,
+            eager_sends: 0,
+            rendezvous_sends: 0,
+        };
+        assert_eq!(ranks, [sender, receiver], "{marshal:?}");
+    }
 }
 
 /// The four forms of one `Allreduce`, each a separate call on the same
