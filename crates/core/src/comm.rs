@@ -312,14 +312,14 @@ impl Comm {
         }
     }
 
-    /// The binding-side send of a marshalled payload: every `Isend`,
-    /// `Sendrecv` and `Send[OBJECT]`, and every blocking send but a
-    /// dense window's (see `send_mode`), hands it to the engine here (a
-    /// persistent `Start` hands it to `Engine::start`, which does the
-    /// same). An owned payload — a `Copy` image, a gather, a `bool` /
-    /// `char` conversion, an object stream — is the message itself and
-    /// is moved, not copied; only a slice lent under `Pin` takes the
-    /// engine's one staging copy.
+    /// The binding-side send of a marshalled payload: every `Sendrecv`
+    /// and `Send[OBJECT]`, and every blocking or nonblocking send but a
+    /// dense window's (see `send_mode`, `isend_mode`), hands it to the
+    /// engine here (a persistent `Start` hands it to `Engine::start`,
+    /// which does the same). An owned payload — a `Copy` image, a
+    /// gather, a `bool` / `char` conversion, an object stream — is the
+    /// message itself and is moved, not copied; only a slice lent under
+    /// `Pin` takes the engine's one staging copy.
     fn isend_payload(
         &self,
         engine: &mut Engine,
@@ -531,6 +531,11 @@ impl Comm {
     // Non-blocking point-to-point
     // ------------------------------------------------------------------
 
+    /// The nonblocking sends. As in `send_mode`, a dense window whose
+    /// memory is its own wire image goes to the engine as it is, and
+    /// the engine's staging copy is the boundary copy: a payload of at
+    /// most [`bytes::INLINE_CAP`] bytes lands inline and allocates
+    /// nothing (see [`Engine::isend_staged`]).
     #[allow(clippy::too_many_arguments)]
     fn isend_mode<T: BufferElement>(
         &self,
@@ -544,8 +549,16 @@ impl Comm {
         mode: SendMode,
     ) -> MpiResult<Request<'static>> {
         self.env.jni.enter(name);
-        let payload = self.pack_buffer(buf, offset, count, datatype)?;
-        let id = self.isend_payload(&mut self.env.engine.lock(), payload, dest, tag, mode)?;
+        let image = bytes_of(self.send_window(buf, offset, count, datatype)?);
+        let id =
+            if let (true, Cow::Borrowed(window)) = (datatype.def().is_contiguous_dense(), &image) {
+                let staging = self.env.jni.stream_in(window.len());
+                let mut engine = self.env.engine.lock();
+                engine.isend_staged(self.handle, dest, tag, window, mode, staging)?
+            } else {
+                let payload = self.marshal(image, count, datatype)?;
+                self.isend_payload(&mut self.env.engine.lock(), payload, dest, tag, mode)?
+            };
         Ok(Pending::new(&self.env, id, ()).into())
     }
 

@@ -155,13 +155,15 @@ impl JniBoundary {
         }
     }
 
-    /// Carry a dense window of `len` bytes across for a blocking send
-    /// that the engine stages itself ([`Engine::send_staged`]): under
-    /// `Copy` that staging is this boundary's block copy, taken one frame
-    /// at a time; under `Pin` it is the engine's own staging copy of the
-    /// lent slice. Either way the window counts as crossed.
+    /// Carry a dense window of `len` bytes across for a send that the
+    /// engine stages itself ([`Engine::send_staged`],
+    /// [`Engine::isend_staged`]): under `Copy` that staging is this
+    /// boundary's block copy, taken whole or one frame at a time; under
+    /// `Pin` it is the engine's own staging copy of the lent slice.
+    /// Either way the window counts as crossed.
     ///
     /// [`Engine::send_staged`]: mpi_native::Engine::send_staged
+    /// [`Engine::isend_staged`]: mpi_native::Engine::isend_staged
     pub fn stream_in(&self, len: usize) -> Staging {
         self.note_pinned_in(len);
         match self.config.marshal {

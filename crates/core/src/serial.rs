@@ -96,6 +96,12 @@ impl<'a> ObjectInputStream<'a> {
         Ok(out)
     }
 
+    /// Read exactly `N` raw bytes as an array: a fixed-width field.
+    pub(crate) fn read_array<const N: usize>(&mut self) -> MpiResult<[u8; N]> {
+        let field = self.read_bytes(N)?;
+        Ok(std::array::from_fn(|i| field[i]))
+    }
+
     /// Read one object.
     pub fn read<T: Serializable>(&mut self) -> MpiResult<T> {
         T::read_object(self)
@@ -123,9 +129,7 @@ macro_rules! impl_serializable_number {
                 out.write_bytes(&self.to_le_bytes());
             }
             fn read_object(input: &mut ObjectInputStream<'_>) -> MpiResult<Self> {
-                let w = std::mem::size_of::<$ty>();
-                let bytes = input.read_bytes(w)?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().unwrap()))
+                Ok(<$ty>::from_le_bytes(input.read_array()?))
             }
         }
     )*}
@@ -138,7 +142,7 @@ impl Serializable for usize {
         out.write_bytes(&(*self as u64).to_le_bytes());
     }
     fn read_object(input: &mut ObjectInputStream<'_>) -> MpiResult<Self> {
-        let v = u64::from_le_bytes(input.read_bytes(8)?.try_into().unwrap());
+        let v = u64::from_le_bytes(input.read_array()?);
         Ok(v as usize)
     }
 }
@@ -148,7 +152,7 @@ impl Serializable for bool {
         out.write_bytes(&[*self as u8]);
     }
     fn read_object(input: &mut ObjectInputStream<'_>) -> MpiResult<Self> {
-        Ok(input.read_bytes(1)?[0] != 0)
+        Ok(input.read_array::<1>()? != [0])
     }
 }
 
@@ -157,7 +161,7 @@ impl Serializable for char {
         out.write_bytes(&(*self as u32).to_le_bytes());
     }
     fn read_object(input: &mut ObjectInputStream<'_>) -> MpiResult<Self> {
-        let code = u32::from_le_bytes(input.read_bytes(4)?.try_into().unwrap());
+        let code = u32::from_le_bytes(input.read_array()?);
         char::from_u32(code).ok_or_else(|| {
             MPIException::new(ErrorClass::Other, format!("invalid char code point {code}"))
         })
@@ -170,7 +174,7 @@ impl Serializable for String {
         out.write_bytes(self.as_bytes());
     }
     fn read_object(input: &mut ObjectInputStream<'_>) -> MpiResult<Self> {
-        let len = u64::from_le_bytes(input.read_bytes(8)?.try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(input.read_array()?) as usize;
         let bytes = input.read_bytes(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|e| MPIException::new(ErrorClass::Other, format!("invalid UTF-8: {e}")))
@@ -185,7 +189,7 @@ impl<T: Serializable> Serializable for Vec<T> {
         }
     }
     fn read_object(input: &mut ObjectInputStream<'_>) -> MpiResult<Self> {
-        let len = u64::from_le_bytes(input.read_bytes(8)?.try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(input.read_array()?) as usize;
         let mut out = Vec::with_capacity(len.min(1 << 20));
         for _ in 0..len {
             out.push(T::read_object(input)?);

@@ -925,12 +925,13 @@ impl Engine {
             };
             // The slot borrow and the engine borrow are disjoint (the
             // schedule was taken out of the engine's map); the payload
-            // is staged exactly once inside `isend_on_context`.
-            let req = self.isend_on_context(
+            // is staged exactly once, here.
+            let staged = self.wrap_payload(payload);
+            let req = self.isend_bytes_on_context(
                 comm,
                 s.peer as i32,
                 s.tag + shift,
-                payload,
+                staged,
                 SendMode::Standard,
                 true,
             )?;

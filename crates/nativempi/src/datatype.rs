@@ -11,6 +11,14 @@
 //! share one base type, because Java buffers are mono-typed primitive
 //! arrays) is enforced one layer up, in the `mpijava` crate; the engine
 //! itself supports fully general typemaps.
+//!
+//! A basic datatype's one-entry typemap is a shared static
+//! ([`DatatypeDef::basic`] allocates nothing), so building `MPI.INT` —
+//! which the idiomatic surface does on every call — and cloning it into
+//! a pending receive cost no heap traffic. Only a derived datatype owns
+//! its entries.
+
+use std::borrow::Cow;
 
 use crate::error::{err, ErrorClass, Result};
 use crate::types::PrimitiveKind;
@@ -22,10 +30,29 @@ pub struct TypeMapEntry {
     pub disp: isize,
 }
 
+/// The typemap of every basic datatype, at index `PrimitiveKind as usize`.
+static BASIC: [TypeMapEntry; 14] = {
+    use PrimitiveKind::*;
+    let kinds = [
+        Byte, Char, Boolean, Short, Int, Long, Float, Double, Packed, Int2, Long2, Float2, Double2,
+        Short2,
+    ];
+    let mut map = [TypeMapEntry {
+        kind: Byte,
+        disp: 0,
+    }; 14];
+    let mut i = 0;
+    while i < kinds.len() {
+        map[kinds[i] as usize].kind = kinds[i];
+        i += 1;
+    }
+    map
+};
+
 /// A committed datatype definition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatatypeDef {
-    entries: Vec<TypeMapEntry>,
+    entries: Cow<'static, [TypeMapEntry]>,
     /// Lower bound in bytes (minimum displacement, or explicit LB marker).
     lb: isize,
     /// Upper bound in bytes (max displacement + size, or explicit UB marker).
@@ -35,10 +62,10 @@ pub struct DatatypeDef {
 }
 
 impl DatatypeDef {
-    /// A basic (primitive) datatype.
+    /// A basic (primitive) datatype: its typemap is a shared static.
     pub fn basic(kind: PrimitiveKind) -> DatatypeDef {
         DatatypeDef {
-            entries: vec![TypeMapEntry { kind, disp: 0 }],
+            entries: Cow::Borrowed(std::slice::from_ref(&BASIC[kind as usize])),
             lb: 0,
             ub: kind.size() as isize,
             uniform_kind: Some(kind),
@@ -103,7 +130,7 @@ impl DatatypeDef {
     fn from_entries(entries: Vec<TypeMapEntry>) -> Result<DatatypeDef> {
         if entries.is_empty() {
             return Ok(DatatypeDef {
-                entries,
+                entries: Cow::Owned(entries),
                 lb: 0,
                 ub: 0,
                 uniform_kind: None,
@@ -118,7 +145,7 @@ impl DatatypeDef {
         let first = entries[0].kind;
         let uniform = entries.iter().all(|e| e.kind == first).then_some(first);
         Ok(DatatypeDef {
-            entries,
+            entries: Cow::Owned(entries),
             lb,
             ub,
             uniform_kind: uniform,
@@ -162,7 +189,7 @@ impl DatatypeDef {
             let base = disp * ext;
             for b in 0..bl {
                 let block_off = base + b as isize * ext;
-                for e in &self.entries {
+                for e in self.entries.iter() {
                     entries.push(TypeMapEntry {
                         kind: e.kind,
                         disp: block_off + e.disp,
@@ -187,7 +214,7 @@ impl DatatypeDef {
         for (&bl, &disp) in blocklengths.iter().zip(displacements) {
             for b in 0..bl {
                 let block_off = disp + b as isize * ext;
-                for e in &self.entries {
+                for e in self.entries.iter() {
                     entries.push(TypeMapEntry {
                         kind: e.kind,
                         disp: block_off + e.disp,
@@ -217,7 +244,7 @@ impl DatatypeDef {
             let ext = ty.extent();
             for b in 0..bl {
                 let block_off = disp + b as isize * ext;
-                for e in &ty.entries {
+                for e in ty.entries.iter() {
                     entries.push(TypeMapEntry {
                         kind: e.kind,
                         disp: block_off + e.disp,
@@ -240,7 +267,7 @@ impl DatatypeDef {
             let base = block_offset(i);
             for b in 0..blocklength {
                 let off = base + b as isize * ext;
-                for e in &self.entries {
+                for e in self.entries.iter() {
                     entries.push(TypeMapEntry {
                         kind: e.kind,
                         disp: off + e.disp,
@@ -262,16 +289,22 @@ mod tests {
 
     #[test]
     fn basic_types_have_size_equal_extent() {
+        use PrimitiveKind::*;
         for kind in [
-            PrimitiveKind::Byte,
-            PrimitiveKind::Char,
-            PrimitiveKind::Int,
-            PrimitiveKind::Double,
+            Byte, Char, Boolean, Short, Int, Long, Float, Double, Packed, Int2, Long2, Float2,
+            Double2, Short2,
         ] {
             let d = DatatypeDef::basic(kind);
+            assert_eq!(d.entries(), [TypeMapEntry { kind, disp: 0 }]);
             assert_eq!(d.size(), kind.size());
             assert_eq!(d.extent(), kind.size() as isize);
             assert!(d.is_contiguous_dense());
+            let again = DatatypeDef::basic(kind).clone();
+            assert_eq!(
+                d.entries().as_ptr(),
+                again.entries().as_ptr(),
+                "one static typemap"
+            );
         }
     }
 

@@ -78,7 +78,8 @@ pub use trace::{
 pub use types::{PrimitiveKind, SendMode, StatusInfo, ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED};
 pub use universe::{Universe, UniverseConfig};
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 use mpi_transport::Endpoint;
@@ -87,6 +88,37 @@ use comm::CommRecord;
 use matching::Matching;
 use p2p::PendingRendezvous;
 use request::Requests;
+
+/// The one hasher of the engine's integer-keyed tables ([`IdMap`],
+/// [`IdSet`]): a multiply and a rotate per integer, where SipHash runs
+/// rounds per key. Their keys — request ids, context ids, rendezvous
+/// tokens — are issued by the job itself, so no outside party can craft
+/// keys that collide.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A table keyed by ids the job issues, hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A set of ids the job issues, hashed by [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Counters the engine keeps about its own activity. The benchmark harness
 /// reads these to report, e.g., how many messages went eager vs rendezvous.
@@ -160,12 +192,12 @@ pub struct Engine {
     pub(crate) matching: Matching,
     /// Every rendezvous this rank announced that its receiver has not
     /// granted yet, by token (see [`p2p`]'s protocol notes).
-    pub(crate) pending_rendezvous: HashMap<u64, PendingRendezvous>,
+    pub(crate) pending_rendezvous: IdMap<u64, PendingRendezvous>,
     /// The receive request each granted rendezvous completes, keyed by
     /// `(sender world rank, sender token)` — tokens are only unique per
     /// sender, and concurrent collectives legally have several senders
     /// at the same token count.
-    pub(crate) awaiting_rendezvous_data: HashMap<(u32, u64), u64>,
+    pub(crate) awaiting_rendezvous_data: IdMap<(u32, u64), u64>,
     pub(crate) next_token: u64,
     pub(crate) eager_threshold: usize,
     /// Recycled payload staging buffers (see the copy inventory in
@@ -188,7 +220,7 @@ pub struct Engine {
     pub(crate) next_win: u64,
     /// World ranks declared dead (lease expiry or fault-plan kill).
     /// Membership is permanent; see [`mod@failure`].
-    pub(crate) failed_ranks: std::collections::HashSet<usize>,
+    pub(crate) failed_ranks: HashSet<usize>,
     /// Throttle clock for [`mod@failure`]'s transport liveness polls.
     pub(crate) last_failure_poll: Option<Instant>,
     /// Observability state: mode flags, the preallocated event ring and
@@ -256,8 +288,8 @@ impl Engine {
             requests: Requests::default(),
             next_request: 1,
             matching: Matching::default(),
-            pending_rendezvous: HashMap::new(),
-            awaiting_rendezvous_data: HashMap::new(),
+            pending_rendezvous: IdMap::default(),
+            awaiting_rendezvous_data: IdMap::default(),
             next_token: 1,
             eager_threshold: config.eager_threshold.unwrap_or(DEFAULT_EAGER_THRESHOLD),
             send_pool: p2p::StagingPool::default(),
@@ -275,7 +307,7 @@ impl Engine {
             sched_cache: HashMap::new(),
             windows: HashMap::new(),
             next_win: 1,
-            failed_ranks: std::collections::HashSet::new(),
+            failed_ranks: HashSet::new(),
             last_failure_poll: None,
             tracer: trace::Tracer::new(config.trace.unwrap_or_default()),
             trace_dir: config.trace_dir.clone(),

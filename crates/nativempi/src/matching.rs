@@ -6,12 +6,13 @@
 //! Sources are world ranks here: a context belongs to exactly one
 //! communicator, so its callers translate once, outside the scan.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 
 use crate::comm::CommHandle;
 use crate::types::ANY_TAG;
+use crate::{IdMap, IdSet};
 
 /// What a receive or a probe asks for: a source world rank (`None` is
 /// `ANY_SOURCE`) and a tag ([`ANY_TAG`] matches any).
@@ -67,10 +68,23 @@ pub(crate) struct UnexpectedMsg {
 }
 
 /// One context's two FIFOs.
-#[derive(Default)]
 struct Queues {
     posted: VecDeque<PostedRecv>,
     unexpected: VecDeque<UnexpectedMsg>,
+}
+
+/// Entries each FIFO has room for when its context opens, so a context
+/// that never holds more than this — a ping-pong's, whichever side its
+/// messages reach first — allocates on its first message only.
+const QUEUE_START: usize = 4;
+
+impl Default for Queues {
+    fn default() -> Queues {
+        Queues {
+            posted: VecDeque::with_capacity(QUEUE_START),
+            unexpected: VecDeque::with_capacity(QUEUE_START),
+        }
+    }
 }
 
 /// Every context's posted and unexpected FIFOs, and the ids of the
@@ -78,9 +92,9 @@ struct Queues {
 /// one lookup of its context.
 #[derive(Default)]
 pub(crate) struct Matching {
-    open: HashMap<u32, Queues>,
+    open: IdMap<u32, Queues>,
     /// Tombstones: four bytes per freed context.
-    closed: HashSet<u32>,
+    closed: IdSet<u32>,
 }
 
 /// Remove and return the oldest entry `hit` selects.

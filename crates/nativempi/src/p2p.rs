@@ -76,7 +76,7 @@
 //!
 //! | path | hop | mechanism | copies |
 //! |------|-----|-----------|--------|
-//! | eager send ([`Engine::isend`]) | user slice → pooled send buffer | `extend_from_slice` into a recycled `Vec` wrapped as `Bytes` | 1 |
+//! | eager send ([`Engine::isend`], [`Engine::isend_staged`]) | user slice → staging buffer | ≤ [`bytes::INLINE_CAP`] bytes: copied into the `Bytes` itself (no allocation); ≥ 1 KiB: refilled into a pooled `Bytes` or `Vec`; between: a fresh `Vec` wrapped as `Bytes` | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
 //! | eager send ([`Engine::isend_bytes`]) | user `Bytes` → frame | refcount move | 0 |
 //! | eager delivery | frame → inbox → completion | the *same* `Bytes` end to end | 0 |
 //! | rendezvous send ([`Engine::isend`]) | user slice → `PendingRendezvous` | pooled copy, held until the ack | 1 |
@@ -97,9 +97,11 @@
 //! most 8 buffers of 1 KiB–1 MiB capacity and starts empty. A take gets
 //! the *smallest* pooled buffer that fits, so a 4 KiB send never pins a
 //! 1 MiB buffer while it is queued, and a 1 MiB marshal copy is not
-//! handed a 4 KiB buffer to grow. A take below 1 KiB allocates and
-//! leaves the pool alone. The paths that end a buffer's life in the
-//! pool:
+//! handed a 4 KiB buffer to grow. A take below 1 KiB leaves the pool
+//! alone: a staging copy of at most [`bytes::INLINE_CAP`] (64) bytes
+//! lands inline, inside its `Bytes`, and allocates nothing; one of
+//! 65 B–1 KiB gets a fresh buffer. The paths that end a buffer's life in
+//! the pool:
 //!
 //! * [`Engine::recv_into`]: the completion, once delivered;
 //! * the collective executor ([`crate::coll::nb`]): a compute's spent
@@ -119,7 +121,8 @@
 //! spent payload is kept as the `Bytes` it travelled in, and the engine's
 //! next staging copy refills it in place ([`bytes::Bytes::try_refill`]),
 //! so a steady stream of chunks allocates neither buffers nor reference
-//! counts.
+//! counts. An inline payload owns no allocation, so it never enters the
+//! pool.
 //!
 //! ### Surface rows
 //!
@@ -129,15 +132,17 @@
 //! into a buffer it owns is handed over by ownership
 //! ([`Engine::isend_bytes`]: the engine copies nothing); only a slice
 //! lent under `Pin` takes [`Engine::isend`]'s staging copy. A blocking
-//! send hands its window to [`Engine::send_staged`] unmarshalled, and
+//! or nonblocking send of a dense window hands it to
+//! [`Engine::send_staged`] or [`Engine::isend_staged`] unmarshalled, and
 //! the engine's staging is the one pass, counted by the mode's owner.
 //!
 //! | call | mode | send-side passes | receive-side passes |
 //! |------|------|------------------|---------------------|
 //! | classic `Send`, `Bsend`, `Ssend`, `Rsend` (and the `rs` `send`, which is `Send`) | `Copy` | 1: the block copy across the boundary (`Get*ArrayRegion`), taken by the engine into staging-pool buffers ([`Staging::Boundary`]): whole for an eager message, one granted chunk at a time for a rendezvous, each shipped as it fills | — |
 //! | the same | `Pin` | 1: the engine's staging copy of the lent slice, whole or chunk by chunk as under `Copy` ([`Staging::Engine`]) | — |
-//! | classic `Isend`, `Sendrecv` (and the `rs` `isend`, `sendrecv`) | `Copy` | 1: the block copy across the boundary into a buffer from the engine's staging pool; that buffer is the message | — |
-//! | the same | `Pin` | 1: the engine's staging copy of the lent slice | — |
+//! | classic `Isend`, `Ibsend`, `Issend`, `Irsend` (and the `rs` `isend`) | `Copy` | 1: the block copy across the boundary, taken by the engine into a staging buffer ([`Staging::Boundary`]): inline up to 64 bytes, else from the staging pool; that buffer is the message | — |
+//! | classic `Sendrecv` (and the `rs` `sendrecv`) | `Copy` | 1: the block copy across the boundary into a buffer from the engine's staging pool; that buffer is the message | — |
+//! | the same two rows | `Pin` | 1: the engine's staging copy of the lent slice | — |
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
 //! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view, chunk by chunk as a streamed rendezvous lands |
 //! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window, which then goes to the staging pool |
@@ -243,7 +248,8 @@ impl StagingPool {
     }
 
     /// A copy of `data` in the best-fitting pooled buffer (see `fit`),
-    /// or in a fresh one. A spent `Bytes` is refilled in place, so a
+    /// or else in a fresh one: inline up to [`bytes::INLINE_CAP`] bytes,
+    /// allocated above. A spent `Bytes` is refilled in place, so a
     /// steady stream of same-sized payloads allocates nothing at all.
     fn stage(&mut self, data: &[u8]) -> Bytes {
         let mut buf = match self.fit(data.len()) {
@@ -257,7 +263,7 @@ impl StagingPool {
                 buf.clear();
                 buf
             }
-            None => Vec::with_capacity(data.len()),
+            None => return Bytes::copy_from_slice(data),
         };
         buf.extend_from_slice(data);
         Bytes::from(buf)
@@ -435,7 +441,28 @@ impl Engine {
         data: &[u8],
         mode: SendMode,
     ) -> Result<RequestId> {
-        self.isend_on_context(comm, dest, tag, data, mode, false)
+        self.isend_staged(comm, dest, tag, data, mode, Staging::Engine)
+    }
+
+    /// [`Engine::isend`] with its one staging copy counted as `staging`
+    /// says: the binding's nonblocking send of a dense window, whose
+    /// boundary copy under `Copy` is this staging ([`Staging::Boundary`]).
+    pub fn isend_staged(
+        &mut self,
+        comm: CommHandle,
+        dest: i32,
+        tag: i32,
+        data: &[u8],
+        mode: SendMode,
+        staging: Staging,
+    ) -> Result<RequestId> {
+        match self.prepare_send(comm, dest, tag, data.len(), mode)? {
+            None => Ok(self.alloc_request(RequestState::SendComplete)),
+            Some(dest) => {
+                let payload = self.stage(data, staging);
+                self.dispatch_send(comm, dest, tag, payload, mode, false)
+            }
+        }
     }
 
     /// Zero-copy send: the payload is an owned [`Bytes`] that travels to
@@ -468,24 +495,6 @@ impl Engine {
         match self.prepare_send(comm, dest, tag, data.len(), mode)? {
             None => Ok(self.alloc_request(RequestState::SendComplete)),
             Some(dest) => self.dispatch_send(comm, dest, tag, data, mode, collective),
-        }
-    }
-
-    pub(crate) fn isend_on_context(
-        &mut self,
-        comm: CommHandle,
-        dest: i32,
-        tag: i32,
-        data: &[u8],
-        mode: SendMode,
-        collective: bool,
-    ) -> Result<RequestId> {
-        match self.prepare_send(comm, dest, tag, data.len(), mode)? {
-            None => Ok(self.alloc_request(RequestState::SendComplete)),
-            Some(dest) => {
-                let payload = self.wrap_payload(data);
-                self.dispatch_send(comm, dest, tag, payload, mode, collective)
-            }
         }
     }
 
@@ -1653,6 +1662,35 @@ mod tests {
                     .send(COMM_WORLD, 0, 12, b"shared", SendMode::Standard)
                     .unwrap();
             }
+        })
+        .unwrap();
+    }
+
+    /// A payload of at most [`bytes::INLINE_CAP`] bytes is staged inside
+    /// its `Bytes`: it round-trips without taking a pooled buffer, its
+    /// one staging copy is counted as any other, and its spent buffer —
+    /// which owns no allocation — is not pooled.
+    #[test]
+    fn an_inline_payload_leaves_the_staging_pool_alone() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let payload = [6u8; bytes::INLINE_CAP];
+            engine.pool_put(Vec::with_capacity(4096));
+            if engine.world_rank() == 0 {
+                engine
+                    .send(COMM_WORLD, 1, 13, &payload, SendMode::Standard)
+                    .unwrap();
+                assert_eq!(engine.stats().bytes_copied, payload.len() as u64);
+            } else {
+                let (data, status) = engine.recv(COMM_WORLD, 0, 13, None).unwrap();
+                assert_eq!(
+                    (&data[..], status.count_bytes),
+                    (&payload[..], payload.len())
+                );
+                assert_eq!(data.capacity(), 0, "the payload was allocated");
+                engine.recycle(data);
+            }
+            assert_eq!(engine.send_pool.0.len(), 1, "the staging pool changed");
+            assert_eq!(engine.send_pool.0[0].capacity(), 4096);
         })
         .unwrap();
     }

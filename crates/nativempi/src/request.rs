@@ -23,7 +23,6 @@
 //! (`mpijava`'s `Request`), built on the single-request calls here.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use bytes::Bytes;
 use mpi_transport::FrameHeader;
@@ -33,7 +32,7 @@ use crate::coll::nb::NbColl;
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::types::{SendMode, StatusInfo};
-use crate::Engine;
+use crate::{Engine, IdMap};
 
 /// Opaque handle to an engine request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,7 +146,7 @@ pub(crate) enum PersistentDef {
 /// [`Requests::restore_schedule`] puts it back.
 #[derive(Default)]
 pub(crate) struct Requests {
-    entries: HashMap<u64, RequestState>,
+    entries: IdMap<u64, RequestState>,
     schedules: Vec<u64>,
 }
 

@@ -106,13 +106,16 @@ impl FrameHeader {
             )));
         }
         let kind = FrameKind::from_u8(buf[0])?;
-        let src = u32::from_le_bytes(buf[1..5].try_into().unwrap());
-        let dst = u32::from_le_bytes(buf[5..9].try_into().unwrap());
-        let tag = i32::from_le_bytes(buf[9..13].try_into().unwrap());
-        let context = u32::from_le_bytes(buf[13..17].try_into().unwrap());
-        let token = u64::from_le_bytes(buf[17..25].try_into().unwrap());
-        let msg_len = u64::from_le_bytes(buf[25..33].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(buf[33..41].try_into().unwrap()) as usize;
+        let src = u32::from_le_bytes(read_array(buf, 1)?);
+        let dst = u32::from_le_bytes(read_array(buf, 5)?);
+        let tag = i32::from_le_bytes(read_array(buf, 9)?);
+        let context = u32::from_le_bytes(read_array(buf, 13)?);
+        let token = u64::from_le_bytes(read_array(buf, 17)?);
+        let msg_len = u64::from_le_bytes(read_array(buf, 25)?);
+        let payload_len = u64::from_le_bytes(read_array(buf, 33)?);
+        let payload_len = usize::try_from(payload_len).map_err(|_| {
+            TransportError::Corrupt(format!("payload length {payload_len} overflows usize"))
+        })?;
         Ok((
             FrameHeader {
                 kind,
@@ -126,6 +129,17 @@ impl FrameHeader {
             payload_len,
         ))
     }
+}
+
+/// The `N` bytes of `buf` starting at `at`; `Corrupt` when `buf` ends
+/// first.
+fn read_array<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N]> {
+    buf.get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or_else(|| {
+            TransportError::Corrupt(format!("header truncated: {} < {}", buf.len(), at + N))
+        })
 }
 
 /// A header plus an owned payload.

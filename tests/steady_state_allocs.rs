@@ -13,6 +13,8 @@
 //! | classic `Copy` `Allreduce`, 262144 `INT` `SUM` (ring) | 0 | — |
 //! | classic `Sendrecv`, 1024 `DOUBLE` (a halo row) | 0 | — |
 //! | classic `Send` + `Recv` ping-pong, 1 MiB `BYTE` (streamed) | 0 | 0 |
+//! | classic `Copy` `Send` + `Recv` ping-pong, 1 `BYTE` | 0 | 0 |
+//! | `rs` batch: 16 `isend`s / `irecv_into`s of 64 `u8`, one `wait_all` | ≤ 1 | ≤ 9 |
 //! | classic `Copy` `Reduce` to rank 0, 1024 `INT` `SUM` | ≤ 0.75 | — |
 //! | `Bytes::new()`, `Bytes::default()`, `Frame::control(..)` | 0 | 0 |
 //!
@@ -23,6 +25,14 @@
 //! in its schedule's slot store, and only the retiring schedule's sweep
 //! returns it to the pool; without the sweep the non-root allocates
 //! twice per call (1.0 per rank).
+//!
+//! A payload of at most 64 bytes (`bytes::INLINE_CAP`) is staged inside
+//! its `Bytes`, and a basic datatype's typemap is a shared static, so a
+//! small message allocates nothing between the caller's buffer and the
+//! receiver's. What the `rs` batch still allocates per rank is the
+//! `Vec` of its 16 requests (1 KiB), the statuses `wait_all` returns
+//! (the requests' buffer, reused and shrunk: one `realloc`), and on the
+//! receiver one boxed buffer capture per `irecv_into` (8 per rank).
 //!
 //! A streamed 1 MiB message is eight 128 KiB chunks: the receiver pools
 //! each chunk as the `Bytes` it landed in, and its next send refills
@@ -41,7 +51,7 @@ use std::sync::Barrier;
 
 use bytes::Bytes;
 use mpi_transport::{Frame, FrameHeader, FrameKind};
-use mpijava::{Datatype, Intracomm, JniConfig, MarshalMode, MpiRuntime, Op};
+use mpijava::{Datatype, Intracomm, JniConfig, MarshalMode, MpiRuntime, Op, TypedRequest};
 
 /// Counts every allocation (and every `realloc`, which may move) while
 /// `COUNTING` is set, split at 1 KiB.
@@ -198,21 +208,52 @@ fn sendrecv_row() -> PerCall {
     )
 }
 
-/// Classic ping-pong of 1 MiB of `BYTE`s: rank 0 sends and receives,
+/// Classic ping-pong of `len` `BYTE`s: rank 0 sends and receives,
 /// rank 1 receives and sends back.
-fn pingpong_1mib() -> PerCall {
-    const LEN: usize = 1 << 20;
+fn pingpong(len: usize) -> PerCall {
     let byte = Datatype::byte();
     measure(
-        |rank| (vec![rank as u8; LEN], vec![0; LEN]),
+        |rank| (vec![rank as u8; len], vec![0; len]),
         |world, send, recv| {
             if world.rank().unwrap() == 0 {
-                world.send(send, 0, LEN, &byte, 1, 9).unwrap();
-                world.recv(recv, 0, LEN, &byte, 1, 9).unwrap();
+                world.send(send, 0, len, &byte, 1, 9).unwrap();
+                world.recv(recv, 0, len, &byte, 1, 9).unwrap();
             } else {
-                world.recv(recv, 0, LEN, &byte, 0, 9).unwrap();
-                world.send(send, 0, LEN, &byte, 0, 9).unwrap();
+                world.recv(recv, 0, len, &byte, 0, 9).unwrap();
+                world.send(send, 0, len, &byte, 0, 9).unwrap();
             }
+            black_box(recv);
+        },
+    )
+}
+
+/// An `rs` batch of 16 messages of 64 `u8`: rank 1 posts an
+/// `irecv_into` into each 64-byte chunk of its buffer, then rank 0 an
+/// `isend` of each chunk of its own, and each rank waits for its batch
+/// with one `TypedRequest::wait_all`. The ranks meet outside MPI between
+/// the two postings, so every message finds its receive posted and the
+/// sender is never batches ahead of the receiver.
+fn rs_batch() -> PerCall {
+    use mpijava::rs::Communicator;
+    const MSGS: usize = 16;
+    const LEN: usize = 64;
+    let posted_all = Barrier::new(RANKS);
+    measure(
+        |rank| (vec![rank as u8; MSGS * LEN], vec![0; MSGS * LEN]),
+        |world, send, recv| {
+            let mut posted = Vec::with_capacity(MSGS);
+            if world.rank().unwrap() == 0 {
+                posted_all.wait();
+                for msg in send.chunks_exact(LEN) {
+                    posted.push(Communicator::isend(world, msg, 1, 5).unwrap());
+                }
+            } else {
+                for slot in recv.chunks_exact_mut(LEN) {
+                    posted.push(Communicator::irecv_into(world, slot, 0, 5).unwrap());
+                }
+                posted_all.wait();
+            }
+            TypedRequest::wait_all(posted).unwrap();
             black_box(recv);
         },
     )
@@ -265,7 +306,14 @@ fn small_operations_allocate_nothing_payload_sized_in_steady_state() {
         ),
         row("allreduce 262144 INT (ring)", allreduce(262_144), 0.0, None),
         row("sendrecv 1024 DOUBLE", sendrecv_row(), 0.0, None),
-        row("pingpong 1 MiB BYTE", pingpong_1mib(), 0.0, Some(0.0)),
+        row("pingpong 1 MiB BYTE", pingpong(1 << 20), 0.0, Some(0.0)),
+        row("pingpong 1 BYTE", pingpong(1), 0.0, Some(0.0)),
+        row(
+            "rs batch of 16 isend / irecv_into of 64 u8",
+            rs_batch(),
+            1.0,
+            Some(9.0),
+        ),
         row("reduce 1024 INT to rank 0", reduce_to_root(), 0.75, None),
         row(
             "Bytes::new, Bytes::default, Frame::control",
