@@ -312,9 +312,9 @@ impl Comm {
         }
     }
 
-    /// The binding-side send of a marshalled payload: every `Sendrecv`
-    /// and `Send[OBJECT]`, and every blocking or nonblocking send but a
-    /// dense window's (see `send_mode`, `isend_mode`), hands it to the
+    /// The binding-side send of a marshalled payload: every
+    /// `Send[OBJECT]`, and every blocking, nonblocking or `Sendrecv` send
+    /// but a dense window's (see `send_mode`, `post_send`), hands it to the
     /// engine here (a persistent `Start` hands it to `Engine::start`,
     /// which does the same). An owned payload — a `Copy` image, a
     /// gather, a `bool` / `char` conversion, an object stream — is the
@@ -338,8 +338,8 @@ impl Comm {
     /// image goes to the engine's blocking send as it is: a rendezvous
     /// is staged one frame at a time once granted, so under `Copy` the
     /// boundary copy overlaps the receiver's (see [`Engine::send_staged`]).
-    /// Anything else is marshalled first and handed over as the message.
-    #[allow(clippy::too_many_arguments)]
+    /// Anything else goes through [`post_send`](Self::post_send) and is
+    /// waited on.
     fn send_mode<T: BufferElement>(
         &self,
         name: &'static str,
@@ -347,9 +347,7 @@ impl Comm {
         offset: usize,
         count: usize,
         datatype: &Datatype,
-        dest: i32,
-        tag: i32,
-        mode: SendMode,
+        (dest, tag, mode): (i32, i32, SendMode),
     ) -> MpiResult<()> {
         self.env.jni.enter(name);
         let image = bytes_of(self.send_window(buf, offset, count, datatype)?);
@@ -358,10 +356,8 @@ impl Comm {
             let mut engine = self.env.engine.lock();
             return Ok(engine.send_staged(self.handle, dest, tag, window, mode, staging)?);
         }
-        let payload = self.marshal(image, count, datatype)?;
-        let mut engine = self.env.engine.lock();
-        let req = self.isend_payload(&mut engine, payload, dest, tag, mode)?;
-        engine.wait(req)?;
+        let ((), req) = self.post_send(image, count, datatype, (dest, tag, mode), |_| Ok(()))?;
+        self.env.engine.lock().wait(req)?;
         Ok(())
     }
 
@@ -385,9 +381,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Standard,
+            (dest, tag, SendMode::Standard),
         )
     }
 
@@ -407,9 +401,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Buffered,
+            (dest, tag, SendMode::Buffered),
         )
     }
 
@@ -429,9 +421,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Synchronous,
+            (dest, tag, SendMode::Synchronous),
         )
     }
 
@@ -451,9 +441,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Ready,
+            (dest, tag, SendMode::Ready),
         )
     }
 
@@ -508,16 +496,17 @@ impl Comm {
         recv_tag: i32,
     ) -> MpiResult<Status> {
         self.env.jni.enter("Comm.Sendrecv");
-        let payload = self.pack_buffer(send_buf, send_offset, send_count, send_type)?;
+        let image = bytes_of(self.send_window(send_buf, send_offset, send_count, send_type)?);
         let (window, max_len) = self.recv_window(recv_buf, recv_offset, recv_count, recv_type)?;
-        // `Engine::sendrecv`'s steps, with the payload handed on as
-        // marshalled: receive posted first, so the exchange cannot
+        // `Engine::sendrecv`'s steps, with the send taken as `Isend`
+        // takes it: receive posted first, so the exchange cannot
         // deadlock.
+        let post_recv =
+            |engine: &mut Engine| engine.irecv(self.handle, source, recv_tag, Some(max_len));
+        let to = (dest, send_tag, SendMode::Standard);
+        let (recv, send) = self.post_send(image, send_count, send_type, to, post_recv)?;
         let done = {
             let mut engine = self.env.engine.lock();
-            let recv = engine.irecv(self.handle, source, recv_tag, Some(max_len))?;
-            let send =
-                self.isend_payload(&mut engine, payload, dest, send_tag, SendMode::Standard)?;
             let done = engine.wait(recv)?;
             engine.wait(send)?;
             done
@@ -531,12 +520,38 @@ impl Comm {
     // Non-blocking point-to-point
     // ------------------------------------------------------------------
 
-    /// The nonblocking sends. As in `send_mode`, a dense window whose
-    /// memory is its own wire image goes to the engine as it is, and
-    /// the engine's staging copy is the boundary copy: a payload of at
-    /// most [`bytes::INLINE_CAP`] bytes lands inline and allocates
-    /// nothing (see [`Engine::isend_staged`]).
-    #[allow(clippy::too_many_arguments)]
+    /// The nonblocking send of a window's byte `image`, holding `count`
+    /// instances of `datatype`, to `(dest, tag)` in `mode`. As in
+    /// `send_mode`, a dense window whose memory is its own wire image
+    /// goes to the engine as it is, and the engine's staging copy is the
+    /// boundary copy: a payload of at most [`bytes::INLINE_CAP`] bytes
+    /// lands inline and allocates nothing (see [`Engine::isend_staged`]).
+    /// Anything else is marshalled first and handed over as the message.
+    /// `first` runs under the same engine lock just before the send is
+    /// posted (a `Sendrecv` posts its receive there).
+    fn post_send<R>(
+        &self,
+        image: Cow<'_, [u8]>,
+        count: usize,
+        datatype: &Datatype,
+        (dest, tag, mode): (i32, i32, SendMode),
+        first: impl FnOnce(&mut Engine) -> mpi_native::Result<R>,
+    ) -> MpiResult<(R, RequestId)> {
+        if let (true, Cow::Borrowed(window)) = (datatype.def().is_contiguous_dense(), &image) {
+            let staging = self.env.jni.stream_in(window.len());
+            let mut engine = self.env.engine.lock();
+            let before = first(&mut engine)?;
+            let id = engine.isend_staged(self.handle, dest, tag, window, mode, staging)?;
+            return Ok((before, id));
+        }
+        let payload = self.marshal(image, count, datatype)?;
+        let mut engine = self.env.engine.lock();
+        let before = first(&mut engine)?;
+        let id = self.isend_payload(&mut engine, payload, dest, tag, mode)?;
+        Ok((before, id))
+    }
+
+    /// The nonblocking sends, through [`post_send`](Self::post_send).
     fn isend_mode<T: BufferElement>(
         &self,
         name: &'static str,
@@ -544,21 +559,11 @@ impl Comm {
         offset: usize,
         count: usize,
         datatype: &Datatype,
-        dest: i32,
-        tag: i32,
-        mode: SendMode,
+        to: (i32, i32, SendMode),
     ) -> MpiResult<Request<'static>> {
         self.env.jni.enter(name);
         let image = bytes_of(self.send_window(buf, offset, count, datatype)?);
-        let id =
-            if let (true, Cow::Borrowed(window)) = (datatype.def().is_contiguous_dense(), &image) {
-                let staging = self.env.jni.stream_in(window.len());
-                let mut engine = self.env.engine.lock();
-                engine.isend_staged(self.handle, dest, tag, window, mode, staging)?
-            } else {
-                let payload = self.marshal(image, count, datatype)?;
-                self.isend_payload(&mut self.env.engine.lock(), payload, dest, tag, mode)?
-            };
+        let ((), id) = self.post_send(image, count, datatype, to, |_| Ok(()))?;
         Ok(Pending::new(&self.env, id, ()).into())
     }
 
@@ -578,9 +583,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Standard,
+            (dest, tag, SendMode::Standard),
         )
     }
 
@@ -600,9 +603,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Buffered,
+            (dest, tag, SendMode::Buffered),
         )
     }
 
@@ -622,9 +623,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Synchronous,
+            (dest, tag, SendMode::Synchronous),
         )
     }
 
@@ -644,9 +643,7 @@ impl Comm {
             offset,
             count,
             datatype,
-            dest,
-            tag,
-            SendMode::Ready,
+            (dest, tag, SendMode::Ready),
         )
     }
 

@@ -292,30 +292,39 @@ impl RankEnv {
     /// the pool would refuse is dropped here without taking the engine
     /// lock, so a small message's buffer costs no lock.
     pub(crate) fn hand_back(&self, spent: impl Spent) {
-        if let Some(buf) = spent.reclaim() {
-            if Engine::pool_accepts(buf.capacity()) {
-                self.engine.lock().pool_put(buf);
-            }
+        if Engine::pool_accepts(spent.capacity()) {
+            spent.give(&mut self.engine.lock());
         }
     }
 }
 
 /// A payload buffer the binding has stored and is done with: an engine
-/// result (`Vec`), or a completion (`Bytes`), whose allocation is
-/// reclaimed only when this was its last reference.
+/// result (`Vec`), or a completion (`Bytes`), kept as it is so that a
+/// later staged send refills it without allocating; the pool keeps a
+/// completion only when this was its last reference.
 pub(crate) trait Spent: AsRef<[u8]> {
-    fn reclaim(self) -> Option<Vec<u8>>;
+    /// The capacity of its allocation (0 for an inline `Bytes`).
+    fn capacity(&self) -> usize;
+    fn give(self, engine: &mut Engine);
 }
 
 impl Spent for Vec<u8> {
-    fn reclaim(self) -> Option<Vec<u8>> {
-        Some(self)
+    fn capacity(&self) -> usize {
+        Vec::capacity(self)
+    }
+
+    fn give(self, engine: &mut Engine) {
+        engine.pool_put(self);
     }
 }
 
 impl Spent for bytes::Bytes {
-    fn reclaim(self) -> Option<Vec<u8>> {
-        self.try_into_vec().ok()
+    fn capacity(&self) -> usize {
+        bytes::Bytes::capacity(self)
+    }
+
+    fn give(self, engine: &mut Engine) {
+        engine.recycle(self);
     }
 }
 

@@ -620,6 +620,7 @@ impl Drop for PersistentRequest<'_> {
 mod tests {
     use super::*;
     use crate::jni::MarshalMode;
+    use mpi_native::coll::{CollDesc, Payload, Reduction};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A capture that only records that it was asked to store bytes.
@@ -647,17 +648,13 @@ mod tests {
                 let rank = world.rank()?;
                 let sum = mpi_native::Op::Predefined(mpi_native::PredefinedOp::Sum);
                 let contribution = (rank as i32 + 1).to_le_bytes();
+                let int = mpi_native::PrimitiveKind::Int;
+                let allreduce = CollDesc::Allreduce(Reduction::borrowed(int, 1, &sum));
                 if rank == 0 {
                     let handle = world.as_comm().handle;
                     let env = Arc::clone(&world.as_comm().env);
                     let coll_id = mpi.with_engine(|e| {
-                        e.iallreduce(
-                            handle,
-                            &contribution,
-                            mpi_native::PrimitiveKind::Int,
-                            1,
-                            &sum,
-                        )
+                        e.coll_launch(handle, &allreduce, Payload::Bytes(&contribution))
                     })?;
                     let unpacked = Arc::new(AtomicBool::new(false));
                     let coll_req =
@@ -711,13 +708,7 @@ mod tests {
                 } else {
                     let handle = world.as_comm().handle;
                     let coll_id = mpi.with_engine(|e| {
-                        e.iallreduce(
-                            handle,
-                            &contribution,
-                            mpi_native::PrimitiveKind::Int,
-                            1,
-                            &sum,
-                        )
+                        e.coll_launch(handle, &allreduce, Payload::Bytes(&contribution))
                     })?;
                     mpi.with_engine(|e| e.wait(coll_id))?;
                     // Wait for the go signal, then post the matching send.
@@ -810,7 +801,8 @@ mod tests {
                             |e, c| {
                                 let root = crate::buffer::bytes_of(c.0).into_owned();
                                 let root = if rank == 0 { root } else { Vec::new() };
-                                e.ibcast(comm.handle, 0, root)
+                                let bcast = CollDesc::Bcast { root: 0 };
+                                e.coll_launch(comm.handle, &bcast, Payload::Owned(root))
                             },
                         )?;
                         Request::wait_any(&mut [request])?

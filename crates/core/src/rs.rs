@@ -150,7 +150,7 @@
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-use mpi_native::coll::{CollDesc, Reduction};
+use mpi_native::coll::{CollDesc, CollOutcome, Reduction};
 use mpi_native::{Engine, ErrorClass, MpiError, RequestId, SendMode, PROC_NULL};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
@@ -827,28 +827,14 @@ pub trait Communicator {
     /// must pass the same `send` length; `PROC_NULL` slots yield empty
     /// parts.
     fn neighbor_all_gather<T: BufferElement>(&self, send: &[T]) -> MpiResult<Vec<Vec<T>>> {
-        let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Neighbor_allgather");
-        let payload = bytes_of(send);
-        let parts = comm
-            .env
-            .engine
-            .lock()
-            .neighbor_allgather(comm.handle, &payload)?;
-        Ok(parts_to_elements(parts))
+        neighbor_exchange(self.as_comm(), "Intracomm.Neighbor_allgather", send, false)
     }
 
     /// Sparse total exchange (`MPI_Neighbor_alltoall`): send the `j`-th
     /// of `degree` equal chunks of `send` to neighbor `j`, receive one
     /// part per neighbor slot (`PROC_NULL` slots yield empty parts).
     fn neighbor_all_to_all<T: BufferElement>(&self, send: &[T]) -> MpiResult<Vec<Vec<T>>> {
-        let comm = self.as_comm();
-        comm.env.jni.enter("Intracomm.Neighbor_alltoall");
-        let mut engine = comm.env.engine.lock();
-        let degree = engine.topo_neighbors(comm.handle)?.len();
-        let chunks = split_neighbor_chunks(send, degree, "neighbor_all_to_all")?;
-        let parts = engine.neighbor_alltoall(comm.handle, &chunks)?;
-        Ok(parts_to_elements(parts))
+        neighbor_exchange(self.as_comm(), "Intracomm.Neighbor_alltoall", send, true)
     }
 
     /// Nonblocking sparse all-gather (`MPI_Ineighbor_allgather`):
@@ -860,20 +846,13 @@ pub trait Communicator {
         send: &[T],
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        let parts = NeighborParts::new(send.len(), recv);
-        launch(comm, "Intracomm.Ineighbor_allgather", parts, |e, c| {
-            c.neighbors = e.topo_neighbors(comm.handle)?;
-            if c.recv.len() != c.neighbors.len() * send.len() {
-                return Err(count_error(format!(
-                    "ineighbor_all_gather: recv length {} is not degree ({}) * send length ({})",
-                    c.recv.len(),
-                    c.neighbors.len(),
-                    send.len()
-                )));
-            }
-            e.ineighbor_allgather(comm.handle, &bytes_of(send))
-        })
+        ineighbor_exchange(
+            self.as_comm(),
+            "Intracomm.Ineighbor_allgather",
+            send,
+            false,
+            recv,
+        )
     }
 
     /// Nonblocking sparse total exchange (`MPI_Ineighbor_alltoall`):
@@ -884,22 +863,13 @@ pub trait Communicator {
         send: &[T],
         recv: &'buf mut [T],
     ) -> MpiResult<TypedRequest<'buf>> {
-        let comm = self.as_comm();
-        let parts = NeighborParts::new(0, recv);
-        launch(comm, "Intracomm.Ineighbor_alltoall", parts, |e, c| {
-            c.neighbors = e.topo_neighbors(comm.handle)?;
-            let degree = c.neighbors.len();
-            if c.recv.len() != send.len() {
-                return Err(count_error(format!(
-                    "ineighbor_all_to_all: recv length {} differs from send length {}",
-                    c.recv.len(),
-                    send.len()
-                )));
-            }
-            let chunks = split_neighbor_chunks(send, degree, "ineighbor_all_to_all")?;
-            c.chunk = send.len().checked_div(degree).unwrap_or(0);
-            e.ineighbor_alltoall(comm.handle, &chunks)
-        })
+        ineighbor_exchange(
+            self.as_comm(),
+            "Intracomm.Ineighbor_alltoall",
+            send,
+            true,
+            recv,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -998,16 +968,6 @@ struct NeighborParts<'buf, T> {
     recv: &'buf mut [T],
 }
 
-impl<'buf, T> NeighborParts<'buf, T> {
-    fn new(chunk: usize, recv: &'buf mut [T]) -> Self {
-        NeighborParts {
-            neighbors: Vec::new(),
-            chunk,
-            recv,
-        }
-    }
-}
-
 impl<T: BufferElement> Capture for NeighborParts<'_, T> {
     fn unpack(&mut self, bytes: &[u8]) -> MpiResult<()> {
         let chunk_bytes = self.chunk * T::width();
@@ -1025,43 +985,83 @@ impl<T: BufferElement> Capture for NeighborParts<'_, T> {
     }
 }
 
-/// Convert the engine's per-neighbor byte parts to typed vectors.
-fn parts_to_elements<T: BufferElement>(parts: Vec<Vec<u8>>) -> Vec<Vec<T>> {
-    parts
-        .into_iter()
-        .map(|bytes| {
-            let mut out = vec![T::default(); bytes.len() / T::width()];
-            store_bytes(&bytes, &mut out);
-            out
-        })
-        .collect()
-}
-
-/// Split `send` into `degree` equal per-neighbor chunks for the
-/// neighbor total exchanges.
-fn split_neighbor_chunks<T: BufferElement>(
+/// One chunk of `send` per neighbor slot, and its length in elements:
+/// all of `send` for an all-gather, or with `split` (a total exchange)
+/// its `degree` equal parts, a `Count` error unless `degree` divides it.
+fn neighbor_chunks<T: BufferElement>(
     send: &[T],
     degree: usize,
+    split: bool,
     what: &str,
-) -> mpi_native::Result<Vec<Vec<u8>>> {
-    if degree == 0 {
-        if send.is_empty() {
-            return Ok(Vec::new());
-        }
-        return Err(count_error(format!(
-            "{what}: non-empty send on a degree-0 topology"
-        )));
+) -> mpi_native::Result<(usize, Vec<Vec<u8>>)> {
+    if !split {
+        return Ok((send.len(), vec![bytes_of(send).into_owned(); degree]));
     }
-    if !send.len().is_multiple_of(degree) {
+    let chunk = send.len().checked_div(degree).unwrap_or(0);
+    if chunk * degree != send.len() {
         return Err(count_error(format!(
             "{what}: send length {} is not a multiple of the topology degree {degree}",
             send.len()
         )));
     }
-    let chunk = send.len() / degree;
-    Ok((0..degree)
-        .map(|r| bytes_of(&send[r * chunk..(r + 1) * chunk]).into_owned())
-        .collect())
+    let part = |r: usize| bytes_of(&send[r * chunk..(r + 1) * chunk]).into_owned();
+    Ok((chunk, (0..degree).map(part).collect()))
+}
+
+/// A blocking neighborhood exchange of `send` (see `neighbor_chunks`):
+/// the engine's one neighborhood launcher, waited on; one typed part
+/// per neighbor slot.
+fn neighbor_exchange<T: BufferElement>(
+    comm: &Comm,
+    name: &'static str,
+    send: &[T],
+    split: bool,
+) -> MpiResult<Vec<Vec<T>>> {
+    comm.env.jni.enter(name);
+    let mut engine = comm.env.engine.lock();
+    let degree = engine.topo_neighbors(comm.handle)?.len();
+    let (_, chunks) = neighbor_chunks(send, degree, split, name)?;
+    let req = engine.ineighbor_alltoallv(comm.handle, &chunks)?;
+    let CollOutcome::Parts(parts) = engine.wait_outcome(req)? else {
+        let intern = format!("{name}: the outcome is not parts");
+        return Err(MPIException::new(ErrorClass::Intern, intern));
+    };
+    let typed = |bytes: Vec<u8>| {
+        let mut out = vec![T::default(); bytes.len() / T::width()];
+        store_bytes(&bytes, &mut out);
+        out
+    };
+    Ok(parts.into_iter().map(typed).collect())
+}
+
+/// The nonblocking twin of [`neighbor_exchange`]: `recv` must hold one
+/// chunk per neighbor slot, which the returned request stores there.
+fn ineighbor_exchange<'buf, T: BufferElement>(
+    comm: &Comm,
+    name: &'static str,
+    send: &[T],
+    split: bool,
+    recv: &'buf mut [T],
+) -> MpiResult<TypedRequest<'buf>> {
+    let neighbors = Vec::new();
+    let parts = NeighborParts {
+        neighbors,
+        chunk: 0,
+        recv,
+    };
+    launch(comm, name, parts, |e, c| {
+        c.neighbors = e.topo_neighbors(comm.handle)?;
+        let degree = c.neighbors.len();
+        let (chunk, chunks) = neighbor_chunks(send, degree, split, name)?;
+        if c.recv.len() != degree * chunk {
+            return Err(count_error(format!(
+                "{name}: recv length {} is not degree ({degree}) * chunk length ({chunk})",
+                c.recv.len()
+            )));
+        }
+        c.chunk = chunk;
+        e.ineighbor_alltoallv(comm.handle, &chunks)
+    })
 }
 
 /// Cartesian-topology extensions of the idiomatic surface, implemented

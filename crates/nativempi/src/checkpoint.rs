@@ -179,6 +179,7 @@ fn io_err(e: std::io::Error) -> MpiError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coll::{CollDesc, Payload};
     use crate::comm::COMM_WORLD;
     use crate::types::SendMode;
     use mpi_transport::spool::SpoolDevice;
@@ -220,7 +221,10 @@ mod tests {
                     .unwrap();
                 engines[0].recv(crate::comm::COMM_SELF, 0, i, None).unwrap();
             }
-            engines[0].barrier(crate::comm::COMM_SELF).unwrap();
+            let barrier = (&CollDesc::Barrier, Payload::Bytes(&[]));
+            engines[0]
+                .coll_run(crate::comm::COMM_SELF, barrier.0, barrier.1)
+                .unwrap();
             let path = engines[0].checkpoint().unwrap();
             let text = fs::read_to_string(path).unwrap();
             assert!(text.starts_with(MAGIC));

@@ -110,7 +110,7 @@ pub enum Payload<'a> {
     /// slot.
     Bytes(&'a [u8]),
     /// Owned bytes, moved into the schedule's input slot, not copied:
-    /// `ibcast`'s buffer, and a reduction's `Cow::Owned` contribution —
+    /// a broadcast root's buffer, and a reduction's `Cow::Owned` contribution —
     /// the classic surface's marshalled buffer, which so becomes the
     /// ring's one buffer and, on an allreduce, the result.
     Owned(Vec<u8>),

@@ -28,10 +28,12 @@
 //!
 //! Every operation here is an ordinary `CollSchedule`: the three
 //! phases are just consecutive rounds, so the hierarchical collectives
-//! are nonblocking-capable for free — `ibcast`/`ireduce`/`iallreduce`/
-//! `ibarrier`/`iallgather` over a hybrid fabric run through the same
-//! progress engine as everything else, and the blocking forms stay
-//! `start + wait`. The intra-node phases are the [`linear`] builders
+//! are nonblocking-capable for free: a bcast, reduce, allreduce,
+//! barrier or allgather launched over a hybrid fabric
+//! ([`Engine::coll_launch`](crate::Engine::coll_launch)) runs through the
+//! same progress engine as everything else, and its blocking form
+//! ([`Engine::coll_run`](crate::Engine::coll_run)) is that launch
+//! followed by a wait. The intra-node phases are the [`linear`] builders
 //! over the node subgroup (a node is small and its fabric
 //! cheap; O(n) fan-in there beats paying extra rounds), the inter-node
 //! phase is the binomial tree — or recursive doubling when the leader

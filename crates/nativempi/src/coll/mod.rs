@@ -4,19 +4,20 @@
 //!
 //! ## Call flow: descriptor → plan → launcher
 //!
-//! Every public entry point — blocking (`allreduce`), nonblocking
-//! (`iallreduce`) or persistent (`allreduce_init`) — is one line: it
-//! names its operation as a [`CollDesc`] (the op plus root /
-//! `kind`·`count`·`&Op` / per-rank counts, all borrowed), pairs it with
-//! the caller's [`Payload`], and hands both to a launcher.
-//!
-//! The descriptor and the three launchers are also the binding's entry
-//! point: the `mpijava` crate describes each classic and idiomatic
-//! collective call as one [`CollDesc`] plus its marshalled payload and
-//! runs it through [`Engine::coll_run`], [`Engine::coll_launch`] or
-//! [`Engine::coll_init`], storing the [`CollOutcome`] (or the request's
-//! completion) back through its own marshal seam. The per-operation
-//! methods below stay as the engine-level API of tests and benchmarks.
+//! The engine's collective API is one descriptor and three launchers.
+//! A call — blocking, nonblocking or persistent — names its operation
+//! as a [`CollDesc`] (the op plus root / `kind`·`count`·`&Op` /
+//! per-rank counts, all borrowed), pairs it with this rank's
+//! [`Payload`], and hands both to [`Engine::coll_run`],
+//! [`Engine::coll_launch`] or [`Engine::coll_init`]. There is no
+//! per-operation method beside them: the `mpijava` crate describes each
+//! classic and idiomatic collective call this way and stores the
+//! [`CollOutcome`] (or the request's completion) back through its own
+//! marshal seam, and the engine's own callers (`comm_split`, `win_free`,
+//! context-id agreement) and its tests do the same. The one exception,
+//! [`Engine::allreduce`], serves the standalone benchmark's
+//! `engine.coll` level. The neighbourhood collectives have one launcher
+//! of their own ([`Engine::ineighbor_alltoallv`], see [`neighborhood`]).
 //!
 //! 1. **Descriptor.** Everything the dispatch needs is derived from it:
 //!    the [`CollOp`], the selector's inputs (payload bytes,
@@ -760,185 +761,14 @@ impl Engine {
     }
 
     // ---------------------------------------------------------------------
-    // Public entry points: one descriptor, one launcher each
+    // Engine-level callers
     // ---------------------------------------------------------------------
 
-    /// `MPI_Barrier`.
-    pub fn barrier(&mut self, comm: CommHandle) -> Result<()> {
-        self.coll_run(comm, &CollDesc::Barrier, Payload::Bytes(&[]))?;
-        Ok(())
-    }
-
-    /// `MPI_Ibarrier`: completes with no payload.
-    pub fn ibarrier(&mut self, comm: CommHandle) -> Result<RequestId> {
-        self.coll_launch(comm, &CollDesc::Barrier, Payload::Bytes(&[]))
-    }
-
-    /// `MPI_Barrier_init`: a reusable barrier. Start iterations with
-    /// [`Engine::start`] (input ignored).
-    pub fn barrier_init(&mut self, comm: CommHandle) -> Result<RequestId> {
-        self.coll_init(comm, CollDesc::Barrier, None)
-    }
-
-    /// `MPI_Bcast`: `buf` is the payload on the root and is overwritten on
-    /// every other rank.
-    pub fn bcast(&mut self, comm: CommHandle, root: usize, buf: &mut Vec<u8>) -> Result<()> {
-        let desc = CollDesc::Bcast { root };
-        // Validate before taking the buffer so a rejected call leaves
-        // the caller's payload untouched.
-        self.coll_validate(comm, &desc, &Payload::Deferred)?;
-        let outcome = self.coll_run(comm, &desc, Payload::Owned(std::mem::take(buf)))?;
-        *buf = Self::expect_buffer(outcome)?;
-        Ok(())
-    }
-
-    /// `MPI_Ibcast`: `buf` is the payload on the root (ignored
-    /// elsewhere); completes with the broadcast payload on every rank.
-    pub fn ibcast(&mut self, comm: CommHandle, root: usize, buf: Vec<u8>) -> Result<RequestId> {
-        self.coll_launch(comm, &CollDesc::Bcast { root }, Payload::Owned(buf))
-    }
-
-    /// `MPI_Bcast_init`: a reusable broadcast from `root`. `len` is the
-    /// payload length the root will pass to every `start()` (ignored on
-    /// other ranks, which receive whatever arrives).
-    pub fn bcast_init(&mut self, comm: CommHandle, root: usize, len: usize) -> Result<RequestId> {
-        let root_len = (self.comm_rank(comm)? == root).then_some(len);
-        self.coll_init(comm, CollDesc::Bcast { root }, root_len)
-    }
-
-    /// `MPI_Gather` / `MPI_Gatherv`: every rank contributes `send`; the root
-    /// receives one buffer per rank (in rank order), everyone else `None`.
-    pub fn gather(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        send: &[u8],
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        match self.coll_run(comm, &CollDesc::Gather { root }, Payload::Bytes(send))? {
-            CollOutcome::Done => Ok(None),
-            outcome => Ok(Some(Self::expect_parts(outcome)?)),
-        }
-    }
-
-    /// `MPI_Igather` / `Igatherv`: completes with every rank's
-    /// contribution, concatenated in rank order, on the root, and with
-    /// no payload elsewhere.
-    pub fn igather(&mut self, comm: CommHandle, root: usize, send: &[u8]) -> Result<RequestId> {
-        self.coll_launch(comm, &CollDesc::Gather { root }, Payload::Bytes(send))
-    }
-
-    /// `MPI_Scatter` / `MPI_Scatterv`: the root supplies one buffer per rank
-    /// (`chunks`, rank order); every rank receives its own chunk.
-    pub fn scatter(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        chunks: Option<&[Vec<u8>]>,
-    ) -> Result<Vec<u8>> {
-        let outcome = self.coll_run(comm, &CollDesc::Scatter { root }, Payload::Chunks(chunks))?;
-        Self::expect_buffer(outcome)
-    }
-
-    /// `MPI_Iscatter` / `Iscatterv`: the root supplies one buffer per
-    /// rank (`chunks`, rank order); completes with this rank's chunk.
-    pub fn iscatter(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        chunks: Option<&[Vec<u8>]>,
-    ) -> Result<RequestId> {
-        self.coll_launch(comm, &CollDesc::Scatter { root }, Payload::Chunks(chunks))
-    }
-
-    /// `MPI_Allgather` / `MPI_Allgatherv`: returns one buffer per rank on
-    /// every rank.
-    pub fn allgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let outcome = self.coll_run(comm, &CollDesc::Allgather, Payload::Bytes(send))?;
-        Self::expect_parts(outcome)
-    }
-
-    /// `MPI_Iallgather` / `Iallgatherv`: completes with every rank's
-    /// contribution, concatenated in rank order, on every rank.
-    pub fn iallgather(&mut self, comm: CommHandle, send: &[u8]) -> Result<RequestId> {
-        self.coll_launch(comm, &CollDesc::Allgather, Payload::Bytes(send))
-    }
-
-    /// `MPI_Allgather_init`: a reusable allgather (per-rank lengths may
-    /// vary between starts — the wire format is length-independent).
-    pub fn allgather_init(&mut self, comm: CommHandle) -> Result<RequestId> {
-        self.coll_init(comm, CollDesc::Allgather, None)
-    }
-
-    /// `MPI_Alltoall` / `MPI_Alltoallv`: `chunks[d]` goes to rank `d`;
-    /// returns the chunk received from every rank.
-    pub fn alltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let outcome = self.coll_run(comm, &CollDesc::Alltoall, Payload::Chunks(Some(chunks)))?;
-        Self::expect_parts(outcome)
-    }
-
-    /// `MPI_Ialltoall` / `Ialltoallv`: `chunks[d]` goes to rank `d`;
-    /// completes with the chunks received from every rank, concatenated
-    /// in rank order.
-    pub fn ialltoall(&mut self, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<RequestId> {
-        self.coll_launch(comm, &CollDesc::Alltoall, Payload::Chunks(Some(chunks)))
-    }
-
-    /// `MPI_Reduce`: element-wise reduction of `count` elements of `kind`
-    /// with `op`, rank order, result on the root.
-    pub fn reduce<'a>(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        send: impl Into<Cow<'a, [u8]>>,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<Option<Vec<u8>>> {
-        let red = Reduction::borrowed(kind, count, op);
-        match self.coll_run(
-            comm,
-            &CollDesc::Reduce { root, red },
-            Payload::from(send.into()),
-        )? {
-            CollOutcome::Done => Ok(None),
-            outcome => Ok(Some(Self::expect_buffer(outcome)?)),
-        }
-    }
-
-    /// `MPI_Ireduce`: element-wise reduction of `count` elements of
-    /// `kind` with `op`, rank order; completes with the result on the
-    /// root and with no payload elsewhere.
-    pub fn ireduce<'a>(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        send: impl Into<Cow<'a, [u8]>>,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<RequestId> {
-        let red = Reduction::borrowed(kind, count, op);
-        self.coll_launch(
-            comm,
-            &CollDesc::Reduce { root, red },
-            Payload::from(send.into()),
-        )
-    }
-
-    /// `MPI_Reduce_init`: a reusable rank-order reduction to `root`.
-    pub fn reduce_init(
-        &mut self,
-        comm: CommHandle,
-        root: usize,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<RequestId> {
-        let red = Reduction::owned(kind, count, op);
-        self.coll_init(comm, CollDesc::Reduce { root, red }, None)
-    }
-
-    /// `MPI_Allreduce`: the reduction delivered to every rank.
+    /// `MPI_Allreduce`: the reduction delivered to every rank. Kept only
+    /// for the standalone benchmark's `engine.coll` level
+    /// (`benchmark/src/kernels.rs`), until that level describes its call
+    /// as a [`CollDesc`] and runs it through [`Engine::coll_run`] like
+    /// every other caller.
     pub fn allreduce<'a>(
         &mut self,
         comm: CommHandle,
@@ -951,104 +781,20 @@ impl Engine {
         Self::expect_buffer(self.coll_run(comm, &desc, Payload::from(send.into()))?)
     }
 
-    /// `MPI_Iallreduce`: completes with the full reduction on every
-    /// rank.
-    pub fn iallreduce<'a>(
-        &mut self,
-        comm: CommHandle,
-        send: impl Into<Cow<'a, [u8]>>,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<RequestId> {
-        let desc = CollDesc::Allreduce(Reduction::borrowed(kind, count, op));
-        self.coll_launch(comm, &desc, Payload::from(send.into()))
-    }
-
-    /// `MPI_Allreduce_init`: a reusable allreduce. Each `start()` takes
-    /// this rank's `count * kind.size()`-byte contribution; the wait's
-    /// completion is the full reduction, as for `iallreduce`.
-    pub fn allreduce_init(
-        &mut self,
-        comm: CommHandle,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<RequestId> {
-        let red = Reduction::owned(kind, count, op);
-        self.coll_init(comm, CollDesc::Allreduce(red), None)
-    }
-
-    /// `MPI_Reduce_scatter`: reduce the full vector, deliver `counts[i]`
-    /// elements of the result to rank `i`.
-    pub fn reduce_scatter<'a>(
-        &mut self,
-        comm: CommHandle,
-        send: impl Into<Cow<'a, [u8]>>,
-        counts: &[usize],
-        kind: PrimitiveKind,
-        op: &Op,
-    ) -> Result<Vec<u8>> {
-        let desc = CollDesc::reduce_scatter(counts, kind, op);
-        let my_chunk =
-            Self::expect_buffer(self.coll_run(comm, &desc, Payload::from(send.into()))?)?;
-        debug_assert_eq!(my_chunk.len(), counts[self.comm_rank(comm)?] * kind.size());
-        Ok(my_chunk)
-    }
-
-    /// `MPI_Ireduce_scatter`: completes with this rank's
-    /// `counts[rank]`-element slice of the reduced vector.
-    pub fn ireduce_scatter<'a>(
-        &mut self,
-        comm: CommHandle,
-        send: impl Into<Cow<'a, [u8]>>,
-        counts: &[usize],
-        kind: PrimitiveKind,
-        op: &Op,
-    ) -> Result<RequestId> {
-        let desc = CollDesc::reduce_scatter(counts, kind, op);
-        self.coll_launch(comm, &desc, Payload::from(send.into()))
-    }
-
-    /// `MPI_Scan`: inclusive prefix reduction in rank order.
-    pub fn scan<'a>(
-        &mut self,
-        comm: CommHandle,
-        send: impl Into<Cow<'a, [u8]>>,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<Vec<u8>> {
-        let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
-        Self::expect_buffer(self.coll_run(comm, &desc, Payload::from(send.into()))?)
-    }
-
-    /// `MPI_Iscan`: inclusive prefix reduction in rank order; completes
-    /// with this rank's prefix.
-    pub fn iscan<'a>(
-        &mut self,
-        comm: CommHandle,
-        send: impl Into<Cow<'a, [u8]>>,
-        kind: PrimitiveKind,
-        count: usize,
-        op: &Op,
-    ) -> Result<RequestId> {
-        let desc = CollDesc::Scan(Reduction::borrowed(kind, count, op));
-        self.coll_launch(comm, &desc, Payload::from(send.into()))
-    }
-
     /// Agree on the maximum of a `u32` across the communicator (used for
     /// context-id allocation).
     pub(crate) fn allreduce_u32_max(&mut self, comm: CommHandle, value: u32) -> Result<u32> {
+        let max = Op::Predefined(crate::ops::PredefinedOp::Max);
+        let desc = CollDesc::Allreduce(Reduction::borrowed(PrimitiveKind::Long, 1, &max));
         let bytes = (value as i64).to_le_bytes();
-        let out = self.allreduce(
-            comm,
-            &bytes,
-            PrimitiveKind::Long,
-            1,
-            &Op::Predefined(crate::ops::PredefinedOp::Max),
-        )?;
-        Ok(i64::from_le_bytes(out[..8].try_into().unwrap()) as u32)
+        let out = Self::expect_buffer(self.coll_run(comm, &desc, Payload::Bytes(&bytes))?)?;
+        let Some(&max) = out.first_chunk::<8>() else {
+            return err(
+                ErrorClass::Intern,
+                "u32 max reduction returned a short buffer",
+            );
+        };
+        Ok(i64::from_le_bytes(max) as u32)
     }
 }
 
@@ -1078,11 +824,18 @@ mod tests {
             .collect()
     }
 
+    /// A reduction of `count` `Int` elements under `op`, for a call or a
+    /// persistent init alike.
+    fn int(count: usize, op: &Op) -> Reduction<'static> {
+        Reduction::owned(PrimitiveKind::Int, count, op)
+    }
+
     #[test]
     fn barrier_completes_on_all_ranks() {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             for _ in 0..3 {
-                engine.barrier(COMM_WORLD).unwrap();
+                let done = engine.coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]));
+                assert_eq!(done.unwrap(), CollOutcome::Done);
             }
         })
         .unwrap();
@@ -1091,19 +844,26 @@ mod tests {
     #[test]
     fn bcast_distributes_roots_buffer() {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
-            let mut buf = if engine.world_rank() == 2 {
+            let buf = if engine.world_rank() == 2 {
                 b"broadcast payload".to_vec()
             } else {
                 Vec::new()
             };
-            engine.bcast(COMM_WORLD, 2, &mut buf).unwrap();
-            assert_eq!(&buf, b"broadcast payload");
+            let got = engine.coll_run(
+                COMM_WORLD,
+                &CollDesc::Bcast { root: 2 },
+                Payload::Owned(buf),
+            );
+            assert_eq!(
+                got.unwrap(),
+                CollOutcome::Buffer(b"broadcast payload".to_vec())
+            );
         })
         .unwrap();
         // Under each bcast algorithm, blocking and nonblocking: empty,
         // one-byte, 32 KiB and ragged 96 KiB payloads from a root at
-        // either end replace a non-root's stale buffer, and an `ibcast`
-        // completes when driven by `test` alone.
+        // either end replace a non-root's stale buffer, and a launched
+        // broadcast completes when driven by `test` alone.
         for alg in [CollAlgorithm::Linear, CollAlgorithm::BinomialTree] {
             for size in [2usize, 3, 4, 8] {
                 Universe::run(size, DeviceKind::ShmFast, move |engine| {
@@ -1120,10 +880,12 @@ mod tests {
                                 }
                             };
                             let at = format!("{alg} size={size} root={root} len={len}");
-                            let mut buf = contribution();
-                            engine.bcast(COMM_WORLD, root, &mut buf).unwrap();
-                            assert_eq!(buf, expected, "{at}");
-                            let req = engine.ibcast(COMM_WORLD, root, contribution()).unwrap();
+                            let bcast = CollDesc::Bcast { root };
+                            let got =
+                                engine.coll_run(COMM_WORLD, &bcast, Payload::Owned(contribution()));
+                            assert_eq!(got.unwrap(), CollOutcome::Buffer(expected.clone()), "{at}");
+                            let payload_in = Payload::Owned(contribution());
+                            let req = engine.coll_launch(COMM_WORLD, &bcast, payload_in).unwrap();
                             let completion = loop {
                                 if let Some(completion) = engine.test(req).unwrap() {
                                     break completion;
@@ -1144,16 +906,22 @@ mod tests {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank();
             let send = vec![rank as u8; rank + 1]; // different lengths (gatherv)
-            let got = engine.gather(COMM_WORLD, 0, &send).unwrap();
+            let got = engine.coll_run(
+                COMM_WORLD,
+                &CollDesc::Gather { root: 0 },
+                Payload::Bytes(&send),
+            );
             if rank == 0 {
-                let parts = got.unwrap();
+                let CollOutcome::Parts(parts) = got.unwrap() else {
+                    panic!("the root gathers parts")
+                };
                 assert_eq!(parts.len(), 4);
                 for (r, p) in parts.iter().enumerate() {
                     assert_eq!(p.len(), r + 1);
                     assert!(p.iter().all(|&b| b == r as u8));
                 }
             } else {
-                assert!(got.is_none());
+                assert_eq!(got.unwrap(), CollOutcome::Done);
             }
         })
         .unwrap();
@@ -1168,9 +936,12 @@ mod tests {
             } else {
                 None
             };
-            let mine = engine.scatter(COMM_WORLD, 1, chunks.as_deref()).unwrap();
-            assert_eq!(mine.len(), rank + 1);
-            assert!(mine.iter().all(|&b| b == rank as u8 * 10));
+            let payload = Payload::Chunks(chunks.as_deref());
+            let mine = engine.coll_run(COMM_WORLD, &CollDesc::Scatter { root: 1 }, payload);
+            assert_eq!(
+                mine.unwrap(),
+                CollOutcome::Buffer(vec![rank as u8 * 10; rank + 1])
+            );
         })
         .unwrap();
     }
@@ -1179,13 +950,10 @@ mod tests {
     fn allgather_gives_everyone_everything() {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank();
-            let parts = engine
-                .allgather(COMM_WORLD, &[rank as u8, (rank * 2) as u8])
-                .unwrap();
-            assert_eq!(parts.len(), 4);
-            for (r, p) in parts.iter().enumerate() {
-                assert_eq!(p, &vec![r as u8, (r * 2) as u8]);
-            }
+            let send = [rank as u8, (rank * 2) as u8];
+            let parts = engine.coll_run(COMM_WORLD, &CollDesc::Allgather, Payload::Bytes(&send));
+            let all = (0..4).map(|r| vec![r as u8, (r * 2) as u8]).collect();
+            assert_eq!(parts.unwrap(), CollOutcome::Parts(all));
         })
         .unwrap();
     }
@@ -1196,10 +964,10 @@ mod tests {
             let rank = engine.world_rank();
             // chunk sent from rank r to rank d = [r, d]
             let chunks: Vec<Vec<u8>> = (0..3).map(|d| vec![rank as u8, d as u8]).collect();
-            let got = engine.alltoall(COMM_WORLD, &chunks).unwrap();
-            for (src, chunk) in got.iter().enumerate() {
-                assert_eq!(chunk, &vec![src as u8, rank as u8]);
-            }
+            let payload = Payload::Chunks(Some(&chunks));
+            let got = engine.coll_run(COMM_WORLD, &CollDesc::Alltoall, payload);
+            let from_each = (0..3).map(|src| vec![src as u8, rank as u8]).collect();
+            assert_eq!(got.unwrap(), CollOutcome::Parts(from_each));
         })
         .unwrap();
     }
@@ -1209,20 +977,15 @@ mod tests {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank() as i32;
             let send = ints(&[rank, rank * 10]);
+            let red = int(2, &Op::Predefined(PredefinedOp::Sum));
+            let desc = CollDesc::Reduce { root: 0, red };
             let got = engine
-                .reduce(
-                    COMM_WORLD,
-                    0,
-                    &send,
-                    PrimitiveKind::Int,
-                    2,
-                    &Op::Predefined(PredefinedOp::Sum),
-                )
+                .coll_run(COMM_WORLD, &desc, Payload::Bytes(&send))
                 .unwrap();
             if engine.world_rank() == 0 {
-                assert_eq!(to_ints(&got.unwrap()), vec![6, 60]);
+                assert_eq!(got, CollOutcome::Buffer(ints(&[6, 60])));
             } else {
-                assert!(got.is_none());
+                assert_eq!(got, CollOutcome::Done);
             }
         })
         .unwrap();
@@ -1233,16 +996,9 @@ mod tests {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank() as i32;
             let send = ints(&[rank, -rank]);
-            let got = engine
-                .allreduce(
-                    COMM_WORLD,
-                    &send,
-                    PrimitiveKind::Int,
-                    2,
-                    &Op::Predefined(PredefinedOp::Max),
-                )
-                .unwrap();
-            assert_eq!(to_ints(&got), vec![3, 0]);
+            let desc = CollDesc::Allreduce(int(2, &Op::Predefined(PredefinedOp::Max)));
+            let got = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&send));
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[3, 0])));
         })
         .unwrap();
     }
@@ -1252,17 +1008,10 @@ mod tests {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank() as i32;
             let send = ints(&[rank + 1]);
-            let got = engine
-                .scan(
-                    COMM_WORLD,
-                    &send,
-                    PrimitiveKind::Int,
-                    1,
-                    &Op::Predefined(PredefinedOp::Sum),
-                )
-                .unwrap();
+            let desc = CollDesc::Scan(int(1, &Op::Predefined(PredefinedOp::Sum)));
+            let got = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&send));
             let expected: i32 = (1..=rank + 1).sum();
-            assert_eq!(to_ints(&got), vec![expected]);
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[expected])));
         })
         .unwrap();
     }
@@ -1274,18 +1023,11 @@ mod tests {
             // Every rank contributes [rank; 6]; sum = [0+1+2; 6] = [3; 6].
             let send = ints(&[rank; 6]);
             let counts = [1usize, 2, 3];
-            let got = engine
-                .reduce_scatter(
-                    COMM_WORLD,
-                    &send,
-                    &counts,
-                    PrimitiveKind::Int,
-                    &Op::Predefined(PredefinedOp::Sum),
-                )
-                .unwrap();
-            let vals = to_ints(&got);
-            assert_eq!(vals.len(), counts[rank as usize]);
-            assert!(vals.iter().all(|&v| v == 3));
+            let sum = Op::Predefined(PredefinedOp::Sum);
+            let desc = CollDesc::reduce_scatter(&counts, PrimitiveKind::Int, &sum);
+            let got = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&send));
+            let mine = ints(&vec![3; counts[rank as usize]]);
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(mine));
         })
         .unwrap();
     }
@@ -1299,18 +1041,11 @@ mod tests {
                 .unwrap()
                 .unwrap();
             let send = ints(&[rank as i32]);
-            let got = engine
-                .allreduce(
-                    sub,
-                    &send,
-                    PrimitiveKind::Int,
-                    1,
-                    &Op::Predefined(PredefinedOp::Sum),
-                )
-                .unwrap();
+            let desc = CollDesc::Allreduce(int(1, &Op::Predefined(PredefinedOp::Sum)));
+            let got = engine.coll_run(sub, &desc, Payload::Bytes(&send));
             // evens: 0 + 2 = 2; odds: 1 + 3 = 4
             let expected = if rank % 2 == 0 { 2 } else { 4 };
-            assert_eq!(to_ints(&got), vec![expected]);
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[expected])));
         })
         .unwrap();
     }
@@ -1328,11 +1063,10 @@ mod tests {
                 Ok(())
             }));
             let rank = engine.world_rank() as i32;
-            let got = engine
-                .allreduce(COMM_WORLD, ints(&[rank + 1]), PrimitiveKind::Int, 1, &op)
-                .unwrap();
+            let payload = Payload::Owned(ints(&[rank + 1]));
+            let got = engine.coll_run(COMM_WORLD, &CollDesc::Allreduce(int(1, &op)), payload);
             // fold in rank order: ((1*10+2)*10+3) = 123
-            assert_eq!(to_ints(&got), vec![123]);
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[123])));
         })
         .unwrap();
     }
@@ -1340,10 +1074,18 @@ mod tests {
     #[test]
     fn invalid_roots_and_counts_are_rejected() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
-            let mut buf = Vec::new();
-            assert!(engine.bcast(COMM_WORLD, 5, &mut buf).is_err());
-            assert!(engine.gather(COMM_WORLD, 9, b"x").is_err());
-            assert!(engine.alltoall(COMM_WORLD, &[vec![0u8]]).is_err());
+            let bcast = CollDesc::Bcast { root: 5 };
+            assert!(engine
+                .coll_run(COMM_WORLD, &bcast, Payload::Bytes(&[]))
+                .is_err());
+            let gather = CollDesc::Gather { root: 9 };
+            assert!(engine
+                .coll_run(COMM_WORLD, &gather, Payload::Bytes(b"x"))
+                .is_err());
+            let chunks = Payload::Chunks(Some(&[vec![0u8]]));
+            assert!(engine
+                .coll_run(COMM_WORLD, &CollDesc::Alltoall, chunks)
+                .is_err());
         })
         .unwrap();
     }
@@ -1354,19 +1096,16 @@ mod tests {
             Universe::run(4, DeviceKind::ShmFast, move |engine| {
                 engine.set_coll_algorithm(Some(alg));
                 let rank = engine.world_rank() as i32;
-                let got = engine
-                    .allreduce(
-                        COMM_WORLD,
-                        ints(&[rank]),
-                        PrimitiveKind::Int,
-                        1,
-                        &Op::Predefined(PredefinedOp::Sum),
-                    )
-                    .unwrap();
-                assert_eq!(to_ints(&got), vec![6], "{alg}");
-                let mut buf = if rank == 1 { vec![9u8; 33] } else { Vec::new() };
-                engine.bcast(COMM_WORLD, 1, &mut buf).unwrap();
-                assert_eq!(buf, vec![9u8; 33], "{alg}");
+                let desc = CollDesc::Allreduce(int(1, &Op::Predefined(PredefinedOp::Sum)));
+                let got = engine.coll_run(COMM_WORLD, &desc, Payload::Owned(ints(&[rank])));
+                assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[6])), "{alg}");
+                let buf = if rank == 1 { vec![9u8; 33] } else { Vec::new() };
+                let got = engine.coll_run(
+                    COMM_WORLD,
+                    &CollDesc::Bcast { root: 1 },
+                    Payload::Owned(buf),
+                );
+                assert_eq!(got.unwrap(), CollOutcome::Buffer(vec![9u8; 33]), "{alg}");
             })
             .unwrap();
         }
@@ -1378,37 +1117,68 @@ mod tests {
     fn size_one_fast_paths_skip_the_transport() {
         Universe::run(1, DeviceKind::ShmFast, |engine| {
             let op = Op::Predefined(PredefinedOp::Sum);
-            engine.barrier(COMM_WORLD).unwrap();
-            let mut buf = b"solo".to_vec();
-            engine.bcast(COMM_WORLD, 0, &mut buf).unwrap();
-            assert_eq!(&buf, b"solo");
-            let parts = engine.gather(COMM_WORLD, 0, b"g").unwrap().unwrap();
-            assert_eq!(parts, vec![b"g".to_vec()]);
-            let chunk = engine
-                .scatter(COMM_WORLD, 0, Some(&[b"s".to_vec()]))
-                .unwrap();
-            assert_eq!(chunk, b"s".to_vec());
-            let all = engine.allgather(COMM_WORLD, b"ag").unwrap();
-            assert_eq!(all, vec![b"ag".to_vec()]);
-            let exchanged = engine.alltoall(COMM_WORLD, &[b"a2a".to_vec()]).unwrap();
-            assert_eq!(exchanged, vec![b"a2a".to_vec()]);
-            let reduced = engine
-                .reduce(COMM_WORLD, 0, ints(&[7]), PrimitiveKind::Int, 1, &op)
-                .unwrap()
-                .unwrap();
-            assert_eq!(to_ints(&reduced), vec![7]);
-            let allred = engine
-                .allreduce(COMM_WORLD, ints(&[8]), PrimitiveKind::Int, 1, &op)
-                .unwrap();
-            assert_eq!(to_ints(&allred), vec![8]);
-            let rs = engine
-                .reduce_scatter(COMM_WORLD, ints(&[4, 5]), &[2], PrimitiveKind::Int, &op)
-                .unwrap();
-            assert_eq!(to_ints(&rs), vec![4, 5]);
-            let scanned = engine
-                .scan(COMM_WORLD, ints(&[6]), PrimitiveKind::Int, 1, &op)
-                .unwrap();
-            assert_eq!(to_ints(&scanned), vec![6]);
+            let (gather, scatter) = (CollDesc::Gather { root: 0 }, CollDesc::Scatter { root: 0 });
+            let (reduce, counts) = (
+                CollDesc::Reduce {
+                    root: 0,
+                    red: int(1, &op),
+                },
+                [2],
+            );
+            let calls: [(CollDesc, Payload, CollOutcome); 10] = [
+                (CollDesc::Barrier, Payload::Bytes(&[]), CollOutcome::Done),
+                (
+                    CollDesc::Bcast { root: 0 },
+                    Payload::Bytes(b"solo"),
+                    CollOutcome::Buffer(b"solo".to_vec()),
+                ),
+                (
+                    gather,
+                    Payload::Bytes(b"g"),
+                    CollOutcome::Parts(vec![b"g".to_vec()]),
+                ),
+                (
+                    scatter,
+                    Payload::Chunks(Some(&[b"s".to_vec()])),
+                    CollOutcome::Buffer(b"s".to_vec()),
+                ),
+                (
+                    CollDesc::Allgather,
+                    Payload::Bytes(b"ag"),
+                    CollOutcome::Parts(vec![b"ag".to_vec()]),
+                ),
+                (
+                    CollDesc::Alltoall,
+                    Payload::Chunks(Some(&[b"a2a".to_vec()])),
+                    CollOutcome::Parts(vec![b"a2a".to_vec()]),
+                ),
+                (
+                    reduce,
+                    Payload::Owned(ints(&[7])),
+                    CollOutcome::Buffer(ints(&[7])),
+                ),
+                (
+                    CollDesc::Allreduce(int(1, &op)),
+                    Payload::Owned(ints(&[8])),
+                    CollOutcome::Buffer(ints(&[8])),
+                ),
+                (
+                    CollDesc::reduce_scatter(&counts, PrimitiveKind::Int, &op),
+                    Payload::Owned(ints(&[4, 5])),
+                    CollOutcome::Buffer(ints(&[4, 5])),
+                ),
+                (
+                    CollDesc::Scan(int(1, &op)),
+                    Payload::Owned(ints(&[6])),
+                    CollOutcome::Buffer(ints(&[6])),
+                ),
+            ];
+            for (desc, payload, expected) in calls {
+                assert_eq!(
+                    engine.coll_run(COMM_WORLD, &desc, payload).unwrap(),
+                    expected
+                );
+            }
             let stats = engine.stats();
             assert_eq!(stats.eager_sends + stats.rendezvous_sends, 0);
             assert_eq!(stats.bytes_sent, 0);
@@ -1424,17 +1194,11 @@ mod tests {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             let before = engine.stats().clone();
             let rank = engine.world_rank() as i32;
-            let got = engine
-                .allreduce(
-                    COMM_SELF,
-                    ints(&[rank]),
-                    PrimitiveKind::Int,
-                    1,
-                    &Op::Predefined(PredefinedOp::Sum),
-                )
-                .unwrap();
-            assert_eq!(to_ints(&got), vec![rank]);
-            engine.barrier(COMM_SELF).unwrap();
+            let desc = CollDesc::Allreduce(int(1, &Op::Predefined(PredefinedOp::Sum)));
+            let got = engine.coll_run(COMM_SELF, &desc, Payload::Owned(ints(&[rank])));
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[rank])));
+            let done = engine.coll_run(COMM_SELF, &CollDesc::Barrier, Payload::Bytes(&[]));
+            assert_eq!(done.unwrap(), CollOutcome::Done);
             let after = engine.stats();
             assert_eq!(
                 before.eager_sends + before.rendezvous_sends,
@@ -1457,58 +1221,54 @@ mod tests {
         Universe::run_with_config(config, |engine| {
             let rank = engine.world_rank();
             let sum = Op::Predefined(PredefinedOp::Sum);
-            engine.barrier(COMM_WORLD).unwrap();
+            let done = engine.coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]));
+            assert_eq!(done.unwrap(), CollOutcome::Done);
 
             // Bcast from a non-leader root (rank 5 lives on node 1,
             // whose leader is rank 4): exercises the root hop.
-            let mut buf = if rank == 5 {
+            let buf = if rank == 5 {
                 b"hier".to_vec()
             } else {
                 Vec::new()
             };
-            engine.bcast(COMM_WORLD, 5, &mut buf).unwrap();
-            assert_eq!(&buf, b"hier");
+            let got = engine.coll_run(
+                COMM_WORLD,
+                &CollDesc::Bcast { root: 5 },
+                Payload::Owned(buf),
+            );
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(b"hier".to_vec()));
 
             // Allreduce on every rank.
-            let got = engine
-                .allreduce(
-                    COMM_WORLD,
-                    ints(&[rank as i32, 1]),
-                    PrimitiveKind::Int,
-                    2,
-                    &sum,
-                )
-                .unwrap();
-            assert_eq!(to_ints(&got), vec![28, 8]);
+            let desc = CollDesc::Allreduce(int(2, &sum));
+            let got = engine.coll_run(COMM_WORLD, &desc, Payload::Owned(ints(&[rank as i32, 1])));
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[28, 8])));
 
             // Reduce to a non-leader root (delivery hop).
-            let got = engine
-                .reduce(
-                    COMM_WORLD,
-                    3,
-                    ints(&[rank as i32]),
-                    PrimitiveKind::Int,
-                    1,
-                    &sum,
-                )
-                .unwrap();
+            let desc = CollDesc::Reduce {
+                root: 3,
+                red: int(1, &sum),
+            };
+            let got = engine.coll_run(COMM_WORLD, &desc, Payload::Owned(ints(&[rank as i32])));
             if rank == 3 {
-                assert_eq!(to_ints(&got.unwrap()), vec![28]);
+                assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[28])));
             } else {
-                assert!(got.is_none());
+                assert_eq!(got.unwrap(), CollOutcome::Done);
             }
 
             // Allgatherv with variable (incl. zero) lengths.
             let contribution = vec![rank as u8; rank % 3];
-            let parts = engine.allgather(COMM_WORLD, &contribution).unwrap();
-            assert_eq!(parts.len(), 8);
-            for (r, p) in parts.iter().enumerate() {
-                assert_eq!(p, &vec![r as u8; r % 3], "rank {r}");
-            }
+            let got = engine.coll_run(
+                COMM_WORLD,
+                &CollDesc::Allgather,
+                Payload::Bytes(&contribution),
+            );
+            let all = (0..8).map(|r| vec![r as u8; r % 3]).collect();
+            assert_eq!(got.unwrap(), CollOutcome::Parts(all));
 
             // And the nonblocking twin of one of them, driven by test().
+            let desc = CollDesc::Allreduce(int(1, &sum));
             let req = engine
-                .iallreduce(COMM_WORLD, ints(&[1]), PrimitiveKind::Int, 1, &sum)
+                .coll_launch(COMM_WORLD, &desc, Payload::Owned(ints(&[1])))
                 .unwrap();
             let completion = loop {
                 if let Some(completion) = engine.test(req).unwrap() {
@@ -1557,19 +1317,23 @@ mod tests {
             let rank = engine.world_rank();
             let sum = Op::Predefined(PredefinedOp::Sum);
 
-            let req = engine.ibarrier(COMM_WORLD).unwrap();
-            assert_eq!(engine.wait(req).unwrap(), Completion::empty());
+            let req = engine.coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]));
+            assert_eq!(engine.wait(req.unwrap()).unwrap(), Completion::empty());
 
             let buf = if rank == 1 {
                 b"nb-bcast".to_vec()
             } else {
                 Vec::new()
             };
-            let req = engine.ibcast(COMM_WORLD, 1, buf).unwrap();
+            let bcast = CollDesc::Bcast { root: 1 };
+            let req = engine
+                .coll_launch(COMM_WORLD, &bcast, Payload::Owned(buf))
+                .unwrap();
             assert_eq!(payload(engine.wait(req).unwrap()), b"nb-bcast".to_vec());
 
-            let req = engine.igather(COMM_WORLD, 2, &[rank as u8; 3]).unwrap();
-            let completion = engine.wait(req).unwrap();
+            let gather = CollDesc::Gather { root: 2 };
+            let req = engine.coll_launch(COMM_WORLD, &gather, Payload::Bytes(&[rank as u8; 3]));
+            let completion = engine.wait(req.unwrap()).unwrap();
             if rank == 2 {
                 let all: Vec<u8> = (0..4u8).flat_map(|r| [r; 3]).collect();
                 assert_eq!(payload(completion), all);
@@ -1582,41 +1346,34 @@ mod tests {
             } else {
                 None
             };
-            let req = engine.iscatter(COMM_WORLD, 0, chunks.as_deref()).unwrap();
+            let scatter = CollDesc::Scatter { root: 0 };
+            let req = engine.coll_launch(COMM_WORLD, &scatter, Payload::Chunks(chunks.as_deref()));
             assert_eq!(
-                payload(engine.wait(req).unwrap()),
+                payload(engine.wait(req.unwrap()).unwrap()),
                 vec![rank as u8; rank + 1]
             );
 
-            let req = engine.iallgather(COMM_WORLD, &[rank as u8]).unwrap();
+            let mine = Payload::Bytes(&[rank as u8]);
+            let req = engine
+                .coll_launch(COMM_WORLD, &CollDesc::Allgather, mine)
+                .unwrap();
             assert_eq!(payload(engine.wait(req).unwrap()), vec![0, 1, 2, 3]);
 
-            let req = engine
-                .ireduce(
-                    COMM_WORLD,
-                    3,
-                    ints(&[rank as i32]),
-                    PrimitiveKind::Int,
-                    1,
-                    &sum,
-                )
-                .unwrap();
-            let completion = engine.wait(req).unwrap();
+            let reduce = CollDesc::Reduce {
+                root: 3,
+                red: int(1, &sum),
+            };
+            let req = engine.coll_launch(COMM_WORLD, &reduce, Payload::Owned(ints(&[rank as i32])));
+            let completion = engine.wait(req.unwrap()).unwrap();
             if rank == 3 {
                 assert_eq!(to_ints(&payload(completion)), vec![6]);
             } else {
                 assert_eq!(completion, Completion::empty());
             }
 
-            let req = engine
-                .iallreduce(
-                    COMM_WORLD,
-                    ints(&[rank as i32 + 1]),
-                    PrimitiveKind::Int,
-                    1,
-                    &sum,
-                )
-                .unwrap();
+            let desc = CollDesc::Allreduce(int(1, &sum));
+            let mine = Payload::Owned(ints(&[rank as i32 + 1]));
+            let req = engine.coll_launch(COMM_WORLD, &desc, mine).unwrap();
             assert_eq!(to_ints(&payload(engine.wait(req).unwrap())), vec![10]);
         })
         .unwrap();
@@ -1629,9 +1386,9 @@ mod tests {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank() as i32;
             let sum = Op::Predefined(PredefinedOp::Sum);
-            let req = engine
-                .iallreduce(COMM_WORLD, ints(&[rank]), PrimitiveKind::Int, 1, &sum)
-                .unwrap();
+            let desc = CollDesc::Allreduce(int(1, &sum));
+            let req = engine.coll_launch(COMM_WORLD, &desc, Payload::Owned(ints(&[rank])));
+            let req = req.unwrap();
             let completion = loop {
                 if let Some(completion) = engine.test(req).unwrap() {
                     break completion;
@@ -1651,19 +1408,20 @@ mod tests {
         Universe::run(4, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank();
             let sum = Op::Predefined(PredefinedOp::Sum);
-            let r1 = engine
-                .iallreduce(
-                    COMM_WORLD,
-                    ints(&[rank as i32]),
-                    PrimitiveKind::Int,
-                    1,
-                    &sum,
-                )
-                .unwrap();
+            let desc = CollDesc::Allreduce(int(1, &sum));
+            let mine = Payload::Owned(ints(&[rank as i32]));
+            let r1 = engine.coll_launch(COMM_WORLD, &desc, mine).unwrap();
             let buf = if rank == 0 { vec![7u8; 50] } else { Vec::new() };
-            let r2 = engine.ibcast(COMM_WORLD, 0, buf).unwrap();
-            let r3 = engine.iallgather(COMM_WORLD, &[rank as u8; 2]).unwrap();
-            let r4 = engine.ibarrier(COMM_WORLD).unwrap();
+            let bcast = CollDesc::Bcast { root: 0 };
+            let r2 = engine
+                .coll_launch(COMM_WORLD, &bcast, Payload::Owned(buf))
+                .unwrap();
+            let mine = Payload::Bytes(&[rank as u8; 2]);
+            let r3 = engine
+                .coll_launch(COMM_WORLD, &CollDesc::Allgather, mine)
+                .unwrap();
+            let r4 = engine.coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]));
+            let r4 = r4.unwrap();
             // Complete in reverse order of issue.
             assert_eq!(engine.wait(r4).unwrap(), Completion::empty());
             let all: Vec<u8> = (0..4u8).flat_map(|r| [r; 2]).collect();
@@ -1681,10 +1439,9 @@ mod tests {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank() as i32;
             let sum = Op::Predefined(PredefinedOp::Sum);
-            let req = engine
-                .iallreduce(COMM_WORLD, ints(&[rank]), PrimitiveKind::Int, 1, &sum)
-                .unwrap();
-            engine.request_free(req).unwrap();
+            let desc = CollDesc::Allreduce(int(1, &sum));
+            let req = engine.coll_launch(COMM_WORLD, &desc, Payload::Owned(ints(&[rank])));
+            engine.request_free(req.unwrap()).unwrap();
             assert_eq!(engine.coll_outstanding(), 0);
             engine.finalize().unwrap();
         })
@@ -1700,17 +1457,10 @@ mod tests {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let rank = engine.world_rank() as i32;
             let miss0 = engine.stats().sched_cache_misses;
+            let desc = CollDesc::Allreduce(int(1, &sum));
             for round in 0..5i32 {
-                let got = engine
-                    .allreduce(
-                        COMM_WORLD,
-                        ints(&[rank * round]),
-                        PrimitiveKind::Int,
-                        1,
-                        &sum,
-                    )
-                    .unwrap();
-                assert_eq!(to_ints(&got), vec![6 * round]);
+                let got = engine.coll_run(COMM_WORLD, &desc, Payload::Owned(ints(&[rank * round])));
+                assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[6 * round])));
             }
             // One build, four replays.
             assert_eq!(engine.stats().sched_cache_misses, miss0 + 1);
@@ -1727,33 +1477,43 @@ mod tests {
             let rank = engine.world_rank();
             let sum = Op::Predefined(PredefinedOp::Sum);
             for _ in 0..2 {
-                engine.barrier(COMM_WORLD).unwrap();
-                let mut buf = if rank == 1 {
+                let done = engine.coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]));
+                assert_eq!(done.unwrap(), CollOutcome::Done);
+                let buf = if rank == 1 {
                     ints(&[42, 43])
                 } else {
                     Vec::new()
                 };
-                engine.bcast(COMM_WORLD, 1, &mut buf).unwrap();
-                assert_eq!(to_ints(&buf), vec![42, 43]);
-                let gathered = engine.gather(COMM_WORLD, 2, &[rank as u8; 3]).unwrap();
+                let bcast = CollDesc::Bcast { root: 1 };
+                let got = engine.coll_run(COMM_WORLD, &bcast, Payload::Owned(buf));
+                assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[42, 43])));
+                let gather = CollDesc::Gather { root: 2 };
+                let gathered =
+                    engine.coll_run(COMM_WORLD, &gather, Payload::Bytes(&[rank as u8; 3]));
                 if rank == 2 {
-                    let parts = gathered.unwrap();
-                    assert_eq!(parts, (0..4).map(|r| vec![r as u8; 3]).collect::<Vec<_>>());
+                    let parts = (0..4).map(|r| vec![r as u8; 3]).collect();
+                    assert_eq!(gathered.unwrap(), CollOutcome::Parts(parts));
                 } else {
-                    assert!(gathered.is_none());
+                    assert_eq!(gathered.unwrap(), CollOutcome::Done);
                 }
-                let parts = engine.allgather(COMM_WORLD, &[rank as u8]).unwrap();
-                assert_eq!(parts, (0..4).map(|r| vec![r as u8]).collect::<Vec<_>>());
-                let reduced = engine
-                    .reduce(COMM_WORLD, 0, ints(&[1]), PrimitiveKind::Int, 1, &sum)
-                    .unwrap();
+                let mine = Payload::Bytes(&[rank as u8]);
+                let got = engine.coll_run(COMM_WORLD, &CollDesc::Allgather, mine);
+                let parts = (0..4).map(|r| vec![r as u8]).collect();
+                assert_eq!(got.unwrap(), CollOutcome::Parts(parts));
+                let reduce = CollDesc::Reduce {
+                    root: 0,
+                    red: int(1, &sum),
+                };
+                let reduced = engine.coll_run(COMM_WORLD, &reduce, Payload::Owned(ints(&[1])));
                 if rank == 0 {
-                    assert_eq!(to_ints(&reduced.unwrap()), vec![4]);
+                    assert_eq!(reduced.unwrap(), CollOutcome::Buffer(ints(&[4])));
                 }
-                let scanned = engine
-                    .scan(COMM_WORLD, ints(&[1]), PrimitiveKind::Int, 1, &sum)
-                    .unwrap();
-                assert_eq!(to_ints(&scanned), vec![rank as i32 + 1]);
+                let scan = CollDesc::Scan(int(1, &sum));
+                let scanned = engine.coll_run(COMM_WORLD, &scan, Payload::Owned(ints(&[1])));
+                assert_eq!(
+                    scanned.unwrap(),
+                    CollOutcome::Buffer(ints(&[rank as i32 + 1]))
+                );
             }
             assert!(engine.stats().sched_cache_hits >= 6);
         })
@@ -1777,11 +1537,10 @@ mod tests {
             let bytes: Vec<u8> = send.iter().flat_map(|v| v.to_le_bytes()).collect();
             let hits0 = engine.stats().sched_cache_hits;
             let miss0 = engine.stats().sched_cache_misses;
+            let desc = CollDesc::Allreduce(int(count, &sum));
             for _ in 0..2 {
-                let got = engine
-                    .allreduce(COMM_WORLD, &bytes, PrimitiveKind::Int, count, &sum)
-                    .unwrap();
-                assert_eq!(to_ints(&got), vec![6i32; count]);
+                let got = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&bytes));
+                assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&vec![6i32; count])));
             }
             assert_eq!(engine.stats().sched_cache_hits, hits0);
             assert_eq!(engine.stats().sched_cache_misses, miss0 + 2);
@@ -1802,9 +1561,13 @@ mod tests {
             let v: Vec<u8> = send.iter().flat_map(|x| x.to_le_bytes()).collect();
             let ptr = v.as_ptr();
             let sum = Op::Predefined(PredefinedOp::Sum);
+            let desc = CollDesc::Allreduce(int(count, &sum));
             let got = engine
-                .allreduce(COMM_WORLD, Cow::Owned(v), PrimitiveKind::Int, count, &sum)
+                .coll_run(COMM_WORLD, &desc, Payload::Owned(v))
                 .unwrap();
+            let CollOutcome::Buffer(got) = got else {
+                panic!("an allreduce delivers a buffer")
+            };
             assert_eq!(got.as_ptr(), ptr, "the contribution's own allocation");
             let want: Vec<i32> = (0..count as i32).map(|i| i + (i ^ 1)).collect();
             assert_eq!(to_ints(&got), want);
@@ -1830,14 +1593,13 @@ mod tests {
                     engine.stats().sched_cache_hits,
                     engine.stats().sched_cache_misses,
                 );
-                let all = engine
-                    .allreduce(COMM_WORLD, &send, PrimitiveKind::Int, count, &sum)
-                    .unwrap();
-                assert_eq!(to_ints(&all), vec![3; count]);
-                let mine = engine
-                    .reduce_scatter(COMM_WORLD, &send, &counts, PrimitiveKind::Int, &sum)
-                    .unwrap();
-                assert_eq!(to_ints(&mine), vec![3; counts[rank as usize]]);
+                let desc = CollDesc::Allreduce(int(count, &sum));
+                let all = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&send));
+                assert_eq!(all.unwrap(), CollOutcome::Buffer(ints(&vec![3; count])));
+                let desc = CollDesc::reduce_scatter(&counts, PrimitiveKind::Int, &sum);
+                let mine = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&send));
+                let want = ints(&vec![3; counts[rank as usize]]);
+                assert_eq!(mine.unwrap(), CollOutcome::Buffer(want));
                 let stats = engine.stats();
                 let (new_hits, new_misses) = (
                     stats.sched_cache_hits - hits,
@@ -1863,10 +1625,9 @@ mod tests {
                 1
             };
             let sum = Op::Predefined(PredefinedOp::Sum);
-            let got = engine
-                .allreduce(COMM_WORLD, ints(&[mine, -1]), PrimitiveKind::Int, 2, &sum)
-                .unwrap();
-            assert_eq!(to_ints(&got), vec![i32::MIN, -2]);
+            let desc = CollDesc::Allreduce(int(2, &sum));
+            let got = engine.coll_run(COMM_WORLD, &desc, Payload::Owned(ints(&[mine, -1])));
+            assert_eq!(got.unwrap(), CollOutcome::Buffer(ints(&[i32::MIN, -2])));
         })
         .unwrap();
     }
@@ -1883,8 +1644,9 @@ mod tests {
                 .unwrap();
             let sum = Op::Predefined(PredefinedOp::Sum);
             for _ in 0..2 {
+                let desc = CollDesc::Allreduce(int(1, &sum));
                 engine
-                    .allreduce(sub, ints(&[1]), PrimitiveKind::Int, 1, &sum)
+                    .coll_run(sub, &desc, Payload::Owned(ints(&[1])))
                     .unwrap();
             }
             assert!(engine.sched_cache.keys().any(|k| k.comm == sub));
@@ -1903,7 +1665,7 @@ mod tests {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let rank = engine.world_rank() as i32;
             let op = engine
-                .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
+                .coll_init(COMM_WORLD, CollDesc::Allreduce(int(1, &sum)), None)
                 .unwrap();
             let hits_after_init = engine.stats().sched_cache_hits;
             let misses_after_init = engine.stats().sched_cache_misses;
@@ -1928,9 +1690,15 @@ mod tests {
     fn persistent_bcast_barrier_allgather_round_trip() {
         Universe::run(3, DeviceKind::ShmFast, |engine| {
             let rank = engine.world_rank();
-            let barrier = engine.barrier_init(COMM_WORLD).unwrap();
-            let bcast = engine.bcast_init(COMM_WORLD, 0, 4).unwrap();
-            let allgather = engine.allgather_init(COMM_WORLD).unwrap();
+            let barrier = engine
+                .coll_init(COMM_WORLD, CollDesc::Barrier, None)
+                .unwrap();
+            let root_len = (rank == 0).then_some(4);
+            let bcast = CollDesc::Bcast { root: 0 };
+            let bcast = engine.coll_init(COMM_WORLD, bcast, root_len).unwrap();
+            let allgather = engine
+                .coll_init(COMM_WORLD, CollDesc::Allgather, None)
+                .unwrap();
             for round in 0..3u8 {
                 engine.start(barrier, Cow::Borrowed(&[])).unwrap();
                 assert_eq!(engine.wait(barrier).unwrap(), Completion::empty());
@@ -1962,7 +1730,7 @@ mod tests {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let op = engine
-                .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
+                .coll_init(COMM_WORLD, CollDesc::Allreduce(int(1, &sum)), None)
                 .unwrap();
             assert_eq!(engine.wait(op).unwrap(), Completion::empty());
             engine.start(op, Cow::Borrowed(&ints(&[1]))).unwrap();
@@ -1980,7 +1748,7 @@ mod tests {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let op = engine
-                .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
+                .coll_init(COMM_WORLD, CollDesc::Allreduce(int(1, &sum)), None)
                 .unwrap();
             engine.start(op, Cow::Borrowed(&ints(&[1]))).unwrap();
             assert!(engine.finalize().is_err());
@@ -1998,10 +1766,13 @@ mod tests {
         const HUGE: usize = 1 << 62;
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             let sum = Op::Predefined(PredefinedOp::Sum);
-            let int = PrimitiveKind::Int;
-            let r = engine.reduce_init(COMM_WORLD, 0, int, HUGE, &sum);
+            let reduce = CollDesc::Reduce {
+                root: 0,
+                red: int(HUGE, &sum),
+            };
+            let r = engine.coll_init(COMM_WORLD, reduce, None);
             assert_eq!(r.unwrap_err().class, ErrorClass::Count, "reduce_init");
-            let r = engine.allreduce_init(COMM_WORLD, int, HUGE, &sum);
+            let r = engine.coll_init(COMM_WORLD, CollDesc::Allreduce(int(HUGE, &sum)), None);
             assert_eq!(r.unwrap_err().class, ErrorClass::Count, "allreduce_init");
             assert_eq!(engine.requests.values().count(), 0);
         })
@@ -2018,7 +1789,7 @@ mod tests {
                 let sum = Op::Predefined(PredefinedOp::Sum);
                 let rank = engine.world_rank() as i32;
                 let op = engine
-                    .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 4, &sum)
+                    .coll_init(COMM_WORLD, CollDesc::Allreduce(int(4, &sum)), None)
                     .unwrap();
                 for round in 1..=2i32 {
                     engine

@@ -168,8 +168,8 @@ pub(crate) struct PersistentColl {
     pub(crate) comm: CommHandle,
     /// The operation, owning its reduction operator.
     pub(crate) desc: CollDesc<'static>,
-    /// `bcast_init` on the root: the payload length every start must
-    /// supply.
+    /// A persistent broadcast's root: the payload length every start
+    /// must supply.
     pub(crate) root_len: Option<usize>,
     /// The init-built schedule and the algorithm it was planned with,
     /// pinned to the tag windows allocated at init time (symmetric:

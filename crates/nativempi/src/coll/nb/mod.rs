@@ -990,7 +990,7 @@ impl Engine {
     /// [`Engine::wait`] on an `i*` collective, returning its outcome with
     /// gather-family parts kept apart — a blocking collective is its
     /// launch followed by this.
-    pub(crate) fn wait_outcome(&mut self, req: RequestId) -> Result<CollOutcome> {
+    pub fn wait_outcome(&mut self, req: RequestId) -> Result<CollOutcome> {
         self.block_on(|engine| Ok(engine.is_complete(req)?.then_some(())))?;
         match self.requests.remove(req.0) {
             Some(RequestState::Coll(st)) => self.claim_schedule(*st),
@@ -1039,6 +1039,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coll::{CollDesc, Payload, Reduction};
     use crate::comm::COMM_WORLD;
     use crate::universe::Universe;
     use mpi_transport::DeviceKind;
@@ -1084,7 +1085,9 @@ mod tests {
     #[test]
     fn probe_drives_collective_progress() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
-            let req = engine.ibarrier(COMM_WORLD).unwrap();
+            let req = engine
+                .coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                .unwrap();
             if engine.world_rank() == 0 {
                 // Parked in probe: the only way the barrier completes is
                 // the probe loop advancing the schedule.
@@ -1120,7 +1123,9 @@ mod tests {
             // Rank 0 expects 4 ints; rank 1 contributes only 1.
             let count = if rank == 0 { 4 } else { 1 };
             let send = vec![0u8; 4 * count];
-            let result = engine.reduce(COMM_WORLD, 0, &send, PrimitiveKind::Int, count, &sum);
+            let red = Reduction::borrowed(PrimitiveKind::Int, count, &sum);
+            let desc = CollDesc::Reduce { root: 0, red };
+            let result = engine.coll_run(COMM_WORLD, &desc, Payload::Bytes(&send));
             if rank == 0 {
                 let err = result.unwrap_err();
                 assert_eq!(err.class, crate::ErrorClass::Count);
@@ -1128,7 +1133,9 @@ mod tests {
                 result.unwrap();
             }
             // The engine is still usable and nothing leaked.
-            let req = engine.ibarrier(COMM_WORLD).unwrap();
+            let req = engine
+                .coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                .unwrap();
             engine.wait(req).unwrap();
             engine.finalize().unwrap();
         })
@@ -1141,7 +1148,9 @@ mod tests {
     #[test]
     fn unknown_collective_requests_are_rejected() {
         Universe::run(1, DeviceKind::ShmFast, |engine| {
-            let req = engine.ibarrier(COMM_WORLD).unwrap();
+            let req = engine
+                .coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                .unwrap();
             engine.wait(req).unwrap();
             assert_eq!(engine.coll_outstanding(), 0);
             for id in [RequestId(987_654), req] {

@@ -13,21 +13,23 @@
 //!   edges are supported as long as multiplicities are symmetric; a
 //!   rank may neighbor itself (the transfer is a local move).
 //!
-//! `neighbor_alltoall` sends block `j` to neighbor `j` and receives
-//! block `j` from neighbor `j`. Because a transfer `me → peer` lands in
+//! [`Engine::ineighbor_alltoallv`] sends block `j` to neighbor `j` and
+//! receives block `j` from neighbor `j`. Because a transfer `me → peer` lands in
 //! the *peer's* slot for the reciprocal edge, each send is tagged with
 //! the **receiver's** slot index — this is what keeps the degenerate
 //! two-rank periodic ring (where both of a rank's neighbors are the
 //! same process) correctly paired over plain FIFO matching.
 //!
-//! The operations are built as ordinary `CollSchedule`s
-//! (see `super::nb`) —
-//! a single exchange round plus an assembly compute — so the
-//! `ineighbor_*` nonblocking twins come straight from the progress
-//! engine, the blocking forms are `start + wait` wrappers, tag windows
-//! are drawn like every other collective, and hybrid `NodeMap` fabrics
-//! need no special casing (the transfers are point-to-point pairs
-//! routed by the device).
+//! That launcher is the engine's one neighbourhood entry point. It
+//! builds an ordinary `CollSchedule` (see `super::nb`): one exchange
+//! round plus an assembly compute, so the nonblocking form comes
+//! straight from the progress engine, tag windows are drawn like every
+//! other collective's, and hybrid `NodeMap` fabrics need no special
+//! casing (the transfers are point-to-point pairs routed by the device).
+//! A blocking form is the launcher followed by [`Engine::wait_outcome`];
+//! an allgather is the exchange of one payload replicated per neighbor,
+//! and an equal-chunk alltoall is the exchange of evenly split chunks
+//! (the binding's `rs` surface builds both).
 
 use crate::coll::nb::{CollOutcome, CollSchedule, Round};
 use crate::comm::CommHandle;
@@ -119,7 +121,10 @@ impl Engine {
 
     /// `MPI_Ineighbor_alltoallv` (byte-level): send `chunks[j]` to
     /// neighbor `j`, receive one part per neighbor. Chunk lengths may be
-    /// ragged. Completes with the parts concatenated in slot order.
+    /// ragged. Completes with the parts concatenated in slot order;
+    /// [`Engine::wait_outcome`] returns them apart, one per slot
+    /// (`PROC_NULL` slots yield empty parts). Every neighbourhood form
+    /// is this call (see the module docs).
     pub fn ineighbor_alltoallv(
         &mut self,
         comm: CommHandle,
@@ -188,67 +193,21 @@ impl Engine {
         // carry no (op, algorithm) label.
         self.coll_start(comm, schedule, None)
     }
-
-    /// `MPI_Ineighbor_alltoall`: like the `v` form, but every chunk must
-    /// have the same length.
-    pub fn ineighbor_alltoall(
-        &mut self,
-        comm: CommHandle,
-        chunks: &[Vec<u8>],
-    ) -> Result<RequestId> {
-        if let Some(first) = chunks.first() {
-            if chunks.iter().any(|c| c.len() != first.len()) {
-                return err(
-                    ErrorClass::Count,
-                    "neighbor alltoall chunks must all have the same length (use the v form)",
-                );
-            }
-        }
-        self.ineighbor_alltoallv(comm, chunks)
-    }
-
-    /// `MPI_Ineighbor_allgather`: send the same payload to every
-    /// neighbor, receive one part per neighbor.
-    pub fn ineighbor_allgather(&mut self, comm: CommHandle, payload: &[u8]) -> Result<RequestId> {
-        let degree = self.neighbor_spec(comm)?.peers.len();
-        let chunks = vec![payload.to_vec(); degree];
-        self.ineighbor_alltoallv(comm, &chunks)
-    }
-
-    /// Blocking `MPI_Neighbor_alltoallv`: one part per neighbor slot
-    /// (`PROC_NULL` slots yield empty parts).
-    pub fn neighbor_alltoallv(
-        &mut self,
-        comm: CommHandle,
-        chunks: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>> {
-        let req = self.ineighbor_alltoallv(comm, chunks)?;
-        Self::expect_parts(self.wait_outcome(req)?)
-    }
-
-    /// Blocking `MPI_Neighbor_alltoall`.
-    pub fn neighbor_alltoall(
-        &mut self,
-        comm: CommHandle,
-        chunks: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>> {
-        let req = self.ineighbor_alltoall(comm, chunks)?;
-        Self::expect_parts(self.wait_outcome(req)?)
-    }
-
-    /// Blocking `MPI_Neighbor_allgather`.
-    pub fn neighbor_allgather(&mut self, comm: CommHandle, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let req = self.ineighbor_allgather(comm, payload)?;
-        Self::expect_parts(self.wait_outcome(req)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::COMM_WORLD;
+    use crate::comm::{CommHandle, COMM_WORLD};
+    use crate::error::Result;
     use crate::types::PROC_NULL;
-    use crate::Universe;
+    use crate::{Engine, Universe};
     use mpi_transport::DeviceKind;
+
+    /// The blocking exchange: the one launcher, then its outcome.
+    fn exchange(engine: &mut Engine, comm: CommHandle, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+        let req = engine.ineighbor_alltoallv(comm, chunks)?;
+        Engine::expect_parts(engine.wait_outcome(req)?)
+    }
 
     #[test]
     fn cart_ring_alltoall_exchanges_with_both_neighbors() {
@@ -261,7 +220,7 @@ mod tests {
                 .unwrap();
             let rank = engine.comm_rank(cart).unwrap();
             let chunks = vec![vec![rank as u8; 4], vec![rank as u8 + 100; 4]];
-            let parts = engine.neighbor_alltoall(cart, &chunks).unwrap();
+            let parts = exchange(engine, cart, &chunks).unwrap();
             let left = (rank + 3) % 4;
             let right = (rank + 1) % 4;
             // Slot 0 ← left neighbor's positive-direction block; slot 1
@@ -283,7 +242,7 @@ mod tests {
                 .unwrap();
             let rank = engine.comm_rank(cart).unwrap();
             let chunks = vec![vec![10 + rank as u8], vec![20 + rank as u8]];
-            let parts = engine.neighbor_alltoall(cart, &chunks).unwrap();
+            let parts = exchange(engine, cart, &chunks).unwrap();
             let peer = 1 - rank;
             assert_eq!(
                 parts[0],
@@ -309,7 +268,7 @@ mod tests {
             let rank = engine.comm_rank(cart).unwrap();
             let neighbors = engine.topo_neighbors(cart).unwrap();
             let chunks = vec![vec![rank as u8; 2]; 2];
-            let parts = engine.neighbor_alltoall(cart, &chunks).unwrap();
+            let parts = exchange(engine, cart, &chunks).unwrap();
             for (j, &peer) in neighbors.iter().enumerate() {
                 if peer == PROC_NULL {
                     assert!(parts[j].is_empty());
@@ -328,9 +287,7 @@ mod tests {
                 .cart_create(COMM_WORLD, &[1], &[true], false)
                 .unwrap()
                 .unwrap();
-            let parts = engine
-                .neighbor_alltoall(cart, &[vec![1, 2], vec![3, 4]])
-                .unwrap();
+            let parts = exchange(engine, cart, &[vec![1, 2], vec![3, 4]]).unwrap();
             // Both neighbors are self: negative block arrives in the
             // positive slot and vice versa.
             assert_eq!(parts, vec![vec![3, 4], vec![1, 2]]);
@@ -355,7 +312,7 @@ mod tests {
                 .iter()
                 .map(|&p| vec![(10 * rank + p as usize) as u8])
                 .collect();
-            let parts = engine.neighbor_alltoallv(graph, &chunks).unwrap();
+            let parts = exchange(engine, graph, &chunks).unwrap();
             // Neighbor j sent us the block it addressed to us.
             for (j, &p) in neighbors.iter().enumerate() {
                 assert_eq!(parts[j], vec![(10 * p as usize + rank) as u8]);
@@ -367,7 +324,7 @@ mod tests {
     #[test]
     fn no_topology_is_rejected() {
         Universe::run(1, DeviceKind::ShmFast, |engine| {
-            let error = engine.neighbor_alltoall(COMM_WORLD, &[]).unwrap_err();
+            let error = exchange(engine, COMM_WORLD, &[]).unwrap_err();
             assert_eq!(error.class, crate::ErrorClass::Topology);
         })
         .unwrap();
@@ -380,7 +337,7 @@ mod tests {
                 .cart_create(COMM_WORLD, &[2], &[true], false)
                 .unwrap()
                 .unwrap();
-            let error = engine.neighbor_alltoall(cart, &[vec![1]]).unwrap_err();
+            let error = exchange(engine, cart, &[vec![1]]).unwrap_err();
             assert_eq!(error.class, crate::ErrorClass::Count);
         })
         .unwrap();

@@ -19,6 +19,7 @@
 //! queues, whose frames can arrive before the record exists or after it
 //! is gone) and the schedule templates cached per communicator.
 
+use crate::coll::{CollDesc, Payload};
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::group::{CompareResult, Group};
 use crate::topology::Topology;
@@ -271,7 +272,8 @@ impl Engine {
         // Allgather (color, key) from every member over the collective
         // context of the parent.
         let mine = [color.to_le_bytes(), key.to_le_bytes()].concat();
-        let all = self.allgather(comm, &mine)?;
+        let outcome = self.coll_run(comm, &CollDesc::Allgather, Payload::Bytes(&mine))?;
+        let all = Self::expect_parts(outcome)?;
         let mut entries: Vec<(i32, i32, usize)> = Vec::with_capacity(size);
         for (rank, bytes) in all.iter().enumerate() {
             if bytes.len() != 8 {
@@ -421,10 +423,14 @@ mod tests {
                     engine.recv(dup, 0, 1, None).unwrap();
                     engine.send(dup, 0, 2, b"y", SendMode::Standard).unwrap();
                 }
-                engine.barrier(dup).unwrap();
+                engine
+                    .coll_run(dup, &CollDesc::Barrier, Payload::Bytes(&[]))
+                    .unwrap();
                 let win = engine.win_create(dup, vec![0; 8]).unwrap();
                 engine.win_free(win).unwrap();
-                engine.barrier(COMM_WORLD).unwrap();
+                engine
+                    .coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                    .unwrap();
                 engine.comm_free(dup).unwrap();
             }
             let live: Vec<CommHandle> = (0..engine.comms.len())

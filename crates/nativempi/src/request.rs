@@ -9,7 +9,7 @@
 //! | entry | made by | a completion carries |
 //! |---|---|---|
 //! | point-to-point | the `isend` / `irecv` families, and an RMA `get` (the receive of its reply, see [`crate::rma`]) | the received bytes; nothing for a send |
-//! | `i*` collective | `ibarrier` … `iscan`, `ineighbor_*` | the result bytes, gather-family parts concatenated in rank order; nothing where the call delivers nothing (barrier, off-root ranks of rooted operations) |
+//! | `i*` collective | [`Engine::coll_launch`], [`Engine::ineighbor_alltoallv`] | the result bytes, gather-family parts concatenated in rank order; nothing where the call delivers nothing (barrier, off-root ranks of rooted operations) |
 //! | persistent | `send_init`, `recv_init`, the `*_init` collectives | the started iteration's completion; an inactive one completes at once, empty |
 //!
 //! Seven calls serve every entry: [`Engine::start`],
@@ -577,6 +577,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coll::{CollDesc, Payload, Reduction};
     use crate::comm::COMM_WORLD;
     use crate::ops::{Op, PredefinedOp};
     use crate::types::{PrimitiveKind, SendMode, ANY_SOURCE};
@@ -837,8 +838,9 @@ mod tests {
             let send = engine
                 .isend(COMM_WORLD, 0, 5, b"x", SendMode::Standard)
                 .unwrap();
+            let allreduce = CollDesc::Allreduce(Reduction::borrowed(PrimitiveKind::Int, 1, &sum));
             let coll = engine
-                .iallreduce(COMM_WORLD, &one, PrimitiveKind::Int, 1, &sum)
+                .coll_launch(COMM_WORLD, &allreduce, Payload::Bytes(&one))
                 .unwrap();
             for id in [send, recv, coll] {
                 assert_eq!(
@@ -853,9 +855,8 @@ mod tests {
             // Persistent kinds: inactive until started; an inactive one
             // completes at once, empty; an active one cannot be started.
             let precv = engine.recv_init(COMM_WORLD, 0, 6, None).unwrap();
-            let pcoll = engine
-                .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
-                .unwrap();
+            let allreduce = CollDesc::Allreduce(Reduction::owned(PrimitiveKind::Int, 1, &sum));
+            let pcoll = engine.coll_init(COMM_WORLD, allreduce, None).unwrap();
             for id in [precv, pcoll] {
                 assert!(engine.is_complete(id).unwrap());
                 assert_eq!(engine.wait(id).unwrap(), Completion::empty());
@@ -874,7 +875,9 @@ mod tests {
             assert_eq!(reduced.as_ref(), &one);
 
             // Collectives cannot be cancelled, transient or persistent.
-            let coll = engine.ibarrier(COMM_WORLD).unwrap();
+            let coll = engine
+                .coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                .unwrap();
             for id in [coll, pcoll] {
                 assert_eq!(class(engine.cancel(id)), ErrorClass::Unsupported);
             }

@@ -112,6 +112,7 @@ use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
 
+use crate::coll::{CollDesc, Payload};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::ops::{Op, PredefinedOp};
@@ -424,7 +425,7 @@ impl Engine {
         // No peer may touch the window after its rank returns from
         // win_free, so a barrier separates the last epoch from teardown.
         let comm = self.win_state(win)?.comm;
-        self.barrier(comm)?;
+        self.coll_run(comm, &CollDesc::Barrier, Payload::Bytes(&[]))?;
         self.rma_progress()?;
         self.refuse_busy(win)?;
         let st = self.windows.remove(&win.0).expect("checked above");

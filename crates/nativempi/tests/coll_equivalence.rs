@@ -16,6 +16,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use mpi_native::coll::{CollDesc, CollOutcome, Payload, Reduction};
 use mpi_native::comm::COMM_WORLD;
 use mpi_native::request::Completion;
 use mpi_native::{
@@ -58,6 +59,17 @@ fn bytes(completion: Completion) -> Vec<u8> {
     completion.data.map(Vec::from).unwrap_or_default()
 }
 
+/// What a blocking collective delivered, in the shape its request's
+/// completion carries: nothing for `Done`, gather-family parts
+/// concatenated in rank order.
+fn delivered(outcome: CollOutcome) -> Option<Vec<u8>> {
+    match outcome {
+        CollOutcome::Done => None,
+        CollOutcome::Buffer(buffer) => Some(buffer),
+        CollOutcome::Parts(parts) => Some(parts.concat()),
+    }
+}
+
 fn log_parts(log: &mut Vec<u8>, op_id: u8, parts: &[Vec<u8>]) {
     let mut flat = Vec::new();
     for p in parts {
@@ -75,28 +87,37 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
     let maxloc = Op::Predefined(PredefinedOp::Maxloc);
     let minloc = Op::Predefined(PredefinedOp::Minloc);
     let mut log = Vec::new();
+    let int = |count, op| Reduction::borrowed(PrimitiveKind::Int, count, op);
+    let int2 = |count, op| Reduction::borrowed(PrimitiveKind::Int2, count, op);
 
-    engine.barrier(COMM_WORLD).unwrap();
+    engine
+        .coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+        .unwrap();
     log_result(&mut log, 0, b"barrier-ok");
 
     // Bcast from both ends of the communicator, lengths that are not
     // multiples of anything interesting.
     for (op_id, root, len) in [(1u8, 0usize, 37usize), (2, size - 1, 133)] {
-        let mut buf = if rank == root {
+        let buf = if rank == root {
             (0..len)
                 .map(|i| (i as u8).wrapping_mul(7).wrapping_add(root as u8))
                 .collect()
         } else {
             Vec::new()
         };
-        engine.bcast(COMM_WORLD, root, &mut buf).unwrap();
-        log_result(&mut log, op_id, &buf);
+        let got = engine.coll_run(COMM_WORLD, &CollDesc::Bcast { root }, Payload::Owned(buf));
+        log_result(&mut log, op_id, &delivered(got.unwrap()).unwrap());
     }
 
     // Gatherv: variable lengths, including a zero-length contribution.
     let root = size / 2;
     let send = vec![rank as u8; rank % 3];
-    if let Some(parts) = engine.gather(COMM_WORLD, root, &send).unwrap() {
+    let gathered = engine.coll_run(
+        COMM_WORLD,
+        &CollDesc::Gather { root },
+        Payload::Bytes(&send),
+    );
+    if let CollOutcome::Parts(parts) = gathered.unwrap() {
         log_parts(&mut log, 3, &parts);
     }
 
@@ -110,84 +131,97 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
     } else {
         None
     };
-    let mine = engine.scatter(COMM_WORLD, root, chunks.as_deref()).unwrap();
-    log_result(&mut log, 4, &mine);
+    let scatter = CollDesc::Scatter { root };
+    let mine = engine.coll_run(COMM_WORLD, &scatter, Payload::Chunks(chunks.as_deref()));
+    log_result(&mut log, 4, &delivered(mine.unwrap()).unwrap());
 
     // Allgatherv: variable lengths.
     let contribution: Vec<u8> = (0..(rank + 2) * 3).map(|i| (i + rank) as u8).collect();
-    let parts = engine.allgather(COMM_WORLD, &contribution).unwrap();
+    let all = engine.coll_run(
+        COMM_WORLD,
+        &CollDesc::Allgather,
+        Payload::Bytes(&contribution),
+    );
+    let CollOutcome::Parts(parts) = all.unwrap() else {
+        panic!("an allgather delivers parts")
+    };
     log_parts(&mut log, 5, &parts);
 
     // Alltoallv with some zero-length chunks.
     let chunks: Vec<Vec<u8>> = (0..size)
         .map(|d| vec![(rank * 16 + d) as u8; (rank + d) % 4])
         .collect();
-    let got = engine.alltoall(COMM_WORLD, &chunks).unwrap();
+    let got = engine.coll_run(
+        COMM_WORLD,
+        &CollDesc::Alltoall,
+        Payload::Chunks(Some(&chunks)),
+    );
+    let CollOutcome::Parts(got) = got.unwrap() else {
+        panic!("an alltoall delivers parts")
+    };
     log_parts(&mut log, 6, &got);
 
     // Integer sum reduce to a non-zero root (exercises the tree's
     // root-forwarding hop), plus a zero-count reduce.
     let send = ints(&[rank as i32 + 1, (rank as i32 + 1) * -10, 7]);
-    let reduced = engine
-        .reduce(COMM_WORLD, size - 1, &send, PrimitiveKind::Int, 3, &sum)
-        .unwrap();
-    if let Some(data) = reduced {
+    let reduce = CollDesc::Reduce {
+        root: size - 1,
+        red: int(3, &sum),
+    };
+    let reduced = engine.coll_run(COMM_WORLD, &reduce, Payload::Bytes(&send));
+    if let Some(data) = delivered(reduced.unwrap()) {
         log_result(&mut log, 7, &data);
     }
-    let empty = engine
-        .reduce(COMM_WORLD, 0, &[], PrimitiveKind::Int, 0, &sum)
-        .unwrap();
-    if let Some(data) = empty {
+    let reduce = CollDesc::Reduce {
+        root: 0,
+        red: int(0, &sum),
+    };
+    let empty = engine.coll_run(COMM_WORLD, &reduce, Payload::Bytes(&[]));
+    if let Some(data) = delivered(empty.unwrap()) {
         log_result(&mut log, 8, &data);
     }
 
     // MAXLOC / MINLOC with deliberate value ties (tie-break must prefer
     // the lower rank under every algorithm).
     let pairs = ints(&[(rank % 2) as i32, rank as i32, 5, rank as i32]);
-    let got = engine
-        .reduce(COMM_WORLD, 0, &pairs, PrimitiveKind::Int2, 2, &maxloc)
-        .unwrap();
-    if let Some(data) = got {
+    let reduce = CollDesc::Reduce {
+        root: 0,
+        red: int2(2, &maxloc),
+    };
+    let got = engine.coll_run(COMM_WORLD, &reduce, Payload::Bytes(&pairs));
+    if let Some(data) = delivered(got.unwrap()) {
         log_result(&mut log, 9, &data);
     }
-    let got = engine
-        .allreduce(COMM_WORLD, &pairs, PrimitiveKind::Int2, 2, &minloc)
-        .unwrap();
-    log_result(&mut log, 10, &got);
+    let allreduce = CollDesc::Allreduce(int2(2, &minloc));
+    let got = engine.coll_run(COMM_WORLD, &allreduce, Payload::Bytes(&pairs));
+    log_result(&mut log, 10, &delivered(got.unwrap()).unwrap());
 
     // Non-commutative associative user op, reduce and allreduce.
     let affine = affine_compose();
     let own = ints(&[rank as i32 * 2 + 3, rank as i32 + 1, 3, rank as i32 - 2]);
-    let got = engine
-        .reduce(COMM_WORLD, 0, &own, PrimitiveKind::Int2, 2, &affine)
-        .unwrap();
-    if let Some(data) = got {
+    let reduce = CollDesc::Reduce {
+        root: 0,
+        red: int2(2, &affine),
+    };
+    let got = engine.coll_run(COMM_WORLD, &reduce, Payload::Bytes(&own));
+    if let Some(data) = delivered(got.unwrap()) {
         log_result(&mut log, 11, &data);
     }
-    let got = engine
-        .allreduce(COMM_WORLD, &own, PrimitiveKind::Int2, 2, &affine)
-        .unwrap();
-    log_result(&mut log, 12, &got);
+    let allreduce = CollDesc::Allreduce(int2(2, &affine));
+    let got = engine.coll_run(COMM_WORLD, &allreduce, Payload::Bytes(&own));
+    log_result(&mut log, 12, &delivered(got.unwrap()).unwrap());
 
     // Integer allreduce: a count below the communicator size (ring gets
     // empty segments), and a larger vector.
-    let got = engine
-        .allreduce(
-            COMM_WORLD,
-            ints(&[rank as i32]),
-            PrimitiveKind::Int,
-            1,
-            &sum,
-        )
-        .unwrap();
-    log_result(&mut log, 13, &got);
+    let allreduce = CollDesc::Allreduce(int(1, &sum));
+    let got = engine.coll_run(COMM_WORLD, &allreduce, Payload::Owned(ints(&[rank as i32])));
+    log_result(&mut log, 13, &delivered(got.unwrap()).unwrap());
     let vector: Vec<i32> = (0i32..2048)
         .map(|i| i.wrapping_mul(rank as i32 + 1))
         .collect();
-    let got = engine
-        .allreduce(COMM_WORLD, ints(&vector), PrimitiveKind::Int, 2048, &sum)
-        .unwrap();
-    log_result(&mut log, 14, &got);
+    let allreduce = CollDesc::Allreduce(int(2048, &sum));
+    let got = engine.coll_run(COMM_WORLD, &allreduce, Payload::Owned(ints(&vector)));
+    log_result(&mut log, 14, &delivered(got.unwrap()).unwrap());
 
     // Reduce-scatter with uneven counts including a zero.
     let counts: Vec<usize> = (0..size)
@@ -195,22 +229,18 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
         .collect();
     let total: usize = counts.iter().sum();
     let vec: Vec<i32> = (0..total as i32).map(|i| i + rank as i32).collect();
-    let got = engine
-        .reduce_scatter(COMM_WORLD, ints(&vec), &counts, PrimitiveKind::Int, &sum)
-        .unwrap();
-    log_result(&mut log, 15, &got);
+    let reduce_scatter = CollDesc::reduce_scatter(&counts, PrimitiveKind::Int, &sum);
+    let got = engine.coll_run(COMM_WORLD, &reduce_scatter, Payload::Owned(ints(&vec)));
+    log_result(&mut log, 15, &delivered(got.unwrap()).unwrap());
 
     // Scan.
-    let got = engine
-        .scan(
-            COMM_WORLD,
-            ints(&[rank as i32 + 1, 2]),
-            PrimitiveKind::Int,
-            2,
-            &sum,
-        )
-        .unwrap();
-    log_result(&mut log, 16, &got);
+    let scan = CollDesc::Scan(int(2, &sum));
+    let got = engine.coll_run(
+        COMM_WORLD,
+        &scan,
+        Payload::Owned(ints(&[rank as i32 + 1, 2])),
+    );
+    log_result(&mut log, 16, &delivered(got.unwrap()).unwrap());
 
     // Collectives on a split communicator (sub-comm sizes and roots differ
     // from world; also exercises the engine-internal allgather/allreduce
@@ -219,20 +249,20 @@ fn transcript(engine: &mut Engine) -> Vec<u8> {
         .comm_split(COMM_WORLD, (rank % 2) as i32, rank as i32)
         .unwrap()
         .unwrap();
-    let got = engine
-        .allreduce(sub, ints(&[rank as i32 + 5]), PrimitiveKind::Int, 1, &sum)
-        .unwrap();
-    log_result(&mut log, 17, &got);
+    let allreduce = CollDesc::Allreduce(int(1, &sum));
+    let got = engine.coll_run(sub, &allreduce, Payload::Owned(ints(&[rank as i32 + 5])));
+    log_result(&mut log, 17, &delivered(got.unwrap()).unwrap());
     let sub_size = engine.comm_size(sub).unwrap();
     let sub_root = sub_size - 1;
     let sub_rank = engine.comm_rank(sub).unwrap();
-    let mut buf = if sub_rank == sub_root {
+    let buf = if sub_rank == sub_root {
         vec![rank as u8; 21]
     } else {
         Vec::new()
     };
-    engine.bcast(sub, sub_root, &mut buf).unwrap();
-    log_result(&mut log, 18, &buf);
+    let bcast = CollDesc::Bcast { root: sub_root };
+    let got = engine.coll_run(sub, &bcast, Payload::Owned(buf));
+    log_result(&mut log, 18, &delivered(got.unwrap()).unwrap());
 
     log
 }
@@ -298,17 +328,32 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     // Persistent handles, in transcript order: barrier, bcast, allgather,
     // reduce, allreduce, then the in-flight block's allreduce and bcast.
     let persistent = (style == TwinStyle::Persistent).then(|| {
+        let reduce = CollDesc::Reduce {
+            root: size - 1,
+            red: Reduction::owned(PrimitiveKind::Int2, 2, &affine),
+        };
+        let allreduce =
+            |count| CollDesc::Allreduce(Reduction::owned(PrimitiveKind::Int, count, &sum));
         [
-            engine.barrier_init(COMM_WORLD),
-            engine.bcast_init(COMM_WORLD, size - 1, 53),
-            engine.allgather_init(COMM_WORLD),
-            engine.reduce_init(COMM_WORLD, size - 1, PrimitiveKind::Int2, 2, &affine),
-            engine.allreduce_init(COMM_WORLD, PrimitiveKind::Int, 512, &sum),
-            engine.allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum),
-            engine.bcast_init(COMM_WORLD, 0, 37),
+            (CollDesc::Barrier, None),
+            (
+                CollDesc::Bcast { root: size - 1 },
+                (rank == size - 1).then_some(53),
+            ),
+            (CollDesc::Allgather, None),
+            (reduce, None),
+            (allreduce(512), None),
+            (allreduce(1), None),
+            (CollDesc::Bcast { root: 0 }, (rank == 0).then_some(37)),
         ]
-        .map(Result::unwrap)
+        .map(|(desc, root_len)| engine.coll_init(COMM_WORLD, desc, root_len).unwrap())
     });
+    // The blocking and nonblocking descriptors of the reductions below.
+    let affine_reduce = CollDesc::Reduce {
+        root: size - 1,
+        red: Reduction::borrowed(PrimitiveKind::Int2, 2, &affine),
+    };
+    let sum_of = |count| CollDesc::Allreduce(Reduction::borrowed(PrimitiveKind::Int, count, &sum));
     let run_persistent = |engine: &mut Engine, slot: usize, payload: &[u8]| -> Completion {
         let id = persistent.expect("persistent style")[slot];
         engine.start(id, Cow::Borrowed(payload)).unwrap();
@@ -317,10 +362,14 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
 
     // barrier
     match style {
-        TwinStyle::Blocking => engine.barrier(COMM_WORLD).unwrap(),
+        TwinStyle::Blocking => {
+            engine
+                .coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                .unwrap();
+        }
         TwinStyle::Nonblocking => {
-            let req = engine.ibarrier(COMM_WORLD).unwrap();
-            engine.wait(req).unwrap();
+            let req = engine.coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]));
+            engine.wait(req.unwrap()).unwrap();
         }
         TwinStyle::Persistent => {
             run_persistent(engine, 0, &[]);
@@ -331,28 +380,34 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     // bcast (root at the top end, length prime-ish)
     let root = size - 1;
     let payload: Vec<u8> = (0..53u8).map(|i| i.wrapping_mul(3)).collect();
-    let mut buf = if rank == root { payload } else { vec![0xEE; 2] };
-    match style {
-        TwinStyle::Blocking => engine.bcast(COMM_WORLD, root, &mut buf).unwrap(),
-        TwinStyle::Nonblocking => {
-            let req = engine
-                .ibcast(COMM_WORLD, root, std::mem::take(&mut buf))
-                .unwrap();
-            buf = bytes(engine.wait(req).unwrap());
+    let buf = if rank == root { payload } else { vec![0xEE; 2] };
+    let bcast = CollDesc::Bcast { root };
+    let buf = match style {
+        TwinStyle::Blocking => {
+            let got = engine.coll_run(COMM_WORLD, &bcast, Payload::Owned(buf));
+            delivered(got.unwrap()).unwrap()
         }
-        TwinStyle::Persistent => buf = bytes(run_persistent(engine, 1, &buf)),
-    }
+        TwinStyle::Nonblocking => {
+            let req = engine.coll_launch(COMM_WORLD, &bcast, Payload::Owned(buf));
+            bytes(engine.wait(req.unwrap()).unwrap())
+        }
+        TwinStyle::Persistent => bytes(run_persistent(engine, 1, &buf)),
+    };
     log_result(&mut log, 1, &buf);
 
     // gatherv (variable lengths incl. empty)
     let root = size / 2;
     let send = vec![rank as u8; rank % 3];
+    let gather = CollDesc::Gather { root };
     let gathered = if style == TwinStyle::Nonblocking {
-        let req = engine.igather(COMM_WORLD, root, &send).unwrap();
-        engine.wait(req).unwrap().data.map(Vec::from)
+        let req = engine.coll_launch(COMM_WORLD, &gather, Payload::Bytes(&send));
+        engine.wait(req.unwrap()).unwrap().data.map(Vec::from)
     } else {
-        let parts = engine.gather(COMM_WORLD, root, &send).unwrap();
-        parts.map(|parts| parts.concat())
+        delivered(
+            engine
+                .coll_run(COMM_WORLD, &gather, Payload::Bytes(&send))
+                .unwrap(),
+        )
     };
     if let Some(all) = gathered {
         log_result(&mut log, 2, &all);
@@ -368,26 +423,31 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     } else {
         None
     };
+    let scatter = CollDesc::Scatter { root };
+    let chunks = Payload::Chunks(chunks.as_deref());
     let mine = if style == TwinStyle::Nonblocking {
-        let req = engine
-            .iscatter(COMM_WORLD, root, chunks.as_deref())
-            .unwrap();
-        bytes(engine.wait(req).unwrap())
+        let req = engine.coll_launch(COMM_WORLD, &scatter, chunks);
+        bytes(engine.wait(req.unwrap()).unwrap())
     } else {
-        engine.scatter(COMM_WORLD, root, chunks.as_deref()).unwrap()
+        delivered(engine.coll_run(COMM_WORLD, &scatter, chunks).unwrap()).unwrap()
     };
     log_result(&mut log, 3, &mine);
 
     // allgatherv
     let contribution: Vec<u8> = (0..(rank + 1) * 2).map(|i| (i * 7 + rank) as u8).collect();
     let all = match style {
-        TwinStyle::Blocking => engine
-            .allgather(COMM_WORLD, &contribution)
-            .unwrap()
-            .concat(),
+        TwinStyle::Blocking => {
+            let all = engine.coll_run(
+                COMM_WORLD,
+                &CollDesc::Allgather,
+                Payload::Bytes(&contribution),
+            );
+            delivered(all.unwrap()).unwrap()
+        }
         TwinStyle::Nonblocking => {
-            let req = engine.iallgather(COMM_WORLD, &contribution).unwrap();
-            bytes(engine.wait(req).unwrap())
+            let mine = Payload::Bytes(&contribution);
+            let req = engine.coll_launch(COMM_WORLD, &CollDesc::Allgather, mine);
+            bytes(engine.wait(req.unwrap()).unwrap())
         }
         TwinStyle::Persistent => bytes(run_persistent(engine, 2, &contribution)),
     };
@@ -396,14 +456,14 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     // reduce to a non-zero root (non-commutative user op)
     let own = ints(&[rank as i32 * 2 + 3, rank as i32 + 1, 3, rank as i32 - 2]);
     let reduced = match style {
-        TwinStyle::Blocking => engine
-            .reduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
-            .unwrap(),
+        TwinStyle::Blocking => delivered(
+            engine
+                .coll_run(COMM_WORLD, &affine_reduce, Payload::Bytes(&own))
+                .unwrap(),
+        ),
         TwinStyle::Nonblocking => {
-            let req = engine
-                .ireduce(COMM_WORLD, size - 1, &own, PrimitiveKind::Int2, 2, &affine)
-                .unwrap();
-            engine.wait(req).unwrap().data.map(Vec::from)
+            let req = engine.coll_launch(COMM_WORLD, &affine_reduce, Payload::Bytes(&own));
+            engine.wait(req.unwrap()).unwrap().data.map(Vec::from)
         }
         TwinStyle::Persistent => run_persistent(engine, 3, &own).data.map(Vec::from),
     };
@@ -417,13 +477,13 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
         .map(|i| i.wrapping_mul(rank as i32 + 1))
         .collect();
     let got = match style {
-        TwinStyle::Blocking => engine
-            .allreduce(COMM_WORLD, ints(&vector), PrimitiveKind::Int, 512, &sum)
-            .unwrap(),
+        TwinStyle::Blocking => {
+            let got = engine.coll_run(COMM_WORLD, &sum_of(512), Payload::Owned(ints(&vector)));
+            delivered(got.unwrap()).unwrap()
+        }
         TwinStyle::Nonblocking => {
-            let req = engine
-                .iallreduce(COMM_WORLD, ints(&vector), PrimitiveKind::Int, 512, &sum)
-                .unwrap();
+            let req = engine.coll_launch(COMM_WORLD, &sum_of(512), Payload::Owned(ints(&vector)));
+            let req = req.unwrap();
             loop {
                 if let Some(completion) = engine.test(req).unwrap() {
                     break bytes(completion);
@@ -439,29 +499,29 @@ fn twin_transcript(engine: &mut Engine, style: TwinStyle) -> Vec<u8> {
     // windows), completed in reverse order. The blocking variant issues
     // the same collectives in the same order, one at a time.
     let red_in = ints(&[rank as i32 + 2]);
-    let mut bcast_buf = if rank == 0 {
+    let bcast_buf = if rank == 0 {
         vec![0x5Au8; 37]
     } else {
         Vec::new()
     };
     let gather_in = [rank as u8; 2];
+    let in_flight = [
+        (sum_of(1), Payload::Bytes(&red_in)),
+        (CollDesc::Bcast { root: 0 }, Payload::Bytes(&bcast_buf)),
+        (CollDesc::Allgather, Payload::Bytes(&gather_in)),
+    ];
     match style {
         TwinStyle::Blocking => {
-            let red = engine
-                .allreduce(COMM_WORLD, &red_in, PrimitiveKind::Int, 1, &sum)
-                .unwrap();
-            engine.bcast(COMM_WORLD, 0, &mut bcast_buf).unwrap();
-            let parts = engine.allgather(COMM_WORLD, &gather_in).unwrap();
-            log_result(&mut log, 7, &parts.concat());
-            log_result(&mut log, 8, &bcast_buf);
+            let [red, bcast, all] = in_flight.map(|(desc, payload)| {
+                delivered(engine.coll_run(COMM_WORLD, &desc, payload).unwrap()).unwrap()
+            });
+            log_result(&mut log, 7, &all);
+            log_result(&mut log, 8, &bcast);
             log_result(&mut log, 9, &red);
         }
         TwinStyle::Nonblocking => {
-            let r1 = engine
-                .iallreduce(COMM_WORLD, &red_in, PrimitiveKind::Int, 1, &sum)
-                .unwrap();
-            let r2 = engine.ibcast(COMM_WORLD, 0, bcast_buf).unwrap();
-            let r3 = engine.iallgather(COMM_WORLD, &gather_in).unwrap();
+            let [r1, r2, r3] = in_flight
+                .map(|(desc, payload)| engine.coll_launch(COMM_WORLD, &desc, payload).unwrap());
             log_result(&mut log, 7, &bytes(engine.wait(r3).unwrap()));
             log_result(&mut log, 8, &bytes(engine.wait(r2).unwrap()));
             log_result(&mut log, 9, &bytes(engine.wait(r1).unwrap()));
@@ -702,7 +762,7 @@ fn reference_sends(engine: &Engine, comm: usize) -> Vec<(i32, usize)> {
     sends
 }
 
-/// The same sparse exchange as `neighbor_alltoallv`, built from
+/// The same sparse exchange as `Engine::ineighbor_alltoallv`, built from
 /// ordinary user-tag point-to-point: each send is tagged with the slot
 /// index the block occupies at the receiver (the MPI-3 §7.6 pairing).
 fn hand_rolled_neighbor_alltoallv(
@@ -767,16 +827,18 @@ fn neighbor_exchange(
         .map(|j| vec![(rank * 16 + j) as u8; (rank + j) % 3 + 1])
         .collect();
     let payload: Vec<u8> = (0..5).map(|i| (rank * 7 + i) as u8).collect();
+    let replicated = vec![payload; degree];
     match style {
         NeighborStyle::Blocking => {
-            let parts = engine.neighbor_alltoallv(comm, &chunks).unwrap();
-            log_result(log, op_base, &parts.concat());
-            let parts = engine.neighbor_allgather(comm, &payload).unwrap();
-            log_result(log, op_base + 1, &parts.concat());
+            for (op_id, chunks) in [(op_base, &chunks), (op_base + 1, &replicated)] {
+                let req = engine.ineighbor_alltoallv(comm, chunks).unwrap();
+                let parts = delivered(engine.wait_outcome(req).unwrap()).unwrap();
+                log_result(log, op_id, &parts);
+            }
         }
         NeighborStyle::Nonblocking => {
             let r1 = engine.ineighbor_alltoallv(comm, &chunks).unwrap();
-            let r2 = engine.ineighbor_allgather(comm, &payload).unwrap();
+            let r2 = engine.ineighbor_alltoallv(comm, &replicated).unwrap();
             let g2 = bytes(engine.wait(r2).unwrap());
             let g1 = bytes(engine.wait(r1).unwrap());
             log_result(log, op_base, &g1);
@@ -785,7 +847,6 @@ fn neighbor_exchange(
         NeighborStyle::HandRolled => {
             let parts = hand_rolled_neighbor_alltoallv(engine, comm, &chunks);
             log_result(log, op_base, &parts.concat());
-            let replicated = vec![payload.clone(); degree];
             let parts = hand_rolled_neighbor_alltoallv(engine, comm, &replicated);
             log_result(log, op_base + 1, &parts.concat());
         }

@@ -323,28 +323,30 @@ fn rma_counters_track_operations_and_epochs() {
 /// collective's.
 #[test]
 fn persistent_allreduce_stages_no_new_copies_over_transient() {
+    use mpi_native::coll::{CollDesc, Payload, Reduction};
     use mpi_native::{Op, PredefinedOp, PrimitiveKind};
     for device in DEVICES {
         Universe::run(2, device, |engine| {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let count = 1024usize;
             let payload: Vec<u8> = (0..count as i32).flat_map(|i| i.to_le_bytes()).collect();
+            let allreduce =
+                CollDesc::Allreduce(Reduction::borrowed(PrimitiveKind::Int, count, &sum));
 
             // Warm both paths so the schedule cache and staging pools
             // are in steady state before anything is measured.
             let req = engine
-                .iallreduce(COMM_WORLD, &payload, PrimitiveKind::Int, count, &sum)
+                .coll_launch(COMM_WORLD, &allreduce, Payload::Bytes(&payload))
                 .unwrap();
             engine.wait(req).unwrap();
-            let pid = engine
-                .allreduce_init(COMM_WORLD, PrimitiveKind::Int, count, &sum)
-                .unwrap();
+            let persistent = CollDesc::Allreduce(Reduction::owned(PrimitiveKind::Int, count, &sum));
+            let pid = engine.coll_init(COMM_WORLD, persistent, None).unwrap();
             engine.start(pid, Cow::Borrowed(&payload)).unwrap();
             engine.wait(pid).unwrap();
 
             let base = engine.stats().bytes_copied;
             let req = engine
-                .iallreduce(COMM_WORLD, &payload, PrimitiveKind::Int, count, &sum)
+                .coll_launch(COMM_WORLD, &allreduce, Payload::Bytes(&payload))
                 .unwrap();
             engine.wait(req).unwrap();
             let transient = engine.stats().bytes_copied - base;

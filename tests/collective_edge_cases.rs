@@ -227,6 +227,7 @@ fn zero_count_reduce_and_allreduce() {
 /// so the communicator stays usable.
 #[test]
 fn overflowing_element_counts_are_count_errors() {
+    use mpi_native::coll::{CollDesc, Payload, Reduction};
     use mpi_native::comm::COMM_WORLD;
     use mpi_native::{ErrorClass, PredefinedOp, PrimitiveKind, Universe};
     const HUGE: usize = 1 << 62;
@@ -241,13 +242,21 @@ fn overflowing_element_counts_are_count_errors() {
             let send = [0u8; 16];
             let class = |r: Result<(), mpi_native::MpiError>| r.unwrap_err().class;
 
-            let r = engine.reduce(COMM_WORLD, 0, &send, int, HUGE, &sum);
+            let red = |count| Reduction::owned(int, count, &sum);
+            let bytes = || Payload::Bytes(&send);
+
+            let reduce = CollDesc::Reduce {
+                root: 0,
+                red: red(HUGE),
+            };
+            let r = engine.coll_run(COMM_WORLD, &reduce, bytes());
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "reduce");
             let r = engine.allreduce(COMM_WORLD, &send, int, HUGE, &sum);
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "allreduce");
-            let r = engine.iallreduce(COMM_WORLD, &send, int, HUGE, &sum);
+            let allreduce = CollDesc::Allreduce(red(HUGE));
+            let r = engine.coll_launch(COMM_WORLD, &allreduce, bytes());
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "iallreduce");
-            let r = engine.scan(COMM_WORLD, &send, int, HUGE, &sum);
+            let r = engine.coll_run(COMM_WORLD, &CollDesc::Scan(red(HUGE)), bytes());
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "scan");
 
             // reduce_scatter: the product overflows, the sum overflows,
@@ -257,18 +266,24 @@ fn overflowing_element_counts_are_count_errors() {
                 ([usize::MAX, 1], int),
                 ([usize::MAX, 1], PrimitiveKind::Byte),
             ] {
-                let r = engine.reduce_scatter(COMM_WORLD, &send, &counts, kind, &sum);
+                let desc = CollDesc::reduce_scatter(&counts, kind, &sum);
+                let r = engine.coll_run(COMM_WORLD, &desc, bytes());
                 assert_eq!(class(r.map(drop)), ErrorClass::Count, "{counts:?}");
             }
 
-            let r = engine.reduce_init(COMM_WORLD, 0, int, HUGE, &sum);
+            let reduce = CollDesc::Reduce {
+                root: 0,
+                red: red(HUGE),
+            };
+            let r = engine.coll_init(COMM_WORLD, reduce, None);
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "reduce_init");
-            let r = engine.allreduce_init(COMM_WORLD, int, HUGE, &sum);
+            let r = engine.coll_init(COMM_WORLD, CollDesc::Allreduce(red(HUGE)), None);
             assert_eq!(class(r.map(drop)), ErrorClass::Count, "allreduce_init");
 
             // A persistent start with a short buffer reports the same
             // class from the same routine as the transient form.
-            let op = engine.allreduce_init(COMM_WORLD, int, 8, &sum).unwrap();
+            let op = engine.coll_init(COMM_WORLD, CollDesc::Allreduce(red(8)), None);
+            let op = op.unwrap();
             let r = engine.start(op, Cow::Borrowed(&send));
             assert_eq!(class(r), ErrorClass::Count, "short persistent start");
             assert_eq!(
@@ -278,7 +293,9 @@ fn overflowing_element_counts_are_count_errors() {
             );
             engine.request_free(op).unwrap();
 
-            engine.barrier(COMM_WORLD).unwrap();
+            engine
+                .coll_run(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+                .unwrap();
         })
         .unwrap_or_else(|e| panic!("{device:?}: {e}"));
     }

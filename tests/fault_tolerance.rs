@@ -18,6 +18,7 @@
 
 use std::time::{Duration, Instant};
 
+use mpi_native::coll::{CollDesc, Payload};
 use mpi_native::comm::COMM_WORLD;
 use mpi_native::ops::{Op, PredefinedOp};
 use mpi_native::types::SendMode;
@@ -128,7 +129,9 @@ fn finalize_aborts_outstanding_operations_after_a_death() {
         // failed collective and must not wedge finalize.
         let req = engine.irecv(COMM_WORLD, 2, 77, None).unwrap();
         // So does a collective the dead rank never joins.
-        let barrier = engine.ibarrier(COMM_WORLD).unwrap();
+        let barrier = engine
+            .coll_launch(COMM_WORLD, &CollDesc::Barrier, Payload::Bytes(&[]))
+            .unwrap();
         let err = engine
             .allreduce(
                 COMM_WORLD,

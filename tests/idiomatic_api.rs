@@ -593,3 +593,110 @@ fn hybrid_fabric_collectives_match_flat_results() {
     };
     assert_eq!(run(&flat), run(&hybrid));
 }
+
+/// The `rs` neighbourhood collectives: on a non-periodic line and on a
+/// periodic 2×2 torus, the blocking and `i*` forms of
+/// `neighbor_all_gather` / `neighbor_all_to_all` deliver the same blocks.
+/// A `PROC_NULL` slot yields an empty part from the blocking form and
+/// leaves its block of `recv` untouched in the `i*` form; a ragged `send`
+/// or a `recv` of the wrong length is a `Count` error.
+#[test]
+fn neighbourhood_collectives_blocking_and_nonblocking_agree() {
+    use mpijava::rs::Communicator;
+    use mpijava::{ErrorClass, MPI};
+
+    const UNTOUCHED: i32 = -1;
+    const CHUNK: usize = 3;
+    // What cart rank `r` gathers out, and the `CHUNK`-element blocks of
+    // its total exchange, block `j` addressed to neighbour slot `j`.
+    let gather_send = |r: usize| vec![10 * r as i32 + 1, 10 * r as i32 + 2];
+    let exchange_send = |r: usize, degree: usize| {
+        (0..degree * CHUNK)
+            .map(|k| 100 * r as i32 + k as i32)
+            .collect()
+    };
+
+    let check = |cart: &mpijava::Cartcomm, label: &str| -> MpiResult<()> {
+        let rank = cart.rank()?;
+        let neighbors = cart.topo_neighbors()?;
+        let degree = neighbors.len();
+
+        let send = gather_send(rank);
+        let parts = cart.neighbor_all_gather(&send)?;
+        let mut flat = vec![UNTOUCHED; degree * send.len()];
+        cart.ineighbor_all_gather(&send, &mut flat)?.wait()?;
+        for (j, &peer) in neighbors.iter().enumerate() {
+            let block = &flat[j * send.len()..(j + 1) * send.len()];
+            if peer == MPI::PROC_NULL {
+                assert!(parts[j].is_empty(), "{label} gather slot {j}");
+                assert!(
+                    block.iter().all(|&v| v == UNTOUCHED),
+                    "{label} gather slot {j}"
+                );
+            } else {
+                assert_eq!(
+                    parts[j],
+                    gather_send(peer as usize),
+                    "{label} gather slot {j}"
+                );
+                assert_eq!(block, &parts[j][..], "{label} gather slot {j}");
+            }
+        }
+
+        let send: Vec<i32> = exchange_send(rank, degree);
+        let parts = cart.neighbor_all_to_all(&send)?;
+        let mut flat = vec![UNTOUCHED; send.len()];
+        cart.ineighbor_all_to_all(&send, &mut flat)?.wait()?;
+        for (j, &peer) in neighbors.iter().enumerate() {
+            let block = &flat[j * CHUNK..(j + 1) * CHUNK];
+            if peer == MPI::PROC_NULL {
+                assert!(parts[j].is_empty(), "{label} exchange slot {j}");
+                assert!(
+                    block.iter().all(|&v| v == UNTOUCHED),
+                    "{label} exchange slot {j}"
+                );
+            } else {
+                // Slot `2d` is the source of a `+1` shift in dimension
+                // `d` and slot `2d + 1` its destination, so the peer in
+                // slot `j` addressed its block `j ^ 1` to this rank.
+                let theirs: Vec<i32> = exchange_send(peer as usize, degree);
+                let expected = &theirs[(j ^ 1) * CHUNK..((j ^ 1) + 1) * CHUNK];
+                assert_eq!(parts[j], expected, "{label} exchange slot {j}");
+                assert_eq!(block, expected, "{label} exchange slot {j}");
+            }
+        }
+
+        let class = |r: MpiResult<()>| r.expect_err("a Count error").class;
+        let ragged: Vec<i32> = vec![0; degree * CHUNK + 1];
+        let mut recv = vec![0i32; ragged.len()];
+        assert_eq!(
+            class(cart.neighbor_all_to_all(&ragged).map(drop)),
+            ErrorClass::Count
+        );
+        let r = cart.ineighbor_all_to_all(&ragged, &mut recv).map(drop);
+        assert_eq!(class(r), ErrorClass::Count, "{label} ragged i*");
+        let mut short = vec![0i32; send.len() - 1];
+        let r = cart.ineighbor_all_to_all(&send, &mut short).map(drop);
+        assert_eq!(class(r), ErrorClass::Count, "{label} short recv");
+        let r = cart
+            .ineighbor_all_gather(&gather_send(rank), &mut short)
+            .map(drop);
+        assert_eq!(class(r), ErrorClass::Count, "{label} short gather recv");
+        Ok(())
+    };
+
+    for (name, runtime) in test_runtimes(4) {
+        runtime
+            .run(|mpi| {
+                let world = mpi.comm_world();
+                let line = world.create_cart(&[4], &[false], false)?.expect("a member");
+                check(&line, &format!("{name} line"))?;
+                let torus = world
+                    .create_cart(&[2, 2], &[true, true], false)?
+                    .expect("a member");
+                check(&torus, &format!("{name} torus"))?;
+                mpi.finalize()
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    }
+}

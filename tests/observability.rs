@@ -462,6 +462,7 @@ fn merge_and_analysis_tolerate_a_missing_rank_dump() {
 /// and that persistent starts never saw (`unknown`).
 #[test]
 fn coll_events_carry_the_planned_operation_in_every_call_mode() {
+    use mpi_native::coll::{CollDesc, Payload, Reduction};
     use mpi_native::comm::COMM_WORLD;
     use mpi_native::{CollOp, PredefinedOp, PrimitiveKind, Universe, UniverseConfig};
     let config = UniverseConfig {
@@ -471,12 +472,17 @@ fn coll_events_carry_the_planned_operation_in_every_call_mode() {
     let per_rank = Universe::run_with_config(config, |engine| {
         let sum = mpi_native::Op::Predefined(PredefinedOp::Sum);
         let one = 1i32.to_le_bytes();
+        let red = Reduction::owned(PrimitiveKind::Int, 1, &sum);
         let persistent = engine
-            .allreduce_init(COMM_WORLD, PrimitiveKind::Int, 1, &sum)
+            .coll_init(COMM_WORLD, CollDesc::Allreduce(red), None)
             .unwrap();
-        engine.alltoall(COMM_WORLD, &[vec![1], vec![2]]).unwrap();
+        let chunks = Payload::Chunks(Some(&[vec![1], vec![2]]));
         engine
-            .scan(COMM_WORLD, &one, PrimitiveKind::Int, 1, &sum)
+            .coll_run(COMM_WORLD, &CollDesc::Alltoall, chunks)
+            .unwrap();
+        let scan = CollDesc::Scan(Reduction::borrowed(PrimitiveKind::Int, 1, &sum));
+        engine
+            .coll_run(COMM_WORLD, &scan, Payload::Bytes(&one))
             .unwrap();
         for _ in 0..2 {
             engine.start(persistent, Cow::Borrowed(&one)).unwrap();
