@@ -203,7 +203,7 @@ fn configure(stack: Stack, mode: Mode, calibration: Calibration) -> StackConfig 
         Mode::DistributedMemory => (DeviceKind::Tcp, NetworkModel::ethernet_10base_t()),
     };
     let profile = match calibration {
-        Calibration::Structural => DeviceProfile::free(),
+        Calibration::Structural => DeviceProfile::default(),
         Calibration::Era1999 => {
             // Constant per-message device costs of the two native MPI
             // implementations on 1999 hardware (derived from Table 1's

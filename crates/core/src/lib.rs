@@ -644,11 +644,6 @@ impl MpiRuntime {
         self.with(|c| c.with_inter_network(network))
     }
 
-    /// Attach an inter-node cost profile (hybrid device).
-    pub fn inter_profile(self, profile: DeviceProfile) -> Self {
-        self.with(|c| c.with_inter_profile(profile))
-    }
-
     /// Override the eager/rendezvous threshold.
     pub fn eager_threshold(self, bytes: usize) -> Self {
         self.with(|c| c.with_eager_threshold(bytes))

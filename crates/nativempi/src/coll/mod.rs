@@ -89,7 +89,8 @@
 //!
 //! [`tuning`] picks an algorithm from (operation, communicator size,
 //! payload bytes, reduction-order policy, node topology); the choice can
-//! be pinned with [`CollAlgorithm`] via [`Engine::set_coll_algorithm`]
+//! be pinned with [`CollAlgorithm`] via
+//! [`UniverseConfig::with_coll_algorithm`](crate::UniverseConfig::with_coll_algorithm)
 //! or the `MPIJAVA_COLL_ALG` environment variable
 //! ([`algorithm::COLL_ALG_ENV`]). Whatever is selected, every algorithm
 //! produces byte-identical results (the cross-algorithm equivalence
@@ -804,7 +805,7 @@ mod tests {
     use crate::comm::{COMM_SELF, COMM_WORLD};
     use crate::ops::PredefinedOp;
     use crate::request::Completion;
-    use crate::universe::Universe;
+    use crate::universe::{Universe, UniverseConfig};
     use mpi_transport::DeviceKind;
     use std::borrow::Cow;
 
@@ -866,8 +867,9 @@ mod tests {
         // broadcast completes when driven by `test` alone.
         for alg in [CollAlgorithm::Linear, CollAlgorithm::BinomialTree] {
             for size in [2usize, 3, 4, 8] {
-                Universe::run(size, DeviceKind::ShmFast, move |engine| {
-                    engine.set_coll_algorithm(Some(alg));
+                let config =
+                    UniverseConfig::new(size, DeviceKind::ShmFast).with_coll_algorithm(alg);
+                Universe::run_with_config(config, move |engine| {
                     let rank = engine.world_rank();
                     for root in [0, size - 1] {
                         for len in [0usize, 1, 32 << 10, (96 << 10) + 7] {
@@ -1093,8 +1095,8 @@ mod tests {
     #[test]
     fn forced_algorithms_still_produce_correct_results() {
         for alg in CollAlgorithm::ALL {
-            Universe::run(4, DeviceKind::ShmFast, move |engine| {
-                engine.set_coll_algorithm(Some(alg));
+            let config = UniverseConfig::new(4, DeviceKind::ShmFast).with_coll_algorithm(alg);
+            Universe::run_with_config(config, move |engine| {
                 let rank = engine.world_rank() as i32;
                 let desc = CollDesc::Allreduce(int(1, &Op::Predefined(PredefinedOp::Sum)));
                 let got = engine.coll_run(COMM_WORLD, &desc, Payload::Owned(ints(&[rank])));
@@ -1213,7 +1215,6 @@ mod tests {
     /// (the extra intra-node hop) and variable-length contributions.
     #[test]
     fn hierarchical_collectives_work_over_a_hybrid_fabric() {
-        use crate::UniverseConfig;
         use mpi_transport::NodeMap;
         let config = UniverseConfig::new(8, DeviceKind::Hybrid)
             .with_nodes(NodeMap::regular(2, 4))
@@ -1581,8 +1582,9 @@ mod tests {
     /// template: one hit, no new miss.
     #[test]
     fn ring_schedules_replay_from_the_cache() {
-        Universe::run(2, DeviceKind::ShmFast, |engine| {
-            engine.set_coll_algorithm(Some(CollAlgorithm::Ring));
+        let config =
+            UniverseConfig::new(2, DeviceKind::ShmFast).with_coll_algorithm(CollAlgorithm::Ring);
+        Universe::run_with_config(config, |engine| {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let rank = engine.world_rank() as i32;
             let count = (64 << 10) / 4;
@@ -1784,8 +1786,8 @@ mod tests {
     #[test]
     fn persistent_collectives_under_forced_algorithms() {
         for alg in CollAlgorithm::ALL {
-            Universe::run(4, DeviceKind::ShmFast, move |engine| {
-                engine.set_coll_algorithm(Some(alg));
+            let config = UniverseConfig::new(4, DeviceKind::ShmFast).with_coll_algorithm(alg);
+            Universe::run_with_config(config, move |engine| {
                 let sum = Op::Predefined(PredefinedOp::Sum);
                 let rank = engine.world_rank() as i32;
                 let op = engine

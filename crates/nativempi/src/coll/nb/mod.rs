@@ -723,14 +723,10 @@ impl Engine {
         let (ctx, cseq) = (record.context_coll as i64, record.coll_causal_seq as i64);
         let traced = self.tracer.events_on();
         if traced {
-            self.emit_full(
+            self.emit(
                 EventKind::Coll,
                 EventPhase::Begin,
-                op_idx,
-                alg_idx,
-                id as i64,
-                ctx,
-                cseq,
+                [op_idx, alg_idx, id as i64, ctx, cseq],
             );
         }
         let mut state = Box::new(NbColl {
@@ -789,14 +785,16 @@ impl Engine {
         }
         if st.trace.round_open {
             st.trace.round_open = false;
-            self.emit_full(
+            self.emit(
                 EventKind::CollRound,
                 EventPhase::End,
-                st.trace.id,
-                st.trace.round_idx,
-                st.trace.round_transfers,
-                st.trace.ctx,
-                st.trace.cseq,
+                [
+                    st.trace.id,
+                    st.trace.round_idx,
+                    st.trace.round_transfers,
+                    st.trace.ctx,
+                    st.trace.cseq,
+                ],
             );
         }
         st.schedule.next = st.schedule.rounds.len();
@@ -840,15 +838,17 @@ impl Engine {
                     self.tracer
                         .coll_round
                         .record(now.saturating_sub(st.trace.round_started_ns));
-                    self.emit_at_full(
+                    self.emit_at(
                         now,
                         EventKind::CollRound,
                         EventPhase::End,
-                        st.trace.id,
-                        st.trace.round_idx,
-                        st.trace.round_transfers,
-                        st.trace.ctx,
-                        st.trace.cseq,
+                        [
+                            st.trace.id,
+                            st.trace.round_idx,
+                            st.trace.round_transfers,
+                            st.trace.ctx,
+                            st.trace.cseq,
+                        ],
                     );
                 }
                 st.trace.round_idx += 1;
@@ -896,15 +896,17 @@ impl Engine {
         if self.tracer.timing_on() {
             let now = self.clock_ns();
             trace.round_started_ns = now;
-            self.emit_at_full(
+            self.emit_at(
                 now,
                 EventKind::CollRound,
                 EventPhase::Begin,
-                trace.id,
-                trace.round_idx,
-                trace.round_transfers,
-                trace.ctx,
-                trace.cseq,
+                [
+                    trace.id,
+                    trace.round_idx,
+                    trace.round_transfers,
+                    trace.ctx,
+                    trace.cseq,
+                ],
             );
         }
         for r in &round.recvs {
@@ -971,14 +973,16 @@ impl Engine {
             self.send_pool.put(buf);
         }
         if st.trace.traced {
-            self.emit_full(
+            self.emit(
                 EventKind::Coll,
                 EventPhase::End,
-                st.trace.op,
-                st.trace.alg,
-                st.trace.id,
-                st.trace.ctx,
-                st.trace.cseq,
+                [
+                    st.trace.op,
+                    st.trace.alg,
+                    st.trace.id,
+                    st.trace.ctx,
+                    st.trace.cseq,
+                ],
             );
         }
         match st.failed {

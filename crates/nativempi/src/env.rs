@@ -1,5 +1,5 @@
-//! Environmental management (MPI-1.1 §7): timers, processor name,
-//! predefined attributes, and abort — plus the `MPIJAVA_*` environment
+//! Environmental management (MPI-1.1 §7): timers, processor name and
+//! abort — plus the `MPIJAVA_*` environment
 //! overlay of the job configuration.
 //!
 //! ## Environment overrides
@@ -103,9 +103,8 @@ use mpi_transport::{FaultPlan, Frame, FrameHeader, FrameKind, NodeMap};
 
 use crate::coll::{CollAlgorithm, COLL_ALG_ENV};
 use crate::comm::CommHandle;
-use crate::error::{err, ErrorClass, Result};
+use crate::error::Result;
 use crate::trace::TraceConfig;
-use crate::types::TAG_UB;
 use crate::{Engine, UniverseConfig};
 
 /// `MPIJAVA_EAGER_LIMIT`: the eager/rendezvous switch-over point (see
@@ -309,20 +308,6 @@ pub fn parse_byte_size(raw: &str) -> Option<usize> {
         .and_then(|n| n.checked_mul(multiplier))
 }
 
-/// Keys of the predefined communicator attributes (`MPI_TAG_UB`,
-/// `MPI_HOST`, `MPI_IO`, `MPI_WTIME_IS_GLOBAL`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PredefinedAttr {
-    /// Upper bound on tag values.
-    TagUb,
-    /// Rank of a host process (this engine has none: `PROC_NULL`).
-    Host,
-    /// Rank that can perform I/O (every rank can here).
-    Io,
-    /// Whether `Wtime` is synchronized across ranks.
-    WtimeIsGlobal,
-}
-
 impl Engine {
     /// `MPI_Wtime`: seconds since an arbitrary (per-job) origin.
     ///
@@ -342,47 +327,6 @@ impl Engine {
     /// `MPI_Get_processor_name`.
     pub fn processor_name(&self) -> &str {
         &self.processor_name
-    }
-
-    /// Override the processor name (used by the launcher to label ranks in
-    /// DM mode like the paper labels its two workstations).
-    pub fn set_processor_name(&mut self, name: impl Into<String>) {
-        self.processor_name = name.into();
-    }
-
-    /// Value of a predefined attribute on a communicator
-    /// (`MPI_Attr_get` for the built-in keys).
-    pub fn attr_predefined(&self, comm: CommHandle, key: PredefinedAttr) -> Result<i64> {
-        self.comm(comm)?; // validate the handle
-        Ok(match key {
-            PredefinedAttr::TagUb => TAG_UB as i64,
-            PredefinedAttr::Host => crate::types::PROC_NULL as i64,
-            PredefinedAttr::Io => self.world_rank as i64,
-            PredefinedAttr::WtimeIsGlobal => 0,
-        })
-    }
-
-    /// `MPI_Attr_put` for user keyvals: store an integer-keyed blob on the
-    /// engine (communicator attribute caching, simplified to engine scope).
-    pub fn attr_put(&mut self, key: i32, value: Vec<u8>) -> Result<()> {
-        if key < 0 {
-            return err(ErrorClass::Arg, "user attribute keys must be non-negative");
-        }
-        self.keyvals.insert(key, value);
-        Ok(())
-    }
-
-    /// `MPI_Attr_get` for user keyvals.
-    pub fn attr_get(&self, key: i32) -> Option<&[u8]> {
-        self.keyvals.get(&key).map(|v| v.as_slice())
-    }
-
-    /// `MPI_Attr_delete`.
-    pub fn attr_delete(&mut self, key: i32) -> Result<()> {
-        match self.keyvals.remove(&key) {
-            Some(_) => Ok(()),
-            None => err(ErrorClass::Arg, format!("attribute key {key} is not set")),
-        }
     }
 
     /// `MPI_Abort`: broadcast an abort notification to every other rank and
@@ -644,36 +588,6 @@ mod tests {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             let name = engine.processor_name().to_string();
             assert!(name.contains(&format!("rank-{}", engine.world_rank())));
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn predefined_attributes_are_available() {
-        Universe::run(1, DeviceKind::ShmFast, |engine| {
-            assert_eq!(
-                engine
-                    .attr_predefined(COMM_WORLD, PredefinedAttr::TagUb)
-                    .unwrap(),
-                TAG_UB as i64
-            );
-            assert!(engine
-                .attr_predefined(COMM_WORLD, PredefinedAttr::WtimeIsGlobal)
-                .is_ok());
-            assert!(engine.attr_predefined(99, PredefinedAttr::TagUb).is_err());
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn user_attributes_roundtrip() {
-        Universe::run(1, DeviceKind::ShmFast, |engine| {
-            assert!(engine.attr_get(7).is_none());
-            engine.attr_put(7, b"seven".to_vec()).unwrap();
-            assert_eq!(engine.attr_get(7).unwrap(), b"seven");
-            engine.attr_delete(7).unwrap();
-            assert!(engine.attr_delete(7).is_err());
-            assert!(engine.attr_put(-1, Vec::new()).is_err());
         })
         .unwrap();
     }

@@ -83,9 +83,7 @@ impl Engine {
                         now,
                         EventKind::LeaseObserved,
                         EventPhase::Instant,
-                        p.rank as i64,
-                        millis_i64(age),
-                        millis_i64(p.lease),
+                        [p.rank as i64, millis_i64(age), millis_i64(p.lease), 0, 0],
                     );
                 }
             }
@@ -162,9 +160,7 @@ impl Engine {
             self.emit(
                 EventKind::RankFailed,
                 EventPhase::Instant,
-                dead as i64,
-                staleness_ms,
-                lease_ms,
+                [dead as i64, staleness_ms, lease_ms, 0, 0],
             );
         }
 

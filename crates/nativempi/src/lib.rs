@@ -27,7 +27,7 @@
 //!   functions ([`ops`]),
 //! * **derived datatypes** and pack/unpack ([`datatype`], [`pack`]),
 //! * **virtual topologies** (cartesian and graph, [`topology`]),
-//! * environment services — `Wtime`, processor name, attributes, abort
+//! * environment services — `Wtime`, processor name, abort
 //!   ([`mod@env`]),
 //! * an MPI_T-flavored **observability subsystem** ([`trace`]): per-rank
 //!   event tracing into a preallocated ring, a named-variable metrics
@@ -209,7 +209,6 @@ pub struct Engine {
     pub(crate) finalized: bool,
     pub(crate) aborted: bool,
     pub(crate) stats: EngineStats,
-    pub(crate) keyvals: HashMap<i32, Vec<u8>>,
     pub(crate) forced_coll_alg: Option<coll::CollAlgorithm>,
     /// Built-schedule templates, keyed per rank on the local call shape
     /// (see the schedule-caching section of [`coll::nb`]).
@@ -227,8 +226,8 @@ pub struct Engine {
     /// the latency histograms (see [`trace`]).
     pub(crate) tracer: trace::Tracer,
     /// Configured trace-dump directory (the job configuration's
-    /// `trace_dir`, or [`Engine::set_trace_dir`]); `None` leaves the
-    /// spool-root fallback (see [`Engine::dump_trace`]).
+    /// `trace_dir`); `None` leaves the spool-root fallback (see
+    /// [`Engine::dump_trace`]).
     trace_dir: Option<std::path::PathBuf>,
     /// Wall-clock anchor for the engine's monotonic event timestamps,
     /// written into every trace dump's meta line so `tracemerge` can
@@ -272,8 +271,8 @@ impl Engine {
 
     /// Build one rank's engine from a *resolved* job configuration: the
     /// one place the per-engine knobs (eager limit, collective algorithm,
-    /// trace, trace dir, processor name) are applied, for the launcher
-    /// and for [`Engine::new`] alike.
+    /// trace, trace dir) are applied, for the launcher and for
+    /// [`Engine::new`] alike.
     pub(crate) fn with_config(endpoint: Box<dyn Endpoint>, config: &UniverseConfig) -> Engine {
         let world_rank = endpoint.rank();
         let world_size = endpoint.size();
@@ -295,14 +294,10 @@ impl Engine {
             send_pool: p2p::StagingPool::default(),
             attached_buffer: None,
             start_time: Instant::now(),
-            processor_name: match &config.processor_name_prefix {
-                Some(prefix) => format!("{prefix}{world_rank}"),
-                None => format!("rank-{world_rank}.mpijava-rs.local"),
-            },
+            processor_name: format!("rank-{world_rank}.mpijava-rs.local"),
             finalized: false,
             aborted: false,
             stats: EngineStats::default(),
-            keyvals: HashMap::new(),
             forced_coll_alg: config.coll_algorithm,
             sched_cache: HashMap::new(),
             windows: HashMap::new(),
@@ -331,21 +326,8 @@ impl Engine {
         self.eager_threshold
     }
 
-    /// Pin (or with `None`, un-pin) the collective algorithm, overriding
-    /// the size-aware tuning table of [`coll::tuning`] — the programmatic
-    /// form of the `MPIJAVA_COLL_ALG` environment override.
-    ///
-    /// Collectives are cooperative, so the pin must be applied
-    /// symmetrically on every rank of a communicator (the `Universe` /
-    /// `MpiRuntime` launchers do this for you). A pinned algorithm that
-    /// cannot implement a given operation falls back to the tuned choice;
-    /// results are byte-identical either way.
-    pub fn set_coll_algorithm(&mut self, alg: Option<coll::CollAlgorithm>) {
-        self.forced_coll_alg = alg;
-    }
-
-    /// The pinned collective algorithm, if any (see
-    /// [`set_coll_algorithm`](Engine::set_coll_algorithm)).
+    /// The pinned collective algorithm, if any: the job configuration's
+    /// `coll_algorithm` or `MPIJAVA_COLL_ALG`, applied on every rank alike.
     pub fn coll_algorithm(&self) -> Option<coll::CollAlgorithm> {
         self.forced_coll_alg
     }
@@ -378,29 +360,14 @@ impl Engine {
 
     // ---- observability (see the [`trace`] module) -------------------
 
-    /// Reconfigure tracing, replacing the level the engine was
-    /// configured with. Rebuilds the event ring (preallocated
-    /// for [`TraceMode::Events`], empty otherwise), so events and
-    /// histograms recorded so far are discarded.
-    pub fn set_trace(&mut self, config: trace::TraceConfig) {
-        self.tracer = trace::Tracer::new(config);
-    }
-
     /// The active trace configuration.
     pub fn trace_config(&self) -> trace::TraceConfig {
         self.tracer.config()
     }
 
-    /// Set the directory trace dumps go to, overriding the configured
-    /// one and the spool-root fallback (see [`Engine::dump_trace`]).
-    pub fn set_trace_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
-        self.trace_dir = Some(dir.into());
-    }
-
     /// The directory [`Engine::dump_trace`] would write to, if any: the
-    /// configured one (job configuration, `MPIJAVA_TRACE_DIR` or
-    /// [`Engine::set_trace_dir`]), else `<spool root>/trace` when the
-    /// fabric has a spool.
+    /// configured one (job configuration or `MPIJAVA_TRACE_DIR`), else
+    /// `<spool root>/trace` when the fabric has a spool.
     pub fn trace_dir(&self) -> Option<std::path::PathBuf> {
         self.trace_dir
             .clone()
@@ -571,68 +538,33 @@ impl Engine {
         self.start_time.elapsed().as_nanos() as u64
     }
 
-    /// Record a trace event stamped now. One branch when events are off
+    /// Record a trace event stamped now. `args` fills the event's five
+    /// slots `a..e` (named per kind in the dump; `d`/`e` carry the causal
+    /// stamps — tokens on p2p intervals, `(ctx, cseq)` on collective
+    /// brackets — and are 0 elsewhere). One branch when events are off
     /// — the hot-path cost the `MPIJAVA_TRACE=off` overhead gate pins.
     #[inline]
     pub(crate) fn emit(
         &mut self,
         kind: trace::EventKind,
         phase: trace::EventPhase,
-        a: i64,
-        b: i64,
-        c: i64,
-    ) {
-        self.emit_full(kind, phase, a, b, c, 0, 0);
-    }
-
-    /// [`Engine::emit`] with the causal-stamp slots (`d`/`e`) — tokens
-    /// on p2p intervals, `(ctx, cseq)` on collective brackets.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_full(
-        &mut self,
-        kind: trace::EventKind,
-        phase: trace::EventPhase,
-        a: i64,
-        b: i64,
-        c: i64,
-        d: i64,
-        e: i64,
+        args: [i64; 5],
     ) {
         if self.tracer.events_on() {
             let ts = self.clock_ns();
-            self.tracer.record(ts, kind, phase, a, b, c, d, e);
+            self.emit_at(ts, kind, phase, args);
         }
     }
 
-    /// Record a trace event with a caller-supplied timestamp (for sites
-    /// that already read the clock for a histogram sample).
+    /// [`Engine::emit`] with a caller-supplied timestamp (for sites that
+    /// already read the clock for a histogram sample).
     #[inline]
     pub(crate) fn emit_at(
         &mut self,
         ts_ns: u64,
         kind: trace::EventKind,
         phase: trace::EventPhase,
-        a: i64,
-        b: i64,
-        c: i64,
-    ) {
-        self.emit_at_full(ts_ns, kind, phase, a, b, c, 0, 0);
-    }
-
-    /// [`Engine::emit_at`] with the causal-stamp slots (`d`/`e`).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_at_full(
-        &mut self,
-        ts_ns: u64,
-        kind: trace::EventKind,
-        phase: trace::EventPhase,
-        a: i64,
-        b: i64,
-        c: i64,
-        d: i64,
-        e: i64,
+        [a, b, c, d, e]: [i64; 5],
     ) {
         if self.tracer.events_on() {
             self.tracer.record(ts_ns, kind, phase, a, b, c, d, e);
@@ -729,9 +661,7 @@ impl Engine {
             self.emit(
                 trace::EventKind::ProgressBurst,
                 trace::EventPhase::Instant,
-                total,
-                1024,
-                0,
+                [total, 1024, 0, 0, 0],
             );
         }
     }

@@ -579,25 +579,17 @@ impl Engine {
             collective,
         )?;
         let dst = header.dst as i64;
-        self.emit_full(
+        self.emit(
             EventKind::SendEager,
             EventPhase::Begin,
-            dst,
-            tag as i64,
-            len,
-            token as i64,
-            0,
+            [dst, tag as i64, len, token as i64, 0],
         );
         self.endpoint.send(Frame::new(header, payload))?;
         self.stats.eager_sends += 1;
-        self.emit_full(
+        self.emit(
             EventKind::SendEager,
             EventPhase::End,
-            dst,
-            tag as i64,
-            len,
-            token as i64,
-            0,
+            [dst, tag as i64, len, token as i64, 0],
         );
         Ok(self.alloc_request(RequestState::SendComplete))
     }
@@ -641,14 +633,10 @@ impl Engine {
         // The matching End is emitted when the last data frame ships
         // (`on_rendezvous_ack`, or `stream`), bracketing the handshake.
         // The token stamp joins this interval with the receiver's events.
-        self.emit_full(
+        self.emit(
             EventKind::SendRendezvous,
             EventPhase::Begin,
-            header.dst as i64,
-            tag as i64,
-            len as i64,
-            token as i64,
-            0,
+            [header.dst as i64, tag as i64, len as i64, token as i64, 0],
         );
         Ok(req)
     }
@@ -796,9 +784,13 @@ impl Engine {
         self.emit(
             EventKind::RendezvousGrant,
             EventPhase::Instant,
-            msg.src_world as i64,
-            msg.token as i64,
-            msg.msg_len as i64,
+            [
+                msg.src_world as i64,
+                msg.token as i64,
+                msg.msg_len as i64,
+                0,
+                0,
+            ],
         );
         self.awaiting_rendezvous_data
             .insert((msg.src_world, msg.token), req);
@@ -921,14 +913,16 @@ impl Engine {
                 break;
             }
         }
-        self.emit_full(
+        self.emit(
             EventKind::SendRendezvous,
             EventPhase::End,
-            header.dst as i64,
-            header.tag as i64,
-            data.len() as i64,
-            header.token as i64,
-            0,
+            [
+                header.dst as i64,
+                header.tag as i64,
+                data.len() as i64,
+                header.token as i64,
+                0,
+            ],
         );
         Ok(())
     }
@@ -1197,15 +1191,17 @@ impl Engine {
             let class =
                 WaitClass::for_posted_tag(msg.tag, COLLECTIVE_TAG_BASE, crate::rma::RMA_TAG_BASE);
             self.tracer.note_wait(class, wait);
-            self.emit_at_full(
+            self.emit_at(
                 now,
                 EventKind::RecvPosted,
                 EventPhase::Instant,
-                msg.src_world as i64,
-                msg.tag as i64,
-                msg.msg_len as i64,
-                msg.token as i64,
-                wait as i64,
+                [
+                    msg.src_world as i64,
+                    msg.tag as i64,
+                    msg.msg_len as i64,
+                    msg.token as i64,
+                    wait as i64,
+                ],
             );
         }
     }
@@ -1226,15 +1222,17 @@ impl Engine {
                 crate::rma::RMA_TAG_BASE,
             );
             self.tracer.note_wait(class, wait);
-            self.emit_at_full(
+            self.emit_at(
                 now,
                 EventKind::RecvUnexpected,
                 EventPhase::Instant,
-                msg.src_world as i64,
-                msg.tag as i64,
-                msg.msg_len as i64,
-                msg.token as i64,
-                wait as i64,
+                [
+                    msg.src_world as i64,
+                    msg.tag as i64,
+                    msg.msg_len as i64,
+                    msg.token as i64,
+                    wait as i64,
+                ],
             );
         }
     }
@@ -1268,14 +1266,10 @@ impl Engine {
         let total = data.len() as i64;
         self.endpoint.send(Frame::new(header, data))?;
         self.requests.set(pending.req, RequestState::SendComplete);
-        self.emit_full(
+        self.emit(
             EventKind::SendRendezvous,
             EventPhase::End,
-            header.dst as i64,
-            header.tag as i64,
-            total,
-            token as i64,
-            0,
+            [header.dst as i64, header.tag as i64, total, token as i64, 0],
         );
         Ok(())
     }
@@ -1336,9 +1330,7 @@ impl Engine {
         self.emit(
             EventKind::RendezvousData,
             EventPhase::Instant,
-            key.0 as i64,
-            key.1 as i64,
-            total as i64,
+            [key.0 as i64, key.1 as i64, total as i64, 0, 0],
         );
         Ok(())
     }

@@ -342,10 +342,14 @@ pub(crate) struct WindowState {
 
 impl WindowState {
     /// Why the window cannot be freed now, or `None` when it is quiet:
-    /// the one refusal of `win_free` and `finalize`.
-    fn busy(&self) -> Option<&'static str> {
+    /// the one refusal of `win_free` and `finalize`. With `sends` false
+    /// it names only what the caller can cause: this rank's sends still
+    /// in flight then do not count, since a target's own answers (lock
+    /// grants, flush-acks, `get` replies) may still be shipping after
+    /// the origin's sync is reached.
+    fn busy(&self, sends: bool) -> Option<&'static str> {
         if self.unsynced_ops > 0
-            || !self.send_reqs.is_empty()
+            || (sends && !self.send_reqs.is_empty())
             || self.fences_applied < self.fences_started
         {
             Some("an un-synced RMA epoch")
@@ -414,20 +418,26 @@ impl Engine {
     }
 
     /// `MPI_Win_free`: collective teardown. Refuses a window that is not
-    /// quiet (un-synced epochs, held locks, un-synced gets), then
-    /// barriers so no peer can still have window traffic in flight, and
-    /// returns the exposed region to the caller. Gets never taken are
-    /// dropped with the window.
+    /// quiet (un-synced epochs, held locks, un-synced gets), drains this
+    /// rank's own answers still in flight, then barriers so no peer can
+    /// still have window traffic in flight, and returns the exposed
+    /// region to the caller. Gets never taken are dropped with the window.
     pub fn win_free(&mut self, win: WinHandle) -> Result<Vec<u8>> {
         self.check_live()?;
         self.rma_progress()?;
-        self.refuse_busy(win)?;
+        self.refuse_busy(win, false)?;
+        // A rendezvous answer completes once its origin's grant is
+        // pumped; like every sync, the wait fails on a dead member.
+        let comm = self.win_state(win)?.comm;
+        self.block_on(|engine| {
+            engine.rma_check_failed(comm)?;
+            Ok(engine.win_state(win)?.send_reqs.is_empty().then_some(()))
+        })?;
         // No peer may touch the window after its rank returns from
         // win_free, so a barrier separates the last epoch from teardown.
-        let comm = self.win_state(win)?.comm;
         self.coll_run(comm, &CollDesc::Barrier, Payload::Bytes(&[]))?;
         self.rma_progress()?;
-        self.refuse_busy(win)?;
+        self.refuse_busy(win, true)?;
         let st = self.windows.remove(&win.0).expect("checked above");
         for get in st.gets {
             self.requests.remove(get.req.0);
@@ -435,16 +445,11 @@ impl Engine {
         Ok(st.region)
     }
 
-    fn refuse_busy(&self, win: WinHandle) -> Result<()> {
-        match self.win_state(win)?.busy() {
+    fn refuse_busy(&self, win: WinHandle, sends: bool) -> Result<()> {
+        match self.win_state(win)?.busy(sends) {
             Some(why) => err(ErrorClass::Other, format!("win_free called with {why}")),
             None => Ok(()),
         }
-    }
-
-    /// Size in bytes of the locally exposed region.
-    pub fn win_size(&self, win: WinHandle) -> Result<usize> {
-        Ok(self.win_state(win)?.region.len())
     }
 
     /// Read access to the locally exposed region. Contents reflect peer
@@ -671,7 +676,7 @@ impl Engine {
     /// True if any window is not quiet (see `WindowState::busy`) — the
     /// finalize leak probe.
     pub(crate) fn rma_open_epoch(&self) -> bool {
-        self.windows.values().any(|st| st.busy().is_some())
+        self.windows.values().any(|st| st.busy(true).is_some())
     }
 
     // ---- internal machinery -------------------------------------------
@@ -735,7 +740,7 @@ impl Engine {
         };
         self.stats.rma_bytes += len as u64;
         let phase = crate::trace::EventPhase::Instant;
-        self.emit(kind, phase, target as i64, len as i64, win.0 as i64);
+        self.emit(kind, phase, [target as i64, len as i64, win.0 as i64, 0, 0]);
         Ok(())
     }
 
@@ -835,9 +840,7 @@ impl Engine {
         self.emit(
             crate::trace::EventKind::RmaEpoch,
             crate::trace::EventPhase::Instant,
-            win.0 as i64,
-            passive,
-            epochs,
+            [win.0 as i64, passive, epochs, 0, 0],
         );
     }
 

@@ -26,17 +26,6 @@ pub enum Topology {
     },
 }
 
-/// Kind of topology attached to a communicator (`MPI_Topo_test`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoKind {
-    /// No topology (`MPI_UNDEFINED`).
-    None,
-    /// Cartesian (`MPI_CART`).
-    Cart,
-    /// Graph (`MPI_GRAPH`).
-    Graph,
-}
-
 /// `MPI_Dims_create`: factor `nnodes` into `ndims` balanced factors.
 /// Entries of `dims` that are non-zero on input are kept fixed.
 pub fn dims_create(nnodes: usize, dims: &mut [usize]) -> Result<()> {
@@ -104,15 +93,6 @@ fn prime_factors(mut n: usize) -> Vec<usize> {
 }
 
 impl Engine {
-    /// `MPI_Topo_test`: what topology (if any) is attached to `comm`.
-    pub fn topo_test(&self, comm: CommHandle) -> Result<TopoKind> {
-        Ok(match self.comm(comm)?.topology {
-            None => TopoKind::None,
-            Some(Topology::Cart { .. }) => TopoKind::Cart,
-            Some(Topology::Graph { .. }) => TopoKind::Graph,
-        })
-    }
-
     /// `MPI_Cart_create`. Collective over `comm`. Ranks beyond the grid
     /// size get `None`. `reorder` is accepted but ignored (ranks keep their
     /// order), which the standard allows.
@@ -422,7 +402,6 @@ mod tests {
                 .cart_create(COMM_WORLD, &[2, 3], &[false, true], false)
                 .unwrap()
                 .expect("6 ranks fit a 2x3 grid");
-            assert_eq!(engine.topo_test(cart).unwrap(), TopoKind::Cart);
             assert_eq!(engine.cartdim_get(cart).unwrap(), 2);
             let rank = engine.comm_rank(cart).unwrap();
             let coords = engine.cart_coords(cart, rank).unwrap();
@@ -511,7 +490,6 @@ mod tests {
                 .graph_create(COMM_WORLD, &index, &edges, false)
                 .unwrap()
                 .unwrap();
-            assert_eq!(engine.topo_test(graph).unwrap(), TopoKind::Graph);
             assert_eq!(engine.graphdims_get(graph).unwrap(), (4, 8));
             let rank = engine.comm_rank(graph).unwrap();
             let neighbors = engine.graph_neighbors(graph, rank).unwrap();
@@ -537,7 +515,6 @@ mod tests {
             // Topology queries on a communicator without one fail.
             assert!(engine.cart_coords(COMM_WORLD, 0).is_err());
             assert!(engine.graph_neighbors(COMM_WORLD, 0).is_err());
-            assert_eq!(engine.topo_test(COMM_WORLD).unwrap(), TopoKind::None);
         })
         .unwrap();
     }

@@ -54,12 +54,8 @@ pub struct UniverseConfig {
     /// tuning layer auto-selects the hierarchical algorithms when it is
     /// non-trivial.
     pub nodes: Option<NodeMap>,
-    /// Inter-node cost profile (hybrid device; defaults to free).
-    pub inter_profile: DeviceProfile,
     /// Inter-node link model (hybrid device; defaults to unshaped).
     pub inter_network: NetworkModel,
-    /// Processor-name prefix; rank `i` is named `<prefix><i>`.
-    pub processor_name_prefix: Option<String>,
     /// Progress model (default [`ProgressMode::Manual`]).
     /// [`Universe::launch`] hands the resolved mode to the rank body:
     /// only a body that shares its engine behind a lock (`MpiRuntime`)
@@ -97,9 +93,7 @@ impl UniverseConfig {
             eager_threshold: None,
             coll_algorithm: None,
             nodes: None,
-            inter_profile: DeviceProfile::default(),
             inter_network: NetworkModel::unshaped(),
-            processor_name_prefix: None,
             progress: None,
             spool_dir: None,
             lease: None,
@@ -142,12 +136,6 @@ impl UniverseConfig {
     /// Attach an inter-node link model (hybrid device).
     pub fn with_inter_network(mut self, network: NetworkModel) -> Self {
         self.inter_network = network;
-        self
-    }
-
-    /// Attach an inter-node cost profile (hybrid device).
-    pub fn with_inter_profile(mut self, profile: DeviceProfile) -> Self {
-        self.inter_profile = profile;
         self
     }
 
@@ -197,7 +185,6 @@ impl UniverseConfig {
             profile: self.profile,
             nodes: self.nodes.clone().unwrap_or(defaults.nodes),
             inter_network: self.inter_network,
-            inter_profile: self.inter_profile,
             spool_dir: self.spool_dir.clone(),
             lease: self.lease.unwrap_or(defaults.lease),
             faults: self.faults.clone().unwrap_or(defaults.faults),
@@ -334,13 +321,8 @@ mod tests {
     #[test]
     fn config_applies_eager_threshold_and_names() {
         let config = UniverseConfig::new(2, DeviceKind::ShmFast).with_eager_threshold(64);
-        let config = UniverseConfig {
-            processor_name_prefix: Some("node".to_string()),
-            ..config
-        };
         Universe::run_with_config(config, |engine| {
             assert_eq!(engine.eager_threshold(), 64);
-            assert!(engine.processor_name().starts_with("node"));
         })
         .unwrap();
     }

@@ -3,8 +3,8 @@
 //! The engine's observability registry (see the `mpi-native` `trace`
 //! module) wants to report transport traffic — frames and payload bytes
 //! actually pushed through the device, *below* the engine's own protocol
-//! accounting — without teaching every device to count. Enabling
-//! [`FabricConfig::with_frame_counters`](crate::FabricConfig::with_frame_counters)
+//! accounting — without teaching every device to count. Setting
+//! [`FabricConfig::frame_counters`](crate::FabricConfig::frame_counters)
 //! wraps every endpoint of the fabric in a [`CountingEndpoint`], the
 //! same wrapping pattern the fault injector uses. The wrapper goes
 //! *outermost*, so it observes exactly what the engine observes: a frame
@@ -168,7 +168,10 @@ mod tests {
 
     #[test]
     fn counters_track_frames_and_bytes() {
-        let config = FabricConfig::new(2, DeviceKind::ShmFast).with_frame_counters(true);
+        let config = FabricConfig {
+            frame_counters: true,
+            ..FabricConfig::new(2, DeviceKind::ShmFast)
+        };
         let eps = Fabric::build(config).unwrap().into_endpoints();
         eps[0].send(frame(0, 1, b"hello")).unwrap();
         eps[0].send(frame(0, 1, b"world!")).unwrap();
@@ -196,9 +199,11 @@ mod tests {
     fn counting_composes_with_fault_injection() {
         // Counting is outermost: the dropped frame still counts as sent
         // (it left the engine), the killed rank's refused send does not.
-        let config = FabricConfig::new(2, DeviceKind::ShmFast)
-            .with_faults(FaultPlan::parse("drop:0->1@1,kill:0@3").unwrap())
-            .with_frame_counters(true);
+        let config = FabricConfig {
+            frame_counters: true,
+            ..FabricConfig::new(2, DeviceKind::ShmFast)
+                .with_faults(FaultPlan::parse("drop:0->1@1,kill:0@3").unwrap())
+        };
         let eps = Fabric::build(config).unwrap().into_endpoints();
         eps[0].send(frame(0, 1, b"dropped")).unwrap();
         eps[0].send(frame(0, 1, b"ok")).unwrap();

@@ -58,6 +58,15 @@ impl std::error::Error for TransportError {
     }
 }
 
+/// Every device's destination check: `rank` must lie in `0..size`.
+pub(crate) fn check_rank(rank: usize, size: usize) -> Result<()> {
+    if rank < size {
+        Ok(())
+    } else {
+        Err(TransportError::RankOutOfRange { rank, size })
+    }
+}
+
 impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
         TransportError::Io(e)

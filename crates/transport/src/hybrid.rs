@@ -13,10 +13,9 @@
 //!   profile and shaped by the *intra* network model (both default to
 //!   free/unshaped, like the real thing), and
 //! * **inter-node** frames over the modelled-link path — the same
-//!   mailbox delivery, but charged with the *inter* [`DeviceProfile`]
-//!   and held until the *inter* [`NetworkModel`]'s due instant, exactly
-//!   how the TCP device models the paper's Ethernet link without real
-//!   1999 hardware.
+//!   mailbox delivery, but held until the *inter* [`NetworkModel`]'s due
+//!   instant, exactly how the TCP device models the paper's Ethernet
+//!   link without real 1999 hardware.
 //!
 //! Per-pair FIFO still holds: each ordered rank pair routes over exactly
 //! one class (their placement never changes mid-job), and each class
@@ -24,16 +23,18 @@
 //!
 //! Configure through [`FabricConfig`]: `nodes` carries the placement,
 //! `profile`/`network` apply to the intra-node class, and
-//! `inter_profile`/`inter_network` to the inter-node class.
+//! `inter_network` to the inter-node class.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::{Result, TransportError};
+use crate::error::{check_rank, Result, TransportError};
 use crate::frame::Frame;
 use crate::mailbox::Mailbox;
 use crate::nodemap::NodeMap;
-use crate::{DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox};
+use crate::{
+    DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox, INBOX_CAPACITY,
+};
 
 /// One rank's endpoint on the hybrid device.
 pub struct HybridEndpoint {
@@ -43,7 +44,6 @@ pub struct HybridEndpoint {
     nodes: Arc<NodeMap>,
     intra_profile: DeviceProfile,
     intra_network: NetworkModel,
-    inter_profile: DeviceProfile,
     inter_network: NetworkModel,
 }
 
@@ -63,7 +63,7 @@ impl HybridDevice {
         }
         let inboxes: Arc<Vec<SharedMailbox>> = Arc::new(
             (0..config.size)
-                .map(|_| Arc::new(Mailbox::new(config.inbox_capacity)))
+                .map(|_| Arc::new(Mailbox::new(INBOX_CAPACITY)))
                 .collect(),
         );
         let nodes = Arc::new(config.nodes.clone());
@@ -75,7 +75,6 @@ impl HybridDevice {
                 nodes: Arc::clone(&nodes),
                 intra_profile: config.profile,
                 intra_network: config.network,
-                inter_profile: config.inter_profile,
                 inter_network: config.inter_network,
             })
             .collect())
@@ -93,18 +92,13 @@ impl Endpoint for HybridEndpoint {
 
     fn send(&self, frame: Frame) -> Result<()> {
         let dst = frame.header.dst as usize;
-        if dst >= self.size {
-            return Err(TransportError::RankOutOfRange {
-                rank: dst,
-                size: self.size,
-            });
-        }
-        let (profile, network) = if self.nodes.same_node(self.rank, dst) {
-            (&self.intra_profile, &self.intra_network)
+        check_rank(dst, self.size)?;
+        let network = if self.nodes.same_node(self.rank, dst) {
+            self.intra_profile.charge(frame.len());
+            &self.intra_network
         } else {
-            (&self.inter_profile, &self.inter_network)
+            &self.inter_network
         };
-        profile.charge(frame.len());
         let due = network.due(frame.len());
         self.inboxes[dst].push(frame, due)
     }

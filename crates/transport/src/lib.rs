@@ -131,14 +131,6 @@ impl Default for DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// A profile with no synthetic cost at all (the default).
-    pub const fn free() -> Self {
-        DeviceProfile {
-            per_message_cost: Duration::ZERO,
-            per_byte_cost_ns: 0.0,
-        }
-    }
-
     /// Total synthetic cost for one message of `len` payload bytes.
     pub fn cost_for(&self, len: usize) -> Duration {
         let bytes = Duration::from_nanos((self.per_byte_cost_ns * len as f64) as u64);
@@ -186,12 +178,8 @@ pub struct FabricConfig {
     /// [`Endpoint::node_map`]; only the [`DeviceKind::Hybrid`] device
     /// *routes* by it. Defaults to [`NodeMap::flat`].
     pub nodes: NodeMap,
-    /// Inter-node cost profile ([`DeviceKind::Hybrid`] only).
-    pub inter_profile: DeviceProfile,
     /// Inter-node link model ([`DeviceKind::Hybrid`] only).
     pub inter_network: NetworkModel,
-    /// Capacity (in frames) of each rank's inbox before senders block.
-    pub inbox_capacity: usize,
     /// Spool root directory ([`DeviceKind::Spool`] only). `None` means a
     /// fresh per-fabric directory under the system temp dir, removed when
     /// the last endpoint drops; an explicit path persists after the run
@@ -220,9 +208,7 @@ impl FabricConfig {
             profile: DeviceProfile::default(),
             network: NetworkModel::unshaped(),
             nodes: NodeMap::flat(size),
-            inter_profile: DeviceProfile::default(),
             inter_network: NetworkModel::unshaped(),
-            inbox_capacity: 64 * 1024,
             spool_dir: None,
             lease: DEFAULT_LEASE,
             faults: FaultPlan::none(),
@@ -245,12 +231,6 @@ impl FabricConfig {
     /// Attach a rank → node placement (see [`NodeMap`]).
     pub fn with_nodes(mut self, nodes: NodeMap) -> Self {
         self.nodes = nodes;
-        self
-    }
-
-    /// Attach an inter-node cost profile (hybrid device).
-    pub fn with_inter_profile(mut self, profile: DeviceProfile) -> Self {
-        self.inter_profile = profile;
         self
     }
 
@@ -277,13 +257,6 @@ impl FabricConfig {
     /// Attach a deterministic fault-injection plan (see [`fault`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Enable (or disable) per-endpoint frame counters (see
-    /// [`counters::CountingEndpoint`]).
-    pub fn with_frame_counters(mut self, on: bool) -> Self {
-        self.frame_counters = on;
         self
     }
 }
@@ -367,7 +340,7 @@ pub trait Endpoint: Send {
         Vec::new()
     }
     /// Frame-level traffic counters, when the fabric was built with
-    /// [`FabricConfig::with_frame_counters`] (the [`counters`] wrapper
+    /// [`FabricConfig::frame_counters`] set (the [`counters`] wrapper
     /// implements this; plain devices report `None`).
     fn frame_stats(&self) -> Option<FrameStats> {
         None
@@ -461,6 +434,9 @@ impl Fabric {
     }
 }
 
+/// Capacity (in frames) of each rank's inbox before senders block.
+pub(crate) const INBOX_CAPACITY: usize = 64 * 1024;
+
 /// Shared alias used by the devices for their inbox implementation.
 pub(crate) type SharedMailbox = Arc<mailbox::Mailbox>;
 
@@ -498,7 +474,7 @@ mod tests {
 
     #[test]
     fn free_profile_charges_nothing() {
-        let p = DeviceProfile::free();
+        let p = DeviceProfile::default();
         assert_eq!(p.cost_for(1 << 20), Duration::ZERO);
         // must return immediately
         p.charge(1 << 20);

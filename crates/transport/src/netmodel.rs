@@ -85,15 +85,6 @@ impl NetworkModel {
             Some(Instant::now() + self.transfer_time(len))
         }
     }
-
-    /// Asymptotic payload bandwidth of the modelled link in bytes/s.
-    pub fn peak_bandwidth(&self) -> f64 {
-        if self.enabled {
-            self.bandwidth_bytes_per_sec
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 impl Default for NetworkModel {

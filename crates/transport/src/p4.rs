@@ -19,11 +19,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::error::{Result, TransportError};
+use crate::error::{check_rank, Result};
 use crate::frame::Frame;
 use crate::mailbox::Mailbox;
 use crate::nodemap::NodeMap;
-use crate::{DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox};
+use crate::{
+    DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox, INBOX_CAPACITY,
+};
 
 /// One rank's endpoint on the staged p4-style device.
 pub struct P4Endpoint {
@@ -44,7 +46,7 @@ pub struct P4Device;
 impl P4Device {
     /// Build `config.size` endpoints.
     pub fn build(config: &FabricConfig) -> Result<Vec<P4Endpoint>> {
-        let make = |_| Arc::new(Mailbox::new(config.inbox_capacity));
+        let make = |_| Arc::new(Mailbox::new(INBOX_CAPACITY));
         let inboxes: Arc<Vec<SharedMailbox>> = Arc::new((0..config.size).map(make).collect());
         let staging: Arc<Vec<SharedMailbox>> = Arc::new((0..config.size).map(make).collect());
         let nodes = Arc::new(config.nodes.clone());
@@ -63,17 +65,6 @@ impl P4Device {
 }
 
 impl P4Endpoint {
-    fn check_dst(&self, dst: usize) -> Result<()> {
-        if dst >= self.size {
-            Err(TransportError::RankOutOfRange {
-                rank: dst,
-                size: self.size,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Move one staged frame into this rank's inbox, performing the extra
     /// device-buffer copy that ch_p4 performs.
     fn deliver(&self, mut staged: Frame) -> Result<()> {
@@ -104,7 +95,7 @@ impl Endpoint for P4Endpoint {
 
     fn send(&self, frame: Frame) -> Result<()> {
         let dst = frame.header.dst as usize;
-        self.check_dst(dst)?;
+        check_rank(dst, self.size)?;
         self.profile.charge(frame.len());
         let due = self.network.due(frame.len());
         self.staging[dst].push(frame, due)

@@ -12,11 +12,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::error::{Result, TransportError};
+use crate::error::{check_rank, Result};
 use crate::frame::Frame;
 use crate::mailbox::Mailbox;
 use crate::nodemap::NodeMap;
-use crate::{DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox};
+use crate::{
+    DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox, INBOX_CAPACITY,
+};
 
 /// One rank's endpoint on the shared-memory device.
 pub struct ShmEndpoint {
@@ -36,7 +38,7 @@ impl ShmDevice {
     pub fn build(config: &FabricConfig) -> Result<Vec<ShmEndpoint>> {
         let inboxes: Arc<Vec<SharedMailbox>> = Arc::new(
             (0..config.size)
-                .map(|_| Arc::new(Mailbox::new(config.inbox_capacity)))
+                .map(|_| Arc::new(Mailbox::new(INBOX_CAPACITY)))
                 .collect(),
         );
         let nodes = Arc::new(config.nodes.clone());
@@ -53,19 +55,6 @@ impl ShmDevice {
     }
 }
 
-impl ShmEndpoint {
-    fn check_dst(&self, dst: usize) -> Result<()> {
-        if dst >= self.size {
-            Err(TransportError::RankOutOfRange {
-                rank: dst,
-                size: self.size,
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
 impl Endpoint for ShmEndpoint {
     fn rank(&self) -> usize {
         self.rank
@@ -77,7 +66,7 @@ impl Endpoint for ShmEndpoint {
 
     fn send(&self, frame: Frame) -> Result<()> {
         let dst = frame.header.dst as usize;
-        self.check_dst(dst)?;
+        check_rank(dst, self.size)?;
         self.profile.charge(frame.len());
         let due = self.network.due(frame.len());
         self.inboxes[dst].push(frame, due)
@@ -107,6 +96,7 @@ impl Endpoint for ShmEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TransportError;
     use crate::frame::{FrameHeader, FrameKind};
     use bytes::Bytes;
 

@@ -61,11 +61,9 @@
 //! With [`FabricConfig::spool_dir`] unset the device creates a fresh
 //! directory under the system temp dir and removes it when the last
 //! endpoint drops. An explicit spool dir is never removed: frames left
-//! in an inbox survive the process, and [`SpoolDevice::attach`] (or
-//! [`SpoolDevice::attach_within`], which bounds the wait for the root to
-//! appear with [`TransportError::Timeout`]) builds a fresh endpoint on
-//! the existing spool so a restarted or late-joining rank drains exactly
-//! the traffic that was addressed to it.
+//! in an inbox survive the process, and [`SpoolDevice::attach`] builds a
+//! fresh endpoint on the existing spool so a restarted or late-joining
+//! rank drains exactly the traffic that was addressed to it.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -76,7 +74,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
 
-use crate::error::{Result, TransportError};
+use crate::error::{check_rank, Result, TransportError};
 use crate::frame::{Frame, FrameHeader};
 use crate::nodemap::NodeMap;
 use crate::{DeviceKind, DeviceProfile, Endpoint, FabricConfig, PeerLiveness};
@@ -146,11 +144,10 @@ impl SpoolDevice {
 
     /// Attach a single endpoint to an *existing* spool root — the late
     /// join / restart entry point. The root must already exist (build a
-    /// fabric with an explicit [`FabricConfig::spool_dir`] first, or use
-    /// [`SpoolDevice::attach_within`] to wait for it); the attached
-    /// endpoint re-announces itself by rewriting its lease file and then
-    /// drains whatever frames are pending in its inbox. Never ephemeral:
-    /// attaching does not adopt ownership of the directory.
+    /// fabric with an explicit [`FabricConfig::spool_dir`] first); the
+    /// attached endpoint re-announces itself by rewriting its lease file
+    /// and then drains whatever frames are pending in its inbox. Never
+    /// ephemeral: attaching does not adopt ownership of the directory.
     pub fn attach(
         root: impl Into<PathBuf>,
         rank: usize,
@@ -158,9 +155,7 @@ impl SpoolDevice {
         lease: Duration,
     ) -> Result<SpoolEndpoint> {
         let root = root.into();
-        if rank >= size {
-            return Err(TransportError::RankOutOfRange { rank, size });
-        }
+        check_rank(rank, size)?;
         if !root.is_dir() {
             return Err(TransportError::InvalidConfig(format!(
                 "spool root {} does not exist",
@@ -181,33 +176,9 @@ impl SpoolDevice {
             rank,
             size,
             lease,
-            DeviceProfile::free(),
+            DeviceProfile::default(),
             NodeMap::flat(size),
         )
-    }
-
-    /// Like [`SpoolDevice::attach`], but waits up to `timeout` for the
-    /// spool root to appear first — a late-joining rank typically races
-    /// the fabric's builder. Fails with [`TransportError::Timeout`] if
-    /// the root never shows up.
-    pub fn attach_within(
-        root: impl Into<PathBuf>,
-        rank: usize,
-        size: usize,
-        lease: Duration,
-        timeout: Duration,
-    ) -> Result<SpoolEndpoint> {
-        let root = root.into();
-        let start = Instant::now();
-        while !root.is_dir() {
-            if start.elapsed() >= timeout {
-                return Err(TransportError::Timeout {
-                    waited: start.elapsed(),
-                });
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        SpoolDevice::attach(root, rank, size, lease)
     }
 }
 
@@ -373,12 +344,7 @@ impl Endpoint for SpoolEndpoint {
 
     fn send(&self, frame: Frame) -> Result<()> {
         let dst = frame.header.dst as usize;
-        if dst >= self.size {
-            return Err(TransportError::RankOutOfRange {
-                rank: dst,
-                size: self.size,
-            });
-        }
+        check_rank(dst, self.size)?;
         self.heartbeat();
         self.profile.charge(frame.len());
         let seq = {
@@ -593,24 +559,6 @@ mod tests {
         assert_eq!(f.header.tag, 7);
         assert_eq!(&f.payload[..], b"pending");
         fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn attach_within_times_out_on_a_missing_root() {
-        let root = temp_root("absent");
-        match SpoolDevice::attach_within(
-            &root,
-            0,
-            2,
-            Duration::from_millis(100),
-            Duration::from_millis(50),
-        ) {
-            Err(TransportError::Timeout { waited }) => {
-                assert!(waited >= Duration::from_millis(50));
-            }
-            Err(other) => panic!("expected Timeout, got {other}"),
-            Ok(_) => panic!("attach to a missing root should time out"),
-        }
     }
 
     #[test]

@@ -20,11 +20,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::error::{Result, TransportError};
+use crate::error::{check_rank, Result, TransportError};
 use crate::frame::{Frame, FrameHeader};
 use crate::mailbox::Mailbox;
 use crate::nodemap::NodeMap;
-use crate::{DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox};
+use crate::{
+    DeviceKind, DeviceProfile, Endpoint, FabricConfig, NetworkModel, SharedMailbox, INBOX_CAPACITY,
+};
 
 /// One rank's endpoint on the TCP device.
 pub struct TcpEndpoint {
@@ -48,7 +50,7 @@ impl TcpDevice {
     pub fn build(config: &FabricConfig) -> Result<Vec<TcpEndpoint>> {
         let n = config.size;
         let inboxes: Vec<SharedMailbox> = (0..n)
-            .map(|_| Arc::new(Mailbox::new(config.inbox_capacity)))
+            .map(|_| Arc::new(Mailbox::new(INBOX_CAPACITY)))
             .collect();
         let mut writers: Vec<HashMap<usize, Arc<Mutex<TcpStream>>>> =
             (0..n).map(|_| HashMap::new()).collect();
@@ -159,12 +161,7 @@ impl Endpoint for TcpEndpoint {
 
     fn send(&self, frame: Frame) -> Result<()> {
         let dst = frame.header.dst as usize;
-        if dst >= self.size {
-            return Err(TransportError::RankOutOfRange {
-                rank: dst,
-                size: self.size,
-            });
-        }
+        check_rank(dst, self.size)?;
         self.profile.charge(frame.len());
         if dst == self.rank {
             // Loopback: no socket to ourselves, deliver directly.

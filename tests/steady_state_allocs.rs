@@ -46,6 +46,18 @@
 //! would allocate inside another row's window. The `MPIJAVA_*`
 //! environment applies, so the same counts are checked with the
 //! background progress thread on and with every send a rendezvous.
+//!
+//! With every send a rendezvous (`MPIJAVA_EAGER_LIMIT=0`) the `rs` batch
+//! row reads 1.002–1.005 allocations ≥ 1 KiB in about one run of three,
+//! just over its bound. The extra one is a single 2,048-byte `realloc`:
+//! the receiving rank's `Mailbox` inbox (the `VecDeque` its `push`
+//! appends to, in `mpi-transport`'s `mailbox.rs`) doubles when the
+//! sender's rendezvous-ack handler (`on_rendezvous_ack` in
+//! `mpi-native`'s `p2p.rs`) ships data frames faster than the receiver
+//! drains them. That is a high-water mark the inbox reaches once per
+//! process, whenever the timing first lets the queue grow that deep,
+//! not a steady-state allocation; sizing the inbox when the mailbox is
+//! built would remove it, at a cost to every job's bring-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
