@@ -180,8 +180,8 @@
 //! hits a compute-bound target without waiting for it to enter an MPI
 //! call. The engine is serialized behind a mutex, so the binding
 //! provides [`ThreadLevel::Multiple`] regardless of the level requested
-//! via [`MpiRuntime::thread_level`] (the progress thread itself only
-//! needs `Serialized`).
+//! through [`MPI::init_thread`] (the progress thread itself only needs
+//! `Serialized`).
 //!
 //! ### Observability: counters, metrics, and cross-rank timelines
 //!
@@ -333,7 +333,7 @@ impl Spent for bytes::Bytes {
 /// The engine sits behind a per-rank mutex, so every call is internally
 /// serialized and the binding always *provides*
 /// [`Multiple`](ThreadLevel::Multiple) — the requested level passed to
-/// [`MpiRuntime::thread_level`] is a floor, never a cap. The background
+/// [`MPI::init_thread`] is a floor, never a cap. The background
 /// progress thread ([`ProgressMode::Thread`]) needs `Serialized`
 /// internally, which is therefore always available.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -592,7 +592,6 @@ impl MPI {
 #[derive(Debug, Clone)]
 pub struct MpiRuntime {
     config: UniverseConfig,
-    thread_level: ThreadLevel,
     jni: JniConfig,
 }
 
@@ -601,7 +600,6 @@ impl MpiRuntime {
     pub fn new(size: usize) -> MpiRuntime {
         MpiRuntime {
             config: UniverseConfig::new(size, DeviceKind::ShmFast),
-            thread_level: ThreadLevel::Single,
             jni: JniConfig::default(),
         }
     }
@@ -704,15 +702,6 @@ impl MpiRuntime {
         self.with(|c| c.with_trace_dir(dir))
     }
 
-    /// Request a thread support level (`MPI_Init_thread`'s `required`).
-    /// The binding always provides [`ThreadLevel::Multiple`] (the engine
-    /// is mutex-serialized), so every request is honored;
-    /// [`MPI::query_thread`] reports the provided level.
-    pub fn thread_level(mut self, level: ThreadLevel) -> Self {
-        self.thread_level = level;
-        self
-    }
-
     /// Configure the simulated JNI boundary (marshal mode, per-call cost).
     pub fn jni(mut self, config: JniConfig) -> Self {
         self.jni = config;
@@ -721,7 +710,7 @@ impl MpiRuntime {
 
     /// Start `size` ranks, each running `f` with its own [`MPI`]
     /// environment, and return the per-rank results in rank order:
-    /// [`Universe::launch`] plus `MPI.Init_thread` and, in
+    /// [`Universe::launch`] plus `MPI.Init` and, in
     /// [`ProgressMode::Thread`], the background progress thread around
     /// `f` (stopped and joined before the rank's result is returned).
     pub fn run<T, F>(&self, f: F) -> MpiResult<Vec<T>>
@@ -730,7 +719,7 @@ impl MpiRuntime {
         F: Fn(&MPI) -> MpiResult<T> + Send + Sync,
     {
         Universe::launch(self.config.clone(), |engine, progress| {
-            let (mpi, _provided) = MPI::init_thread(engine, self.jni, self.thread_level);
+            let mpi = MPI::init(engine, self.jni);
             let _progress = (progress == ProgressMode::Thread)
                 .then(|| ProgressThread::spawn(Arc::clone(&mpi.env)));
             f(&mpi)

@@ -135,7 +135,6 @@ impl From<mpi_transport::TransportError> for MpiError {
     fn from(e: mpi_transport::TransportError) -> Self {
         let class = match &e {
             mpi_transport::TransportError::RankFailed { .. } => ErrorClass::RankFailed,
-            mpi_transport::TransportError::Timeout { .. } => ErrorClass::Timeout,
             _ => ErrorClass::Transport,
         };
         MpiError::new(class, e.to_string())
@@ -200,10 +199,5 @@ mod tests {
         let e: MpiError = mpi_transport::TransportError::RankFailed { rank: 2 }.into();
         assert_eq!(e.class, ErrorClass::RankFailed);
         assert!(e.message.contains('2'));
-        let e: MpiError = mpi_transport::TransportError::Timeout {
-            waited: std::time::Duration::from_millis(10),
-        }
-        .into();
-        assert_eq!(e.class, ErrorClass::Timeout);
     }
 }

@@ -14,13 +14,11 @@
 //! * when a rank is declared dead, `Engine::on_rank_failed` sweeps the
 //!   engine: posted receives that can only be satisfied by the dead rank
 //!   (specific-source matches, and — conservatively — `ANY_SOURCE`
-//!   receives on any communicator containing it) fail, un-acked
-//!   rendezvous sends to it fail (a streamed send waiting for its grant
-//!   among them), granted receives still waiting for its data — a window
-//!   receive part way through a stream included — fail, in-flight
-//!   collective schedules on any communicator containing it are quiesced
-//!   with the error, and RMA epochs over such communicators refuse to
-//!   sync;
+//!   receives on any communicator containing it) fail, rendezvous sends
+//!   it has not granted fail, granted receives still waiting for its
+//!   data fail, in-flight collective schedules on any communicator
+//!   containing it are quiesced with the error, and RMA epochs over such
+//!   communicators refuse to sync;
 //! * new operations naming a dead rank fail immediately at the posting
 //!   entry points;
 //! * failure is permanent: a restarted process re-attaches to its spool
@@ -178,9 +176,8 @@ impl Engine {
             None => member(p.comm),
         });
 
-        // Un-acked rendezvous sends to the dead rank (staged or streamed),
-        // and granted rendezvous receives awaiting its data frames (one
-        // frame, or the rest of a stream).
+        // Rendezvous sends the dead rank has not granted, and granted
+        // receives awaiting its data frames.
         let dead_u32 = dead as u32;
         self.pending_rendezvous.retain(|_, p| {
             let hit = p.dst_world == dead_u32;

@@ -16,25 +16,25 @@
 //!   and completes. Because the ack is only generated once a matching
 //!   receive exists, this doubles as the synchronous-mode completion rule.
 //!
-//! What the ack grants depends on the receive. One that holds a window —
-//! [`Engine::recv_into`], behind the classic dense `Recv` — and that the
-//! message fits is granted *chunks* of [`RENDEZVOUS_CHUNK`] bytes: it
-//! copies each into place as it lands and pools the chunk's buffer. Any
-//! other receive — [`Engine::recv`]'s `Bytes`, an `irecv`, a schedule
-//! slot, a receive the message would truncate — is granted *one frame*,
-//! which becomes its completion as it is, so none of them gains a copy.
+//! The grant alone decides a rendezvous's frame shape. A receive that
+//! holds a window — [`Engine::recv_into`], behind the classic dense
+//! `Recv` — and that the message fits is granted *chunks* of
+//! [`RENDEZVOUS_CHUNK`] bytes: it copies each into place as it lands and
+//! pools the chunk's buffer. Any other receive — [`Engine::recv`]'s
+//! `Bytes`, an `irecv`, a schedule slot, an RMA channel, a receive the
+//! message would truncate — is granted the whole message, whose one frame
+//! becomes its completion as it is, so none of them gains a copy.
 //!
-//! What the sender ships depends on whether it staged the payload before
-//! announcing it. An owned or already-staged payload ([`Engine::isend`],
-//! [`Engine::isend_bytes`], a persistent `start`, collective rounds,
-//! RMA) ships as one frame at offset 0, whatever was granted — a window
-//! receive takes that as one chunk. A blocking send of a borrowed
-//! window ([`Engine::send`], [`Engine::send_staged`]) stages nothing
-//! until the grant, then stages and ships one granted frame at a time:
-//! its staging of chunk `k + 1` overlaps the receiver's copy of chunk
-//! `k`, so a large message costs about one copy's time, not two. The
-//! grant and the offset ride in the header's `msg_len` field (see
-//! [`FrameHeader`]); either way the sender's trace bracket
+//! Every granted send ships data frames of at most its grant, back to
+//! back, each carrying its byte offset in the header's `msg_len` field
+//! (see [`FrameHeader`]). A payload the send holds ([`Engine::isend`],
+//! [`Engine::isend_bytes`], a persistent `start`, collective rounds, RMA)
+//! leaves as zero-copy slices of itself the moment the grant arrives. A
+//! blocking send of a borrowed window ([`Engine::send`],
+//! [`Engine::send_staged`]) stages nothing until the grant, then stages
+//! and ships one frame at a time: its staging of chunk `k + 1` overlaps
+//! the receiver's copy of chunk `k`, so a large message costs about one
+//! copy's time, not two. Either way the sender's trace bracket
 //! (`send_rendezvous`) closes when its last frame leaves, and the
 //! receiver logs one `rendezvous_data` when its last byte lands.
 //!
@@ -79,11 +79,11 @@
 //! | eager send ([`Engine::isend`], [`Engine::isend_staged`]) | user slice → staging buffer | ≤ [`bytes::INLINE_CAP`] bytes: copied into the `Bytes` itself (no allocation); ≥ 1 KiB: refilled into a pooled `Bytes` or `Vec`; between: a fresh `Vec` wrapped as `Bytes` | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
 //! | eager send ([`Engine::isend_bytes`]) | user `Bytes` → frame | refcount move | 0 |
 //! | eager delivery | frame → inbox → completion | the *same* `Bytes` end to end | 0 |
-//! | rendezvous send ([`Engine::isend`]) | user slice → `PendingRendezvous` | pooled copy, held until the ack | 1 |
-//! | rendezvous data | held `Bytes` → data frame | refcount move | 0 |
-//! | streamed rendezvous send ([`Engine::send`], [`Engine::send_staged`]) | user slice → one data frame per granted chunk | after the grant, `extend_from_slice` of each chunk into a pooled buffer, shipped at once | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
+//! | rendezvous send ([`Engine::isend`]) | user slice → the send request | pooled copy, held until the grant | 1 |
+//! | rendezvous data of a held payload ([`Engine::isend`], [`Engine::isend_bytes`]) | held `Bytes` → one data frame per granted chunk | `Bytes::slice`, a refcount move | 0 |
+//! | rendezvous data of a window ([`Engine::send`], [`Engine::send_staged`]) | user slice → one data frame per granted chunk | after the grant, `extend_from_slice` of each chunk into a pooled buffer, shipped at once | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
 //! | receive completion ([`Engine::recv`]) | completion → caller | `Bytes` handover | 0 |
-//! | [`Engine::recv_into`] | completion `Bytes`, or each streamed chunk as it lands → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
+//! | [`Engine::recv_into`] | completion `Bytes`, or each granted chunk as it lands → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
 //!
 //! End to end, a transfer therefore costs exactly one copy on the send
 //! side (zero via [`Engine::isend_bytes`]) and exactly one on the receive
@@ -144,7 +144,7 @@
 //! | classic `Sendrecv` (and the `rs` `sendrecv`) | `Copy` | 1: the block copy across the boundary into a buffer from the engine's staging pool; that buffer is the message | — |
 //! | the same two rows | `Pin` | 1: the engine's staging copy of the lent slice | — |
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
-//! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view, chunk by chunk as a streamed rendezvous lands |
+//! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view, chunk by chunk as a chunk-granted rendezvous lands |
 //! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window, which then goes to the staging pool |
 //! | classic `Reduce`, `Allreduce`, `Reduce_scatter`, `Scan` (and the blocking `rs` reductions, which forward to them) | `Copy` / `Pin` | 1 / 1: the boundary block copy is the schedule's input buffer, moved in (a ring allreduce folds into it and returns it as the result) / the engine's copy of the lent slice into that input | — |
 //!
@@ -312,17 +312,12 @@ pub enum Staging {
 }
 
 /// A rendezvous announced on the sender side, until the receiver grants
-/// it. `data` is the payload staged at the `isend` boundary, copied
-/// exactly once into a pooled buffer (everything after is refcount
-/// moves), or `None` for a streamed send, which stages the caller's
-/// window only once granted ([`Engine::send_staged`]).
+/// it: the send request that holds its progress, and the receiver (for
+/// the failure sweep, [`crate::failure`]).
 #[derive(Debug)]
 pub(crate) struct PendingRendezvous {
     pub req: u64,
     pub dst_world: u32,
-    pub context: u32,
-    pub tag: i32,
-    pub data: Option<Bytes>,
 }
 
 /// Book-keeping for `MPI_Buffer_attach` / `MPI_Buffer_detach`.
@@ -595,20 +590,19 @@ impl Engine {
     }
 
     /// Announce a `len`-byte rendezvous: the request waits for the
-    /// receiver's grant, which ships `data` (see `on_rendezvous_ack`),
-    /// or — with nothing staged — hands the grant to the streaming
-    /// sender ([`Engine::send_staged`]).
+    /// receiver's grant, which ships the `held` payload at once, or —
+    /// with nothing held — lets the blocking sender ship its window
+    /// ([`Engine::send_staged`]); see `ship`.
     fn announce(
         &mut self,
         comm: CommHandle,
         dest: usize,
         tag: i32,
         len: usize,
-        data: Option<Bytes>,
+        held: Option<Bytes>,
         collective: bool,
     ) -> Result<RequestId> {
         let token = self.next_token();
-        let req = self.alloc_request(RequestState::SendPendingRendezvous);
         let header = self.make_header(
             comm,
             dest,
@@ -618,21 +612,23 @@ impl Engine {
             len as u64,
             collective,
         )?;
+        let req = self.alloc_request(RequestState::SendRendezvous {
+            grant: None,
+            held,
+            freed: false,
+        });
         self.pending_rendezvous.insert(
             token,
             PendingRendezvous {
                 req: req.0,
                 dst_world: header.dst,
-                context: header.context,
-                tag,
-                data,
             },
         );
         self.endpoint.send(Frame::control(header))?;
         self.stats.rendezvous_sends += 1;
         // The matching End is emitted when the last data frame ships
-        // (`on_rendezvous_ack`, or `stream`), bracketing the handshake.
-        // The token stamp joins this interval with the receiver's events.
+        // (`ship`), bracketing the handshake. The token stamp joins this
+        // interval with the receiver's events.
         self.emit(
             EventKind::SendRendezvous,
             EventPhase::Begin,
@@ -771,7 +767,8 @@ impl Engine {
     /// `(sender, token)`, and the sender gets its ack. A `window` receive
     /// whose `max_len` the message fits is granted chunks of
     /// [`RENDEZVOUS_CHUNK`] bytes, which [`Engine::recv_into`] copies out
-    /// as they land; any other is granted one frame, which completes it.
+    /// as they land; any other is granted the whole message, whose one
+    /// frame completes it.
     pub(crate) fn grant_rendezvous(
         &mut self,
         req: u64,
@@ -794,25 +791,22 @@ impl Engine {
         );
         self.awaiting_rendezvous_data
             .insert((msg.src_world, msg.token), req);
-        let (src, tag) = (src as i32, msg.tag);
-        let total = usize::try_from(msg.msg_len).ok();
-        let (state, frame_len) = match (total, max_len) {
-            (Some(total), Some(cap)) if window && total <= cap => (
-                RequestState::RecvStreaming {
-                    src,
-                    tag,
-                    total,
-                    received: 0,
-                    landed: None,
-                },
-                RENDEZVOUS_CHUNK as u64,
-            ),
-            _ => (
-                RequestState::RecvAwaitingData { src, tag, max_len },
-                msg.msg_len,
-            ),
+        let total = usize::try_from(msg.msg_len).unwrap_or(usize::MAX);
+        let grant = match max_len {
+            Some(cap) if window && total <= cap => RENDEZVOUS_CHUNK as u64,
+            _ => msg.msg_len,
         };
-        self.requests.insert(req, state);
+        self.requests.insert(
+            req,
+            RequestState::RecvRendezvous {
+                src: src as i32,
+                tag: msg.tag,
+                max_len,
+                total,
+                received: 0,
+                landed: None,
+            },
+        );
         let ack = FrameHeader {
             kind: FrameKind::RendezvousAck,
             src: self.world_rank as u32,
@@ -820,7 +814,7 @@ impl Engine {
             tag: msg.tag,
             context,
             token: msg.token,
-            msg_len: frame_len,
+            msg_len: grant,
         };
         self.endpoint.send(Frame::control(ack))?;
         Ok(())
@@ -870,48 +864,61 @@ impl Engine {
         }
         self.stats.bytes_sent += data.len() as u64;
         let req = self.announce(comm, dest, tag, data.len(), None, false)?;
-        let (header, frame_len) = self.block_on(|engine| engine.granted(req))?;
-        self.stream(header, frame_len, data, staging)
-    }
-
-    /// The streamed send `req`'s grant, once it has come: the header its
-    /// data frames carry and the most bytes one may hold. The request
-    /// leaves the table with it.
-    fn granted(&mut self, req: RequestId) -> Result<Option<(FrameHeader, usize)>> {
-        match self.requests.get(req.0) {
-            Some(RequestState::SendPendingRendezvous) => Ok(None),
-            Some(&RequestState::SendGranted { header, frame_len }) => {
-                self.requests.remove(req.0);
-                Ok(Some((header, frame_len)))
+        self.block_on(|engine| {
+            engine.ship(req.0, Some((data, staging)))?;
+            if !engine.is_complete(req)? {
+                return Ok(None);
             }
-            // Failed: the receiver died before granting.
-            _ => Err(self.take_completion(req).err().unwrap_or_else(|| {
-                MpiError::new(ErrorClass::Intern, "streamed send completed ungranted")
-            })),
-        }
+            engine.take_completion(req).map(|_| Some(()))
+        })
     }
 
-    /// Stage `data` into data frames of at most `frame_len` bytes and ship
-    /// each as soon as it is staged (at least one frame, so an empty
-    /// message still completes its receive).
-    fn stream(
-        &mut self,
-        mut header: FrameHeader,
-        frame_len: usize,
-        data: &[u8],
-        staging: Staging,
-    ) -> Result<()> {
-        let frame_len = frame_len.max(1);
-        let mut offset = 0usize;
+    /// Ship rendezvous send `req` once it is granted: its data frames,
+    /// back to back, each of at most the grant — zero-copy slices of the
+    /// payload it holds, or else chunks of `window` staged one at a time
+    /// (at least one frame, so an empty message still completes its
+    /// receive). The last frame completes the send. Does nothing before
+    /// the grant, nor to a send that holds nothing until its owner brings
+    /// the window.
+    fn ship(&mut self, req: u64, window: Option<(&[u8], Staging)>) -> Result<()> {
+        let (ack, mut held, freed) = match self.requests.get_mut(req) {
+            Some(RequestState::SendRendezvous {
+                grant: Some(ack),
+                held,
+                freed,
+            }) if held.is_some() || window.is_some() => (*ack, held.take(), *freed),
+            _ => return Ok(()),
+        };
+        let mut header = FrameHeader {
+            kind: FrameKind::RendezvousData,
+            src: ack.dst,
+            dst: ack.src,
+            ..ack
+        };
+        let grant = usize::try_from(ack.msg_len).unwrap_or(usize::MAX).max(1);
+        let (data, staging) = window.unwrap_or((&[], Staging::Engine));
+        let len = held.as_ref().map_or(data.len(), Bytes::len);
+        let mut at = 0usize;
         loop {
-            let end = data.len().min(offset.saturating_add(frame_len));
-            header.msg_len = offset as u64;
-            let chunk = self.stage(&data[offset..end], staging);
+            let end = len.min(at.saturating_add(grant));
+            header.msg_len = at as u64;
+            let chunk = match &mut held {
+                // The last slice takes the held reference along, so the
+                // receiver's last recycle can pool the whole buffer.
+                Some(payload) if end == len => std::mem::take(payload).slice(at..),
+                Some(payload) => payload.slice(at..end),
+                None => self.stage(&data[at..end], staging),
+            };
             self.endpoint.send(Frame::new(header, chunk))?;
-            offset = end;
-            if offset == data.len() {
+            at = end;
+            if at == len {
                 break;
             }
+        }
+        if freed {
+            self.requests.remove(req);
+        } else {
+            self.requests.set(req, RequestState::SendComplete);
         }
         self.emit(
             EventKind::SendRendezvous,
@@ -919,7 +926,7 @@ impl Engine {
             [
                 header.dst as i64,
                 header.tag as i64,
-                data.len() as i64,
+                len as i64,
                 header.token as i64,
                 0,
             ],
@@ -958,7 +965,7 @@ impl Engine {
     /// Blocking receive straight into a caller buffer: the single
     /// receive-side payload copy of the datapath. A rendezvous that fits
     /// `buf` is granted in chunks, and each is copied into place as it
-    /// lands, while the sender stages the next; anything else completes
+    /// lands, while the sender ships the next; anything else completes
     /// in one buffer, copied once it is whole. Every spent buffer whose
     /// last reference this was goes to the staging pool. Returns the
     /// status; `status.count_bytes` says how much of `buf` was filled.
@@ -971,7 +978,8 @@ impl Engine {
     ) -> Result<StatusInfo> {
         let req = self.post_recv(comm, src, tag, Some(buf.len()), false, true)?;
         self.block_on(|engine| {
-            if !engine.deliver_landed(req, buf) {
+            engine.deliver_landed(req, buf);
+            if !engine.is_complete(req)? {
                 return Ok(None);
             }
             let completion = engine.take_completion(req)?;
@@ -986,32 +994,44 @@ impl Engine {
     }
 
     /// One look at [`Engine::recv_into`]'s receive `req`: copy the chunk
-    /// of a stream that landed, if any, into its place in `buf` and pool
-    /// its buffer. Returns whether the receive is complete. The loop of
-    /// `recv_into` looks after every frame it pumps, so at most one chunk
-    /// waits at a time.
-    fn deliver_landed(&mut self, req: RequestId, buf: &mut [u8]) -> bool {
-        let (offset, chunk, done) = match self.requests.get_mut(req.0) {
-            Some(RequestState::RecvPending { .. } | RequestState::RecvAwaitingData { .. }) => {
-                return false
-            }
-            Some(RequestState::RecvStreaming {
-                landed,
-                received,
-                total,
-                ..
-            }) => match landed.take() {
-                Some((offset, chunk)) => (offset, chunk, received == total),
-                None => return false,
-            },
-            _ => return true,
+    /// that landed, if any, into its place in `buf` and pool its buffer;
+    /// the last chunk completes the receive. The loop of `recv_into`
+    /// looks after every frame it pumps, so at most one chunk waits at a
+    /// time.
+    fn deliver_landed(&mut self, req: RequestId, buf: &mut [u8]) {
+        let Some(RequestState::RecvRendezvous {
+            src,
+            tag,
+            total,
+            received,
+            landed,
+            ..
+        }) = self.requests.get_mut(req.0)
+        else {
+            return;
+        };
+        let Some((offset, chunk)) = landed.take() else {
+            return;
         };
         // The grant bounded the message by `buf`, and every chunk by the
         // message (`on_rendezvous_data`).
         buf[offset..offset + chunk.len()].copy_from_slice(&chunk);
         self.stats.bytes_copied += chunk.len() as u64;
+        if received == total {
+            let status = StatusInfo {
+                source: *src,
+                tag: *tag,
+                count_bytes: *total,
+                ..StatusInfo::empty()
+            };
+            let done = RequestState::RecvComplete {
+                data: Bytes::new(),
+                status,
+                error: None,
+            };
+            self.requests.insert(req.0, done);
+        }
         self.recycle(chunk);
-        done
     }
 
     /// `MPI_Sendrecv`: exchange with possibly different partners without
@@ -1237,9 +1257,8 @@ impl Engine {
         }
     }
 
-    /// The receiver granted a rendezvous: ship the staged payload as one
-    /// frame at offset 0, whose `Bytes` is the held buffer itself, or
-    /// hand a streamed send its grant.
+    /// The receiver granted a rendezvous: record the grant, and ship what
+    /// the send holds (see `ship`).
     fn on_rendezvous_ack(&mut self, frame: Frame) -> Result<()> {
         let token = frame.header.token;
         let Some(pending) = self.pending_rendezvous.remove(&token) else {
@@ -1248,36 +1267,17 @@ impl Engine {
                 format!("rendezvous ack for unknown token {token}"),
             );
         };
-        let header = FrameHeader {
-            kind: FrameKind::RendezvousData,
-            src: self.world_rank as u32,
-            dst: pending.dst_world,
-            tag: pending.tag,
-            context: pending.context,
-            token,
-            msg_len: 0,
-        };
-        let Some(data) = pending.data else {
-            let frame_len = usize::try_from(frame.header.msg_len).unwrap_or(usize::MAX);
-            self.requests
-                .set(pending.req, RequestState::SendGranted { header, frame_len });
-            return Ok(());
-        };
-        let total = data.len() as i64;
-        self.endpoint.send(Frame::new(header, data))?;
-        self.requests.set(pending.req, RequestState::SendComplete);
-        self.emit(
-            EventKind::SendRendezvous,
-            EventPhase::End,
-            [header.dst as i64, header.tag as i64, total, token as i64, 0],
-        );
-        Ok(())
+        if let Some(RequestState::SendRendezvous { grant, .. }) = self.requests.get_mut(pending.req)
+        {
+            *grant = Some(frame.header);
+        }
+        self.ship(pending.req, None)
     }
 
-    /// A data frame of a granted rendezvous lands at its offset. One
-    /// frame completes a receive granted one; a streamed receive parks
-    /// each chunk for [`Engine::recv_into`] to copy out, and its grant
-    /// ends with the last byte.
+    /// A data frame of a granted rendezvous lands at its offset, the next
+    /// one the receive expects. A frame that carries the whole message
+    /// completes the receive; a chunk parks for [`Engine::recv_into`] to
+    /// copy out. The grant ends with the last byte.
     fn on_rendezvous_data(&mut self, frame: Frame) -> Result<()> {
         let key = (frame.header.src, frame.header.token);
         let Some(&req) = self.awaiting_rendezvous_data.get(&key) else {
@@ -1288,33 +1288,37 @@ impl Engine {
         };
         let (offset, len) = (frame.header.msg_len, frame.payload.len());
         let total = match self.requests.get_mut(req) {
-            Some(RequestState::RecvStreaming {
+            Some(RequestState::RecvRendezvous {
+                src,
+                tag,
+                max_len,
                 total,
                 received,
                 landed,
-                ..
             }) => {
-                let at = usize::try_from(offset).ok().filter(|&at| {
-                    landed.is_none() && at.checked_add(len).is_some_and(|end| end <= *total)
-                });
-                let Some(at) = at else {
+                let in_place = landed.is_none()
+                    && offset == *received as u64
+                    && received.checked_add(len).is_some_and(|end| end <= *total);
+                if !in_place {
                     return err(
                         ErrorClass::Intern,
                         format!("rendezvous data at offset {offset} out of place for {key:?}"),
                     );
-                };
-                self.stats.bytes_received += len as u64;
-                *landed = Some((at, frame.payload));
-                *received += len;
-                if *received < *total {
-                    return Ok(());
                 }
-                *total
-            }
-            Some(&mut RequestState::RecvAwaitingData { src, tag, max_len }) => {
-                // The frame's buffer *is* the received payload. No copy.
-                self.complete_recv(req, frame.payload, src, tag, max_len);
-                len
+                if len == *total {
+                    // The frame's buffer *is* the received payload. No copy.
+                    let (src, tag, max_len) = (*src, *tag, *max_len);
+                    self.complete_recv(req, frame.payload, src, tag, max_len);
+                    len
+                } else {
+                    self.stats.bytes_received += len as u64;
+                    *landed = Some((*received, frame.payload));
+                    *received += len;
+                    if *received < *total {
+                        return Ok(());
+                    }
+                    *total
+                }
             }
             // A receive freed (`MPI_Request_free`) after it matched the
             // envelope has no buffer left: its data is swallowed.

@@ -64,20 +64,17 @@ impl Completion {
 pub(crate) enum RequestState {
     /// Receive posted on `context`, not yet matched.
     RecvPending { context: u32 },
-    /// Receive matched a rendezvous envelope; waiting for the data frame.
-    RecvAwaitingData {
+    /// Receive that granted a rendezvous of `total` bytes (see
+    /// [`crate::p2p`]'s protocol notes): `received` of them have landed,
+    /// and `landed` holds the chunk (with its offset) that
+    /// [`Engine::recv_into`] has not copied into its window yet. A frame
+    /// carrying the whole message makes it `RecvComplete` with that very
+    /// buffer; the last chunk copied out makes it `RecvComplete` with no
+    /// bytes, which are in the window already.
+    RecvRendezvous {
         src: i32,
         tag: i32,
         max_len: Option<usize>,
-    },
-    /// A window receive ([`Engine::recv_into`]) granted a streamed
-    /// rendezvous of `total` bytes: `received` of them have landed, and
-    /// `landed` holds the chunk (with its offset) not yet copied into the
-    /// window. Complete once every byte has landed and been copied; its
-    /// completion carries no data, which is in the window already.
-    RecvStreaming {
-        src: i32,
-        tag: i32,
         total: usize,
         received: usize,
         landed: Option<(usize, Bytes)>,
@@ -88,14 +85,17 @@ pub(crate) enum RequestState {
         status: StatusInfo,
         error: Option<MpiError>,
     },
-    /// Send waiting for its rendezvous acknowledgement.
-    SendPendingRendezvous,
-    /// A streamed send ([`Engine::send_staged`]) the receiver granted:
-    /// the header its data frames carry, and the most payload bytes one
-    /// may hold.
-    SendGranted {
-        header: FrameHeader,
-        frame_len: usize,
+    /// Rendezvous send (see [`crate::p2p`]'s protocol notes). `grant` is
+    /// the receiver's ack once it has come, whose `msg_len` is the most
+    /// payload bytes one data frame may carry. `held` is the payload
+    /// staged or handed over at the send, or `None` for a blocking send's
+    /// window ([`Engine::send_staged`]), staged only once granted. A
+    /// `freed` send ([`Engine::request_free`]) leaves the table when it
+    /// ships instead of completing.
+    SendRendezvous {
+        grant: Option<FrameHeader>,
+        held: Option<Bytes>,
+        freed: bool,
     },
     /// Send finished.
     SendComplete,
@@ -238,10 +238,8 @@ impl Requests {
         for state in self.entries.values_mut() {
             let incomplete = match state {
                 RequestState::RecvPending { .. }
-                | RequestState::RecvAwaitingData { .. }
-                | RequestState::RecvStreaming { .. }
-                | RequestState::SendPendingRendezvous
-                | RequestState::SendGranted { .. } => true,
+                | RequestState::RecvRendezvous { .. }
+                | RequestState::SendRendezvous { .. } => true,
                 RequestState::Coll(st) => !st.is_finished(),
                 _ => false,
             };
@@ -283,16 +281,9 @@ impl Engine {
             | RequestState::SendComplete
             | RequestState::Cancelled
             | RequestState::Failed(_) => true,
-            RequestState::RecvStreaming {
-                total,
-                received,
-                landed,
-                ..
-            } => received == total && landed.is_none(),
             RequestState::RecvPending { .. }
-            | RequestState::RecvAwaitingData { .. }
-            | RequestState::SendPendingRendezvous
-            | RequestState::SendGranted { .. } => false,
+            | RequestState::RecvRendezvous { .. }
+            | RequestState::SendRendezvous { .. } => false,
             RequestState::Coll(st) => st.is_finished(),
             RequestState::Persistent(p) => match p.active {
                 Some(inner) => self.is_complete(inner)?,
@@ -318,22 +309,6 @@ impl Engine {
                     data: Some(data),
                 }),
             },
-            RequestState::RecvStreaming {
-                src,
-                tag,
-                total,
-                received,
-                landed: None,
-            } if received == total => Ok(Completion {
-                status: StatusInfo {
-                    source: src,
-                    tag,
-                    count_bytes: total,
-                    cancelled: false,
-                    index: 0,
-                },
-                data: None,
-            }),
             RequestState::SendComplete => Ok(Completion::empty()),
             RequestState::Cancelled => {
                 let mut status = StatusInfo::empty();
@@ -413,7 +388,7 @@ impl Engine {
         let context = match self.entry(req)? {
             &RequestState::RecvPending { context } => context,
             RequestState::RecvComplete { .. } | RequestState::SendComplete => return Ok(()),
-            RequestState::SendPendingRendezvous | RequestState::SendGranted { .. } => {
+            RequestState::SendRendezvous { .. } => {
                 return err(
                     ErrorClass::Unsupported,
                     "cancelling an in-flight send is not supported",
@@ -441,13 +416,20 @@ impl Engine {
     /// withdrawn; what cannot be withdrawn — an `i*` collective, or a
     /// persistent operation's started iteration — is driven to
     /// completion and its outcome discarded, errors included (they were
-    /// the operation's, not the free's).
+    /// the operation's, not the free's). A rendezvous send waiting for its
+    /// grant stays until the grant ships it, and then leaves the table.
     pub fn request_free(&mut self, req: RequestId) -> Result<()> {
         if let RequestState::Coll(st) = self.entry(req)? {
             if !st.is_finished() {
                 self.discard(req);
                 return Ok(());
             }
+        }
+        if let Some(RequestState::SendRendezvous { freed, .. }) = self.requests.get_mut(req.0) {
+            // Its receiver may have matched it already: the grant still
+            // ships it.
+            *freed = true;
+            return Ok(());
         }
         match self.requests.remove(req.0).ok_or_else(|| unknown(req))? {
             RequestState::RecvPending { context } => self.matching.withdraw(context, req.0),
@@ -785,6 +767,32 @@ mod tests {
                 assert!(engine.cancel(id).is_err());
                 assert!(engine.start(id, Cow::Borrowed(&[])).is_err());
                 assert!(engine.request_free(id).is_err());
+            }
+            engine.finalize().unwrap();
+        })
+        .unwrap();
+    }
+
+    /// A rendezvous send freed before its grant still ships when the
+    /// receiver grants it, and its entry leaves the table then.
+    #[test]
+    fn a_freed_rendezvous_send_still_ships() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            let payload = vec![3u8; 1 << 20];
+            if engine.world_rank() == 0 {
+                let req = engine
+                    .isend(COMM_WORLD, 1, 7, &payload, SendMode::Standard)
+                    .unwrap();
+                engine.request_free(req).unwrap();
+                // The reply follows the grant on the same pair.
+                engine.recv(COMM_WORLD, 1, 8, None).unwrap();
+                assert!(engine.is_complete(req).is_err(), "the entry stayed");
+            } else {
+                let (data, _) = engine.recv(COMM_WORLD, 0, 7, None).unwrap();
+                assert!(data == payload);
+                engine
+                    .send(COMM_WORLD, 0, 8, b"got it", SendMode::Standard)
+                    .unwrap();
             }
             engine.finalize().unwrap();
         })

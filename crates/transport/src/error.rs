@@ -1,7 +1,6 @@
 //! Error type shared by all transport devices.
 
 use std::fmt;
-use std::time::Duration;
 
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TransportError>;
@@ -24,9 +23,6 @@ pub enum TransportError {
     /// Operations that require the dead rank fail with this instead of
     /// hanging.
     RankFailed { rank: usize },
-    /// A bounded wait ran out of time (e.g. a late-joining rank waiting
-    /// for its spool directory to appear).
-    Timeout { waited: Duration },
 }
 
 impl fmt::Display for TransportError {
@@ -41,9 +37,6 @@ impl fmt::Display for TransportError {
             TransportError::Corrupt(msg) => write!(f, "corrupt frame: {msg}"),
             TransportError::RankFailed { rank } => {
                 write!(f, "rank {rank} failed (heartbeat lease expired or killed)")
-            }
-            TransportError::Timeout { waited } => {
-                write!(f, "transport wait timed out after {waited:?}")
             }
         }
     }
@@ -91,18 +84,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_failed_and_timeout_display_their_details() {
+    fn rank_failed_displays_its_details() {
         let e = TransportError::RankFailed { rank: 3 };
         let msg = e.to_string();
         assert!(msg.contains('3') && msg.contains("failed"));
-        // Failure variants carry no inner error to chain.
+        // A failure carries no inner error to chain.
         assert!(std::error::Error::source(&e).is_none());
-        let t = TransportError::Timeout {
-            waited: Duration::from_millis(250),
-        };
-        let msg = t.to_string();
-        assert!(msg.contains("timed out") && msg.contains("250"));
-        assert!(std::error::Error::source(&t).is_none());
     }
 
     #[test]

@@ -161,14 +161,14 @@ fn full_surface_works_under_the_progress_thread_on_every_device() {
 /// and the level is queryable afterwards.
 #[test]
 fn thread_level_is_always_multiple() {
-    use mpijava::ThreadLevel;
-    MpiRuntime::new(2)
-        .thread_level(ThreadLevel::Funneled)
-        .progress(ProgressMode::Thread)
-        .run(|mpi| {
-            assert_eq!(mpi.query_thread(), ThreadLevel::Multiple);
-            mpi.comm_world().barrier()?;
-            mpi.finalize()
-        })
-        .unwrap();
+    use mpi_native::{Universe, UniverseConfig};
+    use mpijava::{JniConfig, MPIException, ThreadLevel, MPI};
+    Universe::launch(UniverseConfig::new(2, DeviceKind::ShmFast), |engine, _| {
+        let (mpi, provided) = MPI::init_thread(engine, JniConfig::default(), ThreadLevel::Funneled);
+        assert_eq!(provided, ThreadLevel::Multiple);
+        assert_eq!(mpi.query_thread(), ThreadLevel::Multiple);
+        mpi.comm_world().barrier()?;
+        mpi.finalize()
+    })
+    .unwrap_or_else(|e: MPIException| panic!("{e}"));
 }

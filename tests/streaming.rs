@@ -1,16 +1,21 @@
-//! Streamed rendezvous sends, end to end through the classic surface.
+//! Rendezvous data into windows, end to end through the classic surface.
 //!
-//! A blocking dense `Send` (or `Ssend`) of a rendezvous-sized window is
-//! announced before anything is staged; once a `Recv` into a window that
-//! fits it grants, the sender stages and ships the window in chunks of
-//! the eager threshold's size, and the receiver copies each chunk into
-//! place as it lands. These tests pin the edges of that protocol, each in
-//! both marshal modes: a length that is no multiple of the chunk, an
+//! Every granted send ships frames of at most its grant. A `Recv` into a
+//! window that fits the message is granted chunks of the eager
+//! threshold's size and copies each chunk into place as it lands; any
+//! other receive is granted the whole message as one frame. A blocking
+//! dense `Send` (or `Ssend`) is announced before anything is staged and
+//! stages its window one granted chunk at a time; a held payload (an
+//! `Isend`, or an owned buffer's `send_bytes`) ships as slices of
+//! itself. These tests pin the edges of that protocol, each in both
+//! marshal modes: a length that is no multiple of the chunk, an
 //! announcement that beats its receive, two senders streaming to one
 //! `ANY_SOURCE` receiver, a window too short (`Truncate`), `Ssend`'s
 //! completion rule, receives without a window (granted one frame, so
-//! still zero-copy), and a sender killed mid-stream or a receiver killed
-//! before its grant (`RankFailed` either way).
+//! still zero-copy), a held send into a window (granted chunks like any
+//! other), a sender killed mid-stream or a receiver killed before its
+//! grant, and a collective round whose peer dies before its data lands
+//! (`RankFailed` in every case).
 //!
 //! The `MPIJAVA_*` environment applies: CI runs the file again with
 //! every send a rendezvous and with the background progress thread on.
@@ -18,8 +23,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use bytes::Bytes;
+use mpi_native::p2p::RENDEZVOUS_CHUNK;
 use mpi_transport::FaultPlan;
-use mpijava::{Datatype, ErrorClass, JniConfig, MarshalMode, MpiResult, MpiRuntime, MPI};
+use mpijava::{
+    Datatype, ErrorClass, Intracomm, JniConfig, MarshalMode, MpiResult, MpiRuntime, Op,
+    TraceConfig, MPI,
+};
 
 /// One chunk more than 1 MiB holds, and seven bytes into it.
 const ODD: usize = (1 << 20) + 7;
@@ -202,6 +212,55 @@ fn receives_without_a_window_stay_zero_copy() {
     });
 }
 
+/// A held payload — a classic `Isend`, or the `rs` `send_bytes` of a
+/// buffer the caller owns — ships in grant-sized slices like a blocking
+/// send's window: a `Recv` into a window that fits it takes the
+/// announcement plus one data frame per chunk, and copies each chunk
+/// into place once, 1 MiB in all.
+#[test]
+fn a_held_send_into_a_window_lands_in_granted_chunks() {
+    const LEN: usize = 1 << 20;
+    let frames = 1 + LEN.div_ceil(RENDEZVOUS_CHUNK) as i64;
+    for marshal in MODES {
+        runtime(2, marshal)
+            .trace(TraceConfig::counters())
+            .run(|mpi| {
+                let world = mpi.comm_world();
+                let byte = Datatype::byte();
+                let frames_sent = || mpi.metrics_snapshot().pvar("transport.frames_sent");
+                for (tag, owned) in [(14, false), (15, true)] {
+                    let sent = payload(LEN, tag as u8);
+                    if world.rank()? == 0 {
+                        let before = frames_sent().expect("frame counters are on");
+                        if owned {
+                            send_owned(&world, Bytes::from(sent), 1, tag)?;
+                        } else {
+                            world.isend(&sent, 0, LEN, &byte, 1, tag)?.wait()?;
+                        }
+                        let shipped = frames_sent().unwrap() - before;
+                        assert_eq!(shipped, frames, "{marshal:?}, owned {owned}: frames");
+                    } else {
+                        let before = mpi.engine_stats().bytes_copied;
+                        let mut window = vec![0; LEN];
+                        world.recv(&mut window, 0, LEN, &byte, 0, tag)?;
+                        assert!(window == sent, "{marshal:?}, owned {owned}: payload");
+                        let copied = mpi.engine_stats().bytes_copied - before;
+                        assert_eq!(copied, LEN as u64, "{marshal:?}, owned {owned}: copies");
+                    }
+                }
+                mpi.finalize()
+            })
+            .unwrap_or_else(|e| panic!("{marshal:?}: {e}"));
+    }
+}
+
+/// The `rs` surface's zero-copy blocking send, kept out of the classic
+/// code's scope (its trait shadows the classic `send`).
+fn send_owned(world: &Intracomm, data: Bytes, dest: i32, tag: i32) -> MpiResult<()> {
+    use mpijava::rs::Communicator;
+    world.send_bytes(data, dest, tag)
+}
+
 /// The sender dies before its fourth frame: the announcement and two
 /// chunks are out. The receive waiting for the rest fails with
 /// `RankFailed` once the lease runs out, instead of hanging.
@@ -253,6 +312,38 @@ fn a_receiver_killed_before_its_grant_fails_the_send() {
                     world.send(&sent[..1], 0, 1, &byte, 0, 13)
                 }
                 .expect_err("nobody grants the stream");
+                assert_eq!(error.class, ErrorClass::RankFailed, "{marshal:?}: {error}");
+                Ok(())
+            })
+            .unwrap();
+    }
+}
+
+/// A collective round at rendezvous size: a 1 MiB allreduce on two ranks
+/// runs the ring, whose 512 KiB segments are held payloads granted to
+/// the schedule's slot receives. Rank 1 dies on its second frame, so
+/// nothing of its segment ever lands: rank 0's allreduce fails with
+/// `RankFailed` once the lease runs out, instead of hanging.
+#[test]
+fn a_peer_killed_before_its_round_data_lands_fails_the_collective() {
+    const COUNT: usize = (1 << 20) / 4;
+    for marshal in MODES {
+        runtime(2, marshal)
+            .lease(Duration::from_millis(200))
+            .faults(FaultPlan::parse("kill:1@2").unwrap())
+            .run(|mpi| {
+                let world = mpi.comm_world();
+                let rank = world.rank()?;
+                let send = vec![rank as i32 + 1; COUNT];
+                let mut recv = vec![0i32; COUNT];
+                let int = Datatype::int();
+                let got = world.allreduce(&send, 0, &mut recv, 0, COUNT, &int, &Op::sum());
+                if rank == 0 {
+                    let landed = mpi.engine_stats().bytes_received;
+                    assert_eq!(landed, 0, "{marshal:?}: {landed} B of the round landed");
+                    mpi.finalize()?;
+                }
+                let error = got.expect_err("the round cannot finish");
                 assert_eq!(error.class, ErrorClass::RankFailed, "{marshal:?}: {error}");
                 Ok(())
             })
