@@ -7,23 +7,28 @@
 //! cargo run -p mpi-bench --bin traceanalyze -- --drill killcoll  [--dir DIR] [--json OUT]
 //! ```
 //!
-//! The first form analyzes existing dumps (wait-state profiles with
-//! blame, clock alignment, collective skews, the global critical path)
-//! and prints the human report; `--json` also writes the
-//! schema-versioned analysis JSON (`causal-analysis-v1`) for tools that
-//! compare runs.
+//! The first form analyzes existing dumps (matched messages and the
+//! receives stamped before their send began, wait-state profiles with
+//! blame, collective skews, the global critical path) and prints the
+//! human report; `--json` also writes the schema-versioned analysis
+//! JSON (`causal-analysis-v2`) for tools that compare runs.
 //!
 //! The drill forms run the CI acceptance workloads end to end and gate
 //! on their analyses:
 //!
 //! * `straggler` — a modelled-link recursive-doubling allreduce with
 //!   one fault-delayed rank; every other rank's dominant wait state
-//!   must be collective imbalance and the straggler must hold at least
-//!   half the critical path;
+//!   must be collective imbalance, the straggler must hold at least
+//!   half the critical path, and the matched messages, the delayed
+//!   critical-path sends and the allreduce's durations and skew must
+//!   match the planted delays (`check_straggler_attribution`);
 //! * `killcoll` — the kill-mid-allreduce spool drill; the analysis
 //!   must complete over the victim's force-dump mixed with the
 //!   survivors' finalize dumps and join the clean first allreduce
 //!   across all ranks.
+//!
+//! Both drills also fail if any receive is stamped before its send
+//! began (`early_receives`, 0 on the one trace clock).
 //!
 //! A failed gate prints the report and exits nonzero.
 
@@ -107,7 +112,8 @@ fn run() -> Result<(), String> {
             check_straggler_attribution(&analysis, &spec)?;
             println!(
                 "gate passed: non-straggler ranks dominated by coll_imbalance, \
-                 straggler holds {:.1}% of the critical path",
+                 straggler holds {:.1}% of the critical path, planted delays recovered, \
+                 no early receives",
                 100.0 * analysis.critical_path.rank_share(spec.straggler)
             );
             Ok(())
@@ -120,7 +126,10 @@ fn run() -> Result<(), String> {
             println!("killcoll drill: 3 ranks over spool, victim force-dumps mid-job");
             let analysis = run_killcoll_drill(&root, 3)?;
             emit(&analysis, &args.json)?;
-            println!("gate passed: analysis joined all 3 dumps including the victim's");
+            println!(
+                "gate passed: analysis joined all 3 dumps including the victim's, \
+                 no early receives"
+            );
             Ok(())
         }
         Some(other) => Err(format!("unknown drill {other:?} (straggler|killcoll)")),

@@ -1,6 +1,6 @@
-//! Cross-rank causal analysis of per-rank trace dumps: clock alignment,
-//! wait-state profiling with blame attribution, and the global critical
-//! path.
+//! Cross-rank causal analysis of per-rank trace dumps: matched messages,
+//! wait-state profiling with blame attribution, collective skews and the
+//! global critical path.
 //!
 //! The engine stamps matchable identifiers into its trace events (see
 //! `mpi_native::trace`): every p2p protocol interval carries the
@@ -17,26 +17,17 @@
 //! * **collective** intervals on different ranks describe the same
 //!   operation exactly when their `(ctx, cseq)` stamps agree.
 //!
-//! # Clock alignment
+//! # One clock
 //!
-//! Each rank's timestamps sit on its private monotonic clock, anchored
-//! to the wall clock only by the dump's `start_unix_ns`. That anchor is
-//! good to whatever the host's `SystemTime` is good to; across hosts
-//! (or even across engines started seconds apart) the residual skew can
-//! dwarf a message latency. [`estimate_clock_offsets`] tightens the
-//! anchors with the classic pingpong midpoint argument: for ranks *i*
-//! and *j* that exchanged messages in **both** directions, the minimum
-//! observed `recv_ts − send_end_ts` delta in each direction brackets
-//! the true offset, and under a symmetric-latency assumption the offset
-//! is the half-difference of the two minima. Corrections propagate
-//! from rank 0 over a BFS spanning tree of the "exchanged messages both
-//! ways" graph; ranks unreachable on that graph keep correction 0 (the
-//! raw anchor). Unexpected-queue residency is subtracted from the
-//! receive timestamp first, so a late receiver cannot masquerade as
-//! clock skew. The symmetric-latency assumption is exactly the one
-//! NTP makes — an asymmetric route biases the estimate by half the
-//! asymmetry, which is why the report prints the corrections instead of
-//! silently absorbing them.
+//! Every engine in a process stamps its events on the process's one
+//! trace epoch (see `mpi_native::trace`), so the dumps of an in-process
+//! job share a clock and their `start_unix_ns` anchors agree exactly.
+//! Dumps written by separate processes align by their anchors alone,
+//! which are only as good as the hosts' wall clocks. Nothing here
+//! estimates or corrects clocks: [`Analysis::early_receives`] counts the
+//! matched receives stamped before their send began, 0 on one clock, so
+//! a dump set whose clocks disagree reports it instead of being
+//! silently "corrected".
 //!
 //! # Wait-state profiles
 //!
@@ -83,9 +74,10 @@
 //!
 //! [`run_straggler_drill`] and [`run_killcoll_drill`] are the CI
 //! acceptance workloads: a fault-injected straggler inside an allreduce
-//! over a modelled link (the analysis must blame the straggler), and
-//! the kill-mid-allreduce spool drill (the analysis must still complete
-//! from a victim's force-dump mixed with survivor dumps).
+//! over a modelled link (the analysis must blame the straggler and
+//! recover the planted delays exactly), and the kill-mid-allreduce
+//! spool drill (the analysis must still complete from a victim's
+//! force-dump mixed with survivor dumps).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -98,11 +90,11 @@ use mpijava::{
     CollAlgorithm, DeviceKind, FaultAction, FaultPlan, MpiRuntime, NetworkModel, Op, TraceConfig,
 };
 
-use crate::tracemerge::{load_trace_dir, ArgValue, RankEvent, RankTrace};
+use crate::tracemerge::{anchors, escape, load_trace_dir, ArgValue, RankEvent, RankTrace};
 
 /// Schema tag stamped into [`Analysis::to_json`] output. Bump on any
 /// incompatible shape change.
-pub const ANALYSIS_SCHEMA: &str = "causal-analysis-v1";
+pub const ANALYSIS_SCHEMA: &str = "causal-analysis-v2";
 
 /// The engine's collective tag ceiling (`p2p::COLLECTIVE_TAG_BASE`).
 /// Duplicated here because the analysis reads *dumps*, which must stay
@@ -154,136 +146,6 @@ fn classify(ev: &RankEvent) -> WaitClass {
     } else {
         WaitClass::for_posted_tag(tag, COLLECTIVE_TAG_BASE, RMA_TAG_BASE)
     }
-}
-
-// ---------------------------------------------------------------------
-// Clock alignment
-// ---------------------------------------------------------------------
-
-/// The outcome of [`estimate_clock_offsets`].
-#[derive(Debug, Clone, Default)]
-pub struct ClockAlignment {
-    /// Correction in nanoseconds for each trace (parallel to the input
-    /// slice), applied on top of the `start_unix_ns` anchor. The
-    /// reference rank (lowest rank present) is always 0.
-    pub corrections_ns: Vec<i64>,
-    /// Ordered rank pairs with at least one matched message (the raw
-    /// material of the estimate).
-    pub pairs_measured: usize,
-    /// Traces reachable from the reference rank on the both-directions
-    /// message graph — only these actually received a correction.
-    pub aligned: usize,
-}
-
-impl ClockAlignment {
-    /// Largest absolute correction, in nanoseconds.
-    pub fn max_abs_correction_ns(&self) -> i64 {
-        self.corrections_ns
-            .iter()
-            .map(|c| c.abs())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Anchor offsets (ns above the earliest `start_unix_ns`) for a trace
-/// set. Fits i64 unless the dumps span ~292 years.
-fn anchors(traces: &[RankTrace]) -> Vec<i64> {
-    let base = traces
-        .iter()
-        .map(|t| t.start_unix_ns)
-        .min()
-        .unwrap_or_default();
-    traces
-        .iter()
-        .map(|t| (t.start_unix_ns - base) as i64)
-        .collect()
-}
-
-/// Estimate per-rank clock corrections from matched symmetric message
-/// pairs (see the module docs for the midpoint argument).
-pub fn estimate_clock_offsets(traces: &[RankTrace]) -> ClockAlignment {
-    let n = traces.len();
-    let mut alignment = ClockAlignment {
-        corrections_ns: vec![0; n],
-        pairs_measured: 0,
-        aligned: usize::from(n > 0),
-    };
-    if n < 2 {
-        return alignment;
-    }
-    let anchor = anchors(traces);
-    let index_of: HashMap<usize, usize> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.rank, i))
-        .collect();
-
-    // Anchored send-End timestamps, keyed by (sender index, token).
-    let mut send_end: HashMap<(usize, i64), i64> = HashMap::new();
-    for (i, trace) in traces.iter().enumerate() {
-        for ev in &trace.events {
-            if ev.ph == 'E' && is_send(&ev.name) {
-                if let Some(token) = arg(ev, "token") {
-                    send_end.insert((i, token), anchor[i] + ev.ts_ns as i64);
-                }
-            }
-        }
-    }
-
-    // Minimum observed recv-minus-send delta per ordered pair.
-    let mut min_delta: HashMap<(usize, usize), i64> = HashMap::new();
-    for (j, trace) in traces.iter().enumerate() {
-        for ev in &trace.events {
-            if !is_recv(&ev.name) {
-                continue;
-            }
-            let (Some(peer), Some(token)) = (arg(ev, "peer"), arg(ev, "token")) else {
-                continue;
-            };
-            let Some(&i) = index_of.get(&(peer as usize)) else {
-                continue;
-            };
-            let Some(&sent) = send_end.get(&(i, token)) else {
-                continue;
-            };
-            // For unexpected matches the event fires at *match* time;
-            // the wire delivered the message `wait_ns` earlier. Use the
-            // arrival so queue residency cannot masquerade as skew.
-            let mut arrival = anchor[j] + ev.ts_ns as i64;
-            if ev.name == "recv_unexpected" {
-                arrival -= arg(ev, "wait_ns").unwrap_or(0).max(0);
-            }
-            let delta = arrival - sent;
-            min_delta
-                .entry((i, j))
-                .and_modify(|d| *d = (*d).min(delta))
-                .or_insert(delta);
-        }
-    }
-    alignment.pairs_measured = min_delta.len();
-
-    // BFS from the lowest rank over pairs measured in both directions.
-    let mut visited = vec![false; n];
-    visited[0] = true;
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(i) = queue.pop_front() {
-        for (j, seen) in visited.iter_mut().enumerate() {
-            if *seen {
-                continue;
-            }
-            let (Some(&dij), Some(&dji)) = (min_delta.get(&(i, j)), min_delta.get(&(j, i))) else {
-                continue;
-            };
-            // d_ij = transport + skew_j, d_ji = transport - skew_j (in
-            // i's corrected frame), so skew_j = (d_ij - d_ji) / 2.
-            alignment.corrections_ns[j] = alignment.corrections_ns[i] - (dij - dji) / 2;
-            *seen = true;
-            queue.push_back(j);
-        }
-    }
-    alignment.aligned = visited.iter().filter(|&&v| v).count();
-    alignment
 }
 
 // ---------------------------------------------------------------------
@@ -393,11 +255,9 @@ pub struct CollSkew {
     pub durations_ns: Vec<(usize, u64)>,
     /// Slowest minus fastest member duration.
     pub skew_ns: u64,
-    /// The slowest member (the straggler of this operation).
-    pub slowest: usize,
 }
 
-fn collective_skews(traces: &[RankTrace], anchor: &[i64], corrections: &[i64]) -> Vec<CollSkew> {
+fn collective_skews(traces: &[RankTrace], anchor: &[i64]) -> Vec<CollSkew> {
     // (ctx, cseq) -> per-rank (begin, end, op).
     #[derive(Default)]
     struct Entry {
@@ -414,7 +274,7 @@ fn collective_skews(traces: &[RankTrace], anchor: &[i64], corrections: &[i64]) -
             let (Some(ctx), Some(cseq)) = (arg(ev, "ctx"), arg(ev, "cseq")) else {
                 continue;
             };
-            let ts = anchor[i] + corrections[i] + ev.ts_ns as i64;
+            let ts = anchor[i] + ev.ts_ns as i64;
             match ev.ph {
                 'B' => {
                     open.insert((ctx, cseq), ts);
@@ -447,18 +307,12 @@ fn collective_skews(traces: &[RankTrace], anchor: &[i64], corrections: &[i64]) -
                 .collect();
             let max = durations_ns.iter().map(|&(_, d)| d).max().unwrap_or(0);
             let min = durations_ns.iter().map(|&(_, d)| d).min().unwrap_or(0);
-            let slowest = durations_ns
-                .iter()
-                .max_by_key(|&&(_, d)| d)
-                .map(|&(r, _)| r)
-                .unwrap_or(0);
             CollSkew {
                 ctx,
                 cseq,
                 op: entry.op,
                 durations_ns,
                 skew_ns: max - min,
-                slowest,
             }
         })
         .collect()
@@ -556,7 +410,7 @@ impl CriticalPath {
     }
 }
 
-fn critical_path(traces: &[RankTrace], anchor: &[i64], corrections: &[i64]) -> CriticalPath {
+fn critical_path(traces: &[RankTrace], anchor: &[i64]) -> CriticalPath {
     let n = traces.len();
     let mut path = CriticalPath::default();
     if n == 0 {
@@ -574,7 +428,7 @@ fn critical_path(traces: &[RankTrace], anchor: &[i64], corrections: &[i64]) -> C
         .map(|(i, t)| {
             t.events
                 .iter()
-                .map(|ev| anchor[i] + corrections[i] + ev.ts_ns as i64)
+                .map(|ev| anchor[i] + ev.ts_ns as i64)
                 .collect()
         })
         .collect();
@@ -710,10 +564,12 @@ pub struct Analysis {
     /// `(rank, dropped)` for ranks whose ring overwrote events — their
     /// profiles and the path are lower bounds.
     pub dropped: Vec<(usize, u64)>,
-    /// The clock-offset estimate applied throughout.
-    pub alignment: ClockAlignment,
     /// Receives joined to their sending interval via `(sender, token)`.
     pub messages_matched: usize,
+    /// Matched receives stamped before the `B` of the send they match:
+    /// 0 on one clock, so anything else means the dumps' clocks
+    /// disagree (see the module docs).
+    pub early_receives: usize,
     /// Per-rank wait-state profiles, in `ranks` order.
     pub wait_profiles: Vec<RankWaitProfile>,
     /// Collectives joined across ranks via `(ctx, cseq)`.
@@ -744,10 +600,9 @@ impl Analysis {
         let _ = writeln!(out, "  \"dropped\": [{}],", dropped.join(", "));
         let _ = writeln!(
             out,
-            "  \"clock\": {{\"corrections_ns\": {:?}, \"pairs_measured\": {}, \"aligned\": {}}},",
-            self.alignment.corrections_ns, self.alignment.pairs_measured, self.alignment.aligned
+            "  \"messages_matched\": {},\n  \"early_receives\": {},",
+            self.messages_matched, self.early_receives
         );
-        let _ = writeln!(out, "  \"messages_matched\": {},", self.messages_matched);
         out.push_str("  \"waits\": [\n");
         for (i, p) in self.wait_profiles.iter().enumerate() {
             let _ = write!(out, "    {{\"rank\": {}, ", p.rank);
@@ -794,12 +649,11 @@ impl Analysis {
             let _ = writeln!(
                 out,
                 "    {{\"ctx\": {}, \"cseq\": {}, \"op\": \"{}\", \"skew_ns\": {}, \
-                 \"slowest\": {}, \"durations_ns\": {{{}}}}}{}",
+                 \"durations_ns\": {{{}}}}}{}",
                 c.ctx,
                 c.cseq,
-                c.op,
+                escape(&c.op),
                 c.skew_ns,
-                c.slowest,
                 durations.join(", "),
                 if i + 1 < self.collectives.len() {
                     ","
@@ -836,7 +690,7 @@ impl Analysis {
                 seg.kind.label(),
                 seg.start_ns,
                 seg.end_ns,
-                seg.at,
+                escape(&seg.at),
                 if i + 1 < cp.segments.len() { "," } else { "" }
             );
         }
@@ -850,13 +704,11 @@ impl Analysis {
         let _ = writeln!(
             out,
             "causal analysis: {} of {} ranks, {} matched messages, \
-             clocks aligned {}/{} (max |correction| {})",
+             {} received before their send began",
             self.ranks.len(),
             self.world_size,
             self.messages_matched,
-            self.alignment.aligned,
-            self.ranks.len(),
-            fmt_ns(self.alignment.max_abs_correction_ns().unsigned_abs())
+            self.early_receives
         );
         for (rank, dropped) in &self.dropped {
             let _ = writeln!(
@@ -895,12 +747,11 @@ impl Analysis {
             for c in &self.collectives {
                 let _ = writeln!(
                     out,
-                    "  {} ctx={} cseq={}: skew {} (slowest rank {})",
+                    "  {} ctx={} cseq={}: skew {}",
                     c.op,
                     c.ctx,
                     c.cseq,
-                    fmt_ns(c.skew_ns),
-                    c.slowest
+                    fmt_ns(c.skew_ns)
                 );
             }
         }
@@ -950,44 +801,55 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Run the full causal pass over parsed traces.
-pub fn analyze(traces: &[RankTrace]) -> Result<Analysis, String> {
-    if traces.is_empty() {
-        return Err("no traces to analyze".into());
-    }
-    let alignment = estimate_clock_offsets(traces);
-    let anchor = anchors(traces);
-    let corrections = alignment.corrections_ns.clone();
+/// Join every receive to the send it matches by `(sender, token)`:
+/// returns how many joined and how many of those are stamped before
+/// their send's `B` (see [`Analysis::early_receives`]).
+fn match_receives(traces: &[RankTrace], anchor: &[i64]) -> (usize, usize) {
     let index_of: HashMap<usize, usize> = traces
         .iter()
         .enumerate()
         .map(|(i, t)| (t.rank, i))
         .collect();
-    let mut send_tokens: std::collections::HashSet<(usize, i64)> = Default::default();
+    // (sender index, token) -> (anchored `B` time, whether an `E` closed it).
+    let mut sends: HashMap<(usize, i64), (Option<i64>, bool)> = HashMap::new();
     for (i, trace) in traces.iter().enumerate() {
-        for ev in &trace.events {
-            if ev.ph == 'E' && is_send(&ev.name) {
-                if let Some(token) = arg(ev, "token") {
-                    send_tokens.insert((i, token));
-                }
+        for ev in trace.events.iter().filter(|ev| is_send(&ev.name)) {
+            let Some(token) = arg(ev, "token") else {
+                continue;
+            };
+            let send = sends.entry((i, token)).or_default();
+            match ev.ph {
+                'B' => send.0 = Some(anchor[i] + ev.ts_ns as i64),
+                'E' => send.1 = true,
+                _ => {}
             }
         }
     }
-    let messages_matched = traces
-        .iter()
-        .flat_map(|t| t.events.iter())
-        .filter(|ev| {
-            is_recv(&ev.name)
-                && arg(ev, "peer")
-                    .zip(arg(ev, "token"))
-                    .and_then(|(peer, token)| {
-                        index_of
-                            .get(&(peer as usize))
-                            .map(|&i| send_tokens.contains(&(i, token)))
-                    })
-                    .unwrap_or(false)
-        })
-        .count();
+    let (mut matched, mut early) = (0, 0);
+    for (j, trace) in traces.iter().enumerate() {
+        for ev in trace.events.iter().filter(|ev| is_recv(&ev.name)) {
+            let send = arg(ev, "peer")
+                .zip(arg(ev, "token"))
+                .and_then(|(peer, token)| {
+                    let &i = index_of.get(&(peer as usize))?;
+                    sends.get(&(i, token))
+                });
+            if let Some(&(begin, true)) = send {
+                matched += 1;
+                early += usize::from(begin.is_some_and(|b| anchor[j] + (ev.ts_ns as i64) < b));
+            }
+        }
+    }
+    (matched, early)
+}
+
+/// Run the full causal pass over parsed traces.
+pub fn analyze(traces: &[RankTrace]) -> Result<Analysis, String> {
+    if traces.is_empty() {
+        return Err("no traces to analyze".into());
+    }
+    let anchor = anchors(traces);
+    let (messages_matched, early_receives) = match_receives(traces, &anchor);
     Ok(Analysis {
         ranks: traces.iter().map(|t| t.rank).collect(),
         world_size: traces.iter().map(|t| t.size).max().unwrap_or(0),
@@ -997,10 +859,10 @@ pub fn analyze(traces: &[RankTrace]) -> Result<Analysis, String> {
             .map(|t| (t.rank, t.dropped))
             .collect(),
         messages_matched,
+        early_receives,
         wait_profiles: wait_profiles(traces),
-        collectives: collective_skews(traces, &anchor, &corrections),
-        critical_path: critical_path(traces, &anchor, &corrections),
-        alignment,
+        collectives: collective_skews(traces, &anchor),
+        critical_path: critical_path(traces, &anchor),
     })
 }
 
@@ -1016,13 +878,15 @@ pub fn analyze_dir(dir: &Path) -> Result<Analysis, String> {
 /// The imbalanced-allreduce drill of the acceptance criteria.
 #[derive(Debug, Clone)]
 pub struct StragglerDrillSpec {
-    /// World size.
+    /// World size: a power of two, so that the gate can count
+    /// recursive-doubling rounds (`log2(ranks)`).
     pub ranks: usize,
     /// The rank whose outgoing frames are fault-delayed.
     pub straggler: usize,
     /// Injected per-frame delay.
     pub delay: Duration,
-    /// How many leading frames per outgoing link are delayed.
+    /// How many of the allreduce's leading frames per outgoing link are
+    /// delayed.
     pub delayed_frames: u64,
     /// Allreduce payload in `i32`s (kept small: the eager path keeps
     /// one frame per round hop, so the delay lands exactly once per
@@ -1042,10 +906,13 @@ impl Default for StragglerDrillSpec {
     }
 }
 
-/// Run a recursive-doubling allreduce over a modelled link with one
-/// fault-delayed straggler, dumping per-rank traces into `trace_dir`,
-/// then analyze them. The returned analysis is expected to blame the
-/// straggler — [`check_straggler_attribution`] encodes the gate.
+/// Run a barrier, then a recursive-doubling allreduce over a modelled
+/// link with one fault-delayed straggler, dumping per-rank traces into
+/// `trace_dir`, then analyze them. The barrier starts every rank's
+/// allreduce within a message latency of the others, so each member's
+/// duration measures the planted delays rather than thread start-up.
+/// The returned analysis is expected to blame the straggler and recover
+/// the delays — [`check_straggler_attribution`] encodes the gate.
 pub fn run_straggler_drill(
     trace_dir: &Path,
     spec: &StragglerDrillSpec,
@@ -1055,7 +922,9 @@ pub fn run_straggler_drill(
         if peer == spec.straggler {
             continue;
         }
-        for nth in 1..=spec.delayed_frames {
+        // The barrier sends the first frame on each of the straggler's
+        // recursive-doubling links (and none on the others).
+        for nth in 2..=spec.delayed_frames + 1 {
             plan = plan.with(FaultAction::DelayFrame {
                 src: spec.straggler,
                 dst: peer,
@@ -1078,13 +947,8 @@ pub fn run_straggler_drill(
             let rank = world.rank()?;
             let send = vec![rank as i32; payload];
             let mut recv = vec![0i32; payload];
-            world.all_reduce(&send, &mut recv, Op::sum())?;
-            // A clean trailing barrier: by now every injected delay has
-            // fired, so its symmetric exchanges give the clock-offset
-            // estimator tight deltas (a rank asleep inside a delayed
-            // send cannot poll, which would otherwise inflate every
-            // one-way measurement toward it).
             world.barrier()?;
+            world.all_reduce(&send, &mut recv, Op::sum())?;
             mpi.finalize()?;
             Ok(())
         })
@@ -1092,10 +956,31 @@ pub fn run_straggler_drill(
     analyze_dir(trace_dir)
 }
 
-/// The acceptance gate on [`run_straggler_drill`]'s analysis: every
-/// non-straggler rank's dominant wait state must be collective
-/// imbalance, and the straggler must hold at least half the critical
-/// path.
+/// How far a recovered time may sit from the planted delay: scheduling
+/// noise on a loaded host, well under one delay, so that a window still
+/// tells one delay from none or two. A delayed send sleeps inside its
+/// interval, so it cannot run short; the allreduce's per-rank durations
+/// start at each rank's own barrier exit, so they can run short by the
+/// ranks' start misalignment (on a 2-vCPU host the skew read down to
+/// 24.5 ms for a 25 ms delay).
+const PLANTED_SLACK: Duration = Duration::from_millis(10);
+
+/// The acceptance gate on [`run_straggler_drill`]'s analysis, checked
+/// against the planted truth:
+///
+/// * blame: every non-straggler rank's dominant wait state is
+///   collective imbalance, and the straggler holds at least half the
+///   critical path;
+/// * `2 × ranks × log2(ranks)` matched messages (the barrier and the
+///   allreduce send one message per rank per recursive-doubling round);
+/// * exactly `log2(ranks) × delayed_frames` critical-path `send`
+///   segments last at least `delay`: all on the straggler, each under
+///   `delay + PLANTED_SLACK`;
+/// * the allreduce joins `ranks` durations, each at least
+///   `delay - PLANTED_SLACK`, with a skew within `PLANTED_SLACK` of
+///   `delay` (the straggler's round-1 partner waits for both delays,
+///   the others for one);
+/// * no receive is stamped before its send began.
 pub fn check_straggler_attribution(
     analysis: &Analysis,
     spec: &StragglerDrillSpec,
@@ -1129,14 +1014,72 @@ pub fn check_straggler_attribution(
             analysis.critical_path.rank_ns
         ));
     }
+    check_one_clock(analysis)?;
+    let rounds = spec.ranks.ilog2() as usize;
+    if analysis.messages_matched != 2 * spec.ranks * rounds {
+        return Err(format!(
+            "{} matched messages, expected {} (2 collectives x {} ranks x {rounds} rounds)",
+            analysis.messages_matched,
+            2 * spec.ranks * rounds,
+            spec.ranks
+        ));
+    }
+    let delay = spec.delay;
+    let (floor, ceiling) = (delay.saturating_sub(PLANTED_SLACK), delay + PLANTED_SLACK);
+    let ns = |d: Duration| d.as_nanos() as u64;
+    let delayed: Vec<(Option<usize>, u64)> = analysis
+        .critical_path
+        .segments
+        .iter()
+        .filter(|s| s.kind == SegmentKind::Send && s.duration_ns() >= ns(delay))
+        .map(|s| (s.rank, s.duration_ns()))
+        .collect();
+    let expected = rounds * spec.delayed_frames as usize;
+    if delayed.len() != expected
+        || delayed
+            .iter()
+            .any(|&(rank, d)| rank != Some(spec.straggler) || d >= ns(ceiling))
+    {
+        return Err(format!(
+            "critical-path sends of at least {delay:?} as (rank, ns): {delayed:?}; expected \
+             {expected}, all on rank {} and each under {ceiling:?}",
+            spec.straggler
+        ));
+    }
+    let coll = analysis
+        .collectives
+        .iter()
+        .find(|c| c.op == "allreduce")
+        .ok_or("the allreduce did not join across ranks")?;
+    if coll.durations_ns.len() != spec.ranks
+        || coll.durations_ns.iter().any(|&(_, d)| d < ns(floor))
+        || !(ns(floor)..ns(ceiling)).contains(&coll.skew_ns)
+    {
+        return Err(format!(
+            "allreduce durations (rank, ns) {:?}, skew {} ns; expected {} ranks each at \
+             least {floor:?} and a skew in [{floor:?}, {ceiling:?})",
+            coll.durations_ns, coll.skew_ns, spec.ranks
+        ));
+    }
     Ok(())
+}
+
+/// On one clock no receive precedes the send it matches.
+fn check_one_clock(analysis: &Analysis) -> Result<(), String> {
+    match analysis.early_receives {
+        0 => Ok(()),
+        n => Err(format!(
+            "{n} matched receives are stamped before their send began (one clock: expected 0)"
+        )),
+    }
 }
 
 /// The kill-mid-allreduce spool drill, analysis edition: rank `size-1`
 /// force-dumps its ring and dies (no finalize), the survivors see the
 /// failure and finalize normally; the causal pass must still complete
-/// over the mixed victim/survivor dumps and join the clean first
-/// allreduce across all ranks. Returns the analysis.
+/// over the mixed victim/survivor dumps, join the clean first allreduce
+/// across all ranks and find no receive stamped before its send.
+/// Returns the analysis.
 pub fn run_killcoll_drill(root: &Path, size: usize) -> Result<Analysis, String> {
     let trace_dir = root.join("trace");
     let victim = size - 1;
@@ -1173,6 +1116,7 @@ pub fn run_killcoll_drill(root: &Path, size: usize) -> Result<Analysis, String> 
     if !analysis.collectives.iter().any(|c| c.op == "allreduce") {
         return Err("the clean first allreduce did not join across ranks".into());
     }
+    check_one_clock(&analysis)?;
     Ok(analysis)
 }
 
@@ -1183,7 +1127,7 @@ pub fn run_killcoll_drill(root: &Path, size: usize) -> Result<Analysis, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracemerge::parse_rank_trace;
+    use crate::tracemerge::{parse_rank_trace, Json};
 
     fn meta(rank: usize, start_unix_ns: u64) -> String {
         format!(
@@ -1194,72 +1138,6 @@ mod tests {
 
     fn ev(ts: u64, name: &str, ph: char, args: &str) -> String {
         format!("{{\"ts_ns\":{ts},\"name\":\"{name}\",\"ph\":\"{ph}\",\"args\":{{{args}}}}}")
-    }
-
-    /// Two ranks whose anchors disagree by 1ms while their message
-    /// deltas say the skew is 100us each way: pingpong midpoint must
-    /// recover a correction near -1ms + transport-symmetric residue.
-    #[test]
-    fn clock_offsets_recover_symmetric_skew() {
-        // Rank 0 sends at [0..1000], rank 1 receives at its local 2000;
-        // rank 1 sends at [3000..4000], rank 0 receives at 14_000.
-        // Anchors: rank 1 starts 10_000ns after rank 0.
-        // d_01 = (10_000 + 2000) - 1000 = 11_000
-        // d_10 = 14_000 - (10_000 + 4000) = 0
-        // skew_1 = (11_000 - 0)/2 = 5_500 -> correction -5_500.
-        let r0 = [
-            meta(0, 1_000_000),
-            ev(
-                0,
-                "send_eager",
-                'B',
-                "\"peer\":1,\"tag\":7,\"bytes\":8,\"token\":1",
-            ),
-            ev(
-                1000,
-                "send_eager",
-                'E',
-                "\"peer\":1,\"tag\":7,\"bytes\":8,\"token\":1",
-            ),
-            ev(
-                14_000,
-                "recv_posted",
-                'i',
-                "\"peer\":1,\"tag\":7,\"bytes\":8,\"token\":1,\"wait_ns\":500",
-            ),
-        ]
-        .join("\n");
-        let r1 = [
-            meta(1, 1_010_000),
-            ev(
-                2000,
-                "recv_posted",
-                'i',
-                "\"peer\":0,\"tag\":7,\"bytes\":8,\"token\":1,\"wait_ns\":100",
-            ),
-            ev(
-                3000,
-                "send_eager",
-                'B',
-                "\"peer\":0,\"tag\":7,\"bytes\":8,\"token\":1",
-            ),
-            ev(
-                4000,
-                "send_eager",
-                'E',
-                "\"peer\":0,\"tag\":7,\"bytes\":8,\"token\":1",
-            ),
-        ]
-        .join("\n");
-        let traces = vec![
-            parse_rank_trace(&r0).unwrap(),
-            parse_rank_trace(&r1).unwrap(),
-        ];
-        let alignment = estimate_clock_offsets(&traces);
-        assert_eq!(alignment.corrections_ns[0], 0);
-        assert_eq!(alignment.corrections_ns[1], -5_500);
-        assert_eq!(alignment.pairs_measured, 2);
-        assert_eq!(alignment.aligned, 2);
     }
 
     #[test]
@@ -1411,14 +1289,73 @@ mod tests {
         let traces = vec![parse_rank_trace(&r0).unwrap()];
         let analysis = analyze(&traces).unwrap();
         let json = analysis.to_json();
-        let doc = crate::tracemerge::Json::parse(&json).expect("analysis JSON parses");
+        let doc = Json::parse(&json).expect("analysis JSON parses");
         assert_eq!(
             doc.get("schema").and_then(|s| s.as_str()),
             Some(ANALYSIS_SCHEMA)
         );
         assert!(doc.get("critical_path").is_some());
+        assert_eq!(doc.get("early_receives").and_then(Json::as_i64), Some(0));
         let report = analysis.render_report();
         assert!(report.contains("wait states"));
+    }
+
+    /// A dump is input from a file: an event name or an `op` label
+    /// holding `"` or `\` must come out of `to_json` escaped.
+    #[test]
+    fn analysis_json_escapes_strings_from_the_dump() {
+        let odd = r#"odd \"name\" \\ here"#;
+        let coll = r#""op":"all\"re\\duce","alg":"rd","id":1,"ctx":7,"cseq":1"#;
+        let r0 = [
+            meta(0, 0),
+            ev(100, "coll", 'B', coll),
+            ev(200, odd, 'i', ""),
+            ev(300, "coll", 'E', coll),
+        ]
+        .join("\n");
+        let analysis = analyze(&[parse_rank_trace(&r0).unwrap()]).unwrap();
+        let doc = Json::parse(&analysis.to_json()).expect("analysis JSON parses");
+        let collectives = doc.get("collectives").and_then(Json::as_arr).unwrap();
+        let op = collectives[0].get("op").and_then(Json::as_str);
+        assert_eq!(op, Some(r#"all"re\duce"#));
+        let segments = doc.get("critical_path").and_then(|cp| cp.get("segments"));
+        let at: Vec<&str> = segments
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|seg| seg.get("at").and_then(Json::as_str))
+            .collect();
+        assert!(at.contains(&r#"odd "name" \ here"#), "{at:?}");
+    }
+
+    /// Two messages from rank 0 to rank 1 on one anchor: the first is
+    /// received 500 ns before its send began, the second after it ended.
+    #[test]
+    fn a_receive_stamped_before_its_send_began_is_early() {
+        let send = |ts: u64, ph: char, token: u32| {
+            let args = format!("\"peer\":1,\"tag\":7,\"bytes\":8,\"token\":{token}");
+            ev(ts, "send_eager", ph, &args)
+        };
+        let recv = |ts: u64, token: u32| {
+            let args = format!("\"peer\":0,\"tag\":7,\"bytes\":8,\"token\":{token},\"wait_ns\":0");
+            ev(ts, "recv_posted", 'i', &args)
+        };
+        let r0 = [
+            meta(0, 0),
+            send(1000, 'B', 1),
+            send(2000, 'E', 1),
+            send(3000, 'B', 2),
+            send(3500, 'E', 2),
+        ]
+        .join("\n");
+        let r1 = [meta(1, 0), recv(500, 1), recv(4000, 2)].join("\n");
+        let traces = [r0, r1].map(|t| parse_rank_trace(&t).unwrap());
+        let analysis = analyze(&traces).unwrap();
+        assert_eq!(analysis.messages_matched, 2);
+        assert_eq!(analysis.early_receives, 1);
+        assert!(analysis
+            .render_report()
+            .contains("1 received before their send began"));
     }
 
     #[test]
@@ -1438,7 +1375,6 @@ mod tests {
         ];
         let analysis = analyze(&traces).unwrap();
         assert_eq!(analysis.messages_matched, 0);
-        assert_eq!(analysis.alignment.aligned, 1, "no pairs -> only the root");
         assert!(analysis.critical_path.total_ns > 0 || analysis.critical_path.segments.is_empty());
     }
 }

@@ -59,16 +59,16 @@ pub mod report;
 pub mod tracemerge;
 
 pub use causal::{
-    analyze, analyze_dir, check_straggler_attribution, estimate_clock_offsets, run_killcoll_drill,
-    run_straggler_drill, Analysis, ClockAlignment, CriticalPath, StragglerDrillSpec,
+    analyze, analyze_dir, check_straggler_attribution, run_killcoll_drill, run_straggler_drill,
+    Analysis, CriticalPath, StragglerDrillSpec,
 };
 pub use halobench::{run_halo_suite, HaloBenchSpec, HaloFabric, HaloMethod, HaloRecord};
 pub use linpack::{linpack_compiled, linpack_interpreted, LinpackResult};
 pub use pingpong::{run_pingpong, Calibration, Mode, PingPongPoint, PingPongSpec, Stack};
 pub use report::{format_bandwidth_table, format_table1, Series};
 pub use tracemerge::{
-    load_trace_dir, merge as merge_traces, merge_dir_to_file, merge_with_corrections,
-    parse_rank_trace, validate_chrome_trace, ChromeSummary, RankTrace,
+    load_trace_dir, merge as merge_traces, merge_dir_to_file, parse_rank_trace,
+    validate_chrome_trace, ChromeSummary, RankTrace,
 };
 
 extern "C" {

@@ -5,18 +5,17 @@
 //! finalize as `trace-rank<NNNNN>.jsonl` (see `mpi_native::trace`): a
 //! meta line carrying the rank's wall-clock anchor (`start_unix_ns`)
 //! followed by one JSON object per event with nanosecond timestamps on
-//! the rank's private monotonic clock. This module aligns those private
+//! the monotonic clock behind that anchor. This module aligns the ranks'
 //! clocks onto one wall-clock timeline and emits the Chrome
 //! `trace_event` "JSON Array Format": one `pid 0` process, one `tid`
 //! track per rank, `B`/`E` duration events and `i` instants — loadable
 //! in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
-//! The wall-clock anchors only say what each host *believed* the time
-//! was; [`merge_dir_to_file`] additionally applies the message-pair
-//! clock estimate from [`crate::causal`] so cross-rank arrows stay
-//! causally ordered even when the hosts' clocks disagree. Ranks whose
-//! ring overflowed get a `ring_dropped` instant marking where their
-//! surviving window begins.
+//! Every engine in one process stamps on one trace epoch, so the
+//! anchors of an in-process job agree exactly; dumps written by
+//! separate processes align as well as their hosts' wall clocks agree.
+//! Ranks whose ring overflowed get a `ring_dropped` instant marking
+//! where their surviving window begins.
 //!
 //! Everything here is dependency-free: the output is assembled by hand
 //! and [`validate_chrome_trace`] re-parses it with the minimal JSON
@@ -258,7 +257,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 // ---------------------------------------------------------------------
 
 /// One rank's parsed trace dump: the meta line plus its events, still on
-/// the rank's private monotonic clock.
+/// the monotonic clock its anchor dates.
 #[derive(Debug, Clone)]
 pub struct RankTrace {
     /// World rank that owns the ring.
@@ -271,7 +270,8 @@ pub struct RankTrace {
     pub mode: String,
     /// Events overwritten after the ring filled.
     pub dropped: u64,
-    /// Wall-clock anchor: `SystemTime` nanoseconds of the engine's t=0.
+    /// Wall-clock anchor: `SystemTime` nanoseconds of the events' t=0
+    /// (the writing process's trace epoch).
     pub start_unix_ns: u128,
     /// The recorded events, oldest first.
     pub events: Vec<RankEvent>,
@@ -280,7 +280,7 @@ pub struct RankTrace {
 /// One event line of a per-rank dump.
 #[derive(Debug, Clone)]
 pub struct RankEvent {
-    /// Nanoseconds on the owning rank's monotonic clock.
+    /// Nanoseconds since the anchor, on a monotonic clock.
     pub ts_ns: u64,
     /// Event name (`send_eager`, `coll_round`, ...).
     pub name: String,
@@ -413,40 +413,30 @@ pub fn load_trace_dir(dir: &Path) -> Result<Vec<RankTrace>, String> {
 // Merge: per-rank monotonic clocks -> one Chrome trace_event timeline
 // ---------------------------------------------------------------------
 
-/// Merge per-rank traces into Chrome `trace_event` JSON (the "JSON
-/// Array Format"): `pid` 0, one `tid` per rank, timestamps in
-/// microseconds aligned via each rank's `start_unix_ns` wall-clock
-/// anchor (the earliest anchor becomes t=0 of the merged timeline).
-pub fn merge(traces: &[RankTrace]) -> String {
-    merge_with_corrections(traces, &[])
-}
-
-/// [`merge`], with a per-trace clock correction (nanoseconds, parallel
-/// to `traces`, missing entries read as 0) applied on top of the
-/// wall-clock anchors — the corrections come from
-/// [`crate::causal::estimate_clock_offsets`], which measures matched
-/// symmetric message pairs instead of trusting each host's idea of
-/// `SystemTime`. If a negative correction would push a rank's events
-/// before t=0, the whole timeline is rebased so the earliest event
-/// stays at a non-negative timestamp.
-///
-/// Ranks that dropped events to ring overflow get a `ring_dropped`
-/// instant at the start of their surviving window, so a gap in the
-/// merged timeline is labelled rather than silently truncated.
-pub fn merge_with_corrections(traces: &[RankTrace], corrections_ns: &[i64]) -> String {
+/// Anchor offsets (ns above the earliest `start_unix_ns`) for a trace
+/// set: what puts every rank's events on one timeline. Fits i64 unless
+/// the dumps span ~292 years.
+pub(crate) fn anchors(traces: &[RankTrace]) -> Vec<i64> {
     let base = traces
         .iter()
         .map(|t| t.start_unix_ns)
         .min()
         .unwrap_or_default();
-    let offsets: Vec<i128> = traces
+    traces
         .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            (t.start_unix_ns - base) as i128 + corrections_ns.get(i).copied().unwrap_or(0) as i128
-        })
-        .collect();
-    let rebase = offsets.iter().copied().min().unwrap_or(0).min(0);
+        .map(|t| (t.start_unix_ns - base) as i64)
+        .collect()
+}
+
+/// Merge per-rank traces into Chrome `trace_event` JSON (the "JSON
+/// Array Format"): `pid` 0, one `tid` per rank, timestamps in
+/// microseconds aligned via each rank's `start_unix_ns` wall-clock
+/// anchor (the earliest anchor becomes t=0 of the merged timeline).
+///
+/// Ranks that dropped events to ring overflow get a `ring_dropped`
+/// instant at the start of their surviving window, so a gap in the
+/// merged timeline is labelled rather than silently truncated.
+pub fn merge(traces: &[RankTrace]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     let mut push = |event: String, out: &mut String| {
@@ -457,7 +447,7 @@ pub fn merge_with_corrections(traces: &[RankTrace], corrections_ns: &[i64]) -> S
         out.push('\n');
         out.push_str(&event);
     };
-    for (trace, &offset) in traces.iter().zip(&offsets) {
+    for (trace, offset_ns) in traces.iter().zip(anchors(traces)) {
         // A metadata event names the track after the rank + device.
         push(
             format!(
@@ -467,12 +457,11 @@ pub fn merge_with_corrections(traces: &[RankTrace], corrections_ns: &[i64]) -> S
             ),
             &mut out,
         );
-        let offset_ns = offset - rebase;
         if trace.dropped > 0 {
             // The ring overwrote its oldest events: mark where the
             // surviving window begins so the reader sees the gap.
             let first_ts = trace.events.first().map(|e| e.ts_ns).unwrap_or(0);
-            let ts_us = (offset_ns + first_ts as i128) as f64 / 1000.0;
+            let ts_us = (offset_ns + first_ts as i64) as f64 / 1000.0;
             push(
                 format!(
                     "{{\"name\":\"ring_dropped\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":0,\
@@ -483,7 +472,7 @@ pub fn merge_with_corrections(traces: &[RankTrace], corrections_ns: &[i64]) -> S
             );
         }
         for ev in &trace.events {
-            let ts_us = (offset_ns + ev.ts_ns as i128) as f64 / 1000.0;
+            let ts_us = (offset_ns + ev.ts_ns as i64) as f64 / 1000.0;
             let mut args = String::new();
             for (i, (key, value)) in ev.args.iter().enumerate() {
                 if i > 0 {
@@ -519,7 +508,7 @@ pub fn merge_with_corrections(traces: &[RankTrace], corrections_ns: &[i64]) -> S
     out
 }
 
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -615,15 +604,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeSummary, String> {
 /// Load a trace directory, merge it, and write `out` (convenience used
 /// by the `tracemerge` binary and the integration tests). Returns the
 /// parse-back summary of the file just written.
-///
-/// The merge applies the message-pair clock estimate
-/// ([`crate::causal::estimate_clock_offsets`]) on top of the wall-clock
-/// anchors, so ranks whose `SystemTime` disagrees still land causally
-/// ordered (no receive drawn before its matched send).
 pub fn merge_dir_to_file(dir: &Path, out: &Path) -> Result<ChromeSummary, String> {
-    let traces = load_trace_dir(dir)?;
-    let alignment = crate::causal::estimate_clock_offsets(&traces);
-    let merged = merge_with_corrections(&traces, &alignment.corrections_ns);
+    let merged = merge(&load_trace_dir(dir)?);
     let summary = validate_chrome_trace(&merged)?;
     fs::write(out, merged).map_err(|e| format!("writing {}: {e}", out.display()))?;
     Ok(summary)
@@ -697,38 +679,6 @@ mod tests {
             .unwrap();
         assert_eq!(rank1_ev.get("ts").unwrap().as_f64(), Some(1000.5));
         assert_eq!(rank1_ev.get("tid").unwrap().as_i64(), Some(1));
-    }
-
-    #[test]
-    fn corrections_shift_tracks_and_rebase_keeps_time_non_negative() {
-        let traces = vec![
-            parse_rank_trace(RANK0).unwrap(),
-            parse_rank_trace(RANK1).unwrap(),
-        ];
-        // Pull rank 1 back 1.2ms: its anchor offset is +1ms, so its
-        // events would land negative — the whole timeline must rebase
-        // by 200us and rank 0 shifts right instead.
-        let merged = merge_with_corrections(&traces, &[0, -1_200_000]);
-        validate_chrome_trace(&merged).unwrap();
-        let doc = Json::parse(&merged).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let ts_of = |name: &str| {
-            events
-                .iter()
-                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
-                .unwrap()
-                .get("ts")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        };
-        // Rank 1's 500ns event: 1ms anchor - 1.2ms correction + 200us
-        // rebase + 0.5us = 0.5us. Rank 0's first event: 200us rebase +
-        // 1us = 201us.
-        assert_eq!(ts_of("recv_posted"), 0.5);
-        assert_eq!(ts_of("send_eager"), 201.0);
-        // Empty corrections slice behaves exactly like merge().
-        assert_eq!(merge_with_corrections(&traces, &[]), merge(&traces));
     }
 
     #[test]

@@ -309,7 +309,8 @@ pub fn parse_byte_size(raw: &str) -> Option<usize> {
 }
 
 impl Engine {
-    /// `MPI_Wtime`: seconds since an arbitrary (per-job) origin.
+    /// `MPI_Wtime`: seconds since an arbitrary origin, fixed for the job
+    /// (the process's trace epoch).
     ///
     /// The paper's §4.2 had to work around WMPI's millisecond-resolution
     /// `MPI_Wtime`; this engine uses the Rust monotonic clock, whose

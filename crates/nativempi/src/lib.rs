@@ -80,7 +80,8 @@ pub use universe::{Universe, UniverseConfig};
 
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
-use std::time::Instant;
+use std::sync::OnceLock;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use mpi_transport::Endpoint;
 
@@ -229,10 +230,22 @@ pub struct Engine {
     /// `trace_dir`); `None` leaves the spool-root fallback (see
     /// [`Engine::dump_trace`]).
     trace_dir: Option<std::path::PathBuf>,
-    /// Wall-clock anchor for the engine's monotonic event timestamps,
-    /// written into every trace dump's meta line so `tracemerge` can
-    /// align per-rank timelines.
+    /// Wall-clock anchor of `start_time`, written into every trace
+    /// dump's meta line so `tracemerge` can align per-rank timelines.
+    /// Both come from [`trace_epoch`].
     start_unix_ns: u128,
+}
+
+/// The process's one trace epoch: a monotonic origin and its wall-clock
+/// anchor, read together once. Every engine in the process takes both,
+/// so every rank's `ts_ns` is on one clock and the dumps' anchors agree
+/// exactly (see [`trace`]'s one-epoch rule).
+fn trace_epoch() -> (Instant, u128) {
+    static EPOCH: OnceLock<(Instant, u128)> = OnceLock::new();
+    *EPOCH.get_or_init(|| {
+        let unix = SystemTime::now().duration_since(UNIX_EPOCH);
+        (Instant::now(), unix.map(|d| d.as_nanos()).unwrap_or(0))
+    })
 }
 
 /// A rank that unwinds takes the job down with it: an engine dropped
@@ -274,6 +287,7 @@ impl Engine {
     /// trace, trace dir) are applied, for the launcher and for
     /// [`Engine::new`] alike.
     pub(crate) fn with_config(endpoint: Box<dyn Endpoint>, config: &UniverseConfig) -> Engine {
+        let (start_time, start_unix_ns) = trace_epoch();
         let world_rank = endpoint.rank();
         let world_size = endpoint.size();
         let nodes = endpoint.node_map().clone();
@@ -293,7 +307,7 @@ impl Engine {
             eager_threshold: config.eager_threshold.unwrap_or(DEFAULT_EAGER_THRESHOLD),
             send_pool: p2p::StagingPool::default(),
             attached_buffer: None,
-            start_time: Instant::now(),
+            start_time,
             processor_name: format!("rank-{world_rank}.mpijava-rs.local"),
             finalized: false,
             aborted: false,
@@ -306,10 +320,7 @@ impl Engine {
             last_failure_poll: None,
             tracer: trace::Tracer::new(config.trace.unwrap_or_default()),
             trace_dir: config.trace_dir.clone(),
-            start_unix_ns: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0),
+            start_unix_ns,
         };
         engine.install_builtin_comms();
         engine
@@ -531,8 +542,8 @@ impl Engine {
         Ok(path)
     }
 
-    /// Nanoseconds on the engine's private monotonic clock (the same
-    /// clock event timestamps use).
+    /// Nanoseconds since the process's trace epoch (the clock event
+    /// timestamps use).
     #[inline]
     pub(crate) fn clock_ns(&self) -> u64 {
         self.start_time.elapsed().as_nanos() as u64
@@ -707,6 +718,18 @@ mod tests {
         assert!(a.is_finalized());
         assert!(a.finalize().is_err());
         assert!(a.check_live().is_err());
+    }
+
+    /// Every engine in a process stamps on the one trace epoch, however
+    /// far apart they are built, so their dumps' anchors agree exactly.
+    #[test]
+    fn engines_in_one_process_share_the_trace_epoch() {
+        let (a, b) = pair();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let (c, _d) = pair();
+        assert_eq!(a.start_unix_ns, b.start_unix_ns);
+        assert_eq!(a.start_unix_ns, c.start_unix_ns);
+        assert_eq!(a.start_time, c.start_time);
     }
 
     #[test]

@@ -624,8 +624,8 @@ impl Engine {
                 dst_world: header.dst,
             },
         );
-        self.endpoint.send(Frame::control(header))?;
-        self.stats.rendezvous_sends += 1;
+        // Begin is stamped before the announcement leaves, as an eager
+        // send's is, so no receiver can match it before the send began.
         // The matching End is emitted when the last data frame ships
         // (`ship`), bracketing the handshake. The token stamp joins this
         // interval with the receiver's events.
@@ -634,6 +634,8 @@ impl Engine {
             EventPhase::Begin,
             [header.dst as i64, tag as i64, len as i64, token as i64, 0],
         );
+        self.endpoint.send(Frame::control(header))?;
+        self.stats.rendezvous_sends += 1;
         Ok(req)
     }
 

@@ -99,7 +99,7 @@
 //!    capacity before trusting whole-run analysis.
 //! 2. **Merge**: `tracemerge <dir> -o trace.json` produces one Chrome
 //!    `trace_event` timeline (load in `chrome://tracing` or Perfetto),
-//!    one track per rank, clock-corrected (see caveats below).
+//!    one track per rank, on the one trace clock (see below).
 //! 3. **Analyze**: `traceanalyze <dir> --json analysis.json` matches
 //!    sends to receives by `(sender, token)` and collective rounds by
 //!    `(ctx, cseq, round)`, classifies wait states, attributes blame to
@@ -109,21 +109,22 @@
 //!    schema-versioned machine output. `--drill straggler|killcoll`
 //!    runs the CI acceptance workloads end to end and gates on them.
 //! 4. **Record**: `traceanalyze <dir> --json analysis.json` writes the
-//!    analysis as schema-versioned JSON (`causal-analysis-v1`), the
+//!    analysis as schema-versioned JSON (`causal-analysis-v2`), the
 //!    artifact to keep or compare between runs. The gate is the drills'
-//!    exit status; CI only checks that the schema tag is present.
+//!    exit status; CI also checks that the schema tag is present and
+//!    that its smoke run reports `early_receives` 0.
 //!
-//! **Clock-alignment caveats**: each rank's events are timestamped on
-//! its own monotonic clock, anchored to the wall clock once at engine
-//! construction (`start_unix_ns`). The analyzer refines that anchor by
-//! pingpong-style midpoint estimation over matched message pairs, which
-//! assumes roughly symmetric link delay; asymmetric paths bias offsets
-//! by half the asymmetry, and one-way minimum delay puts a floor on the
-//! achievable precision. In-process (thread-per-rank) runs share one
-//! clock, so offsets there are near zero and mostly validate the
-//! estimator. Cross-rank interval comparisons finer than the estimated
-//! offset error are noise; the analyzer reports its per-rank offsets so
-//! you can judge.
+//! **One trace epoch per process**: every engine in a process takes
+//! its monotonic origin and that origin's wall-clock anchor
+//! (`start_unix_ns`) from one pair read once, the first time any
+//! engine is built. Every rank of an in-process (thread-per-rank) job
+//! therefore stamps `ts_ns` on one clock, and the dumps' anchors agree
+//! exactly: nothing is left to estimate. A receive is never stamped
+//! before the `B` of the send it matches (both protocols stamp `B`
+//! before the first frame leaves), which `traceanalyze` reports as
+//! `early_receives`. Dumps written by separate processes align by their
+//! anchors alone, as well as the hosts' wall clocks agree; a nonzero
+//! `early_receives` is then the disagreement, reported, not corrected.
 //!
 //! Begin/End pairs are emitted only where closure is provable from the
 //! engine's own state machine (an eager send completes within its
@@ -365,12 +366,12 @@ impl EventPhase {
 }
 
 /// One fixed-size trace record. Timestamps are nanoseconds since the
-/// owning engine's construction (its monotonic `start_time`); the dump
-/// meta line carries the wall-clock anchor that lets `tracemerge` align
-/// rings from different ranks.
+/// process's trace epoch (every engine's monotonic `start_time`); the
+/// dump meta line carries the epoch's wall-clock anchor, which lets
+/// `tracemerge` align rings from different processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Nanoseconds since engine construction (monotonic).
+    /// Nanoseconds since the process's trace epoch (monotonic).
     pub ts_ns: u64,
     /// What happened.
     pub kind: EventKind,
@@ -808,8 +809,8 @@ pub struct DumpMeta {
     pub size: usize,
     /// Transport device label (e.g. `spool`).
     pub device: String,
-    /// `SystemTime` at engine construction, as nanoseconds since the
-    /// Unix epoch.
+    /// `SystemTime` at the process's trace epoch, as nanoseconds since
+    /// the Unix epoch: the same for every rank of an in-process job.
     pub start_unix_ns: u128,
 }
 
