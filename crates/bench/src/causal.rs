@@ -432,17 +432,7 @@ fn critical_path(traces: &[RankTrace], anchor: &[i64]) -> CriticalPath {
                 .collect()
         })
         .collect();
-    // Send sites keyed by (sender index, token) -> index of the E event.
-    let mut send_site: HashMap<(usize, i64), usize> = HashMap::new();
-    for (i, trace) in traces.iter().enumerate() {
-        for (e, ev) in trace.events.iter().enumerate() {
-            if ev.ph == 'E' && is_send(&ev.name) {
-                if let Some(token) = arg(ev, "token") {
-                    send_site.insert((i, token), e);
-                }
-            }
-        }
-    }
+    let send_site = send_sites(traces);
     // Start at the globally last event.
     let Some((mut r, mut e)) = (0..n)
         .filter(|&i| !traces[i].events.is_empty())
@@ -464,7 +454,14 @@ fn critical_path(traces: &[RankTrace], anchor: &[i64]) -> CriticalPath {
                 .zip(arg(ev, "token"))
                 .and_then(|(peer, token)| {
                     let &si = index_of.get(&(peer as usize))?;
-                    let &se = send_site.get(&(si, token))?;
+                    let [begin, Some(end)] = *send_site.get(&(si, token))? else {
+                        return None;
+                    };
+                    // A rendezvous send's E is stamped when its last data
+                    // frame ships, which can be after this receive: the
+                    // path then came over the wire from its B, stamped
+                    // before the announcement left.
+                    let se = begin.filter(|_| ats[si][end] > t).unwrap_or(end);
                     Some((si, se, ats[si][se]))
                 })
         } else {
@@ -505,22 +502,24 @@ fn critical_path(traces: &[RankTrace], anchor: &[i64]) -> CriticalPath {
                     } else {
                         0
                     };
+                    // The walk runs backwards in time, so the later
+                    // segment, the wait, goes first.
                     let wait_start = (t - wait).max(lt);
-                    if wait_start > lt {
-                        segments.push(PathSegment {
-                            rank,
-                            kind: SegmentKind::Compute,
-                            start_ns: lt,
-                            end_ns: wait_start,
-                            at: ev.name.clone(),
-                        });
-                    }
                     if wait > 0 && t > wait_start {
                         segments.push(PathSegment {
                             rank,
                             kind: SegmentKind::Wait,
                             start_ns: wait_start,
                             end_ns: t,
+                            at: ev.name.clone(),
+                        });
+                    }
+                    if wait_start > lt {
+                        segments.push(PathSegment {
+                            rank,
+                            kind: SegmentKind::Compute,
+                            start_ns: lt,
+                            end_ns: wait_start,
                             at: ev.name.clone(),
                         });
                     }
@@ -801,6 +800,26 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Every send's `B` and `E` event indices, keyed by `(sender index,
+/// token)`.
+fn send_sites(traces: &[RankTrace]) -> HashMap<(usize, i64), [Option<usize>; 2]> {
+    let mut sites: HashMap<(usize, i64), [Option<usize>; 2]> = HashMap::new();
+    for (i, trace) in traces.iter().enumerate() {
+        for (e, ev) in trace.events.iter().enumerate() {
+            let Some(token) = arg(ev, "token").filter(|_| is_send(&ev.name)) else {
+                continue;
+            };
+            let site = sites.entry((i, token)).or_default();
+            match ev.ph {
+                'B' => site[0] = Some(e),
+                'E' => site[1] = Some(e),
+                _ => {}
+            }
+        }
+    }
+    sites
+}
+
 /// Join every receive to the send it matches by `(sender, token)`:
 /// returns how many joined and how many of those are stamped before
 /// their send's `B` (see [`Analysis::early_receives`]).
@@ -810,21 +829,7 @@ fn match_receives(traces: &[RankTrace], anchor: &[i64]) -> (usize, usize) {
         .enumerate()
         .map(|(i, t)| (t.rank, i))
         .collect();
-    // (sender index, token) -> (anchored `B` time, whether an `E` closed it).
-    let mut sends: HashMap<(usize, i64), (Option<i64>, bool)> = HashMap::new();
-    for (i, trace) in traces.iter().enumerate() {
-        for ev in trace.events.iter().filter(|ev| is_send(&ev.name)) {
-            let Some(token) = arg(ev, "token") else {
-                continue;
-            };
-            let send = sends.entry((i, token)).or_default();
-            match ev.ph {
-                'B' => send.0 = Some(anchor[i] + ev.ts_ns as i64),
-                'E' => send.1 = true,
-                _ => {}
-            }
-        }
-    }
+    let sends = send_sites(traces);
     let (mut matched, mut early) = (0, 0);
     for (j, trace) in traces.iter().enumerate() {
         for ev in trace.events.iter().filter(|ev| is_recv(&ev.name)) {
@@ -832,11 +837,12 @@ fn match_receives(traces: &[RankTrace], anchor: &[i64]) -> (usize, usize) {
                 .zip(arg(ev, "token"))
                 .and_then(|(peer, token)| {
                     let &i = index_of.get(&(peer as usize))?;
-                    sends.get(&(i, token))
+                    Some((i, sends.get(&(i, token))?))
                 });
-            if let Some(&(begin, true)) = send {
+            if let Some((i, &[begin, Some(_)])) = send {
                 matched += 1;
-                early += usize::from(begin.is_some_and(|b| anchor[j] + (ev.ts_ns as i64) < b));
+                let began = begin.map(|b| anchor[i] + traces[i].events[b].ts_ns as i64);
+                early += usize::from(began.is_some_and(|b| anchor[j] + (ev.ts_ns as i64) < b));
             }
         }
     }
@@ -1272,6 +1278,47 @@ mod tests {
         assert_eq!(analysis.collectives.len(), 1);
         assert_eq!(analysis.collectives[0].durations_ns.len(), 2);
         assert_eq!(analysis.collectives[0].op, "allreduce");
+    }
+
+    /// A rendezvous send whose E is stamped after the receive it
+    /// matches (its last data frame shipped late): the path hops from
+    /// the receive to the send's B, so it never runs forward in time
+    /// and the wire hop has a length. Before the send, the sender
+    /// computed and then waited in a receive that matches nothing here;
+    /// its wait must follow its compute on the path.
+    #[test]
+    fn critical_path_hops_to_the_begin_of_a_send_that_ends_after_its_receive() {
+        let send = |ts: u64, ph: char| {
+            let args = "\"peer\":0,\"tag\":7,\"bytes\":262144,\"token\":1";
+            ev(ts, "send_rendezvous", ph, args)
+        };
+        let recv = |ts: u64, peer: u32, token: u32| {
+            let args =
+                format!("\"peer\":{peer},\"tag\":7,\"bytes\":8,\"token\":{token},\"wait_ns\":300");
+            ev(ts, "recv_posted", 'i', &args)
+        };
+        let r0 = [
+            meta(0, 0),
+            ev(100, "mark", 'i', ""),
+            recv(3000, 1, 1),
+            ev(6000, "mark", 'i', ""),
+        ]
+        .join("\n");
+        let r1 = [
+            meta(1, 0),
+            ev(200, "mark", 'i', ""),
+            recv(800, 0, 9),
+            send(1000, 'B'),
+            send(5000, 'E'),
+        ]
+        .join("\n");
+        let traces = [r0, r1].map(|t| parse_rank_trace(&t).unwrap());
+        let cp = analyze(&traces).unwrap().critical_path;
+        for pair in cp.segments.windows(2) {
+            assert!(pair[1].start_ns >= pair[0].end_ns, "{:?}", cp.segments);
+        }
+        assert_eq!(cp.transport_ns, 2000, "{:?}", cp.segments); // 3000 - 1000
+        assert_eq!((cp.send_ns, cp.wait_ns), (0, 300));
     }
 
     #[test]

@@ -161,23 +161,14 @@ impl<'buf, T: BufferElement> Window<'buf, T> {
 
     /// `MPI_Put` of a typed slice into `target`'s exposed data at
     /// element offset `offset`. Applied at the target's next covering
-    /// synchronization.
+    /// synchronization. The engine stages the bytes once, behind the
+    /// operation's header, and ships the two as one message, as it does
+    /// for [`accumulate`](Window::accumulate).
     pub fn put(&self, target: usize, offset: usize, data: &[T]) -> MpiResult<()> {
         self.env.jni.enter("Win.Put");
         let payload = bytes_of(data);
         let mut engine = self.env.engine.lock();
         engine.win_put(self.handle, target, offset * T::width(), &payload)?;
-        Ok(())
-    }
-
-    /// Zero-copy `MPI_Put` of an owned byte buffer (element type `u8`
-    /// windows; mirrors
-    /// [`send_bytes`](crate::rs::Communicator::send_bytes)): the payload
-    /// rides the engine's refcounted datapath without a staging copy.
-    pub fn put_bytes(&self, target: usize, offset: usize, data: bytes::Bytes) -> MpiResult<()> {
-        self.env.jni.enter("Win.Put[bytes]");
-        let mut engine = self.env.engine.lock();
-        engine.win_put_bytes(self.handle, target, offset * T::width(), data)?;
         Ok(())
     }
 

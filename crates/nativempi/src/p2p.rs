@@ -106,9 +106,9 @@
 //! * [`Engine::recv_into`]: the completion, once delivered;
 //! * the collective executor ([`crate::coll::nb`]): a compute's spent
 //!   operands and wire buffers, and a retiring schedule's slot store;
-//! * RMA: an applied `put` or `accumulate`, a redeemed `get` reply, a
-//!   spent grant or ack (and RMA stages its payloads from the pool, as
-//!   a slice send does);
+//! * RMA: an applied `put` or `accumulate`'s message, a redeemed `get`
+//!   reply (and RMA stages a large operation's message, header and
+//!   payload, in a buffer from the pool, as a slice send does);
 //! * the `mpijava` binding: every result or completion it stores into
 //!   the caller's array — the classic reductions, `Bcast`, the gather
 //!   family, `Sendrecv`, a completed `Irecv`, a non-dense `Recv` and
@@ -359,8 +359,8 @@ impl Engine {
 
     /// Copy `data` into a pooled staging buffer and wrap it as `Bytes`
     /// without a second copy. This is the *single* send-side copy of the
-    /// slice-based send APIs, and of an RMA `put`, `accumulate` or `get`
-    /// reply.
+    /// slice-based send APIs, and of an RMA `get` reply (a `put` or
+    /// `accumulate` stages its payload behind its header instead).
     pub(crate) fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
         self.stage(data, Staging::Engine)
     }
@@ -476,7 +476,7 @@ impl Engine {
     }
 
     /// Zero-copy send on either context (the RMA subsystem ships window
-    /// payloads and sync markers on the collective context, so user
+    /// operations and sync markers on the collective context, so user
     /// `ANY_TAG` receives can never steal them).
     pub(crate) fn isend_bytes_on_context(
         &mut self,

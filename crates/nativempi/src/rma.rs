@@ -70,9 +70,16 @@
 //!
 //! | channel | tag            | carries                                   |
 //! |---------|----------------|-------------------------------------------|
-//! | data    | `base`         | op headers, payloads, fence/flush markers |
+//! | data    | `base`         | one message per operation, fence/flush markers, lock requests |
 //! | reply   | `base − 1`     | `get` replies (target → origin)           |
 //! | ack     | `base − 2`     | lock grants and flush-acks                |
+//!
+//! A data-channel message is self-describing: its header (the op code,
+//! then an operation's `offset` and `len`, then an accumulate's kind
+//! and reduction codes), followed by a `put`'s or `accumulate`'s `len`
+//! payload bytes in the same message. A `get` header, a marker and a
+//! lock request carry no payload; at most [`bytes::INLINE_CAP`] bytes,
+//! they are inline `Bytes`, as is every ack.
 //!
 //! `win_create` is collective, so the per-communicator window sequence
 //! counter lines the channels up on every rank with no communication.
@@ -95,16 +102,17 @@
 //!
 //! | operation                        | copies | where                          |
 //! |----------------------------------|--------|--------------------------------|
-//! | `win_put_bytes` (owned `Bytes`)  | 0      | origin ships the buffer        |
-//! | `win_put` / `win_accumulate`     | 1      | origin staging                 |
+//! | `win_put` / `win_accumulate`     | 1      | origin staging, after the header (uncounted) in one buffer |
 //! | put/accumulate application       | 1      | target region write            |
 //! | `get` reply                      | 1      | target staging of the region   |
 //! | `win_get_take`                   | 0      | the reply's buffer, handed over |
 //! | `win_get_take_into`              | 1      | origin delivery copy, as `recv_into` |
 //!
-//! The loopback moves a buffer without copying, so a rank's operations
-//! on its own window cost the same. Large payloads switch to the
-//! rendezvous protocol exactly like two-sided traffic: the target's
+//! The target applies a put or accumulate straight from a zero-copy
+//! slice of the message it arrived in. The loopback moves a buffer
+//! without copying, so a rank's operations on its own window cost the
+//! same. A message above the eager limit, header and payload together,
+//! is one rendezvous exactly like two-sided traffic: the target's
 //! progress hook grants parked rendezvous envelopes on the data channel
 //! the same way a posted receive would.
 
@@ -132,7 +140,7 @@ pub(crate) const TAGS_PER_WINDOW: i32 = 4;
 /// windows *live at once* on one communicator.
 const WIN_SEQ_SPACE: u64 = 4096;
 
-// Wire op codes (first byte of every data-channel header message).
+// Wire op codes (first byte of every data-channel message).
 const OP_PUT: u8 = 0;
 const OP_ACC: u8 = 1;
 const OP_GET: u8 = 2;
@@ -192,10 +200,10 @@ fn op_code(op: PredefinedOp) -> u8 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WinHandle(pub(crate) u64);
 
-/// A payload that is either fully here or still awaiting its rendezvous
-/// data frame.
+/// A data-channel message that is either fully here or still awaiting
+/// its rendezvous data frame.
 #[derive(Debug)]
-enum PayloadRef {
+enum Arrival {
     Ready(Bytes),
     Awaiting(RequestId),
 }
@@ -204,8 +212,7 @@ enum PayloadRef {
 /// a marker, or a lock request.
 #[derive(Debug)]
 enum RmaEntry {
-    /// Decoded with an empty payload; the next message of its origin
-    /// fills it in.
+    /// `data` is a zero-copy slice of the message it arrived in.
     Put {
         offset: usize,
         data: Bytes,
@@ -232,39 +239,46 @@ enum RmaEntry {
     Lock,
 }
 
-/// Decode a data-channel header message. A header shorter than its op
-/// code's layout, or with an unknown op, kind or reduction code, is an
-/// `Intern` error: these bytes come off a device, so they must never
-/// index out of range.
-fn decode(header: &[u8]) -> Result<RmaEntry> {
-    let min_len = match header.first() {
+/// Decode a whole data-channel message; a put's or accumulate's payload
+/// is a zero-copy slice of it. A message shorter than its op code's
+/// header, with an unknown op, kind or reduction code, or whose length
+/// is not its header plus the header's `len` payload bytes (none but
+/// for a put or accumulate) is an `Intern` error: these bytes come off a
+/// device, so they must never index out of range.
+fn decode(message: &Bytes) -> Result<RmaEntry> {
+    let header_len = match message.first() {
         Some(&(OP_PUT | OP_GET)) => 17,
         Some(&OP_ACC) => 19,
         Some(&OP_FLUSH) => 2,
         Some(&(OP_FENCE | OP_LOCK)) => 1,
         other => return err(ErrorClass::Intern, format!("bad RMA op code {other:?}")),
     };
-    if header.len() < min_len {
+    let at = |i: usize| u64::from_le_bytes(message[i..i + 8].try_into().expect("8 bytes")) as usize;
+    let payload_len = match message[0] {
+        OP_PUT | OP_ACC if message.len() >= 17 => at(9),
+        _ => 0,
+    };
+    if message.len().checked_sub(header_len) != Some(payload_len) {
         return err(
             ErrorClass::Intern,
             format!(
-                "short RMA header: {} bytes for op code {}, need {min_len}",
-                header.len(),
-                header[0]
+                "RMA message of {} bytes for op code {}, need {header_len} + {payload_len}",
+                message.len(),
+                message[0]
             ),
         );
     }
-    let at = |i: usize| u64::from_le_bytes(header[i..i + 8].try_into().expect("8 bytes")) as usize;
-    Ok(match header[0] {
+    let data = || message.slice(header_len..);
+    Ok(match message[0] {
         OP_PUT => RmaEntry::Put {
             offset: at(1),
-            data: Bytes::new(),
+            data: data(),
         },
         OP_ACC => RmaEntry::Acc {
             offset: at(1),
-            kind: from_code(&KINDS, header[17], "kind")?,
-            op: from_code(&OPS, header[18], "reduction")?,
-            data: Bytes::new(),
+            kind: from_code(&KINDS, message[17], "kind")?,
+            op: from_code(&OPS, message[18], "reduction")?,
+            data: data(),
         },
         OP_GET => RmaEntry::Get {
             offset: at(1),
@@ -272,7 +286,7 @@ fn decode(header: &[u8]) -> Result<RmaEntry> {
         },
         OP_FENCE => RmaEntry::Fence,
         OP_FLUSH => RmaEntry::Flush {
-            release: header[1] != 0,
+            release: message[1] != 0,
         },
         _ => RmaEntry::Lock,
     })
@@ -281,13 +295,11 @@ fn decode(header: &[u8]) -> Result<RmaEntry> {
 /// Per-origin arrival state at the target.
 #[derive(Debug, Default)]
 struct OriginState {
-    /// Unparsed data-channel arrivals, in transport order. Only the
-    /// front is ever inspected, so rendezvous payloads that are still
-    /// assembling stall parsing (never reorder it).
-    raw: VecDeque<PayloadRef>,
-    /// A put or accumulate whose payload message is still to come.
-    pending: Option<RmaEntry>,
-    /// Parsed operations awaiting their covering sync.
+    /// Undecoded data-channel messages, in transport order. Only the
+    /// front is ever inspected, so a rendezvous message that is still
+    /// assembling stalls decoding (never reorders it).
+    raw: VecDeque<Arrival>,
+    /// Decoded operations awaiting their covering sync.
     queue: VecDeque<RmaEntry>,
 }
 
@@ -362,7 +374,7 @@ impl WindowState {
         } else if self
             .incoming
             .iter()
-            .any(|o| !o.raw.is_empty() || o.pending.is_some() || !o.queue.is_empty())
+            .any(|o| !o.raw.is_empty() || !o.queue.is_empty())
         {
             Some("unapplied peer operations (missing sync)")
         } else {
@@ -471,8 +483,9 @@ impl Engine {
         Ok(std::mem::take(&mut st.dirty))
     }
 
-    /// `MPI_Put` from a slice: one staging copy, then the zero-copy
-    /// datapath (mirrors the two-sided slice send).
+    /// `MPI_Put` from a slice: one staging copy, behind the header in
+    /// the operation's one message, then the zero-copy datapath (mirrors
+    /// the two-sided slice send).
     pub fn win_put(
         &mut self,
         win: WinHandle,
@@ -480,20 +493,7 @@ impl Engine {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        let staged = self.wrap_payload(data);
-        self.win_put_bytes(win, target, offset, staged)
-    }
-
-    /// `MPI_Put` of an owned buffer: zero-copy all the way to the
-    /// target's region write.
-    pub fn win_put_bytes(
-        &mut self,
-        win: WinHandle,
-        target: usize,
-        offset: usize,
-        data: Bytes,
-    ) -> Result<()> {
-        self.rma_op(win, target, [OP_PUT], offset, data.len(), Some(data))
+        self.rma_op(win, target, &[OP_PUT], offset, data.len(), data)
     }
 
     /// `MPI_Accumulate` with a predefined reduction (the wire carries
@@ -517,9 +517,8 @@ impl Engine {
                 ),
             );
         }
-        let staged = self.wrap_payload(data);
         let codes = [OP_ACC, kind_code(kind), op_code(op)];
-        self.rma_op(win, target, codes, offset, data.len(), Some(staged))
+        self.rma_op(win, target, &codes, offset, data.len(), data)
     }
 
     /// `MPI_Get`: request `len` bytes at `offset` of `target`'s region.
@@ -533,7 +532,7 @@ impl Engine {
         offset: usize,
         len: usize,
     ) -> Result<RequestId> {
-        self.rma_op(win, target, [OP_GET], offset, len, None)?;
+        self.rma_op(win, target, &[OP_GET], offset, len, &[])?;
         // The reply can only come once a sync of ours has sent the
         // target the marker that follows this get.
         let st = self.win_state(win)?;
@@ -607,7 +606,7 @@ impl Engine {
             st.size
         };
         for target in 0..size {
-            self.rma_issue(win, target, vec![OP_FENCE], None)?;
+            self.rma_issue(win, target, &[OP_FENCE], &[])?;
         }
         let st = self.win_state_mut(win)?;
         st.fences_started += 1;
@@ -626,7 +625,7 @@ impl Engine {
         if self.win_state(win)?.locks_held.contains(&target) {
             return err(ErrorClass::Other, "window already locked at this target");
         }
-        let ack = self.rma_request(win, target, vec![OP_LOCK])?;
+        let ack = self.rma_request(win, target, &[OP_LOCK])?;
         let comm = self.win_state(win)?.comm;
         self.block_on(|engine| {
             engine.rma_check_failed(comm)?;
@@ -657,7 +656,7 @@ impl Engine {
                 "flush/unlock without a lock on this target",
             );
         }
-        let ack = self.rma_request(win, target, vec![OP_FLUSH, release as u8])?;
+        let ack = self.rma_request(win, target, &[OP_FLUSH, release as u8])?;
         // The ack proves application at the target; still drain our own
         // sends and the get replies from this target (a large reply can
         // trail the ack on the rendezvous path).
@@ -709,24 +708,25 @@ impl Engine {
 
     /// Issue a put, accumulate or get: its header — the op code, `offset`,
     /// `len`, then an accumulate's kind and reduction codes — and
-    /// payload, then its statistics and trace event.
-    fn rma_op<const N: usize>(
+    /// payload as one message, then its statistics and trace event.
+    fn rma_op(
         &mut self,
         win: WinHandle,
         target: usize,
-        codes: [u8; N],
+        codes: &[u8],
         offset: usize,
         len: usize,
-        payload: Option<Bytes>,
+        payload: &[u8],
     ) -> Result<()> {
         self.check_live()?;
         self.validate_rma_target(win, target)?;
-        let mut header = Vec::with_capacity(17 + N);
-        header.push(codes[0]);
-        header.extend_from_slice(&(offset as u64).to_le_bytes());
-        header.extend_from_slice(&(len as u64).to_le_bytes());
-        header.extend_from_slice(&codes[1..]);
-        self.rma_issue(win, target, header, payload)?;
+        let mut header = [0; 19];
+        let header_len = 16 + codes.len();
+        header[0] = codes[0];
+        header[1..9].copy_from_slice(&(offset as u64).to_le_bytes());
+        header[9..17].copy_from_slice(&(len as u64).to_le_bytes());
+        header[17..header_len].copy_from_slice(&codes[1..]);
+        self.rma_issue(win, target, &header[..header_len], payload)?;
         let st = self.win_state_mut(win)?;
         if !st.locks_held.contains(&target) {
             st.unsynced_ops += 1;
@@ -744,41 +744,55 @@ impl Engine {
         Ok(())
     }
 
-    /// Ship one operation or marker: the header message, then (for
-    /// put/accumulate) the payload message, both on the window's ordered
-    /// data channel — to a peer or, over the loopback, to this rank.
+    /// Ship one operation or marker as one message on the window's
+    /// ordered data channel — to a peer or, over the loopback, to this
+    /// rank. `header` and then `payload` are staged into one buffer:
+    /// inline up to [`bytes::INLINE_CAP`] bytes, else from the staging
+    /// pool. The payload's copy is the operation's one staging copy; the
+    /// header's bytes are not counted.
     fn rma_issue(
         &mut self,
         win: WinHandle,
         target: usize,
-        header: Vec<u8>,
-        payload: Option<Bytes>,
+        header: &[u8],
+        payload: &[u8],
     ) -> Result<()> {
         let (comm, data_tag) = {
             let st = self.win_state(win)?;
             (st.comm, st.data_tag)
         };
-        for message in std::iter::once(Bytes::from(header)).chain(payload) {
-            let req = self.isend_bytes_on_context(
-                comm,
-                target as i32,
-                data_tag,
-                message,
-                SendMode::Standard,
-                true,
-            )?;
-            self.win_state_mut(win)?.send_reqs.push(req);
-        }
+        self.stats.bytes_copied += payload.len() as u64;
+        let len = header.len() + payload.len();
+        let message = if len <= bytes::INLINE_CAP {
+            let mut buf = [0; bytes::INLINE_CAP];
+            buf[..header.len()].copy_from_slice(header);
+            buf[header.len()..len].copy_from_slice(payload);
+            Bytes::copy_from_slice(&buf[..len])
+        } else {
+            let mut buf = self.pool_take(len);
+            buf.extend_from_slice(header);
+            buf.extend_from_slice(payload);
+            Bytes::from(buf)
+        };
+        let req = self.isend_bytes_on_context(
+            comm,
+            target as i32,
+            data_tag,
+            message,
+            SendMode::Standard,
+            true,
+        )?;
+        self.win_state_mut(win)?.send_reqs.push(req);
         Ok(())
     }
 
     /// Send `target` a lock request or flush marker, with the receive of
     /// its answer on the ack channel posted first.
-    fn rma_request(&mut self, win: WinHandle, target: usize, header: Vec<u8>) -> Result<RequestId> {
+    fn rma_request(&mut self, win: WinHandle, target: usize, header: &[u8]) -> Result<RequestId> {
         let st = self.win_state(win)?;
         let (comm, ack_tag) = (st.comm, st.ack_tag);
         let ack = self.irecv_on_context(comm, target as i32, ack_tag, None, true)?;
-        self.rma_issue(win, target, header, None)?;
+        self.rma_issue(win, target, header, &[])?;
         Ok(ack)
     }
 
@@ -851,7 +865,6 @@ impl Engine {
     fn claim_ack(&mut self, ack: RequestId, expected: u8) -> Result<()> {
         let data = self.take_completion(ack)?.data.unwrap_or_default();
         let code = (data.len() == 1).then(|| data[0]);
-        self.recycle(data);
         match code {
             Some(code) if code == expected => Ok(()),
             Some(ACK_FLUSH_FAILED) if expected == ACK_FLUSH_DONE => err(
@@ -867,10 +880,10 @@ impl Engine {
 
     /// The RMA progress hook, run from `nb_progress` (so every blocking
     /// or polling engine call drives it): ingest data-channel arrivals,
-    /// resolve in-flight payloads, and apply whatever epochs the markers
-    /// now cover. The window map is taken out for the sweep and put back
-    /// after it, which is sound because the hook never re-enters the
-    /// progress engine.
+    /// decode every origin's ready messages, and apply whatever epochs
+    /// the markers now cover. The window map is taken out for the sweep
+    /// and put back after it, which is sound because the hook never
+    /// re-enters the progress engine.
     pub(crate) fn rma_progress(&mut self) -> Result<()> {
         if self.windows.is_empty() {
             return Ok(());
@@ -885,17 +898,8 @@ impl Engine {
 
     fn drive_window(&mut self, st: &mut WindowState) -> Result<()> {
         self.ingest_arrivals(st)?;
-        // Resolve/parse to a fixpoint: parsing a header exposes the next
-        // raw entry as the new queue front, and its payload may have
-        // fully assembled already. One pass each would leave that
-        // resolvable front parked until another frame happens to arrive
-        // — which deadlocks a rank whose peers have all moved on.
-        loop {
-            let resolved = self.resolve_payloads(st)?;
-            let parsed = self.parse_origins(st)?;
-            if !resolved && !parsed {
-                break;
-            }
+        for origin in 0..st.size {
+            self.drain_origin(st, origin)?;
         }
         // Apply every epoch the markers now cover; each application can
         // unblock the next (pipelined fences, the next lock holder's
@@ -924,78 +928,48 @@ impl Engine {
         use crate::matching::UnexpectedKind;
         for msg in self.matching.take_tagged(st.context_coll, st.data_tag) {
             let origin = self.source_rank(st.comm, msg.src_world)?;
-            let payload = match msg.kind {
+            let arrival = match msg.kind {
                 UnexpectedKind::Eager(data) => {
                     self.stats.bytes_received += data.len() as u64;
-                    PayloadRef::Ready(data)
+                    Arrival::Ready(data)
                 }
                 UnexpectedKind::Rendezvous => {
                     let req = self.fresh_request_id();
                     self.grant_rendezvous(req, origin, None, false, st.context_coll, &msg)?;
-                    PayloadRef::Awaiting(RequestId(req))
+                    Arrival::Awaiting(RequestId(req))
                 }
             };
-            st.incoming[origin].raw.push_back(payload);
+            st.incoming[origin].raw.push_back(arrival);
         }
         Ok(())
     }
 
-    /// Resolve rendezvous payloads that have finished assembling. Only
-    /// queue fronts matter: per-origin order is the protocol's backbone.
-    /// Returns whether anything was resolved.
-    fn resolve_payloads(&mut self, st: &mut WindowState) -> Result<bool> {
-        let mut resolved = false;
-        for origin in st.incoming.iter_mut() {
-            if let Some(&PayloadRef::Awaiting(req)) = origin.raw.front() {
-                if !self.is_complete(req)? {
-                    continue;
+    /// Decode `origin`'s messages in transport order, up to the first
+    /// rendezvous message still assembling: whatever is behind it waits,
+    /// since per-origin order is the protocol's backbone. Lock requests
+    /// act immediately (granting enables the origin's *next* sends, so
+    /// this cannot reorder anything already queued).
+    fn drain_origin(&mut self, st: &mut WindowState, origin: usize) -> Result<()> {
+        while let Some(arrival) = st.incoming[origin].raw.pop_front() {
+            let message = match arrival {
+                Arrival::Ready(message) => message,
+                Arrival::Awaiting(req) if self.is_complete(req)? => {
+                    self.take_completion(req)?.data.unwrap_or_default()
                 }
-                let data = self.take_completion(req)?.data.unwrap_or_default();
-                origin.raw[0] = PayloadRef::Ready(data);
-                resolved = true;
-            }
-        }
-        Ok(resolved)
-    }
-
-    /// Parse ready messages into operations. Lock requests act
-    /// immediately (granting enables the origin's *next* sends, so this
-    /// cannot reorder anything already queued). Returns whether anything
-    /// was parsed.
-    fn parse_origins(&mut self, st: &mut WindowState) -> Result<bool> {
-        let mut parsed = false;
-        for rank in 0..st.size {
-            loop {
-                let origin = &mut st.incoming[rank];
-                let Some(PayloadRef::Ready(_)) = origin.raw.front() else {
+                awaiting => {
+                    st.incoming[origin].raw.push_front(awaiting);
                     break;
-                };
-                parsed = true;
-                let Some(PayloadRef::Ready(data)) = origin.raw.pop_front() else {
-                    unreachable!("checked above");
-                };
-                if let Some(mut entry) = origin.pending.take() {
-                    if let RmaEntry::Put { data: slot, .. } | RmaEntry::Acc { data: slot, .. } =
-                        &mut entry
-                    {
-                        *slot = data;
-                    }
-                    origin.queue.push_back(entry);
-                    continue;
                 }
-                match decode(&data)? {
-                    entry @ (RmaEntry::Put { .. } | RmaEntry::Acc { .. }) => {
-                        origin.pending = Some(entry)
-                    }
-                    RmaEntry::Lock if st.lock_holder.is_none() && st.lock_waiters.is_empty() => {
-                        self.rma_grant(st, rank)?
-                    }
-                    RmaEntry::Lock => st.lock_waiters.push_back(rank),
-                    entry => origin.queue.push_back(entry),
+            };
+            match decode(&message)? {
+                RmaEntry::Lock if st.lock_holder.is_none() && st.lock_waiters.is_empty() => {
+                    self.rma_grant(st, origin)?
                 }
+                RmaEntry::Lock => st.lock_waiters.push_back(origin),
+                entry => st.incoming[origin].queue.push_back(entry),
             }
         }
-        Ok(parsed)
+        Ok(())
     }
 
     fn rma_grant(&mut self, st: &mut WindowState, origin: usize) -> Result<()> {
@@ -1008,7 +982,7 @@ impl Engine {
             st.comm,
             origin as i32,
             st.ack_tag,
-            Bytes::from(vec![code]),
+            Bytes::copy_from_slice(&[code]),
             SendMode::Standard,
             true,
         )?;
@@ -1199,30 +1173,30 @@ mod tests {
         assert!(RMA_TAG_BASE - TAGS_PER_WINDOW * (WIN_SEQ_SPACE as i32) > i32::MIN / 2);
     }
 
-    /// Every op code cut short at every length below its layout decodes
-    /// to an `Intern` error instead of indexing out of range, and so do
-    /// unknown codes; the full layouts decode.
+    /// Every message cut short at every length — a put's or
+    /// accumulate's payload included — and every message with a byte
+    /// too many decodes to an `Intern` error instead of indexing out of
+    /// range, and so do unknown codes; the whole messages decode, a
+    /// put's payload as a slice of its message.
     #[test]
     fn short_and_unknown_headers_are_errors_not_panics() {
         let span = [7u64.to_le_bytes(), 3u64.to_le_bytes()].concat();
-        let put = [&[OP_PUT][..], &span].concat();
+        let payload = [1u8, 2, 3];
+        let put = [&[OP_PUT][..], &span, &payload].concat();
         let get = [&[OP_GET][..], &span].concat();
-        let codes = [kind_code(PrimitiveKind::Int), op_code(PredefinedOp::Sum)];
-        let acc = [&[OP_ACC][..], &span, &codes].concat();
-        let table: [(&[u8], usize); 6] = [
-            (&put, 17),
-            (&acc, 19),
-            (&get, 17),
-            (&[OP_FENCE], 1),
-            (&[OP_FLUSH, 1], 2),
-            (&[OP_LOCK], 1),
-        ];
-        for (full, min_len) in table {
-            assert_eq!(full.len(), min_len);
-            decode(full).unwrap();
-            for cut in 0..min_len {
-                let e = decode(&full[..cut]).unwrap_err();
-                assert_eq!(e.class, ErrorClass::Intern, "op {} cut to {cut}", full[0]);
+        let codes = [kind_code(PrimitiveKind::Byte), op_code(PredefinedOp::Sum)];
+        let acc = [&[OP_ACC][..], &span, &codes, &payload].concat();
+        let table: [&[u8]; 6] = [&put, &acc, &get, &[OP_FENCE], &[OP_FLUSH, 1], &[OP_LOCK]];
+        for full in table {
+            decode(&Bytes::copy_from_slice(full)).unwrap();
+            let long = Bytes::from([full, &[0]].concat());
+            let cuts = (0..full.len()).map(|cut| Bytes::copy_from_slice(&full[..cut]));
+            for bad in cuts.chain([long]) {
+                assert_eq!(
+                    decode(&bad).unwrap_err().class,
+                    ErrorClass::Intern,
+                    "{bad:?}"
+                );
             }
         }
         let mut bad_kind = acc.clone();
@@ -1230,8 +1204,14 @@ mod tests {
         let mut bad_op = acc;
         bad_op[18] = 200;
         for bad in [&[OP_LOCK + 1][..], &[0xff], &bad_kind, &bad_op] {
-            assert_eq!(decode(bad).unwrap_err().class, ErrorClass::Intern);
+            let bad = Bytes::copy_from_slice(bad);
+            assert_eq!(decode(&bad).unwrap_err().class, ErrorClass::Intern);
         }
+        let big = Bytes::from([&put[..9], &100u64.to_le_bytes(), &[5; 100]].concat());
+        let RmaEntry::Put { offset: 7, data } = decode(&big).unwrap() else {
+            panic!("a put decodes to a put at its offset");
+        };
+        assert!(data.shares_allocation(&big) && data.as_ref() == [5; 100]);
     }
 
     /// The wire codes are the table positions, unchanged from the

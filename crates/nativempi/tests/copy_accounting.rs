@@ -168,7 +168,7 @@ fn copy_accounting_is_cumulative_over_a_pingpong() {
 // zero-copy machinery, so the same inventory holds:
 //
 // * `win_put` / `win_accumulate` (slice) — exactly 1 origin staging copy
-// * `win_put_bytes` (owned)             — exactly 0 origin copies
+//   (the header shares its buffer and is not counted)
 // * target-side apply of a put          — exactly 1 copy (into the region)
 // * `win_get` reply                     — exactly 1 target staging copy
 // * `win_get_take` (owned handout)      — exactly 0 origin copies
@@ -176,11 +176,11 @@ fn copy_accounting_is_cumulative_over_a_pingpong() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn rma_put_slice_stages_once_and_owned_bytes_never() {
+fn rma_put_slice_stages_once() {
     for device in DEVICES {
         Universe::run(2, device, |engine| {
             let rank = engine.world_rank();
-            let win = engine.win_create(COMM_WORLD, vec![0u8; 2 * LEN]).unwrap();
+            let win = engine.win_create(COMM_WORLD, vec![0u8; LEN]).unwrap();
             engine.win_fence(win).unwrap();
             if rank == 0 {
                 engine.win_put(win, 1, 0, &vec![8u8; LEN]).unwrap();
@@ -192,24 +192,12 @@ fn rma_put_slice_stages_once_and_owned_bytes_never() {
             }
             engine.win_fence(win).unwrap();
             if rank == 0 {
-                engine
-                    .win_put_bytes(win, 1, LEN, Bytes::from(vec![9u8; LEN]))
-                    .unwrap();
-            }
-            engine.win_fence(win).unwrap();
-            if rank == 0 {
-                assert_eq!(
-                    engine.stats().bytes_copied,
-                    LEN as u64,
-                    "owned-Bytes put must not copy at the origin ({device:?})"
-                );
+                assert_eq!(engine.stats().bytes_copied, LEN as u64, "{device:?}");
             } else {
-                // The target pays exactly one apply copy per put, whatever
-                // the origin-side API was.
-                assert_eq!(engine.stats().bytes_copied, 2 * LEN as u64, "{device:?}");
+                // The target pays exactly one apply copy per put.
+                assert_eq!(engine.stats().bytes_copied, LEN as u64, "{device:?}");
                 let region = engine.win_region(win).unwrap();
-                assert!(region[..LEN].iter().all(|&b| b == 8));
-                assert!(region[LEN..].iter().all(|&b| b == 9));
+                assert!(region.iter().all(|&b| b == 8));
             }
             engine.win_free(win).unwrap();
         })

@@ -15,13 +15,16 @@
 //! * everything above survives the rendezvous datapath (tiny eager
 //!   threshold, large payloads) and hybrid fabrics;
 //! * an operation outside its target's window fails the covering sync
-//!   once, with `Buffer`, and the next epoch works on every rank.
+//!   once, with `Buffer`, and the next epoch works on every rank;
+//! * every operation is one message: a fence epoch of the halo's torus
+//!   pattern sends an exact number of frames per rank.
 
 use mpi_native::comm::COMM_WORLD;
 use std::time::Duration;
 
 use mpi_native::{
-    Engine, ErrorClass, NodeMap, PredefinedOp, PrimitiveKind, SendMode, Universe, UniverseConfig,
+    Engine, ErrorClass, NodeMap, PredefinedOp, PrimitiveKind, SendMode, TraceConfig, Universe,
+    UniverseConfig, DEFAULT_EAGER_THRESHOLD,
 };
 use mpi_transport::DeviceKind;
 
@@ -304,8 +307,8 @@ fn epoch_semantics_hold_on_hybrid_fabrics() {
 }
 
 /// Tiny eager threshold: even the 17-byte RMA headers ride the
-/// rendezvous protocol, so header/payload pairing and fence markers
-/// must survive out-of-band grants.
+/// rendezvous protocol, so operations and fence markers must survive
+/// out-of-band grants.
 #[test]
 fn epoch_semantics_survive_an_all_rendezvous_regime() {
     for size in [2usize, 3] {
@@ -452,5 +455,55 @@ fn an_out_of_range_passive_put_fails_its_unlock_and_the_lock_is_released() {
             engine.win_free(win).unwrap();
             engine.finalize().unwrap();
         });
+    }
+}
+
+/// The put+fence halo on a 2×2 periodic torus, counted in frames: each
+/// of 4 ranks puts one block into each of its peers' neighbour slots
+/// (slots 0 and 1 of `rank ^ 2`, slots 2 and 3 of `rank ^ 1`), then
+/// fences. Per epoch a rank sends one message per put and a marker to
+/// every rank, itself included: 8 frames at 64 KiB. At 256 KiB, above
+/// the eager limit, each put is an announcement and a data frame, and
+/// the rank grants its 4 incoming puts as a target: 16 frames. A
+/// grant can fall into a neighbouring epoch when a faster peer's next
+/// announcement arrives inside a slower rank's fence, so only the sum
+/// over whole epochs, counted from before the first put to the end of
+/// the last fence, is exact.
+#[test]
+fn a_torus_fence_epoch_sends_one_message_per_put() {
+    const EPOCHS: i64 = 3;
+    for (block, frames_per_epoch) in [(64 << 10, 8), (256 << 10, 16)] {
+        let config = UniverseConfig {
+            eager_threshold: Some(DEFAULT_EAGER_THRESHOLD),
+            trace: Some(TraceConfig::counters()),
+            ..UniverseConfig::new(4, DeviceKind::ShmFast)
+        };
+        Universe::run_with_config(config, move |engine| {
+            let rank = engine.world_rank();
+            let frames_sent = |engine: &Engine| {
+                let snapshot = engine.metrics_snapshot();
+                snapshot.pvar("transport.frames_sent").expect("counters on")
+            };
+            let win = engine.win_create(COMM_WORLD, vec![0u8; 4 * block]).unwrap();
+            let before = frames_sent(engine);
+            for epoch in 0..EPOCHS {
+                let stamp = vec![epoch as u8 + 1; block];
+                for slot in 0..4 {
+                    let target = if slot < 2 { rank ^ 2 } else { rank ^ 1 };
+                    engine.win_put(win, target, slot * block, &stamp).unwrap();
+                }
+                engine.win_fence(win).unwrap();
+            }
+            let sent = frames_sent(engine) - before;
+            assert_eq!(
+                sent,
+                EPOCHS * frames_per_epoch,
+                "rank {rank}, {block} B blocks"
+            );
+            let region = engine.win_region(win).unwrap();
+            assert!(region.iter().all(|&b| b == EPOCHS as u8));
+            engine.win_free(win).unwrap();
+        })
+        .unwrap();
     }
 }
