@@ -261,9 +261,11 @@ fn raw_socket_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPon
         Mode::SharedMemory => DeviceKind::ShmFast,
         Mode::DistributedMemory => DeviceKind::Tcp,
     };
-    let fabric = FabricConfig::new(2, device)
-        .with_network(config.network)
-        .with_profile(config.profile);
+    let fabric = FabricConfig {
+        network: config.network,
+        profile: config.profile,
+        ..FabricConfig::new(2, device)
+    };
     let mut endpoints = Fabric::build(fabric).expect("fabric").into_endpoints();
     let b = endpoints.pop().expect("two endpoints");
     let a = endpoints.pop().expect("two endpoints");
@@ -324,12 +326,13 @@ fn raw_socket_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPon
 /// The "C MPI" series: the engine used directly, no wrapper layer.
 fn native_pingpong(spec: &PingPongSpec, config: &StackConfig) -> Vec<PingPongPoint> {
     use mpi_native::{SendMode, Universe, UniverseConfig, COMM_WORLD};
-    let universe = UniverseConfig {
-        network: config.network,
-        profile: config.profile,
-        trace: spec.trace,
-        ..UniverseConfig::new(2, config.device)
-    };
+    let mut universe = UniverseConfig::new(2, config.device);
+    universe.fabric.network = config.network;
+    universe.fabric.profile = config.profile;
+    // No trace in the spec leaves the environment's.
+    if let Some(trace) = spec.trace {
+        universe.trace = trace;
+    }
     let sizes = spec.sizes.clone();
     let reps = spec.reps;
     let warmup = spec.warmup;

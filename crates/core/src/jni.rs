@@ -53,17 +53,18 @@ use std::time::Duration;
 use mpi_native::Staging;
 
 /// How array arguments cross the simulated JNI boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MarshalMode {
     /// `Get*ArrayRegion`-style copy in and out (default; what the paper's
     /// JDK did).
+    #[default]
     Copy,
     /// Pinning: no copies, the native layer works on the caller's memory.
     Pin,
 }
 
 /// Configuration of the simulated boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct JniConfig {
     /// Copy vs pin (see [`MarshalMode`]).
     pub marshal: MarshalMode,
@@ -71,15 +72,6 @@ pub struct JniConfig {
     /// conversion, JVM overhead). Zero by default; the benchmark harness
     /// sets a calibrated value for the "1999 JVM" runs.
     pub per_call_cost: Duration,
-}
-
-impl Default for JniConfig {
-    fn default() -> Self {
-        JniConfig {
-            marshal: MarshalMode::Copy,
-            per_call_cost: Duration::ZERO,
-        }
-    }
 }
 
 /// Counters describing the traffic that crossed the boundary.

@@ -189,7 +189,7 @@
 //! observability subsystem (mpiJava predates the MPI_T tools interface
 //! by over a decade; this is the one deliberate modernization). Three
 //! modes, selected per run by [`MpiRuntime::trace`] /
-//! [`UniverseConfig::with_trace`](mpi_native::UniverseConfig) or the
+//! [`UniverseConfig::trace`](mpi_native::UniverseConfig::trace) or the
 //! `MPIJAVA_TRACE` environment variable
 //! (`off | counters | events[:capacity]`; programmatic wins):
 //!
@@ -584,11 +584,12 @@ impl MPI {
 /// Job launcher: plays `mpirun` + `MPI.Init` for an SPMD closure.
 ///
 /// A view of the engine's one job configuration, [`UniverseConfig`], plus
-/// the two settings only the binding has (thread level, JNI boundary).
-/// Every builder method below sets the `UniverseConfig` field of the
-/// same name; a knob left unset is filled at launch from its `MPIJAVA_*`
-/// variable, then from its default — the rule and the knob table are on
-/// [`mpi_native::env::overlay`].
+/// the one setting only the binding has (the JNI boundary).
+/// [`MpiRuntime::new`] makes that configuration, so it reads the
+/// `MPIJAVA_*` environment once, there; every builder method below then
+/// writes the `UniverseConfig` field of the same name (a fabric setting
+/// in its `fabric`), which wins over the environment — the rule and the
+/// knob table are on [`mpi_native::env::overlay`].
 #[derive(Debug, Clone)]
 pub struct MpiRuntime {
     config: UniverseConfig,
@@ -596,7 +597,8 @@ pub struct MpiRuntime {
 }
 
 impl MpiRuntime {
-    /// `size` ranks over the optimised shared-memory device.
+    /// `size` ranks over the optimised shared-memory device, configured
+    /// from the defaults and the `MPIJAVA_*` environment.
     pub fn new(size: usize) -> MpiRuntime {
         MpiRuntime {
             config: UniverseConfig::new(size, DeviceKind::ShmFast),
@@ -604,28 +606,23 @@ impl MpiRuntime {
         }
     }
 
-    fn with(self, set: impl FnOnce(UniverseConfig) -> UniverseConfig) -> Self {
-        MpiRuntime {
-            config: set(self.config),
-            ..self
-        }
-    }
-
     /// Select the transport device (`ShmFast` ~ WMPI, `ShmP4` ~ MPICH,
     /// `Tcp` ~ the distributed-memory configuration).
     pub fn device(mut self, device: DeviceKind) -> Self {
-        self.config.device = device;
+        self.config.fabric.kind = device;
         self
     }
 
     /// Attach a link model (used for DM-mode experiments).
-    pub fn network(self, network: NetworkModel) -> Self {
-        self.with(|c| c.with_network(network))
+    pub fn network(mut self, network: NetworkModel) -> Self {
+        self.config.fabric.network = network;
+        self
     }
 
     /// Attach a synthetic per-message device cost (calibration).
-    pub fn profile(self, profile: DeviceProfile) -> Self {
-        self.with(|c| c.with_profile(profile))
+    pub fn profile(mut self, profile: DeviceProfile) -> Self {
+        self.config.fabric.profile = profile;
+        self
     }
 
     /// Place ranks on nodes (see [`NodeMap`]): the `Hybrid` device
@@ -633,26 +630,30 @@ impl MpiRuntime {
     /// traffic over the modelled link, the engine's topology queries
     /// report the placement, and the collective tuner auto-selects the
     /// hierarchical algorithms when the map is non-trivial.
-    pub fn nodes(self, nodes: NodeMap) -> Self {
-        self.with(|c| c.with_nodes(nodes))
+    pub fn nodes(mut self, nodes: NodeMap) -> Self {
+        self.config.fabric.nodes = nodes;
+        self
     }
 
     /// Attach an inter-node link model (hybrid device).
-    pub fn inter_network(self, network: NetworkModel) -> Self {
-        self.with(|c| c.with_inter_network(network))
+    pub fn inter_network(mut self, network: NetworkModel) -> Self {
+        self.config.fabric.inter_network = network;
+        self
     }
 
     /// Override the eager/rendezvous threshold.
-    pub fn eager_threshold(self, bytes: usize) -> Self {
-        self.with(|c| c.with_eager_threshold(bytes))
+    pub fn eager_threshold(mut self, bytes: usize) -> Self {
+        self.config.eager_threshold = bytes;
+        self
     }
 
     /// Pin the collective algorithm on every rank, overriding the
     /// size-aware tuning table (ablations; see `mpi_native::coll`). The
     /// classic and idiomatic collective surfaces both route through the
     /// engine's selector, so the pin affects either API uniformly.
-    pub fn coll_algorithm(self, alg: CollAlgorithm) -> Self {
-        self.with(|c| c.with_coll_algorithm(alg))
+    pub fn coll_algorithm(mut self, alg: CollAlgorithm) -> Self {
+        self.config.coll_algorithm = Some(alg);
+        self
     }
 
     /// Select the progress model (see [`ProgressMode`]):
@@ -660,15 +661,17 @@ impl MpiRuntime {
     /// thread per rank, so nonblocking operations, rendezvous pipelines
     /// and passive-target RMA advance while the application computes —
     /// zero manual `test()` calls.
-    pub fn progress(self, mode: ProgressMode) -> Self {
-        self.with(|c| c.with_progress(mode))
+    pub fn progress(mut self, mode: ProgressMode) -> Self {
+        self.config.progress = mode;
+        self
     }
 
     /// Keep spooled frames under `dir` across process lifetimes
     /// ([`DeviceKind::Spool`] only) — the substrate for late-join and
     /// checkpoint/restart.
-    pub fn spool_dir(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.with(|c| c.with_spool_dir(dir))
+    pub fn spool_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.config.fabric.spool_dir = Some(dir.into());
+        self
     }
 
     /// Set the heartbeat lease for failure detection: a rank whose lease
@@ -676,14 +679,16 @@ impl MpiRuntime {
     /// peers, and blocking calls naming it error with
     /// [`ErrorClass::RankFailed`] instead of hanging (default
     /// [`DEFAULT_LEASE`]).
-    pub fn lease(self, lease: std::time::Duration) -> Self {
-        self.with(|c| c.with_lease(lease))
+    pub fn lease(mut self, lease: std::time::Duration) -> Self {
+        self.config.fabric.lease = lease;
+        self
     }
 
     /// Inject a deterministic [`FaultPlan`] (kill/drop/delay — testing
     /// tool).
-    pub fn faults(self, faults: FaultPlan) -> Self {
-        self.with(|c| c.with_faults(faults))
+    pub fn faults(mut self, faults: FaultPlan) -> Self {
+        self.config.fabric.faults = faults;
+        self
     }
 
     /// Select the observability mode on every rank (see [`TraceConfig`]):
@@ -691,15 +696,17 @@ impl MpiRuntime {
     /// to the always-on [`EngineStats`]; `events` additionally records
     /// begin/end/instant events into a per-rank ring dumped as JSONL at
     /// finalize (default [`TraceMode::Off`]).
-    pub fn trace(self, trace: TraceConfig) -> Self {
-        self.with(|c| c.with_trace(trace))
+    pub fn trace(mut self, trace: TraceConfig) -> Self {
+        self.config.trace = trace;
+        self
     }
 
     /// Directory for the per-rank JSONL trace dumps (created if
-    /// needed); unset falls back to `<spool>/trace` on the spool device,
-    /// else no automatic dump.
-    pub fn trace_dir(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.with(|c| c.with_trace_dir(dir))
+    /// needed); without one (and without `MPIJAVA_TRACE_DIR`) the dumps
+    /// go to `<spool>/trace` on the spool device, else nowhere.
+    pub fn trace_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.config.trace_dir = Some(dir.into());
+        self
     }
 
     /// Configure the simulated JNI boundary (marshal mode, per-call cost).
@@ -718,9 +725,9 @@ impl MpiRuntime {
         T: Send,
         F: Fn(&MPI) -> MpiResult<T> + Send + Sync,
     {
-        Universe::launch(self.config.clone(), |engine, progress| {
+        Universe::launch(self.config.clone(), |engine| {
             let mpi = MPI::init(engine, self.jni);
-            let _progress = (progress == ProgressMode::Thread)
+            let _progress = (self.config.progress == ProgressMode::Thread)
                 .then(|| ProgressThread::spawn(Arc::clone(&mpi.env)));
             f(&mpi)
         })

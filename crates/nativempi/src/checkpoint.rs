@@ -205,11 +205,11 @@ mod tests {
         ));
         let lease = Duration::from_millis(500);
         {
-            let eps = Fabric::build(
-                FabricConfig::new(2, DeviceKind::Spool)
-                    .with_spool_dir(&root)
-                    .with_lease(lease),
-            )
+            let eps = Fabric::build(FabricConfig {
+                spool_dir: Some(root.clone()),
+                lease,
+                ..FabricConfig::new(2, DeviceKind::Spool)
+            })
             .unwrap()
             .into_endpoints();
             let mut engines: Vec<Engine> = eps.into_iter().map(Engine::new).collect();
@@ -258,8 +258,11 @@ mod tests {
             line!()
         ));
         {
-            let _eps = Fabric::build(FabricConfig::new(1, DeviceKind::Spool).with_spool_dir(&root))
-                .unwrap();
+            let _eps = Fabric::build(FabricConfig {
+                spool_dir: Some(root.clone()),
+                ..FabricConfig::new(1, DeviceKind::Spool)
+            })
+            .unwrap();
         }
         let ep = SpoolDevice::attach(&root, 0, 1, Duration::from_millis(500)).unwrap();
         let engine = Engine::restore(Box::new(ep)).unwrap();
@@ -280,11 +283,11 @@ mod tests {
         ));
         let lease = Duration::from_millis(500);
         {
-            let _eps = Fabric::build(
-                FabricConfig::new(1, DeviceKind::Spool)
-                    .with_spool_dir(&root)
-                    .with_lease(lease),
-            )
+            let _eps = Fabric::build(FabricConfig {
+                spool_dir: Some(root.clone()),
+                lease,
+                ..FabricConfig::new(1, DeviceKind::Spool)
+            })
             .unwrap();
         }
         let record = format!("{MAGIC}\ncoll_seq.0=7\nwin_seq.1=4\ncoll_seq.2=3\nwin_seq.2=5\n");

@@ -4,7 +4,7 @@
 //! Which wire pattern a collective uses is normally decided by the tuning
 //! table in [`tuning`](super::tuning). For ablations the choice can be
 //! pinned, either programmatically
-//! ([`UniverseConfig::with_coll_algorithm`](crate::UniverseConfig::with_coll_algorithm),
+//! ([`UniverseConfig::coll_algorithm`](crate::UniverseConfig::coll_algorithm),
 //! `MpiRuntime::coll_algorithm` in the binding) or through the
 //! [`COLL_ALG_ENV`] environment variable (one knob of
 //! [`env::overlay`](crate::env::overlay), which holds the precedence rule

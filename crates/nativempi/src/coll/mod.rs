@@ -90,7 +90,7 @@
 //! [`tuning`] picks an algorithm from (operation, communicator size,
 //! payload bytes, reduction-order policy, node topology); the choice can
 //! be pinned with [`CollAlgorithm`] via
-//! [`UniverseConfig::with_coll_algorithm`](crate::UniverseConfig::with_coll_algorithm)
+//! [`UniverseConfig::coll_algorithm`](crate::UniverseConfig::coll_algorithm)
 //! or the `MPIJAVA_COLL_ALG` environment variable
 //! ([`algorithm::COLL_ALG_ENV`]). Whatever is selected, every algorithm
 //! produces byte-identical results (the cross-algorithm equivalence
@@ -867,8 +867,10 @@ mod tests {
         // broadcast completes when driven by `test` alone.
         for alg in [CollAlgorithm::Linear, CollAlgorithm::BinomialTree] {
             for size in [2usize, 3, 4, 8] {
-                let config =
-                    UniverseConfig::new(size, DeviceKind::ShmFast).with_coll_algorithm(alg);
+                let config = UniverseConfig {
+                    coll_algorithm: Some(alg),
+                    ..UniverseConfig::new(size, DeviceKind::ShmFast)
+                };
                 Universe::run_with_config(config, move |engine| {
                     let rank = engine.world_rank();
                     for root in [0, size - 1] {
@@ -1095,7 +1097,10 @@ mod tests {
     #[test]
     fn forced_algorithms_still_produce_correct_results() {
         for alg in CollAlgorithm::ALL {
-            let config = UniverseConfig::new(4, DeviceKind::ShmFast).with_coll_algorithm(alg);
+            let config = UniverseConfig {
+                coll_algorithm: Some(alg),
+                ..UniverseConfig::new(4, DeviceKind::ShmFast)
+            };
             Universe::run_with_config(config, move |engine| {
                 let rank = engine.world_rank() as i32;
                 let desc = CollDesc::Allreduce(int(1, &Op::Predefined(PredefinedOp::Sum)));
@@ -1216,9 +1221,11 @@ mod tests {
     #[test]
     fn hierarchical_collectives_work_over_a_hybrid_fabric() {
         use mpi_transport::NodeMap;
-        let config = UniverseConfig::new(8, DeviceKind::Hybrid)
-            .with_nodes(NodeMap::regular(2, 4))
-            .with_coll_algorithm(CollAlgorithm::Hierarchical);
+        let mut config = UniverseConfig {
+            coll_algorithm: Some(CollAlgorithm::Hierarchical),
+            ..UniverseConfig::new(8, DeviceKind::Hybrid)
+        };
+        config.fabric.nodes = NodeMap::regular(2, 4);
         Universe::run_with_config(config, |engine| {
             let rank = engine.world_rank();
             let sum = Op::Predefined(PredefinedOp::Sum);
@@ -1582,8 +1589,10 @@ mod tests {
     /// template: one hit, no new miss.
     #[test]
     fn ring_schedules_replay_from_the_cache() {
-        let config =
-            UniverseConfig::new(2, DeviceKind::ShmFast).with_coll_algorithm(CollAlgorithm::Ring);
+        let config = UniverseConfig {
+            coll_algorithm: Some(CollAlgorithm::Ring),
+            ..UniverseConfig::new(2, DeviceKind::ShmFast)
+        };
         Universe::run_with_config(config, |engine| {
             let sum = Op::Predefined(PredefinedOp::Sum);
             let rank = engine.world_rank() as i32;
@@ -1786,7 +1795,10 @@ mod tests {
     #[test]
     fn persistent_collectives_under_forced_algorithms() {
         for alg in CollAlgorithm::ALL {
-            let config = UniverseConfig::new(4, DeviceKind::ShmFast).with_coll_algorithm(alg);
+            let config = UniverseConfig {
+                coll_algorithm: Some(alg),
+                ..UniverseConfig::new(4, DeviceKind::ShmFast)
+            };
             Universe::run_with_config(config, move |engine| {
                 let sum = Op::Predefined(PredefinedOp::Sum);
                 let rank = engine.world_rank() as i32;

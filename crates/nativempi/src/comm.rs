@@ -370,7 +370,8 @@ mod tests {
     fn node_topology_queries_follow_the_node_map() {
         use crate::UniverseConfig;
         use mpi_transport::NodeMap;
-        let config = UniverseConfig::new(4, DeviceKind::Hybrid).with_nodes(NodeMap::regular(2, 2));
+        let mut config = UniverseConfig::new(4, DeviceKind::Hybrid);
+        config.fabric.nodes = NodeMap::regular(2, 2);
         Universe::run_with_config(config, |engine| {
             let rank = engine.world_rank();
             assert_eq!(engine.my_node(), rank / 2);

@@ -4,14 +4,15 @@
 //!
 //! ## Environment overrides
 //!
-//! Every run-time knob is one `Option` field of
-//! [`UniverseConfig`]; [`overlay`] fills the
-//! fields nobody set programmatically from the `MPIJAVA_*` variables,
-//! once per job, and documents all nine in **one knob table** (variable,
-//! field, `MpiRuntime` method, grammar, default, what a malformed value
-//! does) together with the one precedence rule. The sections below only
-//! spell out the longer grammars. Every rank of a job shares the process
-//! environment and the launcher resolves it once, so the settings are
+//! Every run-time knob is one field of [`UniverseConfig`]. A
+//! configuration is made in three layers: the defaults, then the
+//! `MPIJAVA_*` environment, applied by [`overlay`] once when
+//! [`UniverseConfig::new`] makes the configuration, then whatever the
+//! program writes. [`overlay`] documents all nine variables in **one knob
+//! table** (variable, field, `MpiRuntime` method, grammar, default, what
+//! a malformed value does) together with the one precedence rule. The
+//! sections below only spell out the longer grammars. Every rank of a
+//! job is launched from the one configuration, so the settings are
 //! symmetric by construction.
 //!
 //! Sizes accept an optional `k`/`K` (KiB) or `m`/`M` (MiB) suffix:
@@ -43,7 +44,8 @@
 //! inter-node class) and what the collective tuning layer consults to
 //! auto-select the hierarchical algorithms; on single-fabric devices it
 //! only affects the topology queries. A malformed or size-inconsistent
-//! value warns and is ignored, so a typo cannot silently reshape a job.
+//! value warns and is ignored, so a typo cannot silently reshape a job;
+//! so does a `<nodes>x<ranks>` whose product overflows.
 //!
 //! ## `MPIJAVA_SPOOL_DIR` and `MPIJAVA_LEASE_MS`
 //!
@@ -70,8 +72,9 @@
 //!   milliseconds (an optional `ms` suffix is accepted).
 //!
 //! Example: `MPIJAVA_FAULT=kill:2@5,delay:0->1@3:50ms`. A malformed
-//! plan warns and is ignored — fault injection is a testing tool, and a
-//! typo must not take down a production job.
+//! plan, or one that names a rank outside the job, warns and is ignored —
+//! fault injection is a testing tool, and a typo must not take down a
+//! production job.
 //!
 //! ## `MPIJAVA_TRACE` and `MPIJAVA_TRACE_DIR`
 //!
@@ -85,7 +88,8 @@
 //! * `events` (alias `trace`) — plus the fixed-capacity per-rank event
 //!   ring buffer, dumped as JSONL at finalize. An optional
 //!   `events:<capacity>` sets the ring size in records (default
-//!   [`crate::trace::DEFAULT_TRACE_CAPACITY`]).
+//!   [`crate::trace::DEFAULT_TRACE_CAPACITY`], at most
+//!   [`crate::trace::MAX_TRACE_CAPACITY`]).
 //!
 //! A malformed value warns and traces `off`, so a typo cannot silently
 //! record (or discard) a job's trace.
@@ -104,7 +108,7 @@ use mpi_transport::{FaultPlan, Frame, FrameHeader, FrameKind, NodeMap};
 use crate::coll::{CollAlgorithm, COLL_ALG_ENV};
 use crate::comm::CommHandle;
 use crate::error::Result;
-use crate::trace::TraceConfig;
+use crate::trace::{TraceConfig, MAX_TRACE_CAPACITY};
 use crate::{Engine, UniverseConfig};
 
 /// `MPIJAVA_EAGER_LIMIT`: the eager/rendezvous switch-over point (see
@@ -177,19 +181,15 @@ struct Overlay<'a> {
 }
 
 impl Overlay<'_> {
-    /// The one rule, for one knob: a programmatic value stays; else an
-    /// unset or blank variable leaves the default; else `parse` decides —
-    /// `Ok(None)` is a spelled-out "default", `Err(why)` is malformed and
-    /// costs exactly one warning.
-    fn fill<T, E: std::fmt::Display>(
+    /// The one rule, for one knob: an unset or blank variable leaves the
+    /// field as it is; else `parse` decides — `Ok(value)` is written into
+    /// the field, `Err(why)` is malformed and costs exactly one warning.
+    fn set<T, E: std::fmt::Display>(
         &mut self,
-        slot: &mut Option<T>,
+        slot: &mut T,
         name: &str,
-        parse: impl FnOnce(&str) -> std::result::Result<Option<T>, E>,
+        parse: impl FnOnce(&str) -> std::result::Result<T, E>,
     ) {
-        if slot.is_some() {
-            return;
-        }
         let Some(raw) = (self.lookup)(name).filter(|raw| !raw.trim().is_empty()) else {
             return;
         };
@@ -200,90 +200,100 @@ impl Overlay<'_> {
     }
 }
 
-/// The single `MPIJAVA_*` pass: fill every knob of `config` that was not
-/// set programmatically from its environment variable, read through
-/// `lookup` (the process environment in production, a table in tests).
-/// Returns the filled configuration and one message per malformed value.
+/// The single `MPIJAVA_*` pass: write every knob of `config` whose
+/// environment variable, read through `lookup` (the process environment
+/// in production, a table in tests), holds a valid value. Returns the
+/// configuration and one message per malformed value.
 ///
-/// **The one rule, for all nine knobs:** a value set programmatically
-/// (`UniverseConfig::with_*`, the `MpiRuntime` builder, or an engine
-/// setter called after launch) wins; else the environment variable, if
-/// set and not blank; else the default. A malformed value warns once per
-/// job on stderr (`warning: MPIJAVA_X="…" …`) and behaves as the last
-/// column says — it never aborts the job and never changes it silently.
+/// **The one rule, for all nine knobs:** the default; over it the
+/// environment variable, if set and not blank, applied when
+/// [`UniverseConfig::new`] makes the configuration; over that whatever
+/// the program writes afterwards (a `UniverseConfig` field, the
+/// `MpiRuntime` builder, or an engine setter called after launch). A
+/// malformed value warns once per configuration on stderr
+/// (`warning: MPIJAVA_X="…" …`) and behaves as the last column says — it
+/// never aborts the job and never changes it silently.
 ///
 /// | variable | `UniverseConfig` field | `MpiRuntime` method | grammar | default | malformed |
 /// |---|---|---|---|---|---|
 /// | [`EAGER_LIMIT_ENV`] | `eager_threshold` | `eager_threshold` | `<bytes>[k\|m]` | [`crate::DEFAULT_EAGER_THRESHOLD`] | ignored |
-/// | [`COLL_ALG_ENV`] | `coll_algorithm` | `coll_algorithm` | `linear\|tree\|rd\|ring\|hier\|auto` | `auto`: the tuned selection | ignored |
-/// | [`NODES_ENV`] | `nodes` | `nodes` | `<nodes>`, `<nodes>x<ranks>` or `<id,id,…>` | one flat node | ignored |
+/// | [`COLL_ALG_ENV`] | `coll_algorithm` | `coll_algorithm` | `linear\|tree\|rd\|ring\|hier\|auto` | `auto` (`None`): the tuned selection | ignored |
+/// | [`NODES_ENV`] | `fabric.nodes` | `nodes` | `<nodes>`, `<nodes>x<ranks>` or `<id,id,…>` | one flat node | ignored |
 /// | [`PROGRESS_ENV`] | `progress` | `progress` | `thread\|manual` | `manual` | `manual` |
-/// | [`SPOOL_DIR_ENV`] | `spool_dir` | `spool_dir` | a path | ephemeral temp dir | — (the device reports a bad path) |
-/// | [`LEASE_MS_ENV`] | `lease` | `lease` | milliseconds, `> 0` | [`mpi_transport::DEFAULT_LEASE`] | ignored |
-/// | [`FAULT_ENV`] | `faults` | `faults` | `kill:…,drop:…,delay:…` | no faults | ignored |
-/// | [`TRACE_ENV`] | `trace` | `trace` | `off\|counters\|events[:capacity]` | `off` | `off` |
+/// | [`SPOOL_DIR_ENV`] | `fabric.spool_dir` | `spool_dir` | a path | ephemeral temp dir | — (the device reports a bad path) |
+/// | [`LEASE_MS_ENV`] | `fabric.lease` | `lease` | milliseconds, `> 0` | [`mpi_transport::DEFAULT_LEASE`] | ignored |
+/// | [`FAULT_ENV`] | `fabric.faults` | `faults` | `kill:…,drop:…,delay:…`, ranks `<` size | no faults | ignored |
+/// | [`TRACE_ENV`] | `trace` | `trace` | `off\|counters\|events[:capacity]`, capacity `1..=`[`crate::trace::MAX_TRACE_CAPACITY`] | `off` | `off` |
 /// | [`TRACE_DIR_ENV`] | `trace_dir` | `trace_dir` | a path | `<spool root>/trace`, else no dump | — (the dump reports a bad path) |
 pub fn overlay(
     mut config: UniverseConfig,
     lookup: &dyn Fn(&str) -> Option<String>,
 ) -> (UniverseConfig, Vec<String>) {
-    let size = config.size;
+    let size = config.fabric.size;
     let mut env = Overlay {
         lookup,
         warnings: Vec::new(),
     };
-    let bytes = |raw: &str| {
-        let why = "is not a byte size (expected <bytes>[k|m]); keeping the default";
-        parse_byte_size(raw).map(Some).ok_or(why)
-    };
     let path = |raw: &str| Ok::<_, &str>(Some(PathBuf::from(raw)));
-    env.fill(&mut config.eager_threshold, EAGER_LIMIT_ENV, bytes);
-    env.fill(&mut config.coll_algorithm, COLL_ALG_ENV, |raw| {
+    env.set(&mut config.eager_threshold, EAGER_LIMIT_ENV, |raw| {
+        let why = "is not a byte size (expected <bytes>[k|m]); keeping the default";
+        parse_byte_size(raw).ok_or(why)
+    });
+    env.set(&mut config.coll_algorithm, COLL_ALG_ENV, |raw| {
         CollAlgorithm::parse_override(raw).map_err(|()| {
             "is not a recognized collective algorithm (expected \
              linear|tree|rd|ring|hier|auto); falling back to the tuned selection"
         })
     });
-    env.fill(&mut config.nodes, NODES_ENV, |raw| {
-        NodeMap::parse(raw, size).map(Some).map_err(|reason| {
+    env.set(&mut config.fabric.nodes, NODES_ENV, |raw| {
+        NodeMap::parse(raw, size).map_err(|reason| {
             format!(
                 "is not a usable node placement for a {size}-rank job ({reason}); \
                  running single-node"
             )
         })
     });
-    env.fill(&mut config.progress, PROGRESS_ENV, |raw| {
+    env.set(&mut config.progress, PROGRESS_ENV, |raw| {
         let why = "is not a known progress mode (expected `thread` or `manual`); running manual";
-        ProgressMode::parse(raw).map(Some).ok_or(why)
+        ProgressMode::parse(raw).ok_or(why)
     });
-    env.fill(&mut config.spool_dir, SPOOL_DIR_ENV, path);
-    env.fill(&mut config.lease, LEASE_MS_ENV, |raw| {
+    env.set(&mut config.fabric.spool_dir, SPOOL_DIR_ENV, path);
+    env.set(&mut config.fabric.lease, LEASE_MS_ENV, |raw| {
         match raw.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Ok(Some(Duration::from_millis(ms))),
+            Ok(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
             _ => Err(
                 "is not a usable lease (expected a positive number of milliseconds); \
                       keeping the default",
             ),
         }
     });
-    env.fill(&mut config.faults, FAULT_ENV, |raw| {
-        FaultPlan::parse(raw).map(Some).map_err(|reason| {
-            format!("is not a usable fault plan ({reason}); running without fault injection")
+    env.set(&mut config.fabric.faults, FAULT_ENV, |raw| {
+        FaultPlan::parse(raw)
+            .and_then(|plan| match plan.max_rank() {
+                Some(max) if max >= size => {
+                    Err(format!("names rank {max} but the job has {size} ranks"))
+                }
+                _ => Ok(plan),
+            })
+            .map_err(|reason| {
+                format!("is not a usable fault plan ({reason}); running without fault injection")
+            })
+    });
+    env.set(&mut config.trace, TRACE_ENV, |raw| {
+        TraceConfig::parse(raw).ok_or_else(|| {
+            format!(
+                "is not a usable trace level (expected off|counters|events[:capacity], \
+                 capacity at most {MAX_TRACE_CAPACITY}); tracing off"
+            )
         })
     });
-    env.fill(&mut config.trace, TRACE_ENV, |raw| {
-        let why = "is not a usable trace level (expected off|counters|events[:capacity]); \
-                   tracing off";
-        TraceConfig::parse(raw).map(Some).ok_or(why)
-    });
-    env.fill(&mut config.trace_dir, TRACE_DIR_ENV, path);
+    env.set(&mut config.trace_dir, TRACE_DIR_ENV, path);
     (config, env.warnings)
 }
 
 /// [`overlay`] over the process environment, warnings to stderr: what
-/// the launcher does once per job and [`Engine::new`] once per hand-built
-/// engine. The only reader of the process environment in the engine and
-/// the binding.
+/// [`UniverseConfig::new`] does once per configuration. The only reader
+/// of the process environment in the engine and the binding.
 pub(crate) fn resolve(config: UniverseConfig) -> UniverseConfig {
     let (config, warnings) = overlay(config, &|name| std::env::var(name).ok());
     for warning in warnings {
@@ -414,7 +424,7 @@ mod tests {
             valid: Vec<(&'static str, String)>,
             malformed: Vec<&'static str>,
             get: fn(&UniverseConfig) -> String,
-            /// A programmatic setting no `valid` value produces.
+            /// A programmatic write no `valid` value produces.
             set: fn(UniverseConfig) -> UniverseConfig,
         }
         let plan = FaultPlan::parse("kill:2@5,drop:0->1@3").unwrap();
@@ -422,10 +432,13 @@ mod tests {
         let knobs = [
             Knob {
                 name: EAGER_LIMIT_ENV,
-                valid: vec![("64k", show(Some(65536))), (" 4096 ", show(Some(4096)))],
+                valid: vec![("64k", show(65536)), (" 4096 ", show(4096))],
                 malformed: vec!["lots", "-1"],
                 get: |c| show(c.eager_threshold),
-                set: |c| c.with_eager_threshold(7),
+                set: |c| UniverseConfig {
+                    eager_threshold: 7,
+                    ..c
+                },
             },
             Knob {
                 name: COLL_ALG_ENV,
@@ -435,107 +448,149 @@ mod tests {
                 ],
                 malformed: vec!["zzz", "linear,ring", "pipelined"],
                 get: |c| show(c.coll_algorithm),
-                set: |c| c.with_coll_algorithm(CollAlgorithm::Linear),
+                set: |c| UniverseConfig {
+                    coll_algorithm: Some(CollAlgorithm::Linear),
+                    ..c
+                },
             },
             Knob {
                 name: NODES_ENV,
                 valid: vec![
-                    ("2x2", show(Some(NodeMap::regular(2, 2)))),
-                    ("0,0,1,1", show(Some(NodeMap::regular(2, 2)))),
+                    ("2x2", show(NodeMap::regular(2, 2))),
+                    ("0,0,1,1", show(NodeMap::regular(2, 2))),
                 ],
-                malformed: vec!["3x3", "two"],
-                get: |c| show(&c.nodes),
-                set: |c| c.with_nodes(NodeMap::regular(4, 1)),
+                // The last two overflow `nodes * per_node` (one wraps to
+                // exactly 4 on a 64-bit target).
+                malformed: vec![
+                    "3x3",
+                    "two",
+                    "4294967296x4294967296",
+                    "9223372036854775810x2",
+                ],
+                get: |c| show(&c.fabric.nodes),
+                set: |mut c| {
+                    c.fabric.nodes = NodeMap::regular(4, 1);
+                    c
+                },
             },
             Knob {
                 name: PROGRESS_ENV,
                 valid: vec![
-                    ("thread", show(Some(ProgressMode::Thread))),
-                    ("manual", show(Some(ProgressMode::Manual))),
+                    ("thread", show(ProgressMode::Thread)),
+                    ("manual", show(ProgressMode::Manual)),
                 ],
                 malformed: vec!["turbo"],
                 get: |c| show(c.progress),
-                set: |c| c.with_progress(ProgressMode::Thread),
+                set: |c| UniverseConfig {
+                    progress: ProgressMode::Thread,
+                    ..c
+                },
             },
             Knob {
                 name: SPOOL_DIR_ENV,
                 valid: vec![("/tmp/spool-here", show(Some("/tmp/spool-here")))],
                 malformed: vec![],
-                get: |c| show(&c.spool_dir),
-                set: |c| c.with_spool_dir("/programmatic"),
+                get: |c| show(&c.fabric.spool_dir),
+                set: |mut c| {
+                    c.fabric.spool_dir = Some("/programmatic".into());
+                    c
+                },
             },
             Knob {
                 name: LEASE_MS_ENV,
-                valid: vec![("250", show(Some(Duration::from_millis(250))))],
+                valid: vec![("250", show(Duration::from_millis(250)))],
                 malformed: vec!["0", "fast"],
-                get: |c| show(c.lease),
-                set: |c| c.with_lease(Duration::from_millis(7)),
+                get: |c| show(c.fabric.lease),
+                set: |mut c| {
+                    c.fabric.lease = Duration::from_millis(7);
+                    c
+                },
             },
             Knob {
                 name: FAULT_ENV,
-                valid: vec![("kill:2@5,drop:0->1@3", show(Some(plan)))],
-                malformed: vec!["explode:everything"],
-                get: |c| show(&c.faults),
-                set: |c| c.with_faults(FaultPlan::parse("drop:0->1@1").unwrap()),
+                valid: vec![("kill:2@5,drop:0->1@3", show(plan))],
+                // The last two name a rank outside the 4-rank job.
+                malformed: vec!["explode:everything", "kill:9@1", "drop:0->7@1"],
+                get: |c| show(&c.fabric.faults),
+                set: |mut c| {
+                    c.fabric.faults = FaultPlan::parse("drop:0->1@1").unwrap();
+                    c
+                },
             },
             Knob {
                 name: TRACE_ENV,
                 valid: vec![
                     (
                         "events:1024",
-                        show(Some(TraceConfig::events().with_capacity(1024))),
+                        show(TraceConfig::events().with_capacity(1024)),
                     ),
-                    ("counters", show(Some(TraceConfig::counters()))),
+                    ("counters", show(TraceConfig::counters())),
                 ],
-                malformed: vec!["everything"],
+                // The last two are rings above `MAX_TRACE_CAPACITY`.
+                malformed: vec![
+                    "everything",
+                    "events:18446744073709551615",
+                    "events:1000000000000",
+                ],
                 get: |c| show(c.trace),
-                set: |c| c.with_trace(TraceConfig::events().with_capacity(7)),
+                set: |c| UniverseConfig {
+                    trace: TraceConfig::events().with_capacity(7),
+                    ..c
+                },
             },
             Knob {
                 name: TRACE_DIR_ENV,
                 valid: vec![("/tmp/traces-here", show(Some("/tmp/traces-here")))],
                 malformed: vec![],
                 get: |c| show(&c.trace_dir),
-                set: |c| c.with_trace_dir("/programmatic"),
+                set: |c| UniverseConfig {
+                    trace_dir: Some("/programmatic".into()),
+                    ..c
+                },
             },
         ];
-        let base = || UniverseConfig::new(4, mpi_transport::DeviceKind::ShmFast);
-        let unset = show(None::<()>);
+        let base = || UniverseConfig::defaults(4, mpi_transport::DeviceKind::ShmFast);
 
         for knob in &knobs {
             let name = knob.name;
-            let with = |config: UniverseConfig, raw: Option<&str>| {
+            let default = (knob.get)(&base());
+            let overlaid = |raw: Option<&str>| {
                 let lookup = move |var: &str| raw.filter(|_| var == name).map(String::from);
-                let (config, warnings) = overlay(config, &lookup);
+                overlay(base(), &lookup)
+            };
+            let with = |raw: Option<&str>| {
+                let (config, warnings) = overlaid(raw);
                 ((knob.get)(&config), warnings)
             };
-            assert_eq!(with(base(), None), (unset.clone(), vec![]), "{name} unset");
-            assert_eq!(
-                with(base(), Some("  ")),
-                (unset.clone(), vec![]),
-                "{name} blank"
-            );
+            assert_eq!(with(None), (default.clone(), vec![]), "{name} unset");
+            assert_eq!(with(Some("  ")), (default.clone(), vec![]), "{name} blank");
             for (raw, expected) in &knob.valid {
-                let got = with(base(), Some(raw));
+                let got = with(Some(raw));
                 assert_eq!(got, (expected.clone(), vec![]), "{name}={raw}");
             }
             for raw in &knob.malformed {
-                let (field, warnings) = with(base(), Some(raw));
-                assert_eq!(field, unset, "{name}={raw} must leave the default");
+                let (field, warnings) = with(Some(raw));
+                assert_eq!(field, default, "{name}={raw} must leave the default");
                 assert_eq!(warnings.len(), 1, "{name}={raw}: {warnings:?}");
                 assert!(warnings[0].starts_with(&format!("{name}={raw:?} ")));
             }
-            // Programmatic beats env: the variable is not even consulted.
+            // Programmatic beats env: the program's write comes after the
+            // overlay, whatever the variable held.
             let programmatic = (knob.get)(&(knob.set)(base()));
+            assert_ne!(programmatic, default, "{name}'s programmatic value");
             for raw in knob.valid.iter().map(|(raw, _)| raw).chain(&knob.malformed) {
-                let got = with((knob.set)(base()), Some(raw));
-                assert_eq!(got, (programmatic.clone(), vec![]), "{name}={raw}");
+                let (config, _) = overlaid(Some(raw));
+                assert_eq!(
+                    (knob.get)(&(knob.set)(config)),
+                    programmatic,
+                    "{name}={raw}"
+                );
             }
         }
 
         // A whole job: every variable at once, first valid, then malformed
         // (a path cannot be malformed, hence seven warnings, one per
-        // variable), then malformed under a fully programmatic config.
+        // variable), then a fully programmatic config written over it.
         let all = |pick: fn(&Knob) -> Option<&'static str>| {
             let values: Vec<_> = knobs.iter().map(|k| (k.name, pick(k))).collect();
             move |var: &str| {
@@ -548,21 +603,20 @@ mod tests {
         for knob in &knobs {
             assert_eq!((knob.get)(&config), knob.valid[0].1, "{}", knob.name);
         }
+        let programmatic = |config| knobs.iter().fold(config, |c, k| (k.set)(c));
+        assert_eq!(show(programmatic(config)), show(programmatic(base())));
         let malformed = all(|k| k.malformed.first().copied());
         let (config, warnings) = overlay(base(), &malformed);
         assert_eq!(warnings.len(), 7, "{warnings:?}");
         for knob in knobs.iter().filter(|k| !k.malformed.is_empty()) {
             let named = warnings.iter().filter(|w| w.starts_with(knob.name));
             assert_eq!(named.count(), 1, "{} in {warnings:?}", knob.name);
-            assert_eq!((knob.get)(&config), unset, "{}", knob.name);
+            assert_eq!((knob.get)(&config), (knob.get)(&base()), "{}", knob.name);
         }
         // The fallbacks a malformed value leaves behind.
-        assert_eq!(config.progress.unwrap_or_default(), ProgressMode::Manual);
-        assert_eq!(config.trace.unwrap_or_default(), TraceConfig::off());
-        let programmatic = knobs.iter().fold(base(), |c, k| (k.set)(c));
-        let (config, warnings) = overlay(programmatic.clone(), &malformed);
-        assert_eq!(warnings, Vec::<String>::new());
-        assert_eq!(show(config), show(programmatic));
+        assert_eq!(config.progress, ProgressMode::Manual);
+        assert_eq!(config.trace, TraceConfig::off());
+        assert_eq!(show(programmatic(config)), show(programmatic(base())));
     }
 
     #[test]

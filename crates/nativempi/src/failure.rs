@@ -288,11 +288,11 @@ mod tests {
 
     fn fault_pair(plan: &str) -> Vec<Engine> {
         let lease = Duration::from_millis(40);
-        let eps = Fabric::build(
-            FabricConfig::new(2, DeviceKind::ShmFast)
-                .with_faults(FaultPlan::parse(plan).unwrap())
-                .with_lease(lease),
-        )
+        let eps = Fabric::build(FabricConfig {
+            faults: FaultPlan::parse(plan).unwrap(),
+            lease,
+            ..FabricConfig::new(2, DeviceKind::ShmFast)
+        })
         .unwrap()
         .into_endpoints();
         eps.into_iter().map(Engine::new).collect()

@@ -275,17 +275,18 @@ impl Engine {
     /// This is `MPI_Init` for a single rank; most users go through
     /// [`Universe::run`](universe::Universe::run), which builds the fabric
     /// and one engine per rank. A hand-built engine is a job of its own
-    /// as far as configuration goes: it runs the same `MPIJAVA_*` overlay
-    /// ([`env::overlay`]) over an otherwise default [`UniverseConfig`].
+    /// as far as configuration goes: it reads the environment once,
+    /// through [`UniverseConfig::new`] (the `MPIJAVA_*` overlay,
+    /// [`env::overlay`]).
     pub fn new(endpoint: Box<dyn Endpoint>) -> Engine {
         let config = UniverseConfig::new(endpoint.size(), endpoint.kind());
-        Engine::with_config(endpoint, &env::resolve(config))
+        Engine::with_config(endpoint, &config)
     }
 
-    /// Build one rank's engine from a *resolved* job configuration: the
-    /// one place the per-engine knobs (eager limit, collective algorithm,
-    /// trace, trace dir) are applied, for the launcher and for
-    /// [`Engine::new`] alike.
+    /// Build one rank's engine from a job configuration: the one place
+    /// the per-engine knobs (eager limit, collective algorithm, trace,
+    /// trace dir) are applied, for the launcher and for [`Engine::new`]
+    /// alike.
     pub(crate) fn with_config(endpoint: Box<dyn Endpoint>, config: &UniverseConfig) -> Engine {
         let (start_time, start_unix_ns) = trace_epoch();
         let world_rank = endpoint.rank();
@@ -304,7 +305,7 @@ impl Engine {
             pending_rendezvous: IdMap::default(),
             awaiting_rendezvous_data: IdMap::default(),
             next_token: 1,
-            eager_threshold: config.eager_threshold.unwrap_or(DEFAULT_EAGER_THRESHOLD),
+            eager_threshold: config.eager_threshold,
             send_pool: p2p::StagingPool::default(),
             attached_buffer: None,
             start_time,
@@ -318,7 +319,7 @@ impl Engine {
             next_win: 1,
             failed_ranks: HashSet::new(),
             last_failure_poll: None,
-            tracer: trace::Tracer::new(config.trace.unwrap_or_default()),
+            tracer: trace::Tracer::new(config.trace),
             trace_dir: config.trace_dir.clone(),
             start_unix_ns,
         };

@@ -142,10 +142,11 @@
 //!   (posted-receive latency, unexpected-queue residency, collective
 //!   round duration) feeding the log₂ histograms, plus transport frame
 //!   counters. Gated at ≤10%.
-//! * `events` — adds one 40-byte ring store per event. The ring is
+//! * `events` — adds one 56-byte ring store per event. The ring is
 //!   bounded ([`DEFAULT_TRACE_CAPACITY`] records unless
-//!   `events:<capacity>` says otherwise), so a long run costs constant
-//!   memory and drops its oldest history, never its newest.
+//!   `events:<capacity>` says otherwise, and never more than
+//!   [`MAX_TRACE_CAPACITY`]), so a long run costs constant memory and
+//!   drops its oldest history, never its newest.
 
 use std::fmt;
 use std::io::{self, Write};
@@ -198,6 +199,11 @@ impl fmt::Display for TraceMode {
 /// `MPIJAVA_TRACE=events` does not name one.
 pub const DEFAULT_TRACE_CAPACITY: usize = 64 * 1024;
 
+/// The largest event ring a rank preallocates: 2^24 records, about
+/// 0.9 GiB per rank at 56 bytes each. `MPIJAVA_TRACE=events:<capacity>`
+/// above it is malformed, and [`TraceConfig::with_capacity`] clamps to it.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 24;
+
 /// Parsed trace configuration: a [`TraceMode`] plus the event-ring
 /// capacity used when the mode is [`TraceMode::Events`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,9 +245,10 @@ impl TraceConfig {
         }
     }
 
-    /// Override the event-ring capacity (records; clamped to ≥ 1).
+    /// Override the event-ring capacity (records; clamped to
+    /// `1..=`[`MAX_TRACE_CAPACITY`]).
     pub fn with_capacity(mut self, capacity: usize) -> TraceConfig {
-        self.capacity = capacity.max(1);
+        self.capacity = capacity.clamp(1, MAX_TRACE_CAPACITY);
         self
     }
 
@@ -255,7 +262,11 @@ impl TraceConfig {
             if mode != TraceMode::Events {
                 return None; // a capacity only makes sense with a ring
             }
-            let capacity: usize = cap.trim().parse().ok().filter(|&c| c > 0)?;
+            let capacity: usize = cap
+                .trim()
+                .parse()
+                .ok()
+                .filter(|c| (1..=MAX_TRACE_CAPACITY).contains(c))?;
             return Some(TraceConfig::events().with_capacity(capacity));
         }
         TraceMode::parse(s).map(|mode| TraceConfig {
@@ -616,7 +627,7 @@ impl Tracer {
     /// Build a tracer; the event ring is preallocated here (and only
     /// here) so recording never allocates.
     pub fn new(config: TraceConfig) -> Tracer {
-        let capacity = config.capacity.max(1);
+        let capacity = config.capacity.clamp(1, MAX_TRACE_CAPACITY);
         let ring = if config.mode == TraceMode::Events {
             Vec::with_capacity(capacity)
         } else {
@@ -854,9 +865,36 @@ mod tests {
             Some(TraceConfig::events().with_capacity(4096))
         );
         assert_eq!(TraceConfig::parse("events:0"), None);
+        let max = format!("events:{MAX_TRACE_CAPACITY}");
+        assert_eq!(
+            TraceConfig::parse(&max),
+            Some(TraceConfig::events().with_capacity(MAX_TRACE_CAPACITY))
+        );
+        assert_eq!(
+            TraceConfig::parse(&format!("events:{}", MAX_TRACE_CAPACITY + 1)),
+            None
+        );
+        assert_eq!(TraceConfig::parse(&format!("events:{}", usize::MAX)), None);
         assert_eq!(TraceConfig::parse("counters:16"), None);
         assert_eq!(TraceConfig::parse("verbose"), None);
         assert_eq!(TraceConfig::parse(""), None);
+    }
+
+    #[test]
+    fn ring_capacity_is_clamped_to_one_through_the_ceiling() {
+        let capacity = |c| TraceConfig::events().with_capacity(c).capacity;
+        assert_eq!(capacity(0), 1);
+        assert_eq!(capacity(4096), 4096);
+        assert_eq!(capacity(MAX_TRACE_CAPACITY), MAX_TRACE_CAPACITY);
+        assert_eq!(capacity(MAX_TRACE_CAPACITY + 1), MAX_TRACE_CAPACITY);
+        assert_eq!(capacity(usize::MAX), MAX_TRACE_CAPACITY);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 56);
+        // A hand-written config past the ceiling is clamped, not allocated.
+        let huge = TraceConfig {
+            capacity: usize::MAX,
+            ..TraceConfig::counters()
+        };
+        assert_eq!(Tracer::new(huge).capacity, MAX_TRACE_CAPACITY);
     }
 
     /// A `coll` event stores its operation and algorithm as indices into

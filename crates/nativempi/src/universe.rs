@@ -8,190 +8,69 @@
 //!
 //! [`UniverseConfig`] is the one job configuration. The launch-time
 //! choice the paper makes on the command line (which native MPI, SM or DM
-//! mode) is a value of this struct, set through `with_*`, through the
-//! binding's `MpiRuntime` builder (a view of the same struct), or —
-//! for whatever is still unset at launch — through the `MPIJAVA_*`
-//! overlay ([`crate::env::overlay`], which documents every knob in one
-//! table).
+//! mode) is a value of this struct: [`UniverseConfig::new`] takes the
+//! defaults, applies the `MPIJAVA_*` environment once
+//! ([`crate::env::overlay`], which documents every knob in one table),
+//! and whatever the program writes afterwards — a field, or the
+//! binding's `MpiRuntime` builder (a view of the same struct) — wins.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::Duration;
 
-use mpi_transport::{
-    DeviceKind, DeviceProfile, Fabric, FabricConfig, FaultPlan, NetworkModel, NodeMap,
-};
+use mpi_transport::{DeviceKind, Fabric, FabricConfig};
 
 use crate::coll::CollAlgorithm;
 use crate::env::ProgressMode;
 use crate::error::{ErrorClass, MpiError, Result};
 use crate::trace::{TraceConfig, TraceMode};
-use crate::Engine;
+use crate::{Engine, DEFAULT_EAGER_THRESHOLD};
 
-/// Everything needed to launch a job. An `Option` field left `None` is
-/// filled at launch from its `MPIJAVA_*` variable, then from its default
-/// (the rule and the per-knob table are on [`crate::env::overlay`]).
+/// Everything needed to launch a job: the fabric's settings in
+/// [`FabricConfig`] (size, device, links, placement, spool, lease,
+/// faults), plus the settings every rank's engine applies. Each setting
+/// lives in exactly one field; an `Option` field's `None` is a value of
+/// its own, not "unset".
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
-    /// Number of ranks.
-    pub size: usize,
-    /// Transport device (see [`DeviceKind`]).
-    pub device: DeviceKind,
-    /// Link model (DM-mode experiments attach the 10BaseT model here).
-    pub network: NetworkModel,
-    /// Synthetic device cost profile (calibration of the two "native MPI"
-    /// implementations; defaults to no synthetic cost).
-    pub profile: DeviceProfile,
+    /// The transport fabric. `frame_counters` is ignored here: the
+    /// launcher turns them on whenever `trace` records anything.
+    pub fabric: FabricConfig,
     /// Eager/rendezvous threshold on every rank.
-    pub eager_threshold: Option<usize>,
-    /// Pin the collective algorithm on every rank (the default is the
-    /// tuned size-aware selection; see [`crate::coll`]).
+    pub eager_threshold: usize,
+    /// Pin the collective algorithm on every rank (`None`: the tuned
+    /// size-aware selection; see [`crate::coll`]).
     pub coll_algorithm: Option<CollAlgorithm>,
-    /// Rank → node placement (default: one flat node). The
-    /// [`DeviceKind::Hybrid`] device routes by it; every device exposes
-    /// it through the engine's topology queries, and the collective
-    /// tuning layer auto-selects the hierarchical algorithms when it is
-    /// non-trivial.
-    pub nodes: Option<NodeMap>,
-    /// Inter-node link model (hybrid device; defaults to unshaped).
-    pub inter_network: NetworkModel,
-    /// Progress model (default [`ProgressMode::Manual`]).
-    /// [`Universe::launch`] hands the resolved mode to the rank body:
-    /// only a body that shares its engine behind a lock (`MpiRuntime`)
-    /// can run the progress thread, so [`Universe::run`] ignores it.
-    pub progress: Option<ProgressMode>,
-    /// Persistent spool root for the [`DeviceKind::Spool`] device
-    /// (default: an ephemeral per-job temp directory). A persistent root
-    /// is the substrate for late-join and checkpoint/restart.
-    pub spool_dir: Option<PathBuf>,
-    /// Heartbeat lease for failure detection (default
-    /// [`mpi_transport::DEFAULT_LEASE`]). A rank whose lease goes
-    /// unrefreshed for longer than this is reported dead to its peers.
-    pub lease: Option<Duration>,
-    /// Deterministic fault-injection plan (default: no faults). Testing
-    /// tool: kills a rank's transport at a chosen operation, or
-    /// drops/delays chosen frames.
-    pub faults: Option<FaultPlan>,
-    /// Observability level on every rank (default off; see
-    /// [`crate::trace`]). `counters` and `events` additionally enable
-    /// the transport's frame counters.
-    pub trace: Option<TraceConfig>,
-    /// Directory for finalize-time trace dumps (default
+    /// Progress model. Only a launcher that shares each engine behind a
+    /// lock (the binding's `MpiRuntime`) can run the progress thread, so
+    /// [`Universe::run`] ignores it.
+    pub progress: ProgressMode,
+    /// Observability level on every rank (see [`crate::trace`]).
+    /// `counters` and `events` additionally enable the transport's frame
+    /// counters.
+    pub trace: TraceConfig,
+    /// Directory for finalize-time trace dumps (`None`:
     /// `<spool root>/trace` when the device has a spool, else no dump).
     pub trace_dir: Option<PathBuf>,
 }
 
 impl UniverseConfig {
-    /// A plain configuration over the given device.
+    /// The job's configuration: the defaults for `size` ranks over
+    /// `device`, then the `MPIJAVA_*` environment (read here, once;
+    /// warnings on stderr). A field the program writes afterwards wins.
     pub fn new(size: usize, device: DeviceKind) -> UniverseConfig {
+        crate::env::resolve(UniverseConfig::defaults(size, device))
+    }
+
+    /// The plain defaults, with no environment applied.
+    pub(crate) fn defaults(size: usize, device: DeviceKind) -> UniverseConfig {
         UniverseConfig {
-            size,
-            device,
-            network: NetworkModel::unshaped(),
-            profile: DeviceProfile::default(),
-            eager_threshold: None,
+            fabric: FabricConfig::new(size, device),
+            eager_threshold: DEFAULT_EAGER_THRESHOLD,
             coll_algorithm: None,
-            nodes: None,
-            inter_network: NetworkModel::unshaped(),
-            progress: None,
-            spool_dir: None,
-            lease: None,
-            faults: None,
-            trace: None,
+            progress: ProgressMode::Manual,
+            trace: TraceConfig::off(),
             trace_dir: None,
-        }
-    }
-
-    /// Attach a network model (DM-mode experiments).
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Attach a synthetic device cost profile.
-    pub fn with_profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Override the eager threshold on every rank.
-    pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = Some(bytes);
-        self
-    }
-
-    /// Pin the collective algorithm on every rank (ablations).
-    pub fn with_coll_algorithm(mut self, alg: CollAlgorithm) -> Self {
-        self.coll_algorithm = Some(alg);
-        self
-    }
-
-    /// Place ranks on nodes (see [`NodeMap`]).
-    pub fn with_nodes(mut self, nodes: NodeMap) -> Self {
-        self.nodes = Some(nodes);
-        self
-    }
-
-    /// Attach an inter-node link model (hybrid device).
-    pub fn with_inter_network(mut self, network: NetworkModel) -> Self {
-        self.inter_network = network;
-        self
-    }
-
-    /// Select the progress model.
-    pub fn with_progress(mut self, mode: ProgressMode) -> Self {
-        self.progress = Some(mode);
-        self
-    }
-
-    /// Keep spooled frames under `dir` across process lifetimes (spool
-    /// device).
-    pub fn with_spool_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spool_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the heartbeat lease for failure detection.
-    pub fn with_lease(mut self, lease: Duration) -> Self {
-        self.lease = Some(lease);
-        self
-    }
-
-    /// Inject a deterministic fault plan (testing).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Set the observability level on every rank.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Set the trace-dump directory on every rank.
-    pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.trace_dir = Some(dir.into());
-        self
-    }
-
-    /// The fabric this configuration describes; a knob still `None` takes
-    /// the fabric's own default (flat placement, stock lease, no faults).
-    fn fabric_config(&self) -> FabricConfig {
-        let defaults = FabricConfig::new(self.size, self.device);
-        FabricConfig {
-            network: self.network,
-            profile: self.profile,
-            nodes: self.nodes.clone().unwrap_or(defaults.nodes),
-            inter_network: self.inter_network,
-            spool_dir: self.spool_dir.clone(),
-            lease: self.lease.unwrap_or(defaults.lease),
-            faults: self.faults.clone().unwrap_or(defaults.faults),
-            // Any observability beyond the engine counters also turns on
-            // the transport-level frame counters.
-            frame_counters: self.trace.is_some_and(|t| t.mode != TraceMode::Off),
-            ..defaults
         }
     }
 }
@@ -218,14 +97,14 @@ impl Universe {
         T: Send,
         F: Fn(&mut Engine) -> T + Send + Sync,
     {
-        Self::launch(config, |mut engine, _| Ok(f(&mut engine)))
+        Self::launch(config, |mut engine| Ok(f(&mut engine)))
     }
 
     /// The one launcher, which [`Universe::run`] and the binding's
-    /// `MpiRuntime::run` are views of: resolve `config` against the
-    /// `MPIJAVA_*` environment (once per job), build the fabric, and run
-    /// `body` on one thread per rank with that rank's configured engine
-    /// and the resolved progress mode. Results come back in rank order;
+    /// `MpiRuntime::run` are views of: build the fabric `config`
+    /// describes, and run `body` on one thread per rank with that rank's
+    /// configured engine. It reads no environment:
+    /// [`UniverseConfig::new`] already did. Results come back in rank order;
     /// the first failing rank's error is the job's error. A rank that
     /// panics aborts the job (its engine is dropped mid-unwind, which
     /// poisons the peers — see `Engine`'s `Drop`) and is reported as
@@ -234,16 +113,18 @@ impl Universe {
     where
         T: Send,
         E: From<MpiError> + Send,
-        F: Fn(Engine, ProgressMode) -> std::result::Result<T, E> + Sync,
+        F: Fn(Engine) -> std::result::Result<T, E> + Sync,
     {
-        if config.size == 0 {
+        if config.fabric.size == 0 {
             return Err(MpiError::new(ErrorClass::Arg, "universe size must be at least 1").into());
         }
-        let config = &crate::env::resolve(config);
-        let endpoints = Fabric::build(config.fabric_config())
-            .map_err(MpiError::from)?
-            .into_endpoints();
-        let progress = config.progress.unwrap_or_default();
+        let endpoints = Fabric::build(FabricConfig {
+            frame_counters: config.trace.mode != TraceMode::Off,
+            ..config.fabric.clone()
+        })
+        .map_err(MpiError::from)?
+        .into_endpoints();
+        let config = &config;
         let body = &body;
 
         std::thread::scope(|scope| {
@@ -253,7 +134,7 @@ impl Universe {
                     scope.spawn(move || {
                         let rank = endpoint.rank();
                         let engine = Engine::with_config(endpoint, config);
-                        catch_unwind(AssertUnwindSafe(|| body(engine, progress)))
+                        catch_unwind(AssertUnwindSafe(|| body(engine)))
                             .unwrap_or_else(|panic| Err(rank_panicked(rank, panic).into()))
                     })
                 })
@@ -305,6 +186,8 @@ fn rank_panicked(rank: usize, panic: Box<dyn Any + Send>) -> MpiError {
 mod tests {
     use super::*;
     use crate::types::SendMode;
+    use mpi_transport::{FaultPlan, NodeMap};
+    use std::time::Duration;
 
     #[test]
     fn run_returns_per_rank_results_in_order() {
@@ -320,7 +203,10 @@ mod tests {
 
     #[test]
     fn config_applies_eager_threshold_and_names() {
-        let config = UniverseConfig::new(2, DeviceKind::ShmFast).with_eager_threshold(64);
+        let config = UniverseConfig {
+            eager_threshold: 64,
+            ..UniverseConfig::new(2, DeviceKind::ShmFast)
+        };
         Universe::run_with_config(config, |engine| {
             assert_eq!(engine.eager_threshold(), 64);
         })
@@ -360,7 +246,8 @@ mod tests {
     fn works_over_the_hybrid_device() {
         // 2 nodes x 2 ranks: rank pairs (0,1) and (2,3) talk intra-node,
         // everything else crosses the modelled inter-node link.
-        let config = UniverseConfig::new(4, DeviceKind::Hybrid).with_nodes(NodeMap::regular(2, 2));
+        let mut config = UniverseConfig::new(4, DeviceKind::Hybrid);
+        config.fabric.nodes = NodeMap::regular(2, 2);
         Universe::run_with_config(config, |engine| {
             let rank = engine.world_rank();
             assert_eq!(engine.my_node(), rank / 2);
@@ -383,7 +270,8 @@ mod tests {
 
     #[test]
     fn mismatched_node_map_is_rejected_at_launch() {
-        let config = UniverseConfig::new(4, DeviceKind::Hybrid).with_nodes(NodeMap::regular(2, 3));
+        let mut config = UniverseConfig::new(4, DeviceKind::Hybrid);
+        config.fabric.nodes = NodeMap::regular(2, 3);
         assert!(Universe::run_with_config(config, |_| ()).is_err());
     }
 
@@ -410,20 +298,37 @@ mod tests {
 
     #[test]
     fn config_resolves_spool_lease_and_faults() {
-        let fabric = UniverseConfig::new(2, DeviceKind::Spool)
-            .with_spool_dir("/tmp/spool-x")
-            .with_lease(Duration::from_millis(42))
-            .with_faults(FaultPlan::parse("drop:0->1@1").unwrap())
-            .fabric_config();
-        assert_eq!(fabric.spool_dir, Some(PathBuf::from("/tmp/spool-x")));
-        assert_eq!(fabric.lease, Duration::from_millis(42));
-        assert_eq!(fabric.faults.actions.len(), 1);
-
         // Defaults: no spool dir, the stock lease, no faults.
-        let plain = UniverseConfig::new(2, DeviceKind::ShmFast).fabric_config();
+        let plain = UniverseConfig::defaults(2, DeviceKind::ShmFast).fabric;
         assert_eq!(plain.spool_dir, None);
         assert_eq!(plain.lease, mpi_transport::DEFAULT_LEASE);
         assert!(plain.faults.is_empty());
+
+        // The launcher builds exactly the fabric the configuration names.
+        let root = std::env::temp_dir().join(format!("universe-config-{}", std::process::id()));
+        let mut config = UniverseConfig::new(2, DeviceKind::Spool);
+        config.fabric.spool_dir = Some(root.clone());
+        config.fabric.lease = Duration::from_millis(4242);
+        config.fabric.faults = FaultPlan::parse("kill:1@1").unwrap();
+        let seen = Universe::run_with_config(config, |engine| {
+            let dir = engine.endpoint.spool_dir().map(PathBuf::from);
+            let leases: Vec<_> = engine
+                .endpoint
+                .peer_liveness()
+                .iter()
+                .map(|p| p.lease)
+                .collect();
+            let killed = engine.world_rank() == 1
+                && engine
+                    .send(crate::comm::COMM_WORLD, 0, 0, b"x", SendMode::Standard)
+                    .is_err();
+            (dir, leases, killed)
+        })
+        .unwrap();
+        let lease = Duration::from_millis(4242);
+        assert_eq!(seen[0], (Some(root.clone()), vec![lease], false));
+        assert_eq!(seen[1], (Some(root.clone()), vec![lease], true));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

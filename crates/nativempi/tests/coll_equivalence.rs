@@ -275,7 +275,10 @@ fn run_transcript(
 ) -> Vec<Vec<u8>> {
     let mut config = UniverseConfig::new(size, device);
     config.coll_algorithm = alg;
-    config.eager_threshold = eager_threshold;
+    // No threshold leaves the environment's.
+    if let Some(eager_threshold) = eager_threshold {
+        config.eager_threshold = eager_threshold;
+    }
     Universe::run_with_config(config, transcript).unwrap()
 }
 
@@ -583,7 +586,8 @@ fn assert_nonblocking_twins(device: DeviceKind) {
 /// `ranks_per_node` to a node (the last node takes the remainder).
 fn hybrid_config(size: usize, ranks_per_node: usize, alg: Option<CollAlgorithm>) -> UniverseConfig {
     let nodes = NodeMap::from_assignment((0..size).map(|r| r / ranks_per_node).collect());
-    let mut config = UniverseConfig::new(size, DeviceKind::Hybrid).with_nodes(nodes);
+    let mut config = UniverseConfig::new(size, DeviceKind::Hybrid);
+    config.fabric.nodes = nodes;
     config.coll_algorithm = alg;
     config
 }
@@ -656,8 +660,8 @@ fn hier_survives_non_contiguous_round_robin_placements() {
     for size in [4usize, 6, 8] {
         let nodes = NodeMap::from_assignment((0..size).map(|r| r % 2).collect());
         let make = |alg| {
-            let mut config =
-                UniverseConfig::new(size, DeviceKind::Hybrid).with_nodes(nodes.clone());
+            let mut config = UniverseConfig::new(size, DeviceKind::Hybrid);
+            config.fabric.nodes = nodes.clone();
             config.coll_algorithm = alg;
             config
         };
@@ -952,7 +956,9 @@ fn neighbor_collectives_match_hand_rolled_on_hybrid_two_nodes() {
     assert_neighbor_equivalence(
         |size| {
             let nodes = NodeMap::from_assignment((0..size).map(|r| r / size.div_ceil(2)).collect());
-            UniverseConfig::new(size, DeviceKind::Hybrid).with_nodes(nodes)
+            let mut config = UniverseConfig::new(size, DeviceKind::Hybrid);
+            config.fabric.nodes = nodes;
+            config
         },
         &[4, 6],
         "hybrid-2n",
@@ -965,7 +971,7 @@ fn neighbor_collectives_survive_a_tiny_eager_threshold() {
     assert_neighbor_equivalence(
         |size| {
             let mut config = UniverseConfig::new(size, DeviceKind::ShmFast);
-            config.eager_threshold = Some(2);
+            config.eager_threshold = 2;
             config
         },
         &[2, 4, 6],

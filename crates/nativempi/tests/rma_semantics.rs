@@ -301,7 +301,8 @@ fn teardown_refusals_hold_on_every_device() {
 fn epoch_semantics_hold_on_hybrid_fabrics() {
     for (size, per_node) in [(4usize, 2usize), (4, 1), (6, 3)] {
         let nodes = NodeMap::from_assignment((0..size).map(|r| r / per_node).collect());
-        let config = UniverseConfig::new(size, DeviceKind::Hybrid).with_nodes(nodes);
+        let mut config = UniverseConfig::new(size, DeviceKind::Hybrid);
+        config.fabric.nodes = nodes;
         Universe::run_with_config(config, full_suite).unwrap();
     }
 }
@@ -313,7 +314,7 @@ fn epoch_semantics_hold_on_hybrid_fabrics() {
 fn epoch_semantics_survive_an_all_rendezvous_regime() {
     for size in [2usize, 3] {
         let mut config = UniverseConfig::new(size, DeviceKind::ShmFast);
-        config.eager_threshold = Some(2);
+        config.eager_threshold = 2;
         Universe::run_with_config(config, full_suite).unwrap();
     }
 }
@@ -324,7 +325,7 @@ fn epoch_semantics_survive_an_all_rendezvous_regime() {
 #[test]
 fn large_transfers_ride_the_rendezvous_path() {
     let mut config = UniverseConfig::new(2, DeviceKind::ShmFast);
-    config.eager_threshold = Some(1024);
+    config.eager_threshold = 1024;
     Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         let len = 200_000usize;
@@ -474,8 +475,8 @@ fn a_torus_fence_epoch_sends_one_message_per_put() {
     const EPOCHS: i64 = 3;
     for (block, frames_per_epoch) in [(64 << 10, 8), (256 << 10, 16)] {
         let config = UniverseConfig {
-            eager_threshold: Some(DEFAULT_EAGER_THRESHOLD),
-            trace: Some(TraceConfig::counters()),
+            eager_threshold: DEFAULT_EAGER_THRESHOLD,
+            trace: TraceConfig::counters(),
             ..UniverseConfig::new(4, DeviceKind::ShmFast)
         };
         Universe::run_with_config(config, move |engine| {

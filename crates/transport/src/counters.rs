@@ -201,8 +201,8 @@ mod tests {
         // (it left the engine), the killed rank's refused send does not.
         let config = FabricConfig {
             frame_counters: true,
+            faults: FaultPlan::parse("drop:0->1@1,kill:0@3").unwrap(),
             ..FabricConfig::new(2, DeviceKind::ShmFast)
-                .with_faults(FaultPlan::parse("drop:0->1@1,kill:0@3").unwrap())
         };
         let eps = Fabric::build(config).unwrap().into_endpoints();
         eps[0].send(frame(0, 1, b"dropped")).unwrap();

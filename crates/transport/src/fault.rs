@@ -435,9 +435,11 @@ mod tests {
     #[test]
     fn killed_rank_errors_and_peers_report_it_after_the_lease() {
         let lease = Duration::from_millis(40);
-        let config = FabricConfig::new(2, DeviceKind::ShmFast)
-            .with_faults(FaultPlan::parse("kill:0@2").unwrap())
-            .with_lease(lease);
+        let config = FabricConfig {
+            faults: FaultPlan::parse("kill:0@2").unwrap(),
+            lease,
+            ..FabricConfig::new(2, DeviceKind::ShmFast)
+        };
         let eps = Fabric::build(config).unwrap().into_endpoints();
         eps[0].send(frame(0, 1, 1, b"first")).unwrap();
         // The 2nd send kills rank 0; its own ops fail from then on.
@@ -459,8 +461,10 @@ mod tests {
 
     #[test]
     fn drop_and_delay_hit_exactly_the_named_frames() {
-        let config = FabricConfig::new(2, DeviceKind::ShmFast)
-            .with_faults(FaultPlan::parse("drop:0->1@1,delay:0->1@2:30").unwrap());
+        let config = FabricConfig {
+            faults: FaultPlan::parse("drop:0->1@1,delay:0->1@2:30").unwrap(),
+            ..FabricConfig::new(2, DeviceKind::ShmFast)
+        };
         let eps = Fabric::build(config).unwrap().into_endpoints();
         eps[0].send(frame(0, 1, 1, b"dropped")).unwrap();
         let start = Instant::now();

@@ -147,9 +147,11 @@ mod tests {
     }
 
     fn hybrid(size: usize, nodes: NodeMap, inter: NetworkModel) -> Vec<HybridEndpoint> {
-        let config = FabricConfig::new(size, DeviceKind::Hybrid)
-            .with_nodes(nodes)
-            .with_inter_network(inter);
+        let config = FabricConfig {
+            nodes,
+            inter_network: inter,
+            ..FabricConfig::new(size, DeviceKind::Hybrid)
+        };
         HybridDevice::build(&config).unwrap()
     }
 
@@ -187,7 +189,10 @@ mod tests {
 
     #[test]
     fn mismatched_node_map_is_rejected() {
-        let config = FabricConfig::new(4, DeviceKind::Hybrid).with_nodes(NodeMap::regular(2, 3));
+        let config = FabricConfig {
+            nodes: NodeMap::regular(2, 3),
+            ..FabricConfig::new(4, DeviceKind::Hybrid)
+        };
         assert!(matches!(
             HybridDevice::build(&config),
             Err(TransportError::InvalidConfig(_))

@@ -28,7 +28,7 @@
 //!   detection and natural persistence (checkpoint/restart, late join).
 //! * [`fault::FaultEndpoint`] — a deterministic fault-injection wrapper
 //!   (kill/drop/delay) available on every device via
-//!   [`FabricConfig::with_faults`].
+//!   [`FabricConfig::faults`].
 //!
 //! All devices expose the same [`Endpoint`] interface: ordered,
 //! reliable point-to-point delivery of [`frame::Frame`]s between a fixed
@@ -63,7 +63,7 @@ use std::time::Duration;
 /// Default heartbeat lease: a rank whose lease file has not been renewed
 /// for this long is declared dead by its peers (spool device; also the
 /// delay fault-injected kills take to become visible to survivors).
-/// Tunable per fabric via [`FabricConfig::with_lease`] and, at the engine
+/// Tunable per fabric via [`FabricConfig::lease`] and, at the engine
 /// layer, via the `MPIJAVA_LEASE_MS` environment variable.
 pub const DEFAULT_LEASE: Duration = Duration::from_millis(1000);
 
@@ -159,7 +159,8 @@ impl DeviceProfile {
     }
 }
 
-/// Configuration for building a [`Fabric`].
+/// Configuration for building a [`Fabric`]: [`FabricConfig::new`]'s
+/// defaults, with any field written directly (or by struct update).
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// Number of ranks (endpoints) in the fabric.
@@ -214,50 +215,6 @@ impl FabricConfig {
             faults: FaultPlan::none(),
             frame_counters: false,
         }
-    }
-
-    /// Attach a network model (used for the paper's DM-mode experiments).
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Attach a synthetic device cost profile.
-    pub fn with_profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Attach a rank → node placement (see [`NodeMap`]).
-    pub fn with_nodes(mut self, nodes: NodeMap) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
-    /// Attach an inter-node link model (hybrid device).
-    pub fn with_inter_network(mut self, network: NetworkModel) -> Self {
-        self.inter_network = network;
-        self
-    }
-
-    /// Attach an explicit spool root directory (spool device). The
-    /// directory persists after the run, unlike the default ephemeral
-    /// temp directory.
-    pub fn with_spool_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spool_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the heartbeat lease driving failure detection.
-    pub fn with_lease(mut self, lease: Duration) -> Self {
-        self.lease = lease;
-        self
-    }
-
-    /// Attach a deterministic fault-injection plan (see [`fault`]).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
     }
 }
 

@@ -117,10 +117,11 @@ impl NodeMap {
             if nodes == 0 || per_node == 0 {
                 return Err(format!("zero dimension in node spec {spec:?}"));
             }
-            if nodes * per_node != size {
+            let placed = nodes.checked_mul(per_node);
+            if placed != Some(size) {
+                let placed = placed.map_or("more than usize::MAX".into(), |n| n.to_string());
                 return Err(format!(
-                    "node spec {spec:?} places {} ranks but the job has {size}",
-                    nodes * per_node
+                    "node spec {spec:?} places {placed} ranks but the job has {size}"
                 ));
             }
             return Ok(NodeMap::regular(nodes, per_node));
@@ -276,5 +277,8 @@ mod tests {
         assert!(NodeMap::parse("a,b", 2).is_err());
         assert!(NodeMap::parse("9", 4).is_err(), "more nodes than ranks");
         assert!(NodeMap::parse("banana", 4).is_err());
+        // `nodes * per_node` overflows: rejected, never wrapped or panicked.
+        assert!(NodeMap::parse("4294967296x4294967296", 2).is_err());
+        assert!(NodeMap::parse("9223372036854775810x2", 4).is_err());
     }
 }

@@ -547,9 +547,11 @@ mod tests {
     fn explicit_root_persists_and_a_late_attach_drains_it() {
         let root = temp_root("latejoin");
         {
-            let eps =
-                SpoolDevice::build(&FabricConfig::new(2, DeviceKind::Spool).with_spool_dir(&root))
-                    .unwrap();
+            let eps = SpoolDevice::build(&FabricConfig {
+                spool_dir: Some(root.clone()),
+                ..FabricConfig::new(2, DeviceKind::Spool)
+            })
+            .unwrap();
             eps[0].send(frame(0, 1, 7, b"pending")).unwrap();
             // Rank 1's original endpoint never receives; everything drops.
         }
@@ -564,8 +566,11 @@ mod tests {
     #[test]
     fn stale_lease_is_reported_dead_and_stays_dead() {
         let lease = Duration::from_millis(60);
-        let eps =
-            SpoolDevice::build(&FabricConfig::new(2, DeviceKind::Spool).with_lease(lease)).unwrap();
+        let eps = SpoolDevice::build(&FabricConfig {
+            lease,
+            ..FabricConfig::new(2, DeviceKind::Spool)
+        })
+        .unwrap();
         let mut eps = eps;
         let victim = eps.pop().unwrap(); // rank 1
         let survivor = eps.pop().unwrap(); // rank 0
@@ -581,8 +586,11 @@ mod tests {
     #[test]
     fn receive_loops_keep_their_own_lease_alive() {
         let lease = Duration::from_millis(60);
-        let eps =
-            SpoolDevice::build(&FabricConfig::new(2, DeviceKind::Spool).with_lease(lease)).unwrap();
+        let eps = SpoolDevice::build(&FabricConfig {
+            lease,
+            ..FabricConfig::new(2, DeviceKind::Spool)
+        })
+        .unwrap();
         // Rank 1 polls (empty) for well past the lease window; rank 0
         // must still consider it alive because polling heartbeats.
         let start = Instant::now();

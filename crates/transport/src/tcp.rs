@@ -310,8 +310,10 @@ mod tests {
 
     #[test]
     fn shaped_fabric_delays_delivery() {
-        let config = FabricConfig::new(2, DeviceKind::Tcp)
-            .with_network(NetworkModel::new(Duration::from_millis(40), f64::INFINITY));
+        let config = FabricConfig {
+            network: NetworkModel::new(Duration::from_millis(40), f64::INFINITY),
+            ..FabricConfig::new(2, DeviceKind::Tcp)
+        };
         let mut eps = TcpDevice::build(&config).unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();

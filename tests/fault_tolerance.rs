@@ -41,7 +41,8 @@ fn scratch_root(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn a_killed_rank_surfaces_rank_failed_on_every_spool_survivor() {
-    let config = UniverseConfig::new(3, DeviceKind::Spool).with_lease(LEASE);
+    let mut config = UniverseConfig::new(3, DeviceKind::Spool);
+    config.fabric.lease = LEASE;
     let results = Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         if rank == 2 {
@@ -82,9 +83,9 @@ fn a_killed_rank_surfaces_rank_failed_on_every_spool_survivor() {
 #[test]
 fn a_fault_injected_kill_behaves_the_same_over_shm() {
     let plan = FaultPlan::parse("kill:2@1").unwrap();
-    let config = UniverseConfig::new(3, DeviceKind::ShmFast)
-        .with_lease(LEASE)
-        .with_faults(plan);
+    let mut config = UniverseConfig::new(3, DeviceKind::ShmFast);
+    config.fabric.lease = LEASE;
+    config.fabric.faults = plan;
     Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         if rank == 2 {
@@ -119,7 +120,8 @@ fn a_fault_injected_kill_behaves_the_same_over_shm() {
 
 #[test]
 fn finalize_aborts_outstanding_operations_after_a_death() {
-    let config = UniverseConfig::new(3, DeviceKind::Spool).with_lease(LEASE);
+    let mut config = UniverseConfig::new(3, DeviceKind::Spool);
+    config.fabric.lease = LEASE;
     Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         if rank == 2 {
@@ -155,9 +157,9 @@ fn finalize_aborts_outstanding_operations_after_a_death() {
 #[test]
 fn a_late_joining_rank_attaches_and_drains_the_spool() {
     let root = scratch_root("latejoin");
-    let config = UniverseConfig::new(2, DeviceKind::Spool)
-        .with_spool_dir(&root)
-        .with_lease(LEASE);
+    let mut config = UniverseConfig::new(2, DeviceKind::Spool);
+    config.fabric.spool_dir = Some(root.clone());
+    config.fabric.lease = LEASE;
     Universe::run_with_config(config, |engine| {
         if engine.world_rank() == 0 {
             // Rank 1 never picks this up in-job; it stays spooled.
@@ -181,9 +183,9 @@ fn a_late_joining_rank_attaches_and_drains_the_spool() {
 #[test]
 fn checkpoint_restart_recovers_counters_and_spooled_frames() {
     let root = scratch_root("checkpoint");
-    let config = UniverseConfig::new(2, DeviceKind::Spool)
-        .with_spool_dir(&root)
-        .with_lease(LEASE);
+    let mut config = UniverseConfig::new(2, DeviceKind::Spool);
+    config.fabric.spool_dir = Some(root.clone());
+    config.fabric.lease = LEASE;
     Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         // Advance rank 1's token allocator past its initial value, then
@@ -219,7 +221,8 @@ fn checkpoint_restart_recovers_counters_and_spooled_frames() {
 
 #[test]
 fn an_rma_fence_with_a_dead_rank_errors_instead_of_hanging() {
-    let config = UniverseConfig::new(3, DeviceKind::Spool).with_lease(LEASE);
+    let mut config = UniverseConfig::new(3, DeviceKind::Spool);
+    config.fabric.lease = LEASE;
     Universe::run_with_config(config, |engine| {
         let rank = engine.world_rank();
         let win = engine.win_create(COMM_WORLD, vec![0u8; 64]).unwrap();

@@ -466,7 +466,7 @@ fn coll_events_carry_the_planned_operation_in_every_call_mode() {
     use mpi_native::comm::COMM_WORLD;
     use mpi_native::{CollOp, PredefinedOp, PrimitiveKind, Universe, UniverseConfig};
     let config = UniverseConfig {
-        trace: Some(TraceConfig::events()),
+        trace: TraceConfig::events(),
         ..UniverseConfig::new(2, DeviceKind::ShmFast)
     };
     let per_rank = Universe::run_with_config(config, |engine| {
@@ -535,11 +535,13 @@ fn universe_and_mpiruntime_are_one_launcher() {
         )
     }
     let trace = TraceConfig::events().with_capacity(512);
-    let config = UniverseConfig::new(4, DeviceKind::Hybrid)
-        .with_eager_threshold(4096)
-        .with_coll_algorithm(CollAlgorithm::Ring)
-        .with_trace(trace)
-        .with_nodes(NodeMap::regular(2, 2));
+    let mut config = UniverseConfig {
+        eager_threshold: 4096,
+        coll_algorithm: Some(CollAlgorithm::Ring),
+        trace,
+        ..UniverseConfig::new(4, DeviceKind::Hybrid)
+    };
+    config.fabric.nodes = NodeMap::regular(2, 2);
     let runtime = MpiRuntime::new(4)
         .device(DeviceKind::Hybrid)
         .eager_threshold(4096)

@@ -163,7 +163,7 @@ fn full_surface_works_under_the_progress_thread_on_every_device() {
 fn thread_level_is_always_multiple() {
     use mpi_native::{Universe, UniverseConfig};
     use mpijava::{JniConfig, MPIException, ThreadLevel, MPI};
-    Universe::launch(UniverseConfig::new(2, DeviceKind::ShmFast), |engine, _| {
+    Universe::launch(UniverseConfig::new(2, DeviceKind::ShmFast), |engine| {
         let (mpi, provided) = MPI::init_thread(engine, JniConfig::default(), ThreadLevel::Funneled);
         assert_eq!(provided, ThreadLevel::Multiple);
         assert_eq!(mpi.query_thread(), ThreadLevel::Multiple);
