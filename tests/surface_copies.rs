@@ -7,6 +7,9 @@
 //! | call (sender) | `Copy`: in / engine copies | `Pin`: in / engine copies |
 //! |---|---|---|
 //! | `Send`, `Isend`, `Sendrecv`, `Prequest.Start` | len / 0 | len / len |
+//! | `Ssend`, `Issend` (rendezvous at every size) | len / 0 | len / len |
+//! | `Send` of a strided `Datatype::vector` (every other `INT`) | window / 0 | window / 0 |
+//! | `rs` `send_bytes`, `isend_bytes` | 0 / 0 | 0 / 0 |
 //! | `Send[OBJECT]` | stream / 0 | stream / 0 |
 //!
 //! Collective rows: every form of a collective crosses the boundary
@@ -22,14 +25,18 @@
 //!
 //! A `Copy` send's boundary copy is the message: the engine sends that
 //! buffer and copies nothing. A `Pin` send lends the caller's slice, and
-//! the engine's one staging copy is the only pass. A blocking dense
+//! the engine's one staging copy is the only pass. A strided send's
+//! gather is the message in both modes: the boundary counts the window it
+//! read (`2 len - 4` bytes), the engine copies nothing. An owned `Bytes`
+//! crosses no boundary and is moved, never copied. A blocking dense
 //! `Send` of a rendezvous streams: under `Copy` the engine takes the
 //! boundary copy one chunk at a time, and counts none of it. The
 //! 1 MiB + 7 B `BYTE` row (nine chunks, the last 7 B, at the default
 //! eager threshold) pins the same figures for it. An object stream is
-//! always an owned buffer. The receiving side of the `Send`, `Isend` and
-//! `Prequest.Start` rows is a classic `Recv`: one engine delivery copy
-//! into the window, nothing marshalled in.
+//! always an owned buffer. The receiving side of every row but
+//! `Sendrecv` and `Send[OBJECT]` is a classic `Recv` of `len` bytes of
+//! `INT`: one engine delivery copy into the window, nothing marshalled
+//! in.
 
 use mpijava::{
     Datatype, JniConfig, MarshalMode, MpiResult, MpiRuntime, ObjectInputStream, ObjectOutputStream,
@@ -46,6 +53,11 @@ const TAG: i32 = 5;
 enum Call {
     Send,
     Isend,
+    Ssend,
+    Issend,
+    SendVector,
+    SendBytes,
+    IsendBytes,
     Sendrecv,
     Start,
     SendObject,
@@ -118,6 +130,9 @@ fn run(call: Call, marshal: MarshalMode, len: usize) -> (Pass, Pass, u64) {
             let count = len / 4;
             let sent: Vec<i32> = (0..count as i32).map(|i| i * 7 - 3).collect();
             let objects = vec![Samples(vec![0.5; len / 8])];
+            // `sent` at the even elements, its negation between them.
+            let strided: Vec<i32> = sent.iter().flat_map(|&v| [v, -v]).collect();
+            let every_other = Datatype::vector(count, 1, 2, &int)?;
             let mut recv = vec![0i32; count];
             let rank = world.rank()?;
             let peer = 1 - rank as i32;
@@ -143,6 +158,24 @@ fn run(call: Call, marshal: MarshalMode, len: usize) -> (Pass, Pass, u64) {
                 (Call::Isend, 0) => measure(mpi, || {
                     world.isend(&sent, 0, count, &int, 1, TAG)?.wait().map(drop)
                 })?,
+                (Call::Ssend, 0) => measure(mpi, || world.ssend(&sent, 0, count, &int, 1, TAG))?,
+                (Call::Issend, 0) => measure(mpi, || {
+                    world
+                        .issend(&sent, 0, count, &int, 1, TAG)?
+                        .wait()
+                        .map(drop)
+                })?,
+                (Call::SendVector, 0) => {
+                    measure(mpi, || world.send(&strided, 0, 1, &every_other, 1, TAG))?
+                }
+                (Call::SendBytes, 0) => measure(mpi, || {
+                    use mpijava::rs::Communicator as _;
+                    world.send_bytes(wire(&sent), 1, TAG)
+                })?,
+                (Call::IsendBytes, 0) => measure(mpi, || {
+                    use mpijava::rs::Communicator as _;
+                    world.isend_bytes(wire(&sent), 1, TAG)?.wait().map(drop)
+                })?,
                 (Call::Start, 0) => {
                     let mut request = world.send_init(&sent, 0, count, &int, 1, TAG)?;
                     let pass = measure(mpi, || {
@@ -167,6 +200,12 @@ fn run(call: Call, marshal: MarshalMode, len: usize) -> (Pass, Pass, u64) {
     (ranks[0].0, ranks[1].0, ranks[1].1)
 }
 
+/// The wire image of `values`, as an owned `Bytes`.
+fn wire(values: &[i32]) -> bytes::Bytes {
+    let image: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    image.into()
+}
+
 /// Check rank 0's pass of `call` against the module table, on every
 /// mode and size; where rank 1 receives with a classic `Recv`, pin it too.
 fn pin(call: Call) {
@@ -174,19 +213,29 @@ fn pin(call: Call) {
         for len in SIZES {
             let (sender, receiver, received) = run(call, marshal, len);
             let row = format!("{call:?}, {marshal:?}, {len} B");
-            let (payload, dense) = match call {
-                Call::SendObject => (received, false),
-                _ => (len as u64, true),
+            let payload = match call {
+                Call::SendObject => received,
+                _ => len as u64,
             };
             assert_eq!(received, payload, "{row}: bytes delivered");
+            // What crosses the boundary: the window a send reads (a
+            // strided one spans `2 len - 4` bytes), and nothing for an
+            // owned `Bytes`.
+            let (bytes_in, dense) = match call {
+                Call::SendObject => (payload, false),
+                Call::SendVector => (2 * payload - 4, false),
+                Call::SendBytes | Call::IsendBytes => (0, false),
+                _ => (payload, true),
+            };
             // A `Pin` dense send lends the caller's slice (its memory is
             // its wire image on a little-endian host), so the engine
             // stages it; everything else arrives owned and is sent as is.
             let lent = dense && marshal == MarshalMode::Pin && cfg!(target_endian = "little");
-            let rendezvous = payload as usize > THRESHOLD;
+            let synchronous = matches!(call, Call::Ssend | Call::Issend);
+            let rendezvous = synchronous || payload as usize > THRESHOLD;
             let sendrecv = matches!(call, Call::Sendrecv);
             let expected = Pass {
-                bytes_in: payload,
+                bytes_in,
                 // `Sendrecv` also stores the peer's message into its
                 // window, a store the engine does not count.
                 bytes_out: if sendrecv { payload } else { 0 },
@@ -195,7 +244,7 @@ fn pin(call: Call) {
                 rendezvous_sends: u64::from(rendezvous),
             };
             assert_eq!(sender, expected, "{row}: sender");
-            if dense && !sendrecv {
+            if !matches!(call, Call::SendObject | Call::Sendrecv) {
                 let recv = Pass {
                     bytes_in: 0,
                     bytes_out: payload,
@@ -217,6 +266,31 @@ fn classic_send_copies() {
 #[test]
 fn classic_isend_copies() {
     pin(Call::Isend);
+}
+
+#[test]
+fn classic_ssend_copies() {
+    pin(Call::Ssend);
+}
+
+#[test]
+fn classic_issend_copies() {
+    pin(Call::Issend);
+}
+
+#[test]
+fn strided_vector_send_copies() {
+    pin(Call::SendVector);
+}
+
+#[test]
+fn rs_send_bytes_copies() {
+    pin(Call::SendBytes);
+}
+
+#[test]
+fn rs_isend_bytes_copies() {
+    pin(Call::IsendBytes);
 }
 
 #[test]
