@@ -72,7 +72,9 @@
 //!   milliseconds (an optional `ms` suffix is accepted).
 //!
 //! Example: `MPIJAVA_FAULT=kill:2@5,delay:0->1@3:50ms`. A malformed
-//! plan, or one that names a rank outside the job, warns and is ignored —
+//! plan (a delay above [`mpi_transport::fault::MAX_FAULT_DELAY`]
+//! included), or one that names a rank outside the job, warns and is
+//! ignored —
 //! fault injection is a testing tool, and a typo must not take down a
 //! production job.
 //!
@@ -509,8 +511,14 @@ mod tests {
             Knob {
                 name: FAULT_ENV,
                 valid: vec![("kill:2@5,drop:0->1@3", show(plan))],
-                // The last two name a rank outside the 4-rank job.
-                malformed: vec!["explode:everything", "kill:9@1", "drop:0->7@1"],
+                // Then two name a rank outside the 4-rank job, and the
+                // last holds a frame above `MAX_FAULT_DELAY`.
+                malformed: vec![
+                    "explode:everything",
+                    "kill:9@1",
+                    "drop:0->7@1",
+                    "delay:0->1@1:18446744073709551615",
+                ],
                 get: |c| show(&c.fabric.faults),
                 set: |mut c| {
                     c.fabric.faults = FaultPlan::parse("drop:0->1@1").unwrap();

@@ -33,7 +33,8 @@
 //! ```
 //!
 //! e.g. `MPIJAVA_FAULT=kill:2@5` (rank 2 dies on its 5th send) or
-//! `MPIJAVA_FAULT=drop:0->1@1,delay:0->1@2:50`.
+//! `MPIJAVA_FAULT=drop:0->1@1,delay:0->1@2:50`. A delay above
+//! [`MAX_FAULT_DELAY`] is malformed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,6 +45,12 @@ use crate::error::{Result, TransportError};
 use crate::frame::Frame;
 use crate::nodemap::NodeMap;
 use crate::{DeviceKind, Endpoint, PeerLiveness};
+
+/// The longest delay a parsed plan may hold a frame: ten seconds, ten
+/// default lease windows and far above the 25–150 ms that the tests and
+/// the straggler drill plant. The sender sleeps the whole delay, so a
+/// larger one would stall its rank for as long, with nothing to say why.
+pub const MAX_FAULT_DELAY: Duration = Duration::from_secs(10);
 
 /// One deterministic fault. Operation counts are 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,12 +136,17 @@ impl FaultPlan {
                     let (nth, ms) = tail.split_once(':').ok_or_else(|| {
                         format!("`{part}`: expected `delay:<src>-><dst>@<n>:<ms>`")
                     })?;
-                    let ms = ms.trim().trim_end_matches("ms");
+                    let delay =
+                        Duration::from_millis(parse_num(ms.trim().trim_end_matches("ms"), part)?);
+                    if delay > MAX_FAULT_DELAY {
+                        let max = MAX_FAULT_DELAY.as_millis();
+                        return Err(format!("`{part}`: a delay above {max} ms"));
+                    }
                     plan.actions.push(FaultAction::DelayFrame {
                         src,
                         dst,
                         nth: parse_op(nth, part)?,
-                        delay: Duration::from_millis(parse_num(ms, part)?),
+                        delay,
                     });
                 }
                 other => return Err(format!("`{part}`: unknown fault verb `{other}`")),
@@ -420,12 +432,14 @@ mod tests {
     #[test]
     fn malformed_plans_are_rejected_with_reasons() {
         for bad in [
-            "kill:2",       // missing @n
-            "kill:x@1",     // not a number
-            "kill:1@0",     // 0-based op count
-            "drop:0-1@1",   // bad pair separator
-            "delay:0->1@1", // missing millis
-            "teleport:1@1", // unknown verb
+            "kill:2",                            // missing @n
+            "kill:x@1",                          // not a number
+            "kill:1@0",                          // 0-based op count
+            "drop:0-1@1",                        // bad pair separator
+            "delay:0->1@1",                      // missing millis
+            "delay:0->1@1:18446744073709551615", // above the ceiling
+            "delay:0->1@1:10001ms",              // above the ceiling
+            "teleport:1@1",                      // unknown verb
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.contains(bad), "error `{err}` should cite `{bad}`");
