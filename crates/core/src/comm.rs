@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use mpi_native::comm::CommHandle;
-use mpi_native::{pack, Engine, ErrorClass, PrimitiveKind, RequestId, SendMode};
+use mpi_native::{pack, Engine, ErrorClass, PrimitiveKind, SendBuf, SendMode};
 
 use crate::buffer::{bytes_of, with_bytes_mut, BufferElement};
 use crate::datatype::Datatype;
@@ -312,34 +312,32 @@ impl Comm {
         }
     }
 
-    /// The binding-side send of a marshalled payload: every
-    /// `Send[OBJECT]`, and every blocking, nonblocking or `Sendrecv` send
-    /// but a dense window's (see `send_mode`, `post_send`), hands it to the
-    /// engine here (a persistent `Start` hands it to `Engine::start`,
-    /// which does the same). An owned payload — a `Copy` image, a
-    /// gather, a `bool` / `char` conversion, an object stream — is the
-    /// message itself and is moved, not copied; only a slice lent under
-    /// `Pin` takes the engine's one staging copy.
-    fn isend_payload(
+    /// The one payload every point-to-point send of the binding hands
+    /// the engine ([`Engine::send`], [`Engine::isend`]): `count`
+    /// instances of `datatype` at element `offset` of `buf`. A dense
+    /// window whose memory is its own wire image crosses as the engine
+    /// stages it ([`JniBoundary::stream_in`](crate::jni::JniBoundary::stream_in)),
+    /// so a blocking rendezvous stages it one granted frame at a time.
+    /// Anything else is marshalled first, and an owned result — a `Copy`
+    /// image, a gather, a `bool` / `char` conversion — is the message
+    /// itself, moved, not copied.
+    fn send_payload<'buf, T: BufferElement>(
         &self,
-        engine: &mut Engine,
-        payload: Cow<'_, [u8]>,
-        dest: i32,
-        tag: i32,
-        mode: SendMode,
-    ) -> mpi_native::Result<RequestId> {
-        match payload {
-            Cow::Owned(buf) => engine.isend_bytes(self.handle, dest, tag, Bytes::from(buf), mode),
-            Cow::Borrowed(data) => engine.isend(self.handle, dest, tag, data, mode),
+        buf: &'buf [T],
+        offset: usize,
+        count: usize,
+        datatype: &Datatype,
+    ) -> MpiResult<SendBuf<'buf>> {
+        match bytes_of(self.send_window(buf, offset, count, datatype)?) {
+            Cow::Borrowed(window) if datatype.def().is_contiguous_dense() => {
+                Ok(self.env.jni.stream_in(window))
+            }
+            image => Ok(self.marshal(image, count, datatype)?.into()),
         }
     }
 
-    /// The blocking sends. A dense window whose memory is its own wire
-    /// image goes to the engine's blocking send as it is: a rendezvous
-    /// is staged one frame at a time once granted, so under `Copy` the
-    /// boundary copy overlaps the receiver's (see [`Engine::send_staged`]).
-    /// Anything else goes through [`post_send`](Self::post_send) and is
-    /// waited on.
+    /// The blocking sends: [`send_payload`](Self::send_payload), handed
+    /// to [`Engine::send`].
     fn send_mode<T: BufferElement>(
         &self,
         name: &'static str,
@@ -350,15 +348,9 @@ impl Comm {
         (dest, tag, mode): (i32, i32, SendMode),
     ) -> MpiResult<()> {
         self.env.jni.enter(name);
-        let image = bytes_of(self.send_window(buf, offset, count, datatype)?);
-        if let (true, Cow::Borrowed(window)) = (datatype.def().is_contiguous_dense(), &image) {
-            let staging = self.env.jni.stream_in(window.len());
-            let mut engine = self.env.engine.lock();
-            return Ok(engine.send_staged(self.handle, dest, tag, window, mode, staging)?);
-        }
-        let ((), req) = self.post_send(image, count, datatype, (dest, tag, mode), |_| Ok(()))?;
-        self.env.engine.lock().wait(req)?;
-        Ok(())
+        let data = self.send_payload(buf, offset, count, datatype)?;
+        let mut engine = self.env.engine.lock();
+        Ok(engine.send(self.handle, dest, tag, data, mode)?)
     }
 
     // ------------------------------------------------------------------
@@ -496,17 +488,15 @@ impl Comm {
         recv_tag: i32,
     ) -> MpiResult<Status> {
         self.env.jni.enter("Comm.Sendrecv");
-        let image = bytes_of(self.send_window(send_buf, send_offset, send_count, send_type)?);
+        let data = self.send_payload(send_buf, send_offset, send_count, send_type)?;
         let (window, max_len) = self.recv_window(recv_buf, recv_offset, recv_count, recv_type)?;
         // `Engine::sendrecv`'s steps, with the send taken as `Isend`
-        // takes it: receive posted first, so the exchange cannot
-        // deadlock.
-        let post_recv =
-            |engine: &mut Engine| engine.irecv(self.handle, source, recv_tag, Some(max_len));
-        let to = (dest, send_tag, SendMode::Standard);
-        let (recv, send) = self.post_send(image, send_count, send_type, to, post_recv)?;
+        // takes it: receive posted first, under the same lock, so the
+        // exchange cannot deadlock.
         let done = {
             let mut engine = self.env.engine.lock();
+            let recv = engine.irecv(self.handle, source, recv_tag, Some(max_len))?;
+            let send = engine.isend(self.handle, dest, send_tag, data, SendMode::Standard)?;
             let done = engine.wait(recv)?;
             engine.wait(send)?;
             done
@@ -520,38 +510,10 @@ impl Comm {
     // Non-blocking point-to-point
     // ------------------------------------------------------------------
 
-    /// The nonblocking send of a window's byte `image`, holding `count`
-    /// instances of `datatype`, to `(dest, tag)` in `mode`. As in
-    /// `send_mode`, a dense window whose memory is its own wire image
-    /// goes to the engine as it is, and the engine's staging copy is the
+    /// The nonblocking sends: [`send_payload`](Self::send_payload),
+    /// handed to [`Engine::isend`]. A dense window's staging copy is the
     /// boundary copy: a payload of at most [`bytes::INLINE_CAP`] bytes
-    /// lands inline and allocates nothing (see [`Engine::isend_staged`]).
-    /// Anything else is marshalled first and handed over as the message.
-    /// `first` runs under the same engine lock just before the send is
-    /// posted (a `Sendrecv` posts its receive there).
-    fn post_send<R>(
-        &self,
-        image: Cow<'_, [u8]>,
-        count: usize,
-        datatype: &Datatype,
-        (dest, tag, mode): (i32, i32, SendMode),
-        first: impl FnOnce(&mut Engine) -> mpi_native::Result<R>,
-    ) -> MpiResult<(R, RequestId)> {
-        if let (true, Cow::Borrowed(window)) = (datatype.def().is_contiguous_dense(), &image) {
-            let staging = self.env.jni.stream_in(window.len());
-            let mut engine = self.env.engine.lock();
-            let before = first(&mut engine)?;
-            let id = engine.isend_staged(self.handle, dest, tag, window, mode, staging)?;
-            return Ok((before, id));
-        }
-        let payload = self.marshal(image, count, datatype)?;
-        let mut engine = self.env.engine.lock();
-        let before = first(&mut engine)?;
-        let id = self.isend_payload(&mut engine, payload, dest, tag, mode)?;
-        Ok((before, id))
-    }
-
-    /// The nonblocking sends, through [`post_send`](Self::post_send).
+    /// lands inline and allocates nothing.
     fn isend_mode<T: BufferElement>(
         &self,
         name: &'static str,
@@ -559,11 +521,13 @@ impl Comm {
         offset: usize,
         count: usize,
         datatype: &Datatype,
-        to: (i32, i32, SendMode),
+        (dest, tag, mode): (i32, i32, SendMode),
     ) -> MpiResult<Request<'static>> {
         self.env.jni.enter(name);
-        let image = bytes_of(self.send_window(buf, offset, count, datatype)?);
-        let ((), id) = self.post_send(image, count, datatype, to, |_| Ok(()))?;
+        let data = self.send_payload(buf, offset, count, datatype)?;
+        let mut engine = self.env.engine.lock();
+        let id = engine.isend(self.handle, dest, tag, data, mode)?;
+        drop(engine);
         Ok(Pending::new(&self.env, id, ()).into())
     }
 
@@ -812,17 +776,9 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<()> {
         self.env.jni.enter("Comm.Send[OBJECT]");
-        let payload = self.serialize_objects(buf, offset, count)?;
+        let payload = Bytes::from(self.serialize_objects(buf, offset, count)?);
         let mut engine = self.env.engine.lock();
-        let req = self.isend_payload(
-            &mut engine,
-            Cow::Owned(payload),
-            dest,
-            tag,
-            SendMode::Standard,
-        )?;
-        engine.wait(req)?;
-        Ok(())
+        Ok(engine.send(self.handle, dest, tag, payload, SendMode::Standard)?)
     }
 
     /// Receive up to `count` objects into fresh values (returned rather

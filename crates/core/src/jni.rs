@@ -30,8 +30,8 @@
 //!
 //! | datatype | send, [`MarshalMode::Copy`] | send, [`MarshalMode::Pin`] | receive, either mode |
 //! |---|---|---|---|
-//! | dense | one: the block copy ([`JniBoundary::marshal_in`]) into a buffer from the engine's staging pool | one: the engine's staging copy of the user's slice | one store into the window |
-//! | dense, blocking send (`Send`, `Bsend`, `Ssend`, `Rsend`) | one: the block copy, taken by the engine ([`JniBoundary::stream_in`]) — whole for an eager message, one chunk at a time for a rendezvous, each chunk shipped as it fills | one: the engine's staging copy of the user's slice, chunk by chunk alike | one store into the window, each chunk as it lands |
+//! | dense (a persistent send's `Start`) | one: the block copy ([`JniBoundary::marshal_in`]) into a buffer from the engine's staging pool | one: the engine's staging copy of the user's slice | one store into the window |
+//! | dense, point-to-point send (`Send`, `Isend`, `Sendrecv` and their modes) | one: the block copy, taken by the engine ([`JniBoundary::stream_in`]) — whole for an eager or a nonblocking message, one chunk at a time for a blocking rendezvous, each chunk shipped as it fills | one: the engine's staging copy of the user's slice, chunk by chunk alike | one store into the window, each chunk as it lands |
 //! | holes | one gather (`pack`) | one gather | one scatter (`unpack`) into the window |
 //! | dense, reduction input (`Reduce`, `Allreduce`, `Reduce_scatter`, `Scan`) | one: the block copy, which becomes the schedule's input buffer | one: the engine's copy of the lent slice into the input | one store of the result into the window |
 //!
@@ -50,7 +50,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use mpi_native::Staging;
+use mpi_native::SendBuf;
 
 /// How array arguments cross the simulated JNI boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,20 +147,20 @@ impl JniBoundary {
         }
     }
 
-    /// Carry a dense window of `len` bytes across for a send that the
-    /// engine stages itself ([`Engine::send_staged`],
-    /// [`Engine::isend_staged`]): under `Copy` that staging is this
-    /// boundary's block copy, taken whole or one frame at a time; under
-    /// `Pin` it is the engine's own staging copy of the lent slice.
-    /// Either way the window counts as crossed.
+    /// Carry a dense window across for a send that the engine stages
+    /// itself ([`Engine::send`], [`Engine::isend`]): under `Copy` that
+    /// staging is this boundary's block copy ([`SendBuf::Boundary`]),
+    /// taken whole or one frame at a time; under `Pin` it is the engine's
+    /// own staging copy of the lent slice ([`SendBuf::Slice`]). Either
+    /// way the window counts as crossed.
     ///
-    /// [`Engine::send_staged`]: mpi_native::Engine::send_staged
-    /// [`Engine::isend_staged`]: mpi_native::Engine::isend_staged
-    pub fn stream_in(&self, len: usize) -> Staging {
-        self.note_pinned_in(len);
+    /// [`Engine::send`]: mpi_native::Engine::send
+    /// [`Engine::isend`]: mpi_native::Engine::isend
+    pub fn stream_in<'a>(&self, window: &'a [u8]) -> SendBuf<'a> {
+        self.note_pinned_in(window.len());
         match self.config.marshal {
-            MarshalMode::Copy => Staging::Boundary,
-            MarshalMode::Pin => Staging::Engine,
+            MarshalMode::Copy => SendBuf::Boundary(window),
+            MarshalMode::Pin => SendBuf::Slice(window),
         }
     }
 

@@ -794,17 +794,16 @@ mod tests {
                         status
                     }
                     (true, Shell::Request, _) => {
-                        let request: Request = crate::rs::launch(
-                            comm,
-                            "Intracomm.Ibcast",
-                            Store(&mut buf),
-                            |e, c| {
-                                let root = crate::buffer::bytes_of(c.0).into_owned();
-                                let root = if rank == 0 { root } else { Vec::new() };
-                                let bcast = CollDesc::Bcast { root: 0 };
-                                e.coll_launch(comm.handle, &bcast, Payload::Owned(root))
-                            },
+                        comm.env.jni.enter("Intracomm.Ibcast");
+                        let root = crate::buffer::bytes_of(&buf).into_owned();
+                        let root = if rank == 0 { root } else { Vec::new() };
+                        let bcast = CollDesc::Bcast { root: 0 };
+                        let id = comm.env.engine.lock().coll_launch(
+                            comm.handle,
+                            &bcast,
+                            Payload::Owned(root),
                         )?;
+                        let request: Request = Pending::new(&comm.env, id, Store(&mut buf)).into();
                         Request::wait_any(&mut [request])?
                     }
                     (true, Shell::Typed, _) => world.ibroadcast(&mut buf, 0)?.wait()?,

@@ -151,7 +151,7 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use mpi_native::coll::{CollDesc, CollOutcome, Reduction};
-use mpi_native::{Engine, ErrorClass, MpiError, RequestId, SendMode, PROC_NULL};
+use mpi_native::{ErrorClass, MpiError, SendMode, PROC_NULL};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
 use crate::comm::Comm;
@@ -321,7 +321,7 @@ pub trait Communicator {
     // ------------------------------------------------------------------
 
     /// Blocking zero-copy send of an owned [`bytes::Bytes`] payload:
-    /// delegates straight to the engine's `send_bytes`, which moves the
+    /// delegates straight to the engine's `send`, which moves the
     /// refcounted buffer onto the wire without copying a single payload
     /// byte (the engine's `bytes_copied` statistic does not move on this
     /// path — pinned by the copy-accounting suite).
@@ -329,7 +329,7 @@ pub trait Communicator {
         let comm = self.as_comm();
         comm.env.jni.enter("Comm.Send[bytes]");
         let mut engine = comm.env.engine.lock();
-        engine.send_bytes(comm.handle, dest, tag, data, SendMode::Standard)?;
+        engine.send(comm.handle, dest, tag, data, SendMode::Standard)?;
         Ok(())
     }
 
@@ -347,7 +347,7 @@ pub trait Communicator {
         comm.env.jni.enter("Comm.Isend[bytes]");
         let mut engine = comm.env.engine.lock();
         let copied_before = engine.stats().bytes_copied;
-        let id = engine.isend_bytes(comm.handle, dest, tag, data, SendMode::Standard)?;
+        let id = engine.isend(comm.handle, dest, tag, data, SendMode::Standard)?;
         debug_assert_eq!(
             engine.stats().bytes_copied,
             copied_before,
@@ -928,26 +928,6 @@ pub trait Communicator {
     }
 }
 
-/// The one launcher of every nonblocking and persistent collective:
-/// cross the boundary once as `name`, let `start` validate and create the
-/// engine request under one engine lock (it may complete the capture — a
-/// root flag, a neighbor list), and return the pending operation as the
-/// caller's handle (a persistent shell makes it persistent).
-pub(crate) fn launch<'buf, C, R>(
-    comm: &Comm,
-    name: &'static str,
-    mut capture: C,
-    start: impl FnOnce(&mut Engine, &mut C) -> mpi_native::Result<RequestId>,
-) -> MpiResult<R>
-where
-    C: Capture + 'buf,
-    R: From<Pending<'buf>>,
-{
-    comm.env.jni.enter(name);
-    let id = start(&mut comm.env.engine.lock(), &mut capture)?;
-    Ok(Pending::new(&comm.env, id, capture).into())
-}
-
 /// A caller-side count mismatch, reported like the engine's own.
 fn count_error(message: String) -> MpiError {
     MpiError::new(ErrorClass::Count, message)
@@ -1043,25 +1023,26 @@ fn ineighbor_exchange<'buf, T: BufferElement>(
     split: bool,
     recv: &'buf mut [T],
 ) -> MpiResult<TypedRequest<'buf>> {
-    let neighbors = Vec::new();
+    comm.env.jni.enter(name);
+    let mut engine = comm.env.engine.lock();
+    let neighbors = engine.topo_neighbors(comm.handle)?;
+    let degree = neighbors.len();
+    let (chunk, chunks) = neighbor_chunks(send, degree, split, name)?;
+    if recv.len() != degree * chunk {
+        return Err(count_error(format!(
+            "{name}: recv length {} is not degree ({degree}) * chunk length ({chunk})",
+            recv.len()
+        ))
+        .into());
+    }
+    let id = engine.ineighbor_alltoallv(comm.handle, &chunks)?;
+    drop(engine);
     let parts = NeighborParts {
         neighbors,
-        chunk: 0,
+        chunk,
         recv,
     };
-    launch(comm, name, parts, |e, c| {
-        c.neighbors = e.topo_neighbors(comm.handle)?;
-        let degree = c.neighbors.len();
-        let (chunk, chunks) = neighbor_chunks(send, degree, split, name)?;
-        if c.recv.len() != degree * chunk {
-            return Err(count_error(format!(
-                "{name}: recv length {} is not degree ({degree}) * chunk length ({chunk})",
-                c.recv.len()
-            )));
-        }
-        c.chunk = chunk;
-        e.ineighbor_alltoallv(comm.handle, &chunks)
-    })
+    Ok(Pending::new(&comm.env, id, parts).into())
 }
 
 /// Cartesian-topology extensions of the idiomatic surface, implemented

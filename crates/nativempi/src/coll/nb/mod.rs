@@ -160,7 +160,7 @@ use bytes::Bytes;
 use super::{CollAlgorithm, CollOp};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
-use crate::p2p::{StagingPool, COLLECTIVE_TAG_BASE};
+use crate::p2p::{SendBuf, SendPool, COLLECTIVE_TAG_BASE};
 use crate::request::{Completion, RequestId, RequestState};
 use crate::trace::{EventKind, EventPhase};
 use crate::types::{SendMode, StatusInfo};
@@ -328,7 +328,7 @@ impl CollOutcome {
 pub(crate) struct SchedCtx<'a> {
     slots: &'a mut [Option<Vec<u8>>],
     outcome: &'a mut Option<CollOutcome>,
-    pool: &'a mut StagingPool,
+    pool: &'a mut SendPool,
 }
 
 impl SchedCtx<'_> {
@@ -910,7 +910,7 @@ impl Engine {
             );
         }
         for r in &round.recvs {
-            let req = self.irecv_on_context(comm, r.peer as i32, r.tag + shift, None, true)?;
+            let req = self.post_recv(comm, r.peer as i32, r.tag + shift, None, true, false)?;
             in_flight.push(Flight::Recv(req, r.slot));
         }
         for s in &round.sends {
@@ -928,12 +928,11 @@ impl Engine {
             // The slot borrow and the engine borrow are disjoint (the
             // schedule was taken out of the engine's map); the payload
             // is staged exactly once, here.
-            let staged = self.wrap_payload(payload);
-            let req = self.isend_bytes_on_context(
+            let req = self.isend_on(
                 comm,
                 s.peer as i32,
                 s.tag + shift,
-                staged,
+                SendBuf::Slice(payload),
                 SendMode::Standard,
                 true,
             )?;

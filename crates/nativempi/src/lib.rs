@@ -68,7 +68,7 @@ pub use error::{ErrorClass, MpiError, Result};
 pub use group::{CompareResult, Group};
 pub use mpi_transport::NodeMap;
 pub use ops::{Op, PredefinedOp};
-pub use p2p::Staging;
+pub use p2p::SendBuf;
 pub use request::RequestId;
 pub use rma::WinHandle;
 pub use trace::{
@@ -203,7 +203,7 @@ pub struct Engine {
     pub(crate) eager_threshold: usize,
     /// Recycled payload staging buffers (see the copy inventory in
     /// [`p2p`]'s module docs).
-    pub(crate) send_pool: p2p::StagingPool,
+    pub(crate) send_pool: p2p::SendPool,
     pub(crate) attached_buffer: Option<p2p::BsendBuffer>,
     pub(crate) start_time: Instant,
     pub(crate) processor_name: String,
@@ -306,7 +306,7 @@ impl Engine {
             awaiting_rendezvous_data: IdMap::default(),
             next_token: 1,
             eager_threshold: config.eager_threshold,
-            send_pool: p2p::StagingPool::default(),
+            send_pool: p2p::SendPool::default(),
             attached_buffer: None,
             start_time,
             processor_name: format!("rank-{world_rank}.mpijava-rs.local"),

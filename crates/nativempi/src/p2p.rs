@@ -27,11 +27,12 @@
 //!
 //! Every granted send ships data frames of at most its grant, back to
 //! back, each carrying its byte offset in the header's `msg_len` field
-//! (see [`FrameHeader`]). A payload the send holds ([`Engine::isend`],
-//! [`Engine::isend_bytes`], a persistent `start`, collective rounds, RMA)
-//! leaves as zero-copy slices of itself the moment the grant arrives. A
-//! blocking send of a borrowed window ([`Engine::send`],
-//! [`Engine::send_staged`]) stages nothing until the grant, then stages
+//! (see [`FrameHeader`]). A payload the send holds ([`Engine::isend`] of
+//! any [`SendBuf`], a blocking send of a [`SendBuf::Held`], a persistent
+//! `start`, collective rounds, RMA) leaves as zero-copy slices of itself
+//! the moment the grant arrives. A blocking send of a borrowed window
+//! ([`Engine::send`] of a [`SendBuf::Slice`] or [`SendBuf::Boundary`])
+//! stages nothing until the grant, then stages
 //! and ships one frame at a time: its staging of chunk `k + 1` overlaps
 //! the receiver's copy of chunk `k`, so a large message costs about one
 //! copy's time, not two. Either way the sender's trace bracket
@@ -76,23 +77,23 @@
 //!
 //! | path | hop | mechanism | copies |
 //! |------|-----|-----------|--------|
-//! | eager send ([`Engine::isend`], [`Engine::isend_staged`]) | user slice → staging buffer | ≤ [`bytes::INLINE_CAP`] bytes: copied into the `Bytes` itself (no allocation); ≥ 1 KiB: refilled into a pooled `Bytes` or `Vec`; between: a fresh `Vec` wrapped as `Bytes` | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
-//! | eager send ([`Engine::isend_bytes`]) | user `Bytes` → frame | refcount move | 0 |
+//! | eager send of a slice ([`SendBuf::Slice`], [`SendBuf::Boundary`]) | user slice → staging buffer | ≤ [`bytes::INLINE_CAP`] bytes: copied into the `Bytes` itself (no allocation); ≥ 1 KiB: refilled into a pooled `Bytes` or `Vec`; between: a fresh `Vec` wrapped as `Bytes` | 1 (0 for a `Boundary`, where it is the binding's copy) |
+//! | eager send of a [`SendBuf::Held`] | user `Bytes` → frame | refcount move | 0 |
 //! | eager delivery | frame → inbox → completion | the *same* `Bytes` end to end | 0 |
-//! | rendezvous send ([`Engine::isend`]) | user slice → the send request | pooled copy, held until the grant | 1 |
-//! | rendezvous data of a held payload ([`Engine::isend`], [`Engine::isend_bytes`]) | held `Bytes` → one data frame per granted chunk | `Bytes::slice`, a refcount move | 0 |
-//! | rendezvous data of a window ([`Engine::send`], [`Engine::send_staged`]) | user slice → one data frame per granted chunk | after the grant, `extend_from_slice` of each chunk into a pooled buffer, shipped at once | 1 (0 under [`Staging::Boundary`], where it is the binding's copy) |
+//! | rendezvous [`Engine::isend`] of a slice | user slice → the send request | pooled copy, held until the grant | 1 (0 for a `Boundary`) |
+//! | rendezvous data of a held payload ([`Engine::isend`], a `Held` [`Engine::send`]) | held `Bytes` → one data frame per granted chunk | `Bytes::slice`, a refcount move | 0 |
+//! | rendezvous data of a window (a `Slice` or `Boundary` [`Engine::send`]) | user slice → one data frame per granted chunk | after the grant, `extend_from_slice` of each chunk into a pooled buffer, shipped at once | 1 (0 for a `Boundary`) |
 //! | receive completion ([`Engine::recv`]) | completion → caller | `Bytes` handover | 0 |
 //! | [`Engine::recv_into`] | completion `Bytes`, or each granted chunk as it lands → user slice | `copy_from_slice`; spent buffer recycled into the send pool | 1 |
 //!
 //! End to end, a transfer therefore costs exactly one copy on the send
-//! side (zero via [`Engine::isend_bytes`]) and exactly one on the receive
+//! side (zero for a [`SendBuf::Held`]) and exactly one on the receive
 //! side; streaming overlaps the two without adding a third.
 //!
 //! ### The staging pool
 //!
 //! Every payload buffer this rank fills comes from one pool
-//! (`StagingPool`, [`Engine::pool_take`]) and every spent one goes back
+//! (`SendPool`, [`Engine::pool_take`]) and every spent one goes back
 //! to it ([`Engine::pool_put`], [`Engine::recycle`]). The pool holds at
 //! most 8 buffers of 1 KiB–1 MiB capacity and starts empty. A take gets
 //! the *smallest* pooled buffer that fits, so a 4 KiB send never pins a
@@ -128,21 +129,21 @@
 //!
 //! What a call of the `mpijava` binding costs in passes over the payload,
 //! the binding's own and the engine's above together, for a dense
-//! datatype over a numeric element type. A payload the binding marshals
-//! into a buffer it owns is handed over by ownership
-//! ([`Engine::isend_bytes`]: the engine copies nothing); only a slice
-//! lent under `Pin` takes [`Engine::isend`]'s staging copy. A blocking
-//! or nonblocking send of a dense window hands it to
-//! [`Engine::send_staged`] or [`Engine::isend_staged`] unmarshalled, and
-//! the engine's staging is the one pass, counted by the mode's owner.
+//! datatype over a numeric element type. Every point-to-point send hands
+//! the engine one [`SendBuf`] through [`Engine::send`] or
+//! [`Engine::isend`]. A payload the binding marshals into a buffer it
+//! owns is handed over by ownership ([`SendBuf::Held`]: the engine copies
+//! nothing). A dense window goes unmarshalled, and the engine's staging
+//! is the one pass, counted by the mode's owner: the binding's under
+//! `Copy` ([`SendBuf::Boundary`]), the engine's under `Pin`
+//! ([`SendBuf::Slice`]).
 //!
 //! | call | mode | send-side passes | receive-side passes |
 //! |------|------|------------------|---------------------|
-//! | classic `Send`, `Bsend`, `Ssend`, `Rsend` (and the `rs` `send`, which is `Send`) | `Copy` | 1: the block copy across the boundary (`Get*ArrayRegion`), taken by the engine into staging-pool buffers ([`Staging::Boundary`]): whole for an eager message, one granted chunk at a time for a rendezvous, each shipped as it fills | — |
-//! | the same | `Pin` | 1: the engine's staging copy of the lent slice, whole or chunk by chunk as under `Copy` ([`Staging::Engine`]) | — |
-//! | classic `Isend`, `Ibsend`, `Issend`, `Irsend` (and the `rs` `isend`) | `Copy` | 1: the block copy across the boundary, taken by the engine into a staging buffer ([`Staging::Boundary`]): inline up to 64 bytes, else from the staging pool; that buffer is the message | — |
-//! | classic `Sendrecv` (and the `rs` `sendrecv`) | `Copy` | 1: the block copy across the boundary into a buffer from the engine's staging pool; that buffer is the message | — |
-//! | the same two rows | `Pin` | 1: the engine's staging copy of the lent slice | — |
+//! | classic `Send`, `Bsend`, `Ssend`, `Rsend` (and the `rs` `send`, which is `Send`) | `Copy` | 1: the block copy across the boundary (`Get*ArrayRegion`), taken by the engine into staging-pool buffers ([`SendBuf::Boundary`]): whole for an eager message, one granted chunk at a time for a rendezvous, each shipped as it fills | — |
+//! | the same | `Pin` | 1: the engine's staging copy of the lent slice, whole or chunk by chunk as under `Copy` ([`SendBuf::Slice`]) | — |
+//! | classic `Isend`, `Ibsend`, `Issend`, `Irsend`, `Sendrecv` (and the `rs` `isend`, `sendrecv`) | `Copy` | 1: the block copy across the boundary, taken by the engine into a staging buffer ([`SendBuf::Boundary`]): inline up to 64 bytes, else from the staging pool; that buffer is the message | — |
+//! | the same | `Pin` | 1: the engine's staging copy of the lent slice ([`SendBuf::Slice`]) | — |
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
 //! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view, chunk by chunk as a chunk-granted rendezvous lands |
 //! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window, which then goes to the staging pool |
@@ -157,6 +158,8 @@
 //! add one conversion pass each way (their memory is not their wire
 //! image), and the converted buffer is the message. An `MPI.OBJECT`
 //! stream is the message too.
+
+use std::borrow::Cow;
 
 use bytes::Bytes;
 use mpi_transport::{Frame, FrameHeader, FrameKind};
@@ -195,11 +198,11 @@ const SEND_POOL_MAX_BYTES: usize = 1 << 20;
 /// path that ends a payload buffer's life hands it back here (see the
 /// copy inventory in the module docs); it starts empty.
 #[derive(Debug, Default)]
-pub(crate) struct StagingPool(Vec<Spare>);
+pub(crate) struct SendPool(Vec<Spare>);
 
 /// A pooled buffer: a vector, or a spent payload kept as the `Bytes` it
 /// travelled in, whose reference count a later
-/// [`stage`](StagingPool::stage) reuses too.
+/// [`stage`](SendPool::stage) reuses too.
 #[derive(Debug)]
 enum Spare {
     Vec(Vec<u8>),
@@ -215,7 +218,7 @@ impl Spare {
     }
 }
 
-impl StagingPool {
+impl SendPool {
     /// The smallest pooled buffer with room for `len` bytes. A request
     /// below [`SEND_POOL_MIN_BYTES`] gets none: a pooled buffer is
     /// large, and a small message would pin it for as long as it is
@@ -297,18 +300,62 @@ impl StagingPool {
 /// knob: 64 KiB and 256 KiB chunks both made a 1 MiB ping-pong slower.
 pub const RENDEZVOUS_CHUNK: usize = crate::DEFAULT_EAGER_THRESHOLD;
 
-/// Who a blocking send's staging copy ([`Engine::send_staged`]) belongs
-/// to in the copy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Staging {
-    /// The engine's own staging copy, counted in `bytes_copied`: a C
-    /// program's `MPI_Send` ([`Engine::send`]), and the binding under
-    /// `Pin`.
-    Engine,
-    /// The binding's boundary copy (`Get*ArrayRegion` under `Copy`),
-    /// taken by the engine one frame at a time: the binding counts it,
-    /// `bytes_copied` does not.
-    Boundary,
+/// The payload of a point-to-point send ([`Engine::send`],
+/// [`Engine::isend`]), and who pays for its staging copy.
+#[derive(Debug, Clone)]
+pub enum SendBuf<'a> {
+    /// A borrowed slice the engine stages into a pooled buffer: its own
+    /// copy, counted in `bytes_copied` (a C program's `MPI_Send`, and
+    /// the binding under `Pin`).
+    Slice(&'a [u8]),
+    /// A dense window whose staging is the binding's boundary copy
+    /// (`Get*ArrayRegion` under `Copy`), taken by the engine whole or
+    /// one frame at a time: the binding counts it, `bytes_copied` does
+    /// not.
+    Boundary(&'a [u8]),
+    /// An owned payload: moved onto the wire, never copied.
+    Held(Bytes),
+}
+
+impl<'a> SendBuf<'a> {
+    fn len(&self) -> usize {
+        match self {
+            SendBuf::Slice(data) | SendBuf::Boundary(data) => data.len(),
+            SendBuf::Held(data) => data.len(),
+        }
+    }
+
+    /// Bytes `range` of the payload, with the same owner.
+    fn slice(&self, range: std::ops::Range<usize>) -> SendBuf<'a> {
+        match self {
+            SendBuf::Slice(data) => SendBuf::Slice(&data[range]),
+            SendBuf::Boundary(data) => SendBuf::Boundary(&data[range]),
+            SendBuf::Held(data) => SendBuf::Held(data.slice(range)),
+        }
+    }
+}
+
+impl From<Bytes> for SendBuf<'_> {
+    fn from(data: Bytes) -> Self {
+        SendBuf::Held(data)
+    }
+}
+
+/// A marshalled payload: an owned buffer is the message, a borrowed one
+/// is staged.
+impl<'a> From<Cow<'a, [u8]>> for SendBuf<'a> {
+    fn from(data: Cow<'a, [u8]>) -> Self {
+        match data {
+            Cow::Borrowed(data) => SendBuf::Slice(data),
+            Cow::Owned(data) => SendBuf::Held(Bytes::from(data)),
+        }
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for SendBuf<'a> {
+    fn from(data: &'a T) -> Self {
+        SendBuf::Slice(data.as_ref())
+    }
 }
 
 /// A rendezvous announced on the sender side, until the receiver grants
@@ -349,7 +396,7 @@ impl Engine {
     // ---------------------------------------------------------------------
 
     /// An empty buffer with room for `len` bytes: the best-fitting pooled
-    /// one (see `StagingPool::take`), else a fresh allocation. The
+    /// one (see `SendPool::take`), else a fresh allocation. The
     /// binding's `Copy`-mode marshal copy lands here too, so the buffer a
     /// receiver recycled carries its next send and a steady ping-pong
     /// allocates nothing.
@@ -357,20 +404,19 @@ impl Engine {
         self.send_pool.take(len)
     }
 
-    /// Copy `data` into a pooled staging buffer and wrap it as `Bytes`
-    /// without a second copy. This is the *single* send-side copy of the
-    /// slice-based send APIs, and of an RMA `get` reply (a `put` or
-    /// `accumulate` stages its payload behind its header instead).
-    pub(crate) fn wrap_payload(&mut self, data: &[u8]) -> Bytes {
-        self.stage(data, Staging::Engine)
-    }
-
-    /// [`wrap_payload`](Self::wrap_payload), counted as `staging` says.
-    fn stage(&mut self, data: &[u8], staging: Staging) -> Bytes {
-        if staging == Staging::Engine {
-            self.stats.bytes_copied += data.len() as u64;
+    /// The message `data` travels as: a held payload as it is, a slice
+    /// copied into a pooled staging buffer and wrapped as `Bytes` without
+    /// a second copy — the *single* send-side copy of a borrowed payload,
+    /// counted as its [`SendBuf`] variant says.
+    fn hold(&mut self, data: SendBuf<'_>) -> Bytes {
+        match data {
+            SendBuf::Held(data) => data,
+            SendBuf::Slice(data) => {
+                self.stats.bytes_copied += data.len() as u64;
+                self.send_pool.stage(data)
+            }
+            SendBuf::Boundary(data) => self.send_pool.stage(data),
         }
-        self.send_pool.stage(data)
     }
 
     /// Return a spent buffer to the staging pool (bounded in count and
@@ -424,72 +470,39 @@ impl Engine {
     // ---------------------------------------------------------------------
 
     /// `MPI_Isend` / `Ibsend` / `Issend` / `Irsend`, selected by `mode`.
-    /// `data` is the already-packed contiguous payload; it is copied
-    /// exactly once, into a pooled staging buffer. Callers that already
-    /// own a [`Bytes`] should use [`Engine::isend_bytes`], which copies
-    /// nothing.
-    pub fn isend(
+    /// `data` is the already-packed contiguous payload: a slice is copied
+    /// exactly once, into a pooled staging buffer that the request holds
+    /// until it ships; a [`Bytes`] travels by refcount alone, so
+    /// `stats().bytes_copied` does not move (see [`SendBuf`]).
+    pub fn isend<'a>(
         &mut self,
         comm: CommHandle,
         dest: i32,
         tag: i32,
-        data: &[u8],
+        data: impl Into<SendBuf<'a>>,
         mode: SendMode,
     ) -> Result<RequestId> {
-        self.isend_staged(comm, dest, tag, data, mode, Staging::Engine)
+        self.isend_on(comm, dest, tag, data.into(), mode, false)
     }
 
-    /// [`Engine::isend`] with its one staging copy counted as `staging`
-    /// says: the binding's nonblocking send of a dense window, whose
-    /// boundary copy under `Copy` is this staging ([`Staging::Boundary`]).
-    pub fn isend_staged(
+    /// [`Engine::isend`] on either context: collective rounds and the
+    /// RMA subsystem send on the collective context, so user `ANY_TAG`
+    /// receives can never steal their traffic.
+    pub(crate) fn isend_on(
         &mut self,
         comm: CommHandle,
         dest: i32,
         tag: i32,
-        data: &[u8],
-        mode: SendMode,
-        staging: Staging,
-    ) -> Result<RequestId> {
-        match self.prepare_send(comm, dest, tag, data.len(), mode)? {
-            None => Ok(self.alloc_request(RequestState::SendComplete)),
-            Some(dest) => {
-                let payload = self.stage(data, staging);
-                self.dispatch_send(comm, dest, tag, payload, mode, false)
-            }
-        }
-    }
-
-    /// Zero-copy send: the payload is an owned [`Bytes`] that travels to
-    /// the destination by refcount alone (eager) or is held for the
-    /// rendezvous without duplication. `stats().bytes_copied` does not
-    /// move on this path.
-    pub fn isend_bytes(
-        &mut self,
-        comm: CommHandle,
-        dest: i32,
-        tag: i32,
-        data: Bytes,
-        mode: SendMode,
-    ) -> Result<RequestId> {
-        self.isend_bytes_on_context(comm, dest, tag, data, mode, false)
-    }
-
-    /// Zero-copy send on either context (the RMA subsystem ships window
-    /// operations and sync markers on the collective context, so user
-    /// `ANY_TAG` receives can never steal them).
-    pub(crate) fn isend_bytes_on_context(
-        &mut self,
-        comm: CommHandle,
-        dest: i32,
-        tag: i32,
-        data: Bytes,
+        data: SendBuf<'_>,
         mode: SendMode,
         collective: bool,
     ) -> Result<RequestId> {
         match self.prepare_send(comm, dest, tag, data.len(), mode)? {
             None => Ok(self.alloc_request(RequestState::SendComplete)),
-            Some(dest) => self.dispatch_send(comm, dest, tag, data, mode, collective),
+            Some(dest) => {
+                let payload = self.hold(data);
+                self.dispatch_send(comm, dest, tag, payload, mode, collective)
+            }
         }
     }
 
@@ -592,7 +605,7 @@ impl Engine {
     /// Announce a `len`-byte rendezvous: the request waits for the
     /// receiver's grant, which ships the `held` payload at once, or —
     /// with nothing held — lets the blocking sender ship its window
-    /// ([`Engine::send_staged`]); see `ship`.
+    /// ([`Engine::send`]); see `ship`.
     fn announce(
         &mut self,
         comm: CommHandle,
@@ -649,24 +662,13 @@ impl Engine {
         tag: i32,
         max_len: Option<usize>,
     ) -> Result<RequestId> {
-        self.irecv_on_context(comm, src, tag, max_len, false)
+        self.post_recv(comm, src, tag, max_len, false, false)
     }
 
-    pub(crate) fn irecv_on_context(
-        &mut self,
-        comm: CommHandle,
-        src: i32,
-        tag: i32,
-        max_len: Option<usize>,
-        collective: bool,
-    ) -> Result<RequestId> {
-        self.post_recv(comm, src, tag, max_len, collective, false)
-    }
-
-    /// Post a receive. A `window` receive is [`Engine::recv_into`]'s: it
-    /// holds a buffer of `max_len` bytes, so a rendezvous it matches is
-    /// granted in chunks.
-    fn post_recv(
+    /// Post a receive on either context (see [`Engine::isend_on`]). A
+    /// `window` receive is [`Engine::recv_into`]'s: it holds a buffer of
+    /// `max_len` bytes, so a rendezvous it matches is granted in chunks.
+    pub(crate) fn post_recv(
         &mut self,
         comm: CommHandle,
         src: i32,
@@ -826,48 +828,35 @@ impl Engine {
     // Blocking convenience wrappers
     // ---------------------------------------------------------------------
 
-    /// Blocking send (`MPI_Send` / `Bsend` / `Ssend` / `Rsend`): the
-    /// engine's staging copy of `data`, streamed as
-    /// [`Engine::send_staged`] describes.
-    pub fn send(
+    /// Blocking send (`MPI_Send` / `Bsend` / `Ssend` / `Rsend`) of
+    /// `data` (see [`SendBuf`]). A borrowed window sent as a rendezvous
+    /// is announced before anything is staged; once the receiver grants
+    /// it, the window is staged one granted frame at a time, and each
+    /// frame ships as soon as it is full — so a window receive
+    /// ([`Engine::recv_into`]) copies chunk `k` out while this side
+    /// stages chunk `k + 1`. Anything else is [`Engine::isend`] waited
+    /// on.
+    pub fn send<'a>(
         &mut self,
         comm: CommHandle,
         dest: i32,
         tag: i32,
-        data: &[u8],
+        data: impl Into<SendBuf<'a>>,
         mode: SendMode,
     ) -> Result<()> {
-        self.send_staged(comm, dest, tag, data, mode, Staging::Engine)
-    }
-
-    /// Blocking send of a borrowed window, its one staging copy counted
-    /// as `staging` says. An eager message is staged whole and leaves at
-    /// once. A rendezvous is announced before anything is staged; once
-    /// the receiver grants it, the window is staged one granted frame at
-    /// a time, and each frame ships as soon as it is full — so a window
-    /// receive ([`Engine::recv_into`]) copies chunk `k` out while this
-    /// side stages chunk `k + 1`.
-    pub fn send_staged(
-        &mut self,
-        comm: CommHandle,
-        dest: i32,
-        tag: i32,
-        data: &[u8],
-        mode: SendMode,
-        staging: Staging,
-    ) -> Result<()> {
+        let data = data.into();
+        let streamed = !matches!(data, SendBuf::Held(_)) && self.uses_rendezvous(mode, data.len());
+        if !streamed {
+            let req = self.isend(comm, dest, tag, data, mode)?;
+            return self.wait(req).map(drop);
+        }
         let Some(dest) = self.prepare_send(comm, dest, tag, data.len(), mode)? else {
             return Ok(());
         };
-        if !self.uses_rendezvous(mode, data.len()) {
-            let payload = self.stage(data, staging);
-            let req = self.dispatch_send(comm, dest, tag, payload, mode, false)?;
-            return self.wait(req).map(drop);
-        }
         self.stats.bytes_sent += data.len() as u64;
         let req = self.announce(comm, dest, tag, data.len(), None, false)?;
         self.block_on(|engine| {
-            engine.ship(req.0, Some((data, staging)))?;
+            engine.ship(req.0, Some(data.clone()))?;
             if !engine.is_complete(req)? {
                 return Ok(None);
             }
@@ -882,13 +871,16 @@ impl Engine {
     /// receive). The last frame completes the send. Does nothing before
     /// the grant, nor to a send that holds nothing until its owner brings
     /// the window.
-    fn ship(&mut self, req: u64, window: Option<(&[u8], Staging)>) -> Result<()> {
-        let (ack, mut held, freed) = match self.requests.get_mut(req) {
+    fn ship(&mut self, req: u64, window: Option<SendBuf<'_>>) -> Result<()> {
+        let (ack, mut data, freed) = match self.requests.get_mut(req) {
             Some(RequestState::SendRendezvous {
                 grant: Some(ack),
                 held,
                 freed,
-            }) if held.is_some() || window.is_some() => (*ack, held.take(), *freed),
+            }) => match held.take().map(SendBuf::Held).or(window) {
+                Some(data) => (*ack, data, *freed),
+                None => return Ok(()),
+            },
             _ => return Ok(()),
         };
         let mut header = FrameHeader {
@@ -898,19 +890,19 @@ impl Engine {
             ..ack
         };
         let grant = usize::try_from(ack.msg_len).unwrap_or(usize::MAX).max(1);
-        let (data, staging) = window.unwrap_or((&[], Staging::Engine));
-        let len = held.as_ref().map_or(data.len(), Bytes::len);
+        let len = data.len();
         let mut at = 0usize;
         loop {
             let end = len.min(at.saturating_add(grant));
             header.msg_len = at as u64;
-            let chunk = match &mut held {
-                // The last slice takes the held reference along, so the
-                // receiver's last recycle can pool the whole buffer.
-                Some(payload) if end == len => std::mem::take(payload).slice(at..),
-                Some(payload) => payload.slice(at..end),
-                None => self.stage(&data[at..end], staging),
+            // The last piece takes a held payload's reference along, so
+            // the receiver's last recycle can pool the whole buffer.
+            let piece = if end == len {
+                std::mem::replace(&mut data, SendBuf::Slice(&[])).slice(at..end)
+            } else {
+                data.slice(at..end)
             };
+            let chunk = self.hold(piece);
             self.endpoint.send(Frame::new(header, chunk))?;
             at = end;
             if at == len {
@@ -933,20 +925,6 @@ impl Engine {
                 0,
             ],
         );
-        Ok(())
-    }
-
-    /// Blocking zero-copy send (see [`Engine::isend_bytes`]).
-    pub fn send_bytes(
-        &mut self,
-        comm: CommHandle,
-        dest: i32,
-        tag: i32,
-        data: Bytes,
-        mode: SendMode,
-    ) -> Result<()> {
-        let req = self.isend_bytes(comm, dest, tag, data, mode)?;
-        self.wait(req)?;
         Ok(())
     }
 
@@ -1408,7 +1386,7 @@ mod tests {
     }
 
     /// A `Copy`-mode send is the binding's marshal copy into a
-    /// `pool_take` buffer, sent by `isend_bytes`. In a 1 MiB ping-pong
+    /// `pool_take` buffer, sent as a held `Bytes`. In a 1 MiB ping-pong
     /// each send draws the buffer the peer's last message left in the
     /// pool, so after warm-up no send allocates and no pool fills with
     /// idle buffers (a fresh buffer per send would leave every receiver
@@ -1429,7 +1407,7 @@ mod tests {
                         let fresh = seen.insert(buf.as_ptr() as usize);
                         assert!(round == 0 || !fresh, "round {round}: send allocated");
                         engine
-                            .send_bytes(COMM_WORLD, peer, 0, Bytes::from(buf), SendMode::Standard)
+                            .send(COMM_WORLD, peer, 0, Bytes::from(buf), SendMode::Standard)
                             .unwrap();
                     } else {
                         engine.recv_into(COMM_WORLD, peer, 0, &mut window).unwrap();
@@ -1610,15 +1588,15 @@ mod tests {
         .unwrap();
     }
 
-    /// `isend_bytes` moves the caller's refcounted buffer into the frame:
-    /// no payload bytes are copied on the send side at all.
+    /// A send of a `Bytes` moves the caller's refcounted buffer into the
+    /// frame: no payload bytes are copied on the send side at all.
     #[test]
     fn isend_bytes_copies_nothing() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             if engine.world_rank() == 0 {
                 let payload = Bytes::from(vec![5u8; 32 * 1024]);
                 engine
-                    .send_bytes(COMM_WORLD, 1, 4, payload.clone(), SendMode::Standard)
+                    .send(COMM_WORLD, 1, 4, payload.clone(), SendMode::Standard)
                     .unwrap();
                 assert_eq!(engine.stats().bytes_copied, 0);
                 assert_eq!(engine.stats().eager_sends, 1);
@@ -1639,7 +1617,7 @@ mod tests {
             if engine.world_rank() == 0 {
                 let payload = Bytes::from(vec![9u8; 8 * 1024]);
                 engine
-                    .send_bytes(COMM_WORLD, 1, 11, payload.clone(), SendMode::Standard)
+                    .send(COMM_WORLD, 1, 11, payload.clone(), SendMode::Standard)
                     .unwrap();
                 // Prove to the peer which allocation we sent.
                 let (probe, _) = engine.recv(COMM_WORLD, 1, 12, None).unwrap();

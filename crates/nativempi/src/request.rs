@@ -89,7 +89,7 @@ pub(crate) enum RequestState {
     /// the receiver's ack once it has come, whose `msg_len` is the most
     /// payload bytes one data frame may carry. `held` is the payload
     /// staged or handed over at the send, or `None` for a blocking send's
-    /// window ([`Engine::send_staged`]), staged only once granted. A
+    /// window ([`Engine::send`]), staged only once granted. A
     /// `freed` send ([`Engine::request_free`]) leaves the table when it
     /// ships instead of completing.
     SendRendezvous {
@@ -498,8 +498,8 @@ impl Engine {
 
     /// `MPI_Start`: launch one iteration of a persistent operation.
     /// `input` is this rank's contribution as the caller marshalled it: a
-    /// send's payload (an owned buffer is the message itself, moved as by
-    /// `isend_bytes`; a borrowed slice takes `isend`'s one staging copy)
+    /// send's payload, handed to [`Engine::isend`] (an owned buffer is the
+    /// message itself, moved; a borrowed slice takes one staging copy)
     /// or a collective's input (ignored by those without one — barrier,
     /// bcast off the root); a receive ignores it. Errors if the previous
     /// iteration has not been claimed yet.
@@ -521,10 +521,7 @@ impl Engine {
                 dest,
                 tag,
                 mode,
-            } => match input {
-                Cow::Owned(buf) => self.isend_bytes(comm, dest, tag, Bytes::from(buf), mode),
-                Cow::Borrowed(data) => self.isend(comm, dest, tag, data, mode),
-            },
+            } => self.isend(comm, dest, tag, input, mode),
             &PersistentDef::Recv {
                 comm,
                 src,

@@ -124,6 +124,7 @@ use crate::coll::{CollDesc, Payload};
 use crate::comm::CommHandle;
 use crate::error::{err, ErrorClass, MpiError, Result};
 use crate::ops::{Op, PredefinedOp};
+use crate::p2p::SendBuf;
 use crate::request::{RequestId, RequestState};
 use crate::types::{PrimitiveKind, SendMode};
 use crate::Engine;
@@ -537,7 +538,7 @@ impl Engine {
         // target the marker that follows this get.
         let st = self.win_state(win)?;
         let (comm, reply_tag) = (st.comm, st.reply_tag);
-        let req = self.irecv_on_context(comm, target as i32, reply_tag, None, true)?;
+        let req = self.post_recv(comm, target as i32, reply_tag, None, true, false)?;
         self.win_state_mut(win)?.gets.push(GetRec {
             req,
             target,
@@ -774,11 +775,11 @@ impl Engine {
             buf.extend_from_slice(payload);
             Bytes::from(buf)
         };
-        let req = self.isend_bytes_on_context(
+        let req = self.isend_on(
             comm,
             target as i32,
             data_tag,
-            message,
+            SendBuf::Held(message),
             SendMode::Standard,
             true,
         )?;
@@ -791,7 +792,7 @@ impl Engine {
     fn rma_request(&mut self, win: WinHandle, target: usize, header: &[u8]) -> Result<RequestId> {
         let st = self.win_state(win)?;
         let (comm, ack_tag) = (st.comm, st.ack_tag);
-        let ack = self.irecv_on_context(comm, target as i32, ack_tag, None, true)?;
+        let ack = self.post_recv(comm, target as i32, ack_tag, None, true, false)?;
         self.rma_issue(win, target, header, &[])?;
         Ok(ack)
     }
@@ -978,11 +979,11 @@ impl Engine {
     }
 
     fn rma_ack(&mut self, st: &mut WindowState, origin: usize, code: u8) -> Result<()> {
-        let req = self.isend_bytes_on_context(
+        let req = self.isend_on(
             st.comm,
             origin as i32,
             st.ack_tag,
-            Bytes::copy_from_slice(&[code]),
+            SendBuf::Held(Bytes::copy_from_slice(&[code])),
             SendMode::Standard,
             true,
         )?;
@@ -1093,10 +1094,10 @@ impl Engine {
                 // waiting forever.
                 let span = st.span(offset, len, "get");
                 let reply = match &span {
-                    Ok(span) => self.wrap_payload(&st.region[span.clone()]),
-                    Err(_) => Bytes::from(vec![0; usize::from(len == 0)]),
+                    Ok(span) => SendBuf::Slice(&st.region[span.clone()]),
+                    Err(_) => SendBuf::Held(Bytes::from(vec![0; usize::from(len == 0)])),
                 };
-                let req = self.isend_bytes_on_context(
+                let req = self.isend_on(
                     st.comm,
                     origin as i32,
                     st.reply_tag,
@@ -1276,7 +1277,14 @@ mod tests {
                 let ack_tag = engine.win_state(win).unwrap().ack_tag;
                 let data = Bytes::from(vec![code]);
                 let req = engine
-                    .isend_bytes_on_context(COMM_WORLD, 0, ack_tag, data, SendMode::Standard, true)
+                    .isend_on(
+                        COMM_WORLD,
+                        0,
+                        ack_tag,
+                        data.into(),
+                        SendMode::Standard,
+                        true,
+                    )
                     .unwrap();
                 engine.wait(req).unwrap();
             };

@@ -7,7 +7,7 @@
 //!
 //! * eager send (slice API)      — exactly **1** payload copy (staging)
 //! * rendezvous send (slice API) — exactly **1** payload copy (staging)
-//! * `send_bytes` (owned API)    — exactly **0** payload copies
+//! * `send` of a `Bytes` (owned)  — exactly **0** payload copies
 //! * `recv_into`                 — exactly **1** payload copy (delivery)
 //!
 //! `bytes_copied` counts *bytes*, so "exactly one copy" is asserted as
@@ -114,12 +114,12 @@ fn owned_bytes_send_copies_nothing() {
                 if engine.world_rank() == 0 {
                     let payload = Bytes::from(vec![6u8; LEN]);
                     engine
-                        .send_bytes(COMM_WORLD, 1, 4, payload, SendMode::Standard)
+                        .send(COMM_WORLD, 1, 4, payload, SendMode::Standard)
                         .unwrap();
                     assert_eq!(
                         engine.stats().bytes_copied,
                         0,
-                        "{what} send_bytes must not copy the payload ({device:?})"
+                        "{what} send of a Bytes must not copy the payload ({device:?})"
                     );
                 } else {
                     let (data, _) = engine.recv(COMM_WORLD, 0, 4, None).unwrap();
