@@ -1591,7 +1591,7 @@ mod tests {
     /// A send of a `Bytes` moves the caller's refcounted buffer into the
     /// frame: no payload bytes are copied on the send side at all.
     #[test]
-    fn isend_bytes_copies_nothing() {
+    fn a_held_send_copies_nothing() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             if engine.world_rank() == 0 {
                 let payload = Bytes::from(vec![5u8; 32 * 1024]);
