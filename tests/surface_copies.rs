@@ -23,6 +23,21 @@
 //! | `iall_reduce` + `wait` | len / len | the same |
 //! | `all_reduce_init` + `start` / `wait` | len / len | the same |
 //!
+//! Receive rows: per receive form of rank 1, against rank 0's classic
+//! `Send` of `len` bytes of `MPI.INT`, in both modes and at both sizes:
+//!
+//! | call (receiver) | out | engine copies |
+//! |---|---|---|
+//! | `Recv` | len | len |
+//! | `Irecv` + `Wait`, `Recv_init` + `Start` / `Wait`, `rs` `irecv_into` | len | 0 |
+//! | `Recv` of a strided `Datatype::vector` (every other `INT`) | len | 0 |
+//!
+//! A dense `Recv` hands the engine its window, and the engine's delivery
+//! copy is the one pass. Every other receive completes in the buffer the
+//! message arrived in, uncopied, and the binding's store into the window
+//! (a scatter for the strided one) is the one pass, which the engine does
+//! not count.
+//!
 //! A `Copy` send's boundary copy is the message: the engine sends that
 //! buffer and copies nothing. A `Pin` send lends the caller's slice, and
 //! the engine's one staging copy is the only pass. A strided send's
@@ -355,6 +370,105 @@ fn classic_send_of_an_odd_megabyte_streams_with_the_same_copies() {
         };
         assert_eq!(ranks, [sender, receiver], "{marshal:?}");
     }
+}
+
+/// A receive form of rank 1 (the `Recv` row is [`pin`]'s receiver).
+#[derive(Debug, Clone, Copy)]
+enum Receive {
+    Irecv,
+    RecvInit,
+    IrecvInto,
+    RecvVector,
+}
+
+/// Rank 1's pass of receiving rank 0's classic `Send` of `len` bytes of
+/// `MPI.INT` with `form`.
+fn receive(form: Receive, marshal: MarshalMode, len: usize) -> Pass {
+    let jni = JniConfig {
+        marshal,
+        ..JniConfig::default()
+    };
+    let ranks = MpiRuntime::new(2)
+        .eager_threshold(THRESHOLD)
+        .jni(jni)
+        .run(move |mpi| {
+            let world = mpi.comm_world();
+            let int = Datatype::int();
+            let count = len / 4;
+            let sent: Vec<i32> = (0..count as i32).map(|i| i * 7 - 3).collect();
+            if world.rank()? == 0 {
+                return measure(mpi, || world.send(&sent, 0, count, &int, 1, TAG));
+            }
+            // Room for the strided form, which lands `sent` at the even
+            // elements.
+            let mut recv = vec![0i32; 2 * count];
+            let every_other = Datatype::vector(count, 1, 2, &int)?;
+            let pass = measure(mpi, || {
+                let status = match form {
+                    Receive::Irecv => world.irecv(&mut recv, 0, count, &int, 0, TAG)?.wait()?,
+                    Receive::RecvInit => {
+                        let mut request = world.recv_init(&mut recv, 0, count, &int, 0, TAG)?;
+                        request.start()?;
+                        let status = request.wait()?;
+                        request.free()?;
+                        status
+                    }
+                    Receive::IrecvInto => {
+                        use mpijava::rs::Communicator as _;
+                        world.irecv_into(&mut recv[..count], 0, TAG)?.wait()?
+                    }
+                    Receive::RecvVector => world.recv(&mut recv, 0, 1, &every_other, 0, TAG)?,
+                };
+                assert_eq!(status.count_bytes(), len, "{form:?}: bytes delivered");
+                Ok(())
+            })?;
+            let got: Vec<i32> = match form {
+                Receive::RecvVector => recv.iter().step_by(2).copied().collect(),
+                _ => recv[..count].to_vec(),
+            };
+            assert_eq!(got, sent, "{form:?}: payload");
+            Ok(pass)
+        })
+        .unwrap();
+    ranks[1]
+}
+
+/// Check rank 1's pass of `form` against the receive table, on every
+/// mode and size.
+fn pin_receive(form: Receive) {
+    for marshal in MODES {
+        for len in SIZES {
+            let expected = Pass {
+                bytes_in: 0,
+                bytes_out: len as u64,
+                bytes_copied: 0,
+                eager_sends: 0,
+                rendezvous_sends: 0,
+            };
+            let pass = receive(form, marshal, len);
+            assert_eq!(pass, expected, "{form:?}, {marshal:?}, {len} B: receiver");
+        }
+    }
+}
+
+#[test]
+fn classic_irecv_copies() {
+    pin_receive(Receive::Irecv);
+}
+
+#[test]
+fn recv_init_start_copies() {
+    pin_receive(Receive::RecvInit);
+}
+
+#[test]
+fn rs_irecv_into_copies() {
+    pin_receive(Receive::IrecvInto);
+}
+
+#[test]
+fn strided_vector_recv_copies() {
+    pin_receive(Receive::RecvVector);
 }
 
 /// The four forms of one `Allreduce`, each a separate call on the same
