@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use mpi_native::comm::CommHandle;
-use mpi_native::{pack, Engine, ErrorClass, PrimitiveKind, SendBuf, SendMode};
+use mpi_native::{pack, Engine, ErrorClass, PrimitiveKind, RequestId, SendBuf, SendMode};
 
 use crate::buffer::{bytes_of, with_bytes_mut, BufferElement};
 use crate::datatype::Datatype;
@@ -26,6 +26,7 @@ use crate::serial::{deserialize, serialize, Serializable};
 use crate::status::Status;
 use crate::{RankEnv, Spent};
 use std::borrow::Cow;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Base communicator class. `Intracomm`, `Cartcomm` and `Graphcomm` all
@@ -94,29 +95,200 @@ fn window_range<T: BufferElement>(
     }
 }
 
-/// What a point-to-point request captures — the array region of the real
-/// stub layer: `count` instances of `datatype` at element `offset` of
-/// `buf`, re-read on every start of a persistent send (`&[T]`, lent under
-/// `Pin`), stored into when a receive completes (`&mut [T]`).
-struct Region<B> {
-    comm: Comm,
-    buf: B,
-    offset: usize,
-    count: usize,
-    datatype: Datatype,
+/// How an [`Array`]'s instances are laid out.
+#[derive(Clone, Copy)]
+pub(crate) enum Shape<'d> {
+    /// `count` instances: this rank's own data, and every point-to-point
+    /// side.
+    One(usize),
+    /// `count` instances per rank, rank after rank: the fixed-count
+    /// forms (`Gather`, `Scatter`, `Allgather`, `Alltoall`).
+    Each(usize),
+    /// `len` instances split evenly over the ranks (`rs` total
+    /// exchanges); a `Count` error unless the ranks divide `len`.
+    Split(usize),
+    /// `counts[r]` instances `displs[r]` extents past the offset: the `v`
+    /// forms.
+    V(&'d [usize], &'d [usize]),
 }
 
-impl<T: BufferElement> Capture for Region<&[T]> {
-    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
-        self.comm
-            .pack_buffer(self.buf, self.offset, self.count, &self.datatype)
+/// Which instances of a side one marshal covers on a communicator of
+/// `size` ranks: rank `r`'s (`rank: Some(r)`), or with `None` the whole
+/// side as one run (a nonblocking completion is every rank's part,
+/// concatenated in rank order).
+#[derive(Clone, Copy)]
+pub(crate) struct Part {
+    rank: Option<usize>,
+    size: usize,
+}
+
+impl Part {
+    /// A point-to-point side's one run.
+    pub(crate) const ONE: Part = Part::whole(1);
+
+    /// The whole side on a communicator of `size` ranks.
+    pub(crate) const fn whole(size: usize) -> Part {
+        Part { rank: None, size }
+    }
+
+    /// Rank `r`'s part of the same side.
+    pub(crate) fn rank(mut self, r: usize) -> Part {
+        self.rank = Some(r);
+        self
     }
 }
 
-impl<T: BufferElement> Capture for Region<&mut [T]> {
+/// A typed side of a call: `buf` from element `offset`, as instances of
+/// `datatype` laid out as `shape` (the classic argument tuple). A
+/// point-to-point side is a checked window holding one run from its
+/// start.
+pub(crate) struct Array<'d, B> {
+    buf: B,
+    offset: usize,
+    shape: Shape<'d>,
+    datatype: Cow<'d, Datatype>,
+}
+
+impl<'d, B> Array<'d, B> {
+    pub(crate) fn new(buf: B, offset: usize, shape: Shape<'d>, datatype: &'d Datatype) -> Self {
+        Array {
+            buf,
+            offset,
+            shape,
+            datatype: Cow::Borrowed(datatype),
+        }
+    }
+
+    /// A window's `count` instances from its start. A request's side
+    /// owns its datatype, a blocking call's borrows it.
+    fn window(buf: B, count: usize, datatype: Cow<'d, Datatype>) -> Self {
+        Array {
+            buf,
+            offset: 0,
+            shape: Shape::One(count),
+            datatype,
+        }
+    }
+
+    /// The element offset and instance count of `part`. Offsets
+    /// saturate, so that an unrepresentable one fails the seam's bounds
+    /// check instead of wrapping around it.
+    fn span(&self, part: Part) -> MpiResult<(usize, usize)> {
+        let Part { rank, size } = part;
+        let count_error = |message| Err(MPIException::new(ErrorClass::Count, message));
+        let shape = match self.shape {
+            Shape::Split(len) if size > 0 && len.is_multiple_of(size) => Shape::Each(len / size),
+            Shape::Split(_) => return count_error("the length must split evenly over the ranks"),
+            shape => shape,
+        };
+        let (displ, count) = match (shape, rank) {
+            (Shape::One(count), _) => (0, count),
+            (Shape::Each(count), None) => (0, count.saturating_mul(size)),
+            (Shape::Each(count), Some(r)) => (r.saturating_mul(count), count),
+            (Shape::V(counts, displs), Some(r)) if counts.len() == size && displs.len() == size => {
+                (displs[r], counts[r])
+            }
+            _ => return count_error("counts and displacements need one entry per rank"),
+        };
+        let elements = displ.saturating_mul(self.datatype.extent_elements());
+        Ok((self.offset.saturating_add(elements), count))
+    }
+}
+
+impl<T: BufferElement, B: Deref<Target = [T]>> Array<'static, B> {
+    /// An `rs` side: the slice from its start, as `T`'s own datatype.
+    pub(crate) fn of(buf: B, shape: Shape<'static>) -> Self {
+        Array {
+            buf,
+            offset: 0,
+            shape,
+            datatype: Cow::Owned(T::datatype()),
+        }
+    }
+
+    /// The whole slice as one run.
+    pub(crate) fn whole(buf: B) -> Self {
+        let len = buf.len();
+        Array::of(buf, Shape::One(len))
+    }
+}
+
+/// One side of a call as it crosses the boundary. The defaults carry
+/// nothing, so `()` is the side of a call without one.
+pub(crate) trait Side {
+    /// Marshal in the instances `part` covers.
+    fn pack(&mut self, _comm: &Comm, _part: Part) -> MpiResult<Cow<'_, [u8]>> {
+        Ok(Cow::Borrowed(&[]))
+    }
+
+    /// Store `wire` into the instances `part` covers.
+    fn store(&mut self, _comm: &Comm, _part: Part, _wire: &[u8]) -> MpiResult<()> {
+        Ok(())
+    }
+}
+
+impl Side for () {}
+
+impl<T: BufferElement> Side for Array<'_, &[T]> {
+    fn pack(&mut self, comm: &Comm, part: Part) -> MpiResult<Cow<'_, [u8]>> {
+        let (offset, count) = self.span(part)?;
+        comm.pack_buffer(self.buf, offset, count, &self.datatype)
+    }
+}
+
+impl<T: BufferElement> Side for Array<'_, &mut [T]> {
+    /// A broadcast root's buffer is its input.
+    fn pack(&mut self, comm: &Comm, part: Part) -> MpiResult<Cow<'_, [u8]>> {
+        let (offset, count) = self.span(part)?;
+        comm.pack_buffer(self.buf, offset, count, &self.datatype)
+    }
+
+    fn store(&mut self, comm: &Comm, part: Part, wire: &[u8]) -> MpiResult<()> {
+        let (offset, count) = self.span(part)?;
+        comm.unpack_buffer(wire, self.buf, offset, count, &self.datatype)
+    }
+}
+
+/// A request's two sides in one: the first packs, the second stores. A
+/// persistent collective holds `(send, recv)` (see
+/// [`Mode::Persistent`](crate::intracomm::Mode::Persistent)), a
+/// point-to-point receive `((), window)`, whose starts carry no input.
+impl<S: Side, R: Side> Side for (S, R) {
+    fn pack(&mut self, comm: &Comm, part: Part) -> MpiResult<Cow<'_, [u8]>> {
+        self.0.pack(comm, part)
+    }
+
+    fn store(&mut self, comm: &Comm, part: Part, wire: &[u8]) -> MpiResult<()> {
+        self.1.store(comm, part, wire)
+    }
+}
+
+/// What every request of the binding holds: its side, which each
+/// persistent start packs and each completion is stored into as one run
+/// (a point-to-point send's or receive's window, a collective's receive
+/// side). `bcast_root` is `Some(true)` on a broadcast root, whose buffer
+/// is its input and already holds the outcome, and `Some(false)` on a
+/// broadcast's other ranks, which have no input.
+struct Held<R> {
+    comm: Comm,
+    side: R,
+    whole: Part,
+    bcast_root: Option<bool>,
+}
+
+impl<R: Side + Send> Capture for Held<R> {
+    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
+        match self.bcast_root {
+            Some(false) => Ok(Cow::Borrowed(&[])),
+            _ => self.side.pack(&self.comm, self.whole),
+        }
+    }
+
     fn unpack(&mut self, wire: &[u8]) -> MpiResult<()> {
-        self.comm
-            .unpack_buffer(wire, self.buf, self.offset, self.count, &self.datatype)
+        match self.bcast_root {
+            Some(true) => Ok(()),
+            _ => self.side.store(&self.comm, self.whole, wire),
+        }
     }
 }
 
@@ -285,31 +457,54 @@ impl Comm {
         Ok(())
     }
 
-    /// [`unpack_buffer`](Self::unpack_buffer), consuming: store `wire`
-    /// — a collective's result or a receive's completion — into `buf`,
-    /// then hand it to the engine's staging pool. Every binding call
-    /// that stores a payload it owns ends its buffer here.
-    pub(crate) fn store<T: BufferElement>(
+    /// The one store-then-hand-back tail: store `wire` — a blocking
+    /// collective's result or a blocking receive's completion — into
+    /// `part` of `side`, then hand it to the engine's staging pool. A
+    /// request's completion takes the same two steps (`Held`, then
+    /// `Pending`'s completion tail).
+    pub(crate) fn store(
         &self,
+        side: &mut impl Side,
+        part: Part,
         wire: impl Spent,
-        buf: &mut [T],
-        offset: usize,
-        count: usize,
-        datatype: &Datatype,
     ) -> MpiResult<()> {
-        let stored = self.unpack_buffer(wire.as_ref(), buf, offset, count, datatype);
+        let stored = side.store(self, part, wire.as_ref());
         self.env.hand_back(wire);
         stored
     }
 
-    fn region<B>(&self, buf: B, offset: usize, count: usize, datatype: &Datatype) -> Region<B> {
-        Region {
+    /// The request over engine request `id` that holds `side` (see
+    /// `Held`): each start packs it, each completion is stored into it.
+    pub(crate) fn pending<'buf, R: Side + Send + 'buf>(
+        &self,
+        id: RequestId,
+        side: R,
+        whole: Part,
+        bcast_root: Option<bool>,
+    ) -> Pending<'buf> {
+        let held = Held {
             comm: self.clone(),
-            buf,
-            offset,
-            count,
-            datatype: datatype.clone(),
-        }
+            side,
+            whole,
+            bcast_root,
+        };
+        Pending::new(&self.env, id, held)
+    }
+
+    /// The receive twin of [`send_payload`](Self::send_payload): the side
+    /// every point-to-point receive of the binding stores into — `count`
+    /// instances of `datatype` at element `offset` of `buf`, type- and
+    /// bounds-checked when the receive is posted — and the longest wire
+    /// payload it takes.
+    fn recv_side<'buf, 'd, T: BufferElement>(
+        &self,
+        buf: &'buf mut [T],
+        offset: usize,
+        count: usize,
+        datatype: Cow<'d, Datatype>,
+    ) -> MpiResult<(Array<'d, &'buf mut [T]>, usize)> {
+        let (window, max_len) = self.recv_window(buf, offset, count, &datatype)?;
+        Ok((Array::window(window, count, datatype), max_len))
     }
 
     /// The one payload every point-to-point send of the binding hands
@@ -448,23 +643,19 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Status> {
         self.env.jni.enter("Comm.Recv");
-        let (window, max_len) = self.recv_window(buf, offset, count, datatype)?;
+        let (mut side, max_len) = self.recv_side(buf, offset, count, Cow::Borrowed(datatype))?;
+        let engine = &self.env.engine;
         if !datatype.def().is_contiguous_dense() {
-            let (data, info) =
-                self.env
-                    .engine
-                    .lock()
-                    .recv(self.handle, source, tag, Some(max_len))?;
-            self.store(data, window, 0, count, datatype)?;
+            let (data, info) = engine
+                .lock()
+                .recv(self.handle, source, tag, Some(max_len))?;
+            self.store(&mut side, Part::ONE, data)?;
             return Ok(Status::from_info(info));
         }
         // Dense: the window's byte image is the wire layout, so the
         // engine's one delivery copy lands in the user's memory.
-        let info = with_bytes_mut(window, |image| {
-            self.env
-                .engine
-                .lock()
-                .recv_into(self.handle, source, tag, image)
+        let info = with_bytes_mut(side.buf, |image| {
+            engine.lock().recv_into(self.handle, source, tag, image)
         })?;
         self.env.jni.note_out(info.count_bytes);
         Ok(Status::from_info(info))
@@ -489,21 +680,19 @@ impl Comm {
     ) -> MpiResult<Status> {
         self.env.jni.enter("Comm.Sendrecv");
         let data = self.send_payload(send_buf, send_offset, send_count, send_type)?;
-        let (window, max_len) = self.recv_window(recv_buf, recv_offset, recv_count, recv_type)?;
-        // `Engine::sendrecv`'s steps, with the send taken as `Isend`
-        // takes it: receive posted first, under the same lock, so the
-        // exchange cannot deadlock.
-        let done = {
-            let mut engine = self.env.engine.lock();
-            let recv = engine.irecv(self.handle, source, recv_tag, Some(max_len))?;
-            let send = engine.isend(self.handle, dest, send_tag, data, SendMode::Standard)?;
-            let done = engine.wait(recv)?;
-            engine.wait(send)?;
-            done
-        };
-        let data = done.data.unwrap_or_default();
-        self.store(data, window, 0, recv_count, recv_type)?;
-        Ok(Status::from_info(done.status))
+        let recv_type = Cow::Borrowed(recv_type);
+        let (mut side, max_len) = self.recv_side(recv_buf, recv_offset, recv_count, recv_type)?;
+        let (data, info) = self.env.engine.lock().sendrecv(
+            self.handle,
+            dest,
+            send_tag,
+            data,
+            source,
+            recv_tag,
+            Some(max_len),
+        )?;
+        self.store(&mut side, Part::ONE, data)?;
+        Ok(Status::from_info(info))
     }
 
     // ------------------------------------------------------------------
@@ -626,13 +815,13 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Request<'buf>> {
         self.env.jni.enter("Comm.Irecv");
-        let (window, max_len) = self.recv_window(buf, offset, count, datatype)?;
+        let (side, max_len) = self.recv_side(buf, offset, count, Cow::Owned(datatype.clone()))?;
         let id = self
             .env
             .engine
             .lock()
             .irecv(self.handle, source, tag, Some(max_len))?;
-        Ok(Pending::new(&self.env, id, self.region(window, 0, count, datatype)).into())
+        Ok(self.pending(id, ((), side), Part::ONE, None).into())
     }
 
     // ------------------------------------------------------------------
@@ -651,15 +840,14 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Prequest<'buf>> {
         self.env.jni.enter("Comm.Send_init");
-        self.check_type::<T>(datatype)?;
-        window_range::<T>(buf.len(), offset, count, datatype, ErrorClass::Buffer)?;
+        let window = self.send_window(buf, offset, count, datatype)?;
+        let side = Array::window(window, count, Cow::Owned(datatype.clone()));
         let id = self
             .env
             .engine
             .lock()
             .send_init(self.handle, dest, tag, SendMode::Standard)?;
-        let region = self.region(buf, offset, count, datatype);
-        Ok(Pending::new(&self.env, id, region).into())
+        Ok(self.pending(id, side, Part::ONE, None).into())
     }
 
     /// `Comm.Recv_init`: build a persistent receive request.
@@ -673,14 +861,13 @@ impl Comm {
         tag: i32,
     ) -> MpiResult<Prequest<'buf>> {
         self.env.jni.enter("Comm.Recv_init");
-        let (window, max_len) = self.recv_window(buf, offset, count, datatype)?;
+        let (side, max_len) = self.recv_side(buf, offset, count, Cow::Owned(datatype.clone()))?;
         let id = self
             .env
             .engine
             .lock()
             .recv_init(self.handle, source, tag, Some(max_len))?;
-        let region = self.region(window, 0, count, datatype);
-        Ok(Pending::new(&self.env, id, region).into())
+        Ok(self.pending(id, ((), side), Part::ONE, None).into())
     }
 
     // ------------------------------------------------------------------

@@ -35,13 +35,13 @@ use mpi_native::ErrorClass;
 
 use crate::buffer::BufferElement;
 use crate::cartcomm::Cartcomm;
-use crate::comm::Comm;
+use crate::comm::{Array, Comm, Part, Shape, Side};
 use crate::datatype::Datatype;
 use crate::exception::{MPIException, MpiResult};
 use crate::graphcomm::Graphcomm;
 use crate::group::Group;
 use crate::op::Op;
-use crate::request::{Capture, Pending};
+use crate::request::Pending;
 use crate::serial::Serializable;
 use crate::RankEnv;
 
@@ -86,139 +86,6 @@ impl<'buf, H: From<Pending<'buf>>> Launched<'buf> for H {
     }
 }
 
-/// How an [`Array`]'s instances are laid out.
-#[derive(Clone, Copy)]
-pub(crate) enum Shape<'d> {
-    /// `count` instances: this rank's own data.
-    One(usize),
-    /// `count` instances per rank, rank after rank: the fixed-count
-    /// forms (`Gather`, `Scatter`, `Allgather`, `Alltoall`).
-    Each(usize),
-    /// `len` instances split evenly over the ranks (`rs` total
-    /// exchanges); a `Count` error unless the ranks divide `len`.
-    Split(usize),
-    /// `counts[r]` instances `displs[r]` extents past the offset: the `v`
-    /// forms.
-    V(&'d [usize], &'d [usize]),
-}
-
-/// Which instances of a side one marshal covers on a communicator of
-/// `size` ranks: rank `r`'s (`rank: Some(r)`), or with `None` the whole
-/// side as one run (a nonblocking completion is every rank's part,
-/// concatenated in rank order).
-#[derive(Clone, Copy)]
-pub(crate) struct Part {
-    rank: Option<usize>,
-    size: usize,
-}
-
-impl Part {
-    /// Rank `r`'s part of the same side.
-    fn rank(mut self, r: usize) -> Part {
-        self.rank = Some(r);
-        self
-    }
-}
-
-/// A typed side of a collective: `buf` from element `offset`, as
-/// instances of `datatype` laid out as `shape` (the classic argument
-/// tuple).
-pub(crate) struct Array<'d, B> {
-    buf: B,
-    offset: usize,
-    shape: Shape<'d>,
-    datatype: Cow<'d, Datatype>,
-}
-
-impl<'d, B> Array<'d, B> {
-    pub(crate) fn new(buf: B, offset: usize, shape: Shape<'d>, datatype: &'d Datatype) -> Self {
-        Array {
-            buf,
-            offset,
-            shape,
-            datatype: Cow::Borrowed(datatype),
-        }
-    }
-
-    /// The element offset and instance count of `part`. Offsets
-    /// saturate, so that an unrepresentable one fails the seam's bounds
-    /// check instead of wrapping around it.
-    fn span(&self, part: Part) -> MpiResult<(usize, usize)> {
-        let Part { rank, size } = part;
-        let count_error = |message| Err(MPIException::new(ErrorClass::Count, message));
-        let shape = match self.shape {
-            Shape::Split(len) if size > 0 && len.is_multiple_of(size) => Shape::Each(len / size),
-            Shape::Split(_) => return count_error("the length must split evenly over the ranks"),
-            shape => shape,
-        };
-        let (displ, count) = match (shape, rank) {
-            (Shape::One(count), _) => (0, count),
-            (Shape::Each(count), None) => (0, count.saturating_mul(size)),
-            (Shape::Each(count), Some(r)) => (r.saturating_mul(count), count),
-            (Shape::V(counts, displs), Some(r)) if counts.len() == size && displs.len() == size => {
-                (displs[r], counts[r])
-            }
-            _ => return count_error("counts and displacements need one entry per rank"),
-        };
-        let elements = displ.saturating_mul(self.datatype.extent_elements());
-        Ok((self.offset.saturating_add(elements), count))
-    }
-}
-
-impl<T: BufferElement, B: Deref<Target = [T]>> Array<'static, B> {
-    /// An `rs` side: the slice from its start, as `T`'s own datatype.
-    pub(crate) fn of(buf: B, shape: Shape<'static>) -> Self {
-        Array {
-            buf,
-            offset: 0,
-            shape,
-            datatype: Cow::Owned(T::datatype()),
-        }
-    }
-
-    /// The whole slice as one run.
-    pub(crate) fn whole(buf: B) -> Self {
-        let len = buf.len();
-        Array::of(buf, Shape::One(len))
-    }
-}
-
-/// One side of a collective call as it crosses the boundary. The
-/// defaults carry nothing, so `()` is the side of a call without one.
-pub(crate) trait Side {
-    /// Marshal in the instances `part` covers.
-    fn pack(&mut self, _comm: &Comm, _part: Part) -> MpiResult<Cow<'_, [u8]>> {
-        Ok(Cow::Borrowed(&[]))
-    }
-
-    /// Store `wire` into the instances `part` covers.
-    fn store(&mut self, _comm: &Comm, _part: Part, _wire: &[u8]) -> MpiResult<()> {
-        Ok(())
-    }
-}
-
-impl Side for () {}
-
-impl<T: BufferElement> Side for Array<'_, &[T]> {
-    fn pack(&mut self, comm: &Comm, part: Part) -> MpiResult<Cow<'_, [u8]>> {
-        let (offset, count) = self.span(part)?;
-        comm.pack_buffer(self.buf, offset, count, &self.datatype)
-    }
-}
-
-impl<T: BufferElement> Side for Array<'_, &mut [T]> {
-    /// A broadcast root's buffer is its input.
-    fn pack(&mut self, comm: &Comm, part: Part) -> MpiResult<Cow<'_, [u8]>> {
-        let (offset, count) = self.span(part)?;
-        comm.pack_buffer(self.buf, offset, count, &self.datatype)
-    }
-
-    fn store(&mut self, comm: &Comm, part: Part, wire: &[u8]) -> MpiResult<()> {
-        let (offset, count) = self.span(part)?;
-        comm.unpack_buffer(wire, self.buf, offset, count, &self.datatype)
-    }
-}
-
 /// `Bcast[OBJECT]`'s side: the object stream, the root's serialized
 /// objects moved in as they are, every other rank's stored as bytes.
 impl Side for &mut Vec<u8> {
@@ -229,45 +96,6 @@ impl Side for &mut Vec<u8> {
     fn store(&mut self, comm: &Comm, _part: Part, wire: &[u8]) -> MpiResult<()> {
         self.resize(wire.len(), 0);
         comm.unpack_buffer(wire, self, 0, wire.len(), &Datatype::byte())
-    }
-}
-
-/// A persistent call's two sides in one (see [`Mode::Persistent`]).
-impl<S: Side, R: Side> Side for (S, R) {
-    fn pack(&mut self, comm: &Comm, part: Part) -> MpiResult<Cow<'_, [u8]>> {
-        self.0.pack(comm, part)
-    }
-
-    fn store(&mut self, comm: &Comm, part: Part, wire: &[u8]) -> MpiResult<()> {
-        self.1.store(comm, part, wire)
-    }
-}
-
-/// The receive side a nonblocking or persistent request holds: each
-/// persistent start packs it, and each completion is stored into it as
-/// one run. `bcast_root` is `Some(true)` on a broadcast root, whose
-/// buffer is its input and already holds the outcome, and `Some(false)`
-/// on a broadcast's other ranks, which have no input.
-struct Held<R> {
-    comm: Comm,
-    side: R,
-    whole: Part,
-    bcast_root: Option<bool>,
-}
-
-impl<R: Side + Send> Capture for Held<R> {
-    fn pack(&mut self) -> MpiResult<Cow<'_, [u8]>> {
-        match self.bcast_root {
-            Some(false) => Ok(Cow::Borrowed(&[])),
-            _ => self.side.pack(&self.comm, self.whole),
-        }
-    }
-
-    fn unpack(&mut self, wire: &[u8]) -> MpiResult<()> {
-        match self.bcast_root {
-            Some(true) => Ok(()),
-            _ => self.side.store(&self.comm, self.whole, wire),
-        }
     }
 }
 
@@ -386,7 +214,7 @@ impl Intracomm {
             let e = engine.lock();
             (e.comm_rank(self.handle)?, e.comm_size(self.handle)?)
         };
-        let whole = Part { rank: None, size };
+        let whole = Part::whole(size);
         let desc = match &mode {
             Mode::Blocking(desc) | Mode::Nonblocking(desc) => desc,
             Mode::Persistent(desc) => desc,
@@ -412,32 +240,20 @@ impl Intracomm {
             Mode::Nonblocking(desc) => engine.lock().coll_launch(self.handle, &desc, payload)?,
             Mode::Blocking(desc) => {
                 let outcome = engine.lock().coll_run(self.handle, &desc, payload)?;
-                let mut store = |part, wire: Vec<u8>| {
-                    let stored = recv.store(self, part, &wire);
-                    self.env.hand_back(wire);
-                    stored
-                };
                 match outcome {
                     CollOutcome::Done => {}
                     CollOutcome::Buffer(own) if bcast_root == Some(true) => self.env.hand_back(own),
-                    CollOutcome::Buffer(wire) => store(whole, wire)?,
+                    CollOutcome::Buffer(wire) => self.store(&mut recv, whole, wire)?,
                     CollOutcome::Parts(parts) => {
                         for (r, wire) in parts.into_iter().enumerate() {
-                            store(whole.rank(r), wire)?;
+                            self.store(&mut recv, whole.rank(r), wire)?;
                         }
                     }
                 }
                 return H::launched(None);
             }
         };
-        let comm = self.base.clone();
-        let held = Held {
-            comm,
-            side: recv,
-            whole,
-            bcast_root,
-        };
-        H::launched(Some(Pending::new(&self.env, id, held)))
+        H::launched(Some(self.pending(id, recv, whole, bcast_root)))
     }
 
     /// `Intracomm.Barrier()`.

@@ -154,9 +154,9 @@ use mpi_native::coll::{CollDesc, CollOutcome, Reduction};
 use mpi_native::{ErrorClass, MpiError, SendMode, PROC_NULL};
 
 use crate::buffer::{bytes_of, store_bytes, BufferElement};
-use crate::comm::Comm;
+use crate::comm::{Array, Comm, Shape};
 use crate::exception::{MPIException, MpiResult};
-use crate::intracomm::{Array, Intracomm, Mode, Shape};
+use crate::intracomm::{Intracomm, Mode};
 use crate::op::Op;
 use crate::request::{Capture, Pending};
 use crate::serial::Serializable;

@@ -1015,18 +1015,27 @@ impl Engine {
     }
 
     /// `MPI_Sendrecv`: exchange with possibly different partners without
-    /// deadlocking.
+    /// deadlocking. The send is one [`SendBuf`], taken as
+    /// [`Engine::isend`] takes it. Both envelopes are checked first — the
+    /// receive's (`recv_want`, the source's liveness), then the send's
+    /// (`prepare_send`) — and only then is the receive posted, and the
+    /// send after it: a receive posted for an exchange whose send then
+    /// fails would match, and swallow, a message the caller never sees.
     #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    pub fn sendrecv<'a>(
         &mut self,
         comm: CommHandle,
         dest: i32,
         send_tag: i32,
-        send_data: &[u8],
+        send_data: impl Into<SendBuf<'a>>,
         src: i32,
         recv_tag: i32,
         max_len: Option<usize>,
     ) -> Result<(Bytes, StatusInfo)> {
+        let send_data = send_data.into();
+        self.recv_want(comm, src, recv_tag)?;
+        self.check_peer_alive(comm, src)?;
+        self.prepare_send(comm, dest, send_tag, send_data.len(), SendMode::Standard)?;
         let recv_req = self.irecv(comm, src, recv_tag, max_len)?;
         let send_req = self.isend(comm, dest, send_tag, send_data, SendMode::Standard)?;
         let completion = self.wait(recv_req)?;
@@ -1793,6 +1802,32 @@ mod tests {
                 .unwrap();
             assert_eq!(status.source, peer);
             assert!(data.iter().all(|&b| b == (1 - rank) as u8));
+        })
+        .unwrap();
+    }
+
+    /// An exchange whose send fails its checks posts nothing: rank 1's
+    /// next tag-3 message waits for rank 0's own receive.
+    #[test]
+    fn sendrecv_to_an_invalid_rank_posts_no_receive() {
+        Universe::run(2, DeviceKind::ShmFast, |engine| {
+            if engine.world_rank() == 1 {
+                engine
+                    .send(COMM_WORLD, 0, 3, b"mine", SendMode::Standard)
+                    .unwrap();
+                // Tag 4 follows tag 3 on the same pair: once it is in,
+                // so is tag 3.
+                engine
+                    .send(COMM_WORLD, 0, 4, b"", SendMode::Standard)
+                    .unwrap();
+                return;
+            }
+            let failed = engine.sendrecv(COMM_WORLD, 5, 3, b"lost", 1, 3, None);
+            assert_eq!(failed.unwrap_err().class, ErrorClass::Rank);
+            engine.recv(COMM_WORLD, 1, 4, None).unwrap();
+            assert!(engine.iprobe(COMM_WORLD, 1, 3).unwrap().is_some());
+            let (data, _) = engine.recv(COMM_WORLD, 1, 3, None).unwrap();
+            assert_eq!(&data[..], b"mine");
         })
         .unwrap();
     }

@@ -301,6 +301,35 @@ fn sendrecv_ring_rotation() {
         .unwrap();
 }
 
+/// A `Sendrecv` whose destination is outside the communicator fails and
+/// posts nothing: the peer's next message with its receive's envelope is
+/// left for the caller's own `Recv`.
+#[test]
+fn failed_sendrecv_leaves_the_next_message_to_recv() {
+    for (label, runtime) in test_runtimes(2) {
+        runtime
+            .run(|mpi| {
+                let world = mpi.comm_world();
+                let int = Datatype::int();
+                if world.rank()? == 1 {
+                    world.send(&[42i32], 0, 1, &int, 0, 3)?;
+                    // Tag 4 follows tag 3 on the same pair: once it is
+                    // in, so is tag 3.
+                    return world.send(&[0i32], 0, 1, &int, 0, 4);
+                }
+                let mut recv = [0i32; 1];
+                let failed = world.sendrecv(&[7i32], 0, 1, &int, 5, 3, &mut recv, 0, 1, &int, 1, 3);
+                assert_eq!(failed.unwrap_err().class, ErrorClass::Rank);
+                world.recv(&mut recv, 0, 1, &int, 1, 4)?;
+                assert!(world.iprobe(1, 3)?.is_some(), "tag 3 was swallowed");
+                world.recv(&mut recv, 0, 1, &int, 1, 3)?;
+                assert_eq!(recv, [42]);
+                Ok(())
+            })
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
 #[test]
 fn proc_null_and_truncation_behaviour() {
     MpiRuntime::new(2)
