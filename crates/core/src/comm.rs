@@ -12,6 +12,19 @@
 //!
 //! Every call crosses the simulated JNI boundary of [`crate::jni`]; that is
 //! where the wrapper overhead the paper measures lives.
+//!
+//! ## One typed side for every call
+//!
+//! The `(buf, offset, count, datatype)` tuple has one description here,
+//! `Array` (a buffer, an offset, a `Shape` and a datatype), used by every
+//! call of the binding, point-to-point and collective. A send turns its
+//! window into one engine `SendBuf` (`Comm::send_payload`); a receive
+//! builds its side and `max_len` through its twin, `Comm::recv_side`,
+//! checked when the receive is posted. A dense `Recv` hands the engine
+//! its window (`Engine::recv_into`); every other blocking receive, and
+//! every blocking collective, stores its result through one
+//! store-then-hand-back tail, `Comm::store`. Every request holds its side
+//! in one capture, `Held`.
 
 use bytes::Bytes;
 use mpi_native::comm::CommHandle;

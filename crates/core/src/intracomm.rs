@@ -21,9 +21,12 @@
 //! `coll_launch` and a request, or `coll_init` and a persistent request.
 //! A typed side is the classic `(buf, offset, datatype)` tuple with a
 //! shape: one run of instances, or one per rank, so a `v` form and its
-//! fixed-count twin differ only in the shape. Every input marshals in
-//! through `Comm::pack_buffer` and every outcome is stored through
-//! `Comm::unpack_buffer`, the seam every point-to-point call crosses.
+//! fixed-count twin differ only in the shape. The side types (`Array`,
+//! `Shape`, `Side`) and the request capture (`Held`) live in `comm.rs`,
+//! shared with point-to-point: one typed side for every call. Every
+//! input marshals in through `Comm::pack_buffer`, and a blocking outcome
+//! is stored through `Comm::store`, the tail the blocking point-to-point
+//! receives share.
 
 use std::borrow::Cow;
 use std::ops::Deref;

@@ -146,7 +146,7 @@
 //! | the same | `Pin` | 1: the engine's staging copy of the lent slice ([`SendBuf::Slice`]) | — |
 //! | persistent send `Start` (classic `Prequest`, `rs` `PersistentRequest`) | `Copy` / `Pin` | 1 / 1: as `Send`; [`Engine::start`] takes the marshalled payload, and the engine stores none | — |
 //! | classic `Recv` (`rs` `recv_into`) | either | — | 1: [`Engine::recv_into`] delivers into the window's byte view, chunk by chunk as a chunk-granted rendezvous lands |
-//! | classic `Irecv`, `Sendrecv`, collective results | either | — | 1: one store from the completion buffer into the window, which then goes to the staging pool |
+//! | classic `Irecv`, `Recv_init` (and the `rs` `irecv_into`, `recv_init`), `Sendrecv` ([`Engine::sendrecv`]), a `Recv` of a datatype with holes, collective results | either | — | 1: one store (a scatter, for holes) from the completion buffer into the window, which then goes to the staging pool |
 //! | classic `Reduce`, `Allreduce`, `Reduce_scatter`, `Scan` (and the blocking `rs` reductions, which forward to them) | `Copy` / `Pin` | 1 / 1: the boundary block copy is the schedule's input buffer, moved in (a ring allreduce folds into it and returns it as the result) / the engine's copy of the lent slice into that input | — |
 //!
 //! `bytes_copied` counts the engine's passes only: a `Copy` send moves it

@@ -93,6 +93,14 @@ fn adapted(budget: u32, within_cap: bool) -> u32 {
     }
 }
 
+/// Slots an inbox holds from the start, or its capacity if smaller (64
+/// slots of 128 bytes: 8 KiB per mailbox). A burst up to this deep never
+/// grows the queue, so a high-water mark a job reaches once — a sender
+/// outrunning its receiver by a few frames — costs nothing after
+/// bring-up instead of one reallocation whenever the timing first allows
+/// it.
+const PRESIZED_SLOTS: usize = 64;
+
 struct Slot {
     frame: Frame,
     due: Option<Instant>,
@@ -124,7 +132,7 @@ impl Mailbox {
     pub fn new(capacity: usize) -> Mailbox {
         Mailbox {
             inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
+                queue: VecDeque::with_capacity(capacity.min(PRESIZED_SLOTS)),
                 closed: false,
                 parked_pops: 0,
                 parked_pushes: 0,
@@ -442,6 +450,19 @@ mod tests {
             assert_eq!(mb.pop().unwrap().header.tag, i);
         }
         assert!(mb.is_empty());
+    }
+
+    /// A burst up to the presized depth never grows the inbox (the
+    /// backpressure tests pin a small mailbox's bound).
+    #[test]
+    fn a_burst_within_the_presized_depth_never_grows_the_inbox() {
+        let mb = Mailbox::new(64 * 1024);
+        let capacity = mb.inner.lock().queue.capacity();
+        assert!(capacity >= PRESIZED_SLOTS);
+        for i in 0..PRESIZED_SLOTS as i32 {
+            mb.push(frame(i, &[]), None).unwrap();
+        }
+        assert_eq!(mb.inner.lock().queue.capacity(), capacity);
     }
 
     #[test]
