@@ -278,10 +278,11 @@ impl<S: Side, R: Side> Side for (S, R) {
 
 /// What every request of the binding holds: its side, which each
 /// persistent start packs and each completion is stored into as one run
-/// (a point-to-point send's or receive's window, a collective's receive
-/// side). `bcast_root` is `Some(true)` on a broadcast root, whose buffer
-/// is its input and already holds the outcome, and `Some(false)` on a
-/// broadcast's other ranks, which have no input.
+/// (a persistent send's window, a receive's `((), window)`, a
+/// collective's receive side). `bcast_root` is `Some(true)` on a
+/// broadcast root, whose buffer is its input and already holds the
+/// outcome, and `Some(false)` on a broadcast's other ranks, which have
+/// no input.
 struct Held<R> {
     comm: Comm,
     side: R,
