@@ -1812,14 +1812,12 @@ mod tests {
     fn sendrecv_to_an_invalid_rank_posts_no_receive() {
         Universe::run(2, DeviceKind::ShmFast, |engine| {
             if engine.world_rank() == 1 {
-                engine
-                    .send(COMM_WORLD, 0, 3, b"mine", SendMode::Standard)
-                    .unwrap();
                 // Tag 4 follows tag 3 on the same pair: once it is in,
-                // so is tag 3.
-                engine
-                    .send(COMM_WORLD, 0, 4, b"", SendMode::Standard)
-                    .unwrap();
+                // so is tag 3 (or its rendezvous announcement).
+                let mine = engine.isend(COMM_WORLD, 0, 3, b"mine", SendMode::Standard);
+                let last = engine.isend(COMM_WORLD, 0, 4, b"", SendMode::Standard);
+                engine.wait(last.unwrap()).unwrap();
+                engine.wait(mine.unwrap()).unwrap();
                 return;
             }
             let failed = engine.sendrecv(COMM_WORLD, 5, 3, b"lost", 1, 3, None);

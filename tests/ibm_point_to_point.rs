@@ -312,10 +312,13 @@ fn failed_sendrecv_leaves_the_next_message_to_recv() {
                 let world = mpi.comm_world();
                 let int = Datatype::int();
                 if world.rank()? == 1 {
-                    world.send(&[42i32], 0, 1, &int, 0, 3)?;
                     // Tag 4 follows tag 3 on the same pair: once it is
-                    // in, so is tag 3.
-                    return world.send(&[0i32], 0, 1, &int, 0, 4);
+                    // in, so is tag 3 (or its rendezvous announcement).
+                    let mut sent = [
+                        world.isend(&[42i32], 0, 1, &int, 0, 3)?,
+                        world.isend(&[0i32], 0, 1, &int, 0, 4)?,
+                    ];
+                    return Request::wait_all(&mut sent).map(drop);
                 }
                 let mut recv = [0i32; 1];
                 let failed = world.sendrecv(&[7i32], 0, 1, &int, 5, 3, &mut recv, 0, 1, &int, 1, 3);
